@@ -31,10 +31,13 @@ from gaitbridge.composer import (
     ACTION_DIM,
     FLAT,
 )
-from gaitbridge.diffcore.net import ParameterizedNet, taped_policy_forward, \
-    taped_bernoulli_logprob
-from gaitbridge.diffcore.optim import AdamState, adam_step
-from gaitbridge.diffcore.tape import GradientTape, sigmoid
+from gaitbridge.diffcore import (
+    AdamState,
+    ParameterizedNet,
+    adam_step,
+    sigmoid,
+    switch_bce_grad,
+)
 from gaitbridge.policyopt import policy_act
 from gaitbridge.terrainsim import (
     OBS_DIM,
@@ -161,15 +164,10 @@ class ProximityPredictor:
         return float(np.mean(losses))
 
     def _bce_step(self, obs, labels):
-        tape = GradientTape()
-        _, _, _, logit = taped_policy_forward(tape, self.net.params64(), obs,
-                                              with_switch=True)
-        logp = taped_bernoulli_logprob(tape, logit, labels)
-        loss = tape.neg(tape.mean(logp))
-        tape.backward(loss)
-        adam_step(self.net, tape.gradients(self.net.params), self.adam)
-        self.net.invalidate_cache()
-        return float(loss.value)
+        grad = np.empty(self.net.flat.size)
+        loss = switch_bce_grad(self.net, obs, labels, grad)
+        adam_step(self.net, grad, self.adam)
+        return loss
 
 
 def proximity_reward(predictor, s_t, s_next):
@@ -322,19 +320,13 @@ def train_switch_classifier(observations, labels, rng, *, hidden=(16,),
 
     net = ParameterizedNet(observations.shape[1], ACTION_DIM, hidden, rng)
     adam = AdamState(lr=lr)
+    grad = np.empty(net.flat.size)
     n = len(labels)
     for _ in range(epochs):
         perm = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = perm[start:start + batch_size]
-            tape = GradientTape()
-            _, _, _, logit = taped_policy_forward(tape, net.params64(),
-                                                  observations[idx],
-                                                  with_switch=True)
-            logp = taped_bernoulli_logprob(tape, logit,
-                                           labels[idx].reshape(-1, 1))
-            loss = tape.neg(tape.mean(logp))
-            tape.backward(loss)
-            adam_step(net, tape.gradients(net.params), adam)
-            net.invalidate_cache()
+            switch_bce_grad(net, observations[idx],
+                            labels[idx].reshape(-1, 1), grad)
+            adam_step(net, grad, adam)
     return SwitchClassifier(net)

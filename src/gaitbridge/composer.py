@@ -203,11 +203,9 @@ def lift_to_terrain_obs(net, norm):
     """
     if net.obs_dim == OBS_DIM:
         return net.copy(), norm.copy()
-    params = {k: v.copy() for k, v in net.params.items()}
-    fc0 = np.zeros((OBS_DIM, net.params["fc0.w"].shape[1]), dtype=np.float32)
+    fc0 = np.zeros((OBS_DIM, net.hidden[0]), dtype=np.float32)
     fc0[:net.obs_dim] = net.params["fc0.w"]
-    params["fc0.w"] = fc0
-    lifted = ParameterizedNet.from_params(params)
+    lifted = ParameterizedNet.from_params({**net.params, "fc0.w": fc0})
 
     old = norm.state_arrays()
     state = {}
@@ -604,7 +602,7 @@ def train_setup(module: BehaviorModule, default_net, default_norm, env, config,
         raise ValueError("budget must be >= 0")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
-    frozen = {name: arr.copy() for name, arr in module.target_net.params.items()}
+    frozen = module.target_net.flat.copy()
 
     trainer = SetupTrainer(module, config, AdamState(lr=config.lr), rng,
                            reward_fn=reward_fn, extend=extend)
@@ -652,9 +650,8 @@ def train_setup(module: BehaviorModule, default_net, default_norm, env, config,
         if not progressed and not did_update and steps_used < budget:
             raise RuntimeError("all workers paused without an update")
 
-    for name, arr in module.target_net.params.items():
-        if not np.array_equal(arr, frozen[name]):
-            raise RuntimeError("target policy drifted during setup training")
+    if not np.array_equal(module.target_net.flat, frozen):
+        raise RuntimeError("target policy drifted during setup training")
     if last_eval_at != trainer.updates or not curve:
         run_eval(steps_used)
     return curve

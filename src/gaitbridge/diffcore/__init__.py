@@ -1,24 +1,19 @@
-from gaitbridge.diffcore.tape import GradientTape, Var, NonFiniteGradientError
 from gaitbridge.diffcore.net import (
     ParameterizedNet,
     gaussian_logprob,
-    taped_policy_forward,
-    taped_gaussian_logprob,
-    taped_bernoulli_logprob,
     numeric_gradient,
+    sigmoid,
+    switch_bce_grad,
 )
-from gaitbridge.diffcore.optim import AdamState, adam_step
+from gaitbridge.diffcore.optim import AdamState, NonFiniteGradientError, adam_step
 
 __all__ = [
-    "GradientTape",
-    "Var",
     "NonFiniteGradientError",
     "ParameterizedNet",
     "gaussian_logprob",
-    "taped_policy_forward",
-    "taped_gaussian_logprob",
-    "taped_bernoulli_logprob",
     "numeric_gradient",
+    "sigmoid",
+    "switch_bce_grad",
     "AdamState",
     "adam_step",
 ]

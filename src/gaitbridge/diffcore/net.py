@@ -1,13 +1,27 @@
-"""Dense policy/value networks over the gradient tape.
+"""Dense policy/value networks with a closed-form backward.
 
 One architecture serves every policy in the suite: a tanh MLP trunk, a linear
 action-mean head, a state-independent log-std vector, a scalar value head, and
 a scalar switch-logit head. Policies that never use the switch mechanism simply
 leave the switch head untouched (its gradients stay exactly zero), which keeps
-"initialize one policy from another" a straight bit-copy of every array.
+"initialize one policy from another" a straight bit-copy of the parameters.
 
-Parameters are stored float32 (the checkpoint payload format); all math runs on
-float64 copies cached per net and refreshed after each optimizer step.
+Parameters live in one contiguous float32 vector, `net.flat` (the checkpoint
+payload format), laid out as fc0.w, fc0.b, fc1.w, ..., mu.w, mu.b, log_std,
+value.w, value.b, switch.w, switch.b, each array row-major. `net.params` maps
+each name to a view into `net.flat`, so writes through either are the same
+write. All math runs on a float64 mirror of the vector, cached per net and
+refreshed after each optimizer step or clamp.
+
+`ParameterizedNet.backward` is the reverse pass of the only graph this code
+differentiates: trunk, then the heads named by the loss. Gradients land in one
+flat float64 vector with the parameter layout. The losses (the PPO surrogate in
+`policyopt`, the switch-head cross-entropy here) differentiate their own
+scalar and hand `backward` the gradient at each head's output. Their float64
+operations, and the order in which gradients from several uses of one value are
+summed, are fixed: trunk-output gradients sum as (switch + value) + mu, and
+`x*x` contributes `g*x + g*x`. Changing either changes trained weights in the
+last bits.
 """
 
 from __future__ import annotations
@@ -15,8 +29,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from gaitbridge.diffcore.tape import GradientTape, Var
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -26,61 +38,110 @@ LOG_STD_MAX = 2.0
 SWITCH_BIAS_INIT = -2.0
 
 
+def sigmoid(z):
+    # tanh form is stable for large |z|.
+    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=np.float64)))
+
+
+def _layout(obs_dim, action_dim, hidden):
+    """((name, start, shape), ...) of every parameter in flat-vector order."""
+    shapes = []
+    fan_in = obs_dim
+    for i, width in enumerate(hidden):
+        shapes += [(f"fc{i}.w", (fan_in, width)), (f"fc{i}.b", (width,))]
+        fan_in = width
+    shapes += [("mu.w", (fan_in, action_dim)), ("mu.b", (action_dim,)),
+               ("log_std", (action_dim,)),
+               ("value.w", (fan_in, 1)), ("value.b", (1,)),
+               ("switch.w", (fan_in, 1)), ("switch.b", (1,))]
+    layout = []
+    start = 0
+    for name, shape in shapes:
+        layout.append((name, start, shape))
+        start += math.prod(shape)
+    return tuple(layout), start
+
+
 class ParameterizedNet:
-    """MLP with named float32 parameter arrays.
+    """MLP whose named parameter arrays are views into one flat float32 vector.
 
     Layout for hidden=(h0, h1, ...): fc{i}.w (fan_in, h_i), fc{i}.b (h_i,),
     then mu.w/mu.b, log_std, value.w/value.b, switch.w/switch.b.
     """
 
     def __init__(self, obs_dim, action_dim, hidden=(64, 64), rng=None):
+        self._allocate(obs_dim, action_dim, hidden)
+        if rng is None:
+            rng = np.random.default_rng(0)
+        for name, _, shape in self.layout:
+            if name.endswith(".w"):
+                self.params[name][...] = self._init_weight(rng, *shape)
+        self.params["log_std"][...] = LOG_STD_INIT
+        self.params["switch.b"][...] = SWITCH_BIAS_INIT
+
+    def _allocate(self, obs_dim, action_dim, hidden):
         self.obs_dim = int(obs_dim)
         self.action_dim = int(action_dim)
         self.hidden = tuple(int(h) for h in hidden)
-        if rng is None:
-            rng = np.random.default_rng(0)
-        self.params = {}
-        fan_in = self.obs_dim
-        for i, width in enumerate(self.hidden):
-            self.params[f"fc{i}.w"] = self._init_weight(rng, fan_in, width)
-            self.params[f"fc{i}.b"] = np.zeros(width, dtype=np.float32)
-            fan_in = width
-        self.params["mu.w"] = self._init_weight(rng, fan_in, self.action_dim)
-        self.params["mu.b"] = np.zeros(self.action_dim, dtype=np.float32)
-        self.params["log_std"] = np.full(self.action_dim, LOG_STD_INIT, dtype=np.float32)
-        self.params["value.w"] = self._init_weight(rng, fan_in, 1)
-        self.params["value.b"] = np.zeros(1, dtype=np.float32)
-        self.params["switch.w"] = self._init_weight(rng, fan_in, 1)
-        self.params["switch.b"] = np.full(1, SWITCH_BIAS_INIT, dtype=np.float32)
-        self._p64 = None
-        self._derived = None
+        self.layout, size = _layout(self.obs_dim, self.action_dim, self.hidden)
+        self._fc_names = [(f"fc{i}.w", f"fc{i}.b") for i in range(len(self.hidden))]
+        self.flat = np.zeros(size, dtype=np.float32)
+        self.params = self.views(self.flat)
+        self.invalidate_cache()
 
     @staticmethod
     def _init_weight(rng, fan_in, fan_out):
         w = rng.standard_normal((fan_in, fan_out)) / math.sqrt(fan_in)
         return w.astype(np.float32)
 
+    def views(self, vector):
+        """Named views into a flat vector laid out like `self.flat`."""
+        return {name: vector[start:start + math.prod(shape)].reshape(shape)
+                for name, start, shape in self.layout}
+
+    def name_at(self, index):
+        """The parameter that flat position `index` belongs to."""
+        for name, start, _ in reversed(self.layout):
+            if index >= start:
+                return name
+        raise IndexError(index)
+
     @classmethod
     def from_params(cls, params):
-        """Rebuild a net from a named-array dict (architecture is implicit)."""
+        """Build a net from a named-array dict; the architecture is implicit.
+
+        Raises ValueError unless the names and shapes are exactly a layout
+        this class produces: fc{i} layers chaining their widths, mu.w, mu.b
+        and log_std agreeing on the action width, and (h, 1)/(1,) value and
+        switch heads.
+        """
+        shapes = {name: np.shape(arr) for name, arr in params.items()}
+        if len(shapes.get("fc0.w", ())) != 2:
+            raise ValueError("parameter dict has no 2-D fc0.w layer")
+        if len(shapes.get("mu.w", ())) != 2:
+            raise ValueError("parameter dict has no 2-D mu.w head")
         hidden = []
-        i = 0
-        while f"fc{i}.w" in params:
-            hidden.append(params[f"fc{i}.w"].shape[1])
-            i += 1
-        if not hidden:
-            raise ValueError("parameter dict has no fc0.w layer")
+        while len(shapes.get(f"fc{len(hidden)}.w", ())) == 2:
+            hidden.append(shapes[f"fc{len(hidden)}.w"][1])
         net = cls.__new__(cls)
-        net.obs_dim = params["fc0.w"].shape[0]
-        net.action_dim = params["mu.w"].shape[1]
-        net.hidden = tuple(hidden)
-        net.params = {k: np.array(v, dtype=np.float32) for k, v in params.items()}
-        net._p64 = None
-        net._derived = None
+        net._allocate(shapes["fc0.w"][0], shapes["mu.w"][1], hidden)
+        for name, view in net.params.items():
+            if name not in shapes:
+                raise ValueError(f"parameter dict is missing {name!r}")
+            if shapes[name] != view.shape:
+                raise ValueError(f"parameter {name!r} has shape {shapes[name]}, "
+                                 f"expected {view.shape}")
+            view[...] = params[name]
+        unknown = sorted(set(shapes) - set(net.params))
+        if unknown:
+            raise ValueError(f"unknown parameters {unknown} for this layout")
         return net
 
     def copy(self):
-        return ParameterizedNet.from_params(self.params)
+        dup = ParameterizedNet.__new__(ParameterizedNet)
+        dup._allocate(self.obs_dim, self.action_dim, self.hidden)
+        dup.flat[...] = self.flat
+        return dup
 
     def invalidate_cache(self):
         self._p64 = None
@@ -88,7 +149,7 @@ class ParameterizedNet:
 
     def params64(self):
         if self._p64 is None:
-            self._p64 = {k: v.astype(np.float64) for k, v in self.params.items()}
+            self._p64 = self.views(self.flat.astype(np.float64))
         return self._p64
 
     def derived64(self):
@@ -109,25 +170,58 @@ class ParameterizedNet:
         np.clip(self.params["log_std"], LOG_STD_MIN, LOG_STD_MAX, out=self.params["log_std"])
         self.invalidate_cache()
 
-    def _trunk(self, p, obs):
-        h = obs @ p["fc0.w"]
-        h += p["fc0.b"]
-        np.tanh(h, out=h)
-        for i in range(1, len(self.hidden)):
-            h2 = h @ p[f"fc{i}.w"]
-            h2 += p[f"fc{i}.b"]
-            np.tanh(h2, out=h2)
-            h = h2
-        return h
+    def activations(self, obs):
+        """Trunk activations [obs, h0, h1, ...] of one row or a batch."""
+        p = self.params64()
+        hs = [obs]
+        for w, b in self._fc_names:
+            h = hs[-1] @ p[w]
+            h += p[b]
+            np.tanh(h, out=h)
+            hs.append(h)
+        return hs
+
+    def head(self, name, h):
+        """Linear head `name` ("mu", "value" or "switch") on trunk output h."""
+        p = self.params64()
+        return h @ p[f"{name}.w"] + p[f"{name}.b"]
+
+    def backward(self, hs, head_grads, d_log_std, grad):
+        """Write d(loss)/d(parameters) into the flat float64 vector `grad`.
+
+        hs are the trunk activations of the forward pass. head_grads pairs
+        each head the loss read with the gradient at its output, in the order
+        their trunk contributions are summed. Heads not listed, and log_std
+        when d_log_std is None, get exact zeros.
+        """
+        p = self.params64()
+        g = self.views(grad)
+        grad.fill(0.0)
+        if d_log_std is not None:
+            g["log_std"][...] = d_log_std
+        h = hs[-1]
+        dh = None
+        for name, d_out in head_grads:
+            g[f"{name}.b"][...] = d_out.sum(axis=0)
+            g[f"{name}.w"][...] = h.T @ d_out
+            d_in = d_out @ p[f"{name}.w"].T
+            dh = d_in if dh is None else dh + d_in
+        for i in range(len(self.hidden) - 1, -1, -1):
+            h = hs[i + 1]
+            da = dh * (1.0 - h * h)
+            g[f"fc{i}.b"][...] = da.sum(axis=0)
+            g[f"fc{i}.w"][...] = hs[i].T @ da
+            if i:
+                dh = da @ p[f"fc{i}.w"].T
 
     def forward(self, obs):
-        """Fast inference pass, no tape.
+        """Fast inference pass.
 
         obs (obs_dim,) -> (mu (A,), log_std (A,), value float, switch_logit float)
         obs (B, obs_dim) -> batched arrays with value/switch of shape (B,).
         """
         p = self.params64()
-        h = self._trunk(p, obs)
+        h = self.activations(obs)[-1]
         mu = h @ p["mu.w"]
         mu += p["mu.b"]
         if obs.ndim == 1:
@@ -141,7 +235,7 @@ class ParameterizedNet:
 
     def value_of(self, obs):
         p = self.params64()
-        h = self._trunk(p, obs)
+        h = self.activations(obs)[-1]
         if obs.ndim == 1:
             d = self.derived64()
             return float(h @ d["value_w"]) + d["value_b"]
@@ -157,44 +251,20 @@ def gaussian_logprob(mean, log_std, action):
     return float(-0.5 * np.sum(z * z) - np.sum(log_std) - 0.5 * mean.shape[-1] * LOG_2PI)
 
 
-def taped_policy_forward(tape: GradientTape, params64, obs_batch, with_switch=True):
-    """Differentiable pass over a batch. Returns (mu, log_std, value, switch) Vars.
+def switch_bce_grad(net, obs, labels, grad):
+    """Mean binary cross-entropy of the switch head against (B, 1) 0/1 labels.
 
-    mu is (B, A); log_std is (A,); value and switch are (B, 1). With
-    with_switch=False the switch head stays off the tape (its gradient is an
-    exact zero) and None is returned in its place.
+    Writes the gradient into the flat float64 `grad` and returns the loss.
+    The per-sample loss is softplus(z * (1 - 2 * label)), so its derivative
+    in z is sigmoid of that product times the same sign.
     """
-    watched = {name: tape.watch(name, arr) for name, arr in params64.items()}
-    h = obs_batch
-    i = 0
-    while f"fc{i}.w" in params64:
-        h = tape.tanh(tape.add(tape.matmul(h, watched[f"fc{i}.w"]), watched[f"fc{i}.b"]))
-        i += 1
-    mu = tape.add(tape.matmul(h, watched["mu.w"]), watched["mu.b"])
-    value = tape.add(tape.matmul(h, watched["value.w"]), watched["value.b"])
-    switch = None
-    if with_switch:
-        switch = tape.add(tape.matmul(h, watched["switch.w"]), watched["switch.b"])
-    return mu, watched["log_std"], value, switch
-
-
-def taped_gaussian_logprob(tape: GradientTape, mu, log_std, actions):
-    """Per-sample Gaussian log-prob as a (B, 1) Var. `actions` is a constant."""
-    diff = tape.sub(actions, mu)
-    inv_var = tape.exp(tape.mul(log_std, -2.0))
-    sq = tape.sum(tape.mul(tape.mul(diff, diff), inv_var), axis=1, keepdims=True)
-    ls_sum = tape.sum(log_std)
-    logp = tape.sub(tape.mul(sq, -0.5), ls_sum)
-    return tape.add(logp, -0.5 * actions.shape[1] * LOG_2PI)
-
-
-def taped_bernoulli_logprob(tape: GradientTape, logit, bits):
-    """Per-sample Bernoulli log-prob of observed bits as a (B, 1) Var.
-
-    log p(bit=1) = -softplus(-z), log p(bit=0) = -softplus(z).
-    """
-    neg_sign = 1.0 - 2.0 * np.asarray(bits, dtype=np.float64)
-    return tape.neg(tape.softplus(tape.mul(logit, neg_sign)))
+    hs = net.activations(obs)
+    sign = 1.0 - 2.0 * labels
+    z = net.head("switch", hs[-1]) * sign
+    inv_n = 1.0 / z.size
+    loss = -(np.sum(-np.logaddexp(0.0, z)) * inv_n)
+    net.backward(hs, [("switch", (inv_n * sigmoid(z)) * sign)], None, grad)
+    return float(loss)
 
 
 def numeric_gradient(loss_fn, params64, h=1e-5):

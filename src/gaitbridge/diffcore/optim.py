@@ -1,10 +1,17 @@
-"""Adam with bias correction over named parameter dicts."""
+"""Adam with bias correction over a net's flat parameter vector.
+
+The gradient is one float64 vector laid out like `net.flat` (see `net.py`).
+The moments are float64 vectors of the same length, so a step is a handful of
+vector operations; every entry is updated exactly as a per-array loop would.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from gaitbridge.diffcore.tape import NonFiniteGradientError
+
+class NonFiniteGradientError(RuntimeError):
+    """Raised when a backward pass produces NaN or infinite gradients."""
 
 
 class AdamState:
@@ -16,48 +23,44 @@ class AdamState:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self.m = {}
-        self.v = {}
+        self.m = None
+        self.v = None
 
 
-def adam_step(net, grads, state: AdamState):
-    """Apply one Adam update to net.params in place.
+def adam_step(net, grad, state: AdamState):
+    """Apply one Adam update to net.flat in place.
 
-    Validates every gradient before touching any state, so a non-finite
+    Validates the whole gradient before touching any state, so a non-finite
     gradient leaves parameters, moments, and the step count unchanged.
     """
-    for name, g in grads.items():
-        if not np.isfinite(g).all():
-            raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
-        if name not in net.params:
-            raise KeyError(f"gradient for unknown parameter {name!r}")
+    if grad.shape != net.flat.shape:
+        raise ValueError(f"gradient of shape {grad.shape} for a net with "
+                         f"{net.flat.size} parameters")
+    finite = np.isfinite(grad)
+    if not finite.all():
+        name = net.name_at(int(np.argmin(finite)))
+        raise NonFiniteGradientError(f"non-finite gradient for parameter {name!r}")
 
     state.step_count += 1
     t = state.step_count
-    # fold the bias corrections into scalars so the per-parameter work is
-    # four in-place vector ops plus one scratch chain
+    if state.m is None:
+        state.m = np.zeros(grad.shape)
+        state.v = np.zeros(grad.shape)
+    m, v = state.m, state.v
+    # fold the bias corrections into scalars so the work is four in-place
+    # vector ops plus one temporary chain
     step_scale = state.lr / (1.0 - state.beta1 ** t)
     inv_bc2 = 1.0 / (1.0 - state.beta2 ** t)
-    for name, param in net.params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros(param.shape, dtype=np.float64)
-            state.m[name] = m
-            state.v[name] = np.zeros(param.shape, dtype=np.float64)
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        denom = v * inv_bc2
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        np.divide(m, denom, out=denom)
-        denom *= step_scale
-        p64 = param.astype(np.float64)
-        p64 -= denom
-        param[...] = p64
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (grad * grad)
+    denom = v * inv_bc2
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(m, denom, out=denom)
+    denom *= step_scale
+    p64 = net.flat.astype(np.float64)
+    p64 -= denom
+    net.flat[...] = p64
     net.invalidate_cache()

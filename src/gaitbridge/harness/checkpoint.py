@@ -58,11 +58,27 @@ class Checkpoint:
         return cls(params, stats, config_hash)
 
     def build(self):
-        """Reconstruct the (network, normalizer) pair."""
-        net = ParameterizedNet.from_params(
-            {k: v.copy() for k, v in self.params.items()})
-        norm = RunningNormalizer.from_state_arrays(
-            {k: v.copy() for k, v in self.norm_state.items()})
+        """Reconstruct the (network, normalizer) pair.
+
+        Raises CheckpointFormatError when the arrays are not a network layout,
+        or when the normalizer statistics are missing or not vectors of the
+        network's input width.
+        """
+        try:
+            net = ParameterizedNet.from_params(self.params)
+        except ValueError as exc:
+            raise CheckpointFormatError(
+                f"checkpoint parameters are not a policy network: {exc}") from None
+        shapes = {np.shape(v) for v in self.norm_state.values()}
+        if shapes != {(net.obs_dim,)}:
+            raise CheckpointFormatError(
+                f"normalizer statistics of shapes {sorted(shapes)} do not match "
+                f"the network's input width {net.obs_dim}")
+        try:
+            norm = RunningNormalizer.from_state_arrays(self.norm_state)
+        except KeyError as exc:
+            raise CheckpointFormatError(
+                f"checkpoint lacks normalizer statistic {exc}") from None
         return net, norm
 
 

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: train-target, train-setup, evaluate, ablate, reward-compare,
-multi-terrain. Exit codes: 0 success; 2 bad flags or configuration
-(argparse errors included); 3 a training run ended below its success bar;
-4 a checkpoint file could not be read as a checkpoint.
+multi-terrain. Exit codes (EXIT_CODES, also printed by --help): 0 success;
+2 bad flags, configuration or course file; 3 training failed, because the
+final success rate fell below the bar or an update produced a non-finite
+gradient; 4 a checkpoint file could not be read as a policy checkpoint.
 """
 
 import argparse
@@ -21,6 +22,7 @@ from ..composer import (
     train_setup,
     train_target,
 )
+from ..diffcore import NonFiniteGradientError
 from ..policyopt import PPOConfig
 from ..terrainsim import KINDS, CourseError, TerrainEnv, load_course
 from .checkpoint import (
@@ -42,6 +44,13 @@ from .experiments import (
     run_multi_terrain,
     run_reward_comparison,
 )
+
+EXIT_CODES = """exit codes:
+  0  success
+  2  bad flags, configuration or course file
+  3  training failed: the final success rate fell below the bar, or an
+     update produced a non-finite gradient
+  4  a checkpoint file could not be read as a policy checkpoint"""
 
 _PPO_INT_KEYS = ("epochs", "minibatch", "horizon")
 _PPO_KEYS = tuple(f.name for f in dataclasses.fields(PPOConfig))
@@ -259,7 +268,9 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="gaitbridge",
         description="Train, bridge, and benchmark terrain policies on the "
-                    "deterministic 2-D runner.")
+                    "deterministic 2-D runner.",
+        epilog=EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     commands = parser.add_subparsers(dest="command", required=True)
 
     train_target_cmd = commands.add_parser(
@@ -342,7 +353,7 @@ def main(argv=None):
     except (ConfigError, CourseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except TrainingFailure as exc:
+    except (TrainingFailure, NonFiniteGradientError) as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return 3
     except CheckpointFormatError as exc:

@@ -14,16 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gaitbridge.diffcore import (
-    GradientTape,
-    AdamState,
-    adam_step,
-    taped_bernoulli_logprob,
-    taped_gaussian_logprob,
-    taped_policy_forward,
-)
+from gaitbridge.diffcore import AdamState, adam_step, sigmoid
 from gaitbridge.diffcore.net import LOG_2PI
-from gaitbridge.diffcore.tape import sigmoid
 
 
 @dataclass
@@ -272,6 +264,65 @@ def _stack_worker(buffer, config):
     return obs, actions, bits, logp_old, adv, returns
 
 
+def ppo_loss_grad(net, obs, actions, bits, logp_old, adv, returns, config, grad):
+    """PPO loss of one minibatch and its gradient, written into flat `grad`.
+
+    loss = -mean(min(r*A, clip(r)*A)) + value_coef * mean((V - R)^2)
+           - entropy_coef * entropy, with r the ratio of the joint action (and
+    switch-bit) probability to the behaviour policy's. Returns
+    (pg_loss, v_loss, r). The backward sums repeated uses in a fixed order
+    (see diffcore.net): log_std takes the entropy term, then the -sum(log_std)
+    term, then the exp(-2 log_std) term.
+    """
+    hs = net.activations(obs)
+    h = hs[-1]
+    n = len(obs)
+    log_std = net.params64()["log_std"]
+    lo, hi = 1.0 - config.clip, 1.0 + config.clip
+
+    diff = actions - net.head("mu", h)
+    inv_var = np.exp(log_std * -2.0)
+    sq_diff = diff * diff
+    ls_sum = np.sum(log_std)
+    logp = (np.sum(sq_diff * inv_var, axis=1, keepdims=True) * -0.5 - ls_sum) \
+        + -0.5 * actions.shape[1] * LOG_2PI
+    if bits is not None:
+        sign = 1.0 - 2.0 * bits
+        z = net.head("switch", h) * sign
+        logp = logp + -np.logaddexp(0.0, z)
+    ratio = np.exp(logp - logp_old)
+    surr1 = ratio * adv
+    surr2 = np.clip(ratio, lo, hi) * adv
+    take1 = surr1 <= surr2
+    pg = -(np.sum(np.where(take1, surr1, surr2)) * (1.0 / n))
+    verr = net.head("value", h) - returns
+    v_loss = np.sum(verr * verr) * (1.0 / n)
+
+    # d(pg)/d(min) is -1/n; the clipped branch passes gradient only inside the band
+    d_min = -(1.0 / n)
+    d_ratio = ((d_min * ~take1) * adv) * ((ratio > lo) & (ratio < hi)) \
+        + (d_min * take1) * adv
+    d_logp = d_ratio * ratio
+    head_grads = []
+    if bits is not None:
+        head_grads.append(("switch", (-d_logp * sigmoid(z)) * sign))
+    d_verr = config.value_coef * (1.0 / n)
+    head_grads.append(("value", d_verr * verr + d_verr * verr))
+    d_sq = d_logp * -0.5
+    d_diff = d_sq * inv_var
+    d_diff = d_diff * diff + d_diff * diff
+    head_grads.append(("mu", -d_diff))
+    d_ls_sum = (-d_logp).sum(axis=0).sum(axis=0)
+    if config.entropy_coef != 0.0:
+        # diagonal Gaussian entropy is sum(log_std) + const; the switch head adds none
+        d_log_std = np.full(net.action_dim, -config.entropy_coef) + d_ls_sum
+    else:
+        d_log_std = np.full(net.action_dim, d_ls_sum)
+    d_log_std = d_log_std + ((d_sq * sq_diff).sum(axis=0) * inv_var) * -2.0
+    net.backward(hs, head_grads, d_log_std, grad)
+    return float(pg), float(v_loss), ratio
+
+
 def ppo_update(net, buffers, config: PPOConfig, adam: AdamState, rng):
     """One PPO update from one or more worker buffers (gradients averaged).
 
@@ -298,6 +349,7 @@ def ppo_update(net, buffers, config: PPOConfig, adam: AdamState, rng):
 
     n_workers = len(buffers)
     w_scale = 1.0 / n_workers
+    grads = [np.empty(net.flat.size) for _ in stacked]
     pg_losses, v_losses, clip_fracs = [], [], []
 
     for _ in range(config.epochs):
@@ -306,40 +358,18 @@ def ppo_update(net, buffers, config: PPOConfig, adam: AdamState, rng):
             idx = perm[start:start + config.minibatch]
             if idx.size == 0:
                 continue
-            mean_grads = None
             for w, (obs, actions, bits, logp_old, _, returns) in enumerate(stacked):
-                tape = GradientTape()
-                mu, log_std, value, switch = taped_policy_forward(
-                    tape, net.params64(), obs[idx], with_switch=with_bits)
-                logp = taped_gaussian_logprob(tape, mu, log_std, actions[idx])
-                if with_bits:
-                    logp = tape.add(logp, taped_bernoulli_logprob(tape, switch, bits[idx]))
-                ratio = tape.exp(tape.sub(logp, logp_old[idx]))
-                mb_adv = norm_advs[w][idx]
-                surr1 = tape.mul(ratio, mb_adv)
-                surr2 = tape.mul(tape.clip(ratio, 1.0 - config.clip, 1.0 + config.clip), mb_adv)
-                pg = tape.neg(tape.mean(tape.minimum(surr1, surr2)))
-                verr = tape.sub(value, returns[idx])
-                v_loss = tape.mean(tape.mul(verr, verr))
-                loss = tape.add(pg, tape.mul(v_loss, config.value_coef))
-                if config.entropy_coef != 0.0:
-                    # diagonal Gaussian entropy; the switch head adds none here
-                    ent = tape.add(tape.sum(log_std), 0.5 * net.action_dim * (1.0 + np.log(2 * np.pi)))
-                    loss = tape.sub(loss, tape.mul(ent, config.entropy_coef))
-                tape.backward(loss)
-                grads = tape.gradients(net.params)
-                if mean_grads is None:
-                    mean_grads = grads
-                else:
-                    for name in mean_grads:
-                        mean_grads[name] = mean_grads[name] + grads[name]
-                pg_losses.append(float(pg.value))
-                v_losses.append(float(v_loss.value))
-                clip_fracs.append(float(np.mean(np.abs(ratio.value - 1.0) > config.clip)))
+                pg, v_loss, ratio = ppo_loss_grad(
+                    net, obs[idx], actions[idx], None if bits is None else bits[idx],
+                    logp_old[idx], norm_advs[w][idx], returns[idx], config, grads[w])
+                if w:
+                    grads[0] += grads[w]
+                pg_losses.append(pg)
+                v_losses.append(v_loss)
+                clip_fracs.append(float(np.mean(np.abs(ratio - 1.0) > config.clip)))
             if n_workers > 1:
-                for name in mean_grads:
-                    mean_grads[name] = mean_grads[name] * w_scale
-            adam_step(net, mean_grads, adam)
+                grads[0] *= w_scale
+            adam_step(net, grads[0], adam)
             net.clamp_log_std()
 
     return {

@@ -1,21 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from gaitbridge.diffcore import (
     AdamState,
-    GradientTape,
     NonFiniteGradientError,
     ParameterizedNet,
     adam_step,
     gaussian_logprob,
     numeric_gradient,
-    taped_bernoulli_logprob,
-    taped_gaussian_logprob,
-    taped_policy_forward,
+    switch_bce_grad,
 )
 from gaitbridge.diffcore.net import LOG_STD_MAX, LOG_STD_MIN
+from gaitbridge.policyopt import PPOConfig, ppo_loss_grad
 
 
 def _zeroed_net(obs_dim=4, action_dim=2, hidden=(3, 3)):
@@ -75,10 +74,10 @@ def test_gaussian_logprob_integrates_to_one():
 
 def test_adam_single_step_hand_value():
     net = _zeroed_net(obs_dim=1, action_dim=1, hidden=(1,))
-    grads = {name: np.zeros(p.shape) for name, p in net.params.items()}
-    grads["mu.b"][...] = 1.0
+    grad = np.zeros(net.flat.size)
+    net.views(grad)["mu.b"][...] = 1.0
     state = AdamState(lr=0.1)
-    adam_step(net, grads, state)
+    adam_step(net, grad, state)
     # bias-corrected first step moves by exactly lr (up to eps)
     assert net.params["mu.b"][0] == pytest.approx(-0.1, abs=1e-6)
     assert state.step_count == 1
@@ -87,14 +86,29 @@ def test_adam_single_step_hand_value():
 def test_adam_rejects_non_finite_gradients_without_mutation():
     net = _zeroed_net()
     before = {k: v.copy() for k, v in net.params.items()}
-    grads = {name: np.zeros(p.shape) for name, p in net.params.items()}
-    grads["fc0.w"][0, 0] = np.nan
+    grad = np.zeros(net.flat.size)
+    net.views(grad)["fc0.w"][0, 0] = np.nan
     state = AdamState()
     with pytest.raises(NonFiniteGradientError):
-        adam_step(net, grads, state)
+        adam_step(net, grad, state)
     assert state.step_count == 0
     for name in before:
         assert np.array_equal(net.params[name], before[name])
+
+
+@pytest.mark.parametrize("name", ["fc1.b", "log_std", "value.w", "switch.b"])
+def test_adam_error_names_the_first_non_finite_parameter(name):
+    net = _zeroed_net()
+    grad = np.zeros(net.flat.size)
+    net.views(grad)[name][...] = np.inf
+    net.views(grad)["switch.b"][...] = np.nan
+    state = AdamState()
+    adam_step(net, np.zeros(net.flat.size), state)
+    m_before = state.m.copy()
+    with pytest.raises(NonFiniteGradientError, match=repr(name)):
+        adam_step(net, grad, state)
+    assert state.step_count == 1
+    assert np.array_equal(state.m, m_before)
 
 
 def test_log_std_clamp():
@@ -114,92 +128,212 @@ def test_copy_is_bit_equal_and_independent():
     assert net.params["fc0.w"][0, 0] != dup.params["fc0.w"][0, 0]
 
 
-def _ppo_style_loss(params64, batch):
-    """Clipped-surrogate + value loss over a small batch, returns (loss Var, tape)."""
-    tape = GradientTape()
-    mu, log_std, value, switch = taped_policy_forward(tape, params64, batch["obs"])
-    logp = taped_gaussian_logprob(tape, mu, log_std, batch["actions"])
-    logp = tape.add(logp, taped_bernoulli_logprob(tape, switch, batch["bits"]))
-    ratio = tape.exp(tape.sub(logp, batch["logp_old"]))
-    surr1 = tape.mul(ratio, batch["adv"])
-    surr2 = tape.mul(tape.clip(ratio, 0.8, 1.2), batch["adv"])
-    pg = tape.neg(tape.mean(tape.minimum(surr1, surr2)))
-    verr = tape.sub(value, batch["returns"])
-    vloss = tape.mean(tape.mul(verr, verr))
-    loss = tape.add(pg, tape.mul(vloss, 0.5))
-    return loss, tape
+def test_params_are_views_into_flat_vector():
+    net = ParameterizedNet(3, 2, (4,), np.random.default_rng(4))
+    assert sum(v.size for v in net.params.values()) == net.flat.size
+    net.params["mu.b"][1] = 7.5
+    start = next(s for name, s, _ in net.layout if name == "mu.b")
+    assert net.flat[start + 1] == 7.5
+    dup = net.copy()
+    dup.flat[:] = 0.0
+    assert net.params["mu.b"][1] == 7.5
+    views = dict(net.params)
+    grad = np.ones(net.flat.size)
+    adam_step(net, grad, AdamState(lr=0.1))
+    net.params["log_std"][...] = 40.0
+    net.clamp_log_std()
+    for name, view in net.params.items():
+        assert view is views[name]
+        assert np.shares_memory(view, net.flat)
+    assert np.all(net.params["log_std"] == LOG_STD_MAX)
+    assert net.params64()["mu.b"][1] == pytest.approx(7.4, abs=1e-6)
 
 
-def _random_batch(rng, obs_dim, action_dim, batch=6):
+def _valid_params():
+    return dict(ParameterizedNet(3, 2, (4, 5), np.random.default_rng(6)).params)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p.pop("mu.w"), "mu.w"),
+    (lambda p: p.pop("value.b"), "value.b"),
+    (lambda p: p.update({"fc1.w": np.zeros((3, 5))}), "fc1.w"),
+    (lambda p: p.update({"log_std": np.zeros(3)}), "log_std"),
+    (lambda p: p.update({"mu.b": np.zeros(1)}), "mu.b"),
+    (lambda p: p.update({"value.w": np.zeros((5, 2))}), "value.w"),
+    (lambda p: p.update({"switch.b": np.zeros(())}), "switch.b"),
+    (lambda p: p.update({"fc2.b": np.zeros(5)}), "fc2.b"),
+    (lambda p: p.pop("fc0.w"), "fc0.w"),
+])
+def test_from_params_rejects_layouts_it_does_not_produce(edit, message):
+    params = _valid_params()
+    edit(params)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ParameterizedNet.from_params(params)
+
+
+def test_from_params_rebuilds_the_same_net():
+    params = _valid_params()
+    net = ParameterizedNet.from_params(params)
+    assert net.hidden == (4, 5) and net.obs_dim == 3 and net.action_dim == 2
+    assert list(net.params) == list(params)
+    for name in params:
+        assert np.array_equal(net.params[name], params[name])
+
+
+# ---- closed-form losses against central differences ---------------------------
+
+PPO_COEFS = {"clip": 0.2, "value_coef": 0.5}
+
+
+def _trunk(p, obs):
+    h = obs
+    i = 0
+    while f"fc{i}.w" in p:
+        h = np.tanh(h @ p[f"fc{i}.w"] + p[f"fc{i}.b"])
+        i += 1
+    return h
+
+
+def _reference_ppo_loss(p, batch, entropy_coef):
+    """PPO loss written out independently of the closed-form backward."""
+    h = _trunk(p, batch["obs"])
+    mu = h @ p["mu.w"] + p["mu.b"]
+    logp = np.array([[gaussian_logprob(m, p["log_std"], a)]
+                     for m, a in zip(mu, batch["actions"])])
+    if batch["bits"] is not None:
+        z = h @ p["switch.w"] + p["switch.b"]
+        logp += np.where(batch["bits"] == 1.0, -np.logaddexp(0.0, -z), -np.logaddexp(0.0, z))
+    ratio = np.exp(logp - batch["logp_old"])
+    clip = PPO_COEFS["clip"]
+    pg = -np.mean(np.minimum(ratio * batch["adv"],
+                             np.clip(ratio, 1.0 - clip, 1.0 + clip) * batch["adv"]))
+    value = h @ p["value.w"] + p["value.b"]
+    v_loss = np.mean((value - batch["returns"]) ** 2)
+    entropy = np.sum(p["log_std"]) + 0.5 * mu.shape[1] * (1.0 + math.log(2.0 * math.pi))
+    return float(pg + PPO_COEFS["value_coef"] * v_loss - entropy_coef * entropy)
+
+
+def _random_batch(rng, obs_dim, action_dim, batch=6, with_bits=True):
     return {
         "obs": rng.normal(size=(batch, obs_dim)),
         "actions": rng.normal(size=(batch, action_dim)),
-        "bits": rng.integers(0, 2, size=(batch, 1)).astype(np.float64),
+        "bits": rng.integers(0, 2, size=(batch, 1)).astype(np.float64) if with_bits else None,
         "logp_old": rng.normal(scale=0.3, size=(batch, 1)) - 1.5,
         "adv": rng.normal(size=(batch, 1)),
         "returns": rng.normal(size=(batch, 1)),
     }
 
 
+def _ppo_grad(net, batch, entropy_coef=0.0, **coefs):
+    config = PPOConfig(entropy_coef=entropy_coef, **{**PPO_COEFS, **coefs})
+    grad = np.full(net.flat.size, np.nan)
+    pg, v_loss, ratio = ppo_loss_grad(net, batch["obs"], batch["actions"], batch["bits"],
+                                      batch["logp_old"], batch["adv"], batch["returns"],
+                                      config, grad)
+    return net.views(grad), pg, v_loss, ratio
+
+
+def _assert_close(analytic, numeric, where):
+    for name in numeric:
+        a, n = analytic[name], numeric[name]
+        denom = max(np.max(np.abs(a)), np.max(np.abs(n)), 1e-8)
+        rel = np.max(np.abs(a - n)) / denom
+        assert rel < 1e-4, f"{where}, param {name}: rel err {rel:.3e}"
+
+
 def test_backward_matches_central_differences_many_nets():
+    # trials cycle through switch bits on/off and entropy on/off
     rng = np.random.default_rng(42)
-    worst = 0.0
     for trial in range(20):
+        with_bits = trial % 2 == 0
+        entropy_coef = 0.05 if trial % 4 >= 2 else 0.0
         obs_dim = int(rng.integers(2, 6))
         action_dim = int(rng.integers(1, 4))
         hidden = tuple(int(h) for h in rng.integers(2, 6, size=2))
         net = ParameterizedNet(obs_dim, action_dim, hidden, rng)
-        batch = _random_batch(rng, obs_dim, action_dim)
-        params64 = net.params64()
+        batch = _random_batch(rng, obs_dim, action_dim, with_bits=with_bits)
 
-        loss, tape = _ppo_style_loss(params64, batch)
-        tape.backward(loss)
-        analytic = tape.gradients(net.params)
+        analytic, pg, v_loss, _ = _ppo_grad(net, batch, entropy_coef)
+        p = net.params64()
+        assert pg + 0.5 * v_loss == pytest.approx(_reference_ppo_loss(p, batch, 0.0), abs=1e-12)
+        numeric = numeric_gradient(lambda q: _reference_ppo_loss(q, batch, entropy_coef), p)
+        _assert_close(analytic, numeric, f"trial {trial}")
+        if not with_bits:
+            assert np.all(analytic["switch.w"] == 0.0) and np.all(analytic["switch.b"] == 0.0)
 
-        numeric = numeric_gradient(lambda p: float(_ppo_style_loss(p, batch)[0].value), params64)
-        for name in analytic:
-            a, n = analytic[name], numeric[name]
-            denom = max(np.max(np.abs(a)), np.max(np.abs(n)), 1e-8)
-            rel = np.max(np.abs(a - n)) / denom
-            worst = max(worst, rel)
-            assert rel < 1e-4, f"trial {trial}, param {name}: rel err {rel:.3e}"
-    assert worst < 1e-4
+
+def _reference_bce(p, obs, labels):
+    z = _trunk(p, obs) @ p["switch.w"] + p["switch.b"]
+    prob = 1.0 / (1.0 + np.exp(-z))
+    return float(-np.mean(labels * np.log(prob) + (1.0 - labels) * np.log(1.0 - prob)))
+
+
+def test_switch_bce_matches_central_differences():
+    rng = np.random.default_rng(43)
+    for trial in range(10):
+        obs_dim = int(rng.integers(2, 6))
+        net = ParameterizedNet(obs_dim, 2, tuple(int(h) for h in rng.integers(2, 6, size=2)), rng)
+        obs = rng.normal(size=(7, obs_dim))
+        labels = rng.integers(0, 2, size=(7, 1)).astype(np.float64)
+        grad = np.full(net.flat.size, np.nan)
+        loss = switch_bce_grad(net, obs, labels, grad)
+        p = net.params64()
+        assert loss == pytest.approx(_reference_bce(p, obs, labels), abs=1e-12)
+        numeric = numeric_gradient(lambda q: _reference_bce(q, obs, labels), p)
+        _assert_close(net.views(grad), numeric, f"trial {trial}")
 
 
 def test_untouched_parameters_get_exact_zero_gradients():
     rng = np.random.default_rng(5)
     net = ParameterizedNet(4, 2, (3, 3), rng)
-    batch = _random_batch(rng, 4, 2)
-    tape = GradientTape()
-    mu, log_std, value, switch = taped_policy_forward(tape, net.params64(), batch["obs"])
-    logp = taped_gaussian_logprob(tape, mu, log_std, batch["actions"])
-    loss = tape.mean(logp)
-    tape.backward(loss)
-    grads = tape.gradients(net.params)
-    # value and switch heads never entered the loss
-    assert np.all(grads["value.w"] == 0.0)
-    assert np.all(grads["value.b"] == 0.0)
+    # without switch bits the PPO loss never reads the switch head
+    grads, _, _, _ = _ppo_grad(net, _random_batch(rng, 4, 2, with_bits=False))
     assert np.all(grads["switch.w"] == 0.0)
     assert np.all(grads["switch.b"] == 0.0)
     assert np.any(grads["mu.w"] != 0.0)
+    # the switch cross-entropy reads only the switch head
+    grad = np.full(net.flat.size, np.nan)
+    switch_bce_grad(net, rng.normal(size=(6, 4)), np.ones((6, 1)), grad)
+    grads = net.views(grad)
+    for name in ("mu.w", "mu.b", "log_std", "value.w", "value.b"):
+        assert np.all(grads[name] == 0.0), name
+    assert np.any(grads["switch.w"] != 0.0)
 
 
-def test_minimum_routes_gradient_to_smaller_branch():
-    tape = GradientTape()
-    a = tape.watch("a", np.array([1.0, 5.0]))
-    b = tape.watch("b", np.array([2.0, 4.0]))
-    out = tape.sum(tape.minimum(a, b))
-    tape.backward(out)
-    assert np.array_equal(a.grad, [1.0, 0.0])
-    assert np.array_equal(b.grad, [0.0, 1.0])
+def _batch_at_ratio(net, rng, ratio, adv_sign):
+    """A no-bits batch whose probability ratio is `ratio` for every row."""
+    batch = _random_batch(rng, net.obs_dim, net.action_dim, with_bits=False)
+    batch["logp_old"] = np.zeros((6, 1))
+    _, _, _, r = _ppo_grad(net, batch)
+    batch["logp_old"] = np.log(r) - math.log(ratio)
+    batch["adv"] = adv_sign * (np.abs(batch["adv"]) + 0.1)
+    return batch
 
 
-def test_clip_blocks_gradient_outside_bounds():
-    tape = GradientTape()
-    a = tape.watch("a", np.array([0.5, 3.0, -2.0]))
-    out = tape.sum(tape.clip(a, 0.0, 1.0))
-    tape.backward(out)
-    assert np.array_equal(a.grad, [1.0, 0.0, 0.0])
+@pytest.mark.parametrize("ratio, adv_sign", [(1.5, 1.0), (0.5, -1.0)])
+def test_ratio_clipped_on_pessimistic_side_gets_zero_policy_gradient(ratio, adv_sign):
+    # min() picks the clipped surrogate, which is flat in the ratio
+    rng = np.random.default_rng(21)
+    net = ParameterizedNet(4, 2, (5, 5), rng)
+    batch = _batch_at_ratio(net, rng, ratio, adv_sign)
+    grads, pg, _, r = _ppo_grad(net, batch, value_coef=0.0)
+    assert np.all(np.abs(r - 1.0) > 0.2)
+    assert pg != 0.0
+    for name, g in grads.items():
+        assert np.all(g == 0.0), name
+
+
+@pytest.mark.parametrize("ratio, adv_sign", [(1.5, -1.0), (0.5, 1.0)])
+def test_minimum_takes_unclipped_branch_outside_band_on_optimistic_side(ratio, adv_sign):
+    # min() picks r*A here, so the gradient is the unclipped surrogate's
+    rng = np.random.default_rng(22)
+    net = ParameterizedNet(4, 2, (5, 5), rng)
+    batch = _batch_at_ratio(net, rng, ratio, adv_sign)
+    clipped, _, _, _ = _ppo_grad(net, batch, value_coef=0.0)
+    unclipped, _, _, _ = _ppo_grad(net, batch, value_coef=0.0, clip=10.0)
+    assert np.any(clipped["mu.w"] != 0.0)
+    for name in clipped:
+        assert np.array_equal(clipped[name], unclipped[name]), name
 
 
 def test_batched_forward_matches_single():
