@@ -23,9 +23,9 @@ from gaitbridge.composer import (
     AWTVParams,
     BehaviorModule,
     awtv_reward,
+    awtv_step_reward,
     evaluate_bridged,
     policy_obs,
-    td_advantage,
     train_setup,
     train_target,
     ACTION_DIM,
@@ -90,22 +90,22 @@ def variant_reward(tag, context):
 
 
 def variant_reward_fn(tag):
-    """Wrap a variant as a per-step reward function for train_setup."""
+    """Wrap a variant as a per-step reward function for train_setup.
+
+    "awtv" is the main method's own `awtv_step_reward`.
+    """
     if tag not in VARIANT_TAGS:
         raise ValueError(f"unknown reward variant {tag!r}")
+    if tag == "awtv":
+        return awtv_step_reward
 
-    def reward_fn(module, obs, obs_next, r_env, terminal, action):
-        context = {"env_reward": r_env, "params": module.params}
+    def reward_fn(target, obs, obs_next, r_env, terminal, action):
+        context = {"env_reward": r_env, "params": target.params}
         if tag == "target-torque":
             context["setup_action"] = action
-            context["target_action"] = module.target_action(obs)
+            context["target_action"] = target.target_action(obs)
         elif tag == "target-value":
-            context["v_s"] = module.target_value(obs)
-        elif tag == "awtv":
-            context["advantage"] = td_advantage(
-                module.target_value, obs, obs_next, r_env,
-                module.params.gamma, terminal=terminal)
-            context["v_s"] = module.target_value(obs)
+            context["v_s"] = target.target_value(obs)
         return variant_reward(tag, context)
 
     return reward_fn

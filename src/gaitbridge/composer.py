@@ -14,6 +14,14 @@ flags an out-of-distribution state and squashes the reward. After the handoff,
 each subsequent shaped reward of the episode is folded into the setup buffer's
 final entry, so the setup policy is credited for what the specialist achieves
 from the states it prepared.
+
+A setup reward function has the signature
+`reward_fn(target, obs, obs_next, r_env, terminal, action)`. Inside an
+episode `target` is the driver's `CarriedTarget`, a view of the frozen
+specialist that evaluates it at most once per observation: the observation
+taken after a tick's step becomes the next tick's observation, so V(s') of one
+tick is V(s) of the next. A `BehaviorModule` offers the same `target_value`,
+`target_action` and `params`, so reward functions also take one directly.
 """
 
 from __future__ import annotations
@@ -96,9 +104,14 @@ def td_advantage(value_fn, s_t, s_next, r_t, gamma, terminal=False):
     """
     v_s = float(value_fn(s_t))
     v_next = 0.0 if terminal else float(value_fn(s_next))
+    return td_error(v_s, v_next, r_t, gamma)
+
+
+def td_error(v_s, v_next, r_t, gamma):
+    """r + gamma*V(s') - V(s) from values already evaluated."""
     r_t = float(r_t)
     if not (np.isfinite(v_s) and np.isfinite(v_next) and np.isfinite(r_t)):
-        raise ValueError("td_advantage needs finite reward and values")
+        raise ValueError("the TD advantage needs finite reward and values")
     return r_t + gamma * v_next - v_s
 
 
@@ -263,12 +276,45 @@ class BehaviorModule:
                    RunningNormalizer(OBS_DIM), params or AWTVParams())
 
 
-def awtv_step_reward(module: BehaviorModule, obs, obs_next, r_env, terminal,
-                     action):
-    """Per-step setup reward from the frozen target value function."""
-    adv = td_advantage(module.target_value, obs, obs_next, r_env,
-                       module.params.gamma, terminal=terminal)
-    return awtv_reward(adv, module.target_value(obs), module.params)
+class CarriedTarget:
+    """One driver's view of a module's frozen target, one forward per obs.
+
+    Keeps the target's (mu, V) at the last observation it was asked about,
+    matched by the identity of the observation array. The view holds that
+    array, so its id cannot be reused by another observation. The target's
+    net and normalizer must stay frozen while the view lives (one episode).
+    """
+
+    def __init__(self, module: BehaviorModule):
+        self.module = module
+        self.params = module.params
+        self._obs = None
+
+    def _evaluate(self, obs_raw):
+        if obs_raw is not self._obs:
+            module = self.module
+            self._mu, _, self._value, _ = module.target_net.forward(
+                module.target_norm.normalize(obs_raw))
+            self._obs = obs_raw
+
+    def target_value(self, obs_raw):
+        self._evaluate(obs_raw)
+        return self._value
+
+    def target_action(self, obs_raw):
+        self._evaluate(obs_raw)
+        return self._mu
+
+
+def awtv_step_reward(target, obs, obs_next, r_env, terminal, action):
+    """Per-step setup reward from the frozen target value function.
+
+    `target` is a CarriedTarget or a BehaviorModule; V(s) is read once.
+    """
+    v_s = target.target_value(obs)
+    v_next = 0.0 if terminal else target.target_value(obs_next)
+    adv = td_error(v_s, v_next, r_env, target.params.gamma)
+    return awtv_reward(adv, v_s, target.params)
 
 
 @dataclass
@@ -321,6 +367,9 @@ class EpisodeDriver:
             raise ValueError("the no-setup arm is evaluation-only")
         if (trainer is None) != (buffer is None):
             raise ValueError("trainer and buffer come together")
+        if trainer is not None and \
+                modules.get(trainer.module.kind) is not trainer.module:
+            raise ValueError("the trainer's module must be a driver module")
         self.env = env
         self.default_net = default_net
         self.default_norm = default_norm
@@ -334,6 +383,8 @@ class EpisodeDriver:
         self.switch = SwitchState()
         self.env_reward = 0.0
         self.handed_off = False  # a setup->target handoff happened this episode
+        self._obs = None  # observation of self.state, once taken
+        self.targets = {kind: CarriedTarget(m) for kind, m in modules.items()}
 
     @property
     def done(self):
@@ -342,10 +393,16 @@ class EpisodeDriver:
     def active_module(self):
         return self.modules[self.switch.artifact.kind]
 
+    def observation(self):
+        """Observation of the current state, taken once between steps."""
+        if self._obs is None:
+            self._obs = observe(self.env.course, self.state)
+        return self._obs
+
     def setup_bootstrap(self):
         """Setup-policy value of the state it would act on next (GAE tail)."""
         module = self.trainer.module
-        obs_n = module.setup_norm.normalize(observe(self.env.course, self.state))
+        obs_n = module.setup_norm.normalize(self.observation())
         return module.setup_net.value_of(obs_n)
 
     def _pre_act_transitions(self):
@@ -365,7 +422,7 @@ class EpisodeDriver:
         state = self.state
         self._pre_act_transitions()
         acting = self.switch.active
-        obs = observe(self.env.course, state)
+        obs = self.observation()
 
         bit = None
         if acting == POLICY_DEFAULT:
@@ -374,10 +431,7 @@ class EpisodeDriver:
             action, _, _, _ = policy_act(self.default_net, obs_n, self.rng,
                                          deterministic=True)
         elif acting == POLICY_TARGET:
-            module = self.active_module()
-            obs_n = module.target_norm.normalize(obs)
-            action, _, _, _ = policy_act(module.target_net, obs_n, self.rng,
-                                         deterministic=True)
+            action = self.targets[self.switch.artifact.kind].target_action(obs)
         else:
             module = self.active_module()
             if self.trainer is not None:
@@ -389,13 +443,14 @@ class EpisodeDriver:
                 deterministic=self.deterministic, with_switch=True)
 
         r_env, done = self.env.step(state, action)
+        self._obs = None
         self.env_reward += r_env
 
         if acting == POLICY_SETUP:
             if self.trainer is not None:
-                obs_next = observe(self.env.course, state)
-                r_step = self.trainer.reward_fn(module, obs, obs_next, r_env,
-                                                done, action)
+                r_step = self.trainer.reward_fn(
+                    self.targets[self.switch.artifact.kind], obs,
+                    self.observation(), r_env, done, action)
                 phase_done = done or bit == 1
                 self.buffer.append(obs_n, action, bit, logp, r_step, value,
                                    phase_done)
@@ -408,9 +463,9 @@ class EpisodeDriver:
               and self.trainer.extend):
             # every shaped reward from handoff to episode end folds into the
             # last stored entry, whichever policy is acting by now
-            obs_next = observe(self.env.course, state)
-            r_hat = self.trainer.reward_fn(self.trainer.module, obs, obs_next,
-                                           r_env, done, action)
+            r_hat = self.trainer.reward_fn(
+                self.targets[self.trainer.module.kind], obs,
+                self.observation(), r_env, done, action)
             extend_reward(self.buffer, r_hat)
         return done
 
@@ -512,9 +567,10 @@ def train_target(kind, budget, rng, *, config=None, course=None,
     """PPO-train a terrain specialist; returns (net, norm, curve).
 
     The curve holds (steps_used, updates, success_rate) rows sampled every
-    `eval_every` updates plus a final entry. Raises TrainingFailure (curve
-    attached) if the budget runs out below `min_final` success; pass
-    min_final=None for arms whose failure to learn is itself the result.
+    `eval_every` updates (none when it is 0) plus a final entry. Raises
+    TrainingFailure (curve attached) if the budget runs out below `min_final`
+    success; pass min_final=None for arms whose failure to learn is itself
+    the result.
     """
     if kind not in (FLAT, BLOCK, GAP, HURDLE):
         raise ValueError(f"unknown terrain kind {kind!r}")
@@ -565,7 +621,7 @@ def train_target(kind, budget, rng, *, config=None, course=None,
             ppo_update(net, buffer, config, adam, rng)
             buffer.clear()
             updates += 1
-            if updates % eval_every == 0:
+            if eval_every and updates % eval_every == 0:
                 if run_eval(steps_used, updates) >= stop_at:
                     return net, norm, curve
 
@@ -575,10 +631,6 @@ def train_target(kind, budget, rng, *, config=None, course=None,
             f"{kind} specialist stalled at {final:.0%} success "
             f"after {steps_used} steps", curve)
     return net, norm, curve
-
-
-def train_default(budget, rng, **kwargs):
-    return train_target(FLAT, budget, rng, **kwargs)
 
 
 # ---- setup-policy training -----------------------------------------------------
@@ -597,6 +649,12 @@ def train_setup(module: BehaviorModule, default_net, default_norm, env, config,
     environment tick of every training episode (walking and target phases
     included); evaluation episodes are free. `on_episode_end(driver)` fires
     after each finished training episode, before the runner restarts.
+
+    `reward_fn(target, obs, obs_next, r_env, terminal, action)` receives the
+    driver's CarriedTarget of the acting module, not the module itself: it
+    offers `target_value`, `target_action` and `params`, and evaluates the
+    frozen target once per observation. Each worker's driver keeps its own
+    carry, so the workers' shared module is never written to.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")

@@ -16,9 +16,13 @@ sizes (u32 each), then the row-major payload. Records are written in sorted
 name order so identical contents always produce identical bytes.
 """
 
+import os
+import secrets
 import struct
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -110,10 +114,29 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
     return b"".join(chunks)
 
 
+@contextmanager
+def atomic_output(path, mode="w"):
+    """Write `path` through a temporary file in the same directory.
+
+    The file object yielded writes the temporary file. When the block ends
+    normally, one os.replace puts it in place of `path`; when it raises, the
+    temporary file is removed and `path` keeps its previous contents.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, ckpt: Checkpoint):
-    data = checkpoint_bytes(ckpt)
-    with open(path, "wb") as fh:
-        fh.write(data)
+    with atomic_output(path, "wb") as fh:
+        fh.write(checkpoint_bytes(ckpt))
     return path
 
 

@@ -36,7 +36,12 @@ from ..terrainsim import (
     multi_terrain_course,
     single_artifact_course,
 )
-from .checkpoint import Checkpoint, load_policy, save_checkpoint
+from .checkpoint import (
+    Checkpoint,
+    atomic_output,
+    load_policy,
+    save_checkpoint,
+)
 from .config import ABLATION_ARMS, ConfigError, config_hash
 
 # Stream tags keep every random purpose on its own generator: training,
@@ -89,9 +94,10 @@ def format_metrics_row(row: MetricsRow) -> str:
 
 
 def write_metrics_csv(path, rows, cfg_hash):
-    lines = [f"# config_hash={cfg_hash}", CSV_HEADER]
-    lines.extend(format_metrics_row(row.validate()) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_output(path) as fh:
+        fh.write(f"# config_hash={cfg_hash}\n{CSV_HEADER}\n")
+        fh.writelines(format_metrics_row(row.validate()) + "\n"
+                      for row in rows)
     return path
 
 
@@ -121,22 +127,21 @@ def read_metrics_csv(path):
 
 def write_events_jsonl(path, labeled_outcomes):
     """One line per switch event, labeled with its seed and episode index."""
-    lines = []
-    for seed, episode, outcome in labeled_outcomes:
-        for event in outcome.events:
-            lines.append(json.dumps(
-                {"seed": seed, "episode": episode, "step": event.step,
-                 "from": event.src, "to": event.dst, "x": event.x,
-                 "c": event.c, "v": event.v}, sort_keys=True))
-    Path(path).write_text("".join(line + "\n" for line in lines),
-                          encoding="utf-8")
+    with atomic_output(path) as fh:
+        fh.writelines(
+            json.dumps({"seed": seed, "episode": episode, "step": event.step,
+                        "from": event.src, "to": event.dst, "x": event.x,
+                        "c": event.c, "v": event.v}, sort_keys=True) + "\n"
+            for seed, episode, outcome in labeled_outcomes
+            for event in outcome.events)
     return path
 
 
 def write_report(output_dir, report):
     path = Path(output_dir) / "report.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    with atomic_output(path) as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return path
 
 

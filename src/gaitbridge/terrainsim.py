@@ -378,14 +378,3 @@ class TerrainEnv:
 
 def distance_fraction(course, state):
     return min(max(state.max_x / course.goal_x, 0.0), 1.0)
-
-
-@dataclass
-class EpisodeResult:
-    success: bool
-    steps: int
-    max_x: float
-    distance_fraction: float
-    failure: str = None
-    switch_count: int = 0
-    reward_total: float = 0.0

@@ -26,6 +26,7 @@ from gaitbridge.composer import (
     AWTVParams,
     BehaviorModule,
     awtv_reward,
+    awtv_step_reward,
     evaluate_bridged,
     td_advantage,
 )
@@ -184,6 +185,9 @@ class TestVariantRewardFn:
                            0.05, params.gamma)
         want = awtv_reward(adv, self.module.target_value(self.obs), params)
         assert self._call("awtv") == pytest.approx(want, abs=1e-12)
+
+    def test_awtv_fn_is_the_main_method_reward(self):
+        assert variant_reward_fn("awtv") is awtv_step_reward
 
     def test_awtv_fn_terminal_zeroes_bootstrap(self):
         params = self.module.params

@@ -45,10 +45,14 @@ from gaitbridge.policyopt import (
 )
 from gaitbridge.terrainsim import (
     BLOCK,
+    GAP,
     HURDLE,
     OBS_DIM,
     RunnerState,
     TerrainEnv,
+    make_artifact,
+    make_course,
+    observe,
     single_artifact_course,
 )
 
@@ -512,26 +516,27 @@ class TestTrainingEpisodeBookkeeping:
         assert buf.obs[0][5] == pytest.approx(art.start - detect.x, abs=1e-8)
 
 
-class TestUpdateMechanics:
-    def _fast_training_world(self):
-        course = single_artifact_course(HURDLE)
-        env = TerrainEnv(course)
-        default_net = scripted_net(0.5, 0.0)
-        d_norm = identity_norm()
-        # a random target keeps the shaped reward signal nonzero (its value
-        # head is not identically zero); the quiet switch head makes setup
-        # phases long, so buffers fill and updates come quickly.
-        target_net = ParameterizedNet(OBS_DIM, 2, (8, 8),
-                                      np.random.default_rng(31))
-        module = BehaviorModule.from_default(HURDLE, target_net,
-                                             identity_norm(), default_net,
-                                             d_norm)
-        module.setup_net.params["switch.b"][0] = -4.0
-        module.setup_net.invalidate_cache()
-        return env, default_net, d_norm, module
+def fast_training_world():
+    course = single_artifact_course(HURDLE)
+    env = TerrainEnv(course)
+    default_net = scripted_net(0.5, 0.0)
+    d_norm = identity_norm()
+    # a random target keeps the shaped reward signal nonzero (its value
+    # head is not identically zero); the quiet switch head makes setup
+    # phases long, so buffers fill and updates come quickly.
+    target_net = ParameterizedNet(OBS_DIM, 2, (8, 8),
+                                  np.random.default_rng(31))
+    module = BehaviorModule.from_default(HURDLE, target_net,
+                                         identity_norm(), default_net,
+                                         d_norm)
+    module.setup_net.params["switch.b"][0] = -4.0
+    module.setup_net.invalidate_cache()
+    return env, default_net, d_norm, module
 
+
+class TestUpdateMechanics:
     def test_update_keeps_exactly_the_final_transition(self, monkeypatch):
-        env, default_net, d_norm, module = self._fast_training_world()
+        env, default_net, d_norm, module = fast_training_world()
         config = PPOConfig(horizon=16, minibatch=16, epochs=2)
         records = []
         original = SetupTrainer.update
@@ -556,7 +561,7 @@ class TestUpdateMechanics:
             assert post_done == pre_done
 
     def test_training_changes_setup_but_never_target(self):
-        env, default_net, d_norm, module = self._fast_training_world()
+        env, default_net, d_norm, module = fast_training_world()
         config = PPOConfig(horizon=16, minibatch=16, epochs=2)
         target_snapshot = {k: v.copy()
                            for k, v in module.target_net.params.items()}
@@ -574,7 +579,7 @@ class TestUpdateMechanics:
                    for k in setup_snapshot)
 
     def test_budget_zero_leaves_setup_bit_identical(self):
-        env, default_net, d_norm, _ = self._fast_training_world()
+        env, default_net, d_norm, _ = fast_training_world()
         module = BehaviorModule.from_default(
             HURDLE, ParameterizedNet(OBS_DIM, 2, (8, 8),
                                      np.random.default_rng(31)),
@@ -601,7 +606,7 @@ class TestUpdateMechanics:
                    for k in norm_before)
 
     def test_two_workers_fill_and_update_in_lockstep(self):
-        env, default_net, d_norm, module = self._fast_training_world()
+        env, default_net, d_norm, module = fast_training_world()
         config = PPOConfig(horizon=16, minibatch=16, epochs=2)
         curve = train_setup(module, default_net, d_norm, env, config, 4000,
                             np.random.default_rng(3), eval_every=0,
@@ -609,7 +614,7 @@ class TestUpdateMechanics:
         assert curve[-1][1] >= 1
 
     def test_validation_errors(self):
-        env, default_net, d_norm, module = self._fast_training_world()
+        env, default_net, d_norm, module = fast_training_world()
         config = PPOConfig(horizon=16)
         with pytest.raises(ValueError):
             train_setup(module, default_net, d_norm, env, config, -1,
@@ -617,6 +622,152 @@ class TestUpdateMechanics:
         with pytest.raises(ValueError):
             train_setup(module, default_net, d_norm, env, config, 0,
                         np.random.default_rng(0), n_workers=0)
+
+
+# ---- the driver's one-tick carry ---------------------------------------------------
+
+
+class UncachedTarget:
+    """Reference view: asks the module afresh on every call."""
+
+    def __init__(self, module):
+        self.module = module
+        self.params = module.params
+
+    def target_value(self, obs):
+        return self.module.target_value(obs)
+
+    def target_action(self, obs):
+        return self.module.target_action(obs)
+
+
+def uncached(monkeypatch):
+    """Make drivers observe afresh and evaluate the target on every call."""
+    monkeypatch.setattr(cp, "CarriedTarget", UncachedTarget)
+    monkeypatch.setattr(cp.EpisodeDriver, "observation",
+                        lambda self: observe(self.env.course, self.state))
+
+
+def valued(net, seed):
+    """Give a scripted net an observation-dependent value head; its action
+    (mu.w is zero) stays the constant mu bias."""
+    rng = np.random.default_rng(seed)
+    for name in ("fc0.w", "fc0.b", "value.w", "value.b"):
+        net.params[name][...] = rng.normal(size=net.params[name].shape)
+    net.invalidate_cache()
+    return net
+
+
+def two_kind_world():
+    """Hurdle then gap: both modules act in most episodes."""
+    hurdle = make_artifact(HURDLE, 3.2)
+    course = make_course([hurdle, make_artifact(GAP, hurdle.end + 2.0)])
+    # saturated setup statistics keep training episodes on the scripted path
+    modules = {
+        kind: BehaviorModule(kind, valued(scripted_net(*action), seed),
+                             identity_norm(),
+                             scripted_net(0.25, 1.0, crouch_gate=True),
+                             saturated_identity_norm())
+        for kind, action, seed in ((HURDLE, (0.0, -1.0), 1),
+                                   (GAP, (1.0, 1.0), 2))}
+    return TerrainEnv(course), scripted_net(0.5, 0.0), modules
+
+
+def outcome_record(out):
+    s = out.state
+    return (s.x, s.v, s.c, s.steps, s.success, s.failure, out.env_reward,
+            [(e.step, e.src, e.dst, e.x, e.c, e.v) for e in out.events])
+
+
+class TestTargetCarry:
+    def test_two_worker_training_matches_uncached_reference(self,
+                                                            monkeypatch):
+        def run():
+            env, default_net, d_norm, module = fast_training_world()
+            rewards = []
+            original = SetupTrainer.update
+
+            def spy(trainer, buffers, drivers):
+                rewards.append([list(b.rewards) for b in buffers])
+                original(trainer, buffers, drivers)
+
+            with monkeypatch.context() as m:
+                m.setattr(cp.SetupTrainer, "update", spy)
+                train_setup(module, default_net, d_norm, env,
+                            PPOConfig(horizon=16, minibatch=16, epochs=2),
+                            3000, np.random.default_rng(3), eval_every=0,
+                            eval_episodes=1, n_workers=2)
+            return (rewards, module.setup_net.flat.copy(),
+                    module.setup_norm.state_arrays())
+
+        carried = run()
+        uncached(monkeypatch)
+        reference = run()
+        assert len(carried[0]) >= 2
+        assert carried[0] == reference[0]
+        assert np.array_equal(carried[1], reference[1])
+        for key, arr in reference[2].items():
+            assert np.array_equal(carried[2][key], arr)
+
+    def test_two_kind_course_matches_uncached_reference(self, monkeypatch):
+        def run():
+            env, walker, modules = two_kind_world()
+            _, evaluated = evaluate_bridged(env, walker, identity_norm(),
+                                            modules, 8,
+                                            np.random.default_rng(7),
+                                            deterministic=True)
+            hurdle = modules[HURDLE]
+            config = PPOConfig(horizon=100_000)
+            trainer = SetupTrainer(hurdle, config, AdamState(lr=config.lr),
+                                   np.random.default_rng(0))
+            buf = RolloutBuffer(config.horizon)
+            rng = np.random.default_rng(7)
+            trained = [bridge_episode(env, walker, identity_norm(), modules,
+                                      rng, trainer=trainer, buffer=buf)
+                       for _ in range(8)]
+            return ([outcome_record(o) for o in evaluated + trained],
+                    list(buf.rewards))
+
+        carried = run()
+        target_handoffs = [sum(e[2] == POLICY_TARGET for e in rec[-1])
+                           for rec in carried[0]]
+        assert max(target_handoffs) == 2  # both specialists took over
+        uncached(monkeypatch)
+        assert carried == run()
+
+    def test_target_runs_at_most_once_per_reward_plus_one(self):
+        env, default_net, d_norm, module = fast_training_world()
+        net = module.target_net
+        forwards = [0]
+
+        def counting(fn):
+            def wrapped(obs):
+                forwards[0] += 1
+                return fn(obs)
+            return wrapped
+
+        net.forward = counting(net.forward)
+        net.value_of = counting(net.value_of)
+        rewards = [0]
+
+        def reward_fn(*args):
+            rewards[0] += 1
+            return awtv_step_reward(*args)
+
+        episodes = []
+
+        def on_episode_end(driver):
+            episodes.append((forwards[0], rewards[0]))
+            forwards[0] = rewards[0] = 0
+
+        train_setup(module, default_net, d_norm, env,
+                    PPOConfig(horizon=16, minibatch=16, epochs=1), 2000,
+                    np.random.default_rng(2), reward_fn=reward_fn,
+                    eval_every=0, eval_episodes=0,
+                    on_episode_end=on_episode_end)
+        assert sum(r for _, r in episodes) > 100
+        for n_forward, n_reward in episodes:
+            assert n_forward <= n_reward + 1
 
 
 # ---- episode driver validation ---------------------------------------------------
@@ -680,6 +831,19 @@ class TestDriverValidation:
         with pytest.raises(ValueError):
             cp.EpisodeDriver(env, scripted_net(0.5, 0.0), identity_norm(),
                              {HURDLE: module}, np.random.default_rng(0),
+                             buffer=RolloutBuffer(16))
+
+
+    def test_trainer_module_must_be_a_driver_module(self):
+        env = TerrainEnv(single_artifact_course(HURDLE))
+        config = PPOConfig(horizon=16)
+        trainer = SetupTrainer(hurdle_module(), config,
+                               AdamState(lr=config.lr),
+                               np.random.default_rng(0))
+        with pytest.raises(ValueError, match="trainer's module"):
+            cp.EpisodeDriver(env, scripted_net(0.5, 0.0), identity_norm(),
+                             {HURDLE: hurdle_module()},
+                             np.random.default_rng(0), trainer=trainer,
                              buffer=RolloutBuffer(16))
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from gaitbridge.composer import FLAT, EpisodeOutcome, SwitchEvent, train_target
 from gaitbridge.diffcore import ParameterizedNet
+from gaitbridge.harness import checkpoint, experiments
 from gaitbridge.harness.checkpoint import (
     Checkpoint,
     CheckpointFormatError,
@@ -9,7 +11,13 @@ from gaitbridge.harness.checkpoint import (
     save_checkpoint,
 )
 from gaitbridge.harness.cli import main
-from gaitbridge.policyopt import RunningNormalizer
+from gaitbridge.harness.experiments import (
+    MetricsRow,
+    write_events_jsonl,
+    write_metrics_csv,
+    write_report,
+)
+from gaitbridge.policyopt import PPOConfig, RunningNormalizer
 from gaitbridge.terrainsim import OBS_DIM
 
 
@@ -69,3 +77,71 @@ def test_non_finite_gradient_exits_3_without_traceback(tmp_path, capsys):
     assert err.startswith("training failed: non-finite gradient")
     assert "Traceback" not in err
     assert not (tmp_path / "walker.ckpt").exists()
+
+
+def test_train_target_eval_every_zero_evaluates_only_at_the_end():
+    _, _, curve = train_target(FLAT, 128, np.random.default_rng(0),
+                               config=PPOConfig(horizon=32, epochs=1),
+                               eval_every=0, eval_episodes=1, min_final=None)
+    assert len(curve) == 1
+    steps, updates, _ = curve[0]
+    assert (steps, updates) == (128, 4)
+
+
+def test_cli_train_target_eval_every_zero_exits_0(tmp_path, capsys):
+    out = tmp_path / "walker.ckpt"
+    code = main(["train-target", "--kind", "flat", "--budget", "64", "--seed", "1",
+                 "--ppo", "horizon=32", "--eval-every", "0", "--eval-episodes", "1",
+                 "--min-final", "0", "--out", str(out)])
+    assert code == 0
+    assert "after 64 steps (2 updates)" in capsys.readouterr().out
+    load_policy(out)
+
+
+def _fails_on_second_call(real):
+    """A serializer that works once, then raises: the write fails midway."""
+    calls = []
+
+    def serializer(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real(*args, **kwargs)
+    return serializer
+
+
+def _encodes_a_prefix_then_fails(self, obj, _one_shot=False):
+    yield '{"arms": '
+    raise OSError("disk full")
+
+
+_ROW = MetricsRow(1, "setup", "hurdle", True, 1.0, 90, 2)
+_OUTCOME = EpisodeOutcome(None, [SwitchEvent(3, "default", "setup", 1.0, 0.0, 0.5)], 0.0)
+
+# each harness writer: how to call it, its output file, and the serializer
+# that a failing write breaks
+_WRITERS = {
+    "checkpoint": (lambda d: save_checkpoint(d / "w.ckpt", Checkpoint.of(*_policy())),
+                   "w.ckpt", checkpoint, "_write_record"),
+    "metrics": (lambda d: write_metrics_csv(d / "m.csv", [_ROW, _ROW], "h"),
+                "m.csv", experiments, "format_metrics_row"),
+    "events": (lambda d: write_events_jsonl(d / "e.jsonl", [(1, 0, _OUTCOME)] * 2),
+               "e.jsonl", experiments.json, "dumps"),
+    "report": (lambda d: write_report(d, {"arms": {}, "seeds": [1]}),
+               "report.json", experiments.json.JSONEncoder, "iterencode"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRITERS))
+def test_failed_write_keeps_previous_file_and_leaves_no_temporary(
+        tmp_path, monkeypatch, name):
+    write, filename, owner, attr = _WRITERS[name]
+    write(tmp_path)
+    before = (tmp_path / filename).read_bytes()
+    broken = (_encodes_a_prefix_then_fails if attr == "iterencode"
+              else _fails_on_second_call(getattr(owner, attr)))
+    monkeypatch.setattr(owner, attr, broken)
+    with pytest.raises(OSError, match="disk full"):
+        write(tmp_path)
+    assert (tmp_path / filename).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [filename]
