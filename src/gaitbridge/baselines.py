@@ -8,14 +8,12 @@ treatment:
 - proximity arm: the setup reward is the gain in a learned success-proximity
   predictor, with no post-handoff reward extension;
 - without-setup arm: control jumps straight from the default walker to the
-  terrain specialist at detection (evaluation only);
-- single-policy arm: one network trained end-to-end over the whole course;
-- switch classifier: supervised predictor of "switching here will succeed",
-  fit on episodes that switched at random distances.
+  terrain specialist at detection (evaluation only, through
+  `evaluate_bridged(..., without_setup=True)`);
+- single-policy arm: one network trained end-to-end over the whole course.
 """
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +22,6 @@ from gaitbridge.composer import (
     BehaviorModule,
     awtv_reward,
     awtv_step_reward,
-    evaluate_bridged,
-    policy_obs,
     train_setup,
     train_target,
     ACTION_DIM,
@@ -38,13 +34,7 @@ from gaitbridge.diffcore import (
     sigmoid,
     switch_bce_grad,
 )
-from gaitbridge.policyopt import policy_act
-from gaitbridge.terrainsim import (
-    OBS_DIM,
-    distance_fraction,
-    next_artifact,
-    observe,
-)
+from gaitbridge.terrainsim import OBS_DIM
 
 VARIANT_TAGS = ("original", "constant", "target-torque", "target-value",
                 "awtv")
@@ -136,11 +126,6 @@ class ProximityPredictor:
         _, _, _, logit = self.net.forward(np.asarray(obs, dtype=np.float64))
         return float(sigmoid(logit))
 
-    def predict_batch(self, obs_batch):
-        _, _, _, logits = self.net.forward(
-            np.asarray(obs_batch, dtype=np.float64))
-        return sigmoid(logits).reshape(-1)
-
     def add_episode(self, states, succeeded):
         bucket = self.success if succeeded else self.failure
         for s in states:
@@ -211,21 +196,6 @@ def train_proximity_arm(module: BehaviorModule, default_net, default_norm,
     return predictor, curve
 
 
-# ---- without-setup control ---------------------------------------------------------
-
-
-def run_without_setup(env, default_net, default_norm, modules, episodes, rng):
-    """Hand off default -> target directly at detection; returns metrics."""
-    rate, outcomes = evaluate_bridged(env, default_net, default_norm, modules,
-                                      episodes, rng, without_setup=True)
-    distances = [distance_fraction(env.course, o.state) for o in outcomes]
-    return {
-        "success": rate,
-        "distance": float(np.mean(distances)) if distances else 0.0,
-        "outcomes": outcomes,
-    }
-
-
 # ---- single end-to-end policy -------------------------------------------------------
 
 
@@ -241,92 +211,3 @@ def train_single_policy(course, budget, rng, *, config=None, eval_every=50,
     return train_target(FLAT, budget, rng, config=config, course=course,
                         eval_every=eval_every, eval_episodes=eval_episodes,
                         seed_tag=seed_tag, min_final=None, obs_dim=OBS_DIM)
-
-
-# ---- learned switch classifier -------------------------------------------------------
-
-
-@dataclass
-class SwitchClassifier:
-    """Binary predictor: will switching to the target policy here succeed?"""
-
-    net: ParameterizedNet
-
-    def predict_proba(self, obs):
-        _, _, _, logit = self.net.forward(np.asarray(obs, dtype=np.float64))
-        return float(sigmoid(logit))
-
-    def predict_proba_batch(self, obs_batch):
-        _, _, _, logits = self.net.forward(
-            np.asarray(obs_batch, dtype=np.float64))
-        return sigmoid(logits).reshape(-1)
-
-
-def collect_random_switch_episodes(env, default_net, default_norm, module,
-                                   episodes, rng, *, min_dist=0.1,
-                                   max_dist=1.0):
-    """Label switch points by outcome: walk, hand off at a random distance
-    from the artifact, run the specialist (reverting to the walker once the
-    artifact is behind), and record (observation at switch, success).
-    """
-    course = env.course
-    obs_out, labels = [], []
-    for _ in range(episodes):
-        cut = float(rng.uniform(min_dist, max_dist))
-        state = env.reset(rng)
-        art = next_artifact(course, state.x)
-        while not state.done and art.start - state.x > cut:
-            obs_n = default_norm.normalize(
-                policy_obs(default_net, observe(course, state)))
-            action, _, _, _ = policy_act(default_net, obs_n, rng,
-                                         deterministic=True)
-            env.step(state, action)
-        if state.done:
-            continue
-        obs_out.append(observe(course, state))
-        on_target = True
-        while not state.done:
-            if on_target and state.x > art.end and state.contact:
-                on_target = False
-            obs = observe(course, state)
-            if on_target:
-                obs_n = module.target_norm.normalize(obs)
-                action, _, _, _ = policy_act(module.target_net, obs_n, rng,
-                                             deterministic=True)
-            else:
-                obs_n = default_norm.normalize(policy_obs(default_net, obs))
-                action, _, _, _ = policy_act(default_net, obs_n, rng,
-                                             deterministic=True)
-            env.step(state, action)
-        labels.append(1.0 if state.success else 0.0)
-    return np.asarray(obs_out), np.asarray(labels)
-
-
-def train_switch_classifier(observations, labels, rng, *, hidden=(16,),
-                            epochs=300, lr=0.01, batch_size=64):
-    """Supervised fit of the switch-suitability classifier.
-
-    Raises ValueError on single-class data; the evaluation arm switches when
-    the predicted probability clears 0.5.
-    """
-    observations = np.asarray(observations, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64).reshape(-1)
-    if observations.ndim != 2 or len(observations) != len(labels):
-        raise ValueError("observations and labels must align")
-    classes = np.unique(labels)
-    if len(classes) < 2:
-        raise ValueError("switch-classifier data holds a single class; "
-                         "need both successful and failed switches")
-
-    net = ParameterizedNet(observations.shape[1], ACTION_DIM, hidden, rng)
-    adam = AdamState(lr=lr)
-    grad = np.empty(net.flat.size)
-    n = len(labels)
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, batch_size):
-            idx = perm[start:start + batch_size]
-            switch_bce_grad(net, observations[idx],
-                            labels[idx].reshape(-1, 1), grad)
-            adam_step(net, grad, adam)
-    return SwitchClassifier(net)

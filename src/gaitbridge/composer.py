@@ -524,14 +524,6 @@ def artifact_approach_init(artifact):
     return init
 
 
-def walk_handoff_init(artifact):
-    """Steady walking state one meter out: upright, full stride."""
-    def init(env, rng):
-        del rng
-        return env.reset_from(artifact.start - 1.0, v=2.0, c=0.0)
-    return init
-
-
 def evaluate_policy(env, net, norm, episodes, rng, init_fn=None):
     """Deterministic single-policy rollouts from a spawn distribution."""
     states = []
@@ -603,6 +595,7 @@ def train_target(kind, budget, rng, *, config=None, course=None,
     state = env.reset(rng) if init_fn is None else init_fn(env, rng)
     steps_used = 0
     updates = 0
+    last_eval_at = None
     while steps_used < budget:
         obs = policy_obs(net, observe(course, state))
         obs_n = norm.update_then_normalize(obs)
@@ -622,10 +615,14 @@ def train_target(kind, budget, rng, *, config=None, course=None,
             buffer.clear()
             updates += 1
             if eval_every and updates % eval_every == 0:
+                last_eval_at = updates
                 if run_eval(steps_used, updates) >= stop_at:
                     return net, norm, curve
 
-    final = run_eval(steps_used, updates)
+    if last_eval_at == updates:
+        final = curve[-1][2]
+    else:
+        final = run_eval(steps_used, updates)
     if min_final is not None and final < min_final:
         raise TrainingFailure(
             f"{kind} specialist stalled at {final:.0%} success "

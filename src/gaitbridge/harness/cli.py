@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: train-target, train-setup, evaluate, ablate, reward-compare,
-multi-terrain. Exit codes (EXIT_CODES, also printed by --help): 0 success;
-2 bad flags, configuration or course file; 3 training failed, because the
-final success rate fell below the bar or an update produced a non-finite
-gradient; 4 a checkpoint file could not be read as a policy checkpoint.
+Subcommands: train-target, train-setup, evaluate, and one per experiment
+kind that a JSON config file drives (EXPERIMENT_COMMANDS): ablate,
+reward-compare, baseline-compare, multi-terrain. Exit codes (EXIT_CODES,
+also printed by --help): 0 success; 2 bad flags, configuration or course
+file, or a file the configuration references cannot be read; 3 training
+failed, because the final success rate fell below the bar or an update
+produced a non-finite gradient; 4 a checkpoint file could not be read as a
+policy checkpoint.
 """
 
 import argparse
@@ -16,7 +19,6 @@ import numpy as np
 from ..baselines import VARIANT_TAGS, variant_reward_fn
 from ..composer import (
     FLAT,
-    BehaviorModule,
     TrainingFailure,
     course_for_kind,
     train_setup,
@@ -32,6 +34,9 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .config import (
+    AWTV_KEYS,
+    PPO_INT_KEYS,
+    PPO_KEYS,
     AWTVParams,
     ConfigError,
     config_from_dict,
@@ -40,21 +45,28 @@ from .config import (
 )
 from .experiments import (
     run_ablation,
+    run_baseline_comparison,
     run_evaluation,
     run_multi_terrain,
     run_reward_comparison,
+    setup_module,
 )
 
 EXIT_CODES = """exit codes:
   0  success
-  2  bad flags, configuration or course file
+  2  bad flags, configuration or course file, or a file the
+     configuration references cannot be read
   3  training failed: the final success rate fell below the bar, or an
      update produced a non-finite gradient
   4  a checkpoint file could not be read as a policy checkpoint"""
 
-_PPO_INT_KEYS = ("epochs", "minibatch", "horizon")
-_PPO_KEYS = tuple(f.name for f in dataclasses.fields(PPOConfig))
-_AWTV_KEYS = tuple(f.name for f in dataclasses.fields(AWTVParams))
+# subcommand -> (experiment kind its config must declare, runner)
+EXPERIMENT_COMMANDS = {
+    "ablate": ("ablation", run_ablation),
+    "reward-compare": ("reward-comparison", run_reward_comparison),
+    "baseline-compare": ("baseline-comparison", run_baseline_comparison),
+    "multi-terrain": ("multi-terrain", run_multi_terrain),
+}
 
 
 def _parse_overrides(pairs, allowed, int_keys, what):
@@ -75,12 +87,12 @@ def _parse_overrides(pairs, allowed, int_keys, what):
 
 
 def _ppo_overrides(args):
-    return _parse_overrides(getattr(args, "ppo", None), _PPO_KEYS,
-                            _PPO_INT_KEYS, "ppo")
+    return _parse_overrides(getattr(args, "ppo", None), PPO_KEYS,
+                            PPO_INT_KEYS, "ppo")
 
 
 def _awtv_overrides(args):
-    return _parse_overrides(getattr(args, "awtv", None), _AWTV_KEYS, (),
+    return _parse_overrides(getattr(args, "awtv", None), AWTV_KEYS, (),
                             "awtv")
 
 
@@ -141,16 +153,9 @@ def _cmd_train_setup(args):
     }
     default_net, default_norm = load_policy(args.default)
     target_net, target_norm = load_policy(args.target)
-    params = AWTVParams(**awtv)
-    if args.fresh_init:
-        module = BehaviorModule.fresh(args.kind, target_net, target_norm,
-                                      np.random.default_rng((args.seed,
-                                                             0x171C)),
-                                      params=params)
-    else:
-        module = BehaviorModule.from_default(args.kind, target_net,
-                                             target_norm, default_net,
-                                             default_norm, params=params)
+    module = setup_module(args.kind, target_net, target_norm, default_net,
+                          default_norm, AWTVParams(**awtv), args.seed,
+                          fresh=args.fresh_init)
     if course is None:
         course = course_for_kind(args.kind)
     curve = train_setup(
@@ -225,24 +230,13 @@ def _experiment_config(args, expected_kind):
     return config
 
 
-def _cmd_ablate(args):
-    report = run_ablation(_experiment_config(args, "ablation"))
+def _cmd_experiment(args):
+    kind, runner = EXPERIMENT_COMMANDS[args.command]
+    report = runner(_experiment_config(args, kind))
     _print_report(report)
-    return 0
-
-
-def _cmd_reward_compare(args):
-    report = run_reward_comparison(
-        _experiment_config(args, "reward-comparison"))
-    _print_report(report)
-    return 0
-
-
-def _cmd_multi_terrain(args):
-    report = run_multi_terrain(_experiment_config(args, "multi-terrain"))
-    _print_report(report)
-    for arm, counts in sorted(report["failure_counts"].items()):
-        shown = ", ".join(f"{kind}={n}" for kind, n in sorted(counts.items()))
+    for arm, counts in sorted(report.get("failure_counts", {}).items()):
+        shown = ", ".join(f"{terrain}={n}"
+                          for terrain, n in sorted(counts.items()))
         print(f"  failures[{arm}]: {shown}")
     return 0
 
@@ -327,10 +321,7 @@ def build_parser():
                               help="hand straight to the target policy")
     evaluate_cmd.set_defaults(func=_cmd_evaluate)
 
-    for name, kind, func in (
-            ("ablate", "ablation", _cmd_ablate),
-            ("reward-compare", "reward-comparison", _cmd_reward_compare),
-            ("multi-terrain", "multi-terrain", _cmd_multi_terrain)):
+    for name, (kind, _) in EXPERIMENT_COMMANDS.items():
         sub = commands.add_parser(
             name, help=f"run the {kind} experiment from a config file")
         sub.add_argument("--config", required=True,
@@ -340,7 +331,7 @@ def build_parser():
         sub.add_argument("--seeds", type=int, default=None,
                          help="override: use seeds 1..N")
         sub.add_argument("--output-dir", default=None)
-        sub.set_defaults(func=func)
+        sub.set_defaults(func=_cmd_experiment)
 
     return parser
 

@@ -7,7 +7,10 @@ Relative paths are resolved against the config file's own directory.
 
 The canonical hash fingerprints the fully-resolved settings (defaults
 included), so two runs compare as "same experiment" exactly when every
-knob matches. The hash is embedded in every artifact the harness writes.
+knob matches. Referenced checkpoint and course files enter it by the
+sha256 of their bytes, not by their paths, and the output directory does
+not enter it at all. The hash is embedded in every artifact the harness
+writes.
 """
 
 import dataclasses
@@ -21,8 +24,7 @@ from ..policyopt import PPOConfig
 from ..terrainsim import KINDS
 
 EXPERIMENT_KINDS = ("evaluation", "ablation", "reward-comparison",
-                    "multi-terrain")
-ABLATION_ARMS = ("full", "no-init", "no-extended")
+                    "baseline-comparison", "multi-terrain")
 BUDGET_KEYS = ("default", "target", "setup")
 
 DEFAULT_BUDGETS = {"default": 120_000, "target": 8_000_000,
@@ -69,8 +71,9 @@ class ExperimentConfig:
 
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
-_PPO_KEYS = tuple(f.name for f in dataclasses.fields(PPOConfig))
-_AWTV_KEYS = tuple(f.name for f in dataclasses.fields(AWTVParams))
+PPO_KEYS = tuple(f.name for f in dataclasses.fields(PPOConfig))
+PPO_INT_KEYS = ("epochs", "minibatch", "horizon")
+AWTV_KEYS = tuple(f.name for f in dataclasses.fields(AWTVParams))
 _MODULE_CKPT_KEYS = ("target", "setup")
 
 
@@ -179,16 +182,16 @@ def config_from_dict(raw, base_dir=None, check_paths=True) -> ExperimentConfig:
         values["budgets"] = merged
     if "awtv" in raw:
         awtv = _require_type(raw["awtv"], (dict,), "awtv")
-        _reject_unknown(awtv, _AWTV_KEYS, "awtv")
+        _reject_unknown(awtv, AWTV_KEYS, "awtv")
         values["awtv"] = {k: float(_require_type(v, (int, float),
                                                  f"awtv.{k}"))
                           for k, v in awtv.items()}
     if "ppo" in raw:
         ppo = _require_type(raw["ppo"], (dict,), "ppo")
-        _reject_unknown(ppo, _PPO_KEYS, "ppo")
+        _reject_unknown(ppo, PPO_KEYS, "ppo")
         checked = {}
         for key, value in ppo.items():
-            if key in ("epochs", "minibatch", "horizon"):
+            if key in PPO_INT_KEYS:
                 checked[key] = _require_type(value, (int,), f"ppo.{key}")
             else:
                 checked[key] = float(_require_type(value, (int, float),
@@ -225,5 +228,25 @@ def settings_hash(payload) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
+def _file_digest(path, what):
+    try:
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+
+
 def config_hash(config: ExperimentConfig) -> str:
-    return settings_hash(config.resolved())
+    """Hash of what the experiment computes: its settings and the contents
+    of the files it reads. Raises ConfigError if one cannot be read."""
+    settings = config.resolved()
+    del settings["output_dir"]
+    settings["checkpoints"] = {
+        key: (_file_digest(value, f"checkpoint checkpoints.{key}")
+              if isinstance(value, str) else
+              {role: _file_digest(path, f"checkpoint checkpoints.{key}.{role}")
+               for role, path in value.items()})
+        for key, value in config.checkpoints.items()
+    }
+    if config.course:
+        settings["course"] = _file_digest(config.course, "course file")
+    return settings_hash(settings)

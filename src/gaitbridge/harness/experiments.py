@@ -16,13 +16,13 @@ import numpy as np
 
 from ..baselines import (
     VARIANT_TAGS,
-    run_without_setup,
     train_proximity_arm,
     train_single_policy,
     variant_reward_fn,
 )
 from ..composer import (
     BehaviorModule,
+    EpisodeOutcome,
     bridge_episode,
     evaluate_bridged,
     evaluate_policy,
@@ -42,7 +42,7 @@ from .checkpoint import (
     load_policy,
     save_checkpoint,
 )
-from .config import ABLATION_ARMS, ConfigError, config_hash
+from .config import ConfigError, config_hash
 
 # Stream tags keep every random purpose on its own generator: training,
 # fresh-parameter init, evaluation, per-episode course order, and the
@@ -53,6 +53,7 @@ RNG_EVAL = 0xE7A7
 RNG_ORDER = 0x03DE
 RNG_EPISODE = 0x00EB
 
+ABLATION_ARMS = ("full", "no-init", "no-extended")
 BASELINE_ARMS = ("setup", "proximity", "without-setup", "single-policy")
 REWARD_ARMS_DEFAULT = ("awtv", "target-value")
 MULTI_TERRAIN_ARMS = ("with-setup", "without-setup")
@@ -211,6 +212,19 @@ def _load_module(config, kind, what, default_net=None, default_norm=None):
                                        default_net, default_norm, params)
 
 
+def setup_module(kind, target_net, target_norm, default_net, default_norm,
+                 params, seed, *, fresh=False):
+    """A setup policy's starting point: the walker's copy, or with `fresh` a
+    random init drawn from the seed's init stream."""
+    if fresh:
+        return BehaviorModule.fresh(kind, target_net, target_norm,
+                                    np.random.default_rng((seed, RNG_INIT)),
+                                    params=params)
+    return BehaviorModule.from_default(kind, target_net, target_norm,
+                                       default_net, default_norm,
+                                       params=params)
+
+
 def experiment_course(config):
     """(course, course id) the experiment runs on."""
     if config.course:
@@ -219,8 +233,8 @@ def experiment_course(config):
     return single_artifact_course(config.kind), config.kind
 
 
-def _chosen_arms(config, allowed, what):
-    arms = config.arms or allowed
+def _chosen_arms(config, allowed, what, standard=None):
+    arms = config.arms or standard or allowed
     for arm in arms:
         if arm not in allowed:
             raise ConfigError(f"{what} has no arm {arm!r} "
@@ -228,12 +242,6 @@ def _chosen_arms(config, allowed, what):
     if len(set(arms)) != len(arms):
         raise ConfigError(f"{what} arms repeat: {', '.join(arms)}")
     return tuple(arms)
-
-
-def _rows_from_outcomes(seed, method, course_id, course, outcomes):
-    return [MetricsRow(seed, method, course_id, bool(o.state.success),
-                       distance_fraction(course, o.state), o.state.steps,
-                       o.switch_count) for o in outcomes]
 
 
 def _arm_summary(rows, seeds):
@@ -254,18 +262,29 @@ def _ranking(arm_summaries, order):
                                           order.index(arm)))
 
 
-def _finish_report(config, experiment, course_id, arms, rows_by_arm,
-                   outcomes_by_arm, extra=None):
+def _run_grid(config, experiment, course_id, arms, episodes, extra=None):
+    """Run every arm x seed cell, then write metrics, events and the report.
+
+    `episodes(arm, seed)` yields one (course, course id, outcome) per
+    evaluation episode of that cell; cells run arm-major in seed order.
+    `extra` entries join the report after every cell has run.
+    """
     cfg_hash = config_hash(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summaries = {}
     for arm in arms:
-        write_metrics_csv(out_dir / f"metrics_{arm}.csv", rows_by_arm[arm],
-                          cfg_hash)
-        write_events_jsonl(out_dir / f"events_{arm}.jsonl",
-                           outcomes_by_arm[arm])
-        summaries[arm] = _arm_summary(rows_by_arm[arm], config.seeds)
+        rows, labeled = [], []
+        for seed in config.seeds:
+            for i, (course, cid, out) in enumerate(episodes(arm, seed)):
+                rows.append(MetricsRow(
+                    seed, arm, cid, bool(out.state.success),
+                    distance_fraction(course, out.state), out.state.steps,
+                    out.switch_count))
+                labeled.append((seed, i, out))
+        write_metrics_csv(out_dir / f"metrics_{arm}.csv", rows, cfg_hash)
+        write_events_jsonl(out_dir / f"events_{arm}.jsonl", labeled)
+        summaries[arm] = _arm_summary(rows, config.seeds)
     report = {
         "experiment": experiment,
         "config_hash": cfg_hash,
@@ -275,18 +294,55 @@ def _finish_report(config, experiment, course_id, arms, rows_by_arm,
         "arms": summaries,
         "ranking": _ranking(summaries, list(arms)),
         "mixed_config_hashes": False,
+        **(extra or {}),
     }
-    if extra:
-        report.update(extra)
     write_report(out_dir, report)
     return report
 
 
 def _save_arm_checkpoint(config, name, net, norm):
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(out_dir / f"{name}.ckpt",
+    save_checkpoint(Path(config.output_dir) / f"{name}.ckpt",
                     Checkpoint.of(net, norm, config_hash(config)))
+
+
+class _SetupExperiment:
+    """Course, walker and frozen target of an experiment that trains one
+    setup policy per (arm, seed) cell."""
+
+    def __init__(self, config, what):
+        self.config = config
+        self.course, self.course_id = experiment_course(config)
+        self.default_net, self.default_norm = _load_default(config, what)
+        self.target_net, self.target_norm = load_policy(
+            _required_checkpoint(config, what, config.kind, "target"))
+
+    def module(self, seed, fresh=False):
+        return setup_module(self.config.kind, self.target_net,
+                            self.target_norm, self.default_net,
+                            self.default_norm, self.config.awtv_params(),
+                            seed, fresh=fresh)
+
+    def evaluate(self, seed, module, **kwargs):
+        """The cell's evaluation episodes of `module` on the course."""
+        _, outs = evaluate_bridged(
+            TerrainEnv(self.course), self.default_net, self.default_norm,
+            {module.kind: module}, self.config.episodes,
+            np.random.default_rng((seed, RNG_EVAL)), **kwargs)
+        return [(self.course, self.course_id, out) for out in outs]
+
+    def cell(self, arm, seed, trainer=train_setup, fresh=False,
+             **trainer_kwargs):
+        """Build, train, evaluate and checkpoint one setup policy."""
+        module = self.module(seed, fresh)
+        trainer(module, self.default_net, self.default_norm,
+                TerrainEnv(self.course), self.config.ppo_config(),
+                self.config.budgets["setup"],
+                np.random.default_rng((seed, RNG_TRAIN)), eval_every=0,
+                eval_episodes=20, seed_tag=seed, **trainer_kwargs)
+        episodes = self.evaluate(seed, module)
+        _save_arm_checkpoint(self.config, f"setup_{arm}_seed{seed}",
+                             module.setup_net, module.setup_norm)
+        return episodes
 
 
 # ---- experiments -------------------------------------------------------------
@@ -303,165 +359,71 @@ def run_evaluation(config):
         for kind in kinds_present if config.checkpoint_path(kind) is not None
     }
     arms = _chosen_arms(config, EVALUATION_ARMS, "evaluation")
-    rows_by_arm, outcomes_by_arm = {}, {}
-    for arm in arms:
-        rows, labeled = [], []
-        for seed in config.seeds:
-            rng = np.random.default_rng((seed, RNG_EVAL))
-            _, outs = evaluate_bridged(TerrainEnv(course), default_net,
-                                       default_norm, modules, config.episodes,
-                                       rng, without_setup=arm == "without-setup")
-            rows.extend(_rows_from_outcomes(seed, arm, course_id, course,
-                                            outs))
-            labeled.extend((seed, i, out) for i, out in enumerate(outs))
-        rows_by_arm[arm], outcomes_by_arm[arm] = rows, labeled
-    return _finish_report(config, "evaluation", course_id, arms, rows_by_arm,
-                          outcomes_by_arm)
 
+    def episodes(arm, seed):
+        _, outs = evaluate_bridged(TerrainEnv(course), default_net,
+                                   default_norm, modules, config.episodes,
+                                   np.random.default_rng((seed, RNG_EVAL)),
+                                   without_setup=arm == "without-setup")
+        return [(course, course_id, out) for out in outs]
 
-def _train_and_eval_setup_arm(config, arm, course, kind, default_net,
-                              default_norm, target_net, target_norm, seed, *,
-                              reward_fn=None, extend=True, fresh=False):
-    """One (arm, seed) cell: build, train, evaluate, checkpoint."""
-    params = config.awtv_params()
-    if fresh:
-        module = BehaviorModule.fresh(kind, target_net, target_norm,
-                                      np.random.default_rng((seed, RNG_INIT)),
-                                      params=params)
-    else:
-        module = BehaviorModule.from_default(kind, target_net, target_norm,
-                                             default_net, default_norm,
-                                             params=params)
-    kwargs = {} if reward_fn is None else {"reward_fn": reward_fn}
-    train_setup(module, default_net, default_norm, TerrainEnv(course),
-                config.ppo_config(), config.budgets["setup"],
-                np.random.default_rng((seed, RNG_TRAIN)), extend=extend,
-                eval_every=0, eval_episodes=20, seed_tag=seed, **kwargs)
-    _, outs = evaluate_bridged(TerrainEnv(course), default_net, default_norm,
-                               {kind: module}, config.episodes,
-                               np.random.default_rng((seed, RNG_EVAL)))
-    _save_arm_checkpoint(config, f"setup_{arm}_seed{seed}",
-                         module.setup_net, module.setup_norm)
-    return outs
+    return _run_grid(config, "evaluation", course_id, arms, episodes)
 
 
 def run_ablation(config):
     """Train the full, no-init, and no-extended setup arms; rank them."""
-    course, course_id = experiment_course(config)
-    kind = config.kind
-    default_net, default_norm = _load_default(config, "ablation")
-    target_net, target_norm = load_policy(
-        _required_checkpoint(config, "ablation", kind, "target"))
+    setup = _SetupExperiment(config, "ablation")
     arms = _chosen_arms(config, ABLATION_ARMS, "ablation")
-    rows_by_arm, outcomes_by_arm = {}, {}
-    for arm in arms:
-        rows, labeled = [], []
-        for seed in config.seeds:
-            outs = _train_and_eval_setup_arm(
-                config, arm, course, kind, default_net, default_norm,
-                target_net, target_norm, seed,
-                extend=arm != "no-extended", fresh=arm == "no-init")
-            rows.extend(_rows_from_outcomes(seed, arm, course_id, course,
-                                            outs))
-            labeled.extend((seed, i, out) for i, out in enumerate(outs))
-        rows_by_arm[arm], outcomes_by_arm[arm] = rows, labeled
-    return _finish_report(config, "ablation", course_id, arms, rows_by_arm,
-                          outcomes_by_arm)
+    return _run_grid(
+        config, "ablation", setup.course_id, arms,
+        lambda arm, seed: setup.cell(arm, seed, fresh=arm == "no-init",
+                                     extend=arm != "no-extended"))
 
 
 def run_reward_comparison(config):
     """Train one setup arm per shaped-reward variant at equal budget."""
-    course, course_id = experiment_course(config)
-    kind = config.kind
-    default_net, default_norm = _load_default(config, "reward comparison")
-    target_net, target_norm = load_policy(
-        _required_checkpoint(config, "reward comparison", kind, "target"))
-    if config.arms:
-        arms = _chosen_arms(config, VARIANT_TAGS, "reward comparison")
-    else:
-        arms = REWARD_ARMS_DEFAULT
-    rows_by_arm, outcomes_by_arm = {}, {}
-    for arm in arms:
-        rows, labeled = [], []
-        for seed in config.seeds:
-            outs = _train_and_eval_setup_arm(
-                config, arm, course, kind, default_net, default_norm,
-                target_net, target_norm, seed,
-                reward_fn=variant_reward_fn(arm))
-            rows.extend(_rows_from_outcomes(seed, arm, course_id, course,
-                                            outs))
-            labeled.extend((seed, i, out) for i, out in enumerate(outs))
-        rows_by_arm[arm], outcomes_by_arm[arm] = rows, labeled
-    return _finish_report(config, "reward-comparison", course_id, arms,
-                          rows_by_arm, outcomes_by_arm)
+    setup = _SetupExperiment(config, "reward comparison")
+    arms = _chosen_arms(config, VARIANT_TAGS, "reward comparison",
+                        REWARD_ARMS_DEFAULT)
+    return _run_grid(
+        config, "reward-comparison", setup.course_id, arms,
+        lambda arm, seed: setup.cell(arm, seed,
+                                     reward_fn=variant_reward_fn(arm)))
 
 
 def run_baseline_comparison(config):
     """Setup policy against the no-setup, proximity, and single-policy arms.
 
-    Library-level companion to the ablation: same protocol, but the
-    comparison set spans methods rather than feature removals. Not exposed
-    as its own CLI subcommand.
+    Companion to the ablation (`gaitbridge baseline-compare`): same
+    protocol, but the comparison set spans methods rather than feature
+    removals.
     """
-    course, course_id = experiment_course(config)
-    kind = config.kind
-    default_net, default_norm = _load_default(config, "baseline comparison")
-    target_net, target_norm = load_policy(
-        _required_checkpoint(config, "baseline comparison", kind, "target"))
+    setup = _SetupExperiment(config, "baseline comparison")
     arms = _chosen_arms(config, BASELINE_ARMS, "baseline comparison")
-    params = config.awtv_params()
-    rows_by_arm, outcomes_by_arm = {}, {}
-    for arm in arms:
-        rows, labeled = [], []
-        for seed in config.seeds:
-            eval_rng = np.random.default_rng((seed, RNG_EVAL))
-            if arm == "setup":
-                outs = _train_and_eval_setup_arm(
-                    config, arm, course, kind, default_net, default_norm,
-                    target_net, target_norm, seed)
-            elif arm == "proximity":
-                module = BehaviorModule.from_default(
-                    kind, target_net, target_norm, default_net, default_norm,
-                    params=params)
-                train_proximity_arm(
-                    module, default_net, default_norm, TerrainEnv(course),
-                    config.ppo_config(), config.budgets["setup"],
-                    np.random.default_rng((seed, RNG_TRAIN)),
-                    eval_every=0, eval_episodes=20, seed_tag=seed)
-                _, outs = evaluate_bridged(
-                    TerrainEnv(course), default_net, default_norm,
-                    {kind: module}, config.episodes, eval_rng)
-                _save_arm_checkpoint(config, f"setup_{arm}_seed{seed}",
-                                     module.setup_net, module.setup_norm)
-            elif arm == "without-setup":
-                module = BehaviorModule.from_default(
-                    kind, target_net, target_norm, default_net, default_norm,
-                    params=params)
-                res = run_without_setup(TerrainEnv(course), default_net,
-                                        default_norm, {kind: module},
-                                        config.episodes, eval_rng)
-                outs = res["outcomes"]
-            else:  # single-policy
-                net, norm, _ = train_single_policy(
-                    course, config.budgets["setup"],
-                    np.random.default_rng((seed, RNG_TRAIN)),
-                    config=config.ppo_config(), eval_every=0,
-                    eval_episodes=20, seed_tag=seed)
-                _, states = evaluate_policy(TerrainEnv(course), net, norm,
-                                            config.episodes, eval_rng)
-                _save_arm_checkpoint(config, f"single_policy_seed{seed}",
-                                     net, norm)
-                rows.extend(
-                    MetricsRow(seed, arm, course_id, bool(s.success),
-                               distance_fraction(course, s), s.steps, 0)
-                    for s in states)
-                continue
-            rows.extend(_rows_from_outcomes(seed, arm, course_id, course,
-                                            outs))
-            labeled.extend((seed, i, out) for i, out in enumerate(outs))
-        rows_by_arm[arm], outcomes_by_arm[arm] = rows, labeled
-    return _finish_report(config, "baseline-comparison", course_id, arms,
-                          rows_by_arm, outcomes_by_arm)
+    course, course_id = setup.course, setup.course_id
+
+    def episodes(arm, seed):
+        if arm == "setup":
+            return setup.cell(arm, seed)
+        if arm == "proximity":
+            return setup.cell(arm, seed, trainer=train_proximity_arm)
+        if arm == "without-setup":
+            return setup.evaluate(seed, setup.module(seed),
+                                  without_setup=True)
+        net, norm, _ = train_single_policy(
+            course, config.budgets["setup"],
+            np.random.default_rng((seed, RNG_TRAIN)),
+            config=config.ppo_config(), eval_every=0, eval_episodes=20,
+            seed_tag=seed)
+        _, states = evaluate_policy(TerrainEnv(course), net, norm,
+                                    config.episodes,
+                                    np.random.default_rng((seed, RNG_EVAL)))
+        _save_arm_checkpoint(config, f"single_policy_seed{seed}", net, norm)
+        return [(course, course_id, EpisodeOutcome(state, [], 0.0))
+                for state in states]
+
+    return _run_grid(config, "baseline-comparison", course_id, arms,
+                     episodes)
 
 
 def failure_terrain(course, state):
@@ -481,7 +443,12 @@ def failure_terrain(course, state):
 
 
 def run_multi_terrain(config):
-    """Shuffled all-kind sequences, with and without the setup phase."""
+    """Shuffled all-kind sequences, with and without the setup phase.
+
+    Each (seed, episode) draws its own course order and episode generator
+    and the policies are frozen, so the episodes of different arms are
+    independent of the order they run in.
+    """
     for kind in KINDS:
         for role in ("target", "setup"):
             _required_checkpoint(config, "multi-terrain", kind, role)
@@ -490,29 +457,22 @@ def run_multi_terrain(config):
                                   default_norm)
                for kind in KINDS}
     arms = _chosen_arms(config, MULTI_TERRAIN_ARMS, "multi-terrain")
-    rows_by_arm = {arm: [] for arm in arms}
-    outcomes_by_arm = {arm: [] for arm in arms}
-    failures = {arm: {kind: 0 for kind in KINDS + (FLAT_BUCKET,)}
-                for arm in arms}
-    for seed in config.seeds:
+    failures = {arm: dict.fromkeys(KINDS + (FLAT_BUCKET,), 0) for arm in arms}
+
+    def episodes(arm, seed):
         for episode in range(config.episodes):
             order_rng = np.random.default_rng((seed, episode, RNG_ORDER))
             order = tuple(KINDS[i]
                           for i in order_rng.permutation(len(KINDS)))
             course = multi_terrain_course(order)
-            course_id = "-".join(order)
-            for arm in arms:
-                episode_rng = np.random.default_rng(
-                    (seed, episode, RNG_EPISODE))
-                out = bridge_episode(
-                    TerrainEnv(course), default_net, default_norm, modules,
-                    episode_rng, without_setup=arm == "without-setup")
-                rows_by_arm[arm].extend(_rows_from_outcomes(
-                    seed, arm, course_id, course, [out]))
-                outcomes_by_arm[arm].append((seed, episode, out))
-                failed_at = failure_terrain(course, out.state)
-                if failed_at is not None:
-                    failures[arm][failed_at] += 1
-    extra = {"failure_counts": failures}
-    return _finish_report(config, "multi-terrain", "shuffled-all-kinds",
-                          arms, rows_by_arm, outcomes_by_arm, extra=extra)
+            out = bridge_episode(
+                TerrainEnv(course), default_net, default_norm, modules,
+                np.random.default_rng((seed, episode, RNG_EPISODE)),
+                without_setup=arm == "without-setup")
+            failed_at = failure_terrain(course, out.state)
+            if failed_at is not None:
+                failures[arm][failed_at] += 1
+            yield course, "-".join(order), out
+
+    return _run_grid(config, "multi-terrain", "shuffled-all-kinds", arms,
+                     episodes, extra={"failure_counts": failures})

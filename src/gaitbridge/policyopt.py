@@ -80,11 +80,6 @@ class RolloutBuffer:
             raise BufferError("extend_last_reward on an empty buffer")
         self.rewards[-1] += delta
 
-    def last_reward(self):
-        if not self.rewards:
-            raise BufferError("empty buffer")
-        return self.rewards[-1]
-
     def clear(self):
         for col in (self.obs, self.actions, self.switch_bits, self.logprobs,
                     self.rewards, self.values, self.dones):

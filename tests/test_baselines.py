@@ -1,5 +1,5 @@
 """Tests for the comparison arms: reward variants, proximity predictor,
-without-setup control, single end-to-end policy, and the switch classifier."""
+without-setup control, and single end-to-end policy."""
 
 import math
 
@@ -12,13 +12,9 @@ from numpy.random import default_rng
 from gaitbridge.baselines import (
     CONSTANT_REWARD,
     ProximityPredictor,
-    SwitchClassifier,
-    collect_random_switch_episodes,
     proximity_reward,
-    run_without_setup,
     train_proximity_arm,
     train_single_policy,
-    train_switch_classifier,
     variant_reward,
     variant_reward_fn,
 )
@@ -36,6 +32,7 @@ from gaitbridge.terrainsim import (
     HURDLE,
     OBS_DIM,
     TerrainEnv,
+    distance_fraction,
     flat_course,
     single_artifact_course,
 )
@@ -234,8 +231,8 @@ class TestProximityPredictor:
         P.add_episode(pos, True)
         P.add_episode(neg, False)
         P.fit(rng, minibatches=80)
-        p_pos = float(np.mean(P.predict_batch(np.asarray(pos))))
-        p_neg = float(np.mean(P.predict_batch(np.asarray(neg))))
+        p_pos = float(np.mean([P.predict(s) for s in pos]))
+        p_neg = float(np.mean([P.predict(s) for s in neg]))
         assert p_pos > p_neg
 
     def test_buffers_are_fifo_capped(self):
@@ -324,11 +321,14 @@ class TestTrainProximityArm:
 class TestRunWithoutSetup:
     def test_flat_course_walks_to_goal_without_any_switch(self):
         env = TerrainEnv(flat_course())
-        res = run_without_setup(env, scripted_net(0.5, 0.0), identity_norm(),
-                                {}, 10, default_rng(0))
-        assert res["success"] == 1.0
-        assert res["distance"] == pytest.approx(1.0)
-        assert all(not o.events for o in res["outcomes"])
+        rate, outcomes = evaluate_bridged(
+            env, scripted_net(0.5, 0.0), identity_norm(), {}, 10,
+            default_rng(0), without_setup=True)
+        assert rate == 1.0
+        distance = np.mean([distance_fraction(env.course, o.state)
+                            for o in outcomes])
+        assert distance == pytest.approx(1.0)
+        assert all(not o.events for o in outcomes)
 
     def test_jump_course_skipping_setup_loses_to_bridged(self):
         course = single_artifact_course(HURDLE)
@@ -337,16 +337,17 @@ class TestRunWithoutSetup:
         d_norm = identity_norm()
         modules = {HURDLE: hurdle_module()}
 
-        res = run_without_setup(env, default_net, d_norm, modules, 16,
-                                default_rng(3))
+        rate, outcomes = evaluate_bridged(env, default_net, d_norm, modules,
+                                          16, default_rng(3),
+                                          without_setup=True)
         bridged_rate, _ = evaluate_bridged(env, default_net, d_norm, modules,
                                            16, default_rng(3),
                                            deterministic=True)
-        assert res["success"] < bridged_rate
+        assert rate < bridged_rate
         # the jump specialist takes over with no crouch built: it never
         # launches, so every episode fails
-        assert res["success"] == 0.0
-        for o in res["outcomes"]:
+        assert rate == 0.0
+        for o in outcomes:
             assert all(e.dst != "setup" for e in o.events)
             assert o.events and o.events[0].src == "default" \
                 and o.events[0].dst == "target"
@@ -380,86 +381,3 @@ class TestTrainSinglePolicy:
             course, 4_096, default_rng(0),
             config=PPOConfig(horizon=2048), eval_every=2, eval_episodes=10)
         assert curve[-1][2] < 0.5  # recorded, not raised
-
-
-# ---- learned switch classifier ---------------------------------------------------------
-
-
-def _crouch_walk_world():
-    """Walker that builds crouch en route; jump target that fires instantly.
-
-    A handoff succeeds iff the walk lasted long enough to bank crouch >= 0.5,
-    which makes the eventual label fall off with switch distance.
-    """
-    course = single_artifact_course(HURDLE)
-    env = TerrainEnv(course)
-    default_net = scripted_net(0.5, 0.25)
-    d_norm = identity_norm()
-    module = hurdle_module()
-    return env, default_net, d_norm, module
-
-
-class TestCollectRandomSwitchEpisodes:
-    def test_collects_aligned_two_class_data(self):
-        env, default_net, d_norm, module = _crouch_walk_world()
-        obs, labels = collect_random_switch_episodes(
-            env, default_net, d_norm, module, 120, default_rng(0),
-            min_dist=0.1, max_dist=2.0)
-        assert len(obs) == len(labels) > 0
-        assert obs.shape[1] == OBS_DIM
-        assert set(np.unique(labels)) == {0.0, 1.0}
-
-    def test_jump_only_target_without_crouch_never_succeeds(self):
-        course = single_artifact_course(HURDLE)
-        env = TerrainEnv(course)
-        obs, labels = collect_random_switch_episodes(
-            env, scripted_net(0.5, 0.0), identity_norm(), hurdle_module(),
-            30, default_rng(1))
-        assert len(labels) > 0 and labels.sum() == 0
-
-
-class TestTrainSwitchClassifier:
-    def test_single_class_data_raises(self):
-        obs = np.zeros((20, OBS_DIM))
-        with pytest.raises(ValueError, match="single class"):
-            train_switch_classifier(obs, np.zeros(20), default_rng(0))
-        with pytest.raises(ValueError, match="single class"):
-            train_switch_classifier(obs, np.ones(20), default_rng(0))
-
-    def test_misaligned_data_raises(self):
-        with pytest.raises(ValueError, match="align"):
-            train_switch_classifier(np.zeros((5, OBS_DIM)), np.zeros(4),
-                                    default_rng(0))
-
-    def test_linearly_separable_data_fits_to_99_percent(self):
-        rng = default_rng(2)
-        n = 200
-        pos = np.c_[np.ones(n), rng.uniform(-0.2, 0.2, (n, OBS_DIM - 1))]
-        neg = np.c_[-np.ones(n), rng.uniform(-0.2, 0.2, (n, OBS_DIM - 1))]
-        obs = np.vstack([pos, neg])
-        labels = np.r_[np.ones(n), np.zeros(n)]
-        clf = train_switch_classifier(obs, labels, rng, epochs=120)
-        preds = (clf.predict_proba_batch(obs) > 0.5).astype(float)
-        accuracy = float(np.mean(preds == labels))
-        assert accuracy >= 0.99
-
-    def test_predictions_monotone_in_distance_on_held_out_data(self):
-        env, default_net, d_norm, module = _crouch_walk_world()
-        obs, labels = collect_random_switch_episodes(
-            env, default_net, d_norm, module, 360, default_rng(5),
-            min_dist=0.1, max_dist=2.0)
-        assert 0.0 < labels.mean() < 1.0
-        train_n = len(obs) * 2 // 3
-        clf = train_switch_classifier(obs[:train_n], labels[:train_n],
-                                      default_rng(6), epochs=150)
-        held_obs, held_dist = obs[train_n:], obs[train_n:, 5]
-        proba = clf.predict_proba_batch(held_obs)
-        edges = np.quantile(held_dist, [0.0, 0.25, 0.5, 0.75, 1.0])
-        means = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mask = (held_dist >= lo) & (held_dist <= hi)
-            assert mask.sum() >= 10
-            means.append(float(proba[mask].mean()))
-        # closer to the artifact -> switching is more likely to succeed
-        for nearer, farther in zip(means[:-1], means[1:]):
-            assert nearer >= farther - 0.02, means

@@ -930,14 +930,6 @@ class TestSpawnDistributions:
         assert state.x == art.start - offset
         assert state.c == c and state.v == v
 
-    def test_walk_handoff_spawn_is_deterministic(self):
-        course = single_artifact_course(HURDLE)
-        art = course.artifacts[0]
-        env = TerrainEnv(course)
-        state = cp.walk_handoff_init(art)(env, np.random.default_rng(0))
-        assert state.x == art.start - 1.0
-        assert state.v == 2.0 and state.c == 0.0 and state.contact
-
 
 # ---- target-policy training paths --------------------------------------------------
 

@@ -1,3 +1,7 @@
+import dataclasses
+import json
+import shutil
+
 import numpy as np
 import pytest
 
@@ -10,21 +14,40 @@ from gaitbridge.harness.checkpoint import (
     load_policy,
     save_checkpoint,
 )
-from gaitbridge.harness.cli import main
+from gaitbridge.harness.cli import EXPERIMENT_COMMANDS, main
+from gaitbridge.harness.config import (
+    EXPERIMENT_KINDS,
+    ConfigError,
+    config_from_dict,
+    config_hash,
+    load_config,
+)
 from gaitbridge.harness.experiments import (
     MetricsRow,
+    read_metrics_csv,
+    summarize_metrics,
     write_events_jsonl,
     write_metrics_csv,
     write_report,
 )
 from gaitbridge.policyopt import PPOConfig, RunningNormalizer
-from gaitbridge.terrainsim import OBS_DIM
+from gaitbridge.terrainsim import KINDS, OBS_DIM, OBS_PROPRIO
 
 
-def _policy(obs_dim=OBS_DIM):
-    net = ParameterizedNet(obs_dim, 2, (8,), np.random.default_rng(0))
+def _policy(obs_dim=OBS_DIM, seed=0):
+    net = ParameterizedNet(obs_dim, 2, (8,), np.random.default_rng(seed))
     norm = RunningNormalizer(obs_dim)
     norm.update(np.linspace(-1.0, 1.0, obs_dim))
+    return net, norm
+
+
+def _damped_policy(obs_dim, seed, action):
+    """A random policy pulled toward a fixed action: the walker walks up to
+    the artifact and hands off within a few hundred ticks."""
+    net, norm = _policy(obs_dim, seed)
+    net.flat *= 0.2
+    net.params["mu.b"][...] = action
+    net.invalidate_cache()
     return net, norm
 
 
@@ -88,6 +111,14 @@ def test_train_target_eval_every_zero_evaluates_only_at_the_end():
     assert (steps, updates) == (128, 4)
 
 
+def test_train_target_final_eval_on_an_eval_boundary_is_not_repeated():
+    _, _, curve = train_target(FLAT, 128, np.random.default_rng(0),
+                               config=PPOConfig(horizon=32, epochs=1),
+                               eval_every=2, eval_episodes=1, stop_at=2.0,
+                               min_final=None)
+    assert [(steps, updates) for steps, updates, _ in curve] == [(64, 2), (128, 4)]
+
+
 def test_cli_train_target_eval_every_zero_exits_0(tmp_path, capsys):
     out = tmp_path / "walker.ckpt"
     code = main(["train-target", "--kind", "flat", "--budget", "64", "--seed", "1",
@@ -145,3 +176,155 @@ def test_failed_write_keeps_previous_file_and_leaves_no_temporary(
         write(tmp_path)
     assert (tmp_path / filename).read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == [filename]
+
+
+# ---- config hash ------------------------------------------------------------
+
+
+def test_config_hash_ignores_output_dir_and_follows_file_contents(tmp_path):
+    ckpt = save_checkpoint(tmp_path / "walker.ckpt", Checkpoint.of(*_policy()))
+    course = tmp_path / "one.course"
+    course.write_text("hurdle 3.2\n")
+
+    def hash_of(**overrides):
+        raw = {"experiment": "evaluation", "course": str(course),
+               "checkpoints": {"default": str(ckpt)}, **overrides}
+        return config_hash(config_from_dict(raw))
+
+    first = hash_of()
+    assert hash_of(output_dir=str(tmp_path / "elsewhere")) == first
+    assert hash_of(episodes=3) != first
+    # the same bytes under another path hash alike
+    ckpt_copy = shutil.copyfile(ckpt, tmp_path / "copy.ckpt")
+    course_copy = shutil.copyfile(course, tmp_path / "copy.course")
+    assert hash_of(checkpoints={"default": str(ckpt_copy)}) == first
+    assert hash_of(course=str(course_copy)) == first
+    # other bytes under the same path do not
+    save_checkpoint(ckpt, Checkpoint.of(*_policy(seed=1)))
+    second = hash_of()
+    assert second != first
+    course.write_text("hurdle 3.4\n")
+    assert hash_of() != second
+
+
+def test_unreadable_referenced_file_is_a_config_error(tmp_path, capsys):
+    good = save_checkpoint(tmp_path / "good.ckpt", Checkpoint.of(*_policy()))
+    missing = tmp_path / "missing.ckpt"
+    config = config_from_dict(
+        {"experiment": "evaluation",
+         "checkpoints": {"default": str(good),
+                         "block": {"target": str(missing)}}},
+        check_paths=False)
+    with pytest.raises(ConfigError, match="missing.ckpt"):
+        config_hash(config)
+    # the block module is not on the hurdle course, so only the hash reads it
+    code = main(["evaluate", "--default", str(good), "--kind", "hurdle",
+                 "--module", f"hurdle={good}:{good}",
+                 "--module", f"block={missing}:{missing}", "--episodes", "1",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: cannot read checkpoint checkpoints.block")
+    assert "Traceback" not in err
+
+
+# ---- every experiment kind through the grid ---------------------------------
+
+
+_RUNNERS = {
+    "evaluation": experiments.run_evaluation,
+    "ablation": experiments.run_ablation,
+    "reward-comparison": experiments.run_reward_comparison,
+    "baseline-comparison": experiments.run_baseline_comparison,
+    "multi-terrain": experiments.run_multi_terrain,
+}
+_STANDARD_ARMS = {
+    "evaluation": experiments.EVALUATION_ARMS,
+    "ablation": experiments.ABLATION_ARMS,
+    "reward-comparison": experiments.REWARD_ARMS_DEFAULT,
+    "baseline-comparison": experiments.BASELINE_ARMS,
+    "multi-terrain": experiments.MULTI_TERRAIN_ARMS,
+}
+_SUBCOMMAND = {kind: name for name, (kind, _) in EXPERIMENT_COMMANDS.items()}
+
+
+@pytest.fixture(scope="module")
+def checkpoints(tmp_path_factory):
+    """Walker, then per kind a jumping target and a crouching setup policy."""
+    root = tmp_path_factory.mktemp("checkpoints")
+    walker = _damped_policy(OBS_PROPRIO, 1, (0.5, 0.0))
+    paths = {"default": str(save_checkpoint(root / "walker.ckpt",
+                                            Checkpoint.of(*walker)))}
+    for i, kind in enumerate(KINDS):
+        paths[kind] = {}
+        for j, (role, action) in enumerate((("target", (0.0, -1.0)),
+                                            ("setup", (0.25, 1.0)))):
+            policy = _damped_policy(OBS_DIM, 10 + 2 * i + j, action)
+            paths[kind][role] = str(save_checkpoint(
+                root / f"{kind}_{role}.ckpt", Checkpoint.of(*policy)))
+    return paths
+
+
+def _write_config(tmp_path, checkpoints, kind, **overrides):
+    raw = {"experiment": kind, "seeds": [1], "episodes": 2,
+           "budgets": {"setup": 200}, "ppo": {"horizon": 64, "epochs": 1},
+           "checkpoints": checkpoints, "output_dir": str(tmp_path / "a"),
+           **overrides}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    return path
+
+
+def _outputs(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_experiment_writes_consistent_outputs_and_reruns_byte_identically(
+        tmp_path, capsys, checkpoints, kind):
+    config = load_config(_write_config(tmp_path, checkpoints, kind))
+    report = _RUNNERS[kind](config)
+    first, second = tmp_path / "a", tmp_path / "b"
+    arms = _STANDARD_ARMS[kind]
+    assert tuple(report["arms"]) == arms
+    written = {name for name in _outputs(first) if not name.endswith(".ckpt")}
+    assert written == {"report.json"} | {
+        f"{stem}_{arm}.{ext}" for arm in arms
+        for stem, ext in (("metrics", "csv"), ("events", "jsonl"))}
+    for arm in arms:
+        _, rows = read_metrics_csv(first / f"metrics_{arm}.csv")
+        assert len(rows) == len(config.seeds) * config.episodes
+        assert report["arms"][arm]["success"] == \
+            sum(row.success for row in rows) / len(rows)
+    # the walker reaches the artifact, so the logs hold switch events
+    assert any((first / f"events_{arm}.jsonl").stat().st_size for arm in arms)
+
+    if kind == "evaluation":
+        _RUNNERS[kind](dataclasses.replace(config, output_dir=str(second)))
+        hurdle = checkpoints["hurdle"]
+        code = main(["evaluate", "--default", checkpoints["default"],
+                     "--kind", "hurdle", "--module",
+                     f"hurdle={hurdle['setup']}:{hurdle['target']}",
+                     "--episodes", "1", "--out", str(tmp_path / "c")])
+    else:
+        code = main([_SUBCOMMAND[kind], "--config",
+                     str(tmp_path / "config.json"), "--output-dir",
+                     str(second)])
+    assert code == 0, capsys.readouterr().err
+    assert _outputs(second) == _outputs(first)
+    summary = summarize_metrics([first / f"metrics_{arms[0]}.csv",
+                                 second / f"metrics_{arms[0]}.csv"])
+    assert summary["mixed_config_hashes"] is False
+
+
+@pytest.mark.parametrize("subcommand", sorted(EXPERIMENT_COMMANDS))
+def test_experiment_subcommand_rejects_another_kind_and_an_unknown_arm(
+        tmp_path, capsys, checkpoints, subcommand):
+    kind, _ = EXPERIMENT_COMMANDS[subcommand]
+    other = next(k for k in EXPERIMENT_KINDS if k != kind)
+    for overrides in ({"experiment": other}, {"arms": ["no-such-arm"]}):
+        path = _write_config(tmp_path, checkpoints, kind, **overrides)
+        assert main([subcommand, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "a").exists()

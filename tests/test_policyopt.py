@@ -199,7 +199,7 @@ def test_buffer_extend_last_reward():
     base = buf.rewards[-1]
     buf.extend_last_reward(0.2)
     buf.extend_last_reward(0.3)
-    assert buf.last_reward() == pytest.approx(base + 0.5, abs=1e-12)
+    assert buf.rewards[-1] == pytest.approx(base + 0.5, abs=1e-12)
     empty = RolloutBuffer(4)
     with pytest.raises(BufferError):
         empty.extend_last_reward(1.0)
