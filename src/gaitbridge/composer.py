@@ -15,6 +15,16 @@ each subsequent shaped reward of the episode is folded into the setup buffer's
 final entry, so the setup policy is credited for what the specialist achieves
 from the states it prepared.
 
+`EpisodeDriver` is the only code that steps the runner: evaluation, setup
+training and target training all tick drivers. On each tick one policy acts,
+and it learns only when it is the trainer's own net: it then updates its
+normalizer, samples its action and stores the transition. Every other policy
+normalizes only and acts on its mean, except that a setup policy keeps
+sampling unless the driver is deterministic. Target training is a driver with
+no modules, whose default policy is the one being trained on the environment
+reward; setup training trains one module's setup policy on a shaped reward.
+One round-robin loop (`_train`) collects both into per-worker buffers.
+
 A setup reward function has the signature
 `reward_fn(target, obs, obs_next, r_env, terminal, action)`. Inside an
 episode `target` is the driver's `CarriedTarget`, a view of the frozen
@@ -317,26 +327,41 @@ def awtv_step_reward(target, obs, obs_next, r_env, terminal, action):
     return awtv_reward(adv, v_s, target.params)
 
 
-@dataclass
-class SetupTrainer:
-    """Shared optimizer state for one setup policy across rollout workers."""
+class Trainer:
+    """The policy being trained and its PPO state, shared by every worker.
 
-    module: BehaviorModule
-    config: PPOConfig
-    adam: AdamState
-    rng: np.random.Generator
-    reward_fn: callable = awtv_step_reward
-    extend: bool = True
-    updates: int = 0
+    With a `module` it trains that module's setup policy on `reward_fn`,
+    folds post-handoff rewards when `extend` is set, and keeps each buffer's
+    last transition across an update. Without one it trains the drivers'
+    default policy on the environment reward and empties the buffers.
+    """
 
-    def update(self, buffers, drivers):
-        for buf, drv in zip(buffers, drivers):
-            buf.tail_bootstrap = 0.0 if buf.dones[-1] else drv.setup_bootstrap()
-        ppo_update(self.module.setup_net, buffers, self.config, self.adam,
-                   self.rng)
+    def __init__(self, net, norm, config, rng, *, module=None,
+                 reward_fn=awtv_step_reward, extend=True):
+        self.net = net
+        self.norm = norm
+        self.config = config
+        self.adam = AdamState(lr=config.lr)
+        self.rng = rng
+        self.module = module
+        self.reward_fn = reward_fn
+        self.extend = extend
+        self.updates = 0
+
+    def update(self, drivers):
+        """One PPO update from every driver's full buffer."""
+        for drv in drivers:
+            buf = drv.buffer
+            # a horizon cut mid-phase bootstraps from the state acted on next
+            buf.tail_bootstrap = 0.0 if buf.dones[-1] else self.net.value_of(
+                self.norm.normalize(policy_obs(self.net, drv.observation())))
+        buffers = [drv.buffer for drv in drivers]
+        ppo_update(self.net, buffers, self.config, self.adam, self.rng)
         for buf in buffers:
-            buf.clear_except_last()
-        self.module.setup_net.clamp_log_std()
+            if self.module is None:
+                buf.clear()
+            else:
+                buf.clear_except_last()
         self.updates += 1
 
 
@@ -354,22 +379,24 @@ class EpisodeOutcome:
 class EpisodeDriver:
     """Advances one bridged episode one environment tick at a time.
 
-    Frozen policies (default, target) always act on their policy mean. The
-    setup policy samples actions and its handoff bit unless deterministic=True
-    forces means with the handoff probability thresholded at 0.5 (a mode for
-    exact scripted-trace verification, not the evaluation protocol).
+    A learning policy (see the module docstring) appends to `buffer`.
+    deterministic=True puts a frozen setup policy on its means with the
+    handoff probability thresholded at 0.5 (a mode for exact scripted-trace
+    verification, not the evaluation protocol). `init_fn(env, rng)` replaces
+    the standard spawn.
     """
 
     def __init__(self, env, default_net, default_norm, modules, rng, *,
-                 trainer: SetupTrainer = None, buffer: RolloutBuffer = None,
-                 deterministic=False, without_setup=False):
+                 trainer: Trainer = None, buffer: RolloutBuffer = None,
+                 deterministic=False, without_setup=False, init_fn=None):
         if without_setup and trainer is not None:
             raise ValueError("the no-setup arm is evaluation-only")
         if (trainer is None) != (buffer is None):
             raise ValueError("trainer and buffer come together")
-        if trainer is not None and \
-                modules.get(trainer.module.kind) is not trainer.module:
-            raise ValueError("the trainer's module must be a driver module")
+        if trainer is not None and (
+                trainer.net is not default_net if trainer.module is None
+                else modules.get(trainer.module.kind) is not trainer.module):
+            raise ValueError("the trainer's net must be a driver policy")
         self.env = env
         self.default_net = default_net
         self.default_norm = default_norm
@@ -379,10 +406,10 @@ class EpisodeDriver:
         self.buffer = buffer
         self.deterministic = deterministic
         self.without_setup = without_setup
-        self.state = env.reset(rng)
+        self.state = init_fn(env, rng) if init_fn else env.reset(rng)
         self.switch = SwitchState()
         self.env_reward = 0.0
-        self.handed_off = False  # a setup->target handoff happened this episode
+        self.handed_off = False  # the trained setup policy handed off
         self._obs = None  # observation of self.state, once taken
         self.targets = {kind: CarriedTarget(m) for kind, m in modules.items()}
 
@@ -399,19 +426,13 @@ class EpisodeDriver:
             self._obs = observe(self.env.course, self.state)
         return self._obs
 
-    def setup_bootstrap(self):
-        """Setup-policy value of the state it would act on next (GAE tail)."""
-        module = self.trainer.module
-        obs_n = module.setup_norm.normalize(self.observation())
-        return module.setup_net.value_of(obs_n)
-
     def _pre_act_transitions(self):
         state, switch = self.state, self.switch
         if switch.active == POLICY_TARGET:
             select_policy(switch, None, False,
                           tau_theta_reached(state, switch.artifact),
                           step=state.steps, runner=state)
-        if switch.active == POLICY_DEFAULT:
+        if switch.active == POLICY_DEFAULT and self.modules:
             hit, art = oracle_detect(self.env.course, state)
             if hit and art.kind in self.modules:
                 select_policy(switch, art, False, False, step=state.steps,
@@ -419,77 +440,78 @@ class EpisodeDriver:
 
     def tick(self):
         """One environment step. Returns True when the episode finished."""
-        state = self.state
+        state, trainer = self.state, self.trainer
         self._pre_act_transitions()
         acting = self.switch.active
         obs = self.observation()
 
         bit = None
-        if acting == POLICY_DEFAULT:
-            obs_n = self.default_norm.normalize(
-                policy_obs(self.default_net, obs))
-            action, _, _, _ = policy_act(self.default_net, obs_n, self.rng,
-                                         deterministic=True)
-        elif acting == POLICY_TARGET:
+        learning = False
+        if acting == POLICY_TARGET:
             action = self.targets[self.switch.artifact.kind].target_action(obs)
         else:
-            module = self.active_module()
-            if self.trainer is not None:
-                obs_n = module.setup_norm.update_then_normalize(obs)
+            if acting == POLICY_DEFAULT:
+                net, norm = self.default_net, self.default_norm
             else:
-                obs_n = module.setup_norm.normalize(obs)
+                module = self.active_module()
+                net, norm = module.setup_net, module.setup_norm
+            learning = trainer is not None and net is trainer.net
+            x = policy_obs(net, obs)
+            if learning:
+                obs_n = norm.update_then_normalize(x)
+            else:
+                obs_n = norm.normalize(x)
             action, bit, logp, value = policy_act(
-                module.setup_net, obs_n, self.rng,
-                deterministic=self.deterministic, with_switch=True)
+                net, obs_n, self.rng,
+                deterministic=not learning and (acting == POLICY_DEFAULT
+                                                or self.deterministic),
+                with_switch=acting == POLICY_SETUP)
 
         r_env, done = self.env.step(state, action)
         self._obs = None
         self.env_reward += r_env
 
-        if acting == POLICY_SETUP:
-            if self.trainer is not None:
-                r_step = self.trainer.reward_fn(
+        if learning:
+            if acting == POLICY_SETUP:
+                r_step = trainer.reward_fn(
                     self.targets[self.switch.artifact.kind], obs,
                     self.observation(), r_env, done, action)
-                phase_done = done or bit == 1
-                self.buffer.append(obs_n, action, bit, logp, r_step, value,
-                                   phase_done)
-            if bit == 1:
-                self.handed_off = True
-                if not done:
-                    select_policy(self.switch, None, True, False,
-                                  step=state.steps, runner=state)
-        elif (self.handed_off and self.trainer is not None
-              and self.trainer.extend):
+            else:
+                r_step = r_env
+            self.buffer.append(obs_n, action, bit, logp, r_step, value,
+                               done or bit == 1)
+        elif self.handed_off and trainer.extend:
             # every shaped reward from handoff to episode end folds into the
             # last stored entry, whichever policy is acting by now
-            r_hat = self.trainer.reward_fn(
-                self.targets[self.trainer.module.kind], obs,
+            r_hat = trainer.reward_fn(
+                self.targets[trainer.module.kind], obs,
                 self.observation(), r_env, done, action)
             extend_reward(self.buffer, r_hat)
+        if bit == 1:
+            if learning:
+                self.handed_off = True
+            if not done:
+                select_policy(self.switch, None, True, False,
+                              step=state.steps, runner=state)
         return done
 
-    def outcome(self):
+    def run(self):
+        """Tick to the end of the episode; returns its outcome."""
+        while not self.done:
+            self.tick()
         return EpisodeOutcome(self.state, self.switch.events, self.env_reward)
 
 
 def bridge_episode(env, default_net, default_norm, modules, rng, *,
-                   trainer=None, buffer=None, deterministic=False,
-                   without_setup=False):
-    """Run one full bridged episode; with a trainer, update on full buffers."""
-    driver = EpisodeDriver(env, default_net, default_norm, modules, rng,
-                           trainer=trainer, buffer=buffer,
-                           deterministic=deterministic,
-                           without_setup=without_setup)
-    while not driver.done:
-        driver.tick()
-        if trainer is not None and len(buffer) == buffer.capacity:
-            trainer.update([buffer], [driver])
-    return driver.outcome()
+                   deterministic=False, without_setup=False):
+    """Run one full bridged episode of frozen policies."""
+    return EpisodeDriver(env, default_net, default_norm, modules, rng,
+                         deterministic=deterministic,
+                         without_setup=without_setup).run()
 
 
 def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,
-                     without_setup=False, deterministic=False):
+                     without_setup=False, deterministic=False, init_fn=None):
     """Seeded bridged rollouts; returns (success rate, outcomes).
 
     The standard protocol (deterministic=False) runs the frozen default and
@@ -499,14 +521,14 @@ def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,
     behavior being measured. Everything is reproducible from `rng`.
     deterministic=True switches the setup phase to means with the handoff
     probability thresholded at 0.5, which is only useful for verifying the
-    switching mechanics with scripted saturated policies.
+    switching mechanics with scripted saturated policies. With no modules
+    this evaluates the default policy alone, spawned by `init_fn` if given.
     """
-    outcomes = []
-    for _ in range(episodes):
-        outcomes.append(bridge_episode(env, default_net, default_norm,
-                                       modules, rng,
-                                       deterministic=deterministic,
-                                       without_setup=without_setup))
+    outcomes = [EpisodeDriver(env, default_net, default_norm, modules, rng,
+                              deterministic=deterministic,
+                              without_setup=without_setup,
+                              init_fn=init_fn).run()
+                for _ in range(episodes)]
     rate = sum(1.0 for o in outcomes if o.state.success) / max(len(outcomes), 1)
     return rate, outcomes
 
@@ -524,21 +546,63 @@ def artifact_approach_init(artifact):
     return init
 
 
-def evaluate_policy(env, net, norm, episodes, rng, init_fn=None):
-    """Deterministic single-policy rollouts from a spawn distribution."""
-    states = []
-    for _ in range(episodes):
-        state = init_fn(env, rng) if init_fn else env.reset(rng)
-        while not state.done:
-            obs_n = norm.normalize(policy_obs(net, observe(env.course, state)))
-            action, _, _, _ = policy_act(net, obs_n, rng, deterministic=True)
-            env.step(state, action)
-        states.append(state)
-    rate = sum(1.0 for s in states if s.success) / max(len(states), 1)
-    return rate, states
+# ---- training ----------------------------------------------------------------
 
 
-# ---- target-policy training ---------------------------------------------------
+def _train(trainer, env, default_net, default_norm, modules, budget, *,
+           eval_every, eval_episodes, seed_tag, eval_tag, init_fn=None,
+           n_workers=1, stop_at=None, on_episode_end=None):
+    """Round-robin PPO; returns (curve, steps_used, stopped).
+
+    `n_workers` drivers take turns ticking, each into its own buffer; a
+    worker whose buffer is full pauses until every buffer is full, which
+    triggers one joint update. Buffers persist across episodes; only the
+    runner restarts. Every `eval_every` updates (never when 0) and once at
+    the end, `eval_episodes` bridged episodes drawn from their own
+    generator add a (steps_used, updates, success_rate) row to the curve.
+    A periodic rate at or above `stop_at` ends training at once (`stopped`).
+    """
+    curve = []
+
+    def run_eval(steps_used):
+        eval_rng = np.random.default_rng((seed_tag, trainer.updates, eval_tag))
+        rate, _ = evaluate_bridged(env, default_net, default_norm, modules,
+                                   eval_episodes, eval_rng, init_fn=init_fn)
+        curve.append((steps_used, trainer.updates, rate))
+        return rate
+
+    def new_driver(buffer):
+        return EpisodeDriver(env, default_net, default_norm, modules,
+                             trainer.rng, trainer=trainer, buffer=buffer,
+                             init_fn=init_fn)
+
+    drivers = [new_driver(RolloutBuffer(trainer.config.horizon))
+               for _ in range(n_workers)]
+    steps_used = 0
+    last_eval_at = None
+    while steps_used < budget:
+        for idx, drv in enumerate(drivers):
+            if drv.buffer.full:
+                continue  # paused until the joint update
+            drv.tick()
+            steps_used += 1
+            if drv.done:
+                if on_episode_end is not None:
+                    on_episode_end(drv)
+                drivers[idx] = new_driver(drv.buffer)
+            if steps_used >= budget:
+                break
+        if all(d.buffer.full for d in drivers):
+            trainer.update(drivers)
+            if eval_every and trainer.updates % eval_every == 0:
+                last_eval_at = trainer.updates
+                rate = run_eval(steps_used)
+                if stop_at is not None and rate >= stop_at:
+                    return curve, steps_used, True
+
+    if last_eval_at != trainer.updates:
+        run_eval(steps_used)
+    return curve, steps_used, False
 
 
 def course_for_kind(kind):
@@ -558,11 +622,12 @@ def train_target(kind, budget, rng, *, config=None, course=None,
                  min_final=0.5, obs_dim=None):
     """PPO-train a terrain specialist; returns (net, norm, curve).
 
-    The curve holds (steps_used, updates, success_rate) rows sampled every
-    `eval_every` updates (none when it is 0) plus a final entry. Raises
-    TrainingFailure (curve attached) if the budget runs out below `min_final`
-    success; pass min_final=None for arms whose failure to learn is itself
-    the result.
+    Training runs drivers with no modules: the specialist is their default
+    policy, learning on the environment reward. The curve holds
+    (steps_used, updates, success_rate) rows sampled every `eval_every`
+    updates (none when it is 0) plus a final entry. Raises TrainingFailure
+    (curve attached) if the budget runs out below `min_final` success; pass
+    min_final=None for arms whose failure to learn is itself the result.
     """
     if kind not in (FLAT, BLOCK, GAP, HURDLE):
         raise ValueError(f"unknown terrain kind {kind!r}")
@@ -570,60 +635,20 @@ def train_target(kind, budget, rng, *, config=None, course=None,
         raise ValueError("budget must be >= 0")
     config = config or PPOConfig()
     course = course or course_for_kind(kind)
-    init_fn = init_for_kind(kind, course)
     if stop_at is None:
         stop_at = 0.95 if kind == FLAT else 0.8
-
-    env = TerrainEnv(course)
-    eval_env = TerrainEnv(course)
     if obs_dim is None:
         # the plain walker is terrain-blind; specialists see the full vector
         obs_dim = OBS_PROPRIO if kind == FLAT else OBS_DIM
     net = ParameterizedNet(obs_dim, ACTION_DIM, DEFAULT_HIDDEN, rng)
     norm = RunningNormalizer(obs_dim)
-    adam = AdamState(lr=config.lr)
-    buffer = RolloutBuffer(config.horizon)
-    curve = []
-
-    def run_eval(steps_used, updates):
-        eval_rng = np.random.default_rng((seed_tag, updates, 0xE7A1))
-        rate, _ = evaluate_policy(eval_env, net, norm, eval_episodes,
-                                  eval_rng, init_fn=init_fn)
-        curve.append((steps_used, updates, rate))
-        return rate
-
-    state = env.reset(rng) if init_fn is None else init_fn(env, rng)
-    steps_used = 0
-    updates = 0
-    last_eval_at = None
-    while steps_used < budget:
-        obs = policy_obs(net, observe(course, state))
-        obs_n = norm.update_then_normalize(obs)
-        action, _, logp, value = policy_act(net, obs_n, rng)
-        r, done = env.step(state, action)
-        buffer.append(obs_n, action, None, logp, r, value, done)
-        steps_used += 1
-        if done:
-            state = env.reset(rng) if init_fn is None else init_fn(env, rng)
-        if len(buffer) == buffer.capacity:
-            if buffer.dones[-1]:
-                buffer.tail_bootstrap = 0.0
-            else:
-                buffer.tail_bootstrap = net.value_of(
-                    norm.normalize(policy_obs(net, observe(course, state))))
-            ppo_update(net, buffer, config, adam, rng)
-            buffer.clear()
-            updates += 1
-            if eval_every and updates % eval_every == 0:
-                last_eval_at = updates
-                if run_eval(steps_used, updates) >= stop_at:
-                    return net, norm, curve
-
-    if last_eval_at == updates:
-        final = curve[-1][2]
-    else:
-        final = run_eval(steps_used, updates)
-    if min_final is not None and final < min_final:
+    curve, steps_used, stopped = _train(
+        Trainer(net, norm, config, rng), TerrainEnv(course), net, norm, {},
+        budget, eval_every=eval_every, eval_episodes=eval_episodes,
+        seed_tag=seed_tag, eval_tag=0xE7A1,
+        init_fn=init_for_kind(kind, course), stop_at=stop_at)
+    final = curve[-1][2]
+    if not stopped and min_final is not None and final < min_final:
         raise TrainingFailure(
             f"{kind} specialist stalled at {final:.0%} success "
             f"after {steps_used} steps", curve)
@@ -658,55 +683,13 @@ def train_setup(module: BehaviorModule, default_net, default_norm, env, config,
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     frozen = module.target_net.flat.copy()
-
-    trainer = SetupTrainer(module, config, AdamState(lr=config.lr), rng,
-                           reward_fn=reward_fn, extend=extend)
-    modules = {module.kind: module}
-    eval_env = TerrainEnv(env.course)
-    curve = []
-    last_eval_at = None
-
-    def run_eval(steps_used):
-        eval_rng = np.random.default_rng((seed_tag, trainer.updates, 0x5E70))
-        rate, _ = evaluate_bridged(eval_env, default_net, default_norm,
-                                   modules, eval_episodes, eval_rng)
-        curve.append((steps_used, trainer.updates, rate))
-
-    def fresh_driver(buffer=None):
-        if buffer is None:
-            buffer = RolloutBuffer(config.horizon)
-        return EpisodeDriver(TerrainEnv(env.course), default_net, default_norm,
-                             modules, rng, trainer=trainer, buffer=buffer)
-
-    drivers = [fresh_driver() for _ in range(n_workers)]
-    steps_used = 0
-    while steps_used < budget:
-        progressed = False
-        for idx, drv in enumerate(drivers):
-            if len(drv.buffer) == drv.buffer.capacity:
-                continue  # paused until the joint update
-            drv.tick()
-            steps_used += 1
-            progressed = True
-            if drv.done:
-                if on_episode_end is not None:
-                    on_episode_end(drv)
-                # buffers persist across episodes; only the runner restarts
-                drivers[idx] = fresh_driver(drv.buffer)
-            if steps_used >= budget:
-                break
-        did_update = False
-        if all(len(d.buffer) == d.buffer.capacity for d in drivers):
-            trainer.update([d.buffer for d in drivers], drivers)
-            did_update = True
-            if eval_every and trainer.updates % eval_every == 0:
-                run_eval(steps_used)
-                last_eval_at = trainer.updates
-        if not progressed and not did_update and steps_used < budget:
-            raise RuntimeError("all workers paused without an update")
-
+    trainer = Trainer(module.setup_net, module.setup_norm, config, rng,
+                      module=module, reward_fn=reward_fn, extend=extend)
+    curve, _, _ = _train(
+        trainer, env, default_net, default_norm, {module.kind: module},
+        budget, eval_every=eval_every, eval_episodes=eval_episodes,
+        seed_tag=seed_tag, eval_tag=0x5E70, n_workers=n_workers,
+        on_episode_end=on_episode_end)
     if not np.array_equal(module.target_net.flat, frozen):
         raise RuntimeError("target policy drifted during setup training")
-    if last_eval_at != trainer.updates or not curve:
-        run_eval(steps_used)
     return curve

@@ -65,8 +65,8 @@ class Checkpoint:
         """Reconstruct the (network, normalizer) pair.
 
         Raises CheckpointFormatError when the arrays are not a network layout,
-        or when the normalizer statistics are missing or not vectors of the
-        network's input width.
+        or when the normalizer statistics are missing, not vectors of the
+        network's input width, or their count is negative, NaN or infinite.
         """
         try:
             net = ParameterizedNet.from_params(self.params)
@@ -78,6 +78,11 @@ class Checkpoint:
             raise CheckpointFormatError(
                 f"normalizer statistics of shapes {sorted(shapes)} do not match "
                 f"the network's input width {net.obs_dim}")
+        count = self.norm_state.get("count")
+        if count is not None and not 0.0 <= count[0] < np.inf:
+            raise CheckpointFormatError(
+                f"checkpoint normalizer count {count[0]} is not a finite "
+                f"count >= 0")
         try:
             norm = RunningNormalizer.from_state_arrays(self.norm_state)
         except KeyError as exc:
@@ -166,15 +171,28 @@ class _Reader:
     def u32(self, what):
         return _U32.unpack(self.take(4, what))[0]
 
+    def text(self, n, what, encoding):
+        offset = self.offset
+        try:
+            return self.take(n, what).decode(encoding)
+        except UnicodeDecodeError:
+            raise CheckpointFormatError(
+                f"{self.origin}: {what} at offset {offset} is not "
+                f"{encoding} text") from None
+
     def record(self, dtype):
-        name = self.take(self.u16("name length"), "array name").decode("utf-8")
+        name = self.text(self.u16("name length"), "array name", "utf-8")
         ndim = self.u8(f"rank of {name!r}")
         shape = tuple(self.u32(f"dimension of {name!r}") for _ in range(ndim))
         count = 1
         for dim in shape:
             count *= dim
         payload = self.take(count * dtype.itemsize, f"payload of {name!r}")
-        array = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        try:
+            array = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        except ValueError as exc:  # rank above numpy's cap, or too big to index
+            raise CheckpointFormatError(
+                f"{self.origin}: array {name!r} of rank {ndim}: {exc}") from None
         return name, array.astype(dtype.newbyteorder("="))
 
 
@@ -204,8 +222,8 @@ def parse_checkpoint(data, origin="<bytes>") -> Checkpoint:
             raise CheckpointFormatError(
                 f"{origin} repeats statistic array {name!r}")
         norm_state[name] = array
-    config_hash = reader.take(reader.u16("hash length"),
-                              "config hash").decode("ascii")
+    config_hash = reader.text(reader.u16("hash length"), "config hash",
+                              "ascii")
     if reader.offset != len(data):
         raise CheckpointFormatError(
             f"{origin} has {len(data) - reader.offset} bytes of trailing "

@@ -22,10 +22,8 @@ from ..baselines import (
 )
 from ..composer import (
     BehaviorModule,
-    EpisodeOutcome,
     bridge_episode,
     evaluate_bridged,
-    evaluate_policy,
     train_setup,
 )
 from ..terrainsim import (
@@ -338,7 +336,7 @@ class _SetupExperiment:
                 TerrainEnv(self.course), self.config.ppo_config(),
                 self.config.budgets["setup"],
                 np.random.default_rng((seed, RNG_TRAIN)), eval_every=0,
-                eval_episodes=20, seed_tag=seed, **trainer_kwargs)
+                eval_episodes=0, seed_tag=seed, **trainer_kwargs)
         episodes = self.evaluate(seed, module)
         _save_arm_checkpoint(self.config, f"setup_{arm}_seed{seed}",
                              module.setup_net, module.setup_norm)
@@ -413,14 +411,13 @@ def run_baseline_comparison(config):
         net, norm, _ = train_single_policy(
             course, config.budgets["setup"],
             np.random.default_rng((seed, RNG_TRAIN)),
-            config=config.ppo_config(), eval_every=0, eval_episodes=20,
+            config=config.ppo_config(), eval_every=0, eval_episodes=0,
             seed_tag=seed)
-        _, states = evaluate_policy(TerrainEnv(course), net, norm,
-                                    config.episodes,
-                                    np.random.default_rng((seed, RNG_EVAL)))
+        _, outs = evaluate_bridged(TerrainEnv(course), net, norm, {},
+                                   config.episodes,
+                                   np.random.default_rng((seed, RNG_EVAL)))
         _save_arm_checkpoint(config, f"single_policy_seed{seed}", net, norm)
-        return [(course, course_id, EpisodeOutcome(state, [], 0.0))
-                for state in states]
+        return [(course, course_id, out) for out in outs]
 
     return _run_grid(config, "baseline-comparison", course_id, arms,
                      episodes)

@@ -13,7 +13,7 @@ negative release while crouched triggers the jump).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

@@ -6,6 +6,7 @@ a hurdle course and check the resulting switch-event trace against a small
 independent reimplementation of the runner dynamics kept inside this file.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 from gaitbridge import composer as cp
 from gaitbridge.composer import (
     AWTVParams,
+    FLAT,
     BehaviorModule,
-    SetupTrainer,
+    EpisodeDriver,
     SwitchError,
     SwitchState,
+    Trainer,
     TrainingFailure,
     awtv_reward,
     awtv_step_reward,
@@ -36,7 +39,6 @@ from gaitbridge.composer import (
     POLICY_TARGET,
 )
 from gaitbridge.diffcore.net import ParameterizedNet
-from gaitbridge.diffcore.optim import AdamState
 from gaitbridge.policyopt import (
     BufferError,
     PPOConfig,
@@ -108,6 +110,12 @@ def hurdle_module(target_net=None, setup_net=None):
         setup_net=setup_net or scripted_net(0.25, 1.0, crouch_gate=True),
         setup_norm=identity_norm(),
     )
+
+
+def setup_trainer(module, config, seed=0):
+    """A trainer of the module's setup policy on the AWTV reward."""
+    return Trainer(module.setup_net, module.setup_norm, config,
+                   np.random.default_rng(seed), module=module)
 
 
 # ---- shaped-reward arithmetic -------------------------------------------------
@@ -439,9 +447,7 @@ class TestTrainingEpisodeBookkeeping:
                                              identity_norm(), default_net,
                                              d_norm)
         config = PPOConfig(horizon=horizon, minibatch=64, epochs=1)
-        trainer = SetupTrainer(module, config, AdamState(lr=config.lr),
-                               np.random.default_rng(0))
-        return env, default_net, d_norm, module, trainer
+        return env, default_net, d_norm, module, setup_trainer(module, config)
 
     def test_buffer_rewards_equal_sum_of_stored_and_folded_shaping(self):
         # With an oversized buffer (no mid-episode updates) the sum of buffer
@@ -465,8 +471,8 @@ class TestTrainingEpisodeBookkeeping:
             len_before = len(buf)
             sum_before = math.fsum(buf.rewards)
             calls.clear()
-            bridge_episode(env, default_net, d_norm, {HURDLE: module}, rng,
-                           trainer=trainer, buffer=buf)
+            EpisodeDriver(env, default_net, d_norm, {HURDLE: module}, rng,
+                          trainer=trainer, buffer=buf).run()
             stored = len(buf) - len_before
             extends = len(calls) - stored
             assert extends >= 0
@@ -481,8 +487,8 @@ class TestTrainingEpisodeBookkeeping:
         buf = RolloutBuffer(trainer.config.horizon)
         rng = np.random.default_rng(40)
         for _ in range(10):
-            bridge_episode(env, default_net, d_norm, {HURDLE: module}, rng,
-                           trainer=trainer, buffer=buf)
+            EpisodeDriver(env, default_net, d_norm, {HURDLE: module}, rng,
+                          trainer=trainer, buffer=buf).run()
         bits = np.array([b if b is not None else 0 for b in buf.switch_bits])
         assert bits.sum() > 0
         for bit, done in zip(buf.switch_bits, buf.dones):
@@ -497,13 +503,13 @@ class TestTrainingEpisodeBookkeeping:
         env, default_net, d_norm, module, trainer = self._training_setup()
         # pin the setup statistics so stored observations stay ~raw even
         # though the trainer path updates the normalizer every setup tick
-        module.setup_norm = saturated_identity_norm()
+        module.setup_norm = trainer.norm = saturated_identity_norm()
         rng = np.random.default_rng(40)
         out = buf = None
         for _ in range(5):
             buf = RolloutBuffer(trainer.config.horizon)
-            out = bridge_episode(env, default_net, d_norm, {HURDLE: module},
-                                 rng, trainer=trainer, buffer=buf)
+            out = EpisodeDriver(env, default_net, d_norm, {HURDLE: module},
+                                rng, trainer=trainer, buffer=buf).run()
             if out.switch_count >= 2:
                 break
         assert out.switch_count >= 2
@@ -539,16 +545,17 @@ class TestUpdateMechanics:
         env, default_net, d_norm, module = fast_training_world()
         config = PPOConfig(horizon=16, minibatch=16, epochs=2)
         records = []
-        original = SetupTrainer.update
+        original = Trainer.update
 
-        def spy(self, buffers, drivers):
-            pre = (len(buffers[0]), buffers[0].rewards[-1],
-                   np.copy(buffers[0].obs[-1]), buffers[0].dones[-1])
-            original(self, buffers, drivers)
-            records.append((pre, len(buffers[0]), buffers[0].rewards[-1],
-                            np.copy(buffers[0].obs[-1]), buffers[0].dones[-1]))
+        def spy(self, drivers):
+            buf = drivers[0].buffer
+            pre = (len(buf), buf.rewards[-1], np.copy(buf.obs[-1]),
+                   buf.dones[-1])
+            original(self, drivers)
+            records.append((pre, len(buf), buf.rewards[-1],
+                            np.copy(buf.obs[-1]), buf.dones[-1]))
 
-        monkeypatch.setattr(cp.SetupTrainer, "update", spy)
+        monkeypatch.setattr(cp.Trainer, "update", spy)
         train_setup(module, default_net, d_norm, env, config, 3000,
                     np.random.default_rng(2), eval_every=0, eval_episodes=1)
         assert len(records) >= 2
@@ -685,14 +692,14 @@ class TestTargetCarry:
         def run():
             env, default_net, d_norm, module = fast_training_world()
             rewards = []
-            original = SetupTrainer.update
+            original = Trainer.update
 
-            def spy(trainer, buffers, drivers):
-                rewards.append([list(b.rewards) for b in buffers])
-                original(trainer, buffers, drivers)
+            def spy(trainer, drivers):
+                rewards.append([list(d.buffer.rewards) for d in drivers])
+                original(trainer, drivers)
 
             with monkeypatch.context() as m:
-                m.setattr(cp.SetupTrainer, "update", spy)
+                m.setattr(cp.Trainer, "update", spy)
                 train_setup(module, default_net, d_norm, env,
                             PPOConfig(horizon=16, minibatch=16, epochs=2),
                             3000, np.random.default_rng(3), eval_every=0,
@@ -716,14 +723,12 @@ class TestTargetCarry:
                                             modules, 8,
                                             np.random.default_rng(7),
                                             deterministic=True)
-            hurdle = modules[HURDLE]
-            config = PPOConfig(horizon=100_000)
-            trainer = SetupTrainer(hurdle, config, AdamState(lr=config.lr),
-                                   np.random.default_rng(0))
-            buf = RolloutBuffer(config.horizon)
+            trainer = setup_trainer(modules[HURDLE],
+                                    PPOConfig(horizon=100_000))
+            buf = RolloutBuffer(trainer.config.horizon)
             rng = np.random.default_rng(7)
-            trained = [bridge_episode(env, walker, identity_norm(), modules,
-                                      rng, trainer=trainer, buffer=buf)
+            trained = [EpisodeDriver(env, walker, identity_norm(), modules,
+                                     rng, trainer=trainer, buffer=buf).run()
                        for _ in range(8)]
             return ([outcome_record(o) for o in evaluated + trained],
                     list(buf.rewards))
@@ -770,6 +775,32 @@ class TestTargetCarry:
             assert n_forward <= n_reward + 1
 
 
+class TestOnlyTheTrainedPolicyLearns:
+    def test_another_modules_setup_ticks_are_neither_stored_nor_learned(
+            self, monkeypatch):
+        env, walker, modules = two_kind_world()
+        hurdle, gap = modules[HURDLE], modules[GAP]
+        gap_norm = gap.setup_norm.state_arrays()
+        acted = []
+        real = cp.policy_act
+
+        def spy(net, *args, **kwargs):
+            acted.append(net)
+            return real(net, *args, **kwargs)
+
+        monkeypatch.setattr(cp, "policy_act", spy)
+        trainer = setup_trainer(hurdle, PPOConfig(horizon=100_000))
+        buf = RolloutBuffer(trainer.config.horizon)
+        rng = np.random.default_rng(7)
+        for _ in range(8):
+            EpisodeDriver(env, walker, identity_norm(), modules, rng,
+                          trainer=trainer, buffer=buf).run()
+        assert any(net is gap.setup_net for net in acted)
+        assert len(buf) == sum(net is hurdle.setup_net for net in acted)
+        for key, arr in gap.setup_norm.state_arrays().items():
+            assert np.array_equal(arr, gap_norm[key])
+
+
 # ---- episode driver validation ---------------------------------------------------
 
 
@@ -809,42 +840,39 @@ class TestDriverValidation:
     def test_no_setup_arm_rejects_trainer(self):
         env = TerrainEnv(single_artifact_course(HURDLE))
         module = hurdle_module()
-        config = PPOConfig(horizon=16)
-        trainer = SetupTrainer(module, config, AdamState(lr=config.lr),
-                               np.random.default_rng(0))
+        trainer = setup_trainer(module, PPOConfig(horizon=16))
         with pytest.raises(ValueError):
-            cp.EpisodeDriver(env, scripted_net(0.5, 0.0), identity_norm(),
-                             {HURDLE: module}, np.random.default_rng(0),
-                             trainer=trainer, buffer=RolloutBuffer(16),
-                             without_setup=True)
+            EpisodeDriver(env, scripted_net(0.5, 0.0), identity_norm(),
+                          {HURDLE: module}, np.random.default_rng(0),
+                          trainer=trainer, buffer=RolloutBuffer(16),
+                          without_setup=True)
 
     def test_trainer_and_buffer_come_together(self):
         env = TerrainEnv(single_artifact_course(HURDLE))
         module = hurdle_module()
-        config = PPOConfig(horizon=16)
-        trainer = SetupTrainer(module, config, AdamState(lr=config.lr),
-                               np.random.default_rng(0))
+        trainer = setup_trainer(module, PPOConfig(horizon=16))
         with pytest.raises(ValueError):
-            cp.EpisodeDriver(env, scripted_net(0.5, 0.0), identity_norm(),
-                             {HURDLE: module}, np.random.default_rng(0),
-                             trainer=trainer)
+            EpisodeDriver(env, scripted_net(0.5, 0.0), identity_norm(),
+                          {HURDLE: module}, np.random.default_rng(0),
+                          trainer=trainer)
         with pytest.raises(ValueError):
-            cp.EpisodeDriver(env, scripted_net(0.5, 0.0), identity_norm(),
-                             {HURDLE: module}, np.random.default_rng(0),
-                             buffer=RolloutBuffer(16))
-
+            EpisodeDriver(env, scripted_net(0.5, 0.0), identity_norm(),
+                          {HURDLE: module}, np.random.default_rng(0),
+                          buffer=RolloutBuffer(16))
 
     def test_trainer_module_must_be_a_driver_module(self):
         env = TerrainEnv(single_artifact_course(HURDLE))
         config = PPOConfig(horizon=16)
-        trainer = SetupTrainer(hurdle_module(), config,
-                               AdamState(lr=config.lr),
-                               np.random.default_rng(0))
-        with pytest.raises(ValueError, match="trainer's module"):
-            cp.EpisodeDriver(env, scripted_net(0.5, 0.0), identity_norm(),
-                             {HURDLE: hurdle_module()},
-                             np.random.default_rng(0), trainer=trainer,
-                             buffer=RolloutBuffer(16))
+        walker, walker_norm = scripted_net(0.5, 0.0), identity_norm()
+        trainers = (setup_trainer(hurdle_module(), config),
+                    Trainer(walker, walker_norm, config,
+                            np.random.default_rng(0)))
+        for trainer in trainers:
+            with pytest.raises(ValueError, match="trainer's net"):
+                EpisodeDriver(env, scripted_net(0.5, 0.0), walker_norm,
+                              {HURDLE: hurdle_module()},
+                              np.random.default_rng(0), trainer=trainer,
+                              buffer=RolloutBuffer(16))
 
 
 class TestEvaluateBridged:
@@ -951,3 +979,48 @@ class TestTrainTargetPaths:
         assert exc.value.curve
         steps_used, updates, rate = exc.value.curve[-1]
         assert steps_used == 1024 and updates == 2 and rate < 0.5
+
+
+# ---- seeded training results --------------------------------------------------------
+
+
+def training_digest(net, norm, curve):
+    """sha256 of final parameters, normalizer state and training curve."""
+    h = hashlib.sha256(net.flat.tobytes())
+    for key, arr in sorted(norm.state_arrays().items()):
+        h.update(key.encode())
+        h.update(arr.tobytes())
+    h.update(repr(curve).encode())
+    return h.hexdigest()
+
+
+class TestSeededTrainingDigests:
+    """Toy training runs whose results are pinned bit for bit: any change to
+    the rollout, update or evaluation order, or to the curve rows, shows."""
+
+    @pytest.mark.parametrize("kind, expected", [
+        (FLAT, "2617caeff6e77bf47b4d7fa8b696d37a"
+               "808998d767c847a309dcd2a1a4fcdd6a"),
+        (HURDLE, "3052164c2c173fa0570b9c58b8fd037d"
+                 "41ccb682e2a350abdd5a67f1841cb0cb"),
+    ])
+    def test_train_target(self, kind, expected):
+        net, norm, curve = train_target(
+            kind, 1024, np.random.default_rng(5),
+            config=PPOConfig(horizon=256, epochs=1), eval_every=2,
+            eval_episodes=3, stop_at=2.0, min_final=None)
+        assert [row[:2] for row in curve] == [(512, 2), (1024, 4)]
+        assert training_digest(net, norm, curve) == expected
+
+    def test_two_worker_train_setup_evaluating_every_update(self):
+        module = hurdle_module()
+        module.setup_norm = saturated_identity_norm()
+        curve = train_setup(module, scripted_net(0.5, 0.0), identity_norm(),
+                            TerrainEnv(single_artifact_course(HURDLE)),
+                            PPOConfig(horizon=8, minibatch=8, epochs=1), 3000,
+                            np.random.default_rng(3), eval_every=1,
+                            eval_episodes=4, n_workers=2)
+        assert [updates for _, updates, _ in curve] == [1, 2, 3, 4, 5, 6]
+        assert training_digest(module.setup_net, module.setup_norm, curve) \
+            == ("ad076f3712eb66bf8ef1b465fff56fd3"
+                "767192a427bb927d393e80025ffe1378")

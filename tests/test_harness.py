@@ -4,6 +4,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gaitbridge.composer import FLAT, EpisodeOutcome, SwitchEvent, train_target
 from gaitbridge.diffcore import ParameterizedNet
@@ -89,6 +91,49 @@ def test_checkpoint_round_trip_is_byte_stable(tmp_path):
     assert np.array_equal(loaded_net.flat, net.flat)
     second = save_checkpoint(tmp_path / "b.ckpt", Checkpoint.of(loaded_net, loaded_norm, "h"))
     assert first.read_bytes() == second.read_bytes()
+
+
+_RAW_CHECKPOINT = checkpoint.checkpoint_bytes(Checkpoint.of(*_policy(), "h"))
+
+
+def _flip(byte, bit):
+    raw = bytearray(_RAW_CHECKPOINT)
+    raw[byte] ^= 1 << bit
+    return bytes(raw)
+
+
+@pytest.mark.parametrize("byte, bit", [(14, 7), (673, 6), (673, 7)])
+def test_flipped_checkpoint_exits_4_without_traceback(tmp_path, capsys, byte,
+                                                      bit):
+    # a non-UTF-8 array name; an infinite, a negative normalizer count
+    path = tmp_path / "flipped.ckpt"
+    path.write_bytes(_flip(byte, bit))
+    code, err = _evaluate(tmp_path, path, capsys)
+    assert code == 4
+    assert err.startswith("checkpoint error:") and "Traceback" not in err
+
+
+# Flips that reach each failure of the parsing libraries themselves: an
+# array rank above numpy's cap, a non-UTF-8 name, a shape too big to index,
+# a zero-size reshape, an infinite normalizer count, a non-ASCII config hash.
+@example(_flip(8, 1))
+@example(_flip(14, 7))
+@example(_flip(19, 4))
+@example(_flip(401, 3))
+@example(_flip(673, 6))
+@example(_flip(1115, 7))
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.builds(lambda n: _RAW_CHECKPOINT[:n],
+              st.integers(0, len(_RAW_CHECKPOINT) - 1)),
+    st.builds(_flip, st.integers(0, len(_RAW_CHECKPOINT) - 1),
+              st.integers(0, 7))))
+def test_corrupt_checkpoint_loads_or_raises_a_format_error(raw):
+    """Payload flips go undetected; every other corruption is named."""
+    try:
+        checkpoint.parse_checkpoint(raw).build()
+    except CheckpointFormatError:
+        pass
 
 
 def test_non_finite_gradient_exits_3_without_traceback(tmp_path, capsys):
