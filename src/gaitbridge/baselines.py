@@ -4,7 +4,9 @@ Every arm shares the bridged state machine, environment, and evaluation
 protocol from `composer`; each differs from the main method in exactly one
 treatment:
 
-- reward variants: the setup policy trains on a different per-step reward;
+- reward variants: the setup policy trains on a different per-step reward,
+  one of the functions in `SETUP_REWARDS` (the table maps each variant tag to
+  its `reward_fn(target, obs, obs_next, r_env, terminal, action)`);
 - proximity arm: the setup reward is the gain in a learned success-proximity
   predictor, with no post-handoff reward extension;
 - without-setup arm: control jumps straight from the default walker to the
@@ -18,9 +20,7 @@ from collections import deque
 import numpy as np
 
 from gaitbridge.composer import (
-    AWTVParams,
     BehaviorModule,
-    awtv_reward,
     awtv_step_reward,
     train_setup,
     train_target,
@@ -36,9 +36,6 @@ from gaitbridge.diffcore import (
 )
 from gaitbridge.terrainsim import OBS_DIM
 
-VARIANT_TAGS = ("original", "constant", "target-torque", "target-value",
-                "awtv")
-
 CONSTANT_REWARD = 1.5
 TORQUE_SCALE = 2.0
 
@@ -46,59 +43,38 @@ TORQUE_SCALE = 2.0
 # ---- setup-reward variants -----------------------------------------------------
 
 
-def _require(context, tag, *keys):
-    for key in keys:
-        if key not in context:
-            raise ValueError(f"variant {tag!r} needs context field {key!r}")
+def original_reward(target, obs, obs_next, r_env, terminal, action):
+    """The environment's own reward."""
+    return float(r_env)
 
 
-def variant_reward(tag, context):
-    """Per-step setup reward under one named variant.
-
-    `context` carries whatever the tag consumes: env_reward, setup_action,
-    target_action, advantage, v_s, and optionally params (AWTVParams).
-    """
-    if tag == "original":
-        _require(context, tag, "env_reward")
-        return float(context["env_reward"])
-    if tag == "constant":
-        return CONSTANT_REWARD
-    if tag == "target-torque":
-        _require(context, tag, "setup_action", "target_action")
-        diff = np.asarray(context["setup_action"], dtype=np.float64) \
-            - np.asarray(context["target_action"], dtype=np.float64)
-        return float(np.exp(-TORQUE_SCALE * np.dot(diff, diff)))
-    if tag == "target-value":
-        _require(context, tag, "v_s")
-        params = context.get("params") or AWTVParams()
-        return params.beta * float(context["v_s"])
-    if tag == "awtv":
-        _require(context, tag, "advantage", "v_s")
-        params = context.get("params") or AWTVParams()
-        return awtv_reward(context["advantage"], context["v_s"], params)
-    raise ValueError(f"unknown reward variant {tag!r}")
+def constant_reward(target, obs, obs_next, r_env, terminal, action):
+    """A fixed reward for every setup tick."""
+    return CONSTANT_REWARD
 
 
-def variant_reward_fn(tag):
-    """Wrap a variant as a per-step reward function for train_setup.
+def target_torque_reward(target, obs, obs_next, r_env, terminal, action):
+    """exp(-k |a - a_target|^2): how closely the setup action imitates the
+    target policy's mean action in the same state."""
+    diff = np.asarray(action, dtype=np.float64) \
+        - np.asarray(target.target_action(obs), dtype=np.float64)
+    return float(np.exp(-TORQUE_SCALE * np.dot(diff, diff)))
 
-    "awtv" is the main method's own `awtv_step_reward`.
-    """
-    if tag not in VARIANT_TAGS:
-        raise ValueError(f"unknown reward variant {tag!r}")
-    if tag == "awtv":
-        return awtv_step_reward
 
-    def reward_fn(target, obs, obs_next, r_env, terminal, action):
-        context = {"env_reward": r_env, "params": target.params}
-        if tag == "target-torque":
-            context["setup_action"] = action
-            context["target_action"] = target.target_action(obs)
-        elif tag == "target-value":
-            context["v_s"] = target.target_value(obs)
-        return variant_reward(tag, context)
+def target_value_reward(target, obs, obs_next, r_env, terminal, action):
+    """beta * V(s): the target's value with no surprise discount."""
+    return target.params.beta * float(target.target_value(obs))
 
-    return reward_fn
+
+# tag -> per-step setup reward; "awtv" is the main method's reward
+SETUP_REWARDS = {
+    "original": original_reward,
+    "constant": constant_reward,
+    "target-torque": target_torque_reward,
+    "target-value": target_value_reward,
+    "awtv": awtv_step_reward,
+}
+VARIANT_TAGS = tuple(SETUP_REWARDS)
 
 
 # ---- proximity-predictor arm ------------------------------------------------------

@@ -16,18 +16,22 @@ final entry, so the setup policy is credited for what the specialist achieves
 from the states it prepared.
 
 `EpisodeDriver` is the only code that steps the runner: evaluation, setup
-training and target training all tick drivers. On each tick one policy acts,
-and it learns only when it is the trainer's own net: it then updates its
-normalizer, samples its action and stores the transition. Every other policy
-normalizes only and acts on its mean, except that a setup policy keeps
-sampling unless the driver is deterministic. Target training is a driver with
-no modules, whose default policy is the one being trained on the environment
-reward; setup training trains one module's setup policy on a shaped reward.
-One round-robin loop (`_train`) collects both into per-worker buffers.
+training and target training all tick drivers. It hands control over by
+calling `SwitchState.transition` at three points: the oracle's detection
+(to setup, or straight to target in the no-setup arm), the setup policy's
+handoff bit, and the target's release once `tau_theta_reached`. On each
+tick one policy acts, and it learns only when it is the trainer's own net: it
+then updates its normalizer, samples its action and stores the transition.
+Every other policy normalizes only and acts on its mean, except that a setup
+policy keeps sampling unless the driver is deterministic. Target training is
+a driver with no modules, whose default policy is the one being trained on the
+environment reward; setup training trains one module's setup policy on a
+shaped reward. One round-robin loop (`_train`) collects both into per-worker
+buffers.
 
 A setup reward function has the signature
-`reward_fn(target, obs, obs_next, r_env, terminal, action)`. Inside an
-episode `target` is the driver's `CarriedTarget`, a view of the frozen
+`reward_fn(target, obs, obs_next, r_env, terminal, action)`. A driver passes
+it its own `CarriedTarget` of the acting module, a view of the frozen
 specialist that evaluates it at most once per observation: the observation
 taken after a tick's step becomes the next tick's observation, so V(s') of one
 tick is V(s) of the next. A `BehaviorModule` offers the same `target_value`,
@@ -103,8 +107,10 @@ class AWTVParams:
     gamma: float = 0.99
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("alpha and beta must be positive")
+        if not (0 < self.alpha < np.inf and 0 < self.beta < np.inf):
+            raise ValueError("alpha and beta must be finite and positive")
+        if not 0 < self.gamma <= 1:
+            raise ValueError("gamma must lie in (0, 1]")
 
 
 def td_advantage(value_fn, s_t, s_next, r_t, gamma, terminal=False):
@@ -131,12 +137,6 @@ def awtv_reward(advantage, v_s, params: AWTVParams):
     return weight * params.beta * v_s
 
 
-def extend_reward(buffer: RolloutBuffer, r_hat):
-    """Fold a post-handoff reward into the buffer's final entry."""
-    buffer.extend_last_reward(float(r_hat))
-    return buffer
-
-
 @dataclass
 class SwitchEvent:
     step: int
@@ -148,18 +148,18 @@ class SwitchEvent:
 
 
 class SwitchState:
-    """Which policy acts, the detection latch, and the transition log."""
+    """Which policy acts, the artifact it acts on, and the transition log."""
 
     def __init__(self):
         self.active = POLICY_DEFAULT
-        self.latched = False
         self.artifact = None
         self.events = []
 
-    def transition(self, dst, step, runner):
+    def transition(self, dst, runner):
+        """Hand control to `dst`, logged at the runner's step and state."""
         if (self.active, dst) not in _LEGAL_TRANSITIONS:
             raise SwitchError(f"illegal transition {self.active} -> {dst}")
-        self.events.append(SwitchEvent(step, self.active, dst,
+        self.events.append(SwitchEvent(runner.steps, self.active, dst,
                                        runner.x, runner.c, runner.v))
         self.active = dst
 
@@ -167,27 +167,6 @@ class SwitchState:
 def tau_theta_reached(state, artifact):
     """Target-phase termination: artifact behind the runner, contact restored."""
     return state.x > artifact.end and state.contact
-
-
-def select_policy(switch: SwitchState, detected, tau_phi, tau_theta,
-                  step=0, runner=None, without_setup=False):
-    """Apply at most one legal transition for this tick's flags.
-
-    `detected` is the artifact reported by the oracle (or None). Termination
-    flags are ignored unless their policy is the active one.
-    """
-    if switch.active == POLICY_DEFAULT and detected is not None:
-        switch.latched = True
-        switch.artifact = detected
-        switch.transition(POLICY_TARGET if without_setup else POLICY_SETUP,
-                          step, runner)
-    elif switch.active == POLICY_SETUP and tau_phi:
-        switch.transition(POLICY_TARGET, step, runner)
-    elif switch.active == POLICY_TARGET and tau_theta:
-        switch.transition(POLICY_DEFAULT, step, runner)
-        switch.latched = False
-        switch.artifact = None
-    return switch
 
 
 def policy_obs(net, obs_raw):
@@ -417,9 +396,6 @@ class EpisodeDriver:
     def done(self):
         return self.state.done
 
-    def active_module(self):
-        return self.modules[self.switch.artifact.kind]
-
     def observation(self):
         """Observation of the current state, taken once between steps."""
         if self._obs is None:
@@ -428,15 +404,16 @@ class EpisodeDriver:
 
     def _pre_act_transitions(self):
         state, switch = self.state, self.switch
-        if switch.active == POLICY_TARGET:
-            select_policy(switch, None, False,
-                          tau_theta_reached(state, switch.artifact),
-                          step=state.steps, runner=state)
+        if (switch.active == POLICY_TARGET
+                and tau_theta_reached(state, switch.artifact)):
+            switch.transition(POLICY_DEFAULT, state)
+            switch.artifact = None
         if switch.active == POLICY_DEFAULT and self.modules:
             hit, art = oracle_detect(self.env.course, state)
             if hit and art.kind in self.modules:
-                select_policy(switch, art, False, False, step=state.steps,
-                              runner=state, without_setup=self.without_setup)
+                switch.artifact = art
+                switch.transition(POLICY_TARGET if self.without_setup
+                                  else POLICY_SETUP, state)
 
     def tick(self):
         """One environment step. Returns True when the episode finished."""
@@ -453,7 +430,7 @@ class EpisodeDriver:
             if acting == POLICY_DEFAULT:
                 net, norm = self.default_net, self.default_norm
             else:
-                module = self.active_module()
+                module = self.modules[self.switch.artifact.kind]
                 net, norm = module.setup_net, module.setup_norm
             learning = trainer is not None and net is trainer.net
             x = policy_obs(net, obs)
@@ -486,13 +463,12 @@ class EpisodeDriver:
             r_hat = trainer.reward_fn(
                 self.targets[trainer.module.kind], obs,
                 self.observation(), r_env, done, action)
-            extend_reward(self.buffer, r_hat)
+            self.buffer.extend_last_reward(float(r_hat))
         if bit == 1:
             if learning:
                 self.handed_off = True
             if not done:
-                select_policy(self.switch, None, True, False,
-                              step=state.steps, runner=state)
+                self.switch.transition(POLICY_TARGET, state)
         return done
 
     def run(self):
@@ -500,14 +476,6 @@ class EpisodeDriver:
         while not self.done:
             self.tick()
         return EpisodeOutcome(self.state, self.switch.events, self.env_reward)
-
-
-def bridge_episode(env, default_net, default_norm, modules, rng, *,
-                   deterministic=False, without_setup=False):
-    """Run one full bridged episode of frozen policies."""
-    return EpisodeDriver(env, default_net, default_norm, modules, rng,
-                         deterministic=deterministic,
-                         without_setup=without_setup).run()
 
 
 def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,
@@ -559,15 +527,22 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
     triggers one joint update. Buffers persist across episodes; only the
     runner restarts. Every `eval_every` updates (never when 0) and once at
     the end, `eval_episodes` bridged episodes drawn from their own
-    generator add a (steps_used, updates, success_rate) row to the curve.
-    A periodic rate at or above `stop_at` ends training at once (`stopped`).
+    generator add a (steps_used, updates, success_rate) row to the curve;
+    with eval_episodes=0 the row's rate is None. A periodic rate at or above
+    `stop_at` ends training at once (`stopped`).
     """
+    if eval_episodes < 0:
+        raise ValueError("eval_episodes must be >= 0")
     curve = []
 
     def run_eval(steps_used):
-        eval_rng = np.random.default_rng((seed_tag, trainer.updates, eval_tag))
-        rate, _ = evaluate_bridged(env, default_net, default_norm, modules,
-                                   eval_episodes, eval_rng, init_fn=init_fn)
+        rate = None
+        if eval_episodes:
+            eval_rng = np.random.default_rng(
+                (seed_tag, trainer.updates, eval_tag))
+            rate, _ = evaluate_bridged(env, default_net, default_norm,
+                                       modules, eval_episodes, eval_rng,
+                                       init_fn=init_fn)
         curve.append((steps_used, trainer.updates, rate))
         return rate
 
@@ -597,7 +572,7 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
             if eval_every and trainer.updates % eval_every == 0:
                 last_eval_at = trainer.updates
                 rate = run_eval(steps_used)
-                if stop_at is not None and rate >= stop_at:
+                if rate is not None and stop_at is not None and rate >= stop_at:
                     return curve, steps_used, True
 
     if last_eval_at != trainer.updates:
@@ -627,12 +602,15 @@ def train_target(kind, budget, rng, *, config=None, course=None,
     (steps_used, updates, success_rate) rows sampled every `eval_every`
     updates (none when it is 0) plus a final entry. Raises TrainingFailure
     (curve attached) if the budget runs out below `min_final` success; pass
-    min_final=None for arms whose failure to learn is itself the result.
+    min_final=None for arms whose failure to learn is itself the result, and
+    for runs with eval_episodes=0, which measure no success rate.
     """
     if kind not in (FLAT, BLOCK, GAP, HURDLE):
         raise ValueError(f"unknown terrain kind {kind!r}")
     if budget < 0:
         raise ValueError("budget must be >= 0")
+    if min_final is not None and eval_episodes == 0:
+        raise ValueError("min_final needs eval_episodes > 0")
     config = config or PPOConfig()
     course = course or course_for_kind(kind)
     if stop_at is None:

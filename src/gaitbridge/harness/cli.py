@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from ..baselines import VARIANT_TAGS, variant_reward_fn
+from ..baselines import SETUP_REWARDS, VARIANT_TAGS
 from ..composer import (
     FLAT,
     TrainingFailure,
@@ -39,6 +39,7 @@ from .config import (
     PPO_KEYS,
     AWTVParams,
     ConfigError,
+    build_params,
     config_from_dict,
     load_config,
     settings_hash,
@@ -116,6 +117,9 @@ def _print_report(report):
 
 def _cmd_train_target(args):
     ppo = _ppo_overrides(args)
+    config = build_params(PPOConfig, ppo, "ppo")
+    if args.eval_episodes < 1:  # the final success rate is always checked
+        raise ConfigError("train-target needs --eval-episodes >= 1")
     course = _training_course(args)
     run_settings = {
         "command": "train-target", "kind": args.kind, "budget": args.budget,
@@ -123,7 +127,6 @@ def _cmd_train_target(args):
         "stop_at": args.stop_at, "min_final": args.min_final,
         "ppo": ppo,
     }
-    config = PPOConfig(**ppo)
     kwargs = {}
     if args.min_final is not None:
         kwargs["min_final"] = args.min_final
@@ -144,6 +147,10 @@ def _cmd_train_target(args):
 def _cmd_train_setup(args):
     ppo = _ppo_overrides(args)
     awtv = _awtv_overrides(args)
+    config = build_params(PPOConfig, ppo, "ppo")
+    params = build_params(AWTVParams, awtv, "awtv")
+    if args.eval_episodes < 0:
+        raise ConfigError("--eval-episodes must be >= 0")
     course = _training_course(args)
     run_settings = {
         "command": "train-setup", "kind": args.kind, "budget": args.budget,
@@ -154,22 +161,23 @@ def _cmd_train_setup(args):
     default_net, default_norm = load_policy(args.default)
     target_net, target_norm = load_policy(args.target)
     module = setup_module(args.kind, target_net, target_norm, default_net,
-                          default_norm, AWTVParams(**awtv), args.seed,
+                          default_norm, params, args.seed,
                           fresh=args.fresh_init)
     if course is None:
         course = course_for_kind(args.kind)
     curve = train_setup(
         module, default_net, default_norm, TerrainEnv(course),
-        PPOConfig(**ppo), args.budget, np.random.default_rng(args.seed),
-        reward_fn=variant_reward_fn(args.reward),
+        config, args.budget, np.random.default_rng(args.seed),
+        reward_fn=SETUP_REWARDS[args.reward],
         extend=not args.no_extend, eval_every=args.eval_every,
         eval_episodes=args.eval_episodes, seed_tag=args.seed)
     save_checkpoint(args.out, Checkpoint.of(module.setup_net,
                                             module.setup_norm,
                                             settings_hash(run_settings)))
     steps, updates, rate = curve[-1]
-    print(f"trained {args.kind} setup policy: bridged success {rate:.3f} "
-          f"after {steps} steps ({updates} updates)")
+    result = "not evaluated" if rate is None else f"bridged success {rate:.3f}"
+    print(f"trained {args.kind} setup policy: {result} after {steps} steps "
+          f"({updates} updates)")
     print(f"checkpoint: {args.out}")
     return 0
 

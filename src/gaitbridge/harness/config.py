@@ -1,9 +1,10 @@
 """Experiment configuration: strict JSON loading and canonical hashing.
 
-A config file is a single JSON object. Unknown keys anywhere in it are
-rejected rather than ignored — a typo must fail loudly, not silently run
-the default. Every path the config references must exist at load time.
-Relative paths are resolved against the config file's own directory.
+A config file is a single JSON object. Unknown and repeated keys anywhere
+in it are rejected rather than ignored — a typo must fail loudly, not
+silently run the default. Every path the config references must exist at
+load time. Relative paths are resolved against the config file's own
+directory.
 
 The canonical hash fingerprints the fully-resolved settings (defaults
 included), so two runs compare as "same experiment" exactly when every
@@ -55,10 +56,10 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def ppo_config(self) -> PPOConfig:
-        return PPOConfig(**self.ppo)
+        return build_params(PPOConfig, self.ppo, "ppo")
 
     def awtv_params(self) -> AWTVParams:
-        return AWTVParams(**self.awtv)
+        return build_params(AWTVParams, self.awtv, "awtv")
 
     def checkpoint_path(self, *keys):
         """Path stored under checkpoints[k0][k1]..., or None if absent."""
@@ -77,6 +78,14 @@ AWTV_KEYS = tuple(f.name for f in dataclasses.fields(AWTVParams))
 _MODULE_CKPT_KEYS = ("target", "setup")
 
 
+def build_params(cls, overrides, what):
+    """`cls(**overrides)`; a value its range check rejects is a ConfigError."""
+    try:
+        return cls(**overrides)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what} parameter: {exc}") from None
+
+
 def _reject_unknown(mapping, allowed, where):
     for key in mapping:
         if key not in allowed:
@@ -91,6 +100,13 @@ def _require_type(value, types, what):
                           f"{'/'.join(t.__name__ for t in types)}, "
                           f"got {value!r}")
     return value
+
+
+def _require_float(value, what):
+    try:
+        return float(_require_type(value, (int, float), what))
+    except OverflowError:
+        raise ConfigError(f"{what} {value} is out of range") from None
 
 
 def _resolve_path(base_dir, value, what, check):
@@ -142,6 +158,8 @@ def config_from_dict(raw, base_dir=None, check_paths=True) -> ExperimentConfig:
             raise ConfigError("seeds must be a non-empty list of integers")
         values["seeds"] = tuple(_require_type(s, (int,), "each seed")
                                 for s in seeds)
+        if min(seeds) < 0 or len(set(seeds)) < len(seeds):
+            raise ConfigError(f"seeds must be distinct and >= 0, got {seeds}")
     if "episodes" in raw:
         episodes = _require_type(raw["episodes"], (int,), "episodes")
         if episodes < 1:
@@ -183,8 +201,7 @@ def config_from_dict(raw, base_dir=None, check_paths=True) -> ExperimentConfig:
     if "awtv" in raw:
         awtv = _require_type(raw["awtv"], (dict,), "awtv")
         _reject_unknown(awtv, AWTV_KEYS, "awtv")
-        values["awtv"] = {k: float(_require_type(v, (int, float),
-                                                 f"awtv.{k}"))
+        values["awtv"] = {k: _require_float(v, f"awtv.{k}")
                           for k, v in awtv.items()}
     if "ppo" in raw:
         ppo = _require_type(raw["ppo"], (dict,), "ppo")
@@ -194,23 +211,28 @@ def config_from_dict(raw, base_dir=None, check_paths=True) -> ExperimentConfig:
             if key in PPO_INT_KEYS:
                 checked[key] = _require_type(value, (int,), f"ppo.{key}")
             else:
-                checked[key] = float(_require_type(value, (int, float),
-                                                   f"ppo.{key}"))
+                checked[key] = _require_float(value, f"ppo.{key}")
         values["ppo"] = checked
 
     config = ExperimentConfig(**values)
-    try:
-        config.ppo_config()
-        config.awtv_params()
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad parameter override: {exc}") from None
+    config.ppo_config()
+    config.awtv_params()
     return config
+
+
+def _unique_keys(pairs):
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"duplicate config key {key!r}")
+        out[key] = value
+    return out
 
 
 def load_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:

@@ -15,14 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from ..baselines import (
+    SETUP_REWARDS,
     VARIANT_TAGS,
     train_proximity_arm,
     train_single_policy,
-    variant_reward_fn,
 )
 from ..composer import (
     BehaviorModule,
-    bridge_episode,
+    EpisodeDriver,
     evaluate_bridged,
     train_setup,
 )
@@ -386,7 +386,7 @@ def run_reward_comparison(config):
     return _run_grid(
         config, "reward-comparison", setup.course_id, arms,
         lambda arm, seed: setup.cell(arm, seed,
-                                     reward_fn=variant_reward_fn(arm)))
+                                     reward_fn=SETUP_REWARDS[arm]))
 
 
 def run_baseline_comparison(config):
@@ -462,10 +462,10 @@ def run_multi_terrain(config):
             order = tuple(KINDS[i]
                           for i in order_rng.permutation(len(KINDS)))
             course = multi_terrain_course(order)
-            out = bridge_episode(
+            out = EpisodeDriver(
                 TerrainEnv(course), default_net, default_norm, modules,
                 np.random.default_rng((seed, episode, RNG_EPISODE)),
-                without_setup=arm == "without-setup")
+                without_setup=arm == "without-setup").run()
             failed_at = failure_terrain(course, out.state)
             if failed_at is not None:
                 failures[arm][failed_at] += 1

@@ -30,6 +30,23 @@ class PPOConfig:
     entropy_coef: float = 0.0
     horizon: int = 2048
 
+    def __post_init__(self):
+        if not 0 < self.lr < np.inf:
+            raise ValueError("lr must be finite and positive")
+        if self.epochs < 1 or self.minibatch < 1:
+            raise ValueError("epochs and minibatch must be >= 1")
+        # setup training keeps one transition across each update, so a
+        # one-slot buffer would stay full forever
+        if self.horizon < 2:
+            raise ValueError("horizon must be >= 2")
+        if not self.clip > 0:
+            raise ValueError("clip must be positive")
+        if not (0 < self.gamma <= 1 and 0 <= self.lam <= 1):
+            raise ValueError("gamma must lie in (0, 1] and lam in [0, 1]")
+        if not (0 <= self.value_coef < np.inf
+                and 0 <= self.entropy_coef < np.inf):
+            raise ValueError("value_coef and entropy_coef must be finite >= 0")
+
 
 class BufferError(RuntimeError):
     pass

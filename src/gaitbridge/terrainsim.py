@@ -13,7 +13,7 @@ negative release while crouched triggers the jump).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -247,9 +247,6 @@ class RunnerState:
     success: bool = False
     failure: str = None
     max_x: float = 0.0
-
-    def clone(self):
-        return replace(self)
 
 
 KIND_ONE_HOT = {BLOCK: 0, GAP: 1, HURDLE: 2}

@@ -11,23 +11,24 @@ from numpy.random import default_rng
 
 from gaitbridge.baselines import (
     CONSTANT_REWARD,
+    SETUP_REWARDS,
+    VARIANT_TAGS,
     ProximityPredictor,
     proximity_reward,
     train_proximity_arm,
     train_single_policy,
-    variant_reward,
-    variant_reward_fn,
 )
 from gaitbridge.composer import (
     AWTVParams,
     BehaviorModule,
+    CarriedTarget,
     awtv_reward,
     awtv_step_reward,
     evaluate_bridged,
     td_advantage,
 )
-from gaitbridge.diffcore.net import ParameterizedNet
-from gaitbridge.policyopt import PPOConfig, RunningNormalizer
+from gaitbridge.harness.cli import build_parser
+from gaitbridge.policyopt import PPOConfig
 from gaitbridge.terrainsim import (
     HURDLE,
     OBS_DIM,
@@ -37,64 +38,38 @@ from gaitbridge.terrainsim import (
     single_artifact_course,
 )
 
+from helpers import flat_value_module, hurdle_module, identity_norm, scripted_net
 
-def identity_norm(dim=OBS_DIM):
-    state = {
-        "count": np.ones(dim),
-        "sum_hi": np.zeros(dim),
-        "sum_lo": np.zeros(dim),
-        "wmean": np.zeros(dim),
-        "m2": np.ones(dim),
-    }
-    return RunningNormalizer.from_state_arrays(state)
+OBS = np.zeros(OBS_DIM)
 
 
-def scripted_net(a1, a2, crouch_gate=False):
-    net = ParameterizedNet(OBS_DIM, 2, (4,), np.random.default_rng(0))
-    for arr in net.params.values():
-        arr[...] = 0.0
-    net.params["mu.b"][...] = np.array([a1, a2], dtype=np.float32)
-    if crouch_gate:
-        net.params["fc0.w"][3, 0] = 2.0
-        net.params["switch.w"][0, 0] = 10.0
-        net.params["switch.b"][0] = -8.3365
-    net.invalidate_cache()
-    return net
-
-
-def hurdle_module(target_net=None, setup_net=None):
-    return BehaviorModule(
-        kind=HURDLE,
-        target_net=target_net or scripted_net(0.0, -1.0),
-        target_norm=identity_norm(),
-        setup_net=setup_net or scripted_net(0.25, 1.0, crouch_gate=True),
-        setup_norm=identity_norm(),
-    )
-
-
-def flat_value_module(v):
-    """Module whose target value head reports the constant v everywhere."""
-    target = scripted_net(0.0, -1.0)
-    target.params["value.b"][0] = v
-    target.invalidate_cache()
-    return hurdle_module(target_net=target)
+def setup_reward(tag, target, action=(0.0, -1.0), r_env=0.05, terminal=False):
+    """One step of a variant's reward from the all-zero observation."""
+    return SETUP_REWARDS[tag](target, OBS, OBS, r_env, terminal,
+                              np.asarray(action))
 
 
 # ---- setup-reward variants -------------------------------------------------------
 
 
 class TestVariantReward:
+    """The value of each variant, called with a BehaviorModule."""
+
     def test_constant_ignores_context(self):
-        assert variant_reward("constant", {}) == CONSTANT_REWARD
-        assert variant_reward("constant", {"env_reward": -4.0}) == 1.5
+        for r_env, terminal in ((-4.0, False), (0.3, True)):
+            got = setup_reward("constant", flat_value_module(2.0),
+                               action=(1.0, 1.0), r_env=r_env,
+                               terminal=terminal)
+            assert got == CONSTANT_REWARD == 1.5
 
     def test_torque_equal_actions_is_one(self):
-        ctx = {"setup_action": [0.3, -0.2], "target_action": [0.3, -0.2]}
-        assert variant_reward("target-torque", ctx) == 1.0
+        module = hurdle_module(target_net=scripted_net(0.3, -0.2))
+        action = module.target_action(OBS)
+        assert setup_reward("target-torque", module, action) == 1.0
 
     def test_torque_unit_distance(self):
-        ctx = {"setup_action": [0.0], "target_action": [1.0]}
-        got = variant_reward("target-torque", ctx)
+        module = hurdle_module(target_net=scripted_net(1.0, 0.0))
+        got = setup_reward("target-torque", module, action=(0.0, 0.0))
         assert got == pytest.approx(math.exp(-2.0), rel=1e-9)
         assert got == pytest.approx(0.13534, abs=5e-6)
 
@@ -104,60 +79,58 @@ class TestVariantReward:
     )
     @settings(max_examples=50, deadline=None)
     def test_torque_bounded_and_tight_only_at_equality(self, a, b):
-        got = variant_reward("target-torque",
-                             {"setup_action": a, "target_action": b})
+        module = hurdle_module(target_net=scripted_net(*b))
+        target_action = module.target_action(OBS)
+        got = setup_reward("target-torque", module, a)
         assert 0.0 < got <= 1.0
-        if max(abs(x - y) for x, y in zip(a, b)) >= 1e-3:
+        if max(abs(x - y) for x, y in zip(a, target_action)) >= 1e-3:
             assert got < 1.0
-        if a == b:
-            assert got == 1.0
+        assert setup_reward("target-torque", module, target_action) == 1.0
 
     def test_original_passes_env_reward(self):
-        assert variant_reward("original", {"env_reward": 0.07}) == 0.07
+        assert setup_reward("original", flat_value_module(3.0),
+                            r_env=0.07) == 0.07
 
     def test_target_value_scales_by_beta(self):
-        assert variant_reward("target-value", {"v_s": 3.0}) \
+        module = flat_value_module(3.0)
+        assert setup_reward("target-value", module) \
             == pytest.approx(0.03, abs=1e-15)
-        params = AWTVParams(beta=0.5)
-        assert variant_reward("target-value", {"v_s": 3.0, "params": params}) \
+        module.params = AWTVParams(beta=0.5)
+        assert setup_reward("target-value", module) \
             == pytest.approx(1.5, abs=1e-15)
 
     def test_awtv_matches_shared_formula(self):
-        ctx = {"advantage": 0.4, "v_s": 7.0}
-        assert variant_reward("awtv", ctx) \
-            == awtv_reward(0.4, 7.0, AWTVParams())
-
-    @pytest.mark.parametrize("tag,ctx", [
-        ("original", {}),
-        ("target-torque", {"setup_action": [0.0, 0.0]}),
-        ("target-torque", {"target_action": [0.0, 0.0]}),
-        ("target-value", {}),
-        ("awtv", {"v_s": 1.0}),
-        ("awtv", {"advantage": 0.0}),
-    ])
-    def test_missing_context_field_raises(self, tag, ctx):
-        with pytest.raises(ValueError, match="context field"):
-            variant_reward(tag, ctx)
+        # V == 7 everywhere and r_env chosen for a TD advantage of 0.4
+        module = flat_value_module(7.0)
+        module.params = AWTVParams(alpha=0.3, beta=0.02, gamma=0.9)
+        got = setup_reward("awtv", module, r_env=0.4 + 7.0 - 0.9 * 7.0)
+        assert got == pytest.approx((1.0 - 0.3 * 0.4 ** 2) * 0.02 * 7.0,
+                                    abs=1e-12)
 
     def test_unknown_tag_raises(self):
-        with pytest.raises(ValueError, match="unknown reward variant"):
-            variant_reward("bogus", {})
-        with pytest.raises(ValueError, match="unknown reward variant"):
-            variant_reward_fn("bogus")
+        # the table is the only map from a tag to a reward, and the CLI
+        # accepts exactly its tags
+        assert VARIANT_TAGS == tuple(SETUP_REWARDS)
+        flags = ["train-setup", "--kind", HURDLE, "--default", "d.ckpt",
+                 "--target", "t.ckpt", "--budget", "1", "--out", "s.ckpt"]
+        for tag in VARIANT_TAGS:
+            assert build_parser().parse_args(flags + ["--reward", tag]).reward \
+                == tag
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(flags + ["--reward", "bogus"])
+        assert exc.value.code == 2
 
 
 class TestVariantRewardFn:
-    """The per-step adapters feed the right context from a live module."""
+    """The variants as train_setup calls them: with the driver's
+    CarriedTarget view of a live module."""
 
     def setup_method(self):
         self.module = flat_value_module(3.0)
-        self.obs = np.zeros(OBS_DIM)
-        self.obs2 = np.zeros(OBS_DIM)
 
     def _call(self, tag, action=(0.0, -1.0), r_env=0.05, terminal=False):
-        fn = variant_reward_fn(tag)
-        return fn(self.module, self.obs, self.obs2, r_env, terminal,
-                  np.asarray(action))
+        return setup_reward(tag, CarriedTarget(self.module), action, r_env,
+                            terminal)
 
     def test_original_fn(self):
         assert self._call("original") == 0.05
@@ -178,19 +151,19 @@ class TestVariantRewardFn:
         # flat value 3.0 everywhere: adv = r + gamma*3 - 3; r_hat saturates to
         # (1 - min(alpha*adv^2, 1)) * beta * 3
         params = self.module.params
-        adv = td_advantage(self.module.target_value, self.obs, self.obs2,
+        adv = td_advantage(self.module.target_value, OBS, OBS,
                            0.05, params.gamma)
-        want = awtv_reward(adv, self.module.target_value(self.obs), params)
+        want = awtv_reward(adv, self.module.target_value(OBS), params)
         assert self._call("awtv") == pytest.approx(want, abs=1e-12)
 
     def test_awtv_fn_is_the_main_method_reward(self):
-        assert variant_reward_fn("awtv") is awtv_step_reward
+        assert SETUP_REWARDS["awtv"] is awtv_step_reward
 
     def test_awtv_fn_terminal_zeroes_bootstrap(self):
         params = self.module.params
-        adv = td_advantage(self.module.target_value, self.obs, self.obs2,
+        adv = td_advantage(self.module.target_value, OBS, OBS,
                            0.05, params.gamma, terminal=True)
-        want = awtv_reward(adv, self.module.target_value(self.obs), params)
+        want = awtv_reward(adv, self.module.target_value(OBS), params)
         assert self._call("awtv", terminal=True) \
             == pytest.approx(want, abs=1e-12)
 

@@ -26,10 +26,7 @@ from gaitbridge.composer import (
     TrainingFailure,
     awtv_reward,
     awtv_step_reward,
-    bridge_episode,
     evaluate_bridged,
-    extend_reward,
-    select_policy,
     td_advantage,
     train_setup,
     train_target,
@@ -40,7 +37,6 @@ from gaitbridge.composer import (
 )
 from gaitbridge.diffcore.net import ParameterizedNet
 from gaitbridge.policyopt import (
-    BufferError,
     PPOConfig,
     RolloutBuffer,
     RunningNormalizer,
@@ -58,17 +54,7 @@ from gaitbridge.terrainsim import (
     single_artifact_course,
 )
 
-
-def identity_norm(dim=OBS_DIM):
-    """Normalizer frozen at mean 0 / std 1: normalize() is the identity map."""
-    state = {
-        "count": np.ones(dim),
-        "sum_hi": np.zeros(dim),
-        "sum_lo": np.zeros(dim),
-        "wmean": np.zeros(dim),
-        "m2": np.ones(dim),
-    }
-    return RunningNormalizer.from_state_arrays(state)
+from helpers import flat_value_module, hurdle_module, identity_norm, scripted_net
 
 
 def saturated_identity_norm(dim=OBS_DIM):
@@ -82,34 +68,6 @@ def saturated_identity_norm(dim=OBS_DIM):
         "m2": np.full(dim, count),
     }
     return RunningNormalizer.from_state_arrays(state)
-
-
-def scripted_net(a1, a2, crouch_gate=False):
-    """Constant-action net: zeroed weights, action biases set directly.
-
-    With `crouch_gate`, the switch head fires once the crouch observation
-    passes ~0.6 (logit 10*tanh(2c) - 8.3365), everything else untouched.
-    """
-    net = ParameterizedNet(OBS_DIM, 2, (4,), np.random.default_rng(0))
-    for arr in net.params.values():
-        arr[...] = 0.0
-    net.params["mu.b"][...] = np.array([a1, a2], dtype=np.float32)
-    if crouch_gate:
-        net.params["fc0.w"][3, 0] = 2.0
-        net.params["switch.w"][0, 0] = 10.0
-        net.params["switch.b"][0] = -8.3365
-    net.invalidate_cache()
-    return net
-
-
-def hurdle_module(target_net=None, setup_net=None):
-    return BehaviorModule(
-        kind=HURDLE,
-        target_net=target_net or scripted_net(0.0, -1.0),
-        target_norm=identity_norm(),
-        setup_net=setup_net or scripted_net(0.25, 1.0, crouch_gate=True),
-        setup_norm=identity_norm(),
-    )
 
 
 def setup_trainer(module, config, seed=0):
@@ -201,19 +159,18 @@ class TestAwtvReward:
             AWTVParams(alpha=0.0)
         with pytest.raises(ValueError):
             AWTVParams(beta=-0.01)
+        for bad in ({"alpha": math.inf}, {"beta": math.nan},
+                    {"gamma": 0.0}, {"gamma": 2.0}):
+            with pytest.raises(ValueError):
+                AWTVParams(**bad)
+        AWTVParams(gamma=1.0)
 
 
 class TestAwtvStepReward:
-    def _flat_value_module(self, bias):
-        target = scripted_net(0.0, 0.0)
-        target.params["value.b"][0] = bias
-        target.invalidate_cache()
-        return hurdle_module(target_net=target)
-
     def test_matched_reward_recovers_full_fraction(self):
         # V == 3 everywhere, so r_env = (1-gamma)*V leaves a ~zero advantage
         # and the shaped reward sits at beta*V.
-        module = self._flat_value_module(3.0)
+        module = flat_value_module(3.0)
         obs = np.zeros(OBS_DIM)
         r = awtv_step_reward(module, obs, obs, 0.03, False, None)
         assert r == pytest.approx(0.03, abs=1e-10)
@@ -221,25 +178,40 @@ class TestAwtvStepReward:
     def test_terminal_transition_saturates(self):
         # Ending the episode forfeits the bootstrap: advantage -2.97, the
         # squared-surprise clip saturates, and the shaped reward hits zero.
-        module = self._flat_value_module(3.0)
+        module = flat_value_module(3.0)
         obs = np.zeros(OBS_DIM)
         assert awtv_step_reward(module, obs, obs, 0.03, True, None) == 0.0
 
 
 class TestExtendReward:
     def test_folds_into_final_entry_only(self):
-        buf = RolloutBuffer(8)
-        obs = np.zeros(OBS_DIM)
-        buf.append(obs, np.zeros(2), 0, 0.0, 0.4, 0.0, False)
-        buf.append(obs, np.zeros(2), 0, 0.0, 0.5, 0.0, False)
-        extend_reward(buf, 0.2)
-        extend_reward(buf, 0.3)
-        assert buf.rewards[0] == 0.4
-        assert buf.rewards[1] == pytest.approx(1.0, abs=1e-15)
+        # every tick after the trained setup policy's handoff leaves the
+        # stored entries alone except the last, which gains that tick's
+        # shaped reward
+        env, default_net, d_norm, module = fast_training_world()
+        trainer = setup_trainer(module, PPOConfig(horizon=100_000))
+        shaped = []
 
-    def test_empty_buffer_raises(self):
-        with pytest.raises(BufferError):
-            extend_reward(RolloutBuffer(4), 0.1)
+        def reward_fn(*args):
+            shaped.append(awtv_step_reward(*args))
+            return shaped[-1]
+
+        trainer.reward_fn = reward_fn
+        buf = RolloutBuffer(trainer.config.horizon)
+        rng = np.random.default_rng(40)
+        folds = 0
+        for _ in range(5):
+            drv = EpisodeDriver(env, default_net, d_norm, {HURDLE: module},
+                                rng, trainer=trainer, buffer=buf)
+            while not drv.done:
+                folding = drv.handed_off
+                before = list(buf.rewards)
+                drv.tick()
+                if folding:
+                    folds += 1
+                    assert buf.rewards[:-1] == before[:-1]
+                    assert buf.rewards[-1] == before[-1] + shaped[-1]
+        assert folds > 0
 
 
 # ---- switch state machine -------------------------------------------------------
@@ -249,64 +221,96 @@ def _artifact():
     return single_artifact_course(HURDLE).artifacts[0]
 
 
-def _runner(x=0.0, c=0.0, v=0.0, contact=True):
-    return RunnerState(x=x, c=c, v=v, contact=contact)
+def _runner(x=0.0, c=0.0, v=0.0, contact=True, steps=0):
+    return RunnerState(x=x, c=c, v=v, contact=contact, steps=steps)
+
+
+def _scripted_drivers(walker=None, module=None, seed=5):
+    """Deterministic scripted hurdle episode; yields its driver after each
+    tick."""
+    course = single_artifact_course(HURDLE)
+    drv = EpisodeDriver(TerrainEnv(course), walker or scripted_net(0.5, 0.0),
+                        identity_norm(), {HURDLE: module or hurdle_module()},
+                        np.random.default_rng(seed), deterministic=True)
+    while not drv.done:
+        drv.tick()
+        yield drv
+
+
+def _expected_events(seed=5):
+    x0 = float(np.random.default_rng(seed).uniform(0.0, 2.2))
+    return [(src, dst, step) for src, dst, step, _, _, _
+            in _expected_trace(x0)[0]]
+
+
+def _events(drv):
+    return [(e.src, e.dst, e.step) for e in drv.switch.events]
 
 
 class TestSwitchMachine:
     def test_detection_latches_and_activates_setup(self):
-        sw = SwitchState()
-        art = _artifact()
-        select_policy(sw, art, False, False, step=3, runner=_runner(x=2.3))
-        assert sw.active == POLICY_SETUP
-        assert sw.latched and sw.artifact is art
-        assert [(e.src, e.dst, e.step) for e in sw.events] == [
-            ("default", "setup", 3)]
+        # the driver sets the artifact at detection, keeps it through the
+        # setup and target phases, and clears it on the release
+        phases = []
+        for drv in _scripted_drivers():
+            switch = drv.switch
+            acting_on = (None if switch.active == POLICY_DEFAULT
+                         else drv.env.course.artifacts[0])
+            assert switch.artifact is acting_on
+            if not phases or phases[-1] != switch.active:
+                phases.append(switch.active)
+        assert phases == [POLICY_DEFAULT, POLICY_SETUP, POLICY_TARGET,
+                          POLICY_DEFAULT]
 
     def test_full_cycle_produces_three_events(self):
         sw = SwitchState()
-        art = _artifact()
-        select_policy(sw, art, False, False, step=3, runner=_runner(x=2.3))
-        select_policy(sw, None, True, False, step=9, runner=_runner(x=2.5))
-        assert sw.active == POLICY_TARGET and sw.latched
-        select_policy(sw, None, False, True, step=60, runner=_runner(x=3.9))
-        assert sw.active == POLICY_DEFAULT
-        assert not sw.latched and sw.artifact is None
-        assert [(e.src, e.dst) for e in sw.events] == [
-            ("default", "setup"), ("setup", "target"), ("target", "default")]
-        assert [e.step for e in sw.events] == [3, 9, 60]
+        cycle = ((POLICY_SETUP, _runner(x=2.3, steps=3)),
+                 (POLICY_TARGET, _runner(x=2.5, c=0.6, steps=9)),
+                 (POLICY_DEFAULT, _runner(x=3.9, v=1.2, steps=60)))
+        for dst, runner in cycle:
+            sw.transition(dst, runner)
+            assert sw.active == dst
+        assert [(e.src, e.dst, e.step, e.x, e.c, e.v) for e in sw.events] == [
+            ("default", "setup", 3, 2.3, 0.0, 0.0),
+            ("setup", "target", 9, 2.5, 0.6, 0.0),
+            ("target", "default", 60, 3.9, 0.0, 1.2)]
 
     def test_without_setup_goes_straight_to_target(self):
         sw = SwitchState()
-        select_policy(sw, _artifact(), False, False, step=5,
-                      runner=_runner(x=2.3), without_setup=True)
-        assert sw.active == POLICY_TARGET and sw.latched
-        assert [(e.src, e.dst) for e in sw.events] == [("default", "target")]
+        sw.transition(POLICY_TARGET, _runner(x=2.3, steps=5))
+        assert sw.active == POLICY_TARGET
+        assert [(e.src, e.dst, e.step) for e in sw.events] == [
+            ("default", "target", 5)]
 
     def test_termination_flags_ignored_while_default(self):
-        sw = SwitchState()
-        select_policy(sw, None, True, True, step=1, runner=_runner())
-        assert sw.active == POLICY_DEFAULT and not sw.events
+        # the walker's handoff head is never read: one saturated to fire
+        # leaves the walker in charge until detection
+        walker = scripted_net(0.5, 0.0)
+        walker.params["switch.b"][0] = 50.0
+        walker.invalidate_cache()
+        *_, drv = _scripted_drivers(walker=walker)
+        assert _events(drv) == _expected_events()
 
     def test_setup_flag_ignored_while_target(self):
-        sw = SwitchState()
-        select_policy(sw, _artifact(), False, False, step=1,
-                      runner=_runner(x=2.3))
-        select_policy(sw, None, True, False, step=2, runner=_runner(x=2.4))
-        n_events = len(sw.events)
-        select_policy(sw, None, True, False, step=3, runner=_runner(x=2.5))
-        assert sw.active == POLICY_TARGET and len(sw.events) == n_events
+        # the target acts on its mean: a handoff head saturated to fire
+        # changes nothing once it has taken over
+        target = scripted_net(0.0, -1.0)
+        target.params["switch.b"][0] = 50.0
+        target.invalidate_cache()
+        *_, drv = _scripted_drivers(module=hurdle_module(target_net=target))
+        assert _events(drv) == _expected_events()
 
     def test_illegal_transitions_raise(self):
         sw = SwitchState()
-        with pytest.raises(SwitchError):
-            sw.transition(POLICY_DEFAULT, 0, _runner())
-        sw.active = POLICY_SETUP
-        with pytest.raises(SwitchError):
-            sw.transition(POLICY_DEFAULT, 0, _runner())
-        sw.active = POLICY_TARGET
-        with pytest.raises(SwitchError):
-            sw.transition(POLICY_SETUP, 0, _runner())
+        for active, dst in ((POLICY_DEFAULT, POLICY_DEFAULT),
+                            (POLICY_SETUP, POLICY_DEFAULT),
+                            (POLICY_SETUP, POLICY_SETUP),
+                            (POLICY_TARGET, POLICY_SETUP),
+                            (POLICY_TARGET, POLICY_TARGET)):
+            sw.active = active
+            with pytest.raises(SwitchError):
+                sw.transition(dst, _runner())
+            assert sw.active == active and not sw.events
 
     def test_tau_theta_needs_contact_past_the_end(self):
         art = _artifact()
@@ -403,8 +407,8 @@ class TestScriptedBridge:
         default_net = scripted_net(0.5, 0.0)
         module = hurdle_module()
         rng = np.random.default_rng(seed)
-        out = bridge_episode(env, default_net, identity_norm(),
-                             {HURDLE: module}, rng, deterministic=True)
+        out = EpisodeDriver(env, default_net, identity_norm(),
+                            {HURDLE: module}, rng, deterministic=True).run()
 
         x0 = float(np.random.default_rng(seed).uniform(0.0, 2.2))
         expected_events, expected_steps, expected_failure = _expected_trace(x0)
@@ -424,9 +428,10 @@ class TestScriptedBridge:
         default_net = scripted_net(0.5, 0.0)
         runs = []
         for _ in range(2):
-            out = bridge_episode(TerrainEnv(course), default_net,
-                                 identity_norm(), {HURDLE: hurdle_module()},
-                                 np.random.default_rng(5), deterministic=True)
+            out = EpisodeDriver(TerrainEnv(course), default_net,
+                                identity_norm(), {HURDLE: hurdle_module()},
+                                np.random.default_rng(5),
+                                deterministic=True).run()
             runs.append((out.state.steps, out.state.x, out.env_reward,
                          [(e.src, e.dst, e.step, e.x) for e in out.events]))
         assert runs[0] == runs[1]
@@ -629,6 +634,20 @@ class TestUpdateMechanics:
         with pytest.raises(ValueError):
             train_setup(module, default_net, d_norm, env, config, 0,
                         np.random.default_rng(0), n_workers=0)
+        with pytest.raises(ValueError, match="eval_episodes"):
+            train_setup(module, default_net, d_norm, env, config, 0,
+                        np.random.default_rng(0), eval_episodes=-1)
+
+    def test_smallest_horizon_still_ticks(self):
+        # one transition survives each update, so a two-slot buffer takes
+        # one new tick per update
+        env, default_net, d_norm, module = fast_training_world()
+        curve = train_setup(module, default_net, d_norm, env,
+                            PPOConfig(horizon=2, minibatch=1, epochs=1), 300,
+                            np.random.default_rng(2), eval_every=0,
+                            eval_episodes=0)
+        steps, updates, rate = curve[-1]
+        assert steps == 300 and updates >= 2 and rate is None
 
 
 # ---- the driver's one-tick carry ---------------------------------------------------
@@ -970,6 +989,26 @@ class TestTrainTargetPaths:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError):
             train_target(BLOCK, -1, np.random.default_rng(0))
+
+    def test_no_evaluation_gives_unmeasured_rows(self, monkeypatch):
+        def no_episodes(*args, **kwargs):
+            raise AssertionError("evaluated with eval_episodes=0")
+
+        monkeypatch.setattr(cp, "evaluate_bridged", no_episodes)
+        # stop_at=0 would stop at any measured rate
+        _, _, curve = train_target(FLAT, 128, np.random.default_rng(0),
+                                   config=PPOConfig(horizon=32, epochs=1),
+                                   eval_every=2, eval_episodes=0, stop_at=0.0,
+                                   min_final=None)
+        assert curve == [(64, 2, None), (128, 4, None)]
+
+    def test_min_final_needs_an_evaluation(self):
+        with pytest.raises(ValueError, match="eval_episodes"):
+            train_target(FLAT, 128, np.random.default_rng(0),
+                         eval_episodes=0)
+        with pytest.raises(ValueError, match="eval_episodes"):
+            train_target(FLAT, 128, np.random.default_rng(0),
+                         eval_episodes=-1, min_final=None)
 
     def test_failure_raises_with_curve_attached(self):
         config = PPOConfig(horizon=512)

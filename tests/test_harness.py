@@ -18,7 +18,9 @@ from gaitbridge.harness.checkpoint import (
 )
 from gaitbridge.harness.cli import EXPERIMENT_COMMANDS, main
 from gaitbridge.harness.config import (
+    AWTV_KEYS,
     EXPERIMENT_KINDS,
+    PPO_KEYS,
     ConfigError,
     config_from_dict,
     config_hash,
@@ -137,8 +139,9 @@ def test_corrupt_checkpoint_loads_or_raises_a_format_error(raw):
 
 
 def test_non_finite_gradient_exits_3_without_traceback(tmp_path, capsys):
+    # a finite value coefficient so large that the first gradient overflows
     code = main(["train-target", "--kind", "flat", "--budget", "64", "--seed", "1",
-                 "--ppo", "horizon=32", "--ppo", "value_coef=nan",
+                 "--ppo", "horizon=32", "--ppo", "value_coef=1e308",
                  "--out", str(tmp_path / "walker.ckpt")])
     err = capsys.readouterr().err
     assert code == 3
@@ -171,6 +174,48 @@ def test_cli_train_target_eval_every_zero_exits_0(tmp_path, capsys):
                  "--min-final", "0", "--out", str(out)])
     assert code == 0
     assert "after 64 steps (2 updates)" in capsys.readouterr().out
+    load_policy(out)
+
+
+_BAD_TRAINING_FLAGS = [
+    ("train-target", ["--ppo", "lr=inf"]),
+    ("train-target", ["--ppo", "minibatch=0"]),
+    ("train-target", ["--eval-episodes", "0"]),
+    ("train-target", ["--eval-episodes", "-1"]),
+    ("train-setup", ["--ppo", "horizon=1"]),
+    ("train-setup", ["--ppo", "clip=-1"]),
+    ("train-setup", ["--awtv", "gamma=2"]),
+    ("train-setup", ["--eval-episodes", "-1"]),
+]
+
+
+@pytest.mark.parametrize("command, flags", _BAD_TRAINING_FLAGS)
+def test_out_of_range_training_flags_exit_2_without_traceback(
+        tmp_path, capsys, command, flags):
+    # the flags are checked before any checkpoint is read
+    policies = {"train-target": ["--kind", "flat"],
+                "train-setup": ["--kind", "hurdle", "--default", "no.ckpt",
+                                "--target", "no.ckpt"]}
+    out = tmp_path / "policy.ckpt"
+    code = main([command, *policies[command], "--budget", "64",
+                 "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_train_setup_without_evaluation_says_so(tmp_path, capsys,
+                                                    checkpoints):
+    out = tmp_path / "setup.ckpt"
+    code = main(["train-setup", "--kind", "hurdle",
+                 "--default", checkpoints["default"],
+                 "--target", checkpoints["hurdle"]["target"],
+                 "--budget", "64", "--ppo", "horizon=16",
+                 "--eval-episodes", "0", "--out", str(out)])
+    assert code == 0
+    assert "setup policy: not evaluated after 64 steps" in \
+        capsys.readouterr().out
     load_policy(out)
 
 
@@ -271,6 +316,59 @@ def test_unreadable_referenced_file_is_a_config_error(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: cannot read checkpoint checkpoints.block")
     assert "Traceback" not in err
+
+
+# ---- config strictness -------------------------------------------------------
+
+
+_ANY_VALUE = st.one_of(st.none(), st.booleans(), st.integers(),
+                       st.floats(), st.text(max_size=3),
+                       st.lists(st.integers(-2, 3), max_size=3))
+
+
+@example({"awtv": {"alpha": 10**400}})
+@example({"ppo": {"lr": -10**400}})
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+    "ppo": st.dictionaries(st.sampled_from(PPO_KEYS), _ANY_VALUE),
+    "awtv": st.dictionaries(st.sampled_from(AWTV_KEYS), _ANY_VALUE),
+    "seeds": st.one_of(_ANY_VALUE, st.lists(st.integers(-2, 4), max_size=4)),
+    "episodes": _ANY_VALUE,
+}))
+def test_config_loads_or_raises_a_config_error(raw):
+    try:
+        config = config_from_dict({"experiment": "ablation", **raw})
+    except ConfigError:
+        return
+    config.ppo_config()
+    config.awtv_params()
+    assert min(config.seeds) >= 0
+    assert len(set(config.seeds)) == len(config.seeds)
+    assert config.episodes >= 1
+
+
+_BAD_CONFIGS = {
+    "lr": '"ppo": {"lr": Infinity}',
+    "horizon": '"ppo": {"horizon": 0}',
+    "minibatch": '"ppo": {"minibatch": 0}',
+    "clip": '"ppo": {"clip": -1}',
+    "gamma": '"awtv": {"gamma": 2}',
+    "negative-seed": '"seeds": [-1]',
+    "repeated-seed": '"seeds": [1, 1]',
+    "repeated-key": '"episodes": 2, "episodes": 3',
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CONFIGS))
+def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, name):
+    path = tmp_path / "config.json"
+    path.write_text('{"experiment": "ablation", %s}' % _BAD_CONFIGS[name],
+                    encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["ablate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 # ---- every experiment kind through the grid ---------------------------------

@@ -176,6 +176,27 @@ def _filled_buffer(n, capacity=8, bit=None):
     return buf
 
 
+# ---- PPO settings ----------------------------------------------------------
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", 0.0), ("lr", -1e-3), ("lr", float("inf")), ("lr", float("nan")),
+    ("epochs", 0), ("minibatch", 0), ("horizon", 1), ("horizon", 0),
+    ("clip", 0.0), ("clip", -1.0), ("gamma", 0.0), ("gamma", 1.5),
+    ("lam", -0.1), ("lam", 1.1), ("value_coef", -1.0),
+    ("value_coef", float("nan")), ("entropy_coef", float("inf")),
+    ("entropy_coef", -0.01),
+])
+def test_ppo_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError):
+        PPOConfig(**{field: value})
+
+
+def test_ppo_config_accepts_the_edges_of_each_range():
+    PPOConfig(lr=1e-12, epochs=1, minibatch=1, horizon=2, clip=1e-6,
+              gamma=1.0, lam=0.0, value_coef=0.0, entropy_coef=0.0)
+    PPOConfig(lam=1.0)
+
+
 def test_buffer_capacity_guard():
     buf = _filled_buffer(8)
     with pytest.raises(BufferError):
