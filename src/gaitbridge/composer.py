@@ -16,7 +16,7 @@ final entry, so the setup policy is credited for what the specialist achieves
 from the states it prepared.
 
 `EpisodeDriver` is the only code that steps the runner: evaluation, setup
-training and target training all tick drivers. It hands control over by
+training and target training all run drivers. It hands control over by
 calling `SwitchState.transition` at three points: the oracle's detection
 (to setup, or straight to target in the no-setup arm), the setup policy's
 handoff bit, and the target's release once `tau_theta_reached`. On each
@@ -27,7 +27,13 @@ policy keeps sampling unless the driver is deterministic. Target training is
 a driver with no modules, whose default policy is the one being trained on the
 environment reward; setup training trains one module's setup policy on a
 shaped reward. One round-robin loop (`_train`) collects both into per-worker
-buffers.
+buffers, one `tick()` at a time.
+
+Evaluation runs its episodes as lanes (`run_lanes`): one driver per episode,
+each with its own generator, advanced together. Each tick groups the live
+lanes by their acting policy (the walker, a setup policy, a target) and gives
+each group one normalize and one batched forward; every lane then steps
+through the same post-act code as `tick()`. Lanes never train.
 
 A setup reward function has the signature
 `reward_fn(target, obs, obs_next, r_env, terminal, action)`. A driver passes
@@ -44,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from gaitbridge.diffcore import AdamState, ParameterizedNet
+from gaitbridge.diffcore import AdamState, ParameterizedNet, sigmoid
 from gaitbridge.policyopt import (
     PPOConfig,
     RolloutBuffer,
@@ -174,11 +180,12 @@ def policy_obs(net, obs_raw):
 
     Terrain-blind policies (the default walker) read only the proprioceptive
     prefix, which makes their behavior identical on every course; full-width
-    policies receive the observation unchanged.
+    policies receive the observation unchanged. A (B, OBS_DIM) batch is
+    trimmed row by row.
     """
-    if len(obs_raw) == net.obs_dim:
+    if obs_raw.shape[-1] == net.obs_dim:
         return obs_raw
-    return obs_raw[:net.obs_dim]
+    return obs_raw[..., :net.obs_dim]
 
 
 def prime_switch_head(net, prior=SETUP_SWITCH_PRIOR):
@@ -415,9 +422,29 @@ class EpisodeDriver:
                 switch.transition(POLICY_TARGET if self.without_setup
                                   else POLICY_SETUP, state)
 
+    def _acting_policy(self):
+        """(net, normalizer) of the policy in control."""
+        acting = self.switch.active
+        if acting == POLICY_DEFAULT:
+            return self.default_net, self.default_norm
+        module = self.modules[self.switch.artifact.kind]
+        if acting == POLICY_SETUP:
+            return module.setup_net, module.setup_norm
+        return module.target_net, module.target_norm
+
+    def _advance(self, action, bit):
+        """Step the runner with `action`; a handoff bit of 1 passes control
+        from setup to target unless the step ended the episode."""
+        r_env, done = self.env.step(self.state, action)
+        self._obs = None
+        self.env_reward += r_env
+        if bit == 1 and not done:
+            self.switch.transition(POLICY_TARGET, self.state)
+        return r_env, done
+
     def tick(self):
         """One environment step. Returns True when the episode finished."""
-        state, trainer = self.state, self.trainer
+        trainer = self.trainer
         self._pre_act_transitions()
         acting = self.switch.active
         obs = self.observation()
@@ -427,11 +454,7 @@ class EpisodeDriver:
         if acting == POLICY_TARGET:
             action = self.targets[self.switch.artifact.kind].target_action(obs)
         else:
-            if acting == POLICY_DEFAULT:
-                net, norm = self.default_net, self.default_norm
-            else:
-                module = self.modules[self.switch.artifact.kind]
-                net, norm = module.setup_net, module.setup_norm
+            net, norm = self._acting_policy()
             learning = trainer is not None and net is trainer.net
             x = policy_obs(net, obs)
             if learning:
@@ -444,9 +467,7 @@ class EpisodeDriver:
                                                 or self.deterministic),
                 with_switch=acting == POLICY_SETUP)
 
-        r_env, done = self.env.step(state, action)
-        self._obs = None
-        self.env_reward += r_env
+        r_env, done = self._advance(action, bit)
 
         if learning:
             if acting == POLICY_SETUP:
@@ -457,6 +478,8 @@ class EpisodeDriver:
                 r_step = r_env
             self.buffer.append(obs_n, action, bit, logp, r_step, value,
                                done or bit == 1)
+            if bit == 1:
+                self.handed_off = True
         elif self.handed_off and trainer.extend:
             # every shaped reward from handoff to episode end folds into the
             # last stored entry, whichever policy is acting by now
@@ -464,18 +487,65 @@ class EpisodeDriver:
                 self.targets[trainer.module.kind], obs,
                 self.observation(), r_env, done, action)
             self.buffer.extend_last_reward(float(r_hat))
-        if bit == 1:
-            if learning:
-                self.handed_off = True
-            if not done:
-                self.switch.transition(POLICY_TARGET, state)
         return done
+
+    def outcome(self):
+        return EpisodeOutcome(self.state, self.switch.events, self.env_reward)
 
     def run(self):
         """Tick to the end of the episode; returns its outcome."""
         while not self.done:
             self.tick()
-        return EpisodeOutcome(self.state, self.switch.events, self.env_reward)
+        return self.outcome()
+
+
+def run_lanes(drivers):
+    """Run evaluation drivers to the end together; returns their outcomes.
+
+    Every tick takes each live lane's pre-act transitions and observation,
+    then gives each acting policy one normalize and one forward over the
+    stacked observations of its lanes. Walker and target lanes act on their
+    means. A setup lane samples from its driver's generator in
+    `policy_act`'s draw order (action noise, then the handoff bit), or acts
+    on its mean with the handoff thresholded at 0.5 if the driver is
+    deterministic. Each lane then steps as `tick()` does. A lane's outcome
+    depends only on its own driver. A batched forward rounds differently
+    from the one-row forward that `run()` and a lone lane take, so states
+    agree with `run()` to ~1e-12, not bit for bit. Training drivers are
+    rejected: they stay on `tick()`.
+    """
+    if any(drv.trainer is not None for drv in drivers):
+        raise ValueError("run_lanes runs evaluation drivers only")
+    live = [drv for drv in drivers if not drv.done]
+    while live:
+        groups = {}
+        for drv in live:
+            drv._pre_act_transitions()
+            key = (drv.switch.active, *drv._acting_policy())
+            groups.setdefault(key, []).append(drv)
+        for (acting, net, norm), lanes in groups.items():
+            rows = [drv.observation() for drv in lanes]
+            # a lone lane keeps the cheaper one-row forward of tick()
+            obs = rows[0] if len(rows) == 1 else np.stack(rows)
+            mu, _, _, z = net.forward(norm.normalize(policy_obs(net, obs)))
+            if obs.ndim == 1:
+                mu, z = mu[None], np.array([z])
+            if acting != POLICY_SETUP:
+                for drv, action in zip(lanes, mu):
+                    drv._advance(action, None)
+                continue
+            std = net.derived64()["std"]
+            p_switch = sigmoid(z)
+            for drv, action, p in zip(lanes, mu, p_switch):
+                if drv.deterministic:
+                    bit = int(p > 0.5)
+                else:
+                    action = action + std * drv.rng.standard_normal(
+                        action.shape[0])
+                    bit = int(drv.rng.random() < p)
+                drv._advance(action, bit)
+        live = [drv for drv in live if not drv.done]
+    return [drv.outcome() for drv in drivers]
 
 
 def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,
@@ -486,17 +556,22 @@ def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,
     target policies on their action means while the setup policy keeps acting
     stochastically: its handoff head is trained as a per-step switching rate,
     so the handoff distribution — not a thresholded point estimate — is the
-    behavior being measured. Everything is reproducible from `rng`.
-    deterministic=True switches the setup phase to means with the handoff
-    probability thresholded at 0.5, which is only useful for verifying the
-    switching mechanics with scripted saturated policies. With no modules
-    this evaluates the default policy alone, spawned by `init_fn` if given.
+    behavior being measured. deterministic=True switches the setup phase to
+    means with the handoff probability thresholded at 0.5, which is only
+    useful for verifying the switching mechanics with scripted saturated
+    policies. With no modules this evaluates the default policy alone,
+    spawned by `init_fn` if given.
+
+    Episode i runs on the i-th generator of `rng.spawn(episodes)`, so its
+    outcome is that of `EpisodeDriver(..., rng=child).run()`, whatever the
+    episode count. All episodes run together through `run_lanes`, one
+    batched forward per acting policy per tick.
     """
-    outcomes = [EpisodeDriver(env, default_net, default_norm, modules, rng,
-                              deterministic=deterministic,
-                              without_setup=without_setup,
-                              init_fn=init_fn).run()
-                for _ in range(episodes)]
+    drivers = [EpisodeDriver(env, default_net, default_norm, modules, child,
+                             deterministic=deterministic,
+                             without_setup=without_setup, init_fn=init_fn)
+               for child in rng.spawn(episodes)]
+    outcomes = run_lanes(drivers)
     rate = sum(1.0 for o in outcomes if o.state.success) / max(len(outcomes), 1)
     return rate, outcomes
 
@@ -531,8 +606,8 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
     with eval_episodes=0 the row's rate is None. A periodic rate at or above
     `stop_at` ends training at once (`stopped`).
     """
-    if eval_episodes < 0:
-        raise ValueError("eval_episodes must be >= 0")
+    if eval_episodes < 0 or eval_every < 0:
+        raise ValueError("eval_every and eval_episodes must be >= 0")
     curve = []
 
     def run_eval(steps_used):

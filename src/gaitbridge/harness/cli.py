@@ -115,7 +115,15 @@ def _print_report(report):
 # ---- training subcommands ------------------------------------------------------
 
 
+def _check_training_flags(args):
+    if args.budget < 0:
+        raise ConfigError("--budget must be >= 0")
+    if args.eval_every < 0:
+        raise ConfigError("--eval-every must be >= 0")
+
+
 def _cmd_train_target(args):
+    _check_training_flags(args)
     ppo = _ppo_overrides(args)
     config = build_params(PPOConfig, ppo, "ppo")
     if args.eval_episodes < 1:  # the final success rate is always checked
@@ -145,6 +153,7 @@ def _cmd_train_target(args):
 
 
 def _cmd_train_setup(args):
+    _check_training_flags(args)
     ppo = _ppo_overrides(args)
     awtv = _awtv_overrides(args)
     config = build_params(PPOConfig, ppo, "ppo")

@@ -24,6 +24,7 @@ from ..composer import (
     BehaviorModule,
     EpisodeDriver,
     evaluate_bridged,
+    run_lanes,
     train_setup,
 )
 from ..terrainsim import (
@@ -444,7 +445,8 @@ def run_multi_terrain(config):
 
     Each (seed, episode) draws its own course order and episode generator
     and the policies are frozen, so the episodes of different arms are
-    independent of the order they run in.
+    independent of the order they run in. A cell's episodes run together as
+    lanes, one course and env per lane.
     """
     for kind in KINDS:
         for role in ("target", "setup"):
@@ -457,19 +459,22 @@ def run_multi_terrain(config):
     failures = {arm: dict.fromkeys(KINDS + (FLAT_BUCKET,), 0) for arm in arms}
 
     def episodes(arm, seed):
+        drivers = []
         for episode in range(config.episodes):
             order_rng = np.random.default_rng((seed, episode, RNG_ORDER))
             order = tuple(KINDS[i]
                           for i in order_rng.permutation(len(KINDS)))
-            course = multi_terrain_course(order)
-            out = EpisodeDriver(
-                TerrainEnv(course), default_net, default_norm, modules,
+            drivers.append(EpisodeDriver(
+                TerrainEnv(multi_terrain_course(order)), default_net,
+                default_norm, modules,
                 np.random.default_rng((seed, episode, RNG_EPISODE)),
-                without_setup=arm == "without-setup").run()
+                without_setup=arm == "without-setup"))
+        for drv, out in zip(drivers, run_lanes(drivers)):
+            course = drv.env.course
             failed_at = failure_terrain(course, out.state)
             if failed_at is not None:
                 failures[arm][failed_at] += 1
-            yield course, "-".join(order), out
+            yield course, "-".join(a.kind for a in course.artifacts), out
 
     return _run_grid(config, "multi-terrain", "shuffled-all-kinds", arms,
                      episodes, extra={"failure_counts": failures})

@@ -165,8 +165,9 @@ class RunningNormalizer:
         return np.sqrt(self.var)
 
     def normalize(self, x):
+        """Whitened x, one row or a (B, dim) batch."""
         if self.count == 0:
-            return np.zeros(self.dim)
+            return np.zeros(np.shape(x))
         if self._cached is None:
             self._cached = (self.mean, 1.0 / np.maximum(self.std, self.EPS))
         mean, inv_std = self._cached

@@ -637,6 +637,9 @@ class TestUpdateMechanics:
         with pytest.raises(ValueError, match="eval_episodes"):
             train_setup(module, default_net, d_norm, env, config, 0,
                         np.random.default_rng(0), eval_episodes=-1)
+        with pytest.raises(ValueError, match="eval_every"):
+            train_setup(module, default_net, d_norm, env, config, 0,
+                        np.random.default_rng(0), eval_every=-1)
 
     def test_smallest_horizon_still_ticks(self):
         # one transition survives each update, so a two-slot buffer takes
@@ -853,6 +856,18 @@ class TestTerrainBlindWalker:
         net = scripted_net(0.5, 0.0)
         obs = np.arange(OBS_DIM, dtype=float)
         assert cp.policy_obs(net, obs) is obs
+        batch = np.arange(3 * OBS_DIM, dtype=float).reshape(3, OBS_DIM)
+        assert cp.policy_obs(net, batch) is batch
+
+    def test_batch_is_trimmed_row_by_row(self):
+        from gaitbridge.terrainsim import OBS_PROPRIO
+
+        net = ParameterizedNet(OBS_PROPRIO, 2, (8,), np.random.default_rng(3))
+        batch = np.arange(4 * OBS_DIM, dtype=float).reshape(4, OBS_DIM)
+        trimmed = cp.policy_obs(net, batch)
+        assert trimmed.shape == (4, OBS_PROPRIO)
+        for row, full in zip(trimmed, batch):
+            assert np.array_equal(row, cp.policy_obs(net, full))
 
 
 class TestDriverValidation:
@@ -920,11 +935,11 @@ class TestEvaluateBridged:
             runs.append((rate, [(o.state.steps, o.state.success,
                                  o.switch_count) for o in outcomes]))
         assert runs[0] == runs[1]
-        # deterministic episodes consume exactly one rng draw each (the
-        # spawn), so the independent replay predicts every outcome
-        probe = np.random.default_rng(9)
-        expected = [_expected_trace(float(probe.uniform(0.0, 2.2)))
-                    for _ in range(8)]
+        # episode i runs on the i-th spawned generator, and a deterministic
+        # episode draws from it exactly once (the spawn position), so the
+        # independent replay predicts every outcome
+        expected = [_expected_trace(float(child.uniform(0.0, 2.2)))
+                    for child in np.random.default_rng(9).spawn(8)]
         assert [s for s, _, _ in runs[0][1]] == [n for _, n, _ in expected]
         assert [ok for _, ok, _ in runs[0][1]] == [
             f is None for _, _, f in expected]
@@ -946,6 +961,93 @@ class TestEvaluateBridged:
             runs.append((rate, [(o.state.steps, o.state.success,
                                  o.switch_count) for o in outcomes]))
         assert runs[0] == runs[1]
+
+
+# ---- evaluation lanes against the one-episode reference --------------------------
+
+
+def lane_world(first=HURDLE):
+    """`first`, then the other of hurdle and gap, with two_kind_world's
+    policies. A small dense perturbation makes a batched forward round
+    unlike a one-row forward, and the setup policies sample their actions
+    and handoffs."""
+    art = make_artifact(first, 3.2)
+    course = make_course([art, make_artifact(GAP if first == HURDLE
+                                             else HURDLE, art.end + 2.0)])
+    _, walker, modules = two_kind_world()
+    rng = np.random.default_rng(21)
+    for net in [walker] + [m.setup_net for m in modules.values()]:
+        for name in ("fc0.b", "mu.w"):
+            arr = net.params[name]
+            arr[...] += 0.05 * rng.standard_normal(arr.shape)
+        net.invalidate_cache()
+    for module in modules.values():
+        module.setup_norm = identity_norm()
+    return TerrainEnv(course), walker, modules
+
+
+def assert_same_outcome(got, want):
+    """Discrete results exactly, positions to batched-matmul rounding."""
+    assert (got.state.success, got.state.failure, got.state.steps) == \
+        (want.state.success, want.state.failure, want.state.steps)
+    assert [(e.step, e.src, e.dst) for e in got.events] == \
+        [(e.step, e.src, e.dst) for e in want.events]
+    for e, f in zip(got.events, want.events):
+        assert e.x == pytest.approx(f.x, abs=1e-9)
+        assert e.c == pytest.approx(f.c, abs=1e-9)
+        assert e.v == pytest.approx(f.v, abs=1e-9)
+
+
+class TestLanes:
+    # the no-setup arm stalls in front of the hurdle, so it starts at the gap
+    @pytest.mark.parametrize("without_setup, first",
+                             [(False, HURDLE), (True, GAP)])
+    def test_each_episode_equals_its_sequential_run(self, without_setup,
+                                                    first):
+        env, walker, modules = lane_world(first)
+        _, outcomes = evaluate_bridged(env, walker, identity_norm(), modules,
+                                       24, np.random.default_rng(5),
+                                       without_setup=without_setup)
+        children = np.random.default_rng(5).spawn(24)
+        for out, child in zip(outcomes, children):
+            ref = EpisodeDriver(env, walker, identity_norm(), modules, child,
+                                without_setup=without_setup).run()
+            assert_same_outcome(out, ref)
+        handoffs = {e.dst for out in outcomes for e in out.events}
+        assert (POLICY_SETUP in handoffs) != without_setup
+        assert POLICY_TARGET in handoffs
+        # lanes finish at different ticks
+        assert len({out.state.steps for out in outcomes}) > 1
+
+    def test_a_lone_lane_reproduces_run_bit_for_bit(self):
+        env, walker, modules = lane_world()
+        for seed in range(4):
+            _, (out,) = evaluate_bridged(env, walker, identity_norm(),
+                                         modules, 1,
+                                         np.random.default_rng(seed))
+            (child,) = np.random.default_rng(seed).spawn(1)
+            ref = EpisodeDriver(env, walker, identity_norm(), modules,
+                                child).run()
+            assert outcome_record(out) == outcome_record(ref)
+
+    def test_first_episodes_do_not_depend_on_the_episode_count(self):
+        env, walker, modules = lane_world()
+        _, many = evaluate_bridged(env, walker, identity_norm(), modules, 16,
+                                   np.random.default_rng(8))
+        _, few = evaluate_bridged(env, walker, identity_norm(), modules, 5,
+                                  np.random.default_rng(8))
+        for got, want in zip(many, few):
+            assert_same_outcome(got, want)
+
+    def test_rejects_a_training_driver(self):
+        env = TerrainEnv(single_artifact_course(HURDLE))
+        module = hurdle_module()
+        trainer = setup_trainer(module, PPOConfig(horizon=16))
+        drivers = [EpisodeDriver(env, scripted_net(0.5, 0.0), identity_norm(),
+                                 {HURDLE: module}, np.random.default_rng(0),
+                                 trainer=trainer, buffer=RolloutBuffer(16))]
+        with pytest.raises(ValueError, match="evaluation"):
+            cp.run_lanes(drivers)
 
 
 # ---- spawn distributions ----------------------------------------------------------
@@ -1001,6 +1103,14 @@ class TestTrainTargetPaths:
                                    eval_every=2, eval_episodes=0, stop_at=0.0,
                                    min_final=None)
         assert curve == [(64, 2, None), (128, 4, None)]
+
+    def test_negative_eval_every_rejected(self):
+        # n % -1 == 0 would otherwise evaluate after every update
+        with pytest.raises(ValueError, match="eval_every"):
+            train_target(FLAT, 128, np.random.default_rng(0),
+                         config=PPOConfig(horizon=32, epochs=1),
+                         eval_every=-1, eval_episodes=1, stop_at=2.0,
+                         min_final=None)
 
     def test_min_final_needs_an_evaluation(self):
         with pytest.raises(ValueError, match="eval_episodes"):
@@ -1061,5 +1171,5 @@ class TestSeededTrainingDigests:
                             eval_episodes=4, n_workers=2)
         assert [updates for _, updates, _ in curve] == [1, 2, 3, 4, 5, 6]
         assert training_digest(module.setup_net, module.setup_norm, curve) \
-            == ("ad076f3712eb66bf8ef1b465fff56fd3"
-                "767192a427bb927d393e80025ffe1378")
+            == ("c6de33b66be5254ccf0d14c44108e9d9"
+                "f2617a28af2a65b369178186513a8228")

@@ -186,6 +186,10 @@ _BAD_TRAINING_FLAGS = [
     ("train-setup", ["--ppo", "clip=-1"]),
     ("train-setup", ["--awtv", "gamma=2"]),
     ("train-setup", ["--eval-episodes", "-1"]),
+    ("train-target", ["--budget", "-5"]),
+    ("train-setup", ["--budget", "-5"]),
+    ("train-target", ["--eval-every", "-1"]),
+    ("train-setup", ["--eval-every", "-1"]),
 ]
 
 

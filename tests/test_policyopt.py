@@ -148,6 +148,19 @@ def test_normalizer_self_stream_is_whitened():
     assert np.allclose(z.std(axis=0), 1.0, atol=1e-6)
 
 
+def test_normalizer_normalizes_a_batch_row_by_row():
+    rng = np.random.default_rng(7)
+    batch = rng.normal(size=(5, 3))
+    fresh = RunningNormalizer(3)
+    assert np.array_equal(fresh.normalize(batch), np.zeros((5, 3)))
+    norm = RunningNormalizer(3)
+    for row in rng.normal(loc=1.0, scale=2.0, size=(20, 3)):
+        norm.update(row)
+    out = norm.normalize(batch)
+    for row, whole in zip(batch, out):
+        assert np.array_equal(norm.normalize(row), whole)
+
+
 def test_normalizer_zero_variance_floor():
     norm = RunningNormalizer(1)
     for _ in range(10):
