@@ -30,10 +30,12 @@ shaped reward. One round-robin loop (`_train`) collects both into per-worker
 buffers, one `tick()` at a time.
 
 Evaluation runs its episodes as lanes (`run_lanes`): one driver per episode,
-each with its own generator, advanced together. Each tick groups the live
-lanes by their acting policy (the walker, a setup policy, a target) and gives
-each group one normalize and one batched forward; every lane then steps
-through the same post-act code as `tick()`. Lanes never train.
+each with its own generator, advanced together. The lanes' runners step as
+one `RunnerBatch`, each lane's acting policy is a small integer code, and
+the switching rules are masks over the batch; each acting policy (the
+walker, a setup policy, a target) gets one normalize and one batched forward
+per tick. Switches still go through each driver's `SwitchState`, and
+finished lanes are written back into their drivers. Lanes never train.
 
 A setup reward function has the signature
 `reward_fn(target, obs, obs_next, r_env, terminal, action)`. A driver passes
@@ -62,8 +64,10 @@ from gaitbridge.terrainsim import (
     BLOCK,
     GAP,
     HURDLE,
+    KIND_ONE_HOT,
     OBS_DIM,
     OBS_PROPRIO,
+    RunnerBatch,
     TerrainEnv,
     flat_course,
     observe,
@@ -409,8 +413,9 @@ class EpisodeDriver:
             self._obs = observe(self.env.course, self.state)
         return self._obs
 
-    def _pre_act_transitions(self):
-        state, switch = self.state, self.switch
+    def tick(self):
+        """One environment step. Returns True when the episode finished."""
+        trainer, state, switch = self.trainer, self.state, self.switch
         if (switch.active == POLICY_TARGET
                 and tau_theta_reached(state, switch.artifact)):
             switch.transition(POLICY_DEFAULT, state)
@@ -421,40 +426,19 @@ class EpisodeDriver:
                 switch.artifact = art
                 switch.transition(POLICY_TARGET if self.without_setup
                                   else POLICY_SETUP, state)
-
-    def _acting_policy(self):
-        """(net, normalizer) of the policy in control."""
-        acting = self.switch.active
-        if acting == POLICY_DEFAULT:
-            return self.default_net, self.default_norm
-        module = self.modules[self.switch.artifact.kind]
-        if acting == POLICY_SETUP:
-            return module.setup_net, module.setup_norm
-        return module.target_net, module.target_norm
-
-    def _advance(self, action, bit):
-        """Step the runner with `action`; a handoff bit of 1 passes control
-        from setup to target unless the step ended the episode."""
-        r_env, done = self.env.step(self.state, action)
-        self._obs = None
-        self.env_reward += r_env
-        if bit == 1 and not done:
-            self.switch.transition(POLICY_TARGET, self.state)
-        return r_env, done
-
-    def tick(self):
-        """One environment step. Returns True when the episode finished."""
-        trainer = self.trainer
-        self._pre_act_transitions()
-        acting = self.switch.active
+        acting = switch.active
         obs = self.observation()
 
         bit = None
         learning = False
         if acting == POLICY_TARGET:
-            action = self.targets[self.switch.artifact.kind].target_action(obs)
+            action = self.targets[switch.artifact.kind].target_action(obs)
         else:
-            net, norm = self._acting_policy()
+            if acting == POLICY_DEFAULT:
+                net, norm = self.default_net, self.default_norm
+            else:
+                module = self.modules[switch.artifact.kind]
+                net, norm = module.setup_net, module.setup_norm
             learning = trainer is not None and net is trainer.net
             x = policy_obs(net, obs)
             if learning:
@@ -467,12 +451,17 @@ class EpisodeDriver:
                                                 or self.deterministic),
                 with_switch=acting == POLICY_SETUP)
 
-        r_env, done = self._advance(action, bit)
+        r_env, done = self.env.step(state, action)
+        self._obs = None
+        self.env_reward += r_env
+        if bit == 1 and not done:
+            # a handoff bit of 1 passes control from setup to target
+            switch.transition(POLICY_TARGET, state)
 
         if learning:
             if acting == POLICY_SETUP:
                 r_step = trainer.reward_fn(
-                    self.targets[self.switch.artifact.kind], obs,
+                    self.targets[switch.artifact.kind], obs,
                     self.observation(), r_env, done, action)
             else:
                 r_step = r_env
@@ -502,50 +491,150 @@ class EpisodeDriver:
 def run_lanes(drivers):
     """Run evaluation drivers to the end together; returns their outcomes.
 
-    Every tick takes each live lane's pre-act transitions and observation,
-    then gives each acting policy one normalize and one forward over the
-    stacked observations of its lanes. Walker and target lanes act on their
-    means. A setup lane samples from its driver's generator in
-    `policy_act`'s draw order (action noise, then the handoff bit), or acts
-    on its mean with the handoff thresholded at 0.5 if the driver is
-    deterministic. Each lane then steps as `tick()` does. A lane's outcome
-    depends only on its own driver. A batched forward rounds differently
-    from the one-row forward that `run()` and a lone lane take, so states
-    agree with `run()` to ~1e-12, not bit for bit. Training drivers are
-    rejected: they stay on `tick()`.
+    The drivers must share the default policy, the modules and
+    `without_setup`. While more than one lane is live, the lanes step as one
+    `RunnerBatch` (see `_run_batch`); the last live lane, or a lone driver,
+    finishes on `run()`, which a batch of one would reproduce bit for bit at
+    many times the cost. A lane's outcome depends only on its own driver. A
+    batched forward rounds differently from the one-row forward that `run()`
+    takes, so states agree with `run()` to ~1e-12, not bit for bit.
+    Training drivers are rejected: they stay on `tick()`.
     """
     if any(drv.trainer is not None for drv in drivers):
         raise ValueError("run_lanes runs evaluation drivers only")
+    first = drivers[0] if drivers else None
+    for drv in drivers:
+        if (drv.default_net is not first.default_net
+                or drv.default_norm is not first.default_norm
+                or drv.without_setup != first.without_setup
+                or drv.modules.keys() != first.modules.keys()
+                or any(drv.modules[kind] is not module
+                       for kind, module in first.modules.items())):
+            raise ValueError("lanes must share the default policy, the "
+                             "modules and without_setup")
     live = [drv for drv in drivers if not drv.done]
-    while live:
-        groups = {}
-        for drv in live:
-            drv._pre_act_transitions()
-            key = (drv.switch.active, *drv._acting_policy())
-            groups.setdefault(key, []).append(drv)
-        for (acting, net, norm), lanes in groups.items():
-            rows = [drv.observation() for drv in lanes]
-            # a lone lane keeps the cheaper one-row forward of tick()
-            obs = rows[0] if len(rows) == 1 else np.stack(rows)
-            mu, _, _, z = net.forward(norm.normalize(policy_obs(net, obs)))
-            if obs.ndim == 1:
-                mu, z = mu[None], np.array([z])
-            if acting != POLICY_SETUP:
-                for drv, action in zip(lanes, mu):
-                    drv._advance(action, None)
+    if len(live) > 1:
+        live = _run_batch(live)
+    for drv in live:
+        drv.run()
+    return [drv.outcome() for drv in drivers]
+
+
+def _run_batch(lanes):
+    """Tick live lanes as one RunnerBatch until at most one is left.
+
+    Each lane's acting policy is a code into a table of (role, net, norm):
+    lanes whose drivers would act with the same policy share a code. A tick
+    releases target lanes past their artifact, hands walking lanes that
+    detect a module's artifact to its setup policy (its target in the
+    no-setup arm), then gives each acting policy one normalize and one
+    forward over its lanes' observations, in the order of each policy's
+    first lane, with a one-row forward for a lone row. Walker and target
+    lanes act on their means. A setup lane samples from its driver's
+    generator in `policy_act`'s draw order (action noise, then the handoff
+    bit), or acts on its mean with the handoff thresholded at 0.5 if the
+    driver is deterministic. After the step, the handoff bits pass control to
+    the targets. Every switch goes through the driver's `SwitchState`.
+    Finished lanes are written back into their drivers and dropped; the
+    lanes left (none or one) are written back and returned.
+    """
+    first = lanes[0]
+    policies = [(POLICY_DEFAULT, first.default_net, first.default_norm)]
+    code_of = {}  # (role, kind) -> index into policies
+    detectable = np.zeros(len(KIND_ONE_HOT) + 1, dtype=bool)  # [-1]: none
+    for kind, module in first.modules.items():
+        for policy in ((POLICY_SETUP, module.setup_net, module.setup_norm),
+                       (POLICY_TARGET, module.target_net, module.target_norm)):
+            # lanes acting with the same net and normalizer share a forward
+            if policy not in policies:
+                policies.append(policy)
+            code_of[policy[0], kind] = policies.index(policy)
+        detectable[KIND_ONE_HOT[kind]] = True
+    role_on_detect = POLICY_TARGET if first.without_setup else POLICY_SETUP
+
+    def phase(switch):
+        """(policy code, release x) of a lane: the end of the artifact a
+        target acts on, past which it hands back; +inf otherwise."""
+        if switch.active == POLICY_DEFAULT:
+            return 0, np.inf
+        return (code_of[switch.active, switch.artifact.kind],
+                switch.artifact.end if switch.active == POLICY_TARGET
+                else np.inf)
+
+    code, release_x = (np.array(column) for column in
+                       zip(*(phase(drv.switch) for drv in lanes)))
+    env_reward = np.array([drv.env_reward for drv in lanes])
+    batch = RunnerBatch([drv.env.course for drv in lanes],
+                        [drv.state for drv in lanes])
+    env = first.env  # steps the batch; each lane keeps its own course
+
+    def switch_lane(i, dst, artifact):
+        switch = lanes[i].switch
+        switch.transition(dst, batch.state(i))
+        switch.artifact = artifact
+        code[i], release_x[i] = phase(switch)
+
+    def write_back(i):
+        drv = lanes[i]
+        drv.state = batch.state(i)
+        drv.env_reward = float(env_reward[i])
+        drv._obs = None
+
+    while len(lanes) > 1:
+        for i in ((batch.x > release_x) & batch.contact).nonzero()[0]:
+            switch_lane(i, POLICY_DEFAULT, None)
+        if first.modules:
+            hit, index = batch.detect()
+            spotted = hit & (code == 0) & detectable[batch.next_kind]
+            for i in spotted.nonzero()[0]:
+                switch_lane(i, role_on_detect,
+                            lanes[i].env.course.artifacts[index[i]])
+
+        obs = observe(None, batch)
+        actions = np.empty((len(lanes), ACTION_DIM))
+        handoffs = []
+        lane_codes = code.tolist()
+        # one group per acting policy, in the order of its first lane
+        for p in sorted(set(lane_codes), key=lane_codes.index):
+            rows = (code == p).nonzero()[0]
+            role, net, norm = policies[p]
+            # a lone row keeps the cheaper one-row forward of tick()
+            x = obs[rows] if rows.size > 1 else obs[rows[0]]
+            mu, _, _, z = net.forward(norm.normalize(policy_obs(net, x)))
+            if role != POLICY_SETUP:
+                actions[rows] = mu
                 continue
+            if x.ndim == 1:
+                mu, z = mu[None], np.array([z])
             std = net.derived64()["std"]
-            p_switch = sigmoid(z)
-            for drv, action, p in zip(lanes, mu, p_switch):
+            for i, action, p_switch in zip(rows.tolist(), mu, sigmoid(z)):
+                drv = lanes[i]
                 if drv.deterministic:
-                    bit = int(p > 0.5)
+                    bit = p_switch > 0.5
                 else:
                     action = action + std * drv.rng.standard_normal(
                         action.shape[0])
-                    bit = int(drv.rng.random() < p)
-                drv._advance(action, bit)
-        live = [drv for drv in live if not drv.done]
-    return [drv.outcome() for drv in drivers]
+                    bit = drv.rng.random() < p_switch
+                actions[i] = action
+                if bit:
+                    handoffs.append(i)
+
+        reward, done = env.step(batch, actions)
+        env_reward += reward
+        for i in handoffs:
+            if not done[i]:
+                switch_lane(i, POLICY_TARGET, lanes[i].switch.artifact)
+        if done.any():
+            for i in done.nonzero()[0]:
+                write_back(i)
+            keep = ~done
+            lanes = [drv for drv, kept in zip(lanes, keep) if kept]
+            code, release_x, env_reward = (
+                code[keep], release_x[keep], env_reward[keep])
+            batch.compact(keep)
+    for i in range(len(lanes)):
+        write_back(i)
+    return lanes
 
 
 def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,
@@ -564,8 +653,8 @@ def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,
 
     Episode i runs on the i-th generator of `rng.spawn(episodes)`, so its
     outcome is that of `EpisodeDriver(..., rng=child).run()`, whatever the
-    episode count. All episodes run together through `run_lanes`, one
-    batched forward per acting policy per tick.
+    episode count. All episodes run together through `run_lanes`: one
+    batched runner step and one batched forward per acting policy per tick.
     """
     drivers = [EpisodeDriver(env, default_net, default_norm, modules, child,
                              deterministic=deterministic,

@@ -9,6 +9,13 @@ millimeter. All state advances at a fixed 60 Hz.
 Units are meters/seconds throughout. Action components are clipped to [-1, 1]:
 a1 drives (forward/brake), a2 moves the crouch (positive deepens; a strong
 negative release while crouched triggers the jump).
+
+`TerrainEnv.step` and `observe` advance and read one `RunnerState`. Training
+and lone episodes use them, and they are the reference of `RunnerBatch`,
+which holds N runners as arrays, each lane on its own course, and steps,
+observes and detects all of them with masked numpy operations that repeat
+the scalar code's float operations in the same order, so every lane stays
+bit-equal to its scalar twin. Both functions also take a batch.
 """
 
 from __future__ import annotations
@@ -253,7 +260,13 @@ KIND_ONE_HOT = {BLOCK: 0, GAP: 1, HURDLE: 2}
 
 
 def observe(course, state):
-    """10-component observation vector (float64)."""
+    """10-component observation vector (float64).
+
+    A RunnerBatch gives one (N, 10) row per lane, each on its own course;
+    `course` plays no part then.
+    """
+    if isinstance(state, RunnerBatch):
+        return state.observe()
     obs = np.zeros(OBS_DIM)
     obs[0] = state.v
     obs[1] = state.w
@@ -293,14 +306,28 @@ class TerrainEnv:
         return RunnerState(x=x0, h=support + STAND_HEIGHT, max_x=x0)
 
     def reset_from(self, x, v=0.0, c=0.0):
-        """Deterministic spawn used by per-kind initial-state distributions."""
+        """Deterministic spawn used by per-kind initial-state distributions.
+
+        v must lie in [0, V_MAX] and c in [0, 1], the ranges the physics
+        keeps them in: a negative speed would run the runner backward.
+        """
+        if not 0.0 <= v <= V_MAX:
+            raise ValueError(f"spawn speed {v} outside [0, {V_MAX}]")
+        if not 0.0 <= c <= 1.0:
+            raise ValueError(f"spawn crouch {c} outside [0, 1]")
         support, is_gap = surface_at(self.course, x)
         if is_gap:
             raise CourseError(f"cannot spawn in contact over a gap at x={x}")
         return RunnerState(x=x, v=v, c=c, h=support + leg_length(c), max_x=x)
 
     def step(self, state, action):
-        """Advance one tick. Returns (reward, done)."""
+        """Advance one tick. Returns (reward, done).
+
+        A RunnerBatch steps every lane on its own course with an (N, 2)
+        action array and returns (N,) arrays; this env's course plays no part.
+        """
+        if isinstance(state, RunnerBatch):
+            return state.step(action)
         if state.done:
             raise RuntimeError("step on a finished episode")
         a1 = min(max(float(action[0]), -1.0), 1.0)
@@ -371,6 +398,209 @@ class TerrainEnv:
                 return None
             return FAIL_COLLISION
         return None
+
+
+# ---- batches ------------------------------------------------------------------
+
+# failure of a RunnerBatch lane, by code
+_FAILURES = (None, FAIL_COLLISION, FAIL_GAP, FAIL_TIMEOUT)
+
+# height an airborne body loses in one tick at zero vertical speed, as `_fly`
+# computes it: Python evaluates 0.5 * GRAVITY * DT * DT left to right
+_FALL = 0.5 * GRAVITY * DT * DT
+
+# columns of a lane's artifact table; HEIGHT and the one-hot kind are the
+# observation's last four components, in order, and KIND is the kind's
+# KIND_ONE_HOT index
+_START, _END, _SUPPORT, _GAP, _HEIGHT = range(5)
+_KIND = 8
+_TABLE_COLS = 9
+
+
+def _artifact_table(course, width):
+    """(width, 9) rows of the course's artifacts, then sentinel rows.
+
+    A sentinel starts and ends at +inf, so no runner is over it or past it,
+    and it reads as "no artifact ahead": distance 2, height 0, no kind
+    (index -1).
+    """
+    table = np.zeros((width, _TABLE_COLS))
+    table[:, _START] = table[:, _END] = np.inf
+    table[:, _KIND] = -1.0
+    for row, art in zip(table, course.artifacts):
+        gap = art.kind == GAP
+        kind = KIND_ONE_HOT[art.kind]
+        row[:_HEIGHT + 1] = (art.start, art.end, 0.0 if gap else art.height,
+                             float(gap), art.height)
+        row[_HEIGHT + 1 + kind] = 1.0
+        row[_KIND] = kind
+    return table
+
+
+class RunnerBatch:
+    """N runners as arrays, each lane on its own course.
+
+    Holds x, v, w, h, c, contact, steps, done, success, failure code (an
+    index into _FAILURES) and max_x per lane, and a table of each lane's
+    artifacts padded with at least one sentinel row. After every move it
+    finds what lies under and ahead of each runner: the support and gap
+    under x, from the first row whose end is past x (`surface_at` is half
+    open), and the next artifact, the first row whose end is not behind x
+    (`next_artifact` is inclusive). `step` leaves finished lanes as they
+    are.
+    """
+
+    _STATE = ("x", "v", "w", "h", "c", "contact", "steps", "done", "success",
+              "failure", "max_x")
+    _LANE_ARRAYS = _STATE + ("goal", "_table")
+
+    def __init__(self, courses, states):
+        width = 1 + max(len(course.artifacts) for course in courses)
+        self._table = np.stack([_artifact_table(course, width)
+                                for course in courses])
+        self.goal = np.array([course.goal_x for course in courses])
+        for name in ("x", "v", "w", "h", "c", "max_x"):
+            setattr(self, name, np.array([getattr(s, name) for s in states],
+                                         dtype=np.float64))
+        for name in ("contact", "done", "success"):
+            setattr(self, name, np.array([getattr(s, name) for s in states],
+                                         dtype=bool))
+        self.steps = np.array([s.steps for s in states], dtype=np.int64)
+        self.failure = np.array([_FAILURES.index(s.failure) for s in states],
+                                dtype=np.int8)
+        self._index()
+
+    def __len__(self):
+        return len(self.x)
+
+    def _index(self):
+        """Flat views of the lane tables, then `_locate`."""
+        n, width, _ = self._table.shape
+        self._ends = np.ascontiguousarray(self._table[:, :, _END])
+        self._rows = self._table.reshape(n * width, _TABLE_COLS)
+        self._first_row = np.arange(0, n * width, width)
+        self._locate()
+
+    def _locate(self):
+        """Artifact rows under and ahead of x, and what they give.
+
+        Under x is the first artifact whose end is past x, ahead of it the
+        first whose end is not behind x; the sentinels bound both searches.
+        """
+        x = self.x[:, None]
+        under = self._rows.take(
+            self._first_row + (x < self._ends).argmax(axis=1), axis=0)
+        self.next_index = (x <= self._ends).argmax(axis=1)
+        self._ahead = self._rows.take(self._first_row + self.next_index,
+                                      axis=0)
+        inside = under[:, _START] <= self.x
+        self.support = np.where(inside, under[:, _SUPPORT], 0.0)
+        self.over_gap = inside & (under[:, _GAP] > 0.0)
+        self.distance = self._ahead[:, _START] - self.x
+
+    @property
+    def next_kind(self):
+        """KIND_ONE_HOT index of each lane's next artifact, -1 for none."""
+        return self._ahead[:, _KIND].astype(np.intp)
+
+    def observe(self):
+        """(N, OBS_DIM) observations, row i equal to `observe` of lane i."""
+        obs = np.empty((len(self), OBS_DIM))
+        obs[:, 0] = self.v
+        obs[:, 1] = self.w
+        np.subtract(self.h, self.support, out=obs[:, 2])
+        obs[:, 3] = self.c
+        obs[:, 4] = self.contact
+        np.minimum(np.maximum(self.distance, 0.0), 2.0, out=obs[:, 5])
+        obs[:, 6:] = self._ahead[:, _HEIGHT:_KIND]
+        return obs
+
+    def detect(self):
+        """(hit, next artifact index) per lane, as `oracle_detect` finds them.
+
+        An index equal to a lane's artifact count means none is ahead.
+        """
+        return self.distance <= DETECT_RANGE, self.next_index
+
+    def step(self, actions):
+        """Advance every unfinished lane one tick; returns (reward, done).
+
+        Repeats `TerrainEnv.step` and `_fly` with masks: ground lanes drive
+        and crouch, lanes that take off or are airborne fly. A finished lane
+        keeps its state and earns 0.
+        """
+        frozen = None
+        if self.done.any():
+            frozen = self.done
+            before = {name: getattr(self, name) for name in self._STATE}
+        a = np.asarray(actions, dtype=np.float64).clip(-1.0, 1.0)
+        a1, a2 = a[:, 0], a[:, 1]
+        x_old, h, contact = self.x, self.h, self.contact
+        support_old = self.support
+        takeoff = contact & (self.c >= JUMP_MIN_CROUCH) & (a2 <= JUMP_TRIGGER_A2)
+        ground = contact ^ takeoff
+        air = ~ground
+        w = np.where(takeoff, JUMP_GAIN * self.c * np.abs(a2), self.w)
+        v = np.where(ground, (self.v + (DRIVE_GAIN * a1 - DRAG * self.v) * DT)
+                     .clip(0.0, V_MAX), self.v)
+        c = np.where(ground, (self.c + CROUCH_RATE * a2 * DT).clip(0.0, 1.0),
+                     self.c)
+        self.x = x = x_old + v * DT
+        self._locate()
+        support, over_gap = self.support, self.over_gap
+        leg = leg_length(c)
+        prev_sole = h - leg
+        h_air = h + (w * DT - _FALL)
+        sole = h_air - leg
+        below = sole <= support
+        land = air & ~over_gap & below & (prev_sole >= support)
+        fell = over_gap & (ground | (sole <= 0.0))
+        crashed = ~over_gap & np.where(
+            ground, support - support_old > STEP_UP_LIMIT, below & ~land)
+        failed = fell | crashed
+        settle = land | (ground & ~failed)
+        self.h = np.where(settle, support + leg, np.where(ground, h, h_air))
+        self.w = np.where(land, 0.0, np.where(ground, w, w - GRAVITY * DT))
+        self.v, self.c = v, c
+        self.contact = ground | land
+        self.steps = steps = self.steps + 1
+        self.max_x = np.maximum(self.max_x, x)
+
+        reward = PROGRESS_GAIN * (x - x_old)
+        ended = failed | (x >= self.goal) | (steps > MAX_STEPS)
+        if not ended.any() and frozen is None:
+            return reward + ALIVE_BONUS, ended
+        success = ~failed & (x >= self.goal)
+        timeout = ~failed & ~success & (steps > MAX_STEPS)
+        penalized = failed | timeout
+        reward = np.where(penalized, reward - FAILURE_PENALTY,
+                          np.where(success, reward + ALIVE_BONUS + GOAL_BONUS,
+                                   reward + ALIVE_BONUS))
+        self.failure = np.select([crashed, fell, timeout], [1, 2, 3]
+                                 ).astype(np.int8)  # _FAILURES codes
+        self.success = success
+        self.done = success | penalized
+        if frozen is not None:
+            for name, old in before.items():
+                setattr(self, name, np.where(frozen, old, getattr(self, name)))
+            reward = np.where(frozen, 0.0, reward)
+            self._locate()
+        return reward, self.done
+
+    def state(self, i):
+        """Lane i as a RunnerState."""
+        return RunnerState(
+            x=float(self.x[i]), v=float(self.v[i]), w=float(self.w[i]),
+            h=float(self.h[i]), c=float(self.c[i]),
+            contact=bool(self.contact[i]), steps=int(self.steps[i]),
+            done=bool(self.done[i]), success=bool(self.success[i]),
+            failure=_FAILURES[self.failure[i]], max_x=float(self.max_x[i]))
+
+    def compact(self, keep):
+        """Keep only the lanes where the boolean mask `keep` is set."""
+        for name in self._LANE_ARRAYS:
+            setattr(self, name, getattr(self, name)[keep])
+        self._index()
 
 
 def distance_fraction(course, state):

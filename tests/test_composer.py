@@ -45,11 +45,13 @@ from gaitbridge.terrainsim import (
     BLOCK,
     GAP,
     HURDLE,
+    KINDS,
     OBS_DIM,
     RunnerState,
     TerrainEnv,
     make_artifact,
     make_course,
+    multi_terrain_course,
     observe,
     single_artifact_course,
 )
@@ -1038,6 +1040,51 @@ class TestLanes:
                                   np.random.default_rng(8))
         for got, want in zip(many, few):
             assert_same_outcome(got, want)
+
+    @pytest.mark.parametrize("without_setup", [False, True])
+    def test_lanes_on_their_own_courses_equal_their_sequential_runs(
+            self, without_setup):
+        # one shuffled course per episode, as run_multi_terrain builds them
+        _, walker, modules = lane_world()
+        modules[BLOCK] = BehaviorModule(
+            BLOCK, valued(scripted_net(1.0, 1.0), 3), identity_norm(),
+            modules[GAP].setup_net.copy(), identity_norm())
+        walker_norm = identity_norm()
+        drivers, refs = [], []
+        for episode in range(16):
+            order = tuple(KINDS[i] for i in np.random.default_rng(
+                (4, episode)).permutation(len(KINDS)))
+            course = multi_terrain_course(order)
+            for into in (drivers, refs):
+                into.append(EpisodeDriver(
+                    TerrainEnv(course), walker, walker_norm, modules,
+                    np.random.default_rng((4, episode)),
+                    without_setup=without_setup))
+        outcomes = cp.run_lanes(drivers)
+        for got, ref in zip(outcomes, refs):
+            assert_same_outcome(got, ref.run())
+        assert len({drv.env.course.artifacts[0].kind for drv in drivers}) > 1
+        assert len({out.state.steps for out in outcomes}) > 1
+        # with setup, some lanes clear their first artifact and switch again
+        assert max(out.switch_count
+                   for out in outcomes) >= (1 if without_setup else 4)
+
+    def test_no_lanes_give_no_outcomes(self):
+        assert cp.run_lanes([]) == []
+
+    @pytest.mark.parametrize("differ", ["default", "modules", "without_setup"])
+    def test_rejects_lanes_that_disagree_on_the_policies(self, differ):
+        env, walker, modules = lane_world()
+        same = dict(default_net=walker, default_norm=identity_norm(),
+                    modules=modules)
+        other = {"default": dict(default_norm=identity_norm()),
+                 "modules": dict(modules={HURDLE: modules[HURDLE]}),
+                 "without_setup": dict(without_setup=True)}[differ]
+        drivers = [EpisodeDriver(env, rng=np.random.default_rng(0),
+                                 **{**same, **kwargs})
+                   for kwargs in ({}, other)]
+        with pytest.raises(ValueError, match="lanes must share"):
+            cp.run_lanes(drivers)
 
     def test_rejects_a_training_driver(self):
         env = TerrainEnv(single_artifact_course(HURDLE))

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaitbridge.terrainsim import (
     ALIVE_BONUS,
     BLOCK,
+    KINDS,
     CROUCH_RATE,
     CourseError,
     DETECT_RANGE,
@@ -24,6 +29,8 @@ from gaitbridge.terrainsim import (
     SPAWN_MAX_X,
     STAND_HEIGHT,
     STEP_UP_LIMIT,
+    V_MAX,
+    RunnerBatch,
     TerrainEnv,
     distance_fraction,
     flat_course,
@@ -327,6 +334,14 @@ def test_reset_from_rejects_gap_spawn():
         env.reset_from(3.5)
 
 
+@pytest.mark.parametrize("v, c", [(-1.0, 1.0), (V_MAX + 1e-9, 0.0),
+                                  (0.0, 1.5), (0.0, -0.1), (np.nan, 0.0)])
+def test_reset_from_rejects_speed_or_crouch_out_of_range(v, c):
+    # v=-1 with c=1 would jump backward, c=1.5 would spawn on a 0.4 m leg
+    with pytest.raises(ValueError, match="outside"):
+        _flat_env().reset_from(1.0, v=v, c=c)
+
+
 def test_reset_from_on_block_top():
     env = TerrainEnv(single_artifact_course(BLOCK, start=3.2))
     state = env.reset_from(3.3, c=0.5)
@@ -565,3 +580,103 @@ def test_load_course_reads_file(tmp_path):
     course = load_course(path)
     assert course.goal_x == 7.0
     assert course.artifacts[0].kind == BLOCK
+
+
+# ---- runner batches against the scalar runner -------------------------------------
+
+
+def bits(*values):
+    """Float64 bytes of the values: equal bits, not just equal numbers."""
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def state_bits(state):
+    fields = dataclasses.astuple(state)
+    return (bits(*(f for f in fields if isinstance(f, float))),
+            [f for f in fields if not isinstance(f, float)])
+
+
+@st.composite
+def courses(draw):
+    """1-3 artifacts of any kind, any geometry, some of them adjacent."""
+    x = SPAWN_MAX_X + draw(st.floats(0.0, 1.5))
+    artifacts = []
+    for _ in range(draw(st.integers(1, 3))):
+        art = make_artifact(draw(st.sampled_from(KINDS)), x,
+                            draw(st.floats(0.0, 0.6)),
+                            draw(st.floats(0.05, 1.0)))
+        artifacts.append(art)
+        x = art.end + draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.5))
+    return make_course(artifacts, artifacts[-1].end + draw(st.floats(0.0, 1.0)))
+
+
+@st.composite
+def spawns(draw, course):
+    """A standard spawn, or one at or short of an artifact's start, on its
+    end or anywhere, often at full speed or crouch, some of them a few ticks
+    short of the timeout."""
+    env = TerrainEnv(course)
+    art = draw(st.sampled_from(course.artifacts))
+    x = draw(st.sampled_from([None, art.start, art.end,
+                              art.start - DETECT_RANGE])
+             | st.floats(0.0, 1.2).map(lambda back: art.start - back)
+             | st.floats(0.0, course.goal_x))
+    state = None
+    if x is not None:
+        try:
+            state = env.reset_from(
+                x, v=draw(st.sampled_from([0.0, V_MAX]) | st.floats(0.0, V_MAX)),
+                c=draw(st.just(1.0) | st.floats(0.0, 1.0)))
+        except CourseError:  # over a gap
+            pass
+    if state is None:
+        state = env.reset(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    state.steps = draw(st.sampled_from([0, MAX_STEPS - 5]))
+    return state
+
+
+def action_script(seed, ticks):
+    """(ticks, 2) actions: mostly full drive, crouch commands from
+    {-1, -0.5, 0, 1} (jump triggers at a2 <= -0.5), the rest out of range."""
+    rng = np.random.default_rng(seed)
+    a1 = np.where(rng.random(ticks) < 0.7, 1.0, rng.uniform(-3.0, 3.0, ticks))
+    a2 = np.where(rng.random(ticks) < 0.5,
+                  rng.choice([-1.0, -0.5, 0.0, 1.0], ticks),
+                  rng.uniform(-3.0, 3.0, ticks))
+    return np.stack([a1, a2], axis=1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_batch_step_observe_and_detect_match_the_scalar_runner(data):
+    n = data.draw(st.integers(1, 5))
+    lane_courses = [data.draw(courses()) for _ in range(n)]
+    states = [data.draw(spawns(course)) for course in lane_courses]
+    ticks = data.draw(st.integers(1, 60))
+    script = np.stack([action_script(data.draw(st.integers(0, 2**32 - 1)),
+                                     ticks) for _ in range(n)], axis=1)
+    envs = [TerrainEnv(course) for course in lane_courses]
+    batch = RunnerBatch(lane_courses, [dataclasses.replace(s) for s in states])
+    for act in script:
+        obs = observe(None, batch)
+        hit, index = batch.detect()
+        for i, (course, state) in enumerate(zip(lane_courses, states)):
+            if state.done:
+                continue
+            assert obs[i].tobytes() == observe(course, state).tobytes()
+            want_hit, _ = oracle_detect(course, state)
+            assert hit[i] == want_hit
+            ahead = next_artifact(course, state.x)
+            assert index[i] == (len(course.artifacts) if ahead is None
+                                else course.artifacts.index(ahead))
+        finished = [state.done for state in states]
+        reward, done = envs[0].step(batch, act)
+        for i, (env, state) in enumerate(zip(envs, states)):
+            if finished[i]:
+                # a finished lane stays as it was and earns nothing
+                assert reward[i] == 0.0 and done[i]
+            else:
+                want_reward, want_done = env.step(state, act[i])
+                assert bits(reward[i]) == bits(want_reward)
+                assert done[i] == want_done
+            assert state_bits(batch.state(i)) == state_bits(state)
