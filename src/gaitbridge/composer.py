@@ -23,11 +23,11 @@ handoff bit, and the target's release once `tau_theta_reached`. On each
 tick one policy acts, and it learns only when it is the trainer's own net: it
 then updates its normalizer, samples its action and stores the transition.
 Every other policy normalizes only and acts on its mean, except that a setup
-policy keeps sampling unless the driver is deterministic. Target training is
-a driver with no modules, whose default policy is the one being trained on the
-environment reward; setup training trains one module's setup policy on a
-shaped reward. One round-robin loop (`_train`) collects both into per-worker
-buffers, one `tick()` at a time.
+policy keeps sampling: its handoff is a learned per-tick probability. Target
+training is a driver with no modules, whose default policy is the one being
+trained on the environment reward; setup training trains one module's setup
+policy on a shaped reward. One round-robin loop (`_train`) collects both into
+per-worker buffers, one `tick()` at a time.
 
 Evaluation runs its episodes as lanes (`run_lanes`): one driver per episode,
 each with its own generator, advanced together. The lanes' runners step as
@@ -370,15 +370,12 @@ class EpisodeDriver:
     """Advances one bridged episode one environment tick at a time.
 
     A learning policy (see the module docstring) appends to `buffer`.
-    deterministic=True puts a frozen setup policy on its means with the
-    handoff probability thresholded at 0.5 (a mode for exact scripted-trace
-    verification, not the evaluation protocol). `init_fn(env, rng)` replaces
-    the standard spawn.
+    `init_fn(env, rng)` replaces the standard spawn.
     """
 
     def __init__(self, env, default_net, default_norm, modules, rng, *,
                  trainer: Trainer = None, buffer: RolloutBuffer = None,
-                 deterministic=False, without_setup=False, init_fn=None):
+                 without_setup=False, init_fn=None):
         if without_setup and trainer is not None:
             raise ValueError("the no-setup arm is evaluation-only")
         if (trainer is None) != (buffer is None):
@@ -394,7 +391,6 @@ class EpisodeDriver:
         self.rng = rng
         self.trainer = trainer
         self.buffer = buffer
-        self.deterministic = deterministic
         self.without_setup = without_setup
         self.state = init_fn(env, rng) if init_fn else env.reset(rng)
         self.switch = SwitchState()
@@ -447,8 +443,7 @@ class EpisodeDriver:
                 obs_n = norm.normalize(x)
             action, bit, logp, value = policy_act(
                 net, obs_n, self.rng,
-                deterministic=not learning and (acting == POLICY_DEFAULT
-                                                or self.deterministic),
+                deterministic=not learning and acting == POLICY_DEFAULT,
                 with_switch=acting == POLICY_SETUP)
 
         r_env, done = self.env.step(state, action)
@@ -532,9 +527,8 @@ def _run_batch(lanes):
     first lane, with a one-row forward for a lone row. Walker and target
     lanes act on their means. A setup lane samples from its driver's
     generator in `policy_act`'s draw order (action noise, then the handoff
-    bit), or acts on its mean with the handoff thresholded at 0.5 if the
-    driver is deterministic. After the step, the handoff bits pass control to
-    the targets. Every switch goes through the driver's `SwitchState`.
+    bit). After the step, the handoff bits pass control to the targets.
+    Every switch goes through the driver's `SwitchState`.
     Finished lanes are written back into their drivers and dropped; the
     lanes left (none or one) are written back and returned.
     """
@@ -566,7 +560,6 @@ def _run_batch(lanes):
     env_reward = np.array([drv.env_reward for drv in lanes])
     batch = RunnerBatch([drv.env.course for drv in lanes],
                         [drv.state for drv in lanes])
-    env = first.env  # steps the batch; each lane keeps its own course
 
     def switch_lane(i, dst, artifact):
         switch = lanes[i].switch
@@ -590,7 +583,7 @@ def _run_batch(lanes):
                 switch_lane(i, role_on_detect,
                             lanes[i].env.course.artifacts[index[i]])
 
-        obs = observe(None, batch)
+        obs = batch.observe()
         actions = np.empty((len(lanes), ACTION_DIM))
         handoffs = []
         lane_codes = code.tolist()
@@ -608,18 +601,12 @@ def _run_batch(lanes):
                 mu, z = mu[None], np.array([z])
             std = net.derived64()["std"]
             for i, action, p_switch in zip(rows.tolist(), mu, sigmoid(z)):
-                drv = lanes[i]
-                if drv.deterministic:
-                    bit = p_switch > 0.5
-                else:
-                    action = action + std * drv.rng.standard_normal(
-                        action.shape[0])
-                    bit = drv.rng.random() < p_switch
-                actions[i] = action
-                if bit:
+                rng = lanes[i].rng
+                actions[i] = action + std * rng.standard_normal(ACTION_DIM)
+                if rng.random() < p_switch:
                     handoffs.append(i)
 
-        reward, done = env.step(batch, actions)
+        reward, done = batch.step(actions)
         env_reward += reward
         for i in handoffs:
             if not done[i]:
@@ -638,18 +625,15 @@ def _run_batch(lanes):
 
 
 def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,
-                     without_setup=False, deterministic=False, init_fn=None):
+                     without_setup=False, init_fn=None):
     """Seeded bridged rollouts; returns (success rate, outcomes).
 
-    The standard protocol (deterministic=False) runs the frozen default and
-    target policies on their action means while the setup policy keeps acting
-    stochastically: its handoff head is trained as a per-step switching rate,
-    so the handoff distribution — not a thresholded point estimate — is the
-    behavior being measured. deterministic=True switches the setup phase to
-    means with the handoff probability thresholded at 0.5, which is only
-    useful for verifying the switching mechanics with scripted saturated
-    policies. With no modules this evaluates the default policy alone,
-    spawned by `init_fn` if given.
+    The frozen default and target policies act on their action means while
+    the setup policy keeps acting stochastically: its handoff head is trained
+    as a per-step switching rate, so the handoff distribution — not a
+    thresholded point estimate — is the behavior being measured. With no
+    modules this evaluates the default policy alone, spawned by `init_fn` if
+    given.
 
     Episode i runs on the i-th generator of `rng.spawn(episodes)`, so its
     outcome is that of `EpisodeDriver(..., rng=child).run()`, whatever the
@@ -657,7 +641,6 @@ def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,
     batched runner step and one batched forward per acting policy per tick.
     """
     drivers = [EpisodeDriver(env, default_net, default_norm, modules, child,
-                             deterministic=deterministic,
                              without_setup=without_setup, init_fn=init_fn)
                for child in rng.spawn(episodes)]
     outcomes = run_lanes(drivers)

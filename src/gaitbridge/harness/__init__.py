@@ -3,7 +3,6 @@
 from .checkpoint import (
     Checkpoint,
     CheckpointFormatError,
-    CheckpointHashMismatch,
     load_checkpoint,
     load_policy,
     save_checkpoint,
@@ -34,7 +33,6 @@ from .experiments import (
 __all__ = [
     "Checkpoint",
     "CheckpointFormatError",
-    "CheckpointHashMismatch",
     "ConfigError",
     "ExperimentConfig",
     "MetricsError",

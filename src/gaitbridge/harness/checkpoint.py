@@ -19,7 +19,6 @@ name order so identical contents always produce identical bytes.
 import os
 import secrets
 import struct
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,10 +38,6 @@ _U32 = struct.Struct("<I")
 
 class CheckpointFormatError(ValueError):
     """The file is missing, truncated, or not a checkpoint this code reads."""
-
-
-class CheckpointHashMismatch(UserWarning):
-    """Loaded checkpoint was produced under different settings than expected."""
 
 
 @dataclass
@@ -231,13 +226,11 @@ def parse_checkpoint(data, origin="<bytes>") -> Checkpoint:
     return Checkpoint(params, norm_state, config_hash)
 
 
-def load_checkpoint(path, expected_hash=None) -> Checkpoint:
+def load_checkpoint(path) -> Checkpoint:
     """Read and fully validate a checkpoint file.
 
     The whole file is parsed before anything is returned, so a malformed
-    file can never hand back a half-built checkpoint. When `expected_hash`
-    is given and the stored hash is a non-empty mismatch, loading still
-    succeeds but raises a CheckpointHashMismatch warning.
+    file can never hand back a half-built checkpoint.
     """
     try:
         with open(path, "rb") as fh:
@@ -245,16 +238,9 @@ def load_checkpoint(path, expected_hash=None) -> Checkpoint:
     except OSError as exc:
         raise CheckpointFormatError(
             f"cannot read checkpoint {path}: {exc}") from None
-    ckpt = parse_checkpoint(data, origin=str(path))
-    if (expected_hash is not None and ckpt.config_hash
-            and ckpt.config_hash != expected_hash):
-        warnings.warn(
-            f"checkpoint {path} was written under config {ckpt.config_hash} "
-            f"but this run is configured as {expected_hash}",
-            CheckpointHashMismatch, stacklevel=2)
-    return ckpt
+    return parse_checkpoint(data, origin=str(path))
 
 
-def load_policy(path, expected_hash=None):
+def load_policy(path):
     """Load a checkpoint and build its (network, normalizer) pair."""
-    return load_checkpoint(path, expected_hash=expected_hash).build()
+    return load_checkpoint(path).build()

@@ -41,6 +41,7 @@ from .config import (
     ConfigError,
     build_params,
     config_from_dict,
+    file_digest,
     load_config,
     settings_hash,
 )
@@ -103,6 +104,10 @@ def _training_course(args):
     return None
 
 
+def _course_digest(args):
+    return file_digest(args.course, "course file") if args.course else ""
+
+
 def _print_report(report):
     print(f"experiment: {report['experiment']}  course: {report['course']}")
     print(f"config hash: {report['config_hash']}")
@@ -124,16 +129,16 @@ def _check_training_flags(args):
 
 def _cmd_train_target(args):
     _check_training_flags(args)
-    ppo = _ppo_overrides(args)
-    config = build_params(PPOConfig, ppo, "ppo")
+    config = build_params(PPOConfig, _ppo_overrides(args), "ppo")
     if args.eval_episodes < 1:  # the final success rate is always checked
         raise ConfigError("train-target needs --eval-episodes >= 1")
     course = _training_course(args)
     run_settings = {
         "command": "train-target", "kind": args.kind, "budget": args.budget,
-        "seed": args.seed, "course": args.course or "",
+        "seed": args.seed, "course": _course_digest(args),
         "stop_at": args.stop_at, "min_final": args.min_final,
-        "ppo": ppo,
+        "eval_every": args.eval_every, "eval_episodes": args.eval_episodes,
+        "ppo": dataclasses.asdict(config),
     }
     kwargs = {}
     if args.min_final is not None:
@@ -154,21 +159,22 @@ def _cmd_train_target(args):
 
 def _cmd_train_setup(args):
     _check_training_flags(args)
-    ppo = _ppo_overrides(args)
-    awtv = _awtv_overrides(args)
-    config = build_params(PPOConfig, ppo, "ppo")
-    params = build_params(AWTVParams, awtv, "awtv")
+    config = build_params(PPOConfig, _ppo_overrides(args), "ppo")
+    params = build_params(AWTVParams, _awtv_overrides(args), "awtv")
     if args.eval_episodes < 0:
         raise ConfigError("--eval-episodes must be >= 0")
     course = _training_course(args)
-    run_settings = {
-        "command": "train-setup", "kind": args.kind, "budget": args.budget,
-        "seed": args.seed, "course": args.course or "",
-        "reward": args.reward, "extend": not args.no_extend,
-        "fresh_init": args.fresh_init, "ppo": ppo, "awtv": awtv,
-    }
     default_net, default_norm = load_policy(args.default)
     target_net, target_norm = load_policy(args.target)
+    run_settings = {
+        "command": "train-setup", "kind": args.kind, "budget": args.budget,
+        "seed": args.seed, "course": _course_digest(args),
+        "default": file_digest(args.default, "default checkpoint"),
+        "target": file_digest(args.target, "target checkpoint"),
+        "reward": args.reward, "extend": not args.no_extend,
+        "fresh_init": args.fresh_init, "ppo": dataclasses.asdict(config),
+        "awtv": dataclasses.asdict(params),
+    }
     module = setup_module(args.kind, target_net, target_norm, default_net,
                           default_norm, params, args.seed,
                           fresh=args.fresh_init)

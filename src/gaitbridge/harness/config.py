@@ -52,8 +52,11 @@ class ExperimentConfig:
     ppo: dict = field(default_factory=dict)
 
     def resolved(self) -> dict:
-        """Plain-dict view with every default materialized."""
-        return dataclasses.asdict(self)
+        """Plain-dict view with every default materialized, the PPO and
+        AWTV settings included."""
+        return {**dataclasses.asdict(self),
+                "ppo": dataclasses.asdict(self.ppo_config()),
+                "awtv": dataclasses.asdict(self.awtv_params())}
 
     def ppo_config(self) -> PPOConfig:
         return build_params(PPOConfig, self.ppo, "ppo")
@@ -250,7 +253,7 @@ def settings_hash(payload) -> str:
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 
-def _file_digest(path, what):
+def file_digest(path, what):
     try:
         return hashlib.sha256(Path(path).read_bytes()).hexdigest()
     except OSError as exc:
@@ -263,12 +266,12 @@ def config_hash(config: ExperimentConfig) -> str:
     settings = config.resolved()
     del settings["output_dir"]
     settings["checkpoints"] = {
-        key: (_file_digest(value, f"checkpoint checkpoints.{key}")
+        key: (file_digest(value, f"checkpoint checkpoints.{key}")
               if isinstance(value, str) else
-              {role: _file_digest(path, f"checkpoint checkpoints.{key}.{role}")
+              {role: file_digest(path, f"checkpoint checkpoints.{key}.{role}")
                for role, path in value.items()})
         for key, value in config.checkpoints.items()
     }
     if config.course:
-        settings["course"] = _file_digest(config.course, "course file")
+        settings["course"] = file_digest(config.course, "course file")
     return settings_hash(settings)

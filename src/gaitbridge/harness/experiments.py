@@ -187,13 +187,13 @@ def _load_default(config, what):
     return load_policy(_required_checkpoint(config, what, "default"))
 
 
-def _load_module(config, kind, what, default_net=None, default_norm=None):
+def _load_module(config, kind, what, default_net, default_norm):
     """Build a behavior module from configured checkpoints.
 
     The target checkpoint is mandatory. A missing setup checkpoint falls
     back to the walker-initialized setup policy (exactly the untrained
     starting point), which is what the no-setup arm and fresh evaluations
-    want; that fallback needs the default policy to be supplied.
+    want.
     """
     target_net, target_norm = load_policy(
         _required_checkpoint(config, what, kind, "target"))
@@ -203,10 +203,6 @@ def _load_module(config, kind, what, default_net=None, default_norm=None):
         setup_net, setup_norm = load_policy(setup_path)
         return BehaviorModule(kind, target_net, target_norm, setup_net,
                               setup_norm, params)
-    if default_net is None:
-        raise ConfigError(
-            f"{what} needs checkpoints.{kind}.setup (no default policy "
-            f"available to stand in)")
     return BehaviorModule.from_default(kind, target_net, target_norm,
                                        default_net, default_norm, params)
 

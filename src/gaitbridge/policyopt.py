@@ -238,13 +238,12 @@ def gae_advantages(rewards, values, dones, gamma, lam, tail_bootstrap=0.0):
 def policy_act(net, obs_norm, rng, deterministic=False, with_switch=False):
     """Draw (action, switch_bit, joint_logprob, value) from a policy net.
 
-    Deterministic mode returns the Gaussian mean and thresholds the switch
-    probability at 0.5; logprob is None there (nothing is sampled).
+    Deterministic mode returns the Gaussian mean, for a policy that does not
+    hand off; bit and logprob are None there (nothing is sampled).
     """
     mu, log_std, value, z = net.forward(obs_norm)
     if deterministic:
-        bit = int(sigmoid(z) > 0.5) if with_switch else None
-        return mu.copy(), bit, None, value
+        return mu.copy(), None, None, value
     d = net.derived64()
     std = d["std"]
     action = mu + std * rng.standard_normal(mu.shape[0])

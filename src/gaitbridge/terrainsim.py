@@ -15,7 +15,7 @@ and lone episodes use them, and they are the reference of `RunnerBatch`,
 which holds N runners as arrays, each lane on its own course, and steps,
 observes and detects all of them with masked numpy operations that repeat
 the scalar code's float operations in the same order, so every lane stays
-bit-equal to its scalar twin. Both functions also take a batch.
+bit-equal to its scalar twin.
 """
 
 from __future__ import annotations
@@ -260,13 +260,7 @@ KIND_ONE_HOT = {BLOCK: 0, GAP: 1, HURDLE: 2}
 
 
 def observe(course, state):
-    """10-component observation vector (float64).
-
-    A RunnerBatch gives one (N, 10) row per lane, each on its own course;
-    `course` plays no part then.
-    """
-    if isinstance(state, RunnerBatch):
-        return state.observe()
+    """10-component observation vector (float64)."""
     obs = np.zeros(OBS_DIM)
     obs[0] = state.v
     obs[1] = state.w
@@ -321,13 +315,7 @@ class TerrainEnv:
         return RunnerState(x=x, v=v, c=c, h=support + leg_length(c), max_x=x)
 
     def step(self, state, action):
-        """Advance one tick. Returns (reward, done).
-
-        A RunnerBatch steps every lane on its own course with an (N, 2)
-        action array and returns (N,) arrays; this env's course plays no part.
-        """
-        if isinstance(state, RunnerBatch):
-            return state.step(action)
+        """Advance one tick. Returns (reward, done)."""
         if state.done:
             raise RuntimeError("step on a finished episode")
         a1 = min(max(float(action[0]), -1.0), 1.0)
@@ -446,13 +434,12 @@ class RunnerBatch:
     finds what lies under and ahead of each runner: the support and gap
     under x, from the first row whose end is past x (`surface_at` is half
     open), and the next artifact, the first row whose end is not behind x
-    (`next_artifact` is inclusive). `step` leaves finished lanes as they
-    are.
+    (`next_artifact` is inclusive). A finished lane is stepped no more: the
+    caller compacts it away.
     """
 
-    _STATE = ("x", "v", "w", "h", "c", "contact", "steps", "done", "success",
-              "failure", "max_x")
-    _LANE_ARRAYS = _STATE + ("goal", "_table")
+    _LANE_ARRAYS = ("x", "v", "w", "h", "c", "contact", "steps", "done",
+                    "success", "failure", "max_x", "goal", "_table")
 
     def __init__(self, courses, states):
         width = 1 + max(len(course.artifacts) for course in courses)
@@ -523,16 +510,14 @@ class RunnerBatch:
         return self.distance <= DETECT_RANGE, self.next_index
 
     def step(self, actions):
-        """Advance every unfinished lane one tick; returns (reward, done).
+        """Advance every lane one tick; returns (reward, done).
 
         Repeats `TerrainEnv.step` and `_fly` with masks: ground lanes drive
-        and crouch, lanes that take off or are airborne fly. A finished lane
-        keeps its state and earns 0.
+        and crouch, lanes that take off or are airborne fly. Like
+        `TerrainEnv.step`, it raises RuntimeError if a lane has finished.
         """
-        frozen = None
         if self.done.any():
-            frozen = self.done
-            before = {name: getattr(self, name) for name in self._STATE}
+            raise RuntimeError("step on a finished lane")
         a = np.asarray(actions, dtype=np.float64).clip(-1.0, 1.0)
         a1, a2 = a[:, 0], a[:, 1]
         x_old, h, contact = self.x, self.h, self.contact
@@ -568,7 +553,7 @@ class RunnerBatch:
 
         reward = PROGRESS_GAIN * (x - x_old)
         ended = failed | (x >= self.goal) | (steps > MAX_STEPS)
-        if not ended.any() and frozen is None:
+        if not ended.any():
             return reward + ALIVE_BONUS, ended
         success = ~failed & (x >= self.goal)
         timeout = ~failed & ~success & (steps > MAX_STEPS)
@@ -580,11 +565,6 @@ class RunnerBatch:
                                  ).astype(np.int8)  # _FAILURES codes
         self.success = success
         self.done = success | penalized
-        if frozen is not None:
-            for name, old in before.items():
-                setattr(self, name, np.where(frozen, old, getattr(self, name)))
-            reward = np.where(frozen, 0.0, reward)
-            self._locate()
         return reward, self.done
 
     def state(self, i):

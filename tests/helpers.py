@@ -56,6 +56,23 @@ def hurdle_module(target_net=None, setup_net=None):
     )
 
 
+def exact_hurdle_module(target_net=None):
+    """`hurdle_module` whose sampled setup phase is the scripted one.
+
+    The setup net's switch head is scaled by 2**24, a power of two, so its
+    logit keeps its sign bit for bit, and at every crouch a scripted episode
+    visits the handoff probability is exactly 0.0 or 1.0. log_std = -100
+    makes mu + std * noise round to mu. The setup phase then takes the
+    crouch-then-handoff path whatever the generator draws.
+    """
+    setup = scripted_net(0.25, 1.0, crouch_gate=True)
+    setup.params["switch.w"] *= 2.0 ** 24
+    setup.params["switch.b"] *= 2.0 ** 24
+    setup.params["log_std"][...] = -100.0
+    setup.invalidate_cache()
+    return hurdle_module(target_net=target_net, setup_net=setup)
+
+
 def flat_value_module(v):
     """Hurdle module whose target value head reports the constant v."""
     target = scripted_net(0.0, -1.0)

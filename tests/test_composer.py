@@ -56,7 +56,13 @@ from gaitbridge.terrainsim import (
     single_artifact_course,
 )
 
-from helpers import flat_value_module, hurdle_module, identity_norm, scripted_net
+from helpers import (
+    exact_hurdle_module,
+    flat_value_module,
+    hurdle_module,
+    identity_norm,
+    scripted_net,
+)
 
 
 def saturated_identity_norm(dim=OBS_DIM):
@@ -228,12 +234,12 @@ def _runner(x=0.0, c=0.0, v=0.0, contact=True, steps=0):
 
 
 def _scripted_drivers(walker=None, module=None, seed=5):
-    """Deterministic scripted hurdle episode; yields its driver after each
-    tick."""
+    """Scripted hurdle episode; yields its driver after each tick."""
     course = single_artifact_course(HURDLE)
     drv = EpisodeDriver(TerrainEnv(course), walker or scripted_net(0.5, 0.0),
-                        identity_norm(), {HURDLE: module or hurdle_module()},
-                        np.random.default_rng(seed), deterministic=True)
+                        identity_norm(),
+                        {HURDLE: module or exact_hurdle_module()},
+                        np.random.default_rng(seed))
     while not drv.done:
         drv.tick()
         yield drv
@@ -299,7 +305,8 @@ class TestSwitchMachine:
         target = scripted_net(0.0, -1.0)
         target.params["switch.b"][0] = 50.0
         target.invalidate_cache()
-        *_, drv = _scripted_drivers(module=hurdle_module(target_net=target))
+        *_, drv = _scripted_drivers(
+            module=exact_hurdle_module(target_net=target))
         assert _events(drv) == _expected_events()
 
     def test_illegal_transitions_raise(self):
@@ -407,10 +414,10 @@ class TestScriptedBridge:
         course = single_artifact_course(HURDLE)
         env = TerrainEnv(course)
         default_net = scripted_net(0.5, 0.0)
-        module = hurdle_module()
+        module = exact_hurdle_module()
         rng = np.random.default_rng(seed)
         out = EpisodeDriver(env, default_net, identity_norm(),
-                            {HURDLE: module}, rng, deterministic=True).run()
+                            {HURDLE: module}, rng).run()
 
         x0 = float(np.random.default_rng(seed).uniform(0.0, 2.2))
         expected_events, expected_steps, expected_failure = _expected_trace(x0)
@@ -431,9 +438,9 @@ class TestScriptedBridge:
         runs = []
         for _ in range(2):
             out = EpisodeDriver(TerrainEnv(course), default_net,
-                                identity_norm(), {HURDLE: hurdle_module()},
-                                np.random.default_rng(5),
-                                deterministic=True).run()
+                                identity_norm(),
+                                {HURDLE: exact_hurdle_module()},
+                                np.random.default_rng(5)).run()
             runs.append((out.state.steps, out.state.x, out.env_reward,
                          [(e.src, e.dst, e.step, e.x) for e in out.events]))
         assert runs[0] == runs[1]
@@ -745,8 +752,7 @@ class TestTargetCarry:
             env, walker, modules = two_kind_world()
             _, evaluated = evaluate_bridged(env, walker, identity_norm(),
                                             modules, 8,
-                                            np.random.default_rng(7),
-                                            deterministic=True)
+                                            np.random.default_rng(7))
             trainer = setup_trainer(modules[HURDLE],
                                     PPOConfig(horizon=100_000))
             buf = RolloutBuffer(trainer.config.horizon)
@@ -926,20 +932,19 @@ class TestEvaluateBridged:
 
     def test_same_seed_gives_identical_outcomes(self):
         env = TerrainEnv(single_artifact_course(HURDLE))
-        module = hurdle_module()
+        module = exact_hurdle_module()
         runs = []
         for _ in range(2):
             rate, outcomes = evaluate_bridged(env, scripted_net(0.5, 0.0),
                                               identity_norm(),
                                               {HURDLE: module}, 8,
-                                              np.random.default_rng(9),
-                                              deterministic=True)
+                                              np.random.default_rng(9))
             runs.append((rate, [(o.state.steps, o.state.success,
                                  o.switch_count) for o in outcomes]))
         assert runs[0] == runs[1]
-        # episode i runs on the i-th spawned generator, and a deterministic
-        # episode draws from it exactly once (the spawn position), so the
-        # independent replay predicts every outcome
+        # episode i runs on the i-th spawned generator, whose first draw is
+        # the spawn position; the exact setup net makes every later draw
+        # irrelevant, so the independent replay predicts every outcome
         expected = [_expected_trace(float(child.uniform(0.0, 2.2)))
                     for child in np.random.default_rng(9).spawn(8)]
         assert [s for s, _, _ in runs[0][1]] == [n for _, n, _ in expected]

@@ -138,6 +138,7 @@ def test_corrupt_checkpoint_loads_or_raises_a_format_error(raw):
         pass
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_gradient_exits_3_without_traceback(tmp_path, capsys):
     # a finite value coefficient so large that the first gradient overflows
     code = main(["train-target", "--kind", "flat", "--budget", "64", "--seed", "1",
@@ -223,6 +224,51 @@ def test_cli_train_setup_without_evaluation_says_so(tmp_path, capsys,
     load_policy(out)
 
 
+def test_cli_training_hash_follows_what_the_run_reads(tmp_path, checkpoints):
+    """A checkpoint's settings hash changes with the bytes of every file the
+    run reads and with every flag that can change its weights, and an
+    explicit default hashes like an omitted one."""
+    course = tmp_path / "one.course"
+    course.write_text("hurdle 3.2\n")
+    copies = {name: shutil.copyfile(path, tmp_path / f"{name}.ckpt")
+              for name, path in (("default", checkpoints["default"]),
+                                 ("target", checkpoints["hurdle"]["target"]))}
+
+    def setup_hash(*flags, default=checkpoints["default"],
+                   target=checkpoints["hurdle"]["target"]):
+        out = tmp_path / "setup.ckpt"
+        assert main(["train-setup", "--kind", "hurdle", "--default", default,
+                     "--target", target, "--budget", "16", "--ppo",
+                     "horizon=16", "--eval-episodes", "0", "--out", str(out),
+                     *flags]) == 0
+        return checkpoint.load_checkpoint(out).config_hash
+
+    first = setup_hash("--course", str(course))
+    assert setup_hash("--course", str(course), "--ppo", "lr=3e-4", "--awtv",
+                      "alpha=0.15") == first
+    assert setup_hash("--course", str(course), default=str(copies["default"]),
+                      target=str(copies["target"])) == first
+    assert setup_hash("--course", str(course),
+                      target=checkpoints["gap"]["target"]) != first
+    save_checkpoint(copies["default"], Checkpoint.of(*_policy(OBS_PROPRIO)))
+    assert setup_hash("--course", str(course),
+                      default=str(copies["default"])) != first
+    course.write_text("hurdle 3.4\n")
+    assert setup_hash("--course", str(course)) != first
+
+    def target_hash(*flags):
+        out = tmp_path / "target.ckpt"
+        assert main(["train-target", "--kind", "flat", "--budget", "32",
+                     "--ppo", "horizon=32", "--eval-episodes", "1",
+                     "--min-final", "0", "--out", str(out), *flags]) == 0
+        return checkpoint.load_checkpoint(out).config_hash
+
+    first = target_hash()
+    assert target_hash("--ppo", "epochs=4") == first
+    assert target_hash("--eval-every", "1") != first
+    assert target_hash("--eval-episodes", "2") != first
+
+
 def _fails_on_second_call(real):
     """A serializer that works once, then raises: the write fails midway."""
     calls = []
@@ -299,6 +345,19 @@ def test_config_hash_ignores_output_dir_and_follows_file_contents(tmp_path):
     assert second != first
     course.write_text("hurdle 3.4\n")
     assert hash_of() != second
+
+
+@pytest.mark.parametrize("section, default, other", [
+    ("ppo", {"lr": 3e-4, "horizon": 2048}, {"lr": 1e-3}),
+    ("awtv", {"alpha": 0.15, "gamma": 0.99}, {"alpha": 0.2}),
+])
+def test_config_hash_resolves_ppo_and_awtv_defaults(section, default, other):
+    def hash_of(values):
+        return config_hash(config_from_dict(
+            {"experiment": "evaluation", section: values}, check_paths=False))
+
+    assert hash_of(default) == hash_of({})
+    assert hash_of(other) != hash_of({})
 
 
 def test_unreadable_referenced_file_is_a_config_error(tmp_path, capsys):

@@ -328,15 +328,13 @@ def test_log_std_stays_clamped_through_updates():
 
 # ---- acting ----------------------------------------------------------------
 
-def test_policy_act_deterministic_returns_mean_and_thresholded_bit():
+def test_policy_act_deterministic_returns_mean():
     net = ParameterizedNet(2, 2, (4,), np.random.default_rng(16))
-    net.params["switch.b"][...] = 3.0
-    net.invalidate_cache()
     obs = np.array([0.3, -0.7])
     mu, _, _, _ = net.forward(obs)
-    action, bit, logp, _ = policy_act(net, obs, np.random.default_rng(0), deterministic=True, with_switch=True)
+    action, bit, logp, _ = policy_act(net, obs, np.random.default_rng(0), deterministic=True)
     assert np.array_equal(action, mu)
-    assert bit == 1
+    assert bit is None
     assert logp is None
 
 

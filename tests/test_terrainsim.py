@@ -649,6 +649,7 @@ def action_script(seed, ticks):
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_batch_step_observe_and_detect_match_the_scalar_runner(data):
+    # finished lanes are compacted away each tick, as evaluation does
     n = data.draw(st.integers(1, 5))
     lane_courses = [data.draw(courses()) for _ in range(n)]
     states = [data.draw(spawns(course)) for course in lane_courses]
@@ -657,26 +658,40 @@ def test_batch_step_observe_and_detect_match_the_scalar_runner(data):
                                      ticks) for _ in range(n)], axis=1)
     envs = [TerrainEnv(course) for course in lane_courses]
     batch = RunnerBatch(lane_courses, [dataclasses.replace(s) for s in states])
+    live = list(range(n))  # the scalar lane of each batch row
     for act in script:
-        obs = observe(None, batch)
+        obs = batch.observe()
         hit, index = batch.detect()
-        for i, (course, state) in enumerate(zip(lane_courses, states)):
-            if state.done:
-                continue
-            assert obs[i].tobytes() == observe(course, state).tobytes()
+        for row, i in enumerate(live):
+            course, state = lane_courses[i], states[i]
+            assert obs[row].tobytes() == observe(course, state).tobytes()
             want_hit, _ = oracle_detect(course, state)
-            assert hit[i] == want_hit
+            assert hit[row] == want_hit
             ahead = next_artifact(course, state.x)
-            assert index[i] == (len(course.artifacts) if ahead is None
-                                else course.artifacts.index(ahead))
-        finished = [state.done for state in states]
-        reward, done = envs[0].step(batch, act)
-        for i, (env, state) in enumerate(zip(envs, states)):
-            if finished[i]:
-                # a finished lane stays as it was and earns nothing
-                assert reward[i] == 0.0 and done[i]
-            else:
-                want_reward, want_done = env.step(state, act[i])
-                assert bits(reward[i]) == bits(want_reward)
-                assert done[i] == want_done
-            assert state_bits(batch.state(i)) == state_bits(state)
+            assert index[row] == (len(course.artifacts) if ahead is None
+                                  else course.artifacts.index(ahead))
+        reward, done = batch.step(act[live])
+        for row, i in enumerate(live):
+            want_reward, want_done = envs[i].step(states[i], act[i])
+            assert bits(reward[row]) == bits(want_reward)
+            assert done[row] == want_done
+            assert state_bits(batch.state(row)) == state_bits(states[i])
+        keep = ~done
+        batch.compact(keep)
+        live = [i for i, kept in zip(live, keep) if kept]
+        assert len(batch) == len(live)
+        for row, i in enumerate(live):
+            assert state_bits(batch.state(row)) == state_bits(states[i])
+        if not live:
+            break
+
+
+def test_batch_step_on_a_finished_lane_raises():
+    course = single_artifact_course(HURDLE)
+    batch = RunnerBatch([course, course],
+                        [TerrainEnv(course).reset_from(x) for x in (0.5, 1.0)])
+    batch.steps[1] = MAX_STEPS
+    _, done = batch.step(np.zeros((2, 2)))
+    assert done.tolist() == [False, True]
+    with pytest.raises(RuntimeError, match="finished lane"):
+        batch.step(np.zeros((2, 2)))
