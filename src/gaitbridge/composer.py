@@ -48,6 +48,7 @@ tick is V(s) of the next. A `BehaviorModule` offers the same `target_value`,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -136,7 +137,8 @@ def td_advantage(value_fn, s_t, s_next, r_t, gamma, terminal=False):
 def td_error(v_s, v_next, r_t, gamma):
     """r + gamma*V(s') - V(s) from values already evaluated."""
     r_t = float(r_t)
-    if not (np.isfinite(v_s) and np.isfinite(v_next) and np.isfinite(r_t)):
+    if not (math.isfinite(v_s) and math.isfinite(v_next)
+            and math.isfinite(r_t)):
         raise ValueError("the TD advantage needs finite reward and values")
     return r_t + gamma * v_next - v_s
 
@@ -599,7 +601,7 @@ def _run_batch(lanes):
                 continue
             if x.ndim == 1:
                 mu, z = mu[None], np.array([z])
-            std = net.derived64()["std"]
+            std = net.inference().std
             for i, action, p_switch in zip(rows.tolist(), mu, sigmoid(z)):
                 rng = lanes[i].rng
                 actions[i] = action + std * rng.standard_normal(ACTION_DIM)
@@ -739,6 +741,14 @@ def init_for_kind(kind, course):
     return artifact_approach_init(course.artifacts[0])
 
 
+def target_stop_at(kind, stop_at=None):
+    """The success rate that ends `train_target` early: `stop_at` if given,
+    else 0.95 for the flat walker and 0.8 for a terrain specialist."""
+    if stop_at is not None:
+        return stop_at
+    return 0.95 if kind == FLAT else 0.8
+
+
 def train_target(kind, budget, rng, *, config=None, course=None,
                  eval_every=50, eval_episodes=100, stop_at=None, seed_tag=0,
                  min_final=0.5, obs_dim=None):
@@ -760,8 +770,6 @@ def train_target(kind, budget, rng, *, config=None, course=None,
         raise ValueError("min_final needs eval_episodes > 0")
     config = config or PPOConfig()
     course = course or course_for_kind(kind)
-    if stop_at is None:
-        stop_at = 0.95 if kind == FLAT else 0.8
     if obs_dim is None:
         # the plain walker is terrain-blind; specialists see the full vector
         obs_dim = OBS_PROPRIO if kind == FLAT else OBS_DIM
@@ -771,7 +779,8 @@ def train_target(kind, budget, rng, *, config=None, course=None,
         Trainer(net, norm, config, rng), TerrainEnv(course), net, norm, {},
         budget, eval_every=eval_every, eval_episodes=eval_episodes,
         seed_tag=seed_tag, eval_tag=0xE7A1,
-        init_fn=init_for_kind(kind, course), stop_at=stop_at)
+        init_fn=init_for_kind(kind, course),
+        stop_at=target_stop_at(kind, stop_at))
     final = curve[-1][2]
     if not stopped and min_final is not None and final < min_final:
         raise TrainingFailure(

@@ -10,8 +10,18 @@ Parameters live in one contiguous float32 vector, `net.flat` (the checkpoint
 payload format), laid out as fc0.w, fc0.b, fc1.w, ..., mu.w, mu.b, log_std,
 value.w, value.b, switch.w, switch.b, each array row-major. `net.params` maps
 each name to a view into `net.flat`, so writes through either are the same
-write. All math runs on a float64 mirror of the vector, cached per net and
-refreshed after each optimizer step or clamp.
+write. All math runs on a float64 mirror of the vector, `net.params64()`.
+From that mirror each net also caches `net.inference()`: the trunk's (w, b)
+pairs, the mu head, log_std with its exp and sum, and the value and switch
+heads as flat vectors and float biases, so a one-row forward looks nothing up
+per call. Both caches are dropped by `invalidate_cache`, which every writer
+of `net.flat` (optimizer step, log-std clamp, switch-head priming) calls.
+
+Every matrix product is `ndarray.dot`, not `@`: both call the same BLAS
+routine on the same operands, so the results are bit-identical, but `@` also
+pays for the matmul gufunc dispatch, which costs about as much as the BLAS
+call itself on a one-row, 64-wide layer. The seeded training digests in the
+tests would show any change in the last bits.
 
 `ParameterizedNet.backward` is the reverse pass of the only graph this code
 differentiates: trunk, then the heads named by the loss. Gradients land in one
@@ -27,6 +37,7 @@ last bits.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +71,30 @@ def _layout(obs_dim, action_dim, hidden):
         layout.append((name, start, shape))
         start += math.prod(shape)
     return tuple(layout), start
+
+
+class Inference(NamedTuple):
+    """Float64 weights of one net, as its one-row forward reads them."""
+    trunk: tuple  # ((w, b), ...) per hidden layer
+    mu_w: np.ndarray
+    mu_b: np.ndarray
+    log_std: np.ndarray
+    std: np.ndarray
+    log_std_sum: float
+    value_w: np.ndarray  # (hidden[-1],)
+    value_b: float
+    switch_w: np.ndarray
+    switch_b: float
+
+
+def _trunk_output(obs, trunk):
+    """Last trunk activation; `activations` without keeping the layers."""
+    h = obs
+    for w, b in trunk:
+        h = h.dot(w)
+        h += b
+        np.tanh(h, out=h)
+    return h
 
 
 class ParameterizedNet:
@@ -145,26 +180,25 @@ class ParameterizedNet:
 
     def invalidate_cache(self):
         self._p64 = None
-        self._derived = None
+        self._inference = None
 
     def params64(self):
         if self._p64 is None:
             self._p64 = self.views(self.flat.astype(np.float64))
         return self._p64
 
-    def derived64(self):
-        """Hot-path cache: std vector, summed log-std, flattened head weights."""
-        if self._derived is None:
+    def inference(self):
+        """The cached float64 weights a one-row forward reads (`Inference`)."""
+        if self._inference is None:
             p = self.params64()
-            self._derived = {
-                "std": np.exp(p["log_std"]),
-                "log_std_sum": float(p["log_std"].sum()),
-                "value_w": p["value.w"][:, 0].copy(),
-                "value_b": float(p["value.b"][0]),
-                "switch_w": p["switch.w"][:, 0].copy(),
-                "switch_b": float(p["switch.b"][0]),
-            }
-        return self._derived
+            log_std = p["log_std"]
+            self._inference = Inference(
+                tuple((p[w], p[b]) for w, b in self._fc_names),
+                p["mu.w"], p["mu.b"], log_std, np.exp(log_std),
+                float(log_std.sum()),
+                p["value.w"][:, 0].copy(), float(p["value.b"][0]),
+                p["switch.w"][:, 0].copy(), float(p["switch.b"][0]))
+        return self._inference
 
     def clamp_log_std(self):
         np.clip(self.params["log_std"], LOG_STD_MIN, LOG_STD_MAX, out=self.params["log_std"])
@@ -172,11 +206,10 @@ class ParameterizedNet:
 
     def activations(self, obs):
         """Trunk activations [obs, h0, h1, ...] of one row or a batch."""
-        p = self.params64()
         hs = [obs]
-        for w, b in self._fc_names:
-            h = hs[-1] @ p[w]
-            h += p[b]
+        for w, b in self.inference().trunk:
+            h = hs[-1].dot(w)
+            h += b
             np.tanh(h, out=h)
             hs.append(h)
         return hs
@@ -184,7 +217,7 @@ class ParameterizedNet:
     def head(self, name, h):
         """Linear head `name` ("mu", "value" or "switch") on trunk output h."""
         p = self.params64()
-        return h @ p[f"{name}.w"] + p[f"{name}.b"]
+        return h.dot(p[f"{name}.w"]) + p[f"{name}.b"]
 
     def backward(self, hs, head_grads, d_log_std, grad):
         """Write d(loss)/d(parameters) into the flat float64 vector `grad`.
@@ -203,16 +236,16 @@ class ParameterizedNet:
         dh = None
         for name, d_out in head_grads:
             g[f"{name}.b"][...] = d_out.sum(axis=0)
-            g[f"{name}.w"][...] = h.T @ d_out
-            d_in = d_out @ p[f"{name}.w"].T
+            g[f"{name}.w"][...] = h.T.dot(d_out)
+            d_in = d_out.dot(p[f"{name}.w"].T)
             dh = d_in if dh is None else dh + d_in
         for i in range(len(self.hidden) - 1, -1, -1):
             h = hs[i + 1]
             da = dh * (1.0 - h * h)
             g[f"fc{i}.b"][...] = da.sum(axis=0)
-            g[f"fc{i}.w"][...] = hs[i].T @ da
+            g[f"fc{i}.w"][...] = hs[i].T.dot(da)
             if i:
-                dh = da @ p[f"fc{i}.w"].T
+                dh = da.dot(p[f"fc{i}.w"].T)
 
     def forward(self, obs):
         """Fast inference pass.
@@ -220,26 +253,23 @@ class ParameterizedNet:
         obs (obs_dim,) -> (mu (A,), log_std (A,), value float, switch_logit float)
         obs (B, obs_dim) -> batched arrays with value/switch of shape (B,).
         """
-        p = self.params64()
-        h = self.activations(obs)[-1]
-        mu = h @ p["mu.w"]
-        mu += p["mu.b"]
+        (trunk, mu_w, mu_b, log_std, _, _,
+         value_w, value_b, switch_w, switch_b) = self.inference()
+        h = _trunk_output(obs, trunk)
+        mu = h.dot(mu_w)
+        mu += mu_b
         if obs.ndim == 1:
-            d = self.derived64()
-            value = float(h @ d["value_w"]) + d["value_b"]
-            switch = float(h @ d["switch_w"]) + d["switch_b"]
-            return mu, p["log_std"], value, switch
-        value = h @ p["value.w"] + p["value.b"]
-        switch = h @ p["switch.w"] + p["switch.b"]
-        return mu, p["log_std"], value[:, 0], switch[:, 0]
+            return (mu, log_std, float(h.dot(value_w)) + value_b,
+                    float(h.dot(switch_w)) + switch_b)
+        return (mu, log_std, self.head("value", h)[:, 0],
+                self.head("switch", h)[:, 0])
 
     def value_of(self, obs):
-        p = self.params64()
-        h = self.activations(obs)[-1]
+        inf = self.inference()
+        h = _trunk_output(obs, inf.trunk)
         if obs.ndim == 1:
-            d = self.derived64()
-            return float(h @ d["value_w"]) + d["value_b"]
-        return (h @ p["value.w"] + p["value.b"])[:, 0]
+            return float(h.dot(inf.value_w)) + inf.value_b
+        return self.head("value", h)[:, 0]
 
 
 def gaussian_logprob(mean, log_std, action):

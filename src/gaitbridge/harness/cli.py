@@ -21,6 +21,7 @@ from ..composer import (
     FLAT,
     TrainingFailure,
     course_for_kind,
+    target_stop_at,
     train_setup,
     train_target,
 )
@@ -133,10 +134,11 @@ def _cmd_train_target(args):
     if args.eval_episodes < 1:  # the final success rate is always checked
         raise ConfigError("train-target needs --eval-episodes >= 1")
     course = _training_course(args)
+    stop_at = target_stop_at(args.kind, args.stop_at)
+    # --min-final only decides pass or fail; it never touches the weights
     run_settings = {
         "command": "train-target", "kind": args.kind, "budget": args.budget,
-        "seed": args.seed, "course": _course_digest(args),
-        "stop_at": args.stop_at, "min_final": args.min_final,
+        "seed": args.seed, "course": _course_digest(args), "stop_at": stop_at,
         "eval_every": args.eval_every, "eval_episodes": args.eval_episodes,
         "ppo": dataclasses.asdict(config),
     }
@@ -146,7 +148,7 @@ def _cmd_train_target(args):
     net, norm, curve = train_target(
         args.kind, args.budget, np.random.default_rng(args.seed),
         config=config, course=course, eval_every=args.eval_every,
-        eval_episodes=args.eval_episodes, stop_at=args.stop_at,
+        eval_episodes=args.eval_episodes, stop_at=stop_at,
         seed_tag=args.seed, **kwargs)
     save_checkpoint(args.out, Checkpoint.of(net, norm,
                                             settings_hash(run_settings)))
@@ -296,7 +298,8 @@ def build_parser():
                                   choices=(FLAT,) + KINDS)
     _add_training_flags(train_target_cmd)
     train_target_cmd.add_argument("--stop-at", type=float, default=None,
-                                  help="stop early at this success rate")
+                                  help="stop early at this success rate "
+                                       "(default 0.95 flat, 0.8 otherwise)")
     train_target_cmd.add_argument("--min-final", type=float, default=None,
                                   help="fail the run below this final success "
                                        "rate (library default 0.5; 0 keeps "

@@ -244,15 +244,15 @@ def policy_act(net, obs_norm, rng, deterministic=False, with_switch=False):
     mu, log_std, value, z = net.forward(obs_norm)
     if deterministic:
         return mu.copy(), None, None, value
-    d = net.derived64()
-    std = d["std"]
+    inf = net.inference()
+    std = inf.std
     action = mu + std * rng.standard_normal(mu.shape[0])
     # scalar-math logprob: dimensionality is tiny, numpy dispatch dominates
     quad = 0.0
-    for i in range(action.shape[0]):
-        t = (action[i] - mu[i]) / std[i]
+    for a, m, s in zip(action.tolist(), mu.tolist(), std.tolist()):
+        t = (a - m) / s
         quad += t * t
-    logp = -0.5 * (quad + LOG_2PI * action.shape[0]) - d["log_std_sum"]
+    logp = -0.5 * (quad + LOG_2PI * action.shape[0]) - inf.log_std_sum
     bit = None
     if with_switch:
         p = sigmoid(z)

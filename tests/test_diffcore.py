@@ -14,7 +14,8 @@ from gaitbridge.diffcore import (
     switch_bce_grad,
 )
 from gaitbridge.diffcore.net import LOG_STD_MAX, LOG_STD_MIN
-from gaitbridge.policyopt import PPOConfig, ppo_loss_grad
+from gaitbridge.composer import prime_switch_head
+from gaitbridge.policyopt import PPOConfig, policy_act, ppo_loss_grad
 
 
 def _zeroed_net(obs_dim=4, action_dim=2, hidden=(3, 3)):
@@ -341,8 +342,41 @@ def test_batched_forward_matches_single():
     net = ParameterizedNet(6, 2, (8, 8), rng)
     obs = rng.normal(size=(4, 6))
     mu_b, _, val_b, sw_b = net.forward(obs)
+    assert np.array_equal(net.value_of(obs), val_b)
     for i in range(4):
         mu_i, _, val_i, sw_i = net.forward(obs[i])
+        assert net.value_of(obs[i]) == val_i
         assert np.allclose(mu_b[i], mu_i, atol=1e-12)
         assert val_b[i] == pytest.approx(val_i, abs=1e-12)
         assert sw_b[i] == pytest.approx(sw_i, abs=1e-12)
+
+
+def test_inference_cache_follows_every_parameter_write():
+    """After each in-place write to a net's parameters, its one-row forward,
+    value and sampled action equal those of a freshly built copy."""
+    rng = np.random.default_rng(12)
+    net = ParameterizedNet(6, 2, (8, 8), rng)
+    obs = rng.normal(size=6)
+
+    def assert_fresh():
+        fresh = ParameterizedNet.from_params(net.params)
+        mu, log_std, value, switch = net.forward(obs)
+        mu_f, log_std_f, value_f, switch_f = fresh.forward(obs)
+        assert np.array_equal(mu, mu_f) and np.array_equal(log_std, log_std_f)
+        assert (value, switch) == (value_f, switch_f)
+        assert net.value_of(obs) == fresh.value_of(obs) == value_f
+        acts = [policy_act(n, obs, np.random.default_rng(0), with_switch=True)
+                for n in (net, fresh)]
+        assert np.array_equal(acts[0][0], acts[1][0])
+        assert acts[0][1:] == acts[1][1:]
+
+    assert_fresh()
+    adam_step(net, rng.normal(size=net.flat.shape), AdamState(lr=0.1))
+    assert_fresh()
+    net.params["log_std"][...] = LOG_STD_MAX + 1.0
+    net.invalidate_cache()
+    assert_fresh()
+    net.clamp_log_std()
+    assert_fresh()
+    prime_switch_head(net)
+    assert_fresh()

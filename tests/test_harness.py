@@ -265,8 +265,14 @@ def test_cli_training_hash_follows_what_the_run_reads(tmp_path, checkpoints):
 
     first = target_hash()
     assert target_hash("--ppo", "epochs=4") == first
+    assert target_hash("--stop-at", "0.95") == first
+    assert target_hash("--stop-at", "0.9") != first
     assert target_hash("--eval-every", "1") != first
     assert target_hash("--eval-episodes", "2") != first
+    # a run that stops at its first evaluation passes any --min-final
+    stopped = target_hash("--stop-at", "0", "--eval-every", "1")
+    assert target_hash("--stop-at", "0", "--eval-every", "1",
+                       "--min-final", "0.1") == stopped
 
 
 def _fails_on_second_call(real):

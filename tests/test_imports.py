@@ -1,12 +1,18 @@
-"""Every name a module in src/ or tests/ imports is used in that module.
+"""Static checks over the source tree.
 
-Package `__init__.py` files are exempt: their imports are re-exports.
+Every name a module in src/ or tests/ imports is used in that module
+(package `__init__.py` files are exempt: their imports are re-exports), and
+the modules on the per-tick path multiply matrices with `ndarray.dot`.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# `.dot` calls the same BLAS routine as `@`, bit for bit, without the matmul
+# gufunc dispatch, which costs about as much again on a one-row layer
+PER_TICK_MODULES = ("src/gaitbridge/diffcore/net.py",
+                    "src/gaitbridge/policyopt.py", "src/gaitbridge/composer.py")
 
 
 def unused_imports(source):
@@ -39,3 +45,21 @@ def test_no_unused_imports():
              if path.name != "__init__.py"
              for line, name in unused_imports(path.read_text(encoding="utf-8"))]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def matmul_lines(source):
+    """Lines of each `@` / `@=` matrix product (decorators are not products)."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, (ast.BinOp, ast.AugAssign))
+                   and isinstance(node.op, ast.MatMult)})
+
+
+def test_matmul_detector_skips_decorators():
+    source = "@dataclass\nclass A:\n    pass\nc = a @ b\nc @= a\nd = a.dot(b)\n"
+    assert matmul_lines(source) == [4, 5]
+
+
+def test_per_tick_modules_use_dot_not_matmul():
+    found = [f"{name}:{line}" for name in PER_TICK_MODULES
+             for line in matmul_lines((ROOT / name).read_text(encoding="utf-8"))]
+    assert not found, "use ndarray.dot for these products:\n" + "\n".join(found)
