@@ -9,8 +9,8 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# `.dot` calls the same BLAS routine as `@`, bit for bit, without the matmul
-# gufunc dispatch, which costs about as much again on a one-row layer
+# `.dot` skips the matmul gufunc dispatch, which costs about as much again as
+# the BLAS call on a one-row layer; the seeded digests guard its last bits
 PER_TICK_MODULES = ("src/gaitbridge/diffcore/net.py",
                     "src/gaitbridge/policyopt.py", "src/gaitbridge/composer.py")
 
