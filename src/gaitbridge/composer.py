@@ -30,12 +30,14 @@ policy on a shaped reward. One round-robin loop (`_train`) collects both into
 per-worker buffers, one `tick()` at a time.
 
 Evaluation runs its episodes as lanes (`run_lanes`): one driver per episode,
-each with its own generator, advanced together. The lanes' runners step as
-one `RunnerBatch`, each lane's acting policy is a small integer code, and
-the switching rules are masks over the batch; each acting policy (the
-walker, a setup policy, a target) gets one normalize and one batched forward
-per tick. Switches still go through each driver's `SwitchState`, and
-finished lanes are written back into their drivers. Lanes never train.
+each with its own generator, advanced together; lanes of both arms (with and
+without setup) can share one call. The lanes' runners step as one
+`RunnerBatch`, each lane's acting policy is a small integer code, and the
+switching rules are masks over the batch; each acting policy (the walker, a
+setup policy, a target) gets one normalize and one batched forward per tick.
+Switches still go through each driver's `SwitchState`, and finished lanes
+are written back into their drivers. Once fewer than `LANE_CROSSOVER` lanes
+are live, the rest finish on `run()`. Lanes never train.
 
 A setup reward function has the signature
 `reward_fn(target, obs, obs_next, r_env, terminal, action)`. A driver passes
@@ -88,6 +90,10 @@ DEFAULT_HIDDEN = (64, 64)
 # per-tick handoff probability a new setup policy starts from
 SETUP_SWITCH_PRIOR = 0.05
 
+# live lanes below which `run_lanes` finishes them on `run()`: a batch tick
+# has a fixed cost of about ten scalar lane-ticks (gap+hurdle fixtures)
+LANE_CROSSOVER = 10
+
 # legal policy hand-offs; default->target exists only for the no-setup arm
 _LEGAL_TRANSITIONS = {
     (POLICY_DEFAULT, POLICY_SETUP),
@@ -122,16 +128,6 @@ class AWTVParams:
             raise ValueError("alpha and beta must be finite and positive")
         if not 0 < self.gamma <= 1:
             raise ValueError("gamma must lie in (0, 1]")
-
-
-def td_advantage(value_fn, s_t, s_next, r_t, gamma, terminal=False):
-    """One-step TD advantage r + gamma*V(s') - V(s) under a frozen value fn.
-
-    `terminal` zeroes the bootstrap for transitions that end the episode.
-    """
-    v_s = float(value_fn(s_t))
-    v_next = 0.0 if terminal else float(value_fn(s_next))
-    return td_error(v_s, v_next, r_t, gamma)
 
 
 def td_error(v_s, v_next, r_t, gamma):
@@ -488,14 +484,20 @@ class EpisodeDriver:
 def run_lanes(drivers):
     """Run evaluation drivers to the end together; returns their outcomes.
 
-    The drivers must share the default policy, the modules and
-    `without_setup`. While more than one lane is live, the lanes step as one
-    `RunnerBatch` (see `_run_batch`); the last live lane, or a lone driver,
-    finishes on `run()`, which a batch of one would reproduce bit for bit at
-    many times the cost. A lane's outcome depends only on its own driver. A
-    batched forward rounds differently from the one-row forward that `run()`
-    takes, so states agree with `run()` to ~1e-12, not bit for bit.
-    Training drivers are rejected: they stay on `tick()`.
+    The drivers must share the default policy and the modules; lanes of
+    both arms (`without_setup` or not) mix freely. While at least
+    `LANE_CROSSOVER` lanes are live, they step as one `RunnerBatch` (see
+    `_run_batch`); the lanes left, or a call with fewer lanes, finish one by
+    one on `run()`, which is cheaper than a batch tick there.
+
+    A lane's outcome matches its driver's own `run()` in its discrete
+    results (success, failure, steps and the switch sequence), and in its
+    positions (x, c, v) to batched-matmul rounding, well within 1e-9, but
+    not bit for bit: a batched forward rounds unlike the one-row forward
+    `run()` takes, and unlike a forward over another set of rows. So the
+    other lanes of a call, and the tick a lane leaves the batch, may move
+    the last bits of a lane's states. Training drivers are rejected: they
+    stay on `tick()`.
     """
     if any(drv.trainer is not None for drv in drivers):
         raise ValueError("run_lanes runs evaluation drivers only")
@@ -503,14 +505,13 @@ def run_lanes(drivers):
     for drv in drivers:
         if (drv.default_net is not first.default_net
                 or drv.default_norm is not first.default_norm
-                or drv.without_setup != first.without_setup
                 or drv.modules.keys() != first.modules.keys()
                 or any(drv.modules[kind] is not module
                        for kind, module in first.modules.items())):
-            raise ValueError("lanes must share the default policy, the "
-                             "modules and without_setup")
+            raise ValueError("lanes must share the default policy and the "
+                             "modules")
     live = [drv for drv in drivers if not drv.done]
-    if len(live) > 1:
+    if len(live) >= LANE_CROSSOVER:
         live = _run_batch(live)
     for drv in live:
         drv.run()
@@ -518,21 +519,22 @@ def run_lanes(drivers):
 
 
 def _run_batch(lanes):
-    """Tick live lanes as one RunnerBatch until at most one is left.
+    """Tick live lanes as one RunnerBatch until fewer than LANE_CROSSOVER
+    are left.
 
     Each lane's acting policy is a code into a table of (role, net, norm):
-    lanes whose drivers would act with the same policy share a code. A tick
-    releases target lanes past their artifact, hands walking lanes that
-    detect a module's artifact to its setup policy (its target in the
-    no-setup arm), then gives each acting policy one normalize and one
-    forward over its lanes' observations, in the order of each policy's
-    first lane, with a one-row forward for a lone row. Walker and target
-    lanes act on their means. A setup lane samples from its driver's
+    lanes whose drivers would act with the same policy share a code, whichever
+    arm they run. A tick releases target lanes past their artifact, hands
+    walking lanes that detect a module's artifact to its setup policy (its
+    target for a lane in the no-setup arm), then gives each acting policy one
+    normalize and one forward over its lanes' observations, in the order of
+    each policy's first lane, with a one-row forward for a lone row. Walker
+    and target lanes act on their means. A setup lane samples from its driver's
     generator in `policy_act`'s draw order (action noise, then the handoff
     bit). After the step, the handoff bits pass control to the targets.
     Every switch goes through the driver's `SwitchState`.
     Finished lanes are written back into their drivers and dropped; the
-    lanes left (none or one) are written back and returned.
+    lanes left (fewer than LANE_CROSSOVER) are written back and returned.
     """
     first = lanes[0]
     policies = [(POLICY_DEFAULT, first.default_net, first.default_norm)]
@@ -546,7 +548,6 @@ def _run_batch(lanes):
                 policies.append(policy)
             code_of[policy[0], kind] = policies.index(policy)
         detectable[KIND_ONE_HOT[kind]] = True
-    role_on_detect = POLICY_TARGET if first.without_setup else POLICY_SETUP
 
     def phase(switch):
         """(policy code, release x) of a lane: the end of the artifact a
@@ -575,15 +576,17 @@ def _run_batch(lanes):
         drv.env_reward = float(env_reward[i])
         drv._obs = None
 
-    while len(lanes) > 1:
+    while len(lanes) >= LANE_CROSSOVER:
         for i in ((batch.x > release_x) & batch.contact).nonzero()[0]:
             switch_lane(i, POLICY_DEFAULT, None)
         if first.modules:
             hit, index = batch.detect()
             spotted = hit & (code == 0) & detectable[batch.next_kind]
             for i in spotted.nonzero()[0]:
-                switch_lane(i, role_on_detect,
-                            lanes[i].env.course.artifacts[index[i]])
+                drv = lanes[i]
+                switch_lane(i, POLICY_TARGET if drv.without_setup
+                            else POLICY_SETUP,
+                            drv.env.course.artifacts[index[i]])
 
         obs = batch.observe()
         actions = np.empty((len(lanes), ACTION_DIM))
@@ -637,17 +640,26 @@ def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,
     modules this evaluates the default policy alone, spawned by `init_fn` if
     given.
 
-    Episode i runs on the i-th generator of `rng.spawn(episodes)`, so its
-    outcome is that of `EpisodeDriver(..., rng=child).run()`, whatever the
-    episode count. All episodes run together through `run_lanes`: one
-    batched runner step and one batched forward per acting policy per tick.
+    The episodes are `episode_drivers(...)` and run together through
+    `run_lanes`, so episode i's outcome matches that of its own driver's
+    `run()` as `run_lanes` states: discrete results exactly, positions to
+    batched-matmul rounding, whatever the episode count.
     """
-    drivers = [EpisodeDriver(env, default_net, default_norm, modules, child,
-                             without_setup=without_setup, init_fn=init_fn)
-               for child in rng.spawn(episodes)]
-    outcomes = run_lanes(drivers)
+    outcomes = run_lanes(episode_drivers(env, default_net, default_norm,
+                                         modules, episodes, rng,
+                                         without_setup=without_setup,
+                                         init_fn=init_fn))
     rate = sum(1.0 for o in outcomes if o.state.success) / max(len(outcomes), 1)
     return rate, outcomes
+
+
+def episode_drivers(env, default_net, default_norm, modules, episodes, rng,
+                    without_setup=False, init_fn=None):
+    """One evaluation driver per episode: episode i on the i-th generator of
+    `rng.spawn(episodes)`."""
+    return [EpisodeDriver(env, default_net, default_norm, modules, child,
+                          without_setup=without_setup, init_fn=init_fn)
+            for child in rng.spawn(episodes)]
 
 
 # ---- initial-state distributions ---------------------------------------------

@@ -1,7 +1,5 @@
 from gaitbridge.diffcore.net import (
     ParameterizedNet,
-    gaussian_logprob,
-    numeric_gradient,
     sigmoid,
     switch_bce_grad,
 )
@@ -10,8 +8,6 @@ from gaitbridge.diffcore.optim import AdamState, NonFiniteGradientError, adam_st
 __all__ = [
     "NonFiniteGradientError",
     "ParameterizedNet",
-    "gaussian_logprob",
-    "numeric_gradient",
     "sigmoid",
     "switch_bce_grad",
     "AdamState",

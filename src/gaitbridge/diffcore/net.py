@@ -266,15 +266,6 @@ class ParameterizedNet:
         return self.head("value", h)[:, 0]
 
 
-def gaussian_logprob(mean, log_std, action):
-    """Joint log-density of a diagonal Gaussian at `action` (float64 scalar)."""
-    mean = np.asarray(mean, dtype=np.float64)
-    log_std = np.asarray(log_std, dtype=np.float64)
-    action = np.asarray(action, dtype=np.float64)
-    z = (action - mean) * np.exp(-log_std)
-    return float(-0.5 * np.sum(z * z) - np.sum(log_std) - 0.5 * mean.shape[-1] * LOG_2PI)
-
-
 def switch_bce_grad(net, obs, labels, grad):
     """Mean binary cross-entropy of the switch head against (B, 1) 0/1 labels.
 
@@ -289,26 +280,3 @@ def switch_bce_grad(net, obs, labels, grad):
     loss = -(np.sum(-np.logaddexp(0.0, z)) * inv_n)
     net.backward(hs, [("switch", (inv_n * sigmoid(z)) * sign)], None, grad)
     return float(loss)
-
-
-def numeric_gradient(loss_fn, params64, h=1e-5):
-    """Central finite differences of loss_fn over every entry of every array.
-
-    loss_fn takes the params64 dict and returns a python float. The dict is
-    perturbed in place and restored, so loss_fn must read it fresh on each call.
-    """
-    grads = {}
-    for name, arr in params64.items():
-        g = np.zeros_like(arr)
-        flat = arr.ravel()
-        gf = g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = loss_fn(params64)
-            flat[i] = orig - h
-            lm = loss_fn(params64)
-            flat[i] = orig
-            gf[i] = (lp - lm) / (2.0 * h)
-        grads[name] = g
-    return grads

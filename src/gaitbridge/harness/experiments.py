@@ -23,6 +23,7 @@ from ..baselines import (
 from ..composer import (
     BehaviorModule,
     EpisodeDriver,
+    episode_drivers,
     evaluate_bridged,
     run_lanes,
     train_setup,
@@ -261,7 +262,9 @@ def _run_grid(config, experiment, course_id, arms, episodes, extra=None):
     """Run every arm x seed cell, then write metrics, events and the report.
 
     `episodes(arm, seed)` yields one (course, course id, outcome) per
-    evaluation episode of that cell; cells run arm-major in seed order.
+    evaluation episode of that cell. It is called arm-major in seed order,
+    the order of the rows and events written. Experiments that only evaluate
+    run every cell beforehand, as lanes of one call (`_run_lanes_by_cell`).
     `extra` entries join the report after every cell has run.
     """
     cfg_hash = config_hash(config)
@@ -293,6 +296,18 @@ def _run_grid(config, experiment, course_id, arms, episodes, extra=None):
     }
     write_report(out_dir, report)
     return report
+
+
+def _run_lanes_by_cell(cells):
+    """Run every cell's drivers as lanes of one `run_lanes` call.
+
+    `cells` maps a cell to its drivers; returns the cell's (driver, outcome)
+    pairs in the order of its drivers.
+    """
+    outcomes = iter(run_lanes([drv for drivers in cells.values()
+                               for drv in drivers]))
+    return {cell: [(drv, next(outcomes)) for drv in drivers]
+            for cell, drivers in cells.items()}
 
 
 def _save_arm_checkpoint(config, name, net, norm):
@@ -354,15 +369,16 @@ def run_evaluation(config):
         for kind in kinds_present if config.checkpoint_path(kind) is not None
     }
     arms = _chosen_arms(config, EVALUATION_ARMS, "evaluation")
-
-    def episodes(arm, seed):
-        _, outs = evaluate_bridged(TerrainEnv(course), default_net,
-                                   default_norm, modules, config.episodes,
-                                   np.random.default_rng((seed, RNG_EVAL)),
-                                   without_setup=arm == "without-setup")
-        return [(course, course_id, out) for out in outs]
-
-    return _run_grid(config, "evaluation", course_id, arms, episodes)
+    env = TerrainEnv(course)
+    ran = _run_lanes_by_cell({
+        (arm, seed): episode_drivers(
+            env, default_net, default_norm, modules, config.episodes,
+            np.random.default_rng((seed, RNG_EVAL)),
+            without_setup=arm == "without-setup")
+        for arm in arms for seed in config.seeds})
+    return _run_grid(config, "evaluation", course_id, arms,
+                     lambda arm, seed: [(course, course_id, out)
+                                        for _, out in ran[arm, seed]])
 
 
 def run_ablation(config):
@@ -439,10 +455,10 @@ def failure_terrain(course, state):
 def run_multi_terrain(config):
     """Shuffled all-kind sequences, with and without the setup phase.
 
-    Each (seed, episode) draws its own course order and episode generator
-    and the policies are frozen, so the episodes of different arms are
-    independent of the order they run in. A cell's episodes run together as
-    lanes, one course and env per lane.
+    Each (seed, episode) draws its own course order and episode generator,
+    and the policies are frozen. Every cell's episodes run together as lanes
+    of one `run_lanes` call, one course and env per lane, so an episode's
+    discrete results do not depend on the other cells (see `run_lanes`).
     """
     for kind in KINDS:
         for role in ("target", "setup"):
@@ -454,18 +470,22 @@ def run_multi_terrain(config):
     arms = _chosen_arms(config, MULTI_TERRAIN_ARMS, "multi-terrain")
     failures = {arm: dict.fromkeys(KINDS + (FLAT_BUCKET,), 0) for arm in arms}
 
-    def episodes(arm, seed):
-        drivers = []
+    def drivers(arm, seed):
         for episode in range(config.episodes):
             order_rng = np.random.default_rng((seed, episode, RNG_ORDER))
             order = tuple(KINDS[i]
                           for i in order_rng.permutation(len(KINDS)))
-            drivers.append(EpisodeDriver(
+            yield EpisodeDriver(
                 TerrainEnv(multi_terrain_course(order)), default_net,
                 default_norm, modules,
                 np.random.default_rng((seed, episode, RNG_EPISODE)),
-                without_setup=arm == "without-setup"))
-        for drv, out in zip(drivers, run_lanes(drivers)):
+                without_setup=arm == "without-setup")
+
+    ran = _run_lanes_by_cell({(arm, seed): list(drivers(arm, seed))
+                              for arm in arms for seed in config.seeds})
+
+    def episodes(arm, seed):
+        for drv, out in ran[arm, seed]:
             course = drv.env.course
             failed_at = failure_terrain(course, out.state)
             if failed_at is not None:

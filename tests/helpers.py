@@ -1,10 +1,11 @@
-"""Shared test fixtures: tiny environments, scripted policies and training
-shortcuts."""
+"""Shared test fixtures: tiny environments, scripted policies, training
+shortcuts, and plain references that tests check the program against."""
 
 import numpy as np
 
-from gaitbridge.composer import BehaviorModule
+from gaitbridge.composer import BehaviorModule, td_error
 from gaitbridge.diffcore import AdamState, ParameterizedNet
+from gaitbridge.diffcore.net import LOG_2PI
 from gaitbridge.policyopt import (
     PPOConfig,
     RolloutBuffer,
@@ -105,3 +106,49 @@ def train_bandit(updates=50, horizon=128, seed=0):
 def bandit_mean_action(net):
     mu, _, _, _ = net.forward(np.zeros(1))
     return abs(float(mu[0]))
+
+
+# ---- references ---------------------------------------------------------------
+
+
+def td_advantage(value_fn, s_t, s_next, r_t, gamma, terminal=False):
+    """One-step TD advantage r + gamma*V(s') - V(s) under a frozen value fn.
+
+    `terminal` zeroes the bootstrap for transitions that end the episode.
+    """
+    v_s = float(value_fn(s_t))
+    v_next = 0.0 if terminal else float(value_fn(s_next))
+    return td_error(v_s, v_next, r_t, gamma)
+
+
+def gaussian_logprob(mean, log_std, action):
+    """Joint log-density of a diagonal Gaussian at `action` (float64 scalar)."""
+    mean = np.asarray(mean, dtype=np.float64)
+    log_std = np.asarray(log_std, dtype=np.float64)
+    action = np.asarray(action, dtype=np.float64)
+    z = (action - mean) * np.exp(-log_std)
+    return float(-0.5 * np.sum(z * z) - np.sum(log_std)
+                 - 0.5 * mean.shape[-1] * LOG_2PI)
+
+
+def numeric_gradient(loss_fn, params64, h=1e-5):
+    """Central finite differences of loss_fn over every entry of every array.
+
+    loss_fn takes the params64 dict and returns a python float. The dict is
+    perturbed in place and restored, so loss_fn must read it fresh on each call.
+    """
+    grads = {}
+    for name, arr in params64.items():
+        g = np.zeros_like(arr)
+        flat = arr.ravel()
+        gf = g.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            lp = loss_fn(params64)
+            flat[i] = orig - h
+            lm = loss_fn(params64)
+            flat[i] = orig
+            gf[i] = (lp - lm) / (2.0 * h)
+        grads[name] = g
+    return grads

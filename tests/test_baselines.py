@@ -25,7 +25,6 @@ from gaitbridge.composer import (
     awtv_reward,
     awtv_step_reward,
     evaluate_bridged,
-    td_advantage,
 )
 from gaitbridge.harness.cli import build_parser
 from gaitbridge.policyopt import PPOConfig
@@ -44,6 +43,7 @@ from helpers import (
     hurdle_module,
     identity_norm,
     scripted_net,
+    td_advantage,
 )
 
 OBS = np.zeros(OBS_DIM)

@@ -27,7 +27,6 @@ from gaitbridge.composer import (
     awtv_reward,
     awtv_step_reward,
     evaluate_bridged,
-    td_advantage,
     train_setup,
     train_target,
     tau_theta_reached,
@@ -62,6 +61,7 @@ from helpers import (
     hurdle_module,
     identity_norm,
     scripted_net,
+    td_advantage,
 )
 
 
@@ -973,14 +973,17 @@ class TestEvaluateBridged:
 # ---- evaluation lanes against the one-episode reference --------------------------
 
 
-def lane_world(first=HURDLE):
-    """`first`, then the other of hurdle and gap, with two_kind_world's
-    policies. A small dense perturbation makes a batched forward round
-    unlike a one-row forward, and the setup policies sample their actions
-    and handoffs."""
+def lane_course(first=HURDLE):
+    """`first`, then the other of hurdle and gap."""
     art = make_artifact(first, 3.2)
-    course = make_course([art, make_artifact(GAP if first == HURDLE
-                                             else HURDLE, art.end + 2.0)])
+    return make_course([art, make_artifact(GAP if first == HURDLE else HURDLE,
+                                           art.end + 2.0)])
+
+
+def lane_world(first=HURDLE):
+    """`lane_course(first)` with two_kind_world's policies. A small dense
+    perturbation makes a batched forward round unlike a one-row forward, and
+    the setup policies sample their actions and handoffs."""
     _, walker, modules = two_kind_world()
     rng = np.random.default_rng(21)
     for net in [walker] + [m.setup_net for m in modules.values()]:
@@ -990,7 +993,22 @@ def lane_world(first=HURDLE):
         net.invalidate_cache()
     for module in modules.values():
         module.setup_norm = identity_norm()
-    return TerrainEnv(course), walker, modules
+    return TerrainEnv(lane_course(first)), walker, modules
+
+
+def mixed_arm_lanes(n):
+    """n lanes of lane_world's policies, (driver, reference) pairs with equal
+    generators: even lanes run the setup arm from the hurdle, odd lanes the
+    no-setup arm from the gap (it stalls in front of the hurdle)."""
+    env, walker, modules = lane_world()
+    gap_first = TerrainEnv(lane_course(GAP))
+    walker_norm = identity_norm()
+    return [tuple(EpisodeDriver(gap_first if i % 2 else env, walker,
+                                walker_norm, modules,
+                                np.random.default_rng((6, i)),
+                                without_setup=bool(i % 2))
+                  for _ in range(2))
+            for i in range(n)]
 
 
 def assert_same_outcome(got, want):
@@ -1074,17 +1092,47 @@ class TestLanes:
         assert max(out.switch_count
                    for out in outcomes) >= (1 if without_setup else 4)
 
+    def test_both_arms_run_in_one_call(self, monkeypatch):
+        batch_sizes = []
+        step = cp.RunnerBatch.step
+
+        def counted_step(batch, actions):
+            batch_sizes.append(len(batch))
+            return step(batch, actions)
+
+        monkeypatch.setattr(cp.RunnerBatch, "step", counted_step)
+        lanes = mixed_arm_lanes(24)
+        outcomes = cp.run_lanes([drv for drv, _ in lanes])
+        # the arms share one batch, which hands its tail to run()
+        assert max(batch_sizes) == 24
+        assert min(batch_sizes) >= cp.LANE_CROSSOVER
+        for out, (drv, ref) in zip(outcomes, lanes):
+            assert_same_outcome(out, ref.run())
+            roles = {e.dst for e in out.events}
+            assert (POLICY_SETUP in roles) != drv.without_setup
+            assert POLICY_TARGET in roles
+        assert len({out.state.steps for out in outcomes}) > 1
+
+    def test_fewer_lanes_than_the_crossover_run_on_run(self, monkeypatch):
+        def no_batch(*args):
+            raise AssertionError("a batch below the crossover")
+
+        monkeypatch.setattr(cp, "RunnerBatch", no_batch)
+        lanes = mixed_arm_lanes(cp.LANE_CROSSOVER - 1)
+        outcomes = cp.run_lanes([drv for drv, _ in lanes])
+        for out, (_, ref) in zip(outcomes, lanes):
+            assert outcome_record(out) == outcome_record(ref.run())
+
     def test_no_lanes_give_no_outcomes(self):
         assert cp.run_lanes([]) == []
 
-    @pytest.mark.parametrize("differ", ["default", "modules", "without_setup"])
+    @pytest.mark.parametrize("differ", ["default", "modules"])
     def test_rejects_lanes_that_disagree_on_the_policies(self, differ):
         env, walker, modules = lane_world()
         same = dict(default_net=walker, default_norm=identity_norm(),
                     modules=modules)
         other = {"default": dict(default_norm=identity_norm()),
-                 "modules": dict(modules={HURDLE: modules[HURDLE]}),
-                 "without_setup": dict(without_setup=True)}[differ]
+                 "modules": dict(modules={HURDLE: modules[HURDLE]})}[differ]
         drivers = [EpisodeDriver(env, rng=np.random.default_rng(0),
                                  **{**same, **kwargs})
                    for kwargs in ({}, other)]

@@ -9,13 +9,13 @@ from gaitbridge.diffcore import (
     NonFiniteGradientError,
     ParameterizedNet,
     adam_step,
-    gaussian_logprob,
-    numeric_gradient,
     switch_bce_grad,
 )
 from gaitbridge.diffcore.net import LOG_STD_MAX, LOG_STD_MIN
 from gaitbridge.composer import prime_switch_head
 from gaitbridge.policyopt import PPOConfig, policy_act, ppo_loss_grad
+
+from helpers import gaussian_logprob, numeric_gradient
 
 
 def _zeroed_net(obs_dim=4, action_dim=2, hidden=(3, 3)):

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaitbridge.composer import FLAT, EpisodeOutcome, SwitchEvent, train_target
+from gaitbridge.composer import (
+    FLAT,
+    LANE_CROSSOVER,
+    EpisodeOutcome,
+    SwitchEvent,
+    train_target,
+)
 from gaitbridge.diffcore import ParameterizedNet
 from gaitbridge.harness import checkpoint, experiments
 from gaitbridge.harness.checkpoint import (
@@ -527,6 +533,42 @@ def test_experiment_writes_consistent_outputs_and_reruns_byte_identically(
     summary = summarize_metrics([first / f"metrics_{arms[0]}.csv",
                                  second / f"metrics_{arms[0]}.csv"])
     assert summary["mixed_config_hashes"] is False
+
+
+@pytest.mark.parametrize("kind", ["evaluation", "multi-terrain"])
+def test_evaluation_only_experiments_run_every_cell_in_one_lane_call(
+        tmp_path, monkeypatch, checkpoints, kind):
+    calls = []
+    run_lanes = experiments.run_lanes
+
+    def spy(drivers):
+        calls.append(len(drivers))
+        return run_lanes(drivers)
+
+    monkeypatch.setattr(experiments, "run_lanes", spy)
+    config = load_config(_write_config(tmp_path, checkpoints, kind,
+                                       seeds=[1, 2], episodes=3))
+    _RUNNERS[kind](config)
+    assert calls == [len(_STANDARD_ARMS[kind]) * 2 * 3]
+
+
+def test_one_arm_evaluation_writes_that_arm_of_the_two_arm_run(
+        tmp_path, checkpoints):
+    # enough lanes that the one-arm run steps a batch of its own
+    seeds, episodes = [1, 2], 6
+    assert len(seeds) * episodes >= LANE_CROSSOVER
+    rows = {}
+    for arms in (["with-setup"], ["with-setup", "without-setup"]):
+        out = tmp_path / str(len(arms))
+        experiments.run_evaluation(load_config(_write_config(
+            tmp_path, checkpoints, "evaluation", seeds=seeds,
+            episodes=episodes, arms=arms, output_dir=str(out))))
+        lines = (out / "metrics_with-setup.csv").read_text(
+            encoding="utf-8").splitlines()
+        assert lines[0].startswith("# config_hash=")
+        rows[len(arms)] = lines[1:]
+    assert len(rows[1]) == 1 + len(seeds) * episodes
+    assert rows[1] == rows[2]
 
 
 @pytest.mark.parametrize("subcommand", sorted(EXPERIMENT_COMMANDS))
