@@ -10,8 +10,8 @@ treatment:
 - proximity arm: the setup reward is the gain in a learned success-proximity
   predictor, with no post-handoff reward extension;
 - without-setup arm: control jumps straight from the default walker to the
-  terrain specialist at detection (evaluation only, through
-  `evaluate_bridged(..., without_setup=True)`);
+  terrain specialist at detection (evaluation only, on drivers built with
+  `without_setup=True`);
 - single-policy arm: one network trained end-to-end over the whole course.
 """
 

@@ -30,11 +30,12 @@ policy on a shaped reward. One round-robin loop (`_train`) collects both into
 per-worker buffers, one `tick()` at a time.
 
 Evaluation runs its episodes as lanes (`run_lanes`): one driver per episode,
-each with its own generator, advanced together; lanes of both arms (with and
-without setup) can share one call. The lanes' runners step as one
-`RunnerBatch`, each lane's acting policy is a small integer code, and the
-switching rules are masks over the batch; each acting policy (the walker, a
-setup policy, a target) gets one normalize and one batched forward per tick.
+each with its own generator and its own policies, advanced together; lanes
+of any arm and any experiment cell can share one call. The lanes' runners
+step as one `RunnerBatch`, each lane's acting policy is a small integer code,
+and the switching rules are masks over the batch; each acting policy (a
+walker, a setup policy, a target), shared by whichever lanes act with it,
+gets one normalize and one batched forward per tick.
 Switches still go through each driver's `SwitchState`, and finished lanes
 are written back into their drivers. Once fewer than `LANE_CROSSOVER` lanes
 are live, the rest finish on `run()`. Lanes never train.
@@ -484,11 +485,12 @@ class EpisodeDriver:
 def run_lanes(drivers):
     """Run evaluation drivers to the end together; returns their outcomes.
 
-    The drivers must share the default policy and the modules; lanes of
-    both arms (`without_setup` or not) mix freely. While at least
-    `LANE_CROSSOVER` lanes are live, they step as one `RunnerBatch` (see
-    `_run_batch`); the lanes left, or a call with fewer lanes, finish one by
-    one on `run()`, which is cheaper than a batch tick there.
+    Each lane brings its own policies: the drivers may differ in their
+    default policy, their modules and their arm (`without_setup` or not).
+    While at least `LANE_CROSSOVER` lanes are live, they step as one
+    `RunnerBatch` (see `_run_batch`); the lanes left, or a call with fewer
+    lanes, finish one by one on `run()`, which is cheaper than a batch tick
+    there.
 
     A lane's outcome matches its driver's own `run()` in its discrete
     results (success, failure, steps and the switch sequence), and in its
@@ -501,15 +503,6 @@ def run_lanes(drivers):
     """
     if any(drv.trainer is not None for drv in drivers):
         raise ValueError("run_lanes runs evaluation drivers only")
-    first = drivers[0] if drivers else None
-    for drv in drivers:
-        if (drv.default_net is not first.default_net
-                or drv.default_norm is not first.default_norm
-                or drv.modules.keys() != first.modules.keys()
-                or any(drv.modules[kind] is not module
-                       for kind, module in first.modules.items())):
-            raise ValueError("lanes must share the default policy and the "
-                             "modules")
     live = [drv for drv in drivers if not drv.done]
     if len(live) >= LANE_CROSSOVER:
         live = _run_batch(live)
@@ -522,44 +515,52 @@ def _run_batch(lanes):
     """Tick live lanes as one RunnerBatch until fewer than LANE_CROSSOVER
     are left.
 
-    Each lane's acting policy is a code into a table of (role, net, norm):
-    lanes whose drivers would act with the same policy share a code, whichever
-    arm they run. A tick releases target lanes past their artifact, hands
-    walking lanes that detect a module's artifact to its setup policy (its
-    target for a lane in the no-setup arm), then gives each acting policy one
-    normalize and one forward over its lanes' observations, in the order of
-    each policy's first lane, with a one-row forward for a lone row. Walker
-    and target lanes act on their means. A setup lane samples from its driver's
-    generator in `policy_act`'s draw order (action noise, then the handoff
-    bit). After the step, the handoff bits pass control to the targets.
-    Every switch goes through the driver's `SwitchState`.
-    Finished lanes are written back into their drivers and dropped; the
-    lanes left (fewer than LANE_CROSSOVER) are written back and returned.
+    Each lane's acting policy is a code into a table of (role, net, norm),
+    built from the lanes' own drivers: an entry is added the first time a
+    lane acts with that net and normalizer, matched by identity, so lanes
+    acting with the same ones share a code, whichever arm or cell they run.
+    A tick releases target lanes past their artifact, hands walking lanes
+    that detect an artifact their driver has a module for to its setup
+    policy (its target for a lane in the no-setup arm), then gives each
+    acting policy one normalize and one forward over its lanes'
+    observations, in the order of each policy's first lane, with a one-row
+    forward for a lone row. Walker and target lanes act on their means. A
+    setup lane samples from its driver's generator in `policy_act`'s draw
+    order (action noise, then the handoff bit). After the step, the handoff
+    bits pass control to the targets. Every switch goes through the
+    driver's `SwitchState`. Finished lanes are written back into their
+    drivers and dropped; the lanes left (fewer than LANE_CROSSOVER) are
+    written back and returned.
     """
-    first = lanes[0]
-    policies = [(POLICY_DEFAULT, first.default_net, first.default_norm)]
-    code_of = {}  # (role, kind) -> index into policies
-    detectable = np.zeros(len(KIND_ONE_HOT) + 1, dtype=bool)  # [-1]: none
-    for kind, module in first.modules.items():
-        for policy in ((POLICY_SETUP, module.setup_net, module.setup_norm),
-                       (POLICY_TARGET, module.target_net, module.target_norm)):
-            # lanes acting with the same net and normalizer share a forward
-            if policy not in policies:
-                policies.append(policy)
-            code_of[policy[0], kind] = policies.index(policy)
-        detectable[KIND_ONE_HOT[kind]] = True
+    policies = []  # code -> (role, net, norm)
+    code_of = {}  # (role, net, norm) -> code; nets and norms hash by identity
+    walks = []  # code -> whether it is a walking policy
 
-    def phase(switch):
+    def phase(drv):
         """(policy code, release x) of a lane: the end of the artifact a
         target acts on, past which it hands back; +inf otherwise."""
+        switch = drv.switch
         if switch.active == POLICY_DEFAULT:
-            return 0, np.inf
-        return (code_of[switch.active, switch.artifact.kind],
-                switch.artifact.end if switch.active == POLICY_TARGET
-                else np.inf)
+            policy = (POLICY_DEFAULT, drv.default_net, drv.default_norm)
+        else:
+            module = drv.modules[switch.artifact.kind]
+            policy = ((POLICY_SETUP, module.setup_net, module.setup_norm)
+                      if switch.active == POLICY_SETUP else
+                      (POLICY_TARGET, module.target_net, module.target_norm))
+        if policy not in code_of:
+            code_of[policy] = len(policies)
+            policies.append(policy)
+            walks.append(policy[0] == POLICY_DEFAULT)
+        return code_of[policy], (switch.artifact.end if switch.active ==
+                                 POLICY_TARGET else np.inf)
 
     code, release_x = (np.array(column) for column in
-                       zip(*(phase(drv.switch) for drv in lanes)))
+                       zip(*(phase(drv) for drv in lanes)))
+    # the kinds each lane has modules for; column -1 (no artifact) stays off
+    detectable = np.zeros((len(lanes), len(KIND_ONE_HOT) + 1), dtype=bool)
+    for i, drv in enumerate(lanes):
+        for kind in drv.modules:
+            detectable[i, KIND_ONE_HOT[kind]] = True
     env_reward = np.array([drv.env_reward for drv in lanes])
     batch = RunnerBatch([drv.env.course for drv in lanes],
                         [drv.state for drv in lanes])
@@ -568,7 +569,7 @@ def _run_batch(lanes):
         switch = lanes[i].switch
         switch.transition(dst, batch.state(i))
         switch.artifact = artifact
-        code[i], release_x[i] = phase(switch)
+        code[i], release_x[i] = phase(lanes[i])
 
     def write_back(i):
         drv = lanes[i]
@@ -579,14 +580,14 @@ def _run_batch(lanes):
     while len(lanes) >= LANE_CROSSOVER:
         for i in ((batch.x > release_x) & batch.contact).nonzero()[0]:
             switch_lane(i, POLICY_DEFAULT, None)
-        if first.modules:
-            hit, index = batch.detect()
-            spotted = hit & (code == 0) & detectable[batch.next_kind]
-            for i in spotted.nonzero()[0]:
-                drv = lanes[i]
-                switch_lane(i, POLICY_TARGET if drv.without_setup
-                            else POLICY_SETUP,
-                            drv.env.course.artifacts[index[i]])
+        hit, index = batch.detect()
+        spotted = hit & np.array(walks)[code] & detectable[
+            np.arange(len(lanes)), batch.next_kind]
+        for i in spotted.nonzero()[0]:
+            drv = lanes[i]
+            switch_lane(i, POLICY_TARGET if drv.without_setup
+                        else POLICY_SETUP,
+                        drv.env.course.artifacts[index[i]])
 
         obs = batch.observe()
         actions = np.empty((len(lanes), ACTION_DIM))
@@ -621,8 +622,9 @@ def _run_batch(lanes):
                 write_back(i)
             keep = ~done
             lanes = [drv for drv, kept in zip(lanes, keep) if kept]
-            code, release_x, env_reward = (
-                code[keep], release_x[keep], env_reward[keep])
+            code, release_x, env_reward, detectable = (
+                code[keep], release_x[keep], env_reward[keep],
+                detectable[keep])
             batch.compact(keep)
     for i in range(len(lanes)):
         write_back(i)

@@ -259,11 +259,9 @@ class ParameterizedNet:
                 self.head("switch", h)[:, 0])
 
     def value_of(self, obs):
+        """V of one observation (obs_dim,), as `forward(obs)[2]` gives it."""
         inf = self.inference()
-        h = self.activations(obs)[-1]
-        if obs.ndim == 1:
-            return float(h.dot(inf.value_w)) + inf.value_b
-        return self.head("value", h)[:, 0]
+        return float(self.activations(obs)[-1].dot(inf.value_w)) + inf.value_b
 
 
 def switch_bce_grad(net, obs, labels, grad):

@@ -12,7 +12,9 @@ policy checkpoint.
 
 import argparse
 import dataclasses
+import math
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -89,22 +91,6 @@ def _parse_overrides(pairs, allowed, int_keys, what):
     return out
 
 
-def _ppo_overrides(args):
-    return _parse_overrides(getattr(args, "ppo", None), PPO_KEYS,
-                            PPO_INT_KEYS, "ppo")
-
-
-def _awtv_overrides(args):
-    return _parse_overrides(getattr(args, "awtv", None), AWTV_KEYS, (),
-                            "awtv")
-
-
-def _training_course(args):
-    if args.course:
-        return load_course(args.course)
-    return None
-
-
 def _course_digest(args):
     return file_digest(args.course, "course file") if args.course else ""
 
@@ -122,18 +108,25 @@ def _print_report(report):
 
 
 def _check_training_flags(args):
-    if args.budget < 0:
-        raise ConfigError("--budget must be >= 0")
-    if args.eval_every < 0:
-        raise ConfigError("--eval-every must be >= 0")
+    """Reject flags that would fail only after training, or never act."""
+    for flag in ("budget", "eval_every", "seed"):
+        if getattr(args, flag) < 0:
+            raise ConfigError(f"--{flag.replace('_', '-')} must be >= 0")
+    if not Path(args.out).parent.is_dir():
+        raise ConfigError(f"--out directory {Path(args.out).parent} does not "
+                          "exist")
 
 
 def _cmd_train_target(args):
     _check_training_flags(args)
-    config = build_params(PPOConfig, _ppo_overrides(args), "ppo")
+    # NaN never compares true: the run would never stop early or fail
+    if math.isnan(args.stop_at or 0.0) or math.isnan(args.min_final or 0.0):
+        raise ConfigError("--stop-at and --min-final must not be nan")
+    config = build_params(PPOConfig, _parse_overrides(
+        args.ppo, PPO_KEYS, PPO_INT_KEYS, "ppo"), "ppo")
     if args.eval_episodes < 1:  # the final success rate is always checked
         raise ConfigError("train-target needs --eval-episodes >= 1")
-    course = _training_course(args)
+    course = load_course(args.course) if args.course else None
     stop_at = target_stop_at(args.kind, args.stop_at)
     # --min-final only decides pass or fail; it never touches the weights
     run_settings = {
@@ -161,11 +154,14 @@ def _cmd_train_target(args):
 
 def _cmd_train_setup(args):
     _check_training_flags(args)
-    config = build_params(PPOConfig, _ppo_overrides(args), "ppo")
-    params = build_params(AWTVParams, _awtv_overrides(args), "awtv")
+    config = build_params(PPOConfig, _parse_overrides(
+        args.ppo, PPO_KEYS, PPO_INT_KEYS, "ppo"), "ppo")
+    params = build_params(AWTVParams, _parse_overrides(
+        args.awtv, AWTV_KEYS, (), "awtv"), "awtv")
     if args.eval_episodes < 0:
         raise ConfigError("--eval-episodes must be >= 0")
-    course = _training_course(args)
+    course = (load_course(args.course) if args.course
+              else course_for_kind(args.kind))
     default_net, default_norm = load_policy(args.default)
     target_net, target_norm = load_policy(args.target)
     run_settings = {
@@ -180,8 +176,6 @@ def _cmd_train_setup(args):
     module = setup_module(args.kind, target_net, target_norm, default_net,
                           default_norm, params, args.seed,
                           fresh=args.fresh_init)
-    if course is None:
-        course = course_for_kind(args.kind)
     curve = train_setup(
         module, default_net, default_norm, TerrainEnv(course),
         config, args.budget, np.random.default_rng(args.seed),

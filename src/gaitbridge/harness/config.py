@@ -2,7 +2,8 @@
 
 A config file is a single JSON object. Unknown and repeated keys anywhere
 in it are rejected rather than ignored — a typo must fail loudly, not
-silently run the default. Every path the config references must exist at
+silently run the default — and so are keys its experiment kind never reads
+(`_UNREAD_KEYS`). Every path the config references must exist at
 load time. Relative paths are resolved against the config file's own
 directory.
 
@@ -26,10 +27,14 @@ from ..terrainsim import KINDS
 
 EXPERIMENT_KINDS = ("evaluation", "ablation", "reward-comparison",
                     "baseline-comparison", "multi-terrain")
-BUDGET_KEYS = ("default", "target", "setup")
+BUDGET_KEYS = ("setup",)
 
-DEFAULT_BUDGETS = {"default": 120_000, "target": 8_000_000,
-                   "setup": 2_000_000}
+DEFAULT_BUDGETS = {"setup": 2_000_000}
+
+# keys an experiment kind never reads: a hash that moved with them would
+# tell apart runs that compute the same thing
+_UNREAD_KEYS = {"evaluation": ("ppo", "awtv", "budgets"),
+                "multi-terrain": ("ppo", "awtv", "budgets", "course", "kind")}
 
 
 class ConfigError(ValueError):
@@ -153,6 +158,10 @@ def config_from_dict(raw, base_dir=None, check_paths=True) -> ExperimentConfig:
         raise ConfigError(f"unknown experiment kind {experiment!r} "
                           f"(one of {', '.join(EXPERIMENT_KINDS)})")
 
+    for key in _UNREAD_KEYS.get(experiment, ()):
+        if key in raw:
+            raise ConfigError(f"{experiment} does not read {key!r}; "
+                              "leave it out of the config")
     values = {"experiment": experiment}
 
     if "seeds" in raw:

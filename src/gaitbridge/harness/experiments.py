@@ -1,11 +1,14 @@
 """Experiment orchestration: arms, metrics files, event logs, reports.
 
-Every experiment is a pure function of its configuration: seeds derive all
-generators, loops run in a fixed order, and a single-threaded rerun writes
-byte-identical CSV, JSONL, and report files. Each output file carries the
-canonical hash of the producing configuration on its first line (CSV) or in
-its body (reports, checkpoints), so results from different settings can
-never be compared silently.
+Every experiment runs through one flow (`_run_grid`): it builds the
+evaluation drivers of each (arm, seed) cell, training the cell's policies
+first where it trains, and runs every cell's episodes, each lane with its
+own policies, as lanes of one `run_lanes` call. It is a pure function of its
+configuration: seeds derive all generators, loops run in a fixed order, and
+a single-threaded rerun writes byte-identical CSV, JSONL, and report files.
+Each output file carries the canonical hash of the producing configuration
+on its first line (CSV) or in its body (reports, checkpoints), so results
+from different settings can never be compared silently.
 """
 
 import json
@@ -24,7 +27,6 @@ from ..composer import (
     BehaviorModule,
     EpisodeDriver,
     episode_drivers,
-    evaluate_bridged,
     run_lanes,
     train_setup,
 )
@@ -116,9 +118,12 @@ def read_metrics_csv(path):
         parts = line.split(",")
         if len(parts) != 7:
             raise MetricsError(f"{path}:{lineno}: expected 7 fields")
+        if parts[3] not in ("0", "1"):
+            raise MetricsError(
+                f"{path}:{lineno}: success {parts[3]!r} is not 0 or 1")
         try:
             row = MetricsRow(int(parts[0]), parts[1], parts[2],
-                             bool(int(parts[3])), float(parts[4]),
+                             parts[3] == "1", float(parts[4]),
                              int(parts[5]), int(parts[6]))
         except ValueError as exc:
             raise MetricsError(f"{path}:{lineno}: {exc}") from None
@@ -258,25 +263,36 @@ def _ranking(arm_summaries, order):
                                           order.index(arm)))
 
 
-def _run_grid(config, experiment, course_id, arms, episodes, extra=None):
+def _run_grid(config, experiment, course_id, arms, cells, extra=None,
+              label=None):
     """Run every arm x seed cell, then write metrics, events and the report.
 
-    `episodes(arm, seed)` yields one (course, course id, outcome) per
-    evaluation episode of that cell. It is called arm-major in seed order,
-    the order of the rows and events written. Experiments that only evaluate
-    run every cell beforehand, as lanes of one call (`_run_lanes_by_cell`).
-    `extra` entries join the report after every cell has run.
+    `cells(arm, seed)` gives the drivers of a cell's evaluation episodes,
+    training its policies first where the experiment trains; it is called
+    arm-major in seed order, the order of the rows and events written. Then
+    all cells' drivers run as lanes of one `run_lanes` call, so nothing is
+    written if a cell raises. `label(course)` names a row's course (default
+    `course_id`); `extra(ran)` turns each cell's (driver, outcome) pairs,
+    keyed (arm, seed), into entries that join the report.
     """
     cfg_hash = config_hash(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    drivers = {(arm, seed): list(cells(arm, seed))
+               for arm in arms for seed in config.seeds}
+    outcomes = iter(run_lanes([drv for cell in drivers.values()
+                               for drv in cell]))
+    ran = {key: [(drv, next(outcomes)) for drv in cell]
+           for key, cell in drivers.items()}
     summaries = {}
     for arm in arms:
         rows, labeled = [], []
         for seed in config.seeds:
-            for i, (course, cid, out) in enumerate(episodes(arm, seed)):
+            for i, (drv, out) in enumerate(ran[arm, seed]):
+                course = drv.env.course
                 rows.append(MetricsRow(
-                    seed, arm, cid, bool(out.state.success),
+                    seed, arm, label(course) if label else course_id,
+                    bool(out.state.success),
                     distance_fraction(course, out.state), out.state.steps,
                     out.switch_count))
                 labeled.append((seed, i, out))
@@ -292,22 +308,10 @@ def _run_grid(config, experiment, course_id, arms, episodes, extra=None):
         "arms": summaries,
         "ranking": _ranking(summaries, list(arms)),
         "mixed_config_hashes": False,
-        **(extra or {}),
+        **(extra(ran) if extra else {}),
     }
     write_report(out_dir, report)
     return report
-
-
-def _run_lanes_by_cell(cells):
-    """Run every cell's drivers as lanes of one `run_lanes` call.
-
-    `cells` maps a cell to its drivers; returns the cell's (driver, outcome)
-    pairs in the order of its drivers.
-    """
-    outcomes = iter(run_lanes([drv for drivers in cells.values()
-                               for drv in drivers]))
-    return {cell: [(drv, next(outcomes)) for drv in drivers]
-            for cell, drivers in cells.items()}
 
 
 def _save_arm_checkpoint(config, name, net, norm):
@@ -332,27 +336,26 @@ class _SetupExperiment:
                             self.default_norm, self.config.awtv_params(),
                             seed, fresh=fresh)
 
-    def evaluate(self, seed, module, **kwargs):
-        """The cell's evaluation episodes of `module` on the course."""
-        _, outs = evaluate_bridged(
+    def drivers(self, seed, module, **kwargs):
+        """The cell's evaluation drivers of `module` on the course."""
+        return episode_drivers(
             TerrainEnv(self.course), self.default_net, self.default_norm,
             {module.kind: module}, self.config.episodes,
             np.random.default_rng((seed, RNG_EVAL)), **kwargs)
-        return [(self.course, self.course_id, out) for out in outs]
 
     def cell(self, arm, seed, trainer=train_setup, fresh=False,
              **trainer_kwargs):
-        """Build, train, evaluate and checkpoint one setup policy."""
+        """Build, train and checkpoint one setup policy; returns the cell's
+        evaluation drivers."""
         module = self.module(seed, fresh)
         trainer(module, self.default_net, self.default_norm,
                 TerrainEnv(self.course), self.config.ppo_config(),
                 self.config.budgets["setup"],
                 np.random.default_rng((seed, RNG_TRAIN)), eval_every=0,
                 eval_episodes=0, seed_tag=seed, **trainer_kwargs)
-        episodes = self.evaluate(seed, module)
         _save_arm_checkpoint(self.config, f"setup_{arm}_seed{seed}",
                              module.setup_net, module.setup_norm)
-        return episodes
+        return self.drivers(seed, module)
 
 
 # ---- experiments -------------------------------------------------------------
@@ -370,15 +373,12 @@ def run_evaluation(config):
     }
     arms = _chosen_arms(config, EVALUATION_ARMS, "evaluation")
     env = TerrainEnv(course)
-    ran = _run_lanes_by_cell({
-        (arm, seed): episode_drivers(
-            env, default_net, default_norm, modules, config.episodes,
-            np.random.default_rng((seed, RNG_EVAL)),
-            without_setup=arm == "without-setup")
-        for arm in arms for seed in config.seeds})
     return _run_grid(config, "evaluation", course_id, arms,
-                     lambda arm, seed: [(course, course_id, out)
-                                        for _, out in ran[arm, seed]])
+                     lambda arm, seed: episode_drivers(
+                         env, default_net, default_norm, modules,
+                         config.episodes,
+                         np.random.default_rng((seed, RNG_EVAL)),
+                         without_setup=arm == "without-setup"))
 
 
 def run_ablation(config):
@@ -411,29 +411,26 @@ def run_baseline_comparison(config):
     """
     setup = _SetupExperiment(config, "baseline comparison")
     arms = _chosen_arms(config, BASELINE_ARMS, "baseline comparison")
-    course, course_id = setup.course, setup.course_id
 
-    def episodes(arm, seed):
+    def cells(arm, seed):
         if arm == "setup":
             return setup.cell(arm, seed)
         if arm == "proximity":
             return setup.cell(arm, seed, trainer=train_proximity_arm)
         if arm == "without-setup":
-            return setup.evaluate(seed, setup.module(seed),
-                                  without_setup=True)
+            return setup.drivers(seed, setup.module(seed), without_setup=True)
         net, norm, _ = train_single_policy(
-            course, config.budgets["setup"],
+            setup.course, config.budgets["setup"],
             np.random.default_rng((seed, RNG_TRAIN)),
             config=config.ppo_config(), eval_every=0, eval_episodes=0,
             seed_tag=seed)
-        _, outs = evaluate_bridged(TerrainEnv(course), net, norm, {},
-                                   config.episodes,
-                                   np.random.default_rng((seed, RNG_EVAL)))
         _save_arm_checkpoint(config, f"single_policy_seed{seed}", net, norm)
-        return [(course, course_id, out) for out in outs]
+        return episode_drivers(TerrainEnv(setup.course), net, norm, {},
+                               config.episodes,
+                               np.random.default_rng((seed, RNG_EVAL)))
 
-    return _run_grid(config, "baseline-comparison", course_id, arms,
-                     episodes)
+    return _run_grid(config, "baseline-comparison", setup.course_id, arms,
+                     cells)
 
 
 def failure_terrain(course, state):
@@ -468,7 +465,6 @@ def run_multi_terrain(config):
                                   default_norm)
                for kind in KINDS}
     arms = _chosen_arms(config, MULTI_TERRAIN_ARMS, "multi-terrain")
-    failures = {arm: dict.fromkeys(KINDS + (FLAT_BUCKET,), 0) for arm in arms}
 
     def drivers(arm, seed):
         for episode in range(config.episodes):
@@ -481,16 +477,17 @@ def run_multi_terrain(config):
                 np.random.default_rng((seed, episode, RNG_EPISODE)),
                 without_setup=arm == "without-setup")
 
-    ran = _run_lanes_by_cell({(arm, seed): list(drivers(arm, seed))
-                              for arm in arms for seed in config.seeds})
-
-    def episodes(arm, seed):
-        for drv, out in ran[arm, seed]:
-            course = drv.env.course
-            failed_at = failure_terrain(course, out.state)
-            if failed_at is not None:
-                failures[arm][failed_at] += 1
-            yield course, "-".join(a.kind for a in course.artifacts), out
+    def failure_counts(ran):
+        failures = {arm: dict.fromkeys(KINDS + (FLAT_BUCKET,), 0)
+                    for arm in arms}
+        for (arm, _), lanes in ran.items():
+            for drv, out in lanes:
+                failed_at = failure_terrain(drv.env.course, out.state)
+                if failed_at is not None:
+                    failures[arm][failed_at] += 1
+        return {"failure_counts": failures}
 
     return _run_grid(config, "multi-terrain", "shuffled-all-kinds", arms,
-                     episodes, extra={"failure_counts": failures})
+                     drivers, extra=failure_counts,
+                     label=lambda course: "-".join(a.kind
+                                                   for a in course.artifacts))

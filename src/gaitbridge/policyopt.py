@@ -341,8 +341,6 @@ def ppo_update(net, buffers, config: PPOConfig, adam: AdamState, rng):
     Buffers must have equal lengths and agree on whether transitions carry a
     switch bit. Returns aggregate loss statistics.
     """
-    if isinstance(buffers, RolloutBuffer):
-        buffers = [buffers]
     if not buffers or len(buffers[0]) == 0:
         raise BufferError("ppo_update needs at least one non-empty buffer")
     T = len(buffers[0])

@@ -99,7 +99,7 @@ def train_bandit(updates=50, horizon=128, seed=0):
             action, _, logp, value = policy_act(net, obs, rng)
             reward = -float(action[0]) ** 2
             buffer.append(obs.copy(), action, None, logp, reward, value, True)
-        ppo_update(net, buffer, config, adam, rng)
+        ppo_update(net, [buffer], config, adam, rng)
     return net
 
 

@@ -1126,18 +1126,41 @@ class TestLanes:
     def test_no_lanes_give_no_outcomes(self):
         assert cp.run_lanes([]) == []
 
-    @pytest.mark.parametrize("differ", ["default", "modules"])
-    def test_rejects_lanes_that_disagree_on_the_policies(self, differ):
+    def test_lanes_with_their_own_walkers_and_modules_equal_their_runs(
+            self, monkeypatch):
+        batch_sizes = []
+        step = cp.RunnerBatch.step
+
+        def counted_step(batch, actions):
+            batch_sizes.append(len(batch))
+            return step(batch, actions)
+
+        monkeypatch.setattr(cp.RunnerBatch, "step", counted_step)
         env, walker, modules = lane_world()
-        same = dict(default_net=walker, default_norm=identity_norm(),
-                    modules=modules)
-        other = {"default": dict(default_norm=identity_norm()),
-                 "modules": dict(modules={HURDLE: modules[HURDLE]})}[differ]
-        drivers = [EpisodeDriver(env, rng=np.random.default_rng(0),
-                                 **{**same, **kwargs})
-                   for kwargs in ({}, other)]
-        with pytest.raises(ValueError, match="lanes must share"):
-            cp.run_lanes(drivers)
+        _, fast_walker, other_modules = lane_world()
+        fast_walker.params["mu.b"][0] = 0.7
+        fast_walker.invalidate_cache()
+        # both module sets, the hurdle module alone, and none at all
+        policies = [(walker, identity_norm(), modules),
+                    (fast_walker, identity_norm(),
+                     {HURDLE: other_modules[HURDLE]}),
+                    (walker, identity_norm(), {})]
+        lanes = [tuple(EpisodeDriver(env, net, norm, mods,
+                                     np.random.default_rng((9, i)),
+                                     without_setup=i % 2 == 1)
+                       for _ in range(2))
+                 for i, (net, norm, mods) in enumerate(policies * 8)]
+        outcomes = cp.run_lanes([drv for drv, _ in lanes])
+        assert max(batch_sizes) == len(lanes)
+        switches = {0: set(), 1: set(), 2: set()}  # by module count
+        for out, (drv, ref) in zip(outcomes, lanes):
+            assert_same_outcome(out, ref.run())
+            switches[len(drv.modules)].add(out.switch_count)
+        # no module, no switch; the hurdle module alone switches at most
+        # three times; with both, lanes also switch at the gap
+        assert switches[0] == {0}
+        assert 0 not in switches[1] and max(switches[1]) <= 3
+        assert max(switches[2]) > 3
 
     def test_rejects_a_training_driver(self):
         env = TerrainEnv(single_artifact_course(HURDLE))

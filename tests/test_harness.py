@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gaitbridge import composer
 from gaitbridge.composer import (
     FLAT,
     LANE_CROSSOVER,
@@ -33,6 +34,7 @@ from gaitbridge.harness.config import (
     load_config,
 )
 from gaitbridge.harness.experiments import (
+    MetricsError,
     MetricsRow,
     read_metrics_csv,
     summarize_metrics,
@@ -197,6 +199,14 @@ _BAD_TRAINING_FLAGS = [
     ("train-setup", ["--budget", "-5"]),
     ("train-target", ["--eval-every", "-1"]),
     ("train-setup", ["--eval-every", "-1"]),
+    ("train-target", ["--seed", "-1"]),
+    ("train-setup", ["--seed", "-1"]),
+    # NaN never compares true, so it would never stop or fail a run
+    ("train-target", ["--stop-at", "nan"]),
+    ("train-target", ["--min-final", "nan"]),
+    # the checkpoint would fail to write only after training
+    ("train-target", ["--out", "no-such-dir/policy.ckpt"]),
+    ("train-setup", ["--out", "no-such-dir/policy.ckpt"]),
 ]
 
 
@@ -330,6 +340,20 @@ def test_failed_write_keeps_previous_file_and_leaves_no_temporary(
     assert sorted(p.name for p in tmp_path.iterdir()) == [filename]
 
 
+@pytest.mark.parametrize("success", ["2", "-3", "true", ""])
+def test_metrics_success_other_than_0_or_1_is_a_metrics_error(tmp_path,
+                                                              success):
+    path = write_metrics_csv(tmp_path / "m.csv", [_ROW], "h")
+    _, (row,) = read_metrics_csv(path)
+    assert row == _ROW
+    line = path.read_text(encoding="utf-8").splitlines()[2].split(",")
+    line[3] = success
+    path.write_text(f"# config_hash=h\n{experiments.CSV_HEADER}\n"
+                    f"{','.join(line)}\n", encoding="utf-8")
+    with pytest.raises(MetricsError, match=f"success {success!r} is not 0"):
+        read_metrics_csv(path)
+
+
 # ---- config hash ------------------------------------------------------------
 
 
@@ -366,7 +390,7 @@ def test_config_hash_ignores_output_dir_and_follows_file_contents(tmp_path):
 def test_config_hash_resolves_ppo_and_awtv_defaults(section, default, other):
     def hash_of(values):
         return config_hash(config_from_dict(
-            {"experiment": "evaluation", section: values}, check_paths=False))
+            {"experiment": "ablation", section: values}, check_paths=False))
 
     assert hash_of(default) == hash_of({})
     assert hash_of(other) != hash_of({})
@@ -391,6 +415,30 @@ def test_unreadable_referenced_file_is_a_config_error(tmp_path, capsys):
     assert code == 2
     assert err.startswith("error: cannot read checkpoint checkpoints.block")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("experiment, key, value", [
+    ("evaluation", "ppo", {"lr": 1e-3}),
+    ("evaluation", "awtv", {"alpha": 0.2}),
+    ("evaluation", "budgets", {"setup": 10}),
+    ("multi-terrain", "ppo", {}),
+    ("multi-terrain", "awtv", {}),
+    ("multi-terrain", "budgets", {}),
+    ("multi-terrain", "course", "one.course"),
+    ("multi-terrain", "kind", "gap"),
+])
+def test_evaluation_configs_reject_keys_they_never_read(experiment, key,
+                                                        value):
+    # the hash of a run would otherwise move with a setting it never reads
+    with pytest.raises(ConfigError, match=f"{experiment} does not read"):
+        config_from_dict({"experiment": experiment, key: value},
+                         check_paths=False)
+
+
+@pytest.mark.parametrize("budget", ["default", "target"])
+def test_budgets_no_experiment_reads_are_unknown_keys(budget):
+    with pytest.raises(ConfigError, match="unknown budgets key"):
+        config_from_dict({"experiment": "ablation", "budgets": {budget: 1}})
 
 
 # ---- config strictness -------------------------------------------------------
@@ -485,9 +533,10 @@ def checkpoints(tmp_path_factory):
 
 def _write_config(tmp_path, checkpoints, kind, **overrides):
     raw = {"experiment": kind, "seeds": [1], "episodes": 2,
-           "budgets": {"setup": 200}, "ppo": {"horizon": 64, "epochs": 1},
-           "checkpoints": checkpoints, "output_dir": str(tmp_path / "a"),
-           **overrides}
+           "checkpoints": checkpoints, "output_dir": str(tmp_path / "a")}
+    if kind not in ("evaluation", "multi-terrain"):  # these never train
+        raw.update(budgets={"setup": 200}, ppo={"horizon": 64, "epochs": 1})
+    raw.update(overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     return path
@@ -535,8 +584,8 @@ def test_experiment_writes_consistent_outputs_and_reruns_byte_identically(
     assert summary["mixed_config_hashes"] is False
 
 
-@pytest.mark.parametrize("kind", ["evaluation", "multi-terrain"])
-def test_evaluation_only_experiments_run_every_cell_in_one_lane_call(
+@pytest.mark.parametrize("kind", EXPERIMENT_KINDS)
+def test_every_experiment_runs_every_cell_in_one_lane_call(
         tmp_path, monkeypatch, checkpoints, kind):
     calls = []
     run_lanes = experiments.run_lanes
@@ -550,6 +599,26 @@ def test_evaluation_only_experiments_run_every_cell_in_one_lane_call(
                                        seeds=[1, 2], episodes=3))
     _RUNNERS[kind](config)
     assert calls == [len(_STANDARD_ARMS[kind]) * 2 * 3]
+
+
+def test_a_cell_whose_training_raises_leaves_no_metrics(
+        tmp_path, monkeypatch, checkpoints):
+    trained = []
+    train = composer._train
+
+    def fail_second_cell(*args, **kwargs):
+        if trained:
+            raise RuntimeError("training broke")
+        trained.append(True)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(composer, "_train", fail_second_cell)
+    config = load_config(_write_config(tmp_path, checkpoints, "ablation"))
+    with pytest.raises(RuntimeError, match="training broke"):
+        experiments.run_ablation(config)
+    # the first cell's checkpoint is written, no metrics, events or report
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == \
+        ["setup_full_seed1.ckpt"]
 
 
 def test_one_arm_evaluation_writes_that_arm_of_the_two_arm_run(

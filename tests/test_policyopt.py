@@ -285,7 +285,7 @@ def test_averaged_worker_gradients_match_single_worker(with_bits):
     buf = _synthetic_buffer(rng, net_a, T=32, with_bits=with_bits)
     config = PPOConfig(horizon=32, minibatch=8, epochs=2)
 
-    ppo_update(net_a, buf, config, AdamState(lr=config.lr), np.random.default_rng(10))
+    ppo_update(net_a, [buf], config, AdamState(lr=config.lr), np.random.default_rng(10))
     workers = [_deep_copy_buffer(buf), _deep_copy_buffer(buf)]
     ppo_update(net_b, workers, config, AdamState(lr=config.lr), np.random.default_rng(10))
 
@@ -307,7 +307,7 @@ def test_ppo_update_is_deterministic_given_seed():
         rng = np.random.default_rng(12)
         net = ParameterizedNet(4, 2, (8, 8), np.random.default_rng(13))
         buf = _synthetic_buffer(rng, net, T=16)
-        ppo_update(net, buf, PPOConfig(minibatch=8, epochs=2), AdamState(), np.random.default_rng(14))
+        ppo_update(net, [buf], PPOConfig(minibatch=8, epochs=2), AdamState(), np.random.default_rng(14))
         return {k: v.copy() for k, v in net.params.items()}
 
     first, second = run(), run()
@@ -321,7 +321,7 @@ def test_log_std_stays_clamped_through_updates():
     net.params["log_std"][...] = -4.9
     net.invalidate_cache()
     buf = _synthetic_buffer(rng, net, T=16)
-    ppo_update(net, buf, PPOConfig(minibatch=8, lr=0.5), AdamState(lr=0.5), rng)
+    ppo_update(net, [buf], PPOConfig(minibatch=8, lr=0.5), AdamState(lr=0.5), rng)
     assert np.all(net.params["log_std"] >= -5.0)
     assert np.all(net.params["log_std"] <= 2.0)
 
