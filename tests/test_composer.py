@@ -1284,6 +1284,33 @@ class TestSeededTrainingDigests:
         assert [row[:2] for row in curve] == [(512, 2), (1024, 4)]
         assert training_digest(net, norm, curve) == expected
 
+    def test_train_target_at_four_epochs(self):
+        # several minibatches and epochs per update, so the update reads
+        # weights written by its own earlier Adam steps
+        net, norm, curve = train_target(
+            HURDLE, 1024, np.random.default_rng(7),
+            config=PPOConfig(horizon=512, epochs=4, minibatch=64),
+            eval_every=2, eval_episodes=0, stop_at=2.0, min_final=None)
+        assert curve == [(1024, 2, None)]
+        assert training_digest(net, norm, curve) \
+            == ("9df85eb13f61bb29b94d69f4098a524c"
+                "7b342d4dac7700313e486fcdd7fb143b")
+
+    def test_two_worker_train_setup_with_learning_statistics(self):
+        # a random setup policy whose normalizer learns from every setup tick
+        module = BehaviorModule.fresh(HURDLE, scripted_net(0.0, -1.0),
+                                      identity_norm(), np.random.default_rng(11))
+        curve = train_setup(module, scripted_net(0.5, 0.0), identity_norm(),
+                            TerrainEnv(single_artifact_course(HURDLE)),
+                            PPOConfig(horizon=16, minibatch=8, epochs=2), 4000,
+                            np.random.default_rng(4), eval_every=2,
+                            eval_episodes=2, n_workers=2)
+        assert [updates for _, updates, _ in curve] == [2, 4, 6]
+        assert module.setup_norm.count == 200
+        assert training_digest(module.setup_net, module.setup_norm, curve) \
+            == ("0e7fe15926bb77850d2185c85128e217"
+                "411f1888a3d933a35ff8ec3e77d64291")
+
     def test_two_worker_train_setup_evaluating_every_update(self):
         module = hurdle_module()
         module.setup_norm = saturated_identity_norm()
