@@ -437,7 +437,7 @@ class EpisodeDriver:
             learning = trainer is not None and net is trainer.net
             x = policy_obs(net, obs)
             if learning:
-                obs_n = norm.update_then_normalize(x)
+                obs_n = norm.update(x)
             else:
                 obs_n = norm.normalize(x)
             action, bit, logp, value = policy_act(

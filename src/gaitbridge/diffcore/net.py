@@ -10,12 +10,20 @@ Parameters live in one contiguous float32 vector, `net.flat` (the checkpoint
 payload format), laid out as fc0.w, fc0.b, fc1.w, ..., mu.w, mu.b, log_std,
 value.w, value.b, switch.w, switch.b, each array row-major. `net.params` maps
 each name to a view into `net.flat`, so writes through either are the same
-write. All math runs on a float64 mirror of the vector, `net.params64()`.
-From that mirror each net also caches `net.inference()`: the trunk's (w, b)
-pairs, the mu head, log_std with its exp and sum, and the value and switch
-heads as flat vectors and float biases, so a one-row forward looks nothing up
-per call. Both caches are dropped by `invalidate_cache`, which every writer
-of `net.flat` (optimizer step, log-std clamp, switch-head priming) calls.
+write. All math runs on a float64 mirror of the vector, `net.params64()`:
+named views into one float64 vector that the net allocates once, with its
+layout, and refreshes in place from `net.flat` when a write made it stale.
+So an array from `params64()` changes under the caller at the next write and
+the next read after it; no caller may hold one across a write, and the net
+hands callers no view of the mirror (`forward`'s log_std is a copy). The
+trunk's (w, b) pairs are views fixed at allocation, so `activations`, which
+every PPO minibatch runs, reads them with no per-call lookup. Each net also
+caches `net.inference()`: the trunk, the mu head, log_std with its exp and
+sum, and the value and switch heads as flat vectors and float biases, so a
+one-row forward looks nothing up per call. It is rebuilt lazily, at the next
+one-row forward after a write. `invalidate_cache`, which every writer of
+`net.flat` (optimizer step, log-std clamp, switch-head priming) calls, marks
+the mirror stale and drops the tuple.
 
 Every matrix product is `ndarray.dot`, not `@`. `@` also pays for the matmul
 gufunc dispatch, which costs about as much as the BLAS call itself on a
@@ -77,8 +85,9 @@ def _layout(obs_dim, action_dim, hidden):
 class Inference(NamedTuple):
     """Float64 weights of one net, as its one-row forward reads them.
 
-    The trunk, mu and log_std entries are the `params64()` arrays themselves,
-    not copies; only std, the sums and the flattened heads are derived.
+    The trunk and mu entries are the `params64()` arrays themselves, not
+    copies; log_std is a copy, since `forward` returns it, and std, the sums
+    and the flattened heads are derived.
     """
     trunk: tuple  # ((w, b), ...) per hidden layer
     mu_w: np.ndarray
@@ -117,6 +126,11 @@ class ParameterizedNet:
         self._fc_names = [(f"fc{i}.w", f"fc{i}.b") for i in range(len(self.hidden))]
         self.flat = np.zeros(size, dtype=np.float32)
         self.params = self.views(self.flat)
+        self._flat64 = np.zeros(size)
+        self._p64 = self.views(self._flat64)
+        self._trunk64 = tuple((self._p64[w], self._p64[b]) for w, b in self._fc_names)
+        self._grad = None  # the last gradient vector `backward` wrote, and its views
+        self._grad_views = None
         self.invalidate_cache()
 
     @staticmethod
@@ -174,12 +188,15 @@ class ParameterizedNet:
         return dup
 
     def invalidate_cache(self):
-        self._p64 = None
+        self._stale = True
         self._inference = None
 
     def params64(self):
-        if self._p64 is None:
-            self._p64 = self.views(self.flat.astype(np.float64))
+        """Named float64 views of the mirror of `flat`, valid until the next
+        write to the parameters."""
+        if self._stale:
+            np.copyto(self._flat64, self.flat)
+            self._stale = False
         return self._p64
 
     def inference(self):
@@ -188,8 +205,7 @@ class ParameterizedNet:
             p = self.params64()
             log_std = p["log_std"]
             self._inference = Inference(
-                tuple((p[w], p[b]) for w, b in self._fc_names),
-                p["mu.w"], p["mu.b"], log_std, np.exp(log_std),
+                self._trunk64, p["mu.w"], p["mu.b"], log_std.copy(), np.exp(log_std),
                 float(log_std.sum()),
                 p["value.w"][:, 0].copy(), float(p["value.b"][0]),
                 p["switch.w"][:, 0].copy(), float(p["switch.b"][0]))
@@ -201,8 +217,9 @@ class ParameterizedNet:
 
     def activations(self, obs):
         """Trunk activations [obs, h0, h1, ...] of one row or a batch."""
+        self.params64()
         hs = [obs]
-        for w, b in self.inference().trunk:
+        for w, b in self._trunk64:
             h = hs[-1].dot(w)
             h += b
             np.tanh(h, out=h)
@@ -223,7 +240,9 @@ class ParameterizedNet:
         when d_log_std is None, get exact zeros.
         """
         p = self.params64()
-        g = self.views(grad)
+        if grad is not self._grad:
+            self._grad, self._grad_views = grad, self.views(grad)
+        g = self._grad_views
         grad.fill(0.0)
         if d_log_std is not None:
             g["log_std"][...] = d_log_std

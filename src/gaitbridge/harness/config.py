@@ -283,4 +283,8 @@ def config_hash(config: ExperimentConfig) -> str:
     }
     if config.course:
         settings["course"] = file_digest(config.course, "course file")
+        # an evaluation runs the course's own kinds; the setup experiments
+        # still read `kind` for their target and setup module
+        if config.experiment == "evaluation":
+            del settings["kind"]
     return settings_hash(settings)

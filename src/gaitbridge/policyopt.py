@@ -10,6 +10,7 @@ single-worker update bit-for-bit when W is a power of two (IEEE division by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,6 +121,17 @@ class RunningNormalizer:
     The mean uses a compensated (TwoSum) running sum so it is exactly
     permutation-invariant for bounded streams; M2 is plain float64 Welford.
     Normalizing before any update returns zeros.
+
+    The state is four lists of Python floats, one entry per dimension, and
+    `update` walks them in one loop: on a 10-wide row, ten rounds of float
+    arithmetic cost less than a dozen numpy calls. The bits are numpy's. A
+    Python float is an IEEE-754 double, and CPython rounds each +, -, *, /
+    and `math.sqrt` correctly, as numpy does, so the same operations in the
+    same order give the same doubles. The two `np.maximum` floors become
+    conditional expressions that, like `np.maximum`, keep the value itself
+    on a tie or a NaN. `mean`, `var`, `std` and the (mean, 1/std) arrays
+    behind `normalize`, which frozen statistics and batches use, are
+    computed with numpy from arrays of the lists.
     """
 
     EPS = 1e-6
@@ -127,38 +139,50 @@ class RunningNormalizer:
     def __init__(self, dim):
         self.dim = int(dim)
         self.count = 0
-        self._sum_hi = np.zeros(self.dim)
-        self._sum_lo = np.zeros(self.dim)
-        self._wmean = np.zeros(self.dim)
-        self.m2 = np.zeros(self.dim)
+        self._sum_hi = [0.0] * self.dim
+        self._sum_lo = [0.0] * self.dim
+        self._wmean = [0.0] * self.dim
+        self._m2 = [0.0] * self.dim
         self._cached = None  # (mean, 1/max(std, EPS)) for the current count
 
     def update(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        hi = self._sum_hi
-        # branch-free TwoSum (Knuth): s + err == hi + x exactly
-        s = hi + x
-        xv = s - hi
-        err = (hi - (s - xv)) + (x - xv)
-        self._sum_lo += err
-        self._sum_hi = s
-        self.count += 1
-        delta = x - self._wmean
-        self._wmean += delta / self.count
-        self.m2 += delta * (x - self._wmean)
+        """Fold the row x (a (dim,) array) into the statistics and return it
+        whitened by the updated statistics, as `normalize(x)` would."""
+        xs = x.tolist()
+        if len(xs) != self.dim:
+            raise ValueError(f"row of width {len(xs)} for a {self.dim}-wide normalizer")
+        self.count = n = self.count + 1
+        eps = self.EPS
+        sqrt = math.sqrt
+        sum_hi, sum_lo, wmean, m2s = self._sum_hi, self._sum_lo, self._wmean, self._m2
+        for i in range(self.dim):
+            xi = xs[i]
+            # branch-free TwoSum (Knuth): s + err == hi + xi exactly
+            hi = sum_hi[i]
+            s = hi + xi
+            xv = s - hi
+            lo = sum_lo[i] + ((hi - (s - xv)) + (xi - xv))
+            wm = wmean[i]
+            delta = xi - wm
+            wm += delta / n
+            m2 = m2s[i] + delta * (xi - wm)
+            sum_hi[i], sum_lo[i], wmean[i], m2s[i] = s, lo, wm, m2
+            std = sqrt((0.0 if m2 < 0.0 else m2) / n)
+            xs[i] = (xi - (s + lo) / n) * (1.0 / (eps if std < eps else std))
         self._cached = None
+        return np.array(xs)
 
     @property
     def mean(self):
         if self.count == 0:
             return np.zeros(self.dim)
-        return (self._sum_hi + self._sum_lo) / self.count
+        return (np.array(self._sum_hi) + np.array(self._sum_lo)) / self.count
 
     @property
     def var(self):
         if self.count == 0:
             return np.zeros(self.dim)
-        return np.maximum(self.m2, 0.0) / self.count
+        return np.maximum(np.array(self._m2), 0.0) / self.count
 
     @property
     def std(self):
@@ -175,27 +199,17 @@ class RunningNormalizer:
         out *= inv_std
         return out
 
-    def update_then_normalize(self, x):
-        self.update(x)
-        return self.normalize(x)
-
     def copy(self):
-        dup = RunningNormalizer(self.dim)
-        dup.count = self.count
-        dup._sum_hi = self._sum_hi.copy()
-        dup._sum_lo = self._sum_lo.copy()
-        dup._wmean = self._wmean.copy()
-        dup.m2 = self.m2.copy()
-        return dup
+        return RunningNormalizer.from_state_arrays(self.state_arrays())
 
     def state_arrays(self):
         """Float64 state for checkpointing (per-dimension count included)."""
         return {
             "count": np.full(self.dim, float(self.count)),
-            "sum_hi": self._sum_hi.copy(),
-            "sum_lo": self._sum_lo.copy(),
-            "wmean": self._wmean.copy(),
-            "m2": self.m2.copy(),
+            "sum_hi": np.array(self._sum_hi),
+            "sum_lo": np.array(self._sum_lo),
+            "wmean": np.array(self._wmean),
+            "m2": np.array(self._m2),
         }
 
     @classmethod
@@ -203,10 +217,9 @@ class RunningNormalizer:
         dim = state["sum_hi"].shape[0]
         norm = cls(dim)
         norm.count = int(state["count"][0])
-        norm._sum_hi = state["sum_hi"].copy()
-        norm._sum_lo = state["sum_lo"].copy()
-        norm._wmean = state["wmean"].copy()
-        norm.m2 = state["m2"].copy()
+        norm._sum_hi, norm._sum_lo, norm._wmean, norm._m2 = (
+            np.asarray(state[key], dtype=np.float64).tolist()
+            for key in ("sum_hi", "sum_lo", "wmean", "m2"))
         return norm
 
 
@@ -217,22 +230,23 @@ def gae_advantages(rewards, values, dones, gamma, lam, tail_bootstrap=0.0):
     policy; their bootstrap is 0. The final transition, if not done, bootstraps
     with tail_bootstrap.
     """
-    rewards = np.asarray(rewards, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    dones = np.asarray(dones, dtype=bool)
-    T = rewards.shape[0]
-    adv = np.zeros(T)
+    # the loop runs on Python floats: numpy scalars cost a dispatch per operation
+    rewards = np.asarray(rewards, dtype=np.float64).tolist()
+    values = np.asarray(values, dtype=np.float64).tolist()
+    dones = np.asarray(dones, dtype=bool).tolist()
+    T = len(rewards)
+    adv = [0.0] * T
+    next_value = float(tail_bootstrap)
     last_gae = 0.0
     for t in range(T - 1, -1, -1):
         if dones[t]:
             next_value = 0.0
             last_gae = 0.0
-        else:
-            next_value = values[t + 1] if t + 1 < T else tail_bootstrap
         delta = rewards[t] + gamma * next_value - values[t]
         last_gae = delta + gamma * lam * last_gae
         adv[t] = last_gae
-    return adv
+        next_value = values[t]
+    return np.array(adv)
 
 
 def policy_act(net, obs_norm, rng, deterministic=False, with_switch=False):

@@ -357,8 +357,15 @@ def test_inference_cache_follows_every_parameter_write():
     net = ParameterizedNet(6, 2, (8, 8), rng)
     obs = rng.normal(size=6)
 
+    batch = rng.normal(size=(5, 6))
+
     def assert_fresh():
         fresh = ParameterizedNet.from_params(net.params)
+        p64, p64_f = net.params64(), fresh.params64()
+        assert p64.keys() == p64_f.keys()
+        assert all(np.array_equal(p64[k], p64_f[k]) for k in p64)
+        for got, want in zip(net.forward(batch), fresh.forward(batch)):
+            assert np.array_equal(got, want)
         mu, log_std, value, switch = net.forward(obs)
         mu_f, log_std_f, value_f, switch_f = fresh.forward(obs)
         assert np.array_equal(mu, mu_f) and np.array_equal(log_std, log_std_f)
@@ -379,3 +386,52 @@ def test_inference_cache_follows_every_parameter_write():
     assert_fresh()
     prime_switch_head(net)
     assert_fresh()
+
+
+def test_copy_never_shares_the_float64_mirror():
+    rng = np.random.default_rng(13)
+    net = ParameterizedNet(6, 2, (8, 8), rng)
+    dup = net.copy()
+    before = {k: v.copy() for k, v in dup.params64().items()}
+    for name, arr in net.params64().items():
+        assert not np.shares_memory(arr, dup.params64()[name]), name
+    adam_step(net, rng.normal(size=net.flat.shape), AdamState(lr=0.1))
+    net.params64()  # refreshes the source's mirror in place
+    assert all(np.array_equal(dup.params64()[k], before[k]) for k in before)
+
+
+def test_forward_log_std_outlives_a_later_parameter_write():
+    rng = np.random.default_rng(14)
+    net = ParameterizedNet(6, 2, (8, 8), rng)
+    returned = [net.forward(rng.normal(size=6))[1],
+                net.forward(rng.normal(size=(3, 6)))[1]]
+    kept = [log_std.copy() for log_std in returned]
+    grad = np.zeros(net.flat.size)
+    net.views(grad)["log_std"][...] = 1.0
+    adam_step(net, grad, AdamState(lr=0.1))
+    assert not np.array_equal(net.forward(rng.normal(size=6))[1], kept[0])
+    for log_std, before in zip(returned, kept):
+        assert np.array_equal(log_std, before)
+
+
+def test_backward_writes_whichever_gradient_vector_it_is_given():
+    rng = np.random.default_rng(15)
+    net = ParameterizedNet(4, 2, (5, 5), rng)
+    batches = [(rng.normal(size=(6, 4)), rng.integers(0, 2, size=(6, 1)).astype(float))
+               for _ in range(2)]
+
+    def reference(i):
+        # a copy has its own caches, so this grad never meets net's
+        grad = np.full(net.flat.size, np.nan)
+        switch_bce_grad(net.copy(), *batches[i], grad)
+        return grad
+
+    want = [reference(0), reference(1)]
+    assert not np.array_equal(want[0], want[1])
+    a, b = np.full(net.flat.size, np.nan), np.full(net.flat.size, np.nan)
+    switch_bce_grad(net, *batches[0], a)
+    assert np.array_equal(a, want[0])
+    switch_bce_grad(net, *batches[1], b)
+    assert np.array_equal(b, want[1]) and np.array_equal(a, want[0])
+    switch_bce_grad(net, *batches[1], a)
+    assert np.array_equal(a, want[1]) and np.array_equal(b, want[1])

@@ -396,6 +396,32 @@ def test_config_hash_resolves_ppo_and_awtv_defaults(section, default, other):
     assert hash_of(other) != hash_of({})
 
 
+def test_evaluation_on_a_course_hashes_alike_for_every_kind(
+        tmp_path, capsys, checkpoints):
+    # the evaluation runs the course's own kinds and never reads --kind
+    course = tmp_path / "one.course"
+    course.write_text("hurdle 3.2\n")
+    hurdle = checkpoints["hurdle"]
+
+    def evaluate_hash(kind):
+        out = tmp_path / kind
+        code = main(["evaluate", "--default", checkpoints["default"],
+                     "--course", str(course), "--kind", kind, "--module",
+                     f"hurdle={hurdle['setup']}:{hurdle['target']}",
+                     "--episodes", "1", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        return read_metrics_csv(out / "metrics_with-setup.csv")[0]
+
+    assert evaluate_hash("gap") == evaluate_hash("hurdle")
+
+    def ablation_hash(kind):
+        # a setup experiment trains and evaluates the `kind` module
+        return config_hash(config_from_dict(
+            {"experiment": "ablation", "course": str(course), "kind": kind}))
+
+    assert ablation_hash("gap") != ablation_hash("hurdle")
+
+
 def test_unreadable_referenced_file_is_a_config_error(tmp_path, capsys):
     good = save_checkpoint(tmp_path / "good.ckpt", Checkpoint.of(*_policy()))
     missing = tmp_path / "missing.ckpt"

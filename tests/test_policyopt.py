@@ -13,7 +13,12 @@ from gaitbridge.policyopt import (
     policy_act,
     ppo_update,
 )
-from helpers import bandit_mean_action, train_bandit
+from helpers import (
+    NumpyRunningNormalizer,
+    bandit_mean_action,
+    gae_reference,
+    train_bandit,
+)
 
 
 # ---- GAE oracles ----------------------------------------------------------
@@ -104,6 +109,21 @@ def test_gae_matches_double_sum_oracle():
         assert np.max(np.abs(adv - oracle)) < 1e-12
 
 
+
+@pytest.mark.parametrize("lam", [0.0, 0.95, 1.0])
+def test_gae_equals_the_numpy_scalar_loop_bit_for_bit(lam):
+    rng = np.random.default_rng(8)
+    for trial in range(20):
+        T = int(rng.integers(1, 60))
+        rewards = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=T)
+        values = rng.normal(size=T)
+        dones = rng.random(T) < rng.choice([0.0, 0.1, 0.5, 1.0])
+        bootstrap = float(rng.normal()) if trial % 3 else 0.0
+        # buffers hold rewards and dones as Python lists
+        args = (rewards.tolist(), values, dones.tolist(), 0.99, lam, bootstrap)
+        assert gae_advantages(*args).tobytes() == gae_reference(*args).tobytes()
+
+
 # ---- normalizer -----------------------------------------------------------
 
 def test_normalizer_matches_two_pass():
@@ -133,7 +153,7 @@ def test_normalizer_permutation_invariance():
 
 def test_normalizer_first_observation_normalizes_to_zero():
     norm = RunningNormalizer(3)
-    out = norm.update_then_normalize(np.array([4.0, -2.0, 0.5]))
+    out = norm.update(np.array([4.0, -2.0, 0.5]))
     assert np.array_equal(out, np.zeros(3))
 
 
@@ -178,6 +198,70 @@ def test_normalizer_state_roundtrip():
     dup = RunningNormalizer.from_state_arrays(norm.state_arrays())
     probe = rng.normal(size=4)
     assert np.array_equal(norm.normalize(probe), dup.normalize(probe))
+
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_state(norm, reference):
+    state, expected = norm.state_arrays(), reference.state_arrays()
+    return state.keys() == expected.keys() and all(
+        _same_bits(state[key], expected[key]) for key in state)
+
+
+def _magnitude_streams():
+    """(rows, split): a stream whose dimensions range over 1e-8..1e8 in
+    magnitude, some of them constant, and a point to copy it at."""
+    value = st.builds(lambda m, e, s: s * m * 10.0 ** e,
+                      st.floats(1.0, 9.999), st.integers(-8, 7),
+                      st.sampled_from([-1.0, 1.0])) | st.just(0.0)
+
+    @st.composite
+    def streams(draw):
+        dim = draw(st.integers(1, 5))
+        n = draw(st.integers(1, 40))
+        columns = []
+        for _ in range(dim):
+            if draw(st.booleans()):
+                columns.append([draw(value)] * n)
+            else:
+                columns.append(draw(st.lists(value, min_size=n, max_size=n)))
+        rows = [np.array(row) for row in zip(*columns)]
+        return rows, draw(st.integers(0, n))
+
+    return streams()
+
+
+@settings(deadline=None, max_examples=150)
+@given(_magnitude_streams())
+def test_normalizer_equals_the_numpy_reference_bit_for_bit(stream):
+    rows, split = stream
+    dim = rows[0].shape[0]
+    norm, reference = RunningNormalizer(dim), NumpyRunningNormalizer(dim)
+    for row in rows[:split]:
+        out = norm.update(row)
+        reference.update(row)
+        assert _same_bits(out, reference.normalize(row))
+        assert _same_bits(norm.normalize(row), out)
+        assert _same_state(norm, reference)
+    snapshot = norm.state_arrays()
+    for dup in (norm.copy(), RunningNormalizer.from_state_arrays(snapshot)):
+        lists = {id(v) for v in vars(norm).values() if isinstance(v, list)}
+        assert not lists & {id(v) for v in vars(dup).values()}
+        twin = NumpyRunningNormalizer(dim)
+        for key in ("sum_hi", "sum_lo", "wmean"):
+            setattr(twin, "_" + key, snapshot[key].copy())
+        twin.m2, twin.count = snapshot["m2"].copy(), norm.count
+        for row in rows[split:]:
+            out = dup.update(row)
+            twin.update(row)
+            assert _same_bits(out, twin.normalize(row))
+            assert _same_bits(dup.normalize(row), out)
+        assert _same_state(dup, twin)
+        # the continued copy left the original where it was
+        assert all(_same_bits(a, snapshot[k]) for k, a in norm.state_arrays().items())
 
 
 # ---- buffer ----------------------------------------------------------------
