@@ -190,6 +190,14 @@ def test_normalizer_zero_variance_floor():
     assert np.isfinite(norm.normalize(np.array([7.1]))[0])
 
 
+def test_normalizer_rejects_a_row_of_another_width():
+    norm = RunningNormalizer(3)
+    for row in (np.zeros(2), np.zeros(4)):
+        with pytest.raises(ValueError, match="width"):
+            norm.update(row)
+    assert norm.count == 0
+
+
 def test_normalizer_state_roundtrip():
     rng = np.random.default_rng(6)
     norm = RunningNormalizer(4)
