@@ -46,6 +46,7 @@ from gaitbridge.terrainsim import (
     HURDLE,
     KINDS,
     OBS_DIM,
+    OBS_PROPRIO,
     RunnerState,
     TerrainEnv,
     make_artifact,
@@ -1323,3 +1324,49 @@ class TestSeededTrainingDigests:
         assert training_digest(module.setup_net, module.setup_norm, curve) \
             == ("c6de33b66be5254ccf0d14c44108e9d9"
                 "f2617a28af2a65b369178186513a8228")
+
+    def test_two_worker_train_setup_from_a_lifted_walker(self):
+        # a terrain-blind walker lifted to the full observation; its count-1
+        # normalizer gives every lifted dimension std 1, whichever count the
+        # lift fills the terrain dimensions with
+        walker = ParameterizedNet(OBS_PROPRIO, 2, (8,), np.random.default_rng(13))
+        walker.params["mu.w"] *= 0.1
+        walker.params["mu.b"][...] = (0.5, 0.0)
+        walker.invalidate_cache()
+        walker_norm = identity_norm(OBS_PROPRIO)
+        module = BehaviorModule.from_default(HURDLE, scripted_net(0.0, -1.0),
+                                             identity_norm(), walker,
+                                             walker_norm)
+        curve = train_setup(module, walker, walker_norm,
+                            TerrainEnv(single_artifact_course(HURDLE)),
+                            PPOConfig(horizon=16, minibatch=8, epochs=2), 3000,
+                            np.random.default_rng(8), eval_every=2,
+                            eval_episodes=3, n_workers=2)
+        assert [updates for _, updates, _ in curve][:2] == [2, 4]
+        assert training_digest(module.setup_net, module.setup_norm, curve) \
+            == ("ca74091194b5b319c667737ae28e31ec"
+                "4fe73e014d6620fb5b9268aef3644e03")
+
+
+def lanes_digest(outcomes):
+    """sha256 of each lane's final state and its switch events, positions as
+    float64 bytes."""
+    h = hashlib.sha256()
+    for out in outcomes:
+        s = out.state
+        h.update(repr((s.steps, s.success, s.failure)).encode())
+        h.update(np.array([s.x, s.v, s.c]).tobytes())
+        for e in out.events:
+            h.update(repr((e.step, e.src, e.dst)).encode())
+            h.update(np.array([e.x, e.c, e.v]).tobytes())
+    return h.hexdigest()
+
+
+def test_seeded_lanes_digest():
+    # both arms, past twice the crossover, with sampled handoffs: pins the
+    # batch ticks and the tail that finishes on run()
+    lanes = mixed_arm_lanes(2 * cp.LANE_CROSSOVER + 6)
+    outcomes = cp.run_lanes([drv for drv, _ in lanes])
+    assert {len(out.events) > 0 for out in outcomes} == {True}
+    assert lanes_digest(outcomes) == ("b9f1546c8f076a07bd120bd73a168661"
+                                      "ccefff43d7385a96e0639c46a9dd3340")
