@@ -99,7 +99,7 @@ class ProximityPredictor:
         self.failure = deque(maxlen=cap)
 
     def predict(self, obs):
-        _, _, _, logit = self.net.forward(np.asarray(obs, dtype=np.float64))
+        _, _, logit = self.net.forward(np.asarray(obs, dtype=np.float64))
         return float(sigmoid(logit))
 
     def add_episode(self, states, succeeded):

@@ -45,8 +45,7 @@ A setup reward function has the signature
 it its own `CarriedTarget` of the acting module, a view of the frozen
 specialist that evaluates it at most once per observation: the observation
 taken after a tick's step becomes the next tick's observation, so V(s') of one
-tick is V(s) of the next. A `BehaviorModule` offers the same `target_value`,
-`target_action` and `params`, so reward functions also take one directly.
+tick is V(s) of the next.
 """
 
 from __future__ import annotations
@@ -240,13 +239,6 @@ class BehaviorModule:
     setup_norm: RunningNormalizer
     params: AWTVParams = field(default_factory=AWTVParams)
 
-    def target_value(self, obs_raw):
-        return self.target_net.value_of(self.target_norm.normalize(obs_raw))
-
-    def target_action(self, obs_raw):
-        mu, _, _, _ = self.target_net.forward(self.target_norm.normalize(obs_raw))
-        return mu
-
     @classmethod
     def from_default(cls, kind, target_net, target_norm, default_net,
                      default_norm, params=None):
@@ -292,7 +284,7 @@ class CarriedTarget:
     def _evaluate(self, obs_raw):
         if obs_raw is not self._obs:
             module = self.module
-            self._mu, _, self._value, _ = module.target_net.forward(
+            self._mu, self._value, _ = module.target_net.forward(
                 module.target_norm.normalize(obs_raw))
             self._obs = obs_raw
 
@@ -308,7 +300,7 @@ class CarriedTarget:
 def awtv_step_reward(target, obs, obs_next, r_env, terminal, action):
     """Per-step setup reward from the frozen target value function.
 
-    `target` is a CarriedTarget or a BehaviorModule; V(s) is read once.
+    `target` is a CarriedTarget; V(s) is read once.
     """
     v_s = target.target_value(obs)
     v_next = 0.0 if terminal else target.target_value(obs_next)
@@ -342,8 +334,8 @@ class Trainer:
         for drv in drivers:
             buf = drv.buffer
             # a horizon cut mid-phase bootstraps from the state acted on next
-            buf.tail_bootstrap = 0.0 if buf.dones[-1] else self.net.value_of(
-                self.norm.normalize(policy_obs(self.net, drv.observation())))
+            buf.tail_bootstrap = 0.0 if buf.dones[-1] else self.net.forward(
+                self.norm.normalize(policy_obs(self.net, drv.observation())))[1]
         buffers = [drv.buffer for drv in drivers]
         ppo_update(self.net, buffers, self.config, self.adam, self.rng)
         for buf in buffers:
@@ -358,7 +350,6 @@ class Trainer:
 class EpisodeOutcome:
     state: object
     events: list
-    env_reward: float
 
     @property
     def switch_count(self):
@@ -393,7 +384,6 @@ class EpisodeDriver:
         self.without_setup = without_setup
         self.state = init_fn(env, rng) if init_fn else env.reset(rng)
         self.switch = SwitchState()
-        self.env_reward = 0.0
         self.handed_off = False  # the trained setup policy handed off
         self._obs = None  # observation of self.state, once taken
         self.targets = {kind: CarriedTarget(m) for kind, m in modules.items()}
@@ -440,14 +430,14 @@ class EpisodeDriver:
                 obs_n = norm.update(x)
             else:
                 obs_n = norm.normalize(x)
-            action, bit, logp, value = policy_act(
-                net, obs_n, self.rng,
-                deterministic=not learning and acting == POLICY_DEFAULT,
-                with_switch=acting == POLICY_SETUP)
+            if learning or acting == POLICY_SETUP:
+                action, bit, logp, value = policy_act(
+                    net, obs_n, self.rng, with_switch=acting == POLICY_SETUP)
+            else:
+                action = net.forward(obs_n)[0]
 
         r_env, done = self.env.step(state, action)
         self._obs = None
-        self.env_reward += r_env
         if bit == 1 and not done:
             # a handoff bit of 1 passes control from setup to target
             switch.transition(POLICY_TARGET, state)
@@ -473,7 +463,7 @@ class EpisodeDriver:
         return done
 
     def outcome(self):
-        return EpisodeOutcome(self.state, self.switch.events, self.env_reward)
+        return EpisodeOutcome(self.state, self.switch.events)
 
     def run(self):
         """Tick to the end of the episode; returns its outcome."""
@@ -561,7 +551,6 @@ def _run_batch(lanes):
     for i, drv in enumerate(lanes):
         for kind in drv.modules:
             detectable[i, KIND_ONE_HOT[kind]] = True
-    env_reward = np.array([drv.env_reward for drv in lanes])
     batch = RunnerBatch([drv.env.course for drv in lanes],
                         [drv.state for drv in lanes])
 
@@ -574,7 +563,6 @@ def _run_batch(lanes):
     def write_back(i):
         drv = lanes[i]
         drv.state = batch.state(i)
-        drv.env_reward = float(env_reward[i])
         drv._obs = None
 
     while len(lanes) >= LANE_CROSSOVER:
@@ -599,21 +587,20 @@ def _run_batch(lanes):
             role, net, norm = policies[p]
             # a lone row keeps the cheaper one-row forward of tick()
             x = obs[rows] if rows.size > 1 else obs[rows[0]]
-            mu, _, _, z = net.forward(norm.normalize(policy_obs(net, x)))
+            mu, _, z = net.forward(norm.normalize(policy_obs(net, x)))
             if role != POLICY_SETUP:
                 actions[rows] = mu
                 continue
             if x.ndim == 1:
                 mu, z = mu[None], np.array([z])
-            std = net.inference().std
+            std = net.std
             for i, action, p_switch in zip(rows.tolist(), mu, sigmoid(z)):
                 rng = lanes[i].rng
                 actions[i] = action + std * rng.standard_normal(ACTION_DIM)
                 if rng.random() < p_switch:
                     handoffs.append(i)
 
-        reward, done = batch.step(actions)
-        env_reward += reward
+        _, done = batch.step(actions)
         for i in handoffs:
             if not done[i]:
                 switch_lane(i, POLICY_TARGET, lanes[i].switch.artifact)
@@ -622,9 +609,8 @@ def _run_batch(lanes):
                 write_back(i)
             keep = ~done
             lanes = [drv for drv, kept in zip(lanes, keep) if kept]
-            code, release_x, env_reward, detectable = (
-                code[keep], release_x[keep], env_reward[keep],
-                detectable[keep])
+            code, release_x, detectable = (
+                code[keep], release_x[keep], detectable[keep])
             batch.compact(keep)
     for i in range(len(lanes)):
         write_back(i)

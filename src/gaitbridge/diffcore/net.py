@@ -12,18 +12,16 @@ value.w, value.b, switch.w, switch.b, each array row-major. `net.params` maps
 each name to a view into `net.flat`, so writes through either are the same
 write. All math runs on a float64 mirror of the vector, `net.params64()`:
 named views into one float64 vector that the net allocates once, with its
-layout, and refreshes in place from `net.flat` when a write made it stale.
-So an array from `params64()` changes under the caller at the next write and
-the next read after it; no caller may hold one across a write, and the net
-hands callers no view of the mirror (`forward`'s log_std is a copy). The
-trunk's (w, b) pairs are views fixed at allocation, so `activations`, which
-every PPO minibatch runs, reads them with no per-call lookup. Each net also
-caches `net.inference()`: the trunk, the mu head, log_std with its exp and
-sum, and the value and switch heads as flat vectors and float biases, so a
-one-row forward looks nothing up per call. It is rebuilt lazily, at the next
-one-row forward after a write. `invalidate_cache`, which every writer of
-`net.flat` (optimizer step, log-std clamp, switch-head priming) calls, marks
-the mirror stale and drops the tuple.
+layout. The mirror is the net's only cache. Every writer of `net.flat`
+(optimizer step, log-std clamp, switch-head priming) calls
+`invalidate_cache`, which marks it stale; the next read refreshes it in
+place, and the refresh also sets `net.std` (exp of log_std), its log-sum
+`net.log_std_sum`, and the value and switch biases as floats. The views a
+forward reads, the trunk's (w, b) pairs, the mu head, and the value and
+switch weights as columns, are fixed at allocation, so a forward looks
+nothing up per call. So an array from `params64()`, and `net.std`, change
+under the caller at the next write and the next read after it: no caller
+may hold one across a write.
 
 Every matrix product is `ndarray.dot`, not `@`. `@` also pays for the matmul
 gufunc dispatch, which costs about as much as the BLAS call itself on a
@@ -46,7 +44,6 @@ last bits.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -82,25 +79,6 @@ def _layout(obs_dim, action_dim, hidden):
     return tuple(layout), start
 
 
-class Inference(NamedTuple):
-    """Float64 weights of one net, as its one-row forward reads them.
-
-    The trunk and mu entries are the `params64()` arrays themselves, not
-    copies; log_std is a copy, since `forward` returns it, and std, the sums
-    and the flattened heads are derived.
-    """
-    trunk: tuple  # ((w, b), ...) per hidden layer
-    mu_w: np.ndarray
-    mu_b: np.ndarray
-    log_std: np.ndarray
-    std: np.ndarray
-    log_std_sum: float
-    value_w: np.ndarray  # (hidden[-1],)
-    value_b: float
-    switch_w: np.ndarray
-    switch_b: float
-
-
 class ParameterizedNet:
     """MLP whose named parameter arrays are views into one flat float32 vector.
 
@@ -123,14 +101,17 @@ class ParameterizedNet:
         self.action_dim = int(action_dim)
         self.hidden = tuple(int(h) for h in hidden)
         self.layout, size = _layout(self.obs_dim, self.action_dim, self.hidden)
-        self._fc_names = [(f"fc{i}.w", f"fc{i}.b") for i in range(len(self.hidden))]
         self.flat = np.zeros(size, dtype=np.float32)
         self.params = self.views(self.flat)
         self._flat64 = np.zeros(size)
-        self._p64 = self.views(self._flat64)
-        self._trunk64 = tuple((self._p64[w], self._p64[b]) for w, b in self._fc_names)
-        self._grad = None  # the last gradient vector `backward` wrote, and its views
-        self._grad_views = None
+        self._p64 = p = self.views(self._flat64)
+        self._trunk64 = tuple((p[f"fc{i}.w"], p[f"fc{i}.b"])
+                              for i in range(len(self.hidden)))
+        self._mu64 = (p["mu.w"], p["mu.b"])
+        self._value_w, self._switch_w = p["value.w"][:, 0], p["switch.w"][:, 0]
+        # the flat range of each parameter, where `backward` writes its block
+        self._spans = {name: slice(start, start + math.prod(shape))
+                       for name, start, shape in self.layout}
         self.invalidate_cache()
 
     @staticmethod
@@ -189,27 +170,31 @@ class ParameterizedNet:
 
     def invalidate_cache(self):
         self._stale = True
-        self._inference = None
 
     def params64(self):
         """Named float64 views of the mirror of `flat`, valid until the next
         write to the parameters."""
         if self._stale:
+            p = self._p64
             np.copyto(self._flat64, self.flat)
+            self._std = np.exp(p["log_std"])
+            self._log_std_sum = float(p["log_std"].sum())
+            self._value_b = float(p["value.b"][0])
+            self._switch_b = float(p["switch.b"][0])
             self._stale = False
         return self._p64
 
-    def inference(self):
-        """The cached float64 weights a one-row forward reads (`Inference`)."""
-        if self._inference is None:
-            p = self.params64()
-            log_std = p["log_std"]
-            self._inference = Inference(
-                self._trunk64, p["mu.w"], p["mu.b"], log_std.copy(), np.exp(log_std),
-                float(log_std.sum()),
-                p["value.w"][:, 0].copy(), float(p["value.b"][0]),
-                p["switch.w"][:, 0].copy(), float(p["switch.b"][0]))
-        return self._inference
+    @property
+    def std(self):
+        """exp(log_std), float64, valid until the next write."""
+        self.params64()
+        return self._std
+
+    @property
+    def log_std_sum(self):
+        """sum(log_std) as a float."""
+        self.params64()
+        return self._log_std_sum
 
     def clamp_log_std(self):
         np.clip(self.params["log_std"], LOG_STD_MIN, LOG_STD_MAX, out=self.params["log_std"])
@@ -239,48 +224,39 @@ class ParameterizedNet:
         their trunk contributions are summed. Heads not listed, and log_std
         when d_log_std is None, get exact zeros.
         """
-        p = self.params64()
-        if grad is not self._grad:
-            self._grad, self._grad_views = grad, self.views(grad)
-        g = self._grad_views
+        p, span = self.params64(), self._spans
         grad.fill(0.0)
         if d_log_std is not None:
-            g["log_std"][...] = d_log_std
+            grad[span["log_std"]] = d_log_std
         h = hs[-1]
         dh = None
         for name, d_out in head_grads:
-            g[f"{name}.b"][...] = d_out.sum(axis=0)
-            g[f"{name}.w"][...] = h.T.dot(d_out)
+            grad[span[f"{name}.b"]] = d_out.sum(axis=0)
+            grad[span[f"{name}.w"]] = h.T.dot(d_out).ravel()
             d_in = d_out.dot(p[f"{name}.w"].T)
             dh = d_in if dh is None else dh + d_in
         for i in range(len(self.hidden) - 1, -1, -1):
             h = hs[i + 1]
             da = dh * (1.0 - h * h)
-            g[f"fc{i}.b"][...] = da.sum(axis=0)
-            g[f"fc{i}.w"][...] = hs[i].T.dot(da)
+            grad[span[f"fc{i}.b"]] = da.sum(axis=0)
+            grad[span[f"fc{i}.w"]] = hs[i].T.dot(da).ravel()
             if i:
                 dh = da.dot(p[f"fc{i}.w"].T)
 
     def forward(self, obs):
-        """Fast inference pass.
+        """The policy's mean action, value and switch logit.
 
-        obs (obs_dim,) -> (mu (A,), log_std (A,), value float, switch_logit float)
-        obs (B, obs_dim) -> batched arrays with value/switch of shape (B,).
+        obs (obs_dim,) -> (mu (A,), value float, switch_logit float)
+        obs (B, obs_dim) -> (mu (B, A), value (B,), switch_logit (B,))
         """
-        inf = self.inference()
         h = self.activations(obs)[-1]
-        mu = h.dot(inf.mu_w)
-        mu += inf.mu_b
+        mu_w, mu_b = self._mu64
+        mu = h.dot(mu_w)
+        mu += mu_b
         if obs.ndim == 1:
-            return (mu, inf.log_std, float(h.dot(inf.value_w)) + inf.value_b,
-                    float(h.dot(inf.switch_w)) + inf.switch_b)
-        return (mu, inf.log_std, self.head("value", h)[:, 0],
-                self.head("switch", h)[:, 0])
-
-    def value_of(self, obs):
-        """V of one observation (obs_dim,), as `forward(obs)[2]` gives it."""
-        inf = self.inference()
-        return float(self.activations(obs)[-1].dot(inf.value_w)) + inf.value_b
+            return (mu, float(h.dot(self._value_w)) + self._value_b,
+                    float(h.dot(self._switch_w)) + self._switch_b)
+        return mu, self.head("value", h)[:, 0], self.head("switch", h)[:, 0]
 
 
 def switch_bce_grad(net, obs, labels, grad):

@@ -249,24 +249,21 @@ def gae_advantages(rewards, values, dones, gamma, lam, tail_bootstrap=0.0):
     return np.array(adv)
 
 
-def policy_act(net, obs_norm, rng, deterministic=False, with_switch=False):
+def policy_act(net, obs_norm, rng, with_switch=False):
     """Draw (action, switch_bit, joint_logprob, value) from a policy net.
 
-    Deterministic mode returns the Gaussian mean, for a policy that does not
-    hand off; bit and logprob are None there (nothing is sampled).
+    The action is drawn first; the handoff bit follows with `with_switch`,
+    else it is None. A policy acting on its mean reads `net.forward` instead.
     """
-    mu, log_std, value, z = net.forward(obs_norm)
-    if deterministic:
-        return mu.copy(), None, None, value
-    inf = net.inference()
-    std = inf.std
+    mu, value, z = net.forward(obs_norm)
+    std = net.std
     action = mu + std * rng.standard_normal(mu.shape[0])
     # scalar-math logprob: dimensionality is tiny, numpy dispatch dominates
     quad = 0.0
     for a, m, s in zip(action.tolist(), mu.tolist(), std.tolist()):
         t = (a - m) / s
         quad += t * t
-    logp = -0.5 * (quad + LOG_2PI * action.shape[0]) - inf.log_std_sum
+    logp = -0.5 * (quad + LOG_2PI * action.shape[0]) - net.log_std_sum
     bit = None
     if with_switch:
         p = sigmoid(z)

@@ -104,11 +104,29 @@ def train_bandit(updates=50, horizon=128, seed=0):
 
 
 def bandit_mean_action(net):
-    mu, _, _, _ = net.forward(np.zeros(1))
-    return abs(float(mu[0]))
+    return abs(float(net.forward(np.zeros(1))[0][0]))
 
 
 # ---- references ---------------------------------------------------------------
+
+
+class UncachedTarget:
+    """A module's frozen target as reward functions read it, evaluated afresh
+    on every call: the reference a driver's `CarriedTarget` must match."""
+
+    def __init__(self, module):
+        self.module = module
+        self.params = module.params
+
+    def _forward(self, obs_raw):
+        module = self.module
+        return module.target_net.forward(module.target_norm.normalize(obs_raw))
+
+    def target_value(self, obs_raw):
+        return self._forward(obs_raw)[1]
+
+    def target_action(self, obs_raw):
+        return self._forward(obs_raw)[0]
 
 
 def td_advantage(value_fn, s_t, s_next, r_t, gamma, terminal=False):

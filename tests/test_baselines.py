@@ -44,13 +44,17 @@ from helpers import (
     identity_norm,
     scripted_net,
     td_advantage,
+    UncachedTarget,
 )
 
 OBS = np.zeros(OBS_DIM)
 
 
 def setup_reward(tag, target, action=(0.0, -1.0), r_env=0.05, terminal=False):
-    """One step of a variant's reward from the all-zero observation."""
+    """One step of a variant's reward from the all-zero observation; a
+    BehaviorModule is read through the uncached reference view."""
+    if isinstance(target, BehaviorModule):
+        target = UncachedTarget(target)
     return SETUP_REWARDS[tag](target, OBS, OBS, r_env, terminal,
                               np.asarray(action))
 
@@ -59,7 +63,7 @@ def setup_reward(tag, target, action=(0.0, -1.0), r_env=0.05, terminal=False):
 
 
 class TestVariantReward:
-    """The value of each variant, called with a BehaviorModule."""
+    """The value of each variant, called with a module's uncached view."""
 
     def test_constant_ignores_context(self):
         for r_env, terminal in ((-4.0, False), (0.3, True)):
@@ -70,7 +74,7 @@ class TestVariantReward:
 
     def test_torque_equal_actions_is_one(self):
         module = hurdle_module(target_net=scripted_net(0.3, -0.2))
-        action = module.target_action(OBS)
+        action = UncachedTarget(module).target_action(OBS)
         assert setup_reward("target-torque", module, action) == 1.0
 
     def test_torque_unit_distance(self):
@@ -86,7 +90,7 @@ class TestVariantReward:
     @settings(max_examples=50, deadline=None)
     def test_torque_bounded_and_tight_only_at_equality(self, a, b):
         module = hurdle_module(target_net=scripted_net(*b))
-        target_action = module.target_action(OBS)
+        target_action = UncachedTarget(module).target_action(OBS)
         got = setup_reward("target-torque", module, a)
         assert 0.0 < got <= 1.0
         if max(abs(x - y) for x, y in zip(a, target_action)) >= 1e-3:
@@ -157,9 +161,10 @@ class TestVariantRewardFn:
         # flat value 3.0 everywhere: adv = r + gamma*3 - 3; r_hat saturates to
         # (1 - min(alpha*adv^2, 1)) * beta * 3
         params = self.module.params
-        adv = td_advantage(self.module.target_value, OBS, OBS,
+        target = UncachedTarget(self.module)
+        adv = td_advantage(target.target_value, OBS, OBS,
                            0.05, params.gamma)
-        want = awtv_reward(adv, self.module.target_value(OBS), params)
+        want = awtv_reward(adv, target.target_value(OBS), params)
         assert self._call("awtv") == pytest.approx(want, abs=1e-12)
 
     def test_awtv_fn_is_the_main_method_reward(self):
@@ -167,9 +172,10 @@ class TestVariantRewardFn:
 
     def test_awtv_fn_terminal_zeroes_bootstrap(self):
         params = self.module.params
-        adv = td_advantage(self.module.target_value, OBS, OBS,
+        target = UncachedTarget(self.module)
+        adv = td_advantage(target.target_value, OBS, OBS,
                            0.05, params.gamma, terminal=True)
-        want = awtv_reward(adv, self.module.target_value(OBS), params)
+        want = awtv_reward(adv, target.target_value(OBS), params)
         assert self._call("awtv", terminal=True) \
             == pytest.approx(want, abs=1e-12)
 

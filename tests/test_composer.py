@@ -49,6 +49,7 @@ from gaitbridge.terrainsim import (
     OBS_PROPRIO,
     RunnerState,
     TerrainEnv,
+    flat_course,
     make_artifact,
     make_course,
     multi_terrain_course,
@@ -63,6 +64,7 @@ from helpers import (
     identity_norm,
     scripted_net,
     td_advantage,
+    UncachedTarget,
 )
 
 
@@ -181,7 +183,8 @@ class TestAwtvStepReward:
         # and the shaped reward sits at beta*V.
         module = flat_value_module(3.0)
         obs = np.zeros(OBS_DIM)
-        r = awtv_step_reward(module, obs, obs, 0.03, False, None)
+        r = awtv_step_reward(cp.CarriedTarget(module), obs, obs, 0.03, False,
+                             None)
         assert r == pytest.approx(0.03, abs=1e-10)
 
     def test_terminal_transition_saturates(self):
@@ -189,7 +192,8 @@ class TestAwtvStepReward:
         # squared-surprise clip saturates, and the shaped reward hits zero.
         module = flat_value_module(3.0)
         obs = np.zeros(OBS_DIM)
-        assert awtv_step_reward(module, obs, obs, 0.03, True, None) == 0.0
+        assert awtv_step_reward(cp.CarriedTarget(module), obs, obs, 0.03,
+                                True, None) == 0.0
 
 
 class TestExtendReward:
@@ -442,7 +446,7 @@ class TestScriptedBridge:
                                 identity_norm(),
                                 {HURDLE: exact_hurdle_module()},
                                 np.random.default_rng(5)).run()
-            runs.append((out.state.steps, out.state.x, out.env_reward,
+            runs.append((out.state.steps, out.state.x,
                          [(e.src, e.dst, e.step, e.x) for e in out.events]))
         assert runs[0] == runs[1]
 
@@ -666,20 +670,6 @@ class TestUpdateMechanics:
 # ---- the driver's one-tick carry ---------------------------------------------------
 
 
-class UncachedTarget:
-    """Reference view: asks the module afresh on every call."""
-
-    def __init__(self, module):
-        self.module = module
-        self.params = module.params
-
-    def target_value(self, obs):
-        return self.module.target_value(obs)
-
-    def target_action(self, obs):
-        return self.module.target_action(obs)
-
-
 def uncached(monkeypatch):
     """Make drivers observe afresh and evaluate the target on every call."""
     monkeypatch.setattr(cp, "CarriedTarget", UncachedTarget)
@@ -714,7 +704,7 @@ def two_kind_world():
 
 def outcome_record(out):
     s = out.state
-    return (s.x, s.v, s.c, s.steps, s.success, s.failure, out.env_reward,
+    return (s.x, s.v, s.c, s.steps, s.success, s.failure,
             [(e.step, e.src, e.dst, e.x, e.c, e.v) for e in out.events])
 
 
@@ -783,7 +773,6 @@ class TestTargetCarry:
             return wrapped
 
         net.forward = counting(net.forward)
-        net.value_of = counting(net.value_of)
         rewards = [0]
 
         def reward_fn(*args):
@@ -839,9 +828,6 @@ class TestTerrainBlindWalker:
     def test_proprioceptive_walker_ignores_upcoming_artifacts(self):
         """A body-only walker takes bit-identical steps on flat and block
         ground right up to the moment the bridged machine takes it off duty."""
-        from gaitbridge.policyopt import policy_act
-        from gaitbridge.terrainsim import OBS_PROPRIO, flat_course, observe
-
         net = ParameterizedNet(OBS_PROPRIO, 2, (8,), np.random.default_rng(3))
         norm = identity_norm(OBS_PROPRIO)
         flat_env = TerrainEnv(flat_course(10.0))
@@ -853,13 +839,32 @@ class TestTerrainBlindWalker:
             obs_f = cp.policy_obs(net, observe(flat_env.course, s_flat))
             obs_b = cp.policy_obs(net, observe(block_env.course, s_block))
             assert np.array_equal(obs_f, obs_b)
-            action, _, _, _ = policy_act(net, norm.normalize(obs_f), rng,
-                                         deterministic=True)
+            action = net.forward(norm.normalize(obs_f))[0]
             flat_env.step(s_flat, action)
             block_env.step(s_block, action)
             assert s_flat.x == s_block.x and s_flat.v == s_block.v
             if s_block.x >= 2.2:  # detection range of the block
                 break
+
+    def test_a_frozen_walker_acts_on_its_mean_and_draws_nothing(self):
+        net = ParameterizedNet(OBS_PROPRIO, 2, (8,), np.random.default_rng(3))
+        net.params["mu.b"][0] += 0.5
+        net.invalidate_cache()
+        norm = identity_norm(OBS_PROPRIO)
+        env = TerrainEnv(flat_course(10.0))
+        rng = np.random.default_rng(0)
+        drv = EpisodeDriver(env, net, norm, {}, rng,
+                            init_fn=lambda env, rng: env.reset_from(0.4))
+        ref = env.reset_from(0.4)
+        before = rng.bit_generator.state
+        for _ in range(50):
+            mean = net.forward(norm.normalize(
+                cp.policy_obs(net, observe(env.course, ref))))[0]
+            env.step(ref, mean)
+            drv.tick()
+            assert (drv.state.x, drv.state.v, drv.state.c) == (ref.x, ref.v, ref.c)
+        assert ref.x > 0.5
+        assert rng.bit_generator.state == before
 
     def test_full_width_policy_observation_passes_through(self):
         net = scripted_net(0.5, 0.0)
@@ -869,8 +874,6 @@ class TestTerrainBlindWalker:
         assert cp.policy_obs(net, batch) is batch
 
     def test_batch_is_trimmed_row_by_row(self):
-        from gaitbridge.terrainsim import OBS_PROPRIO
-
         net = ParameterizedNet(OBS_PROPRIO, 2, (8,), np.random.default_rng(3))
         batch = np.arange(4 * OBS_DIM, dtype=float).reshape(4, OBS_DIM)
         trimmed = cp.policy_obs(net, batch)

@@ -30,7 +30,7 @@ def test_zero_weight_net_mean_is_bias():
     net = _zeroed_net()
     net.params["mu.b"][...] = np.array([0.25, -1.5], dtype=np.float32)
     net.invalidate_cache()
-    mu, _, value, switch = net.forward(np.array([3.0, -2.0, 0.5, 9.0]))
+    mu, value, switch = net.forward(np.array([3.0, -2.0, 0.5, 9.0]))
     assert np.allclose(mu, [0.25, -1.5], atol=0)
     assert value == 0.0
     assert switch == 0.0
@@ -43,7 +43,7 @@ def test_single_unit_net_composes_tanh():
     net.params["fc0.w"][...] = 1.0
     net.params["mu.w"][...] = 1.0
     net.invalidate_cache()
-    mu, _, _, _ = net.forward(np.array([0.5]))
+    mu = net.forward(np.array([0.5]))[0]
     assert mu[0] == pytest.approx(math.tanh(0.5), abs=1e-7)
 
 
@@ -341,22 +341,21 @@ def test_batched_forward_matches_single():
     rng = np.random.default_rng(11)
     net = ParameterizedNet(6, 2, (8, 8), rng)
     obs = rng.normal(size=(4, 6))
-    mu_b, _, val_b, sw_b = net.forward(obs)
+    mu_b, val_b, sw_b = net.forward(obs)
     for i in range(4):
-        mu_i, _, val_i, sw_i = net.forward(obs[i])
-        assert net.value_of(obs[i]) == val_i
+        mu_i, val_i, sw_i = net.forward(obs[i])
         assert np.allclose(mu_b[i], mu_i, atol=1e-12)
         assert val_b[i] == pytest.approx(val_i, abs=1e-12)
         assert sw_b[i] == pytest.approx(sw_i, abs=1e-12)
 
 
 def test_inference_cache_follows_every_parameter_write():
-    """After each in-place write to a net's parameters, its one-row forward,
-    value and sampled action equal those of a freshly built copy."""
+    """After each in-place write to a net's parameters, its mirror, std and
+    log-std sum, its one-row and batched forward and its sampled action
+    equal those of a freshly built copy."""
     rng = np.random.default_rng(12)
     net = ParameterizedNet(6, 2, (8, 8), rng)
     obs = rng.normal(size=6)
-
     batch = rng.normal(size=(5, 6))
 
     def assert_fresh():
@@ -364,13 +363,16 @@ def test_inference_cache_follows_every_parameter_write():
         p64, p64_f = net.params64(), fresh.params64()
         assert p64.keys() == p64_f.keys()
         assert all(np.array_equal(p64[k], p64_f[k]) for k in p64)
+        log_std = net.params["log_std"].astype(np.float64)
+        assert np.array_equal(net.std, np.exp(log_std))
+        assert np.array_equal(net.std, fresh.std)
+        assert net.log_std_sum == fresh.log_std_sum == float(log_std.sum())
         for got, want in zip(net.forward(batch), fresh.forward(batch)):
             assert np.array_equal(got, want)
-        mu, log_std, value, switch = net.forward(obs)
-        mu_f, log_std_f, value_f, switch_f = fresh.forward(obs)
-        assert np.array_equal(mu, mu_f) and np.array_equal(log_std, log_std_f)
+        mu, value, switch = net.forward(obs)
+        mu_f, value_f, switch_f = fresh.forward(obs)
+        assert np.array_equal(mu, mu_f)
         assert (value, switch) == (value_f, switch_f)
-        assert net.value_of(obs) == fresh.value_of(obs) == value_f
         acts = [policy_act(n, obs, np.random.default_rng(0), with_switch=True)
                 for n in (net, fresh)]
         assert np.array_equal(acts[0][0], acts[1][0])
@@ -386,6 +388,10 @@ def test_inference_cache_follows_every_parameter_write():
     assert_fresh()
     prime_switch_head(net)
     assert_fresh()
+    net.params["value.b"][...] = 4.0
+    net.params["switch.w"][...] = 0.5
+    net.invalidate_cache()
+    assert_fresh()
 
 
 def test_copy_never_shares_the_float64_mirror():
@@ -398,20 +404,6 @@ def test_copy_never_shares_the_float64_mirror():
     adam_step(net, rng.normal(size=net.flat.shape), AdamState(lr=0.1))
     net.params64()  # refreshes the source's mirror in place
     assert all(np.array_equal(dup.params64()[k], before[k]) for k in before)
-
-
-def test_forward_log_std_outlives_a_later_parameter_write():
-    rng = np.random.default_rng(14)
-    net = ParameterizedNet(6, 2, (8, 8), rng)
-    returned = [net.forward(rng.normal(size=6))[1],
-                net.forward(rng.normal(size=(3, 6)))[1]]
-    kept = [log_std.copy() for log_std in returned]
-    grad = np.zeros(net.flat.size)
-    net.views(grad)["log_std"][...] = 1.0
-    adam_step(net, grad, AdamState(lr=0.1))
-    assert not np.array_equal(net.forward(rng.normal(size=6))[1], kept[0])
-    for log_std, before in zip(returned, kept):
-        assert np.array_equal(log_std, before)
 
 
 def test_backward_writes_whichever_gradient_vector_it_is_given():

@@ -309,7 +309,7 @@ def _encodes_a_prefix_then_fails(self, obj, _one_shot=False):
 
 
 _ROW = MetricsRow(1, "setup", "hurdle", True, 1.0, 90, 2)
-_OUTCOME = EpisodeOutcome(None, [SwitchEvent(3, "default", "setup", 1.0, 0.0, 0.5)], 0.0)
+_OUTCOME = EpisodeOutcome(None, [SwitchEvent(3, "default", "setup", 1.0, 0.0, 0.5)])
 
 # each harness writer: how to call it, its output file, and the serializer
 # that a failing write breaks

@@ -17,6 +17,7 @@ from helpers import (
     NumpyRunningNormalizer,
     bandit_mean_action,
     gae_reference,
+    gaussian_logprob,
     train_bandit,
 )
 
@@ -420,14 +421,16 @@ def test_log_std_stays_clamped_through_updates():
 
 # ---- acting ----------------------------------------------------------------
 
-def test_policy_act_deterministic_returns_mean():
+def test_policy_act_samples_around_the_forward_mean():
     net = ParameterizedNet(2, 2, (4,), np.random.default_rng(16))
     obs = np.array([0.3, -0.7])
-    mu, _, _, _ = net.forward(obs)
-    action, bit, logp, _ = policy_act(net, obs, np.random.default_rng(0), deterministic=True)
-    assert np.array_equal(action, mu)
-    assert bit is None
-    assert logp is None
+    mu, value, _ = net.forward(obs)
+    action, bit, logp, v = policy_act(net, obs, np.random.default_rng(0))
+    noise = np.random.default_rng(0).standard_normal(2)
+    assert np.array_equal(action, mu + net.std * noise)
+    assert bit is None and v == value
+    assert logp == pytest.approx(
+        gaussian_logprob(mu, net.params["log_std"], action), abs=1e-12)
 
 
 def test_bandit_improves_quickly():
