@@ -210,7 +210,8 @@ def lift_to_terrain_obs(net, norm):
     terrain rows start at zero, so the lifted policy behaves exactly like
     the walker until training puts weight on what it now can see. The
     normalizer keeps the walker's statistics for the shared dimensions and
-    starts the terrain dimensions at an adaptive identity.
+    starts the terrain dimensions at an identity (mean 0, variance 1) over
+    the walker's count, which is the one count the normalizer keeps.
     """
     if net.obs_dim == OBS_DIM:
         return net.copy(), norm.copy()
@@ -219,9 +220,10 @@ def lift_to_terrain_obs(net, norm):
     lifted = ParameterizedNet.from_params({**net.params, "fc0.w": fc0})
 
     old = norm.state_arrays()
+    n = float(norm.count)
     state = {}
-    for key, fill in (("count", 1.0), ("sum_hi", 0.0), ("sum_lo", 0.0),
-                      ("wmean", 0.0), ("m2", 1.0)):
+    for key, fill in (("count", n), ("sum_hi", 0.0), ("sum_lo", 0.0),
+                      ("wmean", 0.0), ("m2", n)):
         arr = np.full(OBS_DIM, fill)
         arr[:net.obs_dim] = old[key]
         state[key] = arr

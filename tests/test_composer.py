@@ -825,6 +825,26 @@ class TestOnlyTheTrainedPolicyLearns:
 
 
 class TestTerrainBlindWalker:
+    def test_lift_keeps_the_walker_statistics_and_passes_terrain_through(self):
+        rng = np.random.default_rng(17)
+        walker = ParameterizedNet(OBS_PROPRIO, 2, (8,), rng)
+        norm = RunningNormalizer(OBS_PROPRIO)
+        for _ in range(4096):
+            norm.update(rng.normal(0.5, 2.0, size=OBS_PROPRIO))
+        _, lifted = cp.lift_to_terrain_obs(walker, norm)
+        assert lifted.count == norm.count == 4096
+        # a hurdle 0.8 ahead and 0.2 high, then random rows
+        rows = np.concatenate([
+            rng.normal(size=(7, OBS_PROPRIO)),
+            np.vstack([[0.8, 0.2, 0.0, 0.0, 1.0],
+                       rng.uniform(0.0, 1.0, size=(6, OBS_DIM - OBS_PROPRIO))])],
+            axis=1)
+        for got in (lifted.normalize(rows),
+                    np.array([lifted.normalize(row) for row in rows])):
+            assert np.array_equal(got[:, :OBS_PROPRIO],
+                                  norm.normalize(rows[:, :OBS_PROPRIO]))
+            assert np.array_equal(got[:, OBS_PROPRIO:], rows[:, OBS_PROPRIO:])
+
     def test_proprioceptive_walker_ignores_upcoming_artifacts(self):
         """A body-only walker takes bit-identical steps on flat and block
         ground right up to the moment the bridged machine takes it off duty."""
