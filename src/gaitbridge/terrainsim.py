@@ -94,6 +94,13 @@ class Course:
     goal_x: float
 
     def validate(self):
+        for art in self.artifacts:
+            for field, value in (("start", art.start), ("height", art.height),
+                                 ("length", art.length)):
+                if not np.isfinite(value):
+                    raise CourseError(f"{art.kind} {field} {value} is not finite")
+        if not np.isfinite(self.goal_x):
+            raise CourseError(f"goal {self.goal_x} is not finite")
         prev_end = None
         for art in self.artifacts:
             if art.length <= 0:

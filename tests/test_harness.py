@@ -94,6 +94,24 @@ def test_checkpoint_normalizer_width_must_match_network(tmp_path, capsys):
     assert err.startswith("checkpoint error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("array, index, value, fragment", [
+    ("count", ..., 2.5, "whole count"),
+    ("count", 3, 2.0, "whole count"),
+    ("m2", 1, np.nan, "m2 is not finite"),
+    ("mu.b", 0, np.nan, "parameter mu.b holds nan"),
+])
+def test_malformed_checkpoint_state_exits_4_without_traceback(
+        tmp_path, capsys, array, index, value, fragment):
+    ckpt = Checkpoint.of(*_policy())
+    (ckpt.params if array in ckpt.params else ckpt.norm_state)[array][index] = value
+    with pytest.raises(CheckpointFormatError, match=fragment):
+        ckpt.build()
+    path = save_checkpoint(tmp_path / "malformed.ckpt", ckpt)
+    code, err = _evaluate(tmp_path, path, capsys)
+    assert code == 4
+    assert err.startswith("checkpoint error:") and "Traceback" not in err
+
+
 def test_checkpoint_round_trip_is_byte_stable(tmp_path):
     net, norm = _policy()
     first = save_checkpoint(tmp_path / "a.ckpt", Checkpoint.of(net, norm, "h"))
@@ -420,6 +438,21 @@ def test_evaluation_on_a_course_hashes_alike_for_every_kind(
             {"experiment": "ablation", "course": str(course), "kind": kind}))
 
     assert ablation_hash("gap") != ablation_hash("hurdle")
+
+
+@pytest.mark.parametrize("text", ["hurdle 1e309\n", "hurdle 3.2 height=nan\n",
+                                  "goal inf\n"])
+def test_non_finite_course_exits_2_without_traceback(tmp_path, capsys, text):
+    good = save_checkpoint(tmp_path / "good.ckpt", Checkpoint.of(*_policy()))
+    course = tmp_path / "bad.course"
+    course.write_text(text)
+    code = main(["evaluate", "--default", str(good), "--course", str(course),
+                 "--module", f"hurdle={good}:{good}", "--episodes", "1",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "not finite" in err
+    assert "Traceback" not in err
 
 
 def test_unreadable_referenced_file_is_a_config_error(tmp_path, capsys):

@@ -567,6 +567,20 @@ def test_parse_course_errors_carry_position(text, lineno, fragment):
         assert fragment in msg
 
 
+@pytest.mark.parametrize("text, fragment", [
+    ("goal nan\n", "goal nan"),
+    ("goal inf\n", "goal inf"),
+    ("hurdle nan\n", "start nan"),
+    ("hurdle 1e309\n", "start inf"),
+    ("hurdle 3.2 height=nan\n", "height nan"),
+    ("hurdle 3.2 length=inf\n", "length inf"),
+])
+def test_parse_course_rejects_non_finite_numbers(text, fragment):
+    with pytest.raises(CourseError, match=fragment) as exc:
+        parse_course_text(text, name="bad.course")
+    assert str(exc.value).startswith("bad.course")
+
+
 def test_load_course_missing_file(tmp_path):
     with pytest.raises(CourseError, match="cannot read"):
         from gaitbridge.terrainsim import load_course
