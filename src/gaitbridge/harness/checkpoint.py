@@ -59,25 +59,36 @@ class Checkpoint:
     def build(self):
         """Reconstruct the (network, normalizer) pair.
 
-        Raises CheckpointFormatError when the arrays are not a network layout,
-        or when the normalizer statistics are missing, not vectors of the
-        network's input width, or their count is negative, NaN or infinite.
+        Raises CheckpointFormatError when the arrays are not a network layout
+        or hold a non-finite parameter, or when the normalizer statistics are
+        missing, not finite vectors of the network's input width, or their
+        count is not one whole number >= 0 in every dimension.
         """
         try:
             net = ParameterizedNet.from_params(self.params)
         except ValueError as exc:
             raise CheckpointFormatError(
                 f"checkpoint parameters are not a policy network: {exc}") from None
+        bad = np.flatnonzero(~np.isfinite(net.flat))
+        if bad.size:
+            raise CheckpointFormatError(
+                f"checkpoint parameter {net.name_at(bad[0])} holds "
+                f"{net.flat[bad[0]]}")
         shapes = {np.shape(v) for v in self.norm_state.values()}
         if shapes != {(net.obs_dim,)}:
             raise CheckpointFormatError(
                 f"normalizer statistics of shapes {sorted(shapes)} do not match "
                 f"the network's input width {net.obs_dim}")
+        for name, stat in sorted(self.norm_state.items()):
+            if not np.isfinite(stat).all():
+                raise CheckpointFormatError(
+                    f"checkpoint normalizer statistic {name} is not finite")
         count = self.norm_state.get("count")
-        if count is not None and not 0.0 <= count[0] < np.inf:
+        if count is not None and not (count[0] >= 0.0 and count[0] == int(count[0])
+                                      and np.all(count == count[0])):
             raise CheckpointFormatError(
-                f"checkpoint normalizer count {count[0]} is not a finite "
-                f"count >= 0")
+                f"checkpoint normalizer counts {count.tolist()} are not one "
+                f"whole count >= 0")
         try:
             norm = RunningNormalizer.from_state_arrays(self.norm_state)
         except KeyError as exc:
