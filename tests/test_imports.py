@@ -1,11 +1,14 @@
 """Static checks over the source tree.
 
 Every name a module in src/ or tests/ imports is used in that module
-(package `__init__.py` files are exempt: their imports are re-exports), and
-the modules on the per-tick path multiply matrices with `ndarray.dot`.
+(package `__init__.py` files are exempt: their imports are re-exports), the
+modules on the per-tick path multiply matrices with `ndarray.dot`, and every
+function the benchmark traces for its per-layer metrics still exists, unless
+it is listed below with the reason it is gone.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,3 +66,45 @@ def test_per_tick_modules_use_dot_not_matmul():
     found = [f"{name}:{line}" for name in PER_TICK_MODULES
              for line in matmul_lines((ROOT / name).read_text(encoding="utf-8"))]
     assert not found, "use ndarray.dot for these products:\n" + "\n".join(found)
+
+
+# trace targets of bench/measure.py that name no function, and why; each
+# one's calls read 0 in the per-layer metrics
+ABSENT_TRACE_TARGETS = {
+    "gaitbridge.diffcore.tape:GradientTape.backward":
+        "the tape gave way to the closed-form ParameterizedNet.backward",
+    "gaitbridge.diffcore.net:ParameterizedNet.value_of":
+        "a value is read as forward(obs)[1]; forward's span counts it",
+    "gaitbridge.composer:BehaviorModule.target_value":
+        "drivers read the target through CarriedTarget, which calls forward; "
+        "the uncached reference is the tests' UncachedTarget",
+}
+
+
+def trace_targets():
+    """The "module:Qualified.name" string of each Target(...) in measure.py."""
+    tree = ast.parse((ROOT / "bench" / "measure.py").read_text(encoding="utf-8"))
+    return [node.args[1].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "Target"]
+
+
+def resolves(where):
+    module_name, _, qualname = where.partition(":")
+    try:
+        owner = importlib.import_module(module_name)
+    except ImportError:
+        return False
+    for part in qualname.split("."):
+        owner = getattr(owner, part, None)
+    return callable(owner)
+
+
+def test_trace_targets_exist_or_are_listed_absent():
+    assert resolves("gaitbridge.composer:EpisodeDriver.tick")
+    assert not resolves("gaitbridge.composer:EpisodeDriver.gone")
+    targets = trace_targets()
+    assert len(targets) > 10
+    unresolved = sorted({where for where in targets if not resolves(where)})
+    unlisted = [where for where in unresolved if where not in ABSENT_TRACE_TARGETS]
+    assert not unlisted, "trace targets that name no function:\n" + "\n".join(unlisted)
