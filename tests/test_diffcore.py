@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -357,16 +358,21 @@ def test_inference_cache_follows_every_parameter_write():
     net = ParameterizedNet(6, 2, (8, 8), rng)
     obs = rng.normal(size=6)
     batch = rng.normal(size=(5, 6))
+    # each of std and its sum refreshes a stale mirror itself: take turns
+    # at being read first after a write
+    first_reads = itertools.cycle([("std", "log_std_sum"), ("log_std_sum", "std")])
 
     def assert_fresh():
         fresh = ParameterizedNet.from_params(net.params)
+        log_std = net.params["log_std"].astype(np.float64)
+        want = {"std": np.exp(log_std), "log_std_sum": float(log_std.sum())}
+        for name in next(first_reads):
+            assert np.array_equal(getattr(net, name), want[name])
         p64, p64_f = net.params64(), fresh.params64()
         assert p64.keys() == p64_f.keys()
         assert all(np.array_equal(p64[k], p64_f[k]) for k in p64)
-        log_std = net.params["log_std"].astype(np.float64)
-        assert np.array_equal(net.std, np.exp(log_std))
         assert np.array_equal(net.std, fresh.std)
-        assert net.log_std_sum == fresh.log_std_sum == float(log_std.sum())
+        assert net.log_std_sum == fresh.log_std_sum
         for got, want in zip(net.forward(batch), fresh.forward(batch)):
             assert np.array_equal(got, want)
         mu, value, switch = net.forward(obs)
