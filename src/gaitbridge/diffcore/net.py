@@ -19,9 +19,9 @@ place, and the refresh also sets `net.std` (exp of log_std), its log-sum
 `net.log_std_sum`, and the value and switch biases as floats. The views a
 forward reads, the trunk's (w, b) pairs, the mu head, and the value and
 switch weights as columns, are fixed at allocation, so a forward looks
-nothing up per call. So an array from `params64()`, and `net.std`, change
-under the caller at the next write and the next read after it: no caller
-may hold one across a write.
+nothing up per call. So an array from `params64()` changes under the
+caller at the next write and the next read after it, and `net.std` is
+replaced then: no caller may hold either across a write.
 
 Every matrix product is `ndarray.dot`, not `@`. `@` also pays for the matmul
 gufunc dispatch, which costs about as much as the BLAS call itself on a
@@ -186,7 +186,7 @@ class ParameterizedNet:
 
     @property
     def std(self):
-        """exp(log_std), float64, valid until the next write."""
+        """exp(log_std) as a float64 array, replaced at each refresh."""
         self.params64()
         return self._std
 
