@@ -198,8 +198,7 @@ def prime_switch_head(net, prior=SETUP_SWITCH_PRIOR):
     setup experience; training then reshapes both weights and bias.
     """
     net.params["switch.w"][...] = 0.0
-    net.params["switch.b"][...] = float(np.log(prior / (1.0 - prior)))
-    net.invalidate_cache()
+    net.params["switch.b"][...] = np.float32(np.log(prior / (1.0 - prior)))
     return net
 
 
@@ -602,7 +601,7 @@ def _run_batch(lanes):
                 if rng.random() < p_switch:
                     handoffs.append(i)
 
-        _, done = batch.step(actions)
+        done = batch.step(actions)
         for i in handoffs:
             if not done[i]:
                 switch_lane(i, POLICY_TARGET, lanes[i].switch.artifact)

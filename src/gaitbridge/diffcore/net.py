@@ -6,22 +6,19 @@ a scalar switch-logit head. Policies that never use the switch mechanism simply
 leave the switch head untouched (its gradients stay exactly zero), which keeps
 "initialize one policy from another" a straight bit-copy of the parameters.
 
-Parameters live in one contiguous float32 vector, `net.flat` (the checkpoint
-payload format), laid out as fc0.w, fc0.b, fc1.w, ..., mu.w, mu.b, log_std,
-value.w, value.b, switch.w, switch.b, each array row-major. `net.params` maps
-each name to a view into `net.flat`, so writes through either are the same
-write. All math runs on a float64 mirror of the vector, `net.params64()`:
-named views into one float64 vector that the net allocates once, with its
-layout. The mirror is the net's only cache. Every writer of `net.flat`
-(optimizer step, log-std clamp, switch-head priming) calls
-`invalidate_cache`, which marks it stale; the next read refreshes it in
-place, and the refresh also sets `net.std` (exp of log_std), its log-sum
-`net.log_std_sum`, and the value and switch biases as floats. The views a
-forward reads, the trunk's (w, b) pairs, the mu head, and the value and
-switch weights as columns, are fixed at allocation, so a forward looks
-nothing up per call. So an array from `params64()` changes under the
-caller at the next write and the next read after it, and `net.std` is
-replaced then: no caller may hold either across a write.
+Parameters live in one contiguous float64 vector, `net.flat`, laid out as
+fc0.w, fc0.b, fc1.w, ..., mu.w, mu.b, log_std, value.w, value.b, switch.w,
+switch.b, each array row-major. `net.params` maps each name to a view into
+`net.flat`, so writes through either are the same write, and all math reads
+those views directly: the net keeps no cache, and `net.std` and
+`net.log_std_sum` are computed from log_std at each read. Checkpoints store
+float32, so every value in `net.flat` is a float32 number, and each writer
+in this package rounds to float32 where it writes: the initial weights are
+drawn as float32, `from_params` casts its input, `adam_step` rounds the
+updated vector, `prime_switch_head` writes a float32 bias, and
+`clamp_log_std` clips to bounds that are float32 numbers. A checkpoint round
+trip is then lossless. Code that writes the views directly must write float32
+numbers too, or its net no longer equals its checkpoint.
 
 Every matrix product is `ndarray.dot`, not `@`. `@` also pays for the matmul
 gufunc dispatch, which costs about as much as the BLAS call itself on a
@@ -80,7 +77,8 @@ def _layout(obs_dim, action_dim, hidden):
 
 
 class ParameterizedNet:
-    """MLP whose named parameter arrays are views into one flat float32 vector.
+    """MLP whose named parameter arrays are views into one flat float64
+    vector of float32 values.
 
     Layout for hidden=(h0, h1, ...): fc{i}.w (fan_in, h_i), fc{i}.b (h_i,),
     then mu.w/mu.b, log_std, value.w/value.b, switch.w/switch.b.
@@ -101,18 +99,16 @@ class ParameterizedNet:
         self.action_dim = int(action_dim)
         self.hidden = tuple(int(h) for h in hidden)
         self.layout, size = _layout(self.obs_dim, self.action_dim, self.hidden)
-        self.flat = np.zeros(size, dtype=np.float32)
-        self.params = self.views(self.flat)
-        self._flat64 = np.zeros(size)
-        self._p64 = p = self.views(self._flat64)
-        self._trunk64 = tuple((p[f"fc{i}.w"], p[f"fc{i}.b"])
-                              for i in range(len(self.hidden)))
-        self._mu64 = (p["mu.w"], p["mu.b"])
+        self.flat = np.zeros(size)
+        self.params = p = self.views(self.flat)
+        self._trunk = tuple((p[f"fc{i}.w"], p[f"fc{i}.b"])
+                            for i in range(len(self.hidden)))
+        self._mu = (p["mu.w"], p["mu.b"])
         self._value_w, self._switch_w = p["value.w"][:, 0], p["switch.w"][:, 0]
+        self._value_b, self._switch_b = p["value.b"], p["switch.b"]
         # the flat range of each parameter, where `backward` writes its block
         self._spans = {name: slice(start, start + math.prod(shape))
                        for name, start, shape in self.layout}
-        self.invalidate_cache()
 
     @staticmethod
     def _init_weight(rng, fan_in, fan_out):
@@ -135,7 +131,8 @@ class ParameterizedNet:
     def from_params(cls, params):
         """Build a net from a named-array dict; the architecture is implicit.
 
-        Raises ValueError unless the names and shapes are exactly a layout
+        Values are rounded to float32, as a checkpoint stores them. Raises
+        ValueError unless the names and shapes are exactly a layout
         this class produces: fc{i} layers chaining their widths, mu.w, mu.b
         and log_std agreeing on the action width, and (h, 1)/(1,) value and
         switch heads.
@@ -156,7 +153,7 @@ class ParameterizedNet:
             if shapes[name] != view.shape:
                 raise ValueError(f"parameter {name!r} has shape {shapes[name]}, "
                                  f"expected {view.shape}")
-            view[...] = params[name]
+            view[...] = np.asarray(params[name], dtype=np.float32)
         unknown = sorted(set(shapes) - set(net.params))
         if unknown:
             raise ValueError(f"unknown parameters {unknown} for this layout")
@@ -168,43 +165,23 @@ class ParameterizedNet:
         dup.flat[...] = self.flat
         return dup
 
-    def invalidate_cache(self):
-        self._stale = True
-
-    def params64(self):
-        """Named float64 views of the mirror of `flat`, valid until the next
-        write to the parameters."""
-        if self._stale:
-            p = self._p64
-            np.copyto(self._flat64, self.flat)
-            self._std = np.exp(p["log_std"])
-            self._log_std_sum = float(p["log_std"].sum())
-            self._value_b = float(p["value.b"][0])
-            self._switch_b = float(p["switch.b"][0])
-            self._stale = False
-        return self._p64
-
     @property
     def std(self):
-        """exp(log_std) as a float64 array, replaced at each refresh."""
-        self.params64()
-        return self._std
+        """exp(log_std) as a new float64 array."""
+        return np.exp(self.params["log_std"])
 
     @property
     def log_std_sum(self):
         """sum(log_std) as a float."""
-        self.params64()
-        return self._log_std_sum
+        return float(self.params["log_std"].sum())
 
     def clamp_log_std(self):
         np.clip(self.params["log_std"], LOG_STD_MIN, LOG_STD_MAX, out=self.params["log_std"])
-        self.invalidate_cache()
 
     def activations(self, obs):
         """Trunk activations [obs, h0, h1, ...] of one row or a batch."""
-        self.params64()
         hs = [obs]
-        for w, b in self._trunk64:
+        for w, b in self._trunk:
             h = hs[-1].dot(w)
             h += b
             np.tanh(h, out=h)
@@ -213,7 +190,7 @@ class ParameterizedNet:
 
     def head(self, name, h):
         """Linear head `name` ("mu", "value" or "switch") on trunk output h."""
-        p = self.params64()
+        p = self.params
         return h.dot(p[f"{name}.w"]) + p[f"{name}.b"]
 
     def backward(self, hs, head_grads, d_log_std, grad):
@@ -224,7 +201,7 @@ class ParameterizedNet:
         their trunk contributions are summed. Heads not listed, and log_std
         when d_log_std is None, get exact zeros.
         """
-        p, span = self.params64(), self._spans
+        p, span = self.params, self._spans
         grad.fill(0.0)
         if d_log_std is not None:
             grad[span["log_std"]] = d_log_std
@@ -250,12 +227,12 @@ class ParameterizedNet:
         obs (B, obs_dim) -> (mu (B, A), value (B,), switch_logit (B,))
         """
         h = self.activations(obs)[-1]
-        mu_w, mu_b = self._mu64
+        mu_w, mu_b = self._mu
         mu = h.dot(mu_w)
         mu += mu_b
         if obs.ndim == 1:
-            return (mu, float(h.dot(self._value_w)) + self._value_b,
-                    float(h.dot(self._switch_w)) + self._switch_b)
+            return (mu, float(h.dot(self._value_w) + self._value_b[0]),
+                    float(h.dot(self._switch_w) + self._switch_b[0]))
         return mu, self.head("value", h)[:, 0], self.head("switch", h)[:, 0]
 
 

@@ -3,11 +3,19 @@
 The gradient is one float64 vector laid out like `net.flat` (see `net.py`).
 The moments are float64 vectors of the same length, so a step is a handful of
 vector operations; every entry is updated exactly as a per-array loop would.
+The update is computed in float64 and rounded to float32 as it is written, so
+`net.flat` keeps holding float32 values, as checkpoints store them. The
+learning rate is the one setting; the betas and epsilon are the constants
+below.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -17,11 +25,8 @@ class NonFiniteGradientError(RuntimeError):
 class AdamState:
     """First/second moment accumulators (float64) plus the shared step count."""
 
-    def __init__(self, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=3e-4):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m = None
         self.v = None
@@ -49,18 +54,15 @@ def adam_step(net, grad, state: AdamState):
     m, v = state.m, state.v
     # fold the bias corrections into scalars so the work is four in-place
     # vector ops plus one temporary chain
-    step_scale = state.lr / (1.0 - state.beta1 ** t)
-    inv_bc2 = 1.0 / (1.0 - state.beta2 ** t)
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grad
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (grad * grad)
+    step_scale = state.lr / (1.0 - BETA1 ** t)
+    inv_bc2 = 1.0 / (1.0 - BETA2 ** t)
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * (grad * grad)
     denom = v * inv_bc2
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += EPS
     np.divide(m, denom, out=denom)
     denom *= step_scale
-    p64 = net.flat.astype(np.float64)
-    p64 -= denom
-    net.flat[...] = p64
-    net.invalidate_cache()
+    net.flat[...] = (net.flat - denom).astype(np.float32)

@@ -300,7 +300,7 @@ def ppo_loss_grad(net, obs, actions, bits, logp_old, adv, returns, config, grad)
     hs = net.activations(obs)
     h = hs[-1]
     n = len(obs)
-    log_std = net.params64()["log_std"]
+    log_std = net.params["log_std"]
     lo, hi = 1.0 - config.clip, 1.0 + config.clip
 
     diff = actions - net.head("mu", h)

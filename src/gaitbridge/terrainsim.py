@@ -88,6 +88,10 @@ def make_artifact(kind, start, height=None, length=None):
                     dl if length is None else float(length))
 
 
+# highest sole any jump reaches: takeoff speed is at most JUMP_GAIN, m
+JUMP_APEX = JUMP_GAIN ** 2 / (2.0 * GRAVITY)
+
+
 @dataclass(frozen=True)
 class Course:
     artifacts: tuple
@@ -103,6 +107,10 @@ class Course:
             raise CourseError(f"goal {self.goal_x} is not finite")
         prev_end = None
         for art in self.artifacts:
+            if art.kind != GAP and not 0.0 < art.height <= JUMP_APEX:
+                raise CourseError(
+                    f"{art.kind} height {art.height} is outside (0, {JUMP_APEX}], "
+                    f"the highest sole a jump reaches")
             if art.length <= 0:
                 raise CourseError(f"artifact at {art.start} has non-positive length")
             if prev_end is not None and art.start < prev_end:
@@ -517,11 +525,12 @@ class RunnerBatch:
         return self.distance <= DETECT_RANGE, self.next_index
 
     def step(self, actions):
-        """Advance every lane one tick; returns (reward, done).
+        """Advance every lane one tick; returns the lanes' done mask.
 
         Repeats `TerrainEnv.step` and `_fly` with masks: ground lanes drive
         and crouch, lanes that take off or are airborne fly. Like
         `TerrainEnv.step`, it raises RuntimeError if a lane has finished.
+        It computes no reward: evaluation, its one caller, reads none.
         """
         if self.done.any():
             raise RuntimeError("step on a finished lane")
@@ -558,21 +567,16 @@ class RunnerBatch:
         self.steps = steps = self.steps + 1
         self.max_x = np.maximum(self.max_x, x)
 
-        reward = PROGRESS_GAIN * (x - x_old)
         ended = failed | (x >= self.goal) | (steps > MAX_STEPS)
         if not ended.any():
-            return reward + ALIVE_BONUS, ended
+            return ended
         success = ~failed & (x >= self.goal)
         timeout = ~failed & ~success & (steps > MAX_STEPS)
-        penalized = failed | timeout
-        reward = np.where(penalized, reward - FAILURE_PENALTY,
-                          np.where(success, reward + ALIVE_BONUS + GOAL_BONUS,
-                                   reward + ALIVE_BONUS))
         self.failure = np.select([crashed, fell, timeout], [1, 2, 3]
                                  ).astype(np.int8)  # _FAILURES codes
         self.success = success
-        self.done = success | penalized
-        return reward, self.done
+        self.done = ended
+        return ended
 
     def state(self, i):
         """Lane i as a RunnerState."""

@@ -41,8 +41,7 @@ def scripted_net(a1, a2, crouch_gate=False):
     if crouch_gate:
         net.params["fc0.w"][3, 0] = 2.0
         net.params["switch.w"][0, 0] = 10.0
-        net.params["switch.b"][0] = -8.3365
-    net.invalidate_cache()
+        net.params["switch.b"][0] = np.float32(-8.3365)
     return net
 
 
@@ -70,15 +69,13 @@ def exact_hurdle_module(target_net=None):
     setup.params["switch.w"] *= 2.0 ** 24
     setup.params["switch.b"] *= 2.0 ** 24
     setup.params["log_std"][...] = -100.0
-    setup.invalidate_cache()
     return hurdle_module(target_net=target_net, setup_net=setup)
 
 
 def flat_value_module(v):
     """Hurdle module whose target value head reports the constant v."""
     target = scripted_net(0.0, -1.0)
-    target.params["value.b"][0] = v
-    target.invalidate_cache()
+    target.params["value.b"][0] = np.float32(v)
     return hurdle_module(target_net=target)
 
 
@@ -149,23 +146,23 @@ def gaussian_logprob(mean, log_std, action):
                  - 0.5 * mean.shape[-1] * LOG_2PI)
 
 
-def numeric_gradient(loss_fn, params64, h=1e-5):
+def numeric_gradient(loss_fn, params, h=1e-5):
     """Central finite differences of loss_fn over every entry of every array.
 
-    loss_fn takes the params64 dict and returns a python float. The dict is
+    loss_fn takes the named-array dict and returns a python float. The dict is
     perturbed in place and restored, so loss_fn must read it fresh on each call.
     """
     grads = {}
-    for name, arr in params64.items():
+    for name, arr in params.items():
         g = np.zeros_like(arr)
         flat = arr.ravel()
         gf = g.ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp = loss_fn(params64)
+            lp = loss_fn(params)
             flat[i] = orig - h
-            lm = loss_fn(params64)
+            lm = loss_fn(params)
             flat[i] = orig
             gf[i] = (lp - lm) / (2.0 * h)
         grads[name] = g

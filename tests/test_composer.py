@@ -300,7 +300,6 @@ class TestSwitchMachine:
         # leaves the walker in charge until detection
         walker = scripted_net(0.5, 0.0)
         walker.params["switch.b"][0] = 50.0
-        walker.invalidate_cache()
         *_, drv = _scripted_drivers(walker=walker)
         assert _events(drv) == _expected_events()
 
@@ -309,7 +308,6 @@ class TestSwitchMachine:
         # changes nothing once it has taken over
         target = scripted_net(0.0, -1.0)
         target.params["switch.b"][0] = 50.0
-        target.invalidate_cache()
         *_, drv = _scripted_drivers(
             module=exact_hurdle_module(target_net=target))
         assert _events(drv) == _expected_events()
@@ -555,7 +553,6 @@ def fast_training_world():
                                          identity_norm(), default_net,
                                          d_norm)
     module.setup_net.params["switch.b"][0] = -4.0
-    module.setup_net.invalidate_cache()
     return env, default_net, d_norm, module
 
 
@@ -682,8 +679,8 @@ def valued(net, seed):
     (mu.w is zero) stays the constant mu bias."""
     rng = np.random.default_rng(seed)
     for name in ("fc0.w", "fc0.b", "value.w", "value.b"):
-        net.params[name][...] = rng.normal(size=net.params[name].shape)
-    net.invalidate_cache()
+        net.params[name][...] = rng.normal(size=net.params[name].shape
+                                           ).astype(np.float32)
     return net
 
 
@@ -868,8 +865,7 @@ class TestTerrainBlindWalker:
 
     def test_a_frozen_walker_acts_on_its_mean_and_draws_nothing(self):
         net = ParameterizedNet(OBS_PROPRIO, 2, (8,), np.random.default_rng(3))
-        net.params["mu.b"][0] += 0.5
-        net.invalidate_cache()
+        net.params["mu.b"][0] = np.float32(net.params["mu.b"][0]) + np.float32(0.5)
         norm = identity_norm(OBS_PROPRIO)
         env = TerrainEnv(flat_course(10.0))
         rng = np.random.default_rng(0)
@@ -1013,8 +1009,8 @@ def lane_world(first=HURDLE):
     for net in [walker] + [m.setup_net for m in modules.values()]:
         for name in ("fc0.b", "mu.w"):
             arr = net.params[name]
-            arr[...] += 0.05 * rng.standard_normal(arr.shape)
-        net.invalidate_cache()
+            arr[...] = (arr + 0.05 * rng.standard_normal(arr.shape)
+                        ).astype(np.float32)
     for module in modules.values():
         module.setup_norm = identity_norm()
     return TerrainEnv(lane_course(first)), walker, modules
@@ -1162,8 +1158,7 @@ class TestLanes:
         monkeypatch.setattr(cp.RunnerBatch, "step", counted_step)
         env, walker, modules = lane_world()
         _, fast_walker, other_modules = lane_world()
-        fast_walker.params["mu.b"][0] = 0.7
-        fast_walker.invalidate_cache()
+        fast_walker.params["mu.b"][0] = np.float32(0.7)
         # both module sets, the hurdle module alone, and none at all
         policies = [(walker, identity_norm(), modules),
                     (fast_walker, identity_norm(),
@@ -1281,8 +1276,10 @@ class TestTrainTargetPaths:
 
 
 def training_digest(net, norm, curve):
-    """sha256 of final parameters, normalizer state and training curve."""
-    h = hashlib.sha256(net.flat.tobytes())
+    """sha256 of final parameters (as the float32 numbers they are),
+    normalizer state and training curve."""
+    assert np.array_equal(net.flat, net.flat.astype(np.float32))
+    h = hashlib.sha256(net.flat.astype(np.float32).tobytes())
     for key, arr in sorted(norm.state_arrays().items()):
         h.update(key.encode())
         h.update(arr.tobytes())
@@ -1353,9 +1350,9 @@ class TestSeededTrainingDigests:
         # normalizer gives every lifted dimension std 1, whichever count the
         # lift fills the terrain dimensions with
         walker = ParameterizedNet(OBS_PROPRIO, 2, (8,), np.random.default_rng(13))
-        walker.params["mu.w"] *= 0.1
+        walker.params["mu.w"][...] = (walker.params["mu.w"].astype(np.float32)
+                                      * np.float32(0.1))
         walker.params["mu.b"][...] = (0.5, 0.0)
-        walker.invalidate_cache()
         walker_norm = identity_norm(OBS_PROPRIO)
         module = BehaviorModule.from_default(HURDLE, scripted_net(0.0, -1.0),
                                              identity_norm(), walker,

@@ -1,4 +1,3 @@
-import itertools
 import math
 import re
 
@@ -13,24 +12,24 @@ from gaitbridge.diffcore import (
     switch_bce_grad,
 )
 from gaitbridge.diffcore.net import LOG_STD_MAX, LOG_STD_MIN
-from gaitbridge.composer import prime_switch_head
+from gaitbridge.composer import lift_to_terrain_obs, prime_switch_head
+from gaitbridge.harness.checkpoint import Checkpoint, checkpoint_bytes, parse_checkpoint
 from gaitbridge.policyopt import PPOConfig, policy_act, ppo_loss_grad
+from gaitbridge.terrainsim import OBS_DIM, OBS_PROPRIO
 
-from helpers import gaussian_logprob, numeric_gradient
+from helpers import gaussian_logprob, identity_norm, numeric_gradient
 
 
 def _zeroed_net(obs_dim=4, action_dim=2, hidden=(3, 3)):
     net = ParameterizedNet(obs_dim, action_dim, hidden, np.random.default_rng(0))
     for name, arr in net.params.items():
         arr[...] = 0.0
-    net.invalidate_cache()
     return net
 
 
 def test_zero_weight_net_mean_is_bias():
     net = _zeroed_net()
     net.params["mu.b"][...] = np.array([0.25, -1.5], dtype=np.float32)
-    net.invalidate_cache()
     mu, value, switch = net.forward(np.array([3.0, -2.0, 0.5, 9.0]))
     assert np.allclose(mu, [0.25, -1.5], atol=0)
     assert value == 0.0
@@ -43,7 +42,6 @@ def test_single_unit_net_composes_tanh():
         arr[...] = 0.0
     net.params["fc0.w"][...] = 1.0
     net.params["mu.w"][...] = 1.0
-    net.invalidate_cache()
     mu = net.forward(np.array([0.5]))[0]
     assert mu[0] == pytest.approx(math.tanh(0.5), abs=1e-7)
 
@@ -148,7 +146,7 @@ def test_params_are_views_into_flat_vector():
         assert view is views[name]
         assert np.shares_memory(view, net.flat)
     assert np.all(net.params["log_std"] == LOG_STD_MAX)
-    assert net.params64()["mu.b"][1] == pytest.approx(7.4, abs=1e-6)
+    assert net.params["mu.b"][1] == pytest.approx(7.4, abs=1e-6)
 
 
 def _valid_params():
@@ -256,7 +254,7 @@ def test_backward_matches_central_differences_many_nets():
         batch = _random_batch(rng, obs_dim, action_dim, with_bits=with_bits)
 
         analytic, pg, v_loss, _ = _ppo_grad(net, batch, entropy_coef)
-        p = net.params64()
+        p = net.params
         assert pg + 0.5 * v_loss == pytest.approx(_reference_ppo_loss(p, batch, 0.0), abs=1e-12)
         numeric = numeric_gradient(lambda q: _reference_ppo_loss(q, batch, entropy_coef), p)
         _assert_close(analytic, numeric, f"trial {trial}")
@@ -279,7 +277,7 @@ def test_switch_bce_matches_central_differences():
         labels = rng.integers(0, 2, size=(7, 1)).astype(np.float64)
         grad = np.full(net.flat.size, np.nan)
         loss = switch_bce_grad(net, obs, labels, grad)
-        p = net.params64()
+        p = net.params
         assert loss == pytest.approx(_reference_bce(p, obs, labels), abs=1e-12)
         numeric = numeric_gradient(lambda q: _reference_bce(q, obs, labels), p)
         _assert_close(net.views(grad), numeric, f"trial {trial}")
@@ -350,66 +348,55 @@ def test_batched_forward_matches_single():
         assert sw_b[i] == pytest.approx(sw_i, abs=1e-12)
 
 
-def test_inference_cache_follows_every_parameter_write():
-    """After each in-place write to a net's parameters, its mirror, std and
-    log-std sum, its one-row and batched forward and its sampled action
-    equal those of a freshly built copy."""
+def test_every_parameter_writer_keeps_float32_values_and_fresh_reads():
+    """After each writer of a net's parameters, `flat` holds float32 numbers,
+    a checkpoint round trip rebuilds it exactly, and its forwards, std,
+    log-std sum and sampled action equal those of a net built from its
+    params."""
     rng = np.random.default_rng(12)
-    net = ParameterizedNet(6, 2, (8, 8), rng)
-    obs = rng.normal(size=6)
-    batch = rng.normal(size=(5, 6))
-    # each of std and its sum refreshes a stale mirror itself: take turns
-    # at being read first after a write
-    first_reads = itertools.cycle([("std", "log_std_sum"), ("log_std_sum", "std")])
 
-    def assert_fresh():
+    def assert_float32_and_fresh(net):
+        assert np.array_equal(net.flat, net.flat.astype(np.float32))
+        ckpt = Checkpoint.of(net, identity_norm(net.obs_dim))
+        rebuilt, _ = parse_checkpoint(checkpoint_bytes(ckpt)).build()
+        assert np.array_equal(rebuilt.flat, net.flat)
         fresh = ParameterizedNet.from_params(net.params)
-        log_std = net.params["log_std"].astype(np.float64)
-        want = {"std": np.exp(log_std), "log_std_sum": float(log_std.sum())}
-        for name in next(first_reads):
-            assert np.array_equal(getattr(net, name), want[name])
-        p64, p64_f = net.params64(), fresh.params64()
-        assert p64.keys() == p64_f.keys()
-        assert all(np.array_equal(p64[k], p64_f[k]) for k in p64)
+        log_std = net.params["log_std"]
+        assert np.array_equal(net.std, np.exp(log_std))
         assert np.array_equal(net.std, fresh.std)
-        assert net.log_std_sum == fresh.log_std_sum
+        assert net.log_std_sum == float(log_std.sum()) == fresh.log_std_sum
+        obs = rng.normal(size=net.obs_dim)
+        batch = rng.normal(size=(5, net.obs_dim))
         for got, want in zip(net.forward(batch), fresh.forward(batch)):
             assert np.array_equal(got, want)
         mu, value, switch = net.forward(obs)
         mu_f, value_f, switch_f = fresh.forward(obs)
         assert np.array_equal(mu, mu_f)
         assert (value, switch) == (value_f, switch_f)
+        assert type(value) is float and type(switch) is float
         acts = [policy_act(n, obs, np.random.default_rng(0), with_switch=True)
                 for n in (net, fresh)]
         assert np.array_equal(acts[0][0], acts[1][0])
         assert acts[0][1:] == acts[1][1:]
 
-    assert_fresh()
+    net = ParameterizedNet(OBS_PROPRIO, 2, (8, 8), rng)
+    assert_float32_and_fresh(net)
+    net = ParameterizedNet.from_params(
+        {name: rng.normal(size=arr.shape) for name, arr in net.params.items()})
+    assert_float32_and_fresh(net)
     adam_step(net, rng.normal(size=net.flat.shape), AdamState(lr=0.1))
-    assert_fresh()
-    net.params["log_std"][...] = LOG_STD_MAX + 1.0
-    net.invalidate_cache()
-    assert_fresh()
+    assert_float32_and_fresh(net)
+    net.params["log_std"][...] = [LOG_STD_MIN - 1.0, LOG_STD_MAX + 1.0]
     net.clamp_log_std()
-    assert_fresh()
+    assert_float32_and_fresh(net)
     prime_switch_head(net)
-    assert_fresh()
-    net.params["value.b"][...] = 4.0
-    net.params["switch.w"][...] = 0.5
-    net.invalidate_cache()
-    assert_fresh()
-
-
-def test_copy_never_shares_the_float64_mirror():
-    rng = np.random.default_rng(13)
-    net = ParameterizedNet(6, 2, (8, 8), rng)
-    dup = net.copy()
-    before = {k: v.copy() for k, v in dup.params64().items()}
-    for name, arr in net.params64().items():
-        assert not np.shares_memory(arr, dup.params64()[name]), name
-    adam_step(net, rng.normal(size=net.flat.shape), AdamState(lr=0.1))
-    net.params64()  # refreshes the source's mirror in place
-    assert all(np.array_equal(dup.params64()[k], before[k]) for k in before)
+    assert_float32_and_fresh(net)
+    lifted, _ = lift_to_terrain_obs(net, identity_norm(OBS_PROPRIO))
+    assert lifted.obs_dim == OBS_DIM
+    assert_float32_and_fresh(lifted)
+    dup = lifted.copy()
+    assert not np.shares_memory(dup.flat, lifted.flat)
+    assert_float32_and_fresh(dup)
 
 
 def test_backward_writes_whichever_gradient_vector_it_is_given():

@@ -57,9 +57,8 @@ def _damped_policy(obs_dim, seed, action):
     """A random policy pulled toward a fixed action: the walker walks up to
     the artifact and hands off within a few hundred ticks."""
     net, norm = _policy(obs_dim, seed)
-    net.flat *= 0.2
+    net.flat[...] = net.flat.astype(np.float32) * np.float32(0.2)
     net.params["mu.b"][...] = action
-    net.invalidate_cache()
     return net, norm
 
 
@@ -453,6 +452,20 @@ def test_non_finite_course_exits_2_without_traceback(tmp_path, capsys, text):
     assert code == 2
     assert err.startswith("error: ") and "not finite" in err
     assert "Traceback" not in err
+
+
+def test_artifact_height_out_of_range_exits_2_without_traceback(tmp_path, capsys):
+    good = save_checkpoint(tmp_path / "good.ckpt", Checkpoint.of(*_policy()))
+    course = tmp_path / "pit.course"
+    course.write_text("block 3.2 height=-0.5\n")
+    code = main(["evaluate", "--default", str(good), "--course", str(course),
+                 "--module", f"block={good}:{good}", "--episodes", "1",
+                 "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "block height -0.5 is outside" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unreadable_referenced_file_is_a_config_error(tmp_path, capsys):

@@ -411,8 +411,7 @@ def test_ppo_update_is_deterministic_given_seed():
 def test_log_std_stays_clamped_through_updates():
     rng = np.random.default_rng(15)
     net = ParameterizedNet(2, 1, (4,), rng)
-    net.params["log_std"][...] = -4.9
-    net.invalidate_cache()
+    net.params["log_std"][...] = np.float32(-4.9)
     buf = _synthetic_buffer(rng, net, T=16)
     ppo_update(net, [buf], PPOConfig(minibatch=8, lr=0.5), AdamState(lr=0.5), rng)
     assert np.all(net.params["log_std"] >= -5.0)

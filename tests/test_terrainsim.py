@@ -23,6 +23,7 @@ from gaitbridge.terrainsim import (
     GOAL_BONUS,
     GRAVITY,
     HURDLE,
+    JUMP_APEX,
     JUMP_GAIN,
     MAX_STEPS,
     PROGRESS_GAIN,
@@ -581,6 +582,33 @@ def test_parse_course_rejects_non_finite_numbers(text, fragment):
     assert str(exc.value).startswith("bad.course")
 
 
+@pytest.mark.parametrize("text, value", [
+    ("block 3.2 height=-0.5\n", "block height -0.5"),
+    ("hurdle 3.2 height=0\n", "hurdle height 0.0"),
+    ("hurdle 3.2 height=1e300\n", "hurdle height 1e+300"),
+])
+def test_parse_course_rejects_heights_no_jump_clears(text, value):
+    # a non-positive block is a pit and a non-positive hurdle is nothing;
+    # above the apex no jump clears it, and 1e300 overflows the normalizer
+    with pytest.raises(CourseError) as exc:
+        parse_course_text(text, name="bad.course")
+    msg = str(exc.value)
+    assert msg.startswith("bad.course")
+    assert value in msg and f"(0, {JUMP_APEX}]" in msg
+
+
+def test_artifact_heights_up_to_the_jump_apex_load():
+    assert JUMP_APEX == JUMP_GAIN ** 2 / (2.0 * GRAVITY)
+    for kind in (BLOCK, HURDLE):
+        course = parse_course_text(f"{kind} 3.2 height={JUMP_APEX!r}\n")
+        assert course.artifacts[0].height == JUMP_APEX
+        with pytest.raises(CourseError, match="outside"):
+            parse_course_text(f"{kind} 3.2 height={float(np.nextafter(JUMP_APEX, 2.0))!r}\n")
+        assert parse_course_text(f"{kind} 3.2 height=1e-9\n").artifacts[0].height == 1e-9
+    # a gap's height moves no physics and is not checked
+    assert parse_course_text("gap 3.2 height=-1\n").artifacts[0].height == -1.0
+
+
 def test_load_course_missing_file(tmp_path):
     with pytest.raises(CourseError, match="cannot read"):
         from gaitbridge.terrainsim import load_course
@@ -612,12 +640,16 @@ def state_bits(state):
 
 @st.composite
 def courses(draw):
-    """1-3 artifacts of any kind, any geometry, some of them adjacent."""
+    """1-3 artifacts of any kind, any geometry, some of them adjacent.
+
+    Block and hurdle heights are positive, as a course requires; a gap's
+    height moves no physics, is not checked, and may be 0."""
     x = SPAWN_MAX_X + draw(st.floats(0.0, 1.5))
     artifacts = []
     for _ in range(draw(st.integers(1, 3))):
-        art = make_artifact(draw(st.sampled_from(KINDS)), x,
-                            draw(st.floats(0.0, 0.6)),
+        kind = draw(st.sampled_from(KINDS))
+        art = make_artifact(kind, x,
+                            draw(st.floats(0.0, 0.6, exclude_min=kind != GAP)),
                             draw(st.floats(0.05, 1.0)))
         artifacts.append(art)
         x = art.end + draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.5))
@@ -684,10 +716,9 @@ def test_batch_step_observe_and_detect_match_the_scalar_runner(data):
             ahead = next_artifact(course, state.x)
             assert index[row] == (len(course.artifacts) if ahead is None
                                   else course.artifacts.index(ahead))
-        reward, done = batch.step(act[live])
+        done = batch.step(act[live])
         for row, i in enumerate(live):
-            want_reward, want_done = envs[i].step(states[i], act[i])
-            assert bits(reward[row]) == bits(want_reward)
+            _, want_done = envs[i].step(states[i], act[i])
             assert done[row] == want_done
             assert state_bits(batch.state(row)) == state_bits(states[i])
         keep = ~done
@@ -705,7 +736,7 @@ def test_batch_step_on_a_finished_lane_raises():
     batch = RunnerBatch([course, course],
                         [TerrainEnv(course).reset_from(x) for x in (0.5, 1.0)])
     batch.steps[1] = MAX_STEPS
-    _, done = batch.step(np.zeros((2, 2)))
+    done = batch.step(np.zeros((2, 2)))
     assert done.tolist() == [False, True]
     with pytest.raises(RuntimeError, match="finished lane"):
         batch.step(np.zeros((2, 2)))
