@@ -348,6 +348,63 @@ def test_batched_forward_matches_single():
         assert sw_b[i] == pytest.approx(sw_i, abs=1e-12)
 
 
+def test_inference_cache_follows_every_parameter_write():
+    """After each in-place write to a net's parameters, its std and log-std
+    sum, its one-row and batched forward and its sampled action equal those
+    of a freshly built copy: no read keeps a value from before the write."""
+    rng = np.random.default_rng(12)
+    net = ParameterizedNet(6, 2, (8, 8), rng)
+    obs = rng.normal(size=6)
+    batch = rng.normal(size=(5, 6))
+
+    def assert_fresh():
+        fresh = ParameterizedNet.from_params(net.params)
+        log_std = net.params["log_std"]
+        assert np.array_equal(net.std, np.exp(log_std))
+        assert net.log_std_sum == float(log_std.sum())
+        assert np.array_equal(net.flat, fresh.flat)
+        assert np.array_equal(net.std, fresh.std)
+        assert net.log_std_sum == fresh.log_std_sum
+        for got, want in zip(net.forward(batch), fresh.forward(batch)):
+            assert np.array_equal(got, want)
+        mu, value, switch = net.forward(obs)
+        mu_f, value_f, switch_f = fresh.forward(obs)
+        assert np.array_equal(mu, mu_f)
+        assert (value, switch) == (value_f, switch_f)
+        acts = [policy_act(n, obs, np.random.default_rng(0), with_switch=True)
+                for n in (net, fresh)]
+        assert np.array_equal(acts[0][0], acts[1][0])
+        assert acts[0][1:] == acts[1][1:]
+
+    assert_fresh()
+    adam_step(net, rng.normal(size=net.flat.shape), AdamState(lr=0.1))
+    assert_fresh()
+    net.params["log_std"][...] = LOG_STD_MAX + 1.0
+    assert_fresh()
+    net.clamp_log_std()
+    assert_fresh()
+    prime_switch_head(net)
+    assert_fresh()
+    net.params["value.b"][...] = 4.0
+    net.params["switch.w"][...] = 0.5
+    assert_fresh()
+
+
+def test_copy_never_shares_the_float64_mirror():
+    """A copy's float64 parameter vector and its views share no memory with
+    the source's, so a write to the source leaves the copy as it was."""
+    rng = np.random.default_rng(13)
+    net = ParameterizedNet(6, 2, (8, 8), rng)
+    dup = net.copy()
+    before = {k: v.copy() for k, v in dup.params.items()}
+    assert not np.shares_memory(net.flat, dup.flat)
+    for name, arr in net.params.items():
+        assert not np.shares_memory(arr, dup.params[name]), name
+    adam_step(net, rng.normal(size=net.flat.shape), AdamState(lr=0.1))
+    assert not all(np.array_equal(net.params[k], before[k]) for k in before)
+    assert all(np.array_equal(dup.params[k], before[k]) for k in before)
+
+
 def test_every_parameter_writer_keeps_float32_values_and_fresh_reads():
     """After each writer of a net's parameters, `flat` holds float32 numbers,
     a checkpoint round trip rebuilds it exactly, and its forwards, std,
