@@ -432,7 +432,7 @@ class EpisodeDriver:
             else:
                 obs_n = norm.normalize(x)
             if learning or acting == POLICY_SETUP:
-                action, bit, logp, value = policy_act(
+                action, bit, mean, logit, value = policy_act(
                     net, obs_n, self.rng, with_switch=acting == POLICY_SETUP)
             else:
                 action = net.forward(obs_n)[0]
@@ -450,7 +450,7 @@ class EpisodeDriver:
                     self.observation(), r_env, done, action)
             else:
                 r_step = r_env
-            self.buffer.append(obs_n, action, bit, logp, r_step, value,
+            self.buffer.append(obs_n, action, bit, mean, logit, r_step, value,
                                done or bit == 1)
             if bit == 1:
                 self.handed_off = True
@@ -704,6 +704,7 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
     drivers = [new_driver(RolloutBuffer(trainer.config.horizon))
                for _ in range(n_workers)]
     steps_used = 0
+    filled = 0  # workers whose buffer is full
     last_eval_at = None
     while steps_used < budget:
         for idx, drv in enumerate(drivers):
@@ -711,13 +712,15 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
                 continue  # paused until the joint update
             drv.tick()
             steps_used += 1
+            filled += drv.buffer.full
             if drv.done:
                 if on_episode_end is not None:
                     on_episode_end(drv)
                 drivers[idx] = new_driver(drv.buffer)
             if steps_used >= budget:
                 break
-        if all(d.buffer.full for d in drivers):
+        if filled == n_workers:
+            filled = 0
             trainer.update(drivers)
             if eval_every and trainer.updates % eval_every == 0:
                 last_eval_at = trainer.updates

@@ -11,7 +11,9 @@ fc0.w, fc0.b, fc1.w, ..., mu.w, mu.b, log_std, value.w, value.b, switch.w,
 switch.b, each array row-major. `net.params` maps each name to a view into
 `net.flat`, so writes through either are the same write, and all math reads
 those views directly: the net keeps no cache, and `net.std` and
-`net.log_std_sum` are computed from log_std at each read. Checkpoints store
+`net.log_std_sum` are computed from log_std at each read. A sampled act reads
+`net.std` only; `log_std_sum` is read once per buffer by `ppo_update`, which
+computes the behaviour log-probabilities. Checkpoints store
 float32, so every value in `net.flat` is a float32 number, and each writer
 in this package rounds to float32 where it writes: the initial weights are
 drawn as float32, `from_params` casts its input, `adam_step` rounds the

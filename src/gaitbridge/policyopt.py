@@ -6,6 +6,13 @@ by the caller; ppo_update averages per-worker gradients in worker index order
 with one shared minibatch permutation, so W identical buffers reproduce the
 single-worker update bit-for-bit when W is a power of two (IEEE division by
 2^k is exact).
+
+Acting samples and stores; it computes no log-probability. `policy_act`
+returns the action with its mean and switch logit, the buffer keeps those,
+and `ppo_update` computes every new row's behaviour log-probability in one
+vectorised pass before its first Adam step, bit for bit the per-act scalar
+formula. The net cannot change between two updates, so the net handed to
+`ppo_update` must be the one that filled its buffers.
 """
 
 from __future__ import annotations
@@ -59,6 +66,15 @@ class RolloutBuffer:
     Columns instead of row objects: the hot loop appends tens of thousands of
     times per update and the trainer mutates the last reward in place when
     extended rewards fold in.
+
+    A row stores the action's mean, and the switch logit when a handoff bit
+    was drawn, in place of its behaviour log-probability. `ppo_update`
+    computes the log-probabilities of the rows that lack one before its
+    first step, so it must see the net that acted; they fill `logprobs` from
+    the front. The survivor of `clear_except_last` keeps the log-probability
+    filled at its own update. The means are the first len(self) rows of one
+    (capacity, action width) array, allocated at the first append: a small
+    array per row would hold several times the memory.
     """
 
     def __init__(self, capacity):
@@ -68,7 +84,9 @@ class RolloutBuffer:
         self.obs = []
         self.actions = []
         self.switch_bits = []
-        self.logprobs = []
+        self.means = None  # (capacity, action width), at the first append
+        self.switch_logits = []  # one per row with a handoff bit
+        self.logprobs = []  # of the leading rows; ppo_update fills the rest
         self.rewards = []
         self.values = []
         self.dones = []
@@ -82,13 +100,24 @@ class RolloutBuffer:
     def full(self):
         return len(self.rewards) >= self.capacity
 
-    def append(self, obs, action, switch_bit, logprob, reward, value, done):
-        if self.full:
+    def _columns(self):
+        return (self.obs, self.actions, self.switch_bits,
+                self.switch_logits, self.logprobs, self.rewards, self.values,
+                self.dones)
+
+    def append(self, obs, action, switch_bit, mean, switch_logit, reward,
+               value, done):
+        n = len(self.rewards)
+        if n >= self.capacity:
             raise BufferError("append to a full buffer; run an update first")
+        if self.means is None:
+            self.means = np.empty((self.capacity, len(mean)))
+        self.means[n] = mean
         self.obs.append(obs)
         self.actions.append(action)
         self.switch_bits.append(switch_bit)
-        self.logprobs.append(logprob)
+        if switch_bit is not None:
+            self.switch_logits.append(switch_logit)
         self.rewards.append(reward)
         self.values.append(value)
         self.dones.append(done)
@@ -99,8 +128,7 @@ class RolloutBuffer:
         self.rewards[-1] += delta
 
     def clear(self):
-        for col in (self.obs, self.actions, self.switch_bits, self.logprobs,
-                    self.rewards, self.values, self.dones):
+        for col in self._columns():
             col.clear()
         self.tail_bootstrap = 0.0
 
@@ -109,8 +137,8 @@ class RolloutBuffer:
         receiving extended reward for steps after the update)."""
         if not self.rewards:
             raise BufferError("clear_except_last on an empty buffer")
-        for col in (self.obs, self.actions, self.switch_bits, self.logprobs,
-                    self.rewards, self.values, self.dones):
+        self.means[0] = self.means[len(self) - 1]
+        for col in self._columns():
             del col[:-1]
         self.tail_bootstrap = 0.0
 
@@ -250,39 +278,55 @@ def gae_advantages(rewards, values, dones, gamma, lam, tail_bootstrap=0.0):
 
 
 def policy_act(net, obs_norm, rng, with_switch=False):
-    """Draw (action, switch_bit, joint_logprob, value) from a policy net.
+    """Draw (action, switch_bit, mean, switch_logit, value) from a policy net.
 
     The action is drawn first; the handoff bit follows with `with_switch`,
-    else it is None. A policy acting on its mean reads `net.forward` instead.
+    else it is None. The behaviour log-probability is not computed here:
+    `ppo_update` computes it from the stored mean and logit. A policy acting
+    on its mean reads `net.forward` instead.
     """
     mu, value, z = net.forward(obs_norm)
-    std = net.std
-    action = mu + std * rng.standard_normal(mu.shape[0])
-    # scalar-math logprob: dimensionality is tiny, numpy dispatch dominates
-    quad = 0.0
-    for a, m, s in zip(action.tolist(), mu.tolist(), std.tolist()):
-        t = (a - m) / s
-        quad += t * t
-    logp = -0.5 * (quad + LOG_2PI * action.shape[0]) - net.log_std_sum
+    action = mu + net.std * rng.standard_normal(mu.shape[0])
     bit = None
     if with_switch:
-        p = sigmoid(z)
-        bit = int(rng.random() < p)
-        # log Bernoulli(bit | sigmoid(z)) in a softplus form, stable for any z
-        logp += float(-np.logaddexp(0.0, -z if bit else z))
-    return action, bit, logp, value
+        bit = int(rng.random() < sigmoid(z))
+    return action, bit, mu, z, value
 
 
-def _stack_worker(buffer, config):
+def _fill_logprobs(net, buffer, actions, with_bits):
+    """Append to `buffer.logprobs` the joint log-probability of every row that
+    lacks one, under `net`, which must be the net that acted.
+
+    `actions` is the stacked action column. Each row's floats are those of
+    the per-act scalar formula: the squares of t = (a - mu) / std sum column
+    by column in a float64 vector (a row-wise `sum` rounds differently once
+    the action is 8 or more wide), and the Bernoulli term of the bit is
+    log(sigmoid(+-z)) in a softplus form, stable for any z.
+    """
+    start = len(buffer.logprobs)
+    t = (actions[start:] - buffer.means[start:len(actions)]) / net.std
+    quad = t[:, 0] * t[:, 0]
+    for j in range(1, t.shape[1]):
+        quad += t[:, j] * t[:, j]
+    logp = -0.5 * (quad + LOG_2PI * t.shape[1]) - net.log_std_sum
+    if with_bits:
+        z = np.asarray(buffer.switch_logits[start:], dtype=np.float64)
+        bits = np.asarray(buffer.switch_bits[start:], dtype=bool)
+        logp += -np.logaddexp(0.0, np.where(bits, -z, z))
+    buffer.logprobs += logp.tolist()
+
+
+def _stack_worker(net, buffer, config, with_bits):
     obs = np.asarray(buffer.obs, dtype=np.float64)
     actions = np.asarray(buffer.actions, dtype=np.float64)
+    _fill_logprobs(net, buffer, actions, with_bits)
     logp_old = np.asarray(buffer.logprobs, dtype=np.float64).reshape(-1, 1)
     values = np.asarray(buffer.values, dtype=np.float64)
     adv = gae_advantages(buffer.rewards, values, buffer.dones,
                          config.gamma, config.lam, buffer.tail_bootstrap)
     returns = (adv + values).reshape(-1, 1)
     bits = None
-    if buffer.switch_bits and buffer.switch_bits[0] is not None:
+    if with_bits:
         bits = np.asarray(buffer.switch_bits, dtype=np.float64).reshape(-1, 1)
     return obs, actions, bits, logp_old, adv, returns
 
@@ -306,8 +350,8 @@ def ppo_loss_grad(net, obs, actions, bits, logp_old, adv, returns, config, grad)
     diff = actions - net.head("mu", h)
     inv_var = np.exp(log_std * -2.0)
     sq_diff = diff * diff
-    ls_sum = np.sum(log_std)
-    logp = (np.sum(sq_diff * inv_var, axis=1, keepdims=True) * -0.5 - ls_sum) \
+    ls_sum = log_std.sum()
+    logp = ((sq_diff * inv_var).sum(axis=1, keepdims=True) * -0.5 - ls_sum) \
         + -0.5 * actions.shape[1] * LOG_2PI
     if bits is not None:
         sign = 1.0 - 2.0 * bits
@@ -315,11 +359,11 @@ def ppo_loss_grad(net, obs, actions, bits, logp_old, adv, returns, config, grad)
         logp = logp + -np.logaddexp(0.0, z)
     ratio = np.exp(logp - logp_old)
     surr1 = ratio * adv
-    surr2 = np.clip(ratio, lo, hi) * adv
+    surr2 = np.minimum(np.maximum(ratio, lo), hi) * adv
     take1 = surr1 <= surr2
-    pg = -(np.sum(np.where(take1, surr1, surr2)) * (1.0 / n))
+    pg = -(np.where(take1, surr1, surr2).sum() * (1.0 / n))
     verr = net.head("value", h) - returns
-    v_loss = np.sum(verr * verr) * (1.0 / n)
+    v_loss = (verr * verr).sum() * (1.0 / n)
 
     # d(pg)/d(min) is -1/n; the clipped branch passes gradient only inside the band
     d_min = -(1.0 / n)
@@ -350,19 +394,22 @@ def ppo_update(net, buffers, config: PPOConfig, adam: AdamState, rng):
     """One PPO update from one or more worker buffers (gradients averaged).
 
     Buffers must have equal lengths and agree on whether transitions carry a
-    switch bit. Returns aggregate loss statistics.
+    switch bit. `net` must be the net that filled them: the behaviour
+    log-probabilities of their new rows are computed from it before the
+    first step and appended to each buffer's `logprobs`. Returns aggregate
+    loss statistics; the clip fraction is the mean over worker minibatches
+    of the share of ratios outside the clip band.
     """
     if not buffers or len(buffers[0]) == 0:
         raise BufferError("ppo_update needs at least one non-empty buffer")
     T = len(buffers[0])
     if any(len(b) != T for b in buffers):
         raise BufferError("worker buffers must have equal lengths")
-
-    stacked = [_stack_worker(b, config) for b in buffers]
-    with_bits = stacked[0][2] is not None
-    if any((s[2] is not None) != with_bits for s in stacked):
+    with_bits = buffers[0].switch_bits[0] is not None
+    if any((b.switch_bits[0] is not None) != with_bits for b in buffers):
         raise BufferError("worker buffers disagree on switch bits")
 
+    stacked = [_stack_worker(net, b, config, with_bits) for b in buffers]
     all_adv = np.concatenate([s[4] for s in stacked])
     adv_mean = float(all_adv.mean())
     adv_std = float(all_adv.std())
@@ -371,14 +418,12 @@ def ppo_update(net, buffers, config: PPOConfig, adam: AdamState, rng):
     n_workers = len(buffers)
     w_scale = 1.0 / n_workers
     grads = [np.empty(net.flat.size) for _ in stacked]
-    pg_losses, v_losses, clip_fracs = [], [], []
+    pg_losses, v_losses, ratios = [], [], []
 
     for _ in range(config.epochs):
         perm = rng.permutation(T)
         for start in range(0, T, config.minibatch):
             idx = perm[start:start + config.minibatch]
-            if idx.size == 0:
-                continue
             for w, (obs, actions, bits, logp_old, _, returns) in enumerate(stacked):
                 pg, v_loss, ratio = ppo_loss_grad(
                     net, obs[idx], actions[idx], None if bits is None else bits[idx],
@@ -387,15 +432,21 @@ def ppo_update(net, buffers, config: PPOConfig, adam: AdamState, rng):
                     grads[0] += grads[w]
                 pg_losses.append(pg)
                 v_losses.append(v_loss)
-                clip_fracs.append(float(np.mean(np.abs(ratio - 1.0) > config.clip)))
+                ratios.append(ratio)
             if n_workers > 1:
                 grads[0] *= w_scale
             adam_step(net, grads[0], adam)
             net.clamp_log_std()
 
+    # per worker minibatch, the count outside the band over its size: the
+    # float np.mean of its 0/1 mask gives
+    sizes = np.array([len(r) for r in ratios])
+    outside = np.abs(np.concatenate(ratios)[:, 0] - 1.0) > config.clip
+    clip_fracs = np.add.reduceat(outside, np.cumsum(sizes) - sizes,
+                                 dtype=np.float64) / sizes
     return {
         "pg_loss": float(np.mean(pg_losses)),
         "v_loss": float(np.mean(v_losses)),
-        "clip_frac": float(np.mean(clip_fracs)),
-        "minibatches": len(pg_losses) // max(n_workers, 1),
+        "clip_frac": float(clip_fracs.mean()),
+        "minibatches": len(pg_losses) // n_workers,
     }

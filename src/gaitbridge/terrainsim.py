@@ -288,7 +288,8 @@ def observe(course, state):
         obs[5] = 2.0
     else:
         obs[5] = min(max(art.start - state.x, 0.0), 2.0)
-        obs[6] = art.height
+        # a gap reads as height 0, whatever height its course line gives
+        obs[6] = 0.0 if art.kind == GAP else art.height
         obs[7 + KIND_ONE_HOT[art.kind]] = 1.0
     return obs
 
@@ -433,8 +434,8 @@ def _artifact_table(course, width):
     for row, art in zip(table, course.artifacts):
         gap = art.kind == GAP
         kind = KIND_ONE_HOT[art.kind]
-        row[:_HEIGHT + 1] = (art.start, art.end, 0.0 if gap else art.height,
-                             float(gap), art.height)
+        height = 0.0 if gap else art.height
+        row[:_HEIGHT + 1] = (art.start, art.end, height, float(gap), height)
         row[_HEIGHT + 1 + kind] = 1.0
         row[_KIND] = kind
     return table

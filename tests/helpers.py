@@ -93,9 +93,9 @@ def train_bandit(updates=50, horizon=128, seed=0):
     for _ in range(updates):
         buffer = RolloutBuffer(horizon)
         for _ in range(horizon):
-            action, _, logp, value = policy_act(net, obs, rng)
+            action, _, mean, logit, value = policy_act(net, obs, rng)
             reward = -float(action[0]) ** 2
-            buffer.append(obs.copy(), action, None, logp, reward, value, True)
+            buffer.append(obs.copy(), action, None, mean, logit, reward, value, True)
         ppo_update(net, [buffer], config, adam, rng)
     return net
 
@@ -134,6 +134,24 @@ def td_advantage(value_fn, s_t, s_next, r_t, gamma, terminal=False):
     v_s = float(value_fn(s_t))
     v_next = 0.0 if terminal else float(value_fn(s_next))
     return td_error(v_s, v_next, r_t, gamma)
+
+
+def act_logprob(net, action, mu, z, bit):
+    """Joint log-probability of one sampled act under `net`, the per-act
+    scalar formula: the reference `ppo_update`'s vectorised behaviour
+    log-probabilities must match bit for bit. `bit` None adds no handoff term.
+    """
+    std = net.std
+    # scalar-math logprob: dimensionality is tiny, numpy dispatch dominates
+    quad = 0.0
+    for a, m, s in zip(action.tolist(), mu.tolist(), std.tolist()):
+        t = (a - m) / s
+        quad += t * t
+    logp = -0.5 * (quad + LOG_2PI * action.shape[0]) - net.log_std_sum
+    if bit is not None:
+        # log Bernoulli(bit | sigmoid(z)) in a softplus form, stable for any z
+        logp += float(-np.logaddexp(0.0, -z if bit else z))
+    return logp
 
 
 def gaussian_logprob(mean, log_std, action):

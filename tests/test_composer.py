@@ -58,6 +58,7 @@ from gaitbridge.terrainsim import (
 )
 
 from helpers import (
+    act_logprob,
     exact_hurdle_module,
     flat_value_module,
     hurdle_module,
@@ -582,6 +583,34 @@ class TestUpdateMechanics:
             assert post_r == pre_r
             assert np.array_equal(post_obs, pre_obs)
             assert post_done == pre_done
+
+    def test_the_kept_transition_keeps_its_pre_update_logprob(self, monkeypatch):
+        """Each update fills its rows' log-probabilities under the net that
+        acted; the kept transition carries its own into the next update,
+        while log_std moves at every update."""
+        env, default_net, d_norm, module = fast_training_world()
+        config = PPOConfig(horizon=16, minibatch=16, epochs=2)
+        records = []
+        original = Trainer.update
+
+        def spy(self, drivers):
+            buf = drivers[0].buffer
+            acted = self.net.copy()
+            carried = list(buf.logprobs)
+            original(self, drivers)
+            row = (buf.actions[0], buf.means[0], buf.switch_logits[0],
+                   buf.switch_bits[0])
+            records.append((carried, list(buf.logprobs),
+                            act_logprob(acted, *row), act_logprob(self.net, *row)))
+
+        monkeypatch.setattr(cp.Trainer, "update", spy)
+        train_setup(module, default_net, d_norm, env, config, 3000,
+                    np.random.default_rng(2), eval_every=0, eval_episodes=1)
+        assert len(records) >= 2
+        assert records[0][0] == []
+        for (_, kept, before, after), (carried, _, _, _) in zip(records, records[1:]):
+            assert kept == [before] != [after]
+            assert carried == kept
 
     def test_training_changes_setup_but_never_target(self):
         env, default_net, d_norm, module = fast_training_world()

@@ -15,6 +15,7 @@ from gaitbridge.policyopt import (
 )
 from helpers import (
     NumpyRunningNormalizer,
+    act_logprob,
     bandit_mean_action,
     gae_reference,
     gaussian_logprob,
@@ -278,7 +279,8 @@ def test_normalizer_equals_the_numpy_reference_bit_for_bit(stream):
 def _filled_buffer(n, capacity=8, bit=None):
     buf = RolloutBuffer(capacity)
     for i in range(n):
-        buf.append(np.array([float(i)]), np.array([0.1 * i]), bit, -1.0 - i, float(i), 0.5 * i, False)
+        buf.append(np.array([float(i)]), np.array([0.1 * i]), bit, np.array([0.2 * i]),
+                   -1.0 - i, float(i), 0.5 * i, False)
     return buf
 
 
@@ -306,18 +308,20 @@ def test_ppo_config_accepts_the_edges_of_each_range():
 def test_buffer_capacity_guard():
     buf = _filled_buffer(8)
     with pytest.raises(BufferError):
-        buf.append(np.zeros(1), np.zeros(1), None, 0.0, 0.0, 0.0, False)
+        buf.append(np.zeros(1), np.zeros(1), None, np.zeros(1), 0.0, 0.0, 0.0, False)
 
 
 def test_buffer_clear_except_last_keeps_survivor():
     buf = _filled_buffer(8)
     survivor_obs = buf.obs[-1]
     survivor_reward = buf.rewards[-1]
+    survivor_mean = buf.means[7].copy()
     buf.clear_except_last()
     assert len(buf) == 1
     assert buf.obs[0] is survivor_obs
     assert buf.rewards[0] == survivor_reward
-    buf.append(np.zeros(1), np.zeros(1), None, 0.0, 0.0, 0.0, False)
+    assert np.array_equal(buf.means[0], survivor_mean)
+    buf.append(np.zeros(1), np.zeros(1), None, np.zeros(1), 0.0, 0.0, 0.0, False)
     assert len(buf) == 2
 
 
@@ -351,9 +355,9 @@ def _synthetic_buffer(rng, net, T=32, with_bits=False):
     buf = RolloutBuffer(T)
     for _ in range(T):
         obs = rng.normal(size=net.obs_dim)
-        action, bit, logp, value = policy_act(net, obs, rng, with_switch=with_bits)
+        action, bit, mean, logit, value = policy_act(net, obs, rng, with_switch=with_bits)
         reward = float(rng.normal())
-        buf.append(obs, action, bit, logp, reward, value, bool(rng.random() < 0.1))
+        buf.append(obs, action, bit, mean, logit, reward, value, bool(rng.random() < 0.1))
     return buf
 
 
@@ -362,6 +366,8 @@ def _deep_copy_buffer(buf):
     dup.obs = [o.copy() for o in buf.obs]
     dup.actions = [a.copy() for a in buf.actions]
     dup.switch_bits = list(buf.switch_bits)
+    dup.means = buf.means.copy()
+    dup.switch_logits = list(buf.switch_logits)
     dup.logprobs = list(buf.logprobs)
     dup.rewards = list(buf.rewards)
     dup.values = list(buf.values)
@@ -408,6 +414,45 @@ def test_ppo_update_is_deterministic_given_seed():
         assert np.array_equal(first[name], second[name])
 
 
+@pytest.mark.parametrize("with_bits", [False, True])
+def test_ppo_update_statistics_are_pinned(with_bits):
+    """One seeded two-worker update with minibatches of 8, 8, 8 and 6 rows
+    returns the statistics it returned when each act computed its own
+    log-probability and each minibatch its own clip fraction."""
+    rng = np.random.default_rng(31)
+    net = ParameterizedNet(4, 2, (8, 8), np.random.default_rng(32))
+    buffers = [_synthetic_buffer(rng, net, T=30, with_bits=with_bits) for _ in range(2)]
+    config = PPOConfig(horizon=30, minibatch=8, epochs=3, lr=0.05, clip=0.1)
+    stats = ppo_update(net, buffers, config, AdamState(lr=config.lr),
+                       np.random.default_rng(33))
+    if with_bits:
+        expected = {"pg_loss": 0.11442117629045201, "v_loss": 3.5433450510491524,
+                    "clip_frac": 0.810763888888889, "minibatches": 12}
+    else:
+        expected = {"pg_loss": 0.07733958160691176, "v_loss": 2.1314665488360354,
+                    "clip_frac": 0.78125, "minibatches": 12}
+    assert stats == expected
+
+
+@pytest.mark.parametrize("with_bits", [False, True])
+@pytest.mark.parametrize("width", [1, 2, 3, 9])
+def test_filled_logprobs_equal_the_per_act_formula_bit_for_bit(width, with_bits):
+    rng = np.random.default_rng(40 + width)
+    net = ParameterizedNet(5, width, (8,), np.random.default_rng(41))
+    net.params["log_std"][...] = rng.uniform(-2.0, 1.0, size=width).astype(np.float32)
+    net.params["switch.w"][...] = rng.normal(size=(8, 1)).astype(np.float32)
+    buf = _synthetic_buffer(rng, net, T=64, with_bits=with_bits)
+    logits = iter(buf.switch_logits)
+    expected = [act_logprob(net, a, m, next(logits) if b is not None else None, b)
+                for a, m, b in zip(buf.actions, buf.means, buf.switch_bits)]
+    if with_bits:
+        assert 0 < sum(buf.switch_bits) < len(buf)
+    assert buf.logprobs == []
+    ppo_update(net, [buf], PPOConfig(horizon=64, minibatch=16, epochs=1),
+               AdamState(), np.random.default_rng(42))
+    assert [float.hex(x) for x in buf.logprobs] == [float.hex(x) for x in expected]
+
+
 def test_log_std_stays_clamped_through_updates():
     rng = np.random.default_rng(15)
     net = ParameterizedNet(2, 1, (4,), rng)
@@ -423,12 +468,13 @@ def test_log_std_stays_clamped_through_updates():
 def test_policy_act_samples_around_the_forward_mean():
     net = ParameterizedNet(2, 2, (4,), np.random.default_rng(16))
     obs = np.array([0.3, -0.7])
-    mu, value, _ = net.forward(obs)
-    action, bit, logp, v = policy_act(net, obs, np.random.default_rng(0))
+    mu, value, z = net.forward(obs)
+    action, bit, mean, logit, v = policy_act(net, obs, np.random.default_rng(0))
     noise = np.random.default_rng(0).standard_normal(2)
     assert np.array_equal(action, mu + net.std * noise)
-    assert bit is None and v == value
-    assert logp == pytest.approx(
+    assert np.array_equal(mean, mu)
+    assert bit is None and (logit, v) == (z, value)
+    assert act_logprob(net, action, mean, logit, bit) == pytest.approx(
         gaussian_logprob(mu, net.params["log_std"], action), abs=1e-12)
 
 

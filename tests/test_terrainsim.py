@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaitbridge.policyopt import RunningNormalizer
 from gaitbridge.terrainsim import (
     ALIVE_BONUS,
     BLOCK,
@@ -25,7 +26,9 @@ from gaitbridge.terrainsim import (
     HURDLE,
     JUMP_APEX,
     JUMP_GAIN,
+    KIND_ONE_HOT,
     MAX_STEPS,
+    OBS_DIM,
     PROGRESS_GAIN,
     SPAWN_MAX_X,
     STAND_HEIGHT,
@@ -607,6 +610,21 @@ def test_artifact_heights_up_to_the_jump_apex_load():
         assert parse_course_text(f"{kind} 3.2 height=1e-9\n").artifacts[0].height == 1e-9
     # a gap's height moves no physics and is not checked
     assert parse_course_text("gap 3.2 height=-1\n").artifacts[0].height == -1.0
+
+
+def test_a_gap_is_observed_at_height_zero_on_both_paths():
+    course = parse_course_text("gap 3.2 height=1e300\n")
+    env = TerrainEnv(course)
+    ahead, past = env.reset_from(2.5), env.reset_from(4.5)
+    batch = RunnerBatch([course, course], [ahead, past])
+    rows = [observe(course, ahead), observe(course, past)]
+    for scalar, batched in zip(rows, batch.observe()):
+        assert scalar.tobytes() == batched.tobytes()
+    assert rows[0][6] == 0.0 and rows[0][7 + KIND_ONE_HOT[GAP]] == 1.0
+    norm = RunningNormalizer(OBS_DIM)
+    for row in rows:
+        assert np.isfinite(norm.update(row)).all()
+    assert all(np.isfinite(arr).all() for arr in norm.state_arrays().values())
 
 
 def test_load_course_missing_file(tmp_path):
