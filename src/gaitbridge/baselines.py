@@ -10,8 +10,8 @@ treatment:
 - proximity arm: the setup reward is the gain in a learned success-proximity
   predictor, with no post-handoff reward extension;
 - without-setup arm: control jumps straight from the default walker to the
-  terrain specialist at detection (evaluation only, on drivers built with
-  `without_setup=True`);
+  terrain specialist at detection (evaluation only:
+  `run_lanes(episode_drivers(..., without_setup=True))`);
 - single-policy arm: one network trained end-to-end over the whole course.
 """
 
@@ -38,6 +38,7 @@ from gaitbridge.terrainsim import OBS_DIM
 
 CONSTANT_REWARD = 1.5
 TORQUE_SCALE = 2.0
+FIT_EVERY = 10  # finished episodes between proximity-predictor refits
 
 
 # ---- setup-reward variants -----------------------------------------------------
@@ -85,18 +86,21 @@ class ProximityPredictor:
 
     A small tanh net whose logistic head is fit by cross-entropy on states
     from successful (label 1) and failed (label 0) bridge attempts, each kept
-    in a FIFO buffer. Raw observations go in unnormalized; the observation
-    space is already bounded.
+    in a FIFO buffer of `BUFFER_CAP` states. Raw observations go in
+    unnormalized; the observation space is already bounded.
     """
 
     BUFFER_CAP = 50_000
+    HIDDEN = (32, 32)
+    LR = 1e-3
+    MINIBATCHES = 40  # per fit
+    BATCH_SIZE = 64
 
-    def __init__(self, rng, hidden=(32, 32), lr=1e-3, buffer_cap=None):
-        cap = self.BUFFER_CAP if buffer_cap is None else int(buffer_cap)
-        self.net = ParameterizedNet(OBS_DIM, ACTION_DIM, hidden, rng)
-        self.adam = AdamState(lr=lr)
-        self.success = deque(maxlen=cap)
-        self.failure = deque(maxlen=cap)
+    def __init__(self, rng):
+        self.net = ParameterizedNet(OBS_DIM, ACTION_DIM, self.HIDDEN, rng)
+        self.adam = AdamState(lr=self.LR)
+        self.success = deque(maxlen=self.BUFFER_CAP)
+        self.failure = deque(maxlen=self.BUFFER_CAP)
 
     def predict(self, obs):
         _, _, logit = self.net.forward(np.asarray(obs, dtype=np.float64))
@@ -107,15 +111,16 @@ class ProximityPredictor:
         for s in states:
             bucket.append(np.asarray(s, dtype=np.float64))
 
-    def fit(self, rng, minibatches=40, batch_size=64):
-        """Balanced cross-entropy steps; silently waits for both classes."""
+    def fit(self, rng):
+        """`MINIBATCHES` balanced cross-entropy steps of `BATCH_SIZE` rows;
+        silently waits for both classes."""
         if not self.success or not self.failure:
             return None
         pos = np.asarray(self.success)
         neg = np.asarray(self.failure)
-        half = batch_size // 2
+        half = self.BATCH_SIZE // 2
         losses = []
-        for _ in range(minibatches):
+        for _ in range(self.MINIBATCHES):
             pi = rng.integers(0, len(pos), size=half)
             ni = rng.integers(0, len(neg), size=half)
             obs = np.concatenate([pos[pi], neg[ni]])
@@ -138,13 +143,12 @@ def proximity_reward(predictor, s_t, s_next):
 
 def train_proximity_arm(module: BehaviorModule, default_net, default_norm,
                         env, config, budget, rng, *, eval_every=50,
-                        eval_episodes=100, seed_tag=0, fit_every=10,
-                        fit_minibatches=40):
+                        eval_episodes=100, seed_tag=0):
     """Transition-policy arm: same state machine, proximity-gain reward.
 
     The setup policy (initialized from the walker by the caller, via
     BehaviorModule.from_default) trains on P(s') - P(s) with no post-handoff
-    extension, while P itself refits every `fit_every` finished episodes on
+    extension, while P itself refits every `FIT_EVERY` finished episodes on
     the accumulated success/failure states. Returns (predictor, curve).
     """
     predictor = ProximityPredictor(rng)
@@ -161,8 +165,8 @@ def train_proximity_arm(module: BehaviorModule, default_net, default_norm,
             predictor.add_episode(episode_states, driver.state.success)
             episode_states.clear()
         episodes_done += 1
-        if episodes_done % fit_every == 0:
-            predictor.fit(rng, minibatches=fit_minibatches)
+        if episodes_done % FIT_EVERY == 0:
+            predictor.fit(rng)
 
     curve = train_setup(module, default_net, default_norm, env, config,
                         budget, rng, reward_fn=reward_fn, extend=False,

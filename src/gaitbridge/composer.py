@@ -32,13 +32,17 @@ per-worker buffers, one `tick()` at a time.
 Evaluation runs its episodes as lanes (`run_lanes`): one driver per episode,
 each with its own generator and its own policies, advanced together; lanes
 of any arm and any experiment cell can share one call. The lanes' runners
-step as one `RunnerBatch`, each lane's acting policy is a small integer code,
-and the switching rules are masks over the batch; each acting policy (a
-walker, a setup policy, a target), shared by whichever lanes act with it,
-gets one normalize and one batched forward per tick.
-Switches still go through each driver's `SwitchState`, and finished lanes
-are written back into their drivers. Once fewer than `LANE_CROSSOVER` lanes
-are live, the rest finish on `run()`. Lanes never train.
+step as one `RunnerBatch`, and each acting policy (a walker, a setup policy,
+a target), shared by whichever lanes act with it, gets one normalize and one
+batched forward per tick. Finished lanes are written back into their
+drivers. Once fewer than `LANE_CROSSOVER` lanes are live, the rest finish on
+`run()`. Lanes never train.
+
+Both paths take the switching decisions from the driver: `policy()` maps the
+phase to its (role, net, norm), `on_detection` starts a bridge, and
+`SwitchState.transition` latches and clears the artifact. The release and
+detection tests and the physics exist on each path: scalar in `tick`, as
+masks over the batch in `_run_batch`.
 
 A setup reward function has the signature
 `reward_fn(target, obs, obs_next, r_env, terminal, action)`. A driver passes
@@ -67,7 +71,6 @@ from gaitbridge.terrainsim import (
     BLOCK,
     GAP,
     HURDLE,
-    KIND_ONE_HOT,
     OBS_DIM,
     OBS_PROPRIO,
     RunnerBatch,
@@ -163,12 +166,17 @@ class SwitchState:
         self.artifact = None
         self.events = []
 
-    def transition(self, dst, runner):
-        """Hand control to `dst`, logged at the runner's step and state."""
+    def transition(self, dst, runner, artifact=None):
+        """Hand control to `dst`, logged at the runner's step and state.
+        Leaving the walker latches `artifact`; returning to it clears it."""
         if (self.active, dst) not in _LEGAL_TRANSITIONS:
             raise SwitchError(f"illegal transition {self.active} -> {dst}")
         self.events.append(SwitchEvent(runner.steps, self.active, dst,
                                        runner.x, runner.c, runner.v))
+        if dst == POLICY_DEFAULT:
+            self.artifact = None
+        elif self.active == POLICY_DEFAULT:
+            self.artifact = artifact
         self.active = dst
 
 
@@ -190,13 +198,14 @@ def policy_obs(net, obs_raw):
     return obs_raw[..., :net.obs_dim]
 
 
-def prime_switch_head(net, prior=SETUP_SWITCH_PRIOR):
+def prime_switch_head(net):
     """Reset a policy's handoff head to a state-independent low prior.
 
-    Zeroed weights with a logit(prior) bias make the initial handoff a
-    geometric draw (~1/prior setup ticks on average), long enough to gather
-    setup experience; training then reshapes both weights and bias.
+    Zeroed weights with a logit(SETUP_SWITCH_PRIOR) bias make the initial
+    handoff a geometric draw (~1/prior setup ticks on average), long enough
+    to gather setup experience; training then reshapes both weights and bias.
     """
+    prior = SETUP_SWITCH_PRIOR
     net.params["switch.w"][...] = 0.0
     net.params["switch.b"][...] = np.float32(np.log(prior / (1.0 - prior)))
     return net
@@ -399,20 +408,33 @@ class EpisodeDriver:
             self._obs = observe(self.env.course, self.state)
         return self._obs
 
+    def policy(self):
+        """(role, net, norm) of the policy acting in the current phase."""
+        role = self.switch.active
+        if role == POLICY_DEFAULT:
+            return role, self.default_net, self.default_norm
+        module = self.modules[self.switch.artifact.kind]
+        if role == POLICY_SETUP:
+            return role, module.setup_net, module.setup_norm
+        return role, module.target_net, module.target_norm
+
+    def on_detection(self, art, runner):
+        """The walker detected `art`, which the driver has a module for: hand
+        control to its setup policy, or to its target in the no-setup arm."""
+        self.switch.transition(POLICY_TARGET if self.without_setup
+                               else POLICY_SETUP, runner, art)
+
     def tick(self):
         """One environment step. Returns True when the episode finished."""
         trainer, state, switch = self.trainer, self.state, self.switch
         if (switch.active == POLICY_TARGET
                 and tau_theta_reached(state, switch.artifact)):
             switch.transition(POLICY_DEFAULT, state)
-            switch.artifact = None
         if switch.active == POLICY_DEFAULT and self.modules:
             hit, art = oracle_detect(self.env.course, state)
             if hit and art.kind in self.modules:
-                switch.artifact = art
-                switch.transition(POLICY_TARGET if self.without_setup
-                                  else POLICY_SETUP, state)
-        acting = switch.active
+                self.on_detection(art, state)
+        acting, net, norm = self.policy()
         obs = self.observation()
 
         bit = None
@@ -420,11 +442,6 @@ class EpisodeDriver:
         if acting == POLICY_TARGET:
             action = self.targets[switch.artifact.kind].target_action(obs)
         else:
-            if acting == POLICY_DEFAULT:
-                net, norm = self.default_net, self.default_norm
-            else:
-                module = self.modules[switch.artifact.kind]
-                net, norm = module.setup_net, module.setup_norm
             learning = trainer is not None and net is trainer.net
             x = policy_obs(net, obs)
             if learning:
@@ -506,22 +523,21 @@ def _run_batch(lanes):
     """Tick live lanes as one RunnerBatch until fewer than LANE_CROSSOVER
     are left.
 
-    Each lane's acting policy is a code into a table of (role, net, norm),
-    built from the lanes' own drivers: an entry is added the first time a
-    lane acts with that net and normalizer, matched by identity, so lanes
-    acting with the same ones share a code, whichever arm or cell they run.
-    A tick releases target lanes past their artifact, hands walking lanes
-    that detect an artifact their driver has a module for to its setup
-    policy (its target for a lane in the no-setup arm), then gives each
-    acting policy one normalize and one forward over its lanes'
-    observations, in the order of each policy's first lane, with a one-row
-    forward for a lone row. Walker and target lanes act on their means. A
-    setup lane samples from its driver's generator in `policy_act`'s draw
-    order (action noise, then the handoff bit). After the step, the handoff
-    bits pass control to the targets. Every switch goes through the
-    driver's `SwitchState`. Finished lanes are written back into their
-    drivers and dropped; the lanes left (fewer than LANE_CROSSOVER) are
-    written back and returned.
+    Each lane's acting policy is a code into a table of its driver's
+    `policy()`, (role, net, norm): an entry is added the first time a lane
+    acts with that net and normalizer, matched by identity, so lanes acting
+    with the same ones share a code, whichever arm or cell they run. A tick
+    releases target lanes past their artifact and passes each walking lane
+    that detects an artifact its driver has a module for to the driver's
+    `on_detection`. Then each acting policy gets one normalize and one
+    forward over its lanes' observations, in the order of its first lane,
+    with a one-row forward for a lone row. Walker and target lanes act
+    on their means. A setup lane samples from its driver's generator in
+    `policy_act`'s draw order (action noise, then the handoff bit). After
+    the step, the handoff bits pass control to the targets. Every switch
+    goes through the driver's `SwitchState`. Finished lanes are written back
+    into their drivers and dropped; the lanes left (fewer than
+    LANE_CROSSOVER) are written back and returned.
     """
     policies = []  # code -> (role, net, norm)
     code_of = {}  # (role, net, norm) -> code; nets and norms hash by identity
@@ -530,35 +546,22 @@ def _run_batch(lanes):
     def phase(drv):
         """(policy code, release x) of a lane: the end of the artifact a
         target acts on, past which it hands back; +inf otherwise."""
-        switch = drv.switch
-        if switch.active == POLICY_DEFAULT:
-            policy = (POLICY_DEFAULT, drv.default_net, drv.default_norm)
-        else:
-            module = drv.modules[switch.artifact.kind]
-            policy = ((POLICY_SETUP, module.setup_net, module.setup_norm)
-                      if switch.active == POLICY_SETUP else
-                      (POLICY_TARGET, module.target_net, module.target_norm))
+        policy = drv.policy()
         if policy not in code_of:
             code_of[policy] = len(policies)
             policies.append(policy)
             walks.append(policy[0] == POLICY_DEFAULT)
-        return code_of[policy], (switch.artifact.end if switch.active ==
+        return code_of[policy], (drv.switch.artifact.end if policy[0] ==
                                  POLICY_TARGET else np.inf)
 
     code, release_x = (np.array(column) for column in
                        zip(*(phase(drv) for drv in lanes)))
-    # the kinds each lane has modules for; column -1 (no artifact) stays off
-    detectable = np.zeros((len(lanes), len(KIND_ONE_HOT) + 1), dtype=bool)
-    for i, drv in enumerate(lanes):
-        for kind in drv.modules:
-            detectable[i, KIND_ONE_HOT[kind]] = True
+    armed = np.array([bool(drv.modules) for drv in lanes])  # can detect
     batch = RunnerBatch([drv.env.course for drv in lanes],
                         [drv.state for drv in lanes])
 
-    def switch_lane(i, dst, artifact):
-        switch = lanes[i].switch
-        switch.transition(dst, batch.state(i))
-        switch.artifact = artifact
+    def switch_lane(i, dst):
+        lanes[i].switch.transition(dst, batch.state(i))
         code[i], release_x[i] = phase(lanes[i])
 
     def write_back(i):
@@ -568,15 +571,14 @@ def _run_batch(lanes):
 
     while len(lanes) >= LANE_CROSSOVER:
         for i in ((batch.x > release_x) & batch.contact).nonzero()[0]:
-            switch_lane(i, POLICY_DEFAULT, None)
+            switch_lane(i, POLICY_DEFAULT)
         hit, index = batch.detect()
-        spotted = hit & np.array(walks)[code] & detectable[
-            np.arange(len(lanes)), batch.next_kind]
-        for i in spotted.nonzero()[0]:
+        for i in (hit & armed & np.array(walks)[code]).nonzero()[0]:
             drv = lanes[i]
-            switch_lane(i, POLICY_TARGET if drv.without_setup
-                        else POLICY_SETUP,
-                        drv.env.course.artifacts[index[i]])
+            art = drv.env.course.artifacts[index[i]]
+            if art.kind in drv.modules:
+                drv.on_detection(art, batch.state(i))
+                code[i], release_x[i] = phase(drv)
 
         obs = batch.observe()
         actions = np.empty((len(lanes), ACTION_DIM))
@@ -604,14 +606,13 @@ def _run_batch(lanes):
         done = batch.step(actions)
         for i in handoffs:
             if not done[i]:
-                switch_lane(i, POLICY_TARGET, lanes[i].switch.artifact)
+                switch_lane(i, POLICY_TARGET)
         if done.any():
             for i in done.nonzero()[0]:
                 write_back(i)
             keep = ~done
             lanes = [drv for drv, kept in zip(lanes, keep) if kept]
-            code, release_x, detectable = (
-                code[keep], release_x[keep], detectable[keep])
+            code, release_x, armed = code[keep], release_x[keep], armed[keep]
             batch.compact(keep)
     for i in range(len(lanes)):
         write_back(i)
@@ -619,7 +620,7 @@ def _run_batch(lanes):
 
 
 def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,
-                     without_setup=False, init_fn=None):
+                     init_fn=None):
     """Seeded bridged rollouts; returns (success rate, outcomes).
 
     The frozen default and target policies act on their action means while
@@ -636,7 +637,6 @@ def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,
     """
     outcomes = run_lanes(episode_drivers(env, default_net, default_norm,
                                          modules, episodes, rng,
-                                         without_setup=without_setup,
                                          init_fn=init_fn))
     rate = sum(1.0 for o in outcomes if o.state.success) / max(len(outcomes), 1)
     return rate, outcomes

@@ -86,10 +86,8 @@ class ParameterizedNet:
     then mu.w/mu.b, log_std, value.w/value.b, switch.w/switch.b.
     """
 
-    def __init__(self, obs_dim, action_dim, hidden=(64, 64), rng=None):
+    def __init__(self, obs_dim, action_dim, hidden, rng):
         self._allocate(obs_dim, action_dim, hidden)
-        if rng is None:
-            rng = np.random.default_rng(0)
         for name, _, shape in self.layout:
             if name.endswith(".w"):
                 self.params[name][...] = self._init_weight(rng, *shape)

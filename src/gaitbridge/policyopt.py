@@ -380,11 +380,9 @@ def ppo_loss_grad(net, obs, actions, bits, logp_old, adv, returns, config, grad)
     d_diff = d_diff * diff + d_diff * diff
     head_grads.append(("mu", -d_diff))
     d_ls_sum = (-d_logp).sum(axis=0).sum(axis=0)
-    if config.entropy_coef != 0.0:
-        # diagonal Gaussian entropy is sum(log_std) + const; the switch head adds none
-        d_log_std = np.full(net.action_dim, -config.entropy_coef) + d_ls_sum
-    else:
-        d_log_std = np.full(net.action_dim, d_ls_sum)
+    # diagonal Gaussian entropy is sum(log_std) + const; the switch head adds
+    # none. A zero coefficient adds -0.0, which leaves every float as it is.
+    d_log_std = np.full(net.action_dim, -config.entropy_coef) + d_ls_sum
     d_log_std = d_log_std + ((d_sq * sq_diff).sum(axis=0) * inv_var) * -2.0
     net.backward(hs, head_grads, d_log_std, grad)
     return float(pg), float(v_loss), ratio

@@ -268,7 +268,6 @@ class RunnerState:
     done: bool = False
     success: bool = False
     failure: str = None
-    max_x: float = 0.0
 
 
 KIND_ONE_HOT = {BLOCK: 0, GAP: 1, HURDLE: 2}
@@ -313,7 +312,7 @@ class TerrainEnv:
     def reset(self, rng):
         x0 = float(rng.uniform(0.0, SPAWN_MAX_X))
         support, _ = surface_at(self.course, x0)
-        return RunnerState(x=x0, h=support + STAND_HEIGHT, max_x=x0)
+        return RunnerState(x=x0, h=support + STAND_HEIGHT)
 
     def reset_from(self, x, v=0.0, c=0.0):
         """Deterministic spawn used by per-kind initial-state distributions.
@@ -328,7 +327,7 @@ class TerrainEnv:
         support, is_gap = surface_at(self.course, x)
         if is_gap:
             raise CourseError(f"cannot spawn in contact over a gap at x={x}")
-        return RunnerState(x=x, v=v, c=c, h=support + leg_length(c), max_x=x)
+        return RunnerState(x=x, v=v, c=c, h=support + leg_length(c))
 
     def step(self, state, action):
         """Advance one tick. Returns (reward, done)."""
@@ -361,7 +360,6 @@ class TerrainEnv:
             failure = self._fly(state)
 
         state.steps += 1
-        state.max_x = max(state.max_x, state.x)
 
         reward = PROGRESS_GAIN * (state.x - x_old)
         if failure is None and state.x >= self.course.goal_x:
@@ -413,39 +411,33 @@ _FAILURES = (None, FAIL_COLLISION, FAIL_GAP, FAIL_TIMEOUT)
 # computes it: Python evaluates 0.5 * GRAVITY * DT * DT left to right
 _FALL = 0.5 * GRAVITY * DT * DT
 
-# columns of a lane's artifact table; HEIGHT and the one-hot kind are the
-# observation's last four components, in order, and KIND is the kind's
-# KIND_ONE_HOT index
+# columns of a lane's artifact table; HEIGHT and the one-hot kind after it
+# are the observation's last four components, in order
 _START, _END, _SUPPORT, _GAP, _HEIGHT = range(5)
-_KIND = 8
-_TABLE_COLS = 9
+_TABLE_COLS = 8
 
 
 def _artifact_table(course, width):
-    """(width, 9) rows of the course's artifacts, then sentinel rows.
+    """(width, 8) rows of the course's artifacts, then sentinel rows.
 
     A sentinel starts and ends at +inf, so no runner is over it or past it,
-    and it reads as "no artifact ahead": distance 2, height 0, no kind
-    (index -1).
+    and it reads as "no artifact ahead": distance 2, height 0, no kind.
     """
     table = np.zeros((width, _TABLE_COLS))
     table[:, _START] = table[:, _END] = np.inf
-    table[:, _KIND] = -1.0
     for row, art in zip(table, course.artifacts):
         gap = art.kind == GAP
-        kind = KIND_ONE_HOT[art.kind]
         height = 0.0 if gap else art.height
         row[:_HEIGHT + 1] = (art.start, art.end, height, float(gap), height)
-        row[_HEIGHT + 1 + kind] = 1.0
-        row[_KIND] = kind
+        row[_HEIGHT + 1 + KIND_ONE_HOT[art.kind]] = 1.0
     return table
 
 
 class RunnerBatch:
     """N runners as arrays, each lane on its own course.
 
-    Holds x, v, w, h, c, contact, steps, done, success, failure code (an
-    index into _FAILURES) and max_x per lane, and a table of each lane's
+    Holds x, v, w, h, c, contact, steps, done, success and failure code
+    (an index into _FAILURES) per lane, and a table of each lane's
     artifacts padded with at least one sentinel row. After every move it
     finds what lies under and ahead of each runner: the support and gap
     under x, from the first row whose end is past x (`surface_at` is half
@@ -455,14 +447,14 @@ class RunnerBatch:
     """
 
     _LANE_ARRAYS = ("x", "v", "w", "h", "c", "contact", "steps", "done",
-                    "success", "failure", "max_x", "goal", "_table")
+                    "success", "failure", "goal", "_table")
 
     def __init__(self, courses, states):
         width = 1 + max(len(course.artifacts) for course in courses)
         self._table = np.stack([_artifact_table(course, width)
                                 for course in courses])
         self.goal = np.array([course.goal_x for course in courses])
-        for name in ("x", "v", "w", "h", "c", "max_x"):
+        for name in ("x", "v", "w", "h", "c"):
             setattr(self, name, np.array([getattr(s, name) for s in states],
                                          dtype=np.float64))
         for name in ("contact", "done", "success"):
@@ -501,11 +493,6 @@ class RunnerBatch:
         self.over_gap = inside & (under[:, _GAP] > 0.0)
         self.distance = self._ahead[:, _START] - self.x
 
-    @property
-    def next_kind(self):
-        """KIND_ONE_HOT index of each lane's next artifact, -1 for none."""
-        return self._ahead[:, _KIND].astype(np.intp)
-
     def observe(self):
         """(N, OBS_DIM) observations, row i equal to `observe` of lane i."""
         obs = np.empty((len(self), OBS_DIM))
@@ -515,7 +502,7 @@ class RunnerBatch:
         obs[:, 3] = self.c
         obs[:, 4] = self.contact
         np.minimum(np.maximum(self.distance, 0.0), 2.0, out=obs[:, 5])
-        obs[:, 6:] = self._ahead[:, _HEIGHT:_KIND]
+        obs[:, 6:] = self._ahead[:, _HEIGHT:]
         return obs
 
     def detect(self):
@@ -566,7 +553,6 @@ class RunnerBatch:
         self.v, self.c = v, c
         self.contact = ground | land
         self.steps = steps = self.steps + 1
-        self.max_x = np.maximum(self.max_x, x)
 
         ended = failed | (x >= self.goal) | (steps > MAX_STEPS)
         if not ended.any():
@@ -586,7 +572,7 @@ class RunnerBatch:
             h=float(self.h[i]), c=float(self.c[i]),
             contact=bool(self.contact[i]), steps=int(self.steps[i]),
             done=bool(self.done[i]), success=bool(self.success[i]),
-            failure=_FAILURES[self.failure[i]], max_x=float(self.max_x[i]))
+            failure=_FAILURES[self.failure[i]])
 
     def compact(self, keep):
         """Keep only the lanes where the boolean mask `keep` is set."""
@@ -596,4 +582,6 @@ class RunnerBatch:
 
 
 def distance_fraction(course, state):
-    return min(max(state.max_x / course.goal_x, 0.0), 1.0)
+    """Share of the course behind the runner, in [0, 1]. `x` is the furthest
+    it got: speed stays in [0, V_MAX], so `x` never decreases."""
+    return min(max(state.x / course.goal_x, 0.0), 1.0)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import default_rng
 
+import gaitbridge.baselines as bl
 from gaitbridge.baselines import (
     CONSTANT_REWARD,
     SETUP_REWARDS,
@@ -24,7 +25,9 @@ from gaitbridge.composer import (
     CarriedTarget,
     awtv_reward,
     awtv_step_reward,
+    episode_drivers,
     evaluate_bridged,
+    run_lanes,
 )
 from gaitbridge.harness.cli import build_parser
 from gaitbridge.policyopt import PPOConfig
@@ -205,8 +208,9 @@ class TestProximityPredictor:
         assert total == pytest.approx(
             P.predict(states[-1]) - P.predict(states[0]), abs=1e-9)
 
-    def test_synthetic_separation(self):
+    def test_synthetic_separation(self, monkeypatch):
         # success states carry feature f=1, failures f=0
+        monkeypatch.setattr(ProximityPredictor, "MINIBATCHES", 80)
         rng = default_rng(3)
         P = ProximityPredictor(rng)
         pos = [np.r_[1.0, rng.uniform(-0.1, 0.1, OBS_DIM - 1)]
@@ -215,14 +219,15 @@ class TestProximityPredictor:
                for _ in range(300)]
         P.add_episode(pos, True)
         P.add_episode(neg, False)
-        P.fit(rng, minibatches=80)
+        P.fit(rng)
         p_pos = float(np.mean([P.predict(s) for s in pos]))
         p_neg = float(np.mean([P.predict(s) for s in neg]))
         assert p_pos > p_neg
 
-    def test_buffers_are_fifo_capped(self):
+    def test_buffers_are_fifo_capped(self, monkeypatch):
+        monkeypatch.setattr(ProximityPredictor, "BUFFER_CAP", 10)
         rng = default_rng(4)
-        P = ProximityPredictor(rng, buffer_cap=10)
+        P = ProximityPredictor(rng)
         states = [np.full(OBS_DIM, float(i)) for i in range(25)]
         P.add_episode(states, True)
         assert len(P.success) == 10
@@ -245,7 +250,8 @@ class TestProximityPredictor:
         assert not set(succ) & set(fail)
         assert len(succ) + len(fail) == 5
 
-    def test_fit_waits_for_both_classes(self):
+    def test_fit_waits_for_both_classes(self, monkeypatch):
+        monkeypatch.setattr(ProximityPredictor, "MINIBATCHES", 1)
         rng = default_rng(6)
         P = ProximityPredictor(rng)
         before = {k: v.copy() for k, v in P.net.params.items()}
@@ -255,7 +261,7 @@ class TestProximityPredictor:
         for k, v in P.net.params.items():
             assert np.array_equal(v, before[k])
         P.add_episode([np.ones(OBS_DIM)], False)
-        assert P.fit(rng, minibatches=1) is not None
+        assert P.fit(rng) is not None
 
 
 class TestTrainProximityArm:
@@ -285,12 +291,15 @@ class TestTrainProximityArm:
         assert np.all(module.setup_net.params["switch.w"] == 0.0)
         assert len(predictor.success) == 0 and len(predictor.failure) == 0
 
-    def test_short_run_fills_buffers_with_setup_phase_states(self):
+    def test_short_run_fills_buffers_with_setup_phase_states(self,
+                                                             monkeypatch):
+        monkeypatch.setattr(bl, "FIT_EVERY", 3)
+        monkeypatch.setattr(ProximityPredictor, "MINIBATCHES", 5)
         env, default_net, d_norm, module = self._world()
         config = PPOConfig(horizon=100_000)  # oversized: no updates
         predictor, _ = train_proximity_arm(
             module, default_net, d_norm, env, config, 4000, default_rng(7),
-            eval_every=0, fit_every=3, fit_minibatches=5)
+            eval_every=0)
         stored = list(predictor.success) + list(predictor.failure)
         assert stored, "finished episodes must land states in a buffer"
         # the proximity arm stores raw setup-phase observations: the runner
@@ -306,10 +315,10 @@ class TestTrainProximityArm:
 class TestRunWithoutSetup:
     def test_flat_course_walks_to_goal_without_any_switch(self):
         env = TerrainEnv(flat_course())
-        rate, outcomes = evaluate_bridged(
+        outcomes = run_lanes(episode_drivers(
             env, scripted_net(0.5, 0.0), identity_norm(), {}, 10,
-            default_rng(0), without_setup=True)
-        assert rate == 1.0
+            default_rng(0), without_setup=True))
+        assert all(o.state.success for o in outcomes)
         distance = np.mean([distance_fraction(env.course, o.state)
                             for o in outcomes])
         assert distance == pytest.approx(1.0)
@@ -322,9 +331,10 @@ class TestRunWithoutSetup:
         d_norm = identity_norm()
         modules = {HURDLE: exact_hurdle_module()}
 
-        rate, outcomes = evaluate_bridged(env, default_net, d_norm, modules,
-                                          16, default_rng(3),
-                                          without_setup=True)
+        outcomes = run_lanes(episode_drivers(env, default_net, d_norm,
+                                             modules, 16, default_rng(3),
+                                             without_setup=True))
+        rate = np.mean([o.state.success for o in outcomes])
         bridged_rate, _ = evaluate_bridged(env, default_net, d_norm, modules,
                                            16, default_rng(3))
         assert rate < bridged_rate

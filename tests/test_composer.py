@@ -263,8 +263,8 @@ def _events(drv):
 
 class TestSwitchMachine:
     def test_detection_latches_and_activates_setup(self):
-        # the driver sets the artifact at detection, keeps it through the
-        # setup and target phases, and clears it on the release
+        # the driver's switch latches the artifact at detection, keeps it
+        # through the setup and target phases, and clears it on the release
         phases = []
         for drv in _scripted_drivers():
             switch = drv.switch
@@ -288,6 +288,19 @@ class TestSwitchMachine:
             ("default", "setup", 3, 2.3, 0.0, 0.0),
             ("setup", "target", 9, 2.5, 0.6, 0.0),
             ("target", "default", 60, 3.9, 0.0, 1.2)]
+
+    def test_transitions_latch_keep_and_clear_the_artifact(self):
+        art, other = _artifact(), make_artifact(GAP, 6.0)
+        for first in (POLICY_SETUP, POLICY_TARGET):
+            sw = SwitchState()
+            sw.transition(first, _runner(x=2.3, steps=3), art)
+            assert sw.artifact is art
+            if first == POLICY_SETUP:
+                # setup -> target keeps the latched artifact
+                sw.transition(POLICY_TARGET, _runner(x=2.5, steps=9), other)
+                assert sw.artifact is art
+            sw.transition(POLICY_DEFAULT, _runner(x=3.9, steps=60), other)
+            assert sw.artifact is None
 
     def test_without_setup_goes_straight_to_target(self):
         sw = SwitchState()
@@ -970,10 +983,9 @@ class TestEvaluateBridged:
     def test_without_setup_never_activates_setup(self):
         env = TerrainEnv(single_artifact_course(HURDLE))
         module = hurdle_module()
-        _, outcomes = evaluate_bridged(env, scripted_net(0.5, 0.0),
-                                       identity_norm(), {HURDLE: module}, 5,
-                                       np.random.default_rng(4),
-                                       without_setup=True)
+        outcomes = cp.run_lanes(cp.episode_drivers(
+            env, scripted_net(0.5, 0.0), identity_norm(), {HURDLE: module}, 5,
+            np.random.default_rng(4), without_setup=True))
         assert len(outcomes) == 5
         for out in outcomes:
             assert all(e.dst != POLICY_SETUP for e in out.events)
@@ -1079,9 +1091,9 @@ class TestLanes:
     def test_each_episode_equals_its_sequential_run(self, without_setup,
                                                     first):
         env, walker, modules = lane_world(first)
-        _, outcomes = evaluate_bridged(env, walker, identity_norm(), modules,
-                                       24, np.random.default_rng(5),
-                                       without_setup=without_setup)
+        outcomes = cp.run_lanes(cp.episode_drivers(
+            env, walker, identity_norm(), modules, 24,
+            np.random.default_rng(5), without_setup=without_setup))
         children = np.random.default_rng(5).spawn(24)
         for out, child in zip(outcomes, children):
             ref = EpisodeDriver(env, walker, identity_norm(), modules, child,

@@ -2,9 +2,10 @@
 
 Every name a module in src/ or tests/ imports is used in that module
 (package `__init__.py` files are exempt: their imports are re-exports), the
-modules on the per-tick path multiply matrices with `ndarray.dot`, and every
-function the benchmark traces for its per-layer metrics still exists, unless
-it is listed below with the reason it is gone.
+modules on the per-tick path multiply matrices with `ndarray.dot`, only
+`SwitchState` writes a switch's artifact, and every function the benchmark
+traces for its per-layer metrics still exists, unless it is listed below with
+the reason it is gone.
 """
 
 import ast
@@ -66,6 +67,35 @@ def test_per_tick_modules_use_dot_not_matmul():
     found = [f"{name}:{line}" for name in PER_TICK_MODULES
              for line in matmul_lines((ROOT / name).read_text(encoding="utf-8"))]
     assert not found, "use ndarray.dot for these products:\n" + "\n".join(found)
+
+
+def artifact_writes(source):
+    """Lines that write an `.artifact` attribute outside class SwitchState."""
+    def walk(node):
+        if isinstance(node, ast.ClassDef) and node.name == "SwitchState":
+            return
+        if (isinstance(node, ast.Attribute) and node.attr == "artifact"
+                and not isinstance(node.ctx, ast.Load)):
+            yield node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child)
+    return sorted(walk(ast.parse(source)))
+
+
+def test_artifact_write_detector_spares_switch_state():
+    source = ("class SwitchState:\n    def f(self):\n        self.artifact = 1\n"
+              "s.artifact = 2\na, s.artifact = 3, 4\nx = s.artifact\n"
+              "s.artifact.end = 5\ndel s.artifact\n")
+    assert artifact_writes(source) == [4, 5, 8]
+
+
+def test_only_switch_state_latches_the_artifact():
+    # the latch and the clear live in SwitchState.transition, for both the
+    # scalar and the lane path
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line in artifact_writes(path.read_text(encoding="utf-8"))]
+    assert not found, "write the artifact in SwitchState:\n" + "\n".join(found)
 
 
 # trace targets of bench/measure.py that name no function, and why; each

@@ -393,13 +393,10 @@ def test_step_after_done_raises():
 
 def test_distance_fraction_clamped():
     course = flat_course(6.0)
-    state = TerrainEnv(course).reset_from(0.0)
-    state.max_x = 3.0
-    assert distance_fraction(course, state) == 0.5
-    state.max_x = 9.0
-    assert distance_fraction(course, state) == 1.0
-    state.max_x = -1.0
-    assert distance_fraction(course, state) == 0.0
+    env = TerrainEnv(course)
+    assert distance_fraction(course, env.reset_from(3.0)) == 0.5
+    assert distance_fraction(course, env.reset_from(9.0)) == 1.0
+    assert distance_fraction(course, env.reset_from(-1.0)) == 0.0
 
 
 # ---- observations and detection -----------------------------------------------------
@@ -746,6 +743,33 @@ def test_batch_step_observe_and_detect_match_the_scalar_runner(data):
         for row, i in enumerate(live):
             assert state_bits(batch.state(row)) == state_bits(states[i])
         if not live:
+            break
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_x_never_decreases_on_either_path(data):
+    # distance_fraction reads x as the furthest the runner got; each path
+    # runs up to 300 ticks of random actions
+    n = data.draw(st.integers(1, 4))
+    lane_courses = [data.draw(courses()) for _ in range(n)]
+    states = [data.draw(spawns(course)) for course in lane_courses]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    batch = RunnerBatch(lane_courses, [dataclasses.replace(s) for s in states])
+    for course, state in zip(lane_courses, states):
+        env = TerrainEnv(course)
+        for _ in range(300):
+            x = state.x
+            _, done = env.step(state, rng.uniform(-1.0, 1.0, 2))
+            assert state.x >= x
+            if done:
+                break
+    for _ in range(300):
+        x = batch.x
+        done = batch.step(rng.uniform(-1.0, 1.0, (len(batch), 2)))
+        assert (batch.x >= x).all()
+        batch.compact(~done)
+        if not len(batch):
             break
 
 
