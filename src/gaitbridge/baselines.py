@@ -103,7 +103,8 @@ class ProximityPredictor:
         self.failure = deque(maxlen=self.BUFFER_CAP)
 
     def predict(self, obs):
-        _, _, logit = self.net.forward(np.asarray(obs, dtype=np.float64))
+        net = self.net
+        logit = net.scalar_head("switch", net.trunk(np.asarray(obs, dtype=np.float64)))
         return float(sigmoid(logit))
 
     def add_episode(self, states, succeeded):

@@ -23,7 +23,9 @@ handoff bit, and the target's release once `tau_theta_reached`. On each
 tick one policy acts, and it learns only when it is the trainer's own net: it
 then updates its normalizer, samples its action and stores the transition.
 Every other policy normalizes only and acts on its mean, except that a setup
-policy keeps sampling: its handoff is a learned per-tick probability. Target
+policy keeps sampling: its handoff is a learned per-tick probability. A
+policy runs its trunk and then only the heads read (see `diffcore.net`):
+acting on its mean, neither the value nor the switch head. Target
 training is a driver with no modules, whose default policy is the one being
 trained on the environment reward; setup training trains one module's setup
 policy on a shaped reward. One round-robin loop (`_train`) collects both into
@@ -34,9 +36,10 @@ each with its own generator and its own policies, advanced together; lanes
 of any arm and any experiment cell can share one call. The lanes' runners
 step as one `RunnerBatch`, and each acting policy (a walker, a setup policy,
 a target), shared by whichever lanes act with it, gets one normalize and one
-batched forward per tick. Finished lanes are written back into their
-drivers. Once fewer than `LANE_CROSSOVER` lanes are live, the rest finish on
-`run()`. Lanes never train.
+batched trunk pass per tick, then its mean head and, for a setup policy, its
+switch head. Finished lanes are written back into their drivers. Once fewer
+than `LANE_CROSSOVER` lanes are live, the rest finish on `run()`. Lanes never
+train.
 
 Both paths take the switching decisions from the driver: `policy()` maps the
 phase to its (role, net, norm), `on_detection` starts a bridge, and
@@ -47,9 +50,10 @@ masks over the batch in `_run_batch`.
 A setup reward function has the signature
 `reward_fn(target, obs, obs_next, r_env, terminal, action)`. A driver passes
 it its own `CarriedTarget` of the acting module, a view of the frozen
-specialist that evaluates it at most once per observation: the observation
-taken after a tick's step becomes the next tick's observation, so V(s') of one
-tick is V(s) of the next.
+specialist that runs its trunk at most once per observation, and each head
+there at most once, when first read: the observation taken after a tick's
+step becomes the next tick's observation, so V(s') of one tick is V(s) of the
+next.
 """
 
 from __future__ import annotations
@@ -278,10 +282,12 @@ class BehaviorModule:
 
 
 class CarriedTarget:
-    """One driver's view of a module's frozen target, one forward per obs.
+    """One driver's view of a module's frozen target: one trunk pass per
+    observation, and each head that is read computed once on its output.
 
-    Keeps the target's (mu, V) at the last observation it was asked about,
-    matched by the identity of the observation array. The view holds that
+    Keeps the target's trunk output at the last observation it was asked
+    about, matched by the identity of the observation array, and fills its
+    mean action and its value as they are first read. The view holds that
     array, so its id cannot be reused by another observation. The target's
     net and normalizer must stay frozen while the view lives (one episode).
     """
@@ -291,19 +297,24 @@ class CarriedTarget:
         self.params = module.params
         self._obs = None
 
-    def _evaluate(self, obs_raw):
+    def _trunk(self, obs_raw):
         if obs_raw is not self._obs:
             module = self.module
-            self._mu, self._value, _ = module.target_net.forward(
-                module.target_norm.normalize(obs_raw))
+            self._h = module.target_net.trunk(module.target_norm.normalize(obs_raw))
+            self._mu = self._value = None
             self._obs = obs_raw
+        return self._h
 
     def target_value(self, obs_raw):
-        self._evaluate(obs_raw)
+        h = self._trunk(obs_raw)
+        if self._value is None:
+            self._value = self.module.target_net.scalar_head("value", h)
         return self._value
 
     def target_action(self, obs_raw):
-        self._evaluate(obs_raw)
+        h = self._trunk(obs_raw)
+        if self._mu is None:
+            self._mu = self.module.target_net.head("mu", h)
         return self._mu
 
 
@@ -344,8 +355,9 @@ class Trainer:
         for drv in drivers:
             buf = drv.buffer
             # a horizon cut mid-phase bootstraps from the state acted on next
-            buf.tail_bootstrap = 0.0 if buf.dones[-1] else self.net.forward(
-                self.norm.normalize(policy_obs(self.net, drv.observation())))[1]
+            buf.tail_bootstrap = 0.0 if buf.dones[-1] else self.net.scalar_head(
+                "value", self.net.trunk(self.norm.normalize(
+                    policy_obs(self.net, drv.observation()))))
         buffers = [drv.buffer for drv in drivers]
         ppo_update(self.net, buffers, self.config, self.adam, self.rng)
         for buf in buffers:
@@ -452,7 +464,7 @@ class EpisodeDriver:
                 action, bit, mean, logit, value = policy_act(
                     net, obs_n, self.rng, with_switch=acting == POLICY_SETUP)
             else:
-                action = net.forward(obs_n)[0]
+                action = net.head("mu", net.trunk(obs_n))
 
         r_env, done = self.env.step(state, action)
         self._obs = None
@@ -530,14 +542,14 @@ def _run_batch(lanes):
     releases target lanes past their artifact and passes each walking lane
     that detects an artifact its driver has a module for to the driver's
     `on_detection`. Then each acting policy gets one normalize and one
-    forward over its lanes' observations, in the order of its first lane,
-    with a one-row forward for a lone row. Walker and target lanes act
-    on their means. A setup lane samples from its driver's generator in
-    `policy_act`'s draw order (action noise, then the handoff bit). After
-    the step, the handoff bits pass control to the targets. Every switch
-    goes through the driver's `SwitchState`. Finished lanes are written back
-    into their drivers and dropped; the lanes left (fewer than
-    LANE_CROSSOVER) are written back and returned.
+    trunk pass over its lanes' observations, in the order of its first lane,
+    with a one-row pass for a lone row. Walker and target lanes act on
+    their means, the only head computed for them. A setup lane samples from
+    its driver's generator in `policy_act`'s draw order (action noise, then
+    the handoff bit). After the step, the handoff bits pass control to the
+    targets. Every switch goes through the driver's `SwitchState`. Finished
+    lanes are written back into their drivers and dropped; the lanes left
+    (fewer than LANE_CROSSOVER) are written back and returned.
     """
     policies = []  # code -> (role, net, norm)
     code_of = {}  # (role, net, norm) -> code; nets and norms hash by identity
@@ -588,12 +600,14 @@ def _run_batch(lanes):
         for p in sorted(set(lane_codes), key=lane_codes.index):
             rows = (code == p).nonzero()[0]
             role, net, norm = policies[p]
-            # a lone row keeps the cheaper one-row forward of tick()
+            # a lone row keeps the cheaper one-row pass of tick()
             x = obs[rows] if rows.size > 1 else obs[rows[0]]
-            mu, _, z = net.forward(norm.normalize(policy_obs(net, x)))
+            h = net.trunk(norm.normalize(policy_obs(net, x)))
+            mu = net.head("mu", h)
             if role != POLICY_SETUP:
                 actions[rows] = mu
                 continue
+            z = net.scalar_head("switch", h)
             if x.ndim == 1:
                 mu, z = mu[None], np.array([z])
             std = net.std

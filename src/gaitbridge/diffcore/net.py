@@ -29,6 +29,13 @@ one-row and batched operands on numpy 2.4 with OpenBLAS, but numpy does not
 promise that: another numpy or BLAS build may route a product differently.
 The seeded training digests in the tests are what guard the last bits.
 
+Inference is `trunk(obs)`, the last trunk activation, then only the heads
+the caller reads: `head(name, h)`, and `scalar_head` for the value and the
+switch logit as `forward` returns them. On one row that is a float, the 1-D
+product of h with the weight column plus the bias, which may round unlike a
+(1, h) x (h, 1) product; a batch takes the latter. `forward` composes these
+steps, so each read has its bits.
+
 `ParameterizedNet.backward` is the reverse pass of the only graph this code
 differentiates: trunk, then the heads named by the loss. Gradients land in one
 flat float64 vector with the parameter layout. The losses (the PPO surrogate in
@@ -103,9 +110,10 @@ class ParameterizedNet:
         self.params = p = self.views(self.flat)
         self._trunk = tuple((p[f"fc{i}.w"], p[f"fc{i}.b"])
                             for i in range(len(self.hidden)))
-        self._mu = (p["mu.w"], p["mu.b"])
-        self._value_w, self._switch_w = p["value.w"][:, 0], p["switch.w"][:, 0]
-        self._value_b, self._switch_b = p["value.b"], p["switch.b"]
+        self._heads = {name: (p[f"{name}.w"], p[f"{name}.b"])
+                       for name in ("mu", "value", "switch")}
+        self._columns = {name: (p[f"{name}.w"][:, 0], p[f"{name}.b"])
+                         for name in ("value", "switch")}
         # the flat range of each parameter, where `backward` writes its block
         self._spans = {name: slice(start, start + math.prod(shape))
                        for name, start, shape in self.layout}
@@ -188,10 +196,28 @@ class ParameterizedNet:
             hs.append(h)
         return hs
 
+    def trunk(self, obs):
+        """The last of `activations(obs)`, without the list."""
+        h = obs
+        for w, b in self._trunk:
+            h = h.dot(w)
+            h += b
+            np.tanh(h, out=h)
+        return h
+
     def head(self, name, h):
         """Linear head `name` ("mu", "value" or "switch") on trunk output h."""
-        p = self.params
-        return h.dot(p[f"{name}.w"]) + p[f"{name}.b"]
+        w, b = self._heads[name]
+        return h.dot(w) + b
+
+    def scalar_head(self, name, h):
+        """Head "value" or "switch" on trunk output h, as `forward` returns
+        it: a float for one row, a (B,) array for a batch."""
+        if h.ndim > 1:
+            w, b = self._heads[name]
+            return (h.dot(w) + b)[:, 0]
+        w, b = self._columns[name]
+        return float(h.dot(w) + b[0])
 
     def backward(self, hs, head_grads, d_log_std, grad):
         """Write d(loss)/d(parameters) into the flat float64 vector `grad`.
@@ -221,19 +247,15 @@ class ParameterizedNet:
                 dh = da.dot(p[f"fc{i}.w"].T)
 
     def forward(self, obs):
-        """The policy's mean action, value and switch logit.
+        """The policy's mean action, value and switch logit: `trunk`, then
+        every head. Code that acts reads only the heads it uses.
 
         obs (obs_dim,) -> (mu (A,), value float, switch_logit float)
         obs (B, obs_dim) -> (mu (B, A), value (B,), switch_logit (B,))
         """
-        h = self.activations(obs)[-1]
-        mu_w, mu_b = self._mu
-        mu = h.dot(mu_w)
-        mu += mu_b
-        if obs.ndim == 1:
-            return (mu, float(h.dot(self._value_w) + self._value_b[0]),
-                    float(h.dot(self._switch_w) + self._switch_b[0]))
-        return mu, self.head("value", h)[:, 0], self.head("switch", h)[:, 0]
+        h = self.trunk(obs)
+        return (self.head("mu", h), self.scalar_head("value", h),
+                self.scalar_head("switch", h))
 
 
 def switch_bce_grad(net, obs, labels, grad):

@@ -281,16 +281,19 @@ def policy_act(net, obs_norm, rng, with_switch=False):
     """Draw (action, switch_bit, mean, switch_logit, value) from a policy net.
 
     The action is drawn first; the handoff bit follows with `with_switch`,
-    else it is None. The behaviour log-probability is not computed here:
+    else the bit and the switch logit are None, and the switch head is not
+    computed. The behaviour log-probability is not computed here:
     `ppo_update` computes it from the stored mean and logit. A policy acting
-    on its mean reads `net.forward` instead.
+    on its mean reads the trunk and the mean head instead.
     """
-    mu, value, z = net.forward(obs_norm)
+    h = net.trunk(obs_norm)
+    mu = net.head("mu", h)
     action = mu + net.std * rng.standard_normal(mu.shape[0])
-    bit = None
+    bit = z = None
     if with_switch:
+        z = net.scalar_head("switch", h)
         bit = int(rng.random() < sigmoid(z))
-    return action, bit, mu, z, value
+    return action, bit, mu, z, net.scalar_head("value", h)
 
 
 def _fill_logprobs(net, buffer, actions, with_bits):

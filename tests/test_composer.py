@@ -6,6 +6,7 @@ a hurdle course and check the resulting switch-event trace against a small
 independent reimplementation of the runner dynamics kept inside this file.
 """
 
+import copy
 import hashlib
 import math
 
@@ -34,7 +35,7 @@ from gaitbridge.composer import (
     POLICY_SETUP,
     POLICY_TARGET,
 )
-from gaitbridge.diffcore.net import ParameterizedNet
+from gaitbridge.diffcore.net import ParameterizedNet, sigmoid
 from gaitbridge.policyopt import (
     PPOConfig,
     RolloutBuffer,
@@ -716,6 +717,33 @@ def uncached(monkeypatch):
                         lambda self: observe(self.env.course, self.state))
 
 
+def head_spy(net):
+    """Record each trunk output `net` computes and each head read off one,
+    as (name, trunk output). The outputs are kept, so their ids stay
+    distinct."""
+    trunks, reads = [], []
+    trunk, head, scalar_head = net.trunk, net.head, net.scalar_head
+
+    def spy_trunk(obs):
+        trunks.append(trunk(obs))
+        return trunks[-1]
+
+    def spy_head(name, h):
+        reads.append((name, h))
+        return head(name, h)
+
+    def spy_scalar_head(name, h):
+        reads.append((name, h))
+        return scalar_head(name, h)
+
+    net.trunk, net.head, net.scalar_head = spy_trunk, spy_head, spy_scalar_head
+    return trunks, reads
+
+
+def read_ids(reads):
+    return [(name, id(h)) for name, h in reads]
+
+
 def valued(net, seed):
     """Give a scripted net an observation-dependent value head; its action
     (mu.w is zero) stays the constant mu bias."""
@@ -803,6 +831,7 @@ class TestTargetCarry:
     def test_target_runs_at_most_once_per_reward_plus_one(self):
         env, default_net, d_norm, module = fast_training_world()
         net = module.target_net
+        trunks, reads = head_spy(net)
         forwards = [0]
 
         def counting(fn):
@@ -811,7 +840,8 @@ class TestTargetCarry:
                 return fn(obs)
             return wrapped
 
-        net.forward = counting(net.forward)
+        # a target evaluation is one trunk pass
+        net.trunk = counting(net.trunk)
         rewards = [0]
 
         def reward_fn(*args):
@@ -832,6 +862,36 @@ class TestTargetCarry:
         assert sum(r for _, r in episodes) > 100
         for n_forward, n_reward in episodes:
             assert n_forward <= n_reward + 1
+        # each head is computed at most once on each trunk output
+        ids = read_ids(reads)
+        assert {name for name, _ in ids} == {"mu", "value"}
+        assert len(set(ids)) == len(ids)
+
+    def test_one_trunk_per_observation_and_each_head_at_most_once(self):
+        _, _, _, module = fast_training_world()
+        rng = np.random.default_rng(4)
+        observations = [rng.normal(size=OBS_DIM) for _ in range(3)]
+        reference = UncachedTarget(module)
+        want = [(reference.target_value(o), reference.target_action(o))
+                for o in observations]
+        trunks, reads = head_spy(module.target_net)
+        carry = cp.CarriedTarget(module)
+        # the first read of each kind computes its head, later ones reuse it
+        got = []
+        for obs, order in zip(observations, ("vva", "aav", "v")):
+            for kind in order:
+                if kind == "v":
+                    got.append(carry.target_value(obs).hex())
+                else:
+                    got.append(carry.target_action(obs).tolist())
+        (v0, a0), (v1, a1), (v2, _) = want
+        assert got == [v0.hex(), v0.hex(), a0.tolist(), a1.tolist(),
+                       a1.tolist(), v1.hex(), v2.hex()]
+        assert len(trunks) == 3
+        assert read_ids(reads) == [
+            ("value", id(trunks[0])), ("mu", id(trunks[0])),
+            ("mu", id(trunks[1])), ("value", id(trunks[1])),
+            ("value", id(trunks[2]))]
 
 
 class TestOnlyTheTrainedPolicyLearns:
@@ -923,6 +983,18 @@ class TestTerrainBlindWalker:
             assert (drv.state.x, drv.state.v, drv.state.c) == (ref.x, ref.v, ref.c)
         assert ref.x > 0.5
         assert rng.bit_generator.state == before
+
+    def test_a_mean_acting_walker_reads_only_its_mean_head(self):
+        net = ParameterizedNet(OBS_PROPRIO, 2, (8,), np.random.default_rng(3))
+        trunks, reads = head_spy(net)
+        drv = EpisodeDriver(TerrainEnv(flat_course(10.0)), net,
+                            identity_norm(OBS_PROPRIO), {},
+                            np.random.default_rng(0),
+                            init_fn=lambda env, rng: env.reset_from(0.4))
+        for _ in range(20):
+            drv.tick()
+        assert len(trunks) == 20
+        assert read_ids(reads) == [("mu", id(h)) for h in trunks]
 
     def test_full_width_policy_observation_passes_through(self):
         net = scripted_net(0.5, 0.0)
@@ -1221,6 +1293,87 @@ class TestLanes:
         assert switches[0] == {0}
         assert 0 not in switches[1] and max(switches[1]) <= 3
         assert max(switches[2]) > 3
+
+    def test_each_group_reads_only_the_heads_it_acts_on(self):
+        lanes = [drv for drv, _ in mixed_arm_lanes(24)]
+        walker = lanes[0].default_net
+        modules = lanes[0].modules
+        spies = {net: head_spy(net) for net in
+                 [walker] + [getattr(m, role) for m in modules.values()
+                             for role in ("setup_net", "target_net")]}
+        left = cp._run_batch(lanes)
+        assert len(left) < cp.LANE_CROSSOVER
+        # walker and target groups act on their means; a setup group also
+        # draws its handoff bits
+        for net, (trunks, reads) in spies.items():
+            if any(net is m.setup_net for m in modules.values()):
+                names = ("mu", "switch")
+            else:
+                names = ("mu",)
+            assert read_ids(reads) == [(name, id(h)) for h in trunks
+                                       for name in names]
+        hurdle = modules[HURDLE]
+        assert spies[hurdle.setup_net][0] and spies[hurdle.target_net][0]
+
+    def test_groups_and_lone_rows_act_as_the_forward_bit_for_bit(
+            self, monkeypatch):
+        env, walker, modules = lane_world()
+        # equal policies in other objects: each acts as a group of one
+        _, lone_walker, lone_modules = lane_world()
+        walker_norm = identity_norm()
+        near = cp.artifact_approach_init(env.course.artifacts[0])
+        drivers = [EpisodeDriver(env, net, walker_norm, mods,
+                                 np.random.default_rng((11, i)), init_fn=init)
+                   for i, (net, mods, init) in enumerate(
+                       [(walker, modules, near)] * 10
+                       + [(walker, lone_modules, near)]
+                       + [(walker, {}, None)] * 10 + [(lone_walker, {}, None)])]
+        rngs = [copy.deepcopy(drv.rng) for drv in drivers]
+        seen, zs = {}, []
+        observe = cp.RunnerBatch.observe
+
+        class FirstTick(Exception):
+            pass
+
+        def spy_observe(batch):
+            seen["obs"] = observe(batch)
+            return seen["obs"]
+
+        def spy_step(batch, actions):
+            seen["actions"] = actions.copy()
+            raise FirstTick
+
+        def spy_sigmoid(z):
+            zs.append(z)
+            return sigmoid(z)
+
+        monkeypatch.setattr(cp.RunnerBatch, "observe", spy_observe)
+        monkeypatch.setattr(cp.RunnerBatch, "step", spy_step)
+        monkeypatch.setattr(cp, "sigmoid", spy_sigmoid)
+        with pytest.raises(FirstTick):
+            cp._run_batch(drivers)
+        assert [drv.switch.active for drv in drivers] == \
+            [POLICY_SETUP] * 11 + [POLICY_DEFAULT] * 11
+        obs, actions = seen["obs"], seen["actions"]
+        # groups act in the order of their first lanes
+        groups = [(slice(0, 10), modules[HURDLE]),
+                  (10, lone_modules[HURDLE]),
+                  (slice(11, 21), walker), (21, lone_walker)]
+        for rows, policy in groups:
+            setup = isinstance(policy, BehaviorModule)
+            net, norm = ((policy.setup_net, policy.setup_norm) if setup
+                         else (policy, walker_norm))
+            mu, _, z = net.forward(norm.normalize(cp.policy_obs(net, obs[rows])))
+            if not setup:
+                assert np.array_equal(actions[rows], mu)
+                continue
+            if isinstance(rows, int):
+                rows, mu, z = slice(rows, rows + 1), mu[None], np.array([z])
+            assert np.array_equal(zs.pop(0), z)
+            for i, mean in zip(range(rows.start, rows.stop), mu):
+                noise = rngs[i].standard_normal(2)
+                assert np.array_equal(actions[i], mean + net.std * noise)
+        assert not zs
 
     def test_rejects_a_training_driver(self):
         env = TerrainEnv(single_artifact_course(HURDLE))

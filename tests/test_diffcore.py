@@ -348,6 +348,51 @@ def test_batched_forward_matches_single():
         assert sw_b[i] == pytest.approx(sw_i, abs=1e-12)
 
 
+def reference_forward(net, obs):
+    """(mu, value, switch) written out from the named parameters: one row
+    takes 1-D products with the value and switch weight columns and gives
+    floats, a batch takes (B, h) x (h, 1) products and gives (B,) arrays."""
+    p = net.params
+    h = obs
+    for i in range(len(net.hidden)):
+        h = np.tanh(h.dot(p[f"fc{i}.w"]) + p[f"fc{i}.b"])
+    mu = h.dot(p["mu.w"]) + p["mu.b"]
+    if obs.ndim == 1:
+        return (mu, float(h.dot(p["value.w"][:, 0]) + p["value.b"][0]),
+                float(h.dot(p["switch.w"][:, 0]) + p["switch.b"][0]))
+    return (mu, (h.dot(p["value.w"]) + p["value.b"])[:, 0],
+            (h.dot(p["switch.w"]) + p["switch.b"])[:, 0])
+
+
+def assert_same_bits(got, want):
+    if isinstance(want, float):
+        assert isinstance(got, float) and got.hex() == want.hex()
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+# a terrain-blind walker and a full-width policy, as the composer builds them
+@pytest.mark.parametrize("obs_dim, hidden", [(OBS_PROPRIO, (8,)),
+                                             (OBS_DIM, (64, 64))])
+@pytest.mark.parametrize("rows", [None, 1, 2, 64])
+def test_per_head_reads_equal_the_forward_bit_for_bit(obs_dim, hidden, rows):
+    rng = np.random.default_rng(obs_dim + len(hidden))
+    net = ParameterizedNet(obs_dim, 2, hidden, rng)
+    for name, arr in net.params.items():
+        if name.endswith(".b"):
+            arr[...] = rng.normal(size=arr.shape).astype(np.float32)
+    obs = rng.normal(size=obs_dim if rows is None else (rows, obs_dim))
+    want = reference_forward(net, obs)
+    h = net.trunk(obs)
+    assert np.array_equal(h, net.activations(obs)[-1])
+    heads = (net.head("mu", h), net.scalar_head("value", h),
+             net.scalar_head("switch", h))
+    for reads in (heads, net.forward(obs)):
+        for got, ref in zip(reads, want):
+            assert_same_bits(got, ref)
+
+
 def test_inference_cache_follows_every_parameter_write():
     """After each in-place write to a net's parameters, its std and log-std
     sum, its one-row and batched forward and its sampled action equal those

@@ -2,7 +2,8 @@
 
 Every name a module in src/ or tests/ imports is used in that module
 (package `__init__.py` files are exempt: their imports are re-exports), the
-modules on the per-tick path multiply matrices with `ndarray.dot`, only
+modules on the per-tick path multiply matrices with `ndarray.dot`, the
+acting and training code reads only the network heads it uses, only
 `SwitchState` writes a switch's artifact, and every function the benchmark
 traces for its per-layer metrics still exists, unless it is listed below with
 the reason it is gone.
@@ -69,6 +70,31 @@ def test_per_tick_modules_use_dot_not_matmul():
     assert not found, "use ndarray.dot for these products:\n" + "\n".join(found)
 
 
+# `forward` computes every head; these modules read each head they use off
+# `trunk`, so a head nobody reads is never computed
+HEAD_READING_MODULES = ("src/gaitbridge/policyopt.py",
+                        "src/gaitbridge/composer.py")
+
+
+def forward_reads(source):
+    """Lines that read a `.forward` attribute, called or not."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Attribute)
+                   and node.attr == "forward"})
+
+
+def test_forward_read_detector_skips_other_names():
+    source = ("mu = net.forward(x)[0]\nforward(x)\nf = net.forward\n"
+              "net.forwarded(x)\ndef forward(self):\n    pass\n")
+    assert forward_reads(source) == [1, 3]
+
+
+def test_acting_code_reads_heads_not_forward():
+    found = [f"{name}:{line}" for name in HEAD_READING_MODULES
+             for line in forward_reads((ROOT / name).read_text(encoding="utf-8"))]
+    assert not found, "read trunk and the heads you use:\n" + "\n".join(found)
+
+
 def artifact_writes(source):
     """Lines that write an `.artifact` attribute outside class SwitchState."""
     def walk(node):
@@ -104,10 +130,12 @@ ABSENT_TRACE_TARGETS = {
     "gaitbridge.diffcore.tape:GradientTape.backward":
         "the tape gave way to the closed-form ParameterizedNet.backward",
     "gaitbridge.diffcore.net:ParameterizedNet.value_of":
-        "a value is read as forward(obs)[1]; forward's span counts it",
+        "a value is read as scalar_head(\"value\", trunk(obs)); no span "
+        "counts it until diffcore.forward traces ParameterizedNet.trunk",
     "gaitbridge.composer:BehaviorModule.target_value":
-        "drivers read the target through CarriedTarget, which calls forward; "
-        "the uncached reference is the tests' UncachedTarget",
+        "drivers read the target through CarriedTarget, which runs trunk once "
+        "per observation and each head on demand; the uncached reference is "
+        "the tests' UncachedTarget",
 }
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaitbridge.diffcore import AdamState, ParameterizedNet
+from gaitbridge.diffcore import AdamState, ParameterizedNet, sigmoid
 from gaitbridge.policyopt import (
     BufferError,
     PPOConfig,
@@ -473,9 +473,25 @@ def test_policy_act_samples_around_the_forward_mean():
     noise = np.random.default_rng(0).standard_normal(2)
     assert np.array_equal(action, mu + net.std * noise)
     assert np.array_equal(mean, mu)
-    assert bit is None and (logit, v) == (z, value)
+    # without a handoff bit the switch head is not read
+    assert bit is None and logit is None and v == value
     assert act_logprob(net, action, mean, logit, bit) == pytest.approx(
         gaussian_logprob(mu, net.params["log_std"], action), abs=1e-12)
+
+
+def test_policy_act_with_switch_draws_the_bit_after_the_action():
+    net = ParameterizedNet(2, 2, (4,), np.random.default_rng(16))
+    net.params["switch.b"][...] = np.float32(0.3)
+    obs = np.array([0.3, -0.7])
+    mu, value, z = net.forward(obs)
+    for seed in range(8):
+        action, bit, mean, logit, v = policy_act(
+            net, obs, np.random.default_rng(seed), with_switch=True)
+        ref = np.random.default_rng(seed)
+        assert np.array_equal(action, mu + net.std * ref.standard_normal(2))
+        assert bit == int(ref.random() < sigmoid(z))
+        assert np.array_equal(mean, mu)
+        assert logit.hex() == z.hex() and v.hex() == value.hex()
 
 
 def test_bandit_improves_quickly():
