@@ -25,11 +25,19 @@ then updates its normalizer, samples its action and stores the transition.
 Every other policy normalizes only and acts on its mean, except that a setup
 policy keeps sampling: its handoff is a learned per-tick probability. A
 policy runs its trunk and then only the heads read (see `diffcore.net`):
-acting on its mean, neither the value nor the switch head. Target
-training is a driver with no modules, whose default policy is the one being
-trained on the environment reward; setup training trains one module's setup
-policy on a shaped reward. One round-robin loop (`_train`) collects both into
-per-worker buffers, one `tick()` at a time.
+acting on its mean, neither the value nor the switch head; sampling without
+learning, no value head. Target training is a driver with no modules, whose
+default policy is the one being trained on the environment reward; setup
+training trains one module's setup policy on a shaped reward. One round-robin
+loop (`_train`) collects both into per-worker buffers, one `tick()` at a time.
+
+In setup training the frozen walker's actions before an episode's first
+switch are memoized per step in the trainer's `opening` (see `Trainer`): a
+tick reuses the stored action only when its input row is byte-equal to the
+one stored at its step, so the reuse is exact, and the memo holds at most
+MAX_STEPS + 1 entries. It lives as long as one `train_setup` call. Walker
+ticks after the first switch, in target training and in evaluation compute
+every action.
 
 Evaluation runs its episodes as lanes (`run_lanes`): one driver per episode,
 each with its own generator and its own policies, advanced together; lanes
@@ -336,6 +344,16 @@ class Trainer:
     folds post-handoff rewards when `extend` is set, and keeps each buffer's
     last transition across an update. Without one it trains the drivers'
     default policy on the environment reward and empties the buffers.
+
+    With a module it also keeps `opening`: entry t is the (input row bytes,
+    read-only action) of the last walker tick at step t before an episode's
+    first switch. Every spawn stands still, so a terrain-blind walker sees the
+    same rows in every episode. Such a tick reuses entry t's action when its
+    row's bytes equal the entry's, and otherwise computes the action and
+    stores the pair at t. The walker acts on its mean, a deterministic
+    function of that row, and `train_setup` checks that it stayed frozen, so
+    a reused action is the one it would compute. The list holds at most
+    MAX_STEPS + 1 entries, however many distinct rows the walker sees.
     """
 
     def __init__(self, net, norm, config, rng, *, module=None,
@@ -349,6 +367,7 @@ class Trainer:
         self.reward_fn = reward_fn
         self.extend = extend
         self.updates = 0
+        self.opening = None if module is None else []
 
     def update(self, drivers):
         """One PPO update from every driver's full buffer."""
@@ -456,15 +475,24 @@ class EpisodeDriver:
         else:
             learning = trainer is not None and net is trainer.net
             x = policy_obs(net, obs)
-            if learning:
-                obs_n = norm.update(x)
-            else:
-                obs_n = norm.normalize(x)
             if learning or acting == POLICY_SETUP:
-                action, bit, mean, logit, value = policy_act(
+                obs_n = norm.update(x) if learning else norm.normalize(x)
+                action, bit, mean, logit, h = policy_act(
                     net, obs_n, self.rng, with_switch=acting == POLICY_SETUP)
+            elif trainer is None or trainer.opening is None or switch.events:
+                action = net.head("mu", net.trunk(norm.normalize(x)))
             else:
-                action = net.head("mu", net.trunk(obs_n))
+                # the frozen walker's opening, memoized per step (see Trainer)
+                opening, i, key = trainer.opening, state.steps, x.tobytes()
+                if i < len(opening) and opening[i][0] == key:
+                    action = opening[i][1]
+                else:
+                    action = net.head("mu", net.trunk(norm.normalize(x)))
+                    action.flags.writeable = False
+                    if i < len(opening):
+                        opening[i] = key, action
+                    else:
+                        opening.append((key, action))
 
         r_env, done = self.env.step(state, action)
         self._obs = None
@@ -479,8 +507,8 @@ class EpisodeDriver:
                     self.observation(), r_env, done, action)
             else:
                 r_step = r_env
-            self.buffer.append(obs_n, action, bit, mean, logit, r_step, value,
-                               done or bit == 1)
+            self.buffer.append(obs_n, action, bit, mean, logit, r_step,
+                               net.scalar_head("value", h), done or bit == 1)
             if bit == 1:
                 self.handed_off = True
         elif self.handed_off and trainer.extend:
@@ -835,6 +863,7 @@ def train_setup(module: BehaviorModule, default_net, default_norm, env, config,
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
     frozen = module.target_net.flat.copy()
+    walker, walker_stats = default_net.flat.copy(), default_norm.state_arrays()
     trainer = Trainer(module.setup_net, module.setup_norm, config, rng,
                       module=module, reward_fn=reward_fn, extend=extend)
     curve, _, _ = _train(
@@ -844,4 +873,9 @@ def train_setup(module: BehaviorModule, default_net, default_norm, env, config,
         on_episode_end=on_episode_end)
     if not np.array_equal(module.target_net.flat, frozen):
         raise RuntimeError("target policy drifted during setup training")
+    # the trainer's opening reused the walker's actions as they were
+    stats = default_norm.state_arrays()
+    if not (np.array_equal(default_net.flat, walker) and all(
+            np.array_equal(stats[key], arr) for key, arr in walker_stats.items())):
+        raise RuntimeError("walker policy drifted during setup training")
     return curve

@@ -278,13 +278,15 @@ def gae_advantages(rewards, values, dones, gamma, lam, tail_bootstrap=0.0):
 
 
 def policy_act(net, obs_norm, rng, with_switch=False):
-    """Draw (action, switch_bit, mean, switch_logit, value) from a policy net.
+    """Draw (action, switch_bit, mean, switch_logit, h) from a policy net.
 
     The action is drawn first; the handoff bit follows with `with_switch`,
     else the bit and the switch logit are None, and the switch head is not
-    computed. The behaviour log-probability is not computed here:
-    `ppo_update` computes it from the stored mean and logit. A policy acting
-    on its mean reads the trunk and the mean head instead.
+    computed. `h` is the trunk output: a learner reads its value off it with
+    `net.scalar_head("value", h)`, and an acting-only caller computes no value
+    head. The behaviour log-probability is not computed here: `ppo_update`
+    computes it from the stored mean and logit. A policy acting on its mean
+    reads the trunk and the mean head instead.
     """
     h = net.trunk(obs_norm)
     mu = net.head("mu", h)
@@ -293,7 +295,7 @@ def policy_act(net, obs_norm, rng, with_switch=False):
     if with_switch:
         z = net.scalar_head("switch", h)
         bit = int(rng.random() < sigmoid(z))
-    return action, bit, mu, z, net.scalar_head("value", h)
+    return action, bit, mu, z, h
 
 
 def _fill_logprobs(net, buffer, actions, with_bits):

@@ -93,9 +93,10 @@ def train_bandit(updates=50, horizon=128, seed=0):
     for _ in range(updates):
         buffer = RolloutBuffer(horizon)
         for _ in range(horizon):
-            action, _, mean, logit, value = policy_act(net, obs, rng)
+            action, _, mean, logit, h = policy_act(net, obs, rng)
             reward = -float(action[0]) ** 2
-            buffer.append(obs.copy(), action, None, mean, logit, reward, value, True)
+            buffer.append(obs.copy(), action, None, mean, logit, reward,
+                          net.scalar_head("value", h), True)
         ppo_update(net, [buffer], config, adam, rng)
     return net
 

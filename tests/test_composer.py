@@ -46,6 +46,7 @@ from gaitbridge.terrainsim import (
     GAP,
     HURDLE,
     KINDS,
+    MAX_STEPS,
     OBS_DIM,
     OBS_PROPRIO,
     RunnerState,
@@ -644,6 +645,28 @@ class TestUpdateMechanics:
                                       setup_snapshot[k])
                    for k in setup_snapshot)
 
+    @pytest.mark.parametrize("drift", ["weight", "statistics"])
+    def test_a_walker_changed_during_training_raises(self, drift):
+        # the trainer's opening reuses the walker's actions, so training
+        # rests on a walker that stays as it was
+        env, default_net, d_norm, module = fast_training_world()
+        ended = []
+
+        def on_episode_end(driver):
+            ended.append(driver)
+            if drift == "weight":
+                mu_b = default_net.params["mu.b"]
+                mu_b[0] = np.float32(mu_b[0]) + np.float32(0.01)
+            else:
+                d_norm.update(driver.observation())
+
+        with pytest.raises(RuntimeError, match="walker policy drifted"):
+            train_setup(module, default_net, d_norm, env,
+                        PPOConfig(horizon=16, minibatch=16, epochs=1), 2000,
+                        np.random.default_rng(2), eval_every=0,
+                        eval_episodes=0, on_episode_end=on_episode_end)
+        assert ended
+
     def test_budget_zero_leaves_setup_bit_identical(self):
         env, default_net, d_norm, _ = fast_training_world()
         module = BehaviorModule.from_default(
@@ -894,6 +917,164 @@ class TestTargetCarry:
             ("value", id(trunks[2]))]
 
 
+# ---- the frozen walker's opening in setup training -------------------------------
+
+
+class CountingOpening(list):
+    """A trainer's opening that counts the entries written into it and keeps
+    each row written."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+        self.rows = set()
+
+    def append(self, entry):
+        self.writes += 1
+        self.rows.add(entry[0])
+        super().append(entry)
+
+    def __setitem__(self, i, entry):
+        self.writes += 1
+        self.rows.add(entry[0])
+        super().__setitem__(i, entry)
+
+
+def install_opening(monkeypatch, make):
+    """Give every new trainer `make()` as its opening (None: no memo);
+    returns the list of trainers made."""
+    init = Trainer.__init__
+    trainers = []
+
+    def patched(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.opening = make()
+        trainers.append(self)
+
+    monkeypatch.setattr(cp.Trainer, "__init__", patched)
+    return trainers
+
+
+def lifted_walker_world():
+    """An observation-dependent terrain-blind walker and a hurdle module
+    whose setup policy is the walker, lifted."""
+    walker = ParameterizedNet(OBS_PROPRIO, 2, (8,), np.random.default_rng(13))
+    walker.params["mu.w"][...] = (walker.params["mu.w"].astype(np.float32)
+                                  * np.float32(0.1))
+    walker.params["mu.b"][...] = (0.5, 0.0)
+    walker_norm = identity_norm(OBS_PROPRIO)
+    module = BehaviorModule.from_default(HURDLE, scripted_net(0.0, -1.0),
+                                         identity_norm(), walker, walker_norm)
+    return (TerrainEnv(single_artifact_course(HURDLE)), walker, walker_norm,
+            module)
+
+
+def gap_then_hurdle_world():
+    """`fast_training_world` on a course whose first artifact is a narrow gap
+    that no module handles: the full-width walker walks over it, or falls
+    in, and sees the distance to it change with every episode's spawn."""
+    _, walker, walker_norm, module = fast_training_world()
+    gap = make_artifact(GAP, 3.2, length=0.005)
+    course = make_course([gap, make_artifact(HURDLE, gap.end + 2.0)])
+    return TerrainEnv(course), walker, walker_norm, module
+
+
+def training_record(monkeypatch, world, budget, seed, **kwargs):
+    """Train `world`'s setup policy on two workers; returns the buffer rewards
+    at each update, the setup parameters, the setup normalizer state and the
+    curve."""
+    env, walker, walker_norm, module = world()
+    rewards = []
+    original = Trainer.update
+
+    def spy(trainer, drivers):
+        rewards.append([list(d.buffer.rewards) for d in drivers])
+        original(trainer, drivers)
+
+    with monkeypatch.context() as m:
+        m.setattr(cp.Trainer, "update", spy)
+        curve = train_setup(module, walker, walker_norm, env,
+                            PPOConfig(horizon=16, minibatch=8, epochs=2),
+                            budget, np.random.default_rng(seed),
+                            n_workers=2, **kwargs)
+    return (rewards, module.setup_net.flat.copy(),
+            module.setup_norm.state_arrays(), curve)
+
+
+def assert_same_training(got, want):
+    assert len(got[0]) >= 2  # at least two updates
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    assert got[2].keys() == want[2].keys()
+    for key, arr in want[2].items():
+        assert np.array_equal(got[2][key], arr)
+    assert got[3] == want[3]
+
+
+class TestWalkerOpening:
+    def test_training_equals_the_reference_without_the_memo(self,
+                                                            monkeypatch):
+        ticks = []  # walker ticks before the first switch, per episode
+
+        def on_episode_end(driver):
+            events = driver.switch.events
+            ticks.append(events[0].step if events else driver.state.steps)
+
+        with monkeypatch.context() as m:
+            trainers = install_opening(m, CountingOpening)
+            memo = training_record(monkeypatch, lifted_walker_world, 3000, 8,
+                                   eval_every=2, eval_episodes=3,
+                                   on_episode_end=on_episode_end)
+        # the terrain-blind walker sees one row per step: each entry is
+        # written once and reused in every later episode
+        opening = trainers[0].opening
+        assert opening.writes == len(opening) < sum(ticks) / 2
+        install_opening(monkeypatch, lambda: None)
+        assert_same_training(memo, training_record(
+            monkeypatch, lifted_walker_world, 3000, 8, eval_every=2,
+            eval_episodes=3))
+
+    def test_the_walker_trunk_runs_once_per_opening_entry_written(self):
+        env, walker, walker_norm, module = lifted_walker_world()
+        trainer = setup_trainer(module, PPOConfig(horizon=100_000))
+        trainer.opening = opening = CountingOpening()
+        buf = RolloutBuffer(trainer.config.horizon)
+        driver, passes = None, [0]
+        trunk = walker.trunk
+
+        def spy(obs):
+            passes[0] += not driver.switch.events
+            return trunk(obs)
+
+        walker.trunk = spy
+        rng = np.random.default_rng(6)
+        ticks = 0  # walker ticks before each episode's first switch
+        for _ in range(24):
+            driver = EpisodeDriver(env, walker, walker_norm, {HURDLE: module},
+                                   rng, trainer=trainer, buffer=buf)
+            out = driver.run()
+            ticks += out.events[0].step if out.events else out.state.steps
+        assert len(buf) > 0 and ticks > 24 * 50
+        assert passes[0] == opening.writes
+        # most opening ticks reuse an entry
+        assert opening.writes < ticks / 4
+
+    def test_a_full_width_walker_keeps_the_opening_bounded(self, monkeypatch):
+        with monkeypatch.context() as m:
+            trainers = install_opening(m, CountingOpening)
+            memo = training_record(monkeypatch, gap_then_hurdle_world, 6000,
+                                   3, eval_every=0, eval_episodes=0)
+        opening = trainers[0].opening
+        # more distinct rows than steps: a memo keyed by row would outgrow
+        # the episode length, the per-step list does not
+        assert len(opening) <= MAX_STEPS + 1 < len(opening.rows)
+        assert all(not action.flags.writeable for _, action in opening)
+        install_opening(monkeypatch, lambda: None)
+        assert_same_training(memo, training_record(
+            monkeypatch, gap_then_hurdle_world, 6000, 3, eval_every=0,
+            eval_episodes=0))
+
+
 class TestOnlyTheTrainedPolicyLearns:
     def test_another_modules_setup_ticks_are_neither_stored_nor_learned(
             self, monkeypatch):
@@ -918,6 +1099,16 @@ class TestOnlyTheTrainedPolicyLearns:
         assert len(buf) == sum(net is hurdle.setup_net for net in acted)
         for key, arr in gap.setup_norm.state_arrays().items():
             assert np.array_equal(arr, gap_norm[key])
+
+    def test_an_evaluation_setup_tick_reads_only_its_mean_and_switch(self):
+        module = hurdle_module()
+        trunks, reads = head_spy(module.setup_net)
+        EpisodeDriver(TerrainEnv(single_artifact_course(HURDLE)),
+                      scripted_net(0.5, 0.0), identity_norm(),
+                      {HURDLE: module}, np.random.default_rng(5)).run()
+        assert trunks
+        assert read_ids(reads) == [(name, id(h)) for h in trunks
+                                   for name in ("mu", "switch")]
 
 
 # ---- episode driver validation ---------------------------------------------------

@@ -418,10 +418,12 @@ def test_inference_cache_follows_every_parameter_write():
         assert (value, switch) == (value_f, switch_f)
         acts = [policy_act(n, obs, np.random.default_rng(0), with_switch=True)
                 for n in (net, fresh)]
-        (action, bit, mean, logit, value), act_f = acts
+        (action, bit, mean, logit, h), act_f = acts
         assert np.array_equal(action, act_f[0])
         assert np.array_equal(mean, act_f[2])
-        assert (bit, logit, value) == (act_f[1], act_f[3], act_f[4])
+        assert np.array_equal(h, act_f[4])
+        assert (bit, logit) == (act_f[1], act_f[3])
+        assert net.scalar_head("value", h) == fresh.scalar_head("value", act_f[4])
 
     assert_fresh()
     adam_step(net, rng.normal(size=net.flat.shape), AdamState(lr=0.1))
@@ -480,10 +482,12 @@ def test_every_parameter_writer_keeps_float32_values_and_fresh_reads():
         assert type(value) is float and type(switch) is float
         acts = [policy_act(n, obs, np.random.default_rng(0), with_switch=True)
                 for n in (net, fresh)]
-        (action, bit, mean, logit, value), act_f = acts
+        (action, bit, mean, logit, h), act_f = acts
         assert np.array_equal(action, act_f[0])
         assert np.array_equal(mean, act_f[2])
-        assert (bit, logit, value) == (act_f[1], act_f[3], act_f[4])
+        assert np.array_equal(h, act_f[4])
+        assert (bit, logit) == (act_f[1], act_f[3])
+        assert net.scalar_head("value", h) == fresh.scalar_head("value", act_f[4])
 
     net = ParameterizedNet(OBS_PROPRIO, 2, (8, 8), rng)
     assert_float32_and_fresh(net)

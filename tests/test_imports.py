@@ -4,7 +4,8 @@ Every name a module in src/ or tests/ imports is used in that module
 (package `__init__.py` files are exempt: their imports are re-exports), the
 modules on the per-tick path multiply matrices with `ndarray.dot`, the
 acting and training code reads only the network heads it uses, only
-`SwitchState` writes a switch's artifact, and every function the benchmark
+`SwitchState` writes a switch's artifact, only `EpisodeDriver.tick` writes a
+trainer's walker opening, and every function the benchmark
 traces for its per-layer metrics still exists, unless it is listed below with
 the reason it is gone.
 """
@@ -122,6 +123,57 @@ def test_only_switch_state_latches_the_artifact():
              for path in sorted((ROOT / "src").rglob("*.py"))
              for line in artifact_writes(path.read_text(encoding="utf-8"))]
     assert not found, "write the artifact in SwitchState:\n" + "\n".join(found)
+
+
+LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear",
+                 "sort", "reverse"}
+
+
+def opening_writes(source):
+    """Lines that write an `.opening` attribute outside EpisodeDriver.tick:
+    bind or delete it (only Trainer.__init__ may bind it), store into or
+    delete from it, or call a list mutator on it."""
+    def is_opening(node):
+        return isinstance(node, ast.Attribute) and node.attr == "opening"
+
+    def walk(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+            if scope[-2:] == ("EpisodeDriver", "tick"):
+                return
+        if is_opening(node):
+            if (not isinstance(node.ctx, ast.Load)
+                    and scope[-2:] != ("Trainer", "__init__")):
+                yield node.lineno
+        elif isinstance(node, ast.Subscript):
+            if is_opening(node.value) and not isinstance(node.ctx, ast.Load):
+                yield node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in LIST_MUTATORS and is_opening(node.func.value):
+                yield node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+    return sorted(set(walk(ast.parse(source), ())))
+
+
+def test_opening_write_detector_spares_tick_and_the_binding():
+    source = ("class Trainer:\n    def __init__(self):\n"
+              "        self.opening = []\n    def reset(self):\n"
+              "        self.opening = []\nclass EpisodeDriver:\n"
+              "    def tick(self):\n        t.opening.append(1)\n"
+              "        t.opening[0] = 2\nt.opening.append(3)\n"
+              "t.opening[0] = 4\ndel t.opening[0]\nt.opening += [5]\n"
+              "x = t.opening[0]\nn = len(t.opening)\nt.opening.index(x)\n")
+    assert opening_writes(source) == [5, 10, 11, 12, 13]
+
+
+def test_only_the_episode_tick_writes_the_opening():
+    # a stored walker action is reused only under the byte-equality test in
+    # EpisodeDriver.tick, which also writes every entry
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for line in opening_writes(path.read_text(encoding="utf-8"))]
+    assert not found, "write the opening in EpisodeDriver.tick:\n" + "\n".join(found)
 
 
 # trace targets of bench/measure.py that name no function, and why; each

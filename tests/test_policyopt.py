@@ -355,9 +355,10 @@ def _synthetic_buffer(rng, net, T=32, with_bits=False):
     buf = RolloutBuffer(T)
     for _ in range(T):
         obs = rng.normal(size=net.obs_dim)
-        action, bit, mean, logit, value = policy_act(net, obs, rng, with_switch=with_bits)
+        action, bit, mean, logit, h = policy_act(net, obs, rng, with_switch=with_bits)
         reward = float(rng.normal())
-        buf.append(obs, action, bit, mean, logit, reward, value, bool(rng.random() < 0.1))
+        buf.append(obs, action, bit, mean, logit, reward,
+                   net.scalar_head("value", h), bool(rng.random() < 0.1))
     return buf
 
 
@@ -469,12 +470,15 @@ def test_policy_act_samples_around_the_forward_mean():
     net = ParameterizedNet(2, 2, (4,), np.random.default_rng(16))
     obs = np.array([0.3, -0.7])
     mu, value, z = net.forward(obs)
-    action, bit, mean, logit, v = policy_act(net, obs, np.random.default_rng(0))
+    action, bit, mean, logit, h = policy_act(net, obs, np.random.default_rng(0))
     noise = np.random.default_rng(0).standard_normal(2)
     assert np.array_equal(action, mu + net.std * noise)
     assert np.array_equal(mean, mu)
-    # without a handoff bit the switch head is not read
-    assert bit is None and logit is None and v == value
+    # without a handoff bit the switch head is not read; the value is read
+    # off the returned trunk output
+    assert np.array_equal(h, net.trunk(obs))
+    assert bit is None and logit is None
+    assert net.scalar_head("value", h).hex() == value.hex()
     assert act_logprob(net, action, mean, logit, bit) == pytest.approx(
         gaussian_logprob(mu, net.params["log_std"], action), abs=1e-12)
 
@@ -485,13 +489,14 @@ def test_policy_act_with_switch_draws_the_bit_after_the_action():
     obs = np.array([0.3, -0.7])
     mu, value, z = net.forward(obs)
     for seed in range(8):
-        action, bit, mean, logit, v = policy_act(
+        action, bit, mean, logit, h = policy_act(
             net, obs, np.random.default_rng(seed), with_switch=True)
         ref = np.random.default_rng(seed)
         assert np.array_equal(action, mu + net.std * ref.standard_normal(2))
         assert bit == int(ref.random() < sigmoid(z))
         assert np.array_equal(mean, mu)
-        assert logit.hex() == z.hex() and v.hex() == value.hex()
+        assert logit.hex() == z.hex()
+        assert net.scalar_head("value", h).hex() == value.hex()
 
 
 def test_bandit_improves_quickly():
