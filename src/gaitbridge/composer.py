@@ -61,7 +61,8 @@ it its own `CarriedTarget` of the acting module, a view of the frozen
 specialist that runs its trunk at most once per observation, and each head
 there at most once, when first read: the observation taken after a tick's
 step becomes the next tick's observation, so V(s') of one tick is V(s) of the
-next.
+next. The course scan behind an observation also finds the next artifact,
+which a walking tick's detection reads, so each state is scanned once.
 """
 
 from __future__ import annotations
@@ -87,9 +88,10 @@ from gaitbridge.terrainsim import (
     OBS_PROPRIO,
     RunnerBatch,
     TerrainEnv,
+    detects,
     flat_course,
+    next_artifact,
     observe,
-    oracle_detect,
     single_artifact_course,
 )
 
@@ -427,6 +429,7 @@ class EpisodeDriver:
         self.switch = SwitchState()
         self.handed_off = False  # the trained setup policy handed off
         self._obs = None  # observation of self.state, once taken
+        self._ahead = None  # its next artifact, found with it
         self.targets = {kind: CarriedTarget(m) for kind, m in modules.items()}
 
     @property
@@ -434,9 +437,11 @@ class EpisodeDriver:
         return self.state.done
 
     def observation(self):
-        """Observation of the current state, taken once between steps."""
+        """Observation of the current state, taken once between steps; the
+        course scan behind it leaves the next artifact in `_ahead`."""
         if self._obs is None:
-            self._obs = observe(self.env.course, self.state)
+            self._ahead = next_artifact(self.env.course, self.state.x)
+            self._obs = observe(self.env.course, self.state, self._ahead)
         return self._obs
 
     def policy(self):
@@ -462,8 +467,9 @@ class EpisodeDriver:
                 and tau_theta_reached(state, switch.artifact)):
             switch.transition(POLICY_DEFAULT, state)
         if switch.active == POLICY_DEFAULT and self.modules:
-            hit, art = oracle_detect(self.env.course, state)
-            if hit and art.kind in self.modules:
+            self.observation()  # one course scan serves both
+            art = self._ahead
+            if detects(art, state) and art.kind in self.modules:
                 self.on_detection(art, state)
         acting, net, norm = self.policy()
         obs = self.observation()

@@ -13,6 +13,12 @@ and `ppo_update` computes every new row's behaviour log-probability in one
 vectorised pass before its first Adam step, bit for bit the per-act scalar
 formula. The net cannot change between two updates, so the net handed to
 `ppo_update` must be the one that filled its buffers.
+
+A `RolloutBuffer` holds one preallocated array per column and a row count;
+`append` copies a transition into the next row. `ppo_update` reads each
+buffer's obs, actions, switch bits and log-probabilities as views of its
+filled rows, and its rewards, values and dones through GAE, so an update
+copies no column before its minibatches index them.
 """
 
 from __future__ import annotations
@@ -60,86 +66,122 @@ class BufferError(RuntimeError):
     pass
 
 
+def _filled(column, count="_n"):
+    """A read-only property: the filled rows of array attribute `column`, a
+    view, or None where the buffer has no such column."""
+    def read(self):
+        array = getattr(self, column)
+        return None if array is None else array[:getattr(self, count)]
+    return property(read)
+
+
 class RolloutBuffer:
     """Fixed-capacity transition store with clear-except-last semantics.
 
-    Columns instead of row objects: the hot loop appends tens of thousands of
-    times per update and the trainer mutates the last reward in place when
-    extended rewards fold in.
+    One preallocated float64 array per column and a row count: obs, actions
+    and means are (capacity, width); rewards, values, dones (bool) and
+    logprobs are (capacity,). Rows that carry a handoff bit add (capacity,)
+    switch_bits (0.0 or 1.0) and switch_logits columns; a buffer whose rows
+    carry none has neither, and reads them as None. The first append
+    allocates the arrays and fixes the widths and whether rows carry a bit;
+    a later row that disagrees on the bit raises BufferError. `append`
+    copies each value into row `len(self)`, so a stored row holds no object
+    of its own. Each column attribute reads as a view of the filled rows
+    (an empty buffer reads as empty columns): `ppo_update` reads them in
+    place, and `extend_last_reward` adds into the last row.
 
-    A row stores the action's mean, and the switch logit when a handoff bit
-    was drawn, in place of its behaviour log-probability. `ppo_update`
-    computes the log-probabilities of the rows that lack one before its
-    first step, so it must see the net that acted; they fill `logprobs` from
-    the front. The survivor of `clear_except_last` keeps the log-probability
-    filled at its own update. The means are the first len(self) rows of one
-    (capacity, action width) array, allocated at the first append: a small
-    array per row would hold several times the memory.
+    A row stores the action's mean, and the switch logit when it carries a
+    bit, in place of its behaviour log-probability. `ppo_update` computes
+    the log-probabilities of the rows that lack one before its first step,
+    so it must see the net that acted; they fill `logprobs` from the front.
+    The survivor of `clear_except_last` keeps the log-probability filled at
+    its own update.
     """
+
+    obs = _filled("_obs")
+    actions = _filled("_actions")
+    means = _filled("_means")
+    switch_bits = _filled("_bits")
+    switch_logits = _filled("_logits")
+    rewards = _filled("_rewards")
+    values = _filled("_values")
+    dones = _filled("_dones")
+    logprobs = _filled("_logprobs", "_n_logp")
 
     def __init__(self, capacity):
         if capacity < 1:
             raise BufferError("capacity must be >= 1")
         self.capacity = int(capacity)
-        self.obs = []
-        self.actions = []
-        self.switch_bits = []
-        self.means = None  # (capacity, action width), at the first append
-        self.switch_logits = []  # one per row with a handoff bit
-        self.logprobs = []  # of the leading rows; ppo_update fills the rest
-        self.rewards = []
-        self.values = []
-        self.dones = []
+        self._n = 0
+        self._n_logp = 0  # leading rows whose log-probability is filled
+        self._allocate(0, 0, 0, True)  # empty columns until the first append
+        self.with_bits = None  # whether rows carry a bit: set at first append
         # value bootstrap for a horizon cut mid-phase; set by the trainer
         self.tail_bootstrap = 0.0
 
+    def _allocate(self, rows, obs_width, action_width, with_bits):
+        self.with_bits = with_bits
+        self._obs = np.empty((rows, obs_width))
+        self._actions = np.empty((rows, action_width))
+        self._means = np.empty((rows, action_width))
+        self._rewards, self._values, self._logprobs = (
+            np.empty(rows) for _ in range(3))
+        self._dones = np.empty(rows, dtype=bool)
+        self._columns = [self._obs, self._actions, self._means, self._rewards,
+                         self._values, self._logprobs, self._dones]
+        self._bits = self._logits = None
+        if with_bits:
+            self._bits, self._logits = np.empty(rows), np.empty(rows)
+            self._columns += [self._bits, self._logits]
+
     def __len__(self):
-        return len(self.rewards)
+        return self._n
 
     @property
     def full(self):
-        return len(self.rewards) >= self.capacity
-
-    def _columns(self):
-        return (self.obs, self.actions, self.switch_bits,
-                self.switch_logits, self.logprobs, self.rewards, self.values,
-                self.dones)
+        return self._n >= self.capacity
 
     def append(self, obs, action, switch_bit, mean, switch_logit, reward,
                value, done):
-        n = len(self.rewards)
+        n = self._n
         if n >= self.capacity:
             raise BufferError("append to a full buffer; run an update first")
-        if self.means is None:
-            self.means = np.empty((self.capacity, len(mean)))
-        self.means[n] = mean
-        self.obs.append(obs)
-        self.actions.append(action)
-        self.switch_bits.append(switch_bit)
-        if switch_bit is not None:
-            self.switch_logits.append(switch_logit)
-        self.rewards.append(reward)
-        self.values.append(value)
-        self.dones.append(done)
+        if self.with_bits is None:
+            self._allocate(self.capacity, len(obs), len(action),
+                           switch_bit is not None)
+        if (switch_bit is not None) != self.with_bits:
+            raise BufferError("a row disagrees with the buffer's first on "
+                              "carrying a handoff bit")
+        if self.with_bits:
+            self._bits[n] = switch_bit
+            self._logits[n] = switch_logit
+        self._obs[n] = obs
+        self._actions[n] = action
+        self._means[n] = mean
+        self._rewards[n] = reward
+        self._values[n] = value
+        self._dones[n] = done
+        self._n = n + 1
 
     def extend_last_reward(self, delta):
-        if not self.rewards:
+        if not self._n:
             raise BufferError("extend_last_reward on an empty buffer")
-        self.rewards[-1] += delta
+        self._rewards[self._n - 1] += delta
 
     def clear(self):
-        for col in self._columns():
-            col.clear()
+        self._n = self._n_logp = 0
         self.tail_bootstrap = 0.0
 
     def clear_except_last(self):
         """Drop everything but the final transition (the survivor keeps
         receiving extended reward for steps after the update)."""
-        if not self.rewards:
+        n = self._n
+        if not n:
             raise BufferError("clear_except_last on an empty buffer")
-        self.means[0] = self.means[len(self) - 1]
-        for col in self._columns():
-            del col[:-1]
+        for column in self._columns:
+            column[0] = column[n - 1]
+        self._n_logp = int(self._n_logp == n)
+        self._n = 1
         self.tail_bootstrap = 0.0
 
 
@@ -298,42 +340,43 @@ def policy_act(net, obs_norm, rng, with_switch=False):
     return action, bit, mu, z, h
 
 
-def _fill_logprobs(net, buffer, actions, with_bits):
-    """Append to `buffer.logprobs` the joint log-probability of every row that
-    lacks one, under `net`, which must be the net that acted.
+def _fill_logprobs(net, buffer):
+    """Write into `buffer`'s logprobs column the joint log-probability of
+    every row that lacks one, under `net`, which must be the net that acted.
 
-    `actions` is the stacked action column. Each row's floats are those of
-    the per-act scalar formula: the squares of t = (a - mu) / std sum column
-    by column in a float64 vector (a row-wise `sum` rounds differently once
-    the action is 8 or more wide), and the Bernoulli term of the bit is
-    log(sigmoid(+-z)) in a softplus form, stable for any z.
+    Each row's floats are those of the per-act scalar formula: the squares
+    of t = (a - mu) / std sum column by column in a float64 vector (a
+    row-wise `sum` rounds differently once the action is 8 or more wide),
+    and the Bernoulli term of the bit is log(sigmoid(+-z)) in a softplus
+    form, stable for any z.
     """
-    start = len(buffer.logprobs)
-    t = (actions[start:] - buffer.means[start:len(actions)]) / net.std
+    start, end = buffer._n_logp, len(buffer)
+    t = (buffer.actions[start:] - buffer.means[start:]) / net.std
     quad = t[:, 0] * t[:, 0]
     for j in range(1, t.shape[1]):
         quad += t[:, j] * t[:, j]
     logp = -0.5 * (quad + LOG_2PI * t.shape[1]) - net.log_std_sum
-    if with_bits:
-        z = np.asarray(buffer.switch_logits[start:], dtype=np.float64)
-        bits = np.asarray(buffer.switch_bits[start:], dtype=bool)
-        logp += -np.logaddexp(0.0, np.where(bits, -z, z))
-    buffer.logprobs += logp.tolist()
+    if buffer.with_bits:
+        z = buffer.switch_logits[start:]
+        logp += -np.logaddexp(0.0, np.where(buffer.switch_bits[start:] != 0.0,
+                                            -z, z))
+    buffer._logprobs[start:end] = logp
+    buffer._n_logp = end
 
 
-def _stack_worker(net, buffer, config, with_bits):
-    obs = np.asarray(buffer.obs, dtype=np.float64)
-    actions = np.asarray(buffer.actions, dtype=np.float64)
-    _fill_logprobs(net, buffer, actions, with_bits)
-    logp_old = np.asarray(buffer.logprobs, dtype=np.float64).reshape(-1, 1)
-    values = np.asarray(buffer.values, dtype=np.float64)
+def _stack_worker(net, buffer, config):
+    """(obs, actions, bits, logp_old, adv, returns) of one worker buffer;
+    obs, actions, bits and logp_old are views of its columns."""
+    _fill_logprobs(net, buffer)
+    values = buffer.values
     adv = gae_advantages(buffer.rewards, values, buffer.dones,
                          config.gamma, config.lam, buffer.tail_bootstrap)
     returns = (adv + values).reshape(-1, 1)
-    bits = None
-    if with_bits:
-        bits = np.asarray(buffer.switch_bits, dtype=np.float64).reshape(-1, 1)
-    return obs, actions, bits, logp_old, adv, returns
+    bits = buffer.switch_bits
+    if bits is not None:
+        bits = bits.reshape(-1, 1)
+    return (buffer.obs, buffer.actions, bits, buffer.logprobs.reshape(-1, 1),
+            adv, returns)
 
 
 def ppo_loss_grad(net, obs, actions, bits, logp_old, adv, returns, config, grad):
@@ -399,20 +442,19 @@ def ppo_update(net, buffers, config: PPOConfig, adam: AdamState, rng):
     Buffers must have equal lengths and agree on whether transitions carry a
     switch bit. `net` must be the net that filled them: the behaviour
     log-probabilities of their new rows are computed from it before the
-    first step and appended to each buffer's `logprobs`. Returns aggregate
-    loss statistics; the clip fraction is the mean over worker minibatches
-    of the share of ratios outside the clip band.
+    first step and written into each buffer's `logprobs` column. Returns
+    aggregate loss statistics; the clip fraction is the mean over worker
+    minibatches of the share of ratios outside the clip band.
     """
     if not buffers or len(buffers[0]) == 0:
         raise BufferError("ppo_update needs at least one non-empty buffer")
     T = len(buffers[0])
     if any(len(b) != T for b in buffers):
         raise BufferError("worker buffers must have equal lengths")
-    with_bits = buffers[0].switch_bits[0] is not None
-    if any((b.switch_bits[0] is not None) != with_bits for b in buffers):
+    if any(b.with_bits != buffers[0].with_bits for b in buffers):
         raise BufferError("worker buffers disagree on switch bits")
 
-    stacked = [_stack_worker(net, b, config, with_bits) for b in buffers]
+    stacked = [_stack_worker(net, b, config) for b in buffers]
     all_adv = np.concatenate([s[4] for s in stacked])
     adv_mean = float(all_adv.mean())
     adv_std = float(all_adv.std())

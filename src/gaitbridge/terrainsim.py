@@ -273,8 +273,17 @@ class RunnerState:
 KIND_ONE_HOT = {BLOCK: 0, GAP: 1, HURDLE: 2}
 
 
-def observe(course, state):
-    """10-component observation vector (float64)."""
+_SCAN = object()  # `observe` finds the next artifact itself
+
+
+def observe(course, state, art=_SCAN):
+    """10-component observation vector (float64).
+
+    `art`, when given, is the state's `next_artifact` (None past the last),
+    so that a caller that also detects scans the course once for both.
+    """
+    if art is _SCAN:
+        art = next_artifact(course, state.x)
     obs = np.zeros(OBS_DIM)
     obs[0] = state.v
     obs[1] = state.w
@@ -282,7 +291,6 @@ def observe(course, state):
     obs[2] = state.h - support
     obs[3] = state.c
     obs[4] = 1.0 if state.contact else 0.0
-    art = next_artifact(course, state.x)
     if art is None:
         obs[5] = 2.0
     else:
@@ -296,11 +304,13 @@ def observe(course, state):
 def oracle_detect(course, state):
     """(detected, artifact): fires within DETECT_RANGE of the next artifact."""
     art = next_artifact(course, state.x)
-    if art is None:
-        return False, None
-    if art.start - state.x <= DETECT_RANGE:
-        return True, art
-    return False, None
+    return (True, art) if detects(art, state) else (False, None)
+
+
+def detects(art, state):
+    """Whether `art`, the state's `next_artifact` (or None), lies within
+    DETECT_RANGE: `oracle_detect`'s rule on an artifact already found."""
+    return art is not None and art.start - state.x <= DETECT_RANGE
 
 
 class TerrainEnv:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaitbridge import composer as cp
+from gaitbridge import terrainsim as ts
 from gaitbridge.composer import (
     AWTVParams,
     FLAT,
@@ -221,11 +222,11 @@ class TestExtendReward:
                                 rng, trainer=trainer, buffer=buf)
             while not drv.done:
                 folding = drv.handed_off
-                before = list(buf.rewards)
+                before = buf.rewards.copy()
                 drv.tick()
                 if folding:
                     folds += 1
-                    assert buf.rewards[:-1] == before[:-1]
+                    assert buf.rewards[:-1].tobytes() == before[:-1].tobytes()
                     assert buf.rewards[-1] == before[-1] + shaped[-1]
         assert folds > 0
 
@@ -522,11 +523,8 @@ class TestTrainingEpisodeBookkeeping:
         for _ in range(10):
             EpisodeDriver(env, default_net, d_norm, {HURDLE: module}, rng,
                           trainer=trainer, buffer=buf).run()
-        bits = np.array([b if b is not None else 0 for b in buf.switch_bits])
-        assert bits.sum() > 0
-        for bit, done in zip(buf.switch_bits, buf.dones):
-            if bit == 1:
-                assert done
+        assert buf.switch_bits.sum() > 0
+        assert buf.dones[buf.switch_bits == 1].all()
 
     def test_setup_stores_exactly_its_own_ticks(self):
         # The tick that flips default -> setup is acted by (and stored for)
@@ -611,11 +609,11 @@ class TestUpdateMechanics:
         def spy(self, drivers):
             buf = drivers[0].buffer
             acted = self.net.copy()
-            carried = list(buf.logprobs)
+            carried = buf.logprobs.tolist()
             original(self, drivers)
             row = (buf.actions[0], buf.means[0], buf.switch_logits[0],
                    buf.switch_bits[0])
-            records.append((carried, list(buf.logprobs),
+            records.append((carried, buf.logprobs.tolist(),
                             act_logprob(acted, *row), act_logprob(self.net, *row)))
 
         monkeypatch.setattr(cp.Trainer, "update", spy)
@@ -735,9 +733,12 @@ class TestUpdateMechanics:
 
 def uncached(monkeypatch):
     """Make drivers observe afresh and evaluate the target on every call."""
+    def observation(self):
+        self._ahead = ts.next_artifact(self.env.course, self.state.x)
+        return observe(self.env.course, self.state)
+
     monkeypatch.setattr(cp, "CarriedTarget", UncachedTarget)
-    monkeypatch.setattr(cp.EpisodeDriver, "observation",
-                        lambda self: observe(self.env.course, self.state))
+    monkeypatch.setattr(cp.EpisodeDriver, "observation", observation)
 
 
 def head_spy(net):
@@ -807,7 +808,7 @@ class TestTargetCarry:
             original = Trainer.update
 
             def spy(trainer, drivers):
-                rewards.append([list(d.buffer.rewards) for d in drivers])
+                rewards.append([d.buffer.rewards.tolist() for d in drivers])
                 original(trainer, drivers)
 
             with monkeypatch.context() as m:
@@ -842,7 +843,7 @@ class TestTargetCarry:
                                      rng, trainer=trainer, buffer=buf).run()
                        for _ in range(8)]
             return ([outcome_record(o) for o in evaluated + trained],
-                    list(buf.rewards))
+                    buf.rewards.tolist())
 
         carried = run()
         target_handoffs = [sum(e[2] == POLICY_TARGET for e in rec[-1])
@@ -988,7 +989,7 @@ def training_record(monkeypatch, world, budget, seed, **kwargs):
     original = Trainer.update
 
     def spy(trainer, drivers):
-        rewards.append([list(d.buffer.rewards) for d in drivers])
+        rewards.append([d.buffer.rewards.tolist() for d in drivers])
         original(trainer, drivers)
 
     with monkeypatch.context() as m:
@@ -1109,6 +1110,47 @@ class TestOnlyTheTrainedPolicyLearns:
         assert trunks
         assert read_ids(reads) == [(name, id(h)) for h in trunks
                                    for name in ("mu", "switch")]
+
+
+class TestCourseScan:
+    @pytest.mark.parametrize("training", [False, True])
+    def test_each_state_scans_the_course_once(self, monkeypatch, training):
+        """A walking tick's detection and observation share one
+        `next_artifact` scan, and no state is scanned twice."""
+        scanned = []  # the step of the state each scan looked at
+        scan = ts.next_artifact
+        drv = None
+
+        def spy(course, x):
+            scanned.append(drv.state.steps)
+            return scan(course, x)
+
+        monkeypatch.setattr(ts, "next_artifact", spy)
+        monkeypatch.setattr(cp, "next_artifact", spy, raising=False)
+        env, walker, modules = two_kind_world()
+        trainer = buf = None
+        if training:
+            trainer = setup_trainer(modules[HURDLE], PPOConfig(horizon=100_000))
+            buf = RolloutBuffer(trainer.config.horizon)
+        rng = np.random.default_rng(7)
+        walking = detections = folds = 0
+        for _ in range(6):
+            drv = EpisodeDriver(env, walker, identity_norm(), modules, rng,
+                                trainer=trainer, buffer=buf)
+            scanned.clear()
+            while not drv.done:
+                step, active = drv.state.steps, drv.switch.active
+                drv.tick()
+                if active == POLICY_DEFAULT:
+                    walking += 1
+                    folds += drv.handed_off
+                    assert scanned.count(step) == 1
+            assert len(scanned) == len(set(scanned))
+            detections += sum(e.src == POLICY_DEFAULT for e in drv.switch.events)
+        assert detections >= 6 and walking > 100
+        # in training, walking ticks after a handoff fold rewards, which
+        # observe the next state within the tick
+        assert (folds > 0) == training
 
 
 # ---- episode driver validation ---------------------------------------------------

@@ -1,3 +1,6 @@
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +12,7 @@ from gaitbridge.policyopt import (
     PPOConfig,
     RolloutBuffer,
     RunningNormalizer,
+    _stack_worker,
     gae_advantages,
     policy_act,
     ppo_update,
@@ -312,17 +316,18 @@ def test_buffer_capacity_guard():
 
 
 def test_buffer_clear_except_last_keeps_survivor():
-    buf = _filled_buffer(8)
-    survivor_obs = buf.obs[-1]
-    survivor_reward = buf.rewards[-1]
-    survivor_mean = buf.means[7].copy()
-    buf.clear_except_last()
-    assert len(buf) == 1
-    assert buf.obs[0] is survivor_obs
-    assert buf.rewards[0] == survivor_reward
-    assert np.array_equal(buf.means[0], survivor_mean)
-    buf.append(np.zeros(1), np.zeros(1), None, np.zeros(1), 0.0, 0.0, 0.0, False)
-    assert len(buf) == 2
+    for bit in (None, 1):
+        buf = _filled_buffer(8, bit=bit)
+        columns = ["obs", "actions", "means", "rewards", "values", "dones"]
+        if bit is not None:
+            columns += ["switch_bits", "switch_logits"]
+        survivor = {name: getattr(buf, name)[-1].copy() for name in columns}
+        buf.clear_except_last()
+        assert len(buf) == 1
+        for name in columns:
+            assert getattr(buf, name)[0].tobytes() == survivor[name].tobytes(), name
+        buf.append(np.zeros(1), np.zeros(1), bit, np.zeros(1), 0.0, 0.0, 0.0, False)
+        assert len(buf) == 2
 
 
 def test_buffer_extend_last_reward():
@@ -334,6 +339,63 @@ def test_buffer_extend_last_reward():
     empty = RolloutBuffer(4)
     with pytest.raises(BufferError):
         empty.extend_last_reward(1.0)
+
+
+def _row(bit, width=3):
+    return (np.zeros(width), np.zeros(1), bit, np.zeros(1),
+            None if bit is None else 0.5, 0.0, 0.0, False)
+
+
+@pytest.mark.parametrize("first, later", [(None, 1), (0, None)])
+def test_rows_that_disagree_on_the_handoff_bit_raise_at_append(first, later):
+    """A buffer's first row fixes whether its rows carry a handoff bit; a
+    later row that disagrees would drop its bit from the loss, or read as
+    NaN in it."""
+    buf = RolloutBuffer(4)
+    buf.append(*_row(first))
+    with pytest.raises(BufferError, match="handoff bit"):
+        buf.append(*_row(later))
+    assert len(buf) == 1
+    buf.clear()
+    with pytest.raises(BufferError, match="handoff bit"):
+        buf.append(*_row(later))
+
+
+def test_appends_allocate_little_beyond_the_preallocated_columns():
+    """Each append copies its values into the columns, so 2,048 rows hold
+    about the bytes of the columns, not an array or a float per value."""
+    T, width, action_width = 2048, 10, 2
+    rng = np.random.default_rng(50)
+    buf = RolloutBuffer(T)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(T):
+            buf.append(rng.normal(size=width), rng.normal(size=action_width),
+                       None, rng.normal(size=action_width), None,
+                       float(rng.normal()), float(rng.normal()), False)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # obs, actions and means, then rewards, values, dones and logprobs, at
+    # 8 bytes a value
+    columns = T * 8 * (width + 2 * action_width + 4)
+    assert len(buf) == T
+    assert held < 1.25 * columns
+
+
+@pytest.mark.parametrize("with_bits", [False, True])
+def test_ppo_update_reads_the_buffer_columns_in_place(with_bits):
+    rng = np.random.default_rng(51)
+    net = ParameterizedNet(4, 2, (8,), np.random.default_rng(52))
+    buf = _synthetic_buffer(rng, net, T=16, with_bits=with_bits)
+    obs, actions, bits, logp_old, _, _ = _stack_worker(net, buf, PPOConfig())
+    assert np.shares_memory(obs, buf.obs)
+    assert np.shares_memory(actions, buf.actions)
+    assert np.shares_memory(logp_old, buf.logprobs)
+    assert (bits is None) != with_bits
+    if with_bits:
+        assert np.shares_memory(bits, buf.switch_bits)
 
 
 # ---- clipped objective property --------------------------------------------
@@ -363,17 +425,8 @@ def _synthetic_buffer(rng, net, T=32, with_bits=False):
 
 
 def _deep_copy_buffer(buf):
-    dup = RolloutBuffer(buf.capacity)
-    dup.obs = [o.copy() for o in buf.obs]
-    dup.actions = [a.copy() for a in buf.actions]
-    dup.switch_bits = list(buf.switch_bits)
-    dup.means = buf.means.copy()
-    dup.switch_logits = list(buf.switch_logits)
-    dup.logprobs = list(buf.logprobs)
-    dup.rewards = list(buf.rewards)
-    dup.values = list(buf.values)
-    dup.dones = list(buf.dones)
-    dup.tail_bootstrap = buf.tail_bootstrap
+    dup = copy.deepcopy(buf)
+    assert not np.shares_memory(dup.obs, buf.obs)
     return dup
 
 
@@ -443,12 +496,15 @@ def test_filled_logprobs_equal_the_per_act_formula_bit_for_bit(width, with_bits)
     net.params["log_std"][...] = rng.uniform(-2.0, 1.0, size=width).astype(np.float32)
     net.params["switch.w"][...] = rng.normal(size=(8, 1)).astype(np.float32)
     buf = _synthetic_buffer(rng, net, T=64, with_bits=with_bits)
-    logits = iter(buf.switch_logits)
-    expected = [act_logprob(net, a, m, next(logits) if b is not None else None, b)
-                for a, m, b in zip(buf.actions, buf.means, buf.switch_bits)]
+    bits, logits = buf.switch_bits, buf.switch_logits
+    if not with_bits:
+        assert bits is None and logits is None
+        bits = logits = [None] * len(buf)
+    expected = [act_logprob(net, a, m, z, b)
+                for a, m, z, b in zip(buf.actions, buf.means, logits, bits)]
     if with_bits:
         assert 0 < sum(buf.switch_bits) < len(buf)
-    assert buf.logprobs == []
+    assert len(buf.logprobs) == 0
     ppo_update(net, [buf], PPOConfig(horizon=64, minibatch=16, epochs=1),
                AdamState(), np.random.default_rng(42))
     assert [float.hex(x) for x in buf.logprobs] == [float.hex(x) for x in expected]
