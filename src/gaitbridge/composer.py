@@ -77,11 +77,13 @@ from gaitbridge.policyopt import (
     PPOConfig,
     RolloutBuffer,
     RunningNormalizer,
+    draw_act,
     policy_act,
     ppo_update,
 )
 from gaitbridge.terrainsim import (
     BLOCK,
+    CourseError,
     GAP,
     HURDLE,
     OBS_DIM,
@@ -389,16 +391,6 @@ class Trainer:
         self.updates += 1
 
 
-@dataclass
-class EpisodeOutcome:
-    state: object
-    events: list
-
-    @property
-    def switch_count(self):
-        return len(self.events)
-
-
 class EpisodeDriver:
     """Advances one bridged episode one environment tick at a time.
 
@@ -526,18 +518,15 @@ class EpisodeDriver:
             self.buffer.extend_last_reward(float(r_hat))
         return done
 
-    def outcome(self):
-        return EpisodeOutcome(self.state, self.switch.events)
-
     def run(self):
-        """Tick to the end of the episode; returns its outcome."""
+        """Tick to the end of the episode; returns the driver."""
         while not self.done:
             self.tick()
-        return self.outcome()
+        return self
 
 
 def run_lanes(drivers):
-    """Run evaluation drivers to the end together; returns their outcomes.
+    """Run evaluation drivers to the end together; returns the drivers.
 
     Each lane brings its own policies: the drivers may differ in their
     default policy, their modules and their arm (`without_setup` or not).
@@ -546,7 +535,7 @@ def run_lanes(drivers):
     lanes, finish one by one on `run()`, which is cheaper than a batch tick
     there.
 
-    A lane's outcome matches its driver's own `run()` in its discrete
+    A finished lane matches its driver's own `run()` in its discrete
     results (success, failure, steps and the switch sequence), and in its
     positions (x, c, v) to batched-matmul rounding, well within 1e-9, but
     not bit for bit: a batched forward rounds unlike the one-row forward
@@ -562,7 +551,7 @@ def run_lanes(drivers):
         live = _run_batch(live)
     for drv in live:
         drv.run()
-    return [drv.outcome() for drv in drivers]
+    return drivers
 
 
 def _run_batch(lanes):
@@ -579,8 +568,8 @@ def _run_batch(lanes):
     trunk pass over its lanes' observations, in the order of its first lane,
     with a one-row pass for a lone row. Walker and target lanes act on
     their means, the only head computed for them. A setup lane samples from
-    its driver's generator in `policy_act`'s draw order (action noise, then
-    the handoff bit). After the step, the handoff bits pass control to the
+    its driver's generator through `draw_act`, as `policy_act` does. After
+    the step, the handoff bits pass control to the
     targets. Every switch goes through the driver's `SwitchState`. Finished
     lanes are written back into their drivers and dropped; the lanes left
     (fewer than LANE_CROSSOVER) are written back and returned.
@@ -645,10 +634,9 @@ def _run_batch(lanes):
             if x.ndim == 1:
                 mu, z = mu[None], np.array([z])
             std = net.std
-            for i, action, p_switch in zip(rows.tolist(), mu, sigmoid(z)):
-                rng = lanes[i].rng
-                actions[i] = action + std * rng.standard_normal(ACTION_DIM)
-                if rng.random() < p_switch:
+            for i, mean, p_switch in zip(rows.tolist(), mu, sigmoid(z)):
+                actions[i], bit = draw_act(mean, std, lanes[i].rng, p_switch)
+                if bit:
                     handoffs.append(i)
 
         done = batch.step(actions)
@@ -669,7 +657,7 @@ def _run_batch(lanes):
 
 def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,
                      init_fn=None):
-    """Seeded bridged rollouts; returns (success rate, outcomes).
+    """Seeded bridged rollouts; returns (success rate, finished drivers).
 
     The frozen default and target policies act on their action means while
     the setup policy keeps acting stochastically: its handoff head is trained
@@ -679,15 +667,15 @@ def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,
     given.
 
     The episodes are `episode_drivers(...)` and run together through
-    `run_lanes`, so episode i's outcome matches that of its own driver's
-    `run()` as `run_lanes` states: discrete results exactly, positions to
+    `run_lanes`, so episode i ends as its own driver's `run()` would, as
+    `run_lanes` states: discrete results exactly, positions to
     batched-matmul rounding, whatever the episode count.
     """
-    outcomes = run_lanes(episode_drivers(env, default_net, default_norm,
-                                         modules, episodes, rng,
-                                         init_fn=init_fn))
-    rate = sum(1.0 for o in outcomes if o.state.success) / max(len(outcomes), 1)
-    return rate, outcomes
+    drivers = run_lanes(episode_drivers(env, default_net, default_norm,
+                                        modules, episodes, rng,
+                                        init_fn=init_fn))
+    rate = sum(1.0 for d in drivers if d.state.success) / max(len(drivers), 1)
+    return rate, drivers
 
 
 def episode_drivers(env, default_net, default_norm, modules, episodes, rng,
@@ -787,10 +775,20 @@ def course_for_kind(kind):
     return single_artifact_course(kind)
 
 
+def first_of_kind(kind, course):
+    """The course's first artifact of `kind`; CourseError if it has none."""
+    for art in course.artifacts:
+        if art.kind == kind:
+            return art
+    raise CourseError(f"the course holds no {kind} to train on")
+
+
 def init_for_kind(kind, course):
+    """The spawn of `kind`'s training: the standard one for the flat walker,
+    else just short of the course's first artifact of that kind."""
     if kind == FLAT:
         return None
-    return artifact_approach_init(course.artifacts[0])
+    return artifact_approach_init(first_of_kind(kind, course))
 
 
 def target_stop_at(kind, stop_at=None):
@@ -812,7 +810,8 @@ def train_target(kind, budget, rng, *, config=None, course=None,
     updates (none when it is 0) plus a final entry. Raises TrainingFailure
     (curve attached) if the budget runs out below `min_final` success; pass
     min_final=None for arms whose failure to learn is itself the result, and
-    for runs with eval_episodes=0, which measure no success rate.
+    for runs with eval_episodes=0, which measure no success rate. A terrain
+    specialist's course must hold its kind (CourseError).
     """
     if kind not in (FLAT, BLOCK, GAP, HURDLE):
         raise ValueError(f"unknown terrain kind {kind!r}")
@@ -822,6 +821,7 @@ def train_target(kind, budget, rng, *, config=None, course=None,
         raise ValueError("min_final needs eval_episodes > 0")
     config = config or PPOConfig()
     course = course or course_for_kind(kind)
+    init_fn = init_for_kind(kind, course)
     if obs_dim is None:
         # the plain walker is terrain-blind; specialists see the full vector
         obs_dim = OBS_PROPRIO if kind == FLAT else OBS_DIM
@@ -830,8 +830,7 @@ def train_target(kind, budget, rng, *, config=None, course=None,
     curve, steps_used, stopped = _train(
         Trainer(net, norm, config, rng), TerrainEnv(course), net, norm, {},
         budget, eval_every=eval_every, eval_episodes=eval_episodes,
-        seed_tag=seed_tag, eval_tag=0xE7A1,
-        init_fn=init_for_kind(kind, course),
+        seed_tag=seed_tag, eval_tag=0xE7A1, init_fn=init_fn,
         stop_at=target_stop_at(kind, stop_at))
     final = curve[-1][2]
     if not stopped and min_final is not None and final < min_final:
@@ -862,12 +861,14 @@ def train_setup(module: BehaviorModule, default_net, default_norm, env, config,
     driver's CarriedTarget of the acting module, not the module itself: it
     offers `target_value`, `target_action` and `params`, and evaluates the
     frozen target once per observation. Each worker's driver keeps its own
-    carry, so the workers' shared module is never written to.
+    carry, so the workers' shared module is never written to. The course
+    must hold the module's kind (CourseError).
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
+    first_of_kind(module.kind, env.course)
     frozen = module.target_net.flat.copy()
     walker, walker_stats = default_net.flat.copy(), default_norm.state_arrays()
     trainer = Trainer(module.setup_net, module.setup_norm, config, rng,

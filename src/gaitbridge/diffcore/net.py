@@ -31,10 +31,9 @@ The seeded training digests in the tests are what guard the last bits.
 
 Inference is `trunk(obs)`, the last trunk activation, then only the heads
 the caller reads: `head(name, h)`, and `scalar_head` for the value and the
-switch logit as `forward` returns them. On one row that is a float, the 1-D
-product of h with the weight column plus the bias, which may round unlike a
-(1, h) x (h, 1) product; a batch takes the latter. `forward` composes these
-steps, so each read has its bits.
+switch logit. On one row that is a float, the 1-D product of h with the
+weight column plus the bias, which may round unlike a (1, h) x (h, 1)
+product; a batch takes the latter.
 
 `ParameterizedNet.backward` is the reverse pass of the only graph this code
 differentiates: trunk, then the heads named by the loss. Gradients land in one
@@ -211,8 +210,8 @@ class ParameterizedNet:
         return h.dot(w) + b
 
     def scalar_head(self, name, h):
-        """Head "value" or "switch" on trunk output h, as `forward` returns
-        it: a float for one row, a (B,) array for a batch."""
+        """Head "value" or "switch" on trunk output h: a float for one row,
+        a (B,) array for a batch."""
         if h.ndim > 1:
             w, b = self._heads[name]
             return (h.dot(w) + b)[:, 0]
@@ -245,17 +244,6 @@ class ParameterizedNet:
             grad[span[f"fc{i}.w"]] = hs[i].T.dot(da).ravel()
             if i:
                 dh = da.dot(p[f"fc{i}.w"].T)
-
-    def forward(self, obs):
-        """The policy's mean action, value and switch logit: `trunk`, then
-        every head. Code that acts reads only the heads it uses.
-
-        obs (obs_dim,) -> (mu (A,), value float, switch_logit float)
-        obs (B, obs_dim) -> (mu (B, A), value (B,), switch_logit (B,))
-        """
-        h = self.trunk(obs)
-        return (self.head("mu", h), self.scalar_head("value", h),
-                self.scalar_head("switch", h))
 
 
 def switch_bce_grad(net, obs, labels, grad):

@@ -25,8 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
+from ..composer import ACTION_DIM
 from ..diffcore.net import ParameterizedNet
 from ..policyopt import RunningNormalizer
+from ..terrainsim import OBS_DIM, OBS_PROPRIO
 
 MAGIC = b"RBPC"
 FORMAT_VERSION = 1
@@ -253,5 +255,13 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def load_policy(path):
-    """Load a checkpoint and build its (network, normalizer) pair."""
-    return load_checkpoint(path).build()
+    """Load a checkpoint and build its (network, normalizer) pair, which
+    must be a policy the runner acts on: OBS_PROPRIO or OBS_DIM inputs and
+    ACTION_DIM actions, else CheckpointFormatError."""
+    net, norm = load_checkpoint(path).build()
+    if net.obs_dim not in (OBS_PROPRIO, OBS_DIM) or net.action_dim != ACTION_DIM:
+        raise CheckpointFormatError(
+            f"{path} holds a {net.obs_dim}-input, {net.action_dim}-action "
+            f"policy; the runner acts on {OBS_PROPRIO} or {OBS_DIM} inputs "
+            f"and {ACTION_DIM} actions")
+    return net, norm

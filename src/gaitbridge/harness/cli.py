@@ -115,6 +115,8 @@ def _check_training_flags(args):
     if not Path(args.out).parent.is_dir():
         raise ConfigError(f"--out directory {Path(args.out).parent} does not "
                           "exist")
+    if Path(args.out).is_dir():
+        raise ConfigError(f"--out {args.out} is a directory, not a file path")
 
 
 def _cmd_train_target(args):
@@ -263,8 +265,8 @@ def _cmd_experiment(args):
 # ---- parser ---------------------------------------------------------------------
 
 
-def _add_training_flags(sub, *, budget_required=True):
-    sub.add_argument("--budget", type=int, required=budget_required,
+def _add_training_flags(sub):
+    sub.add_argument("--budget", type=int, required=True,
                      help="environment-step training budget")
     sub.add_argument("--seed", type=int, default=1)
     sub.add_argument("--out", required=True, help="checkpoint output path")

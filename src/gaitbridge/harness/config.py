@@ -53,21 +53,8 @@ class ExperimentConfig:
     output_dir: str = "out"
     checkpoints: dict = field(default_factory=dict)
     budgets: dict = field(default_factory=lambda: dict(DEFAULT_BUDGETS))
-    awtv: dict = field(default_factory=dict)
-    ppo: dict = field(default_factory=dict)
-
-    def resolved(self) -> dict:
-        """Plain-dict view with every default materialized, the PPO and
-        AWTV settings included."""
-        return {**dataclasses.asdict(self),
-                "ppo": dataclasses.asdict(self.ppo_config()),
-                "awtv": dataclasses.asdict(self.awtv_params())}
-
-    def ppo_config(self) -> PPOConfig:
-        return build_params(PPOConfig, self.ppo, "ppo")
-
-    def awtv_params(self) -> AWTVParams:
-        return build_params(AWTVParams, self.awtv, "awtv")
+    awtv: AWTVParams = field(default_factory=AWTVParams)
+    ppo: PPOConfig = field(default_factory=PPOConfig)
 
     def checkpoint_path(self, *keys):
         """Path stored under checkpoints[k0][k1]..., or None if absent."""
@@ -213,8 +200,9 @@ def config_from_dict(raw, base_dir=None, check_paths=True) -> ExperimentConfig:
     if "awtv" in raw:
         awtv = _require_type(raw["awtv"], (dict,), "awtv")
         _reject_unknown(awtv, AWTV_KEYS, "awtv")
-        values["awtv"] = {k: _require_float(v, f"awtv.{k}")
-                          for k, v in awtv.items()}
+        values["awtv"] = build_params(
+            AWTVParams, {k: _require_float(v, f"awtv.{k}")
+                         for k, v in awtv.items()}, "awtv")
     if "ppo" in raw:
         ppo = _require_type(raw["ppo"], (dict,), "ppo")
         _reject_unknown(ppo, PPO_KEYS, "ppo")
@@ -224,12 +212,9 @@ def config_from_dict(raw, base_dir=None, check_paths=True) -> ExperimentConfig:
                 checked[key] = _require_type(value, (int,), f"ppo.{key}")
             else:
                 checked[key] = _require_float(value, f"ppo.{key}")
-        values["ppo"] = checked
+        values["ppo"] = build_params(PPOConfig, checked, "ppo")
 
-    config = ExperimentConfig(**values)
-    config.ppo_config()
-    config.awtv_params()
-    return config
+    return ExperimentConfig(**values)
 
 
 def _unique_keys(pairs):
@@ -272,7 +257,7 @@ def file_digest(path, what):
 def config_hash(config: ExperimentConfig) -> str:
     """Hash of what the experiment computes: its settings and the contents
     of the files it reads. Raises ConfigError if one cannot be read."""
-    settings = config.resolved()
+    settings = dataclasses.asdict(config)
     del settings["output_dir"]
     settings["checkpoints"] = {
         key: (file_digest(value, f"checkpoint checkpoints.{key}")

@@ -131,15 +131,15 @@ def read_metrics_csv(path):
     return cfg_hash, rows
 
 
-def write_events_jsonl(path, labeled_outcomes):
-    """One line per switch event, labeled with its seed and episode index."""
+def write_events_jsonl(path, labeled_events):
+    """One line per switch event of each (seed, episode index, events)."""
     with atomic_output(path) as fh:
         fh.writelines(
             json.dumps({"seed": seed, "episode": episode, "step": event.step,
                         "from": event.src, "to": event.dst, "x": event.x,
                         "c": event.c, "v": event.v}, sort_keys=True) + "\n"
-            for seed, episode, outcome in labeled_outcomes
-            for event in outcome.events)
+            for seed, episode, events in labeled_events
+            for event in events)
     return path
 
 
@@ -204,13 +204,12 @@ def _load_module(config, kind, what, default_net, default_norm):
     target_net, target_norm = load_policy(
         _required_checkpoint(config, what, kind, "target"))
     setup_path = config.checkpoint_path(kind, "setup")
-    params = config.awtv_params()
     if setup_path is not None:
         setup_net, setup_norm = load_policy(setup_path)
         return BehaviorModule(kind, target_net, target_norm, setup_net,
-                              setup_norm, params)
+                              setup_norm, config.awtv)
     return BehaviorModule.from_default(kind, target_net, target_norm,
-                                       default_net, default_norm, params)
+                                       default_net, default_norm, config.awtv)
 
 
 def setup_module(kind, target_net, target_norm, default_net, default_norm,
@@ -272,30 +271,30 @@ def _run_grid(config, experiment, course_id, arms, cells, extra=None,
     arm-major in seed order, the order of the rows and events written. Then
     all cells' drivers run as lanes of one `run_lanes` call, so nothing is
     written if a cell raises. `label(course)` names a row's course (default
-    `course_id`); `extra(ran)` turns each cell's (driver, outcome) pairs,
-    keyed (arm, seed), into entries that join the report.
+    `course_id`); `extra(ran)` turns each cell's finished drivers, keyed
+    (arm, seed), into entries that join the report.
     """
     cfg_hash = config_hash(config)
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    drivers = {(arm, seed): list(cells(arm, seed))
-               for arm in arms for seed in config.seeds}
-    outcomes = iter(run_lanes([drv for cell in drivers.values()
-                               for drv in cell]))
-    ran = {key: [(drv, next(outcomes)) for drv in cell]
-           for key, cell in drivers.items()}
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out_dir}: "
+                          f"{exc}") from None
+    ran = {(arm, seed): list(cells(arm, seed))
+           for arm in arms for seed in config.seeds}
+    run_lanes([drv for cell in ran.values() for drv in cell])
     summaries = {}
     for arm in arms:
         rows, labeled = [], []
         for seed in config.seeds:
-            for i, (drv, out) in enumerate(ran[arm, seed]):
-                course = drv.env.course
+            for i, drv in enumerate(ran[arm, seed]):
+                course, state = drv.env.course, drv.state
                 rows.append(MetricsRow(
                     seed, arm, label(course) if label else course_id,
-                    bool(out.state.success),
-                    distance_fraction(course, out.state), out.state.steps,
-                    out.switch_count))
-                labeled.append((seed, i, out))
+                    bool(state.success), distance_fraction(course, state),
+                    state.steps, len(drv.switch.events)))
+                labeled.append((seed, i, drv.switch.events))
         write_metrics_csv(out_dir / f"metrics_{arm}.csv", rows, cfg_hash)
         write_events_jsonl(out_dir / f"events_{arm}.jsonl", labeled)
         summaries[arm] = _arm_summary(rows, config.seeds)
@@ -333,7 +332,7 @@ class _SetupExperiment:
     def module(self, seed, fresh=False):
         return setup_module(self.config.kind, self.target_net,
                             self.target_norm, self.default_net,
-                            self.default_norm, self.config.awtv_params(),
+                            self.default_norm, self.config.awtv,
                             seed, fresh=fresh)
 
     def drivers(self, seed, module, **kwargs):
@@ -349,7 +348,7 @@ class _SetupExperiment:
         evaluation drivers."""
         module = self.module(seed, fresh)
         trainer(module, self.default_net, self.default_norm,
-                TerrainEnv(self.course), self.config.ppo_config(),
+                TerrainEnv(self.course), self.config.ppo,
                 self.config.budgets["setup"],
                 np.random.default_rng((seed, RNG_TRAIN)), eval_every=0,
                 eval_episodes=0, seed_tag=seed, **trainer_kwargs)
@@ -422,7 +421,7 @@ def run_baseline_comparison(config):
         net, norm, _ = train_single_policy(
             setup.course, config.budgets["setup"],
             np.random.default_rng((seed, RNG_TRAIN)),
-            config=config.ppo_config(), eval_every=0, eval_episodes=0,
+            config=config.ppo, eval_every=0, eval_episodes=0,
             seed_tag=seed)
         _save_arm_checkpoint(config, f"single_policy_seed{seed}", net, norm)
         return episode_drivers(TerrainEnv(setup.course), net, norm, {},
@@ -481,8 +480,8 @@ def run_multi_terrain(config):
         failures = {arm: dict.fromkeys(KINDS + (FLAT_BUCKET,), 0)
                     for arm in arms}
         for (arm, _), lanes in ran.items():
-            for drv, out in lanes:
-                failed_at = failure_terrain(drv.env.course, out.state)
+            for drv in lanes:
+                failed_at = failure_terrain(drv.env.course, drv.state)
                 if failed_at is not None:
                     failures[arm][failed_at] += 1
         return {"failure_counts": failures}

@@ -322,22 +322,27 @@ def gae_advantages(rewards, values, dones, gamma, lam, tail_bootstrap=0.0):
 def policy_act(net, obs_norm, rng, with_switch=False):
     """Draw (action, switch_bit, mean, switch_logit, h) from a policy net.
 
-    The action is drawn first; the handoff bit follows with `with_switch`,
-    else the bit and the switch logit are None, and the switch head is not
-    computed. `h` is the trunk output: a learner reads its value off it with
-    `net.scalar_head("value", h)`, and an acting-only caller computes no value
-    head. The behaviour log-probability is not computed here: `ppo_update`
-    computes it from the stored mean and logit. A policy acting on its mean
-    reads the trunk and the mean head instead.
+    `draw_act` draws the action, then with `with_switch` the handoff bit;
+    without it the bit and the switch logit are None, and the switch head is
+    not computed. `h` is the trunk output: a learner reads its value off it
+    with `net.scalar_head("value", h)`, and an acting-only caller computes no
+    value head. The behaviour log-probability is not computed here:
+    `ppo_update` computes it from the stored mean and logit. A policy acting
+    on its mean reads the trunk and the mean head instead.
     """
     h = net.trunk(obs_norm)
     mu = net.head("mu", h)
-    action = mu + net.std * rng.standard_normal(mu.shape[0])
-    bit = z = None
-    if with_switch:
-        z = net.scalar_head("switch", h)
-        bit = int(rng.random() < sigmoid(z))
+    z = net.scalar_head("switch", h) if with_switch else None
+    action, bit = draw_act(mu, net.std, rng,
+                           None if z is None else sigmoid(z))
     return action, bit, mu, z, h
+
+
+def draw_act(mu, std, rng, p_switch=None):
+    """(action, bit) sampled around the mean row mu: the action noise, then
+    the handoff bit at probability `p_switch` (None without one)."""
+    action = mu + std * rng.standard_normal(mu.shape[0])
+    return action, None if p_switch is None else int(rng.random() < p_switch)
 
 
 def _fill_logprobs(net, buffer):

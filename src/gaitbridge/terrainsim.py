@@ -146,16 +146,16 @@ def single_artifact_course(kind, start=3.2, height=None, length=None):
     return make_course((make_artifact(kind, start, height, length),))
 
 
-def multi_terrain_course(order, first_start=3.2, separation=3.0):
-    """One artifact of each kind in the given order, flat separators between."""
+def multi_terrain_course(order):
+    """One artifact of each kind in `order`, from 3.2 m, 3 m apart."""
     if sorted(order) != sorted(KINDS):
         raise CourseError(f"order must be a permutation of {KINDS}, got {order!r}")
     artifacts = []
-    x = first_start
+    x = 3.2
     for kind in order:
         art = make_artifact(kind, x)
         artifacts.append(art)
-        x = art.end + separation
+        x = art.end + 3.0
     return make_course(artifacts)
 
 
@@ -301,15 +301,9 @@ def observe(course, state, art=_SCAN):
     return obs
 
 
-def oracle_detect(course, state):
-    """(detected, artifact): fires within DETECT_RANGE of the next artifact."""
-    art = next_artifact(course, state.x)
-    return (True, art) if detects(art, state) else (False, None)
-
-
 def detects(art, state):
-    """Whether `art`, the state's `next_artifact` (or None), lies within
-    DETECT_RANGE: `oracle_detect`'s rule on an artifact already found."""
+    """The detection oracle: whether `art`, the state's `next_artifact` (or
+    None), starts within DETECT_RANGE ahead of the runner."""
     return art is not None and art.start - state.x <= DETECT_RANGE
 
 
@@ -516,7 +510,7 @@ class RunnerBatch:
         return obs
 
     def detect(self):
-        """(hit, next artifact index) per lane, as `oracle_detect` finds them.
+        """(hit, next artifact index) per lane, as `detects` finds them.
 
         An index equal to a lane's artifact count means none is ahead.
         """

@@ -102,10 +102,22 @@ def train_bandit(updates=50, horizon=128, seed=0):
 
 
 def bandit_mean_action(net):
-    return abs(float(net.forward(np.zeros(1))[0][0]))
+    return abs(float(forward(net, np.zeros(1))[0][0]))
 
 
 # ---- references ---------------------------------------------------------------
+
+
+def forward(net, obs):
+    """The policy's mean action, value and switch logit: `trunk`, then every
+    head, as the program reads each one.
+
+    obs (obs_dim,) -> (mu (A,), value float, switch_logit float)
+    obs (B, obs_dim) -> (mu (B, A), value (B,), switch_logit (B,))
+    """
+    h = net.trunk(obs)
+    return (net.head("mu", h), net.scalar_head("value", h),
+            net.scalar_head("switch", h))
 
 
 class UncachedTarget:
@@ -118,7 +130,7 @@ class UncachedTarget:
 
     def _forward(self, obs_raw):
         module = self.module
-        return module.target_net.forward(module.target_norm.normalize(obs_raw))
+        return forward(module.target_net, module.target_norm.normalize(obs_raw))
 
     def target_value(self, obs_raw):
         return self._forward(obs_raw)[1]

@@ -322,7 +322,7 @@ class TestRunWithoutSetup:
         distance = np.mean([distance_fraction(env.course, o.state)
                             for o in outcomes])
         assert distance == pytest.approx(1.0)
-        assert all(not o.events for o in outcomes)
+        assert all(not o.switch.events for o in outcomes)
 
     def test_jump_course_skipping_setup_loses_to_bridged(self):
         course = single_artifact_course(HURDLE)
@@ -342,9 +342,9 @@ class TestRunWithoutSetup:
         # launches, so every episode fails
         assert rate == 0.0
         for o in outcomes:
-            assert all(e.dst != "setup" for e in o.events)
-            assert o.events and o.events[0].src == "default" \
-                and o.events[0].dst == "target"
+            assert all(e.dst != "setup" for e in o.switch.events)
+            assert o.switch.events and o.switch.events[0].src == "default" \
+                and o.switch.events[0].dst == "target"
 
 
 # ---- single end-to-end policy ---------------------------------------------------------

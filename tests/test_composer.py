@@ -64,6 +64,7 @@ from helpers import (
     act_logprob,
     exact_hurdle_module,
     flat_value_module,
+    forward,
     hurdle_module,
     identity_norm,
     scripted_net,
@@ -445,9 +446,9 @@ class TestScriptedBridge:
         assert out.state.failure == expected_failure
         assert out.state.success == (expected_failure is None)
         assert out.state.steps == expected_steps
-        got = [(e.src, e.dst, e.step) for e in out.events]
+        got = [(e.src, e.dst, e.step) for e in out.switch.events]
         assert got == [(s, d, n) for s, d, n, _, _, _ in expected_events]
-        for e, (_, _, _, x, c, v) in zip(out.events, expected_events):
+        for e, (_, _, _, x, c, v) in zip(out.switch.events, expected_events):
             assert e.x == pytest.approx(x, abs=1e-9)
             assert e.c == pytest.approx(c, abs=1e-9)
             assert e.v == pytest.approx(v, abs=1e-9)
@@ -462,7 +463,7 @@ class TestScriptedBridge:
                                 {HURDLE: exact_hurdle_module()},
                                 np.random.default_rng(5)).run()
             runs.append((out.state.steps, out.state.x,
-                         [(e.src, e.dst, e.step, e.x) for e in out.events]))
+                         [(e.src, e.dst, e.step, e.x) for e in out.switch.events]))
         assert runs[0] == runs[1]
 
 
@@ -541,10 +542,10 @@ class TestTrainingEpisodeBookkeeping:
             buf = RolloutBuffer(trainer.config.horizon)
             out = EpisodeDriver(env, default_net, d_norm, {HURDLE: module},
                                 rng, trainer=trainer, buffer=buf).run()
-            if out.switch_count >= 2:
+            if len(out.switch.events) >= 2:
                 break
-        assert out.switch_count >= 2
-        detect, handoff = out.events[0], out.events[1]
+        assert len(out.switch.events) >= 2
+        detect, handoff = out.switch.events[0], out.switch.events[1]
         assert (detect.src, detect.dst) == ("default", "setup")
         assert (handoff.src, handoff.dst) == ("setup", "target")
         assert len(buf) == handoff.step - detect.step
@@ -796,7 +797,7 @@ def two_kind_world():
 def outcome_record(out):
     s = out.state
     return (s.x, s.v, s.c, s.steps, s.success, s.failure,
-            [(e.step, e.src, e.dst, e.x, e.c, e.v) for e in out.events])
+            [(e.step, e.src, e.dst, e.x, e.c, e.v) for e in out.switch.events])
 
 
 class TestTargetCarry:
@@ -1054,7 +1055,7 @@ class TestWalkerOpening:
             driver = EpisodeDriver(env, walker, walker_norm, {HURDLE: module},
                                    rng, trainer=trainer, buffer=buf)
             out = driver.run()
-            ticks += out.events[0].step if out.events else out.state.steps
+            ticks += out.switch.events[0].step if out.switch.events else out.state.steps
         assert len(buf) > 0 and ticks > 24 * 50
         assert passes[0] == opening.writes
         # most opening ticks reuse an entry
@@ -1191,7 +1192,7 @@ class TestTerrainBlindWalker:
             obs_f = cp.policy_obs(net, observe(flat_env.course, s_flat))
             obs_b = cp.policy_obs(net, observe(block_env.course, s_block))
             assert np.array_equal(obs_f, obs_b)
-            action = net.forward(norm.normalize(obs_f))[0]
+            action = forward(net, norm.normalize(obs_f))[0]
             flat_env.step(s_flat, action)
             block_env.step(s_block, action)
             assert s_flat.x == s_block.x and s_flat.v == s_block.v
@@ -1209,7 +1210,7 @@ class TestTerrainBlindWalker:
         ref = env.reset_from(0.4)
         before = rng.bit_generator.state
         for _ in range(50):
-            mean = net.forward(norm.normalize(
+            mean = forward(net, norm.normalize(
                 cp.policy_obs(net, observe(env.course, ref))))[0]
             env.step(ref, mean)
             drv.tick()
@@ -1293,8 +1294,8 @@ class TestEvaluateBridged:
             np.random.default_rng(4), without_setup=True))
         assert len(outcomes) == 5
         for out in outcomes:
-            assert all(e.dst != POLICY_SETUP for e in out.events)
-            assert out.events and out.events[0].dst == POLICY_TARGET
+            assert all(e.dst != POLICY_SETUP for e in out.switch.events)
+            assert out.switch.events and out.switch.events[0].dst == POLICY_TARGET
 
     def test_same_seed_gives_identical_outcomes(self):
         env = TerrainEnv(single_artifact_course(HURDLE))
@@ -1306,7 +1307,7 @@ class TestEvaluateBridged:
                                               {HURDLE: module}, 8,
                                               np.random.default_rng(9))
             runs.append((rate, [(o.state.steps, o.state.success,
-                                 o.switch_count) for o in outcomes]))
+                                 len(o.switch.events)) for o in outcomes]))
         assert runs[0] == runs[1]
         # episode i runs on the i-th spawned generator, whose first draw is
         # the spawn position; the exact setup net makes every later draw
@@ -1332,7 +1333,7 @@ class TestEvaluateBridged:
                                               {HURDLE: module}, 6,
                                               np.random.default_rng(11))
             runs.append((rate, [(o.state.steps, o.state.success,
-                                 o.switch_count) for o in outcomes]))
+                                 len(o.switch.events)) for o in outcomes]))
         assert runs[0] == runs[1]
 
 
@@ -1381,9 +1382,9 @@ def assert_same_outcome(got, want):
     """Discrete results exactly, positions to batched-matmul rounding."""
     assert (got.state.success, got.state.failure, got.state.steps) == \
         (want.state.success, want.state.failure, want.state.steps)
-    assert [(e.step, e.src, e.dst) for e in got.events] == \
-        [(e.step, e.src, e.dst) for e in want.events]
-    for e, f in zip(got.events, want.events):
+    assert [(e.step, e.src, e.dst) for e in got.switch.events] == \
+        [(e.step, e.src, e.dst) for e in want.switch.events]
+    for e, f in zip(got.switch.events, want.switch.events):
         assert e.x == pytest.approx(f.x, abs=1e-9)
         assert e.c == pytest.approx(f.c, abs=1e-9)
         assert e.v == pytest.approx(f.v, abs=1e-9)
@@ -1404,7 +1405,7 @@ class TestLanes:
             ref = EpisodeDriver(env, walker, identity_norm(), modules, child,
                                 without_setup=without_setup).run()
             assert_same_outcome(out, ref)
-        handoffs = {e.dst for out in outcomes for e in out.events}
+        handoffs = {e.dst for out in outcomes for e in out.switch.events}
         assert (POLICY_SETUP in handoffs) != without_setup
         assert POLICY_TARGET in handoffs
         # lanes finish at different ticks
@@ -1455,7 +1456,7 @@ class TestLanes:
         assert len({drv.env.course.artifacts[0].kind for drv in drivers}) > 1
         assert len({out.state.steps for out in outcomes}) > 1
         # with setup, some lanes clear their first artifact and switch again
-        assert max(out.switch_count
+        assert max(len(out.switch.events)
                    for out in outcomes) >= (1 if without_setup else 4)
 
     def test_both_arms_run_in_one_call(self, monkeypatch):
@@ -1474,7 +1475,7 @@ class TestLanes:
         assert min(batch_sizes) >= cp.LANE_CROSSOVER
         for out, (drv, ref) in zip(outcomes, lanes):
             assert_same_outcome(out, ref.run())
-            roles = {e.dst for e in out.events}
+            roles = {e.dst for e in out.switch.events}
             assert (POLICY_SETUP in roles) != drv.without_setup
             assert POLICY_TARGET in roles
         assert len({out.state.steps for out in outcomes}) > 1
@@ -1520,7 +1521,7 @@ class TestLanes:
         switches = {0: set(), 1: set(), 2: set()}  # by module count
         for out, (drv, ref) in zip(outcomes, lanes):
             assert_same_outcome(out, ref.run())
-            switches[len(drv.modules)].add(out.switch_count)
+            switches[len(drv.modules)].add(len(out.switch.events))
         # no module, no switch; the hurdle module alone switches at most
         # three times; with both, lanes also switch at the gap
         assert switches[0] == {0}
@@ -1596,7 +1597,7 @@ class TestLanes:
             setup = isinstance(policy, BehaviorModule)
             net, norm = ((policy.setup_net, policy.setup_norm) if setup
                          else (policy, walker_norm))
-            mu, _, z = net.forward(norm.normalize(cp.policy_obs(net, obs[rows])))
+            mu, _, z = forward(net, norm.normalize(cp.policy_obs(net, obs[rows])))
             if not setup:
                 assert np.array_equal(actions[rows], mu)
                 continue
@@ -1647,6 +1648,21 @@ class TestSpawnDistributions:
         v = probe.uniform(0.0, 1.0)
         assert state.x == art.start - offset
         assert state.c == c and state.v == v
+
+    def test_a_specialist_spawns_before_the_first_artifact_of_its_kind(self):
+        course = ts.make_course((ts.make_artifact(GAP, 3.2),
+                                 ts.make_artifact(HURDLE, 6.0),
+                                 ts.make_artifact(HURDLE, 9.0)))
+        env = TerrainEnv(course)
+        for kind, art in ((GAP, course.artifacts[0]),
+                          (HURDLE, course.artifacts[1])):
+            state = cp.init_for_kind(kind, course)(env, np.random.default_rng(7))
+            want = cp.artifact_approach_init(art)(env, np.random.default_rng(7))
+            assert (state.x, state.c, state.v) == (want.x, want.c, want.v)
+            assert art.start - 1.0 <= state.x <= art.start - 0.3
+        assert cp.init_for_kind(FLAT, course) is None
+        with pytest.raises(ts.CourseError, match="no block"):
+            cp.init_for_kind(BLOCK, course)
 
 
 # ---- target-policy training paths --------------------------------------------------
@@ -1803,7 +1819,7 @@ def lanes_digest(outcomes):
         s = out.state
         h.update(repr((s.steps, s.success, s.failure)).encode())
         h.update(np.array([s.x, s.v, s.c]).tobytes())
-        for e in out.events:
+        for e in out.switch.events:
             h.update(repr((e.step, e.src, e.dst)).encode())
             h.update(np.array([e.x, e.c, e.v]).tobytes())
     return h.hexdigest()
@@ -1814,6 +1830,6 @@ def test_seeded_lanes_digest():
     # batch ticks and the tail that finishes on run()
     lanes = mixed_arm_lanes(2 * cp.LANE_CROSSOVER + 6)
     outcomes = cp.run_lanes([drv for drv, _ in lanes])
-    assert {len(out.events) > 0 for out in outcomes} == {True}
+    assert {len(out.switch.events) > 0 for out in outcomes} == {True}
     assert lanes_digest(outcomes) == ("b9f1546c8f076a07bd120bd73a168661"
                                       "ccefff43d7385a96e0639c46a9dd3340")

@@ -17,7 +17,7 @@ from gaitbridge.harness.checkpoint import Checkpoint, checkpoint_bytes, parse_ch
 from gaitbridge.policyopt import PPOConfig, policy_act, ppo_loss_grad
 from gaitbridge.terrainsim import OBS_DIM, OBS_PROPRIO
 
-from helpers import gaussian_logprob, identity_norm, numeric_gradient
+from helpers import forward, gaussian_logprob, identity_norm, numeric_gradient
 
 
 def _zeroed_net(obs_dim=4, action_dim=2, hidden=(3, 3)):
@@ -30,7 +30,7 @@ def _zeroed_net(obs_dim=4, action_dim=2, hidden=(3, 3)):
 def test_zero_weight_net_mean_is_bias():
     net = _zeroed_net()
     net.params["mu.b"][...] = np.array([0.25, -1.5], dtype=np.float32)
-    mu, value, switch = net.forward(np.array([3.0, -2.0, 0.5, 9.0]))
+    mu, value, switch = forward(net, np.array([3.0, -2.0, 0.5, 9.0]))
     assert np.allclose(mu, [0.25, -1.5], atol=0)
     assert value == 0.0
     assert switch == 0.0
@@ -42,7 +42,7 @@ def test_single_unit_net_composes_tanh():
         arr[...] = 0.0
     net.params["fc0.w"][...] = 1.0
     net.params["mu.w"][...] = 1.0
-    mu = net.forward(np.array([0.5]))[0]
+    mu = forward(net, np.array([0.5]))[0]
     assert mu[0] == pytest.approx(math.tanh(0.5), abs=1e-7)
 
 
@@ -340,9 +340,9 @@ def test_batched_forward_matches_single():
     rng = np.random.default_rng(11)
     net = ParameterizedNet(6, 2, (8, 8), rng)
     obs = rng.normal(size=(4, 6))
-    mu_b, val_b, sw_b = net.forward(obs)
+    mu_b, val_b, sw_b = forward(net, obs)
     for i in range(4):
-        mu_i, val_i, sw_i = net.forward(obs[i])
+        mu_i, val_i, sw_i = forward(net, obs[i])
         assert np.allclose(mu_b[i], mu_i, atol=1e-12)
         assert val_b[i] == pytest.approx(val_i, abs=1e-12)
         assert sw_b[i] == pytest.approx(sw_i, abs=1e-12)
@@ -388,7 +388,7 @@ def test_per_head_reads_equal_the_forward_bit_for_bit(obs_dim, hidden, rows):
     assert np.array_equal(h, net.activations(obs)[-1])
     heads = (net.head("mu", h), net.scalar_head("value", h),
              net.scalar_head("switch", h))
-    for reads in (heads, net.forward(obs)):
+    for reads in (heads, forward(net, obs)):
         for got, ref in zip(reads, want):
             assert_same_bits(got, ref)
 
@@ -410,10 +410,10 @@ def test_inference_cache_follows_every_parameter_write():
         assert np.array_equal(net.flat, fresh.flat)
         assert np.array_equal(net.std, fresh.std)
         assert net.log_std_sum == fresh.log_std_sum
-        for got, want in zip(net.forward(batch), fresh.forward(batch)):
+        for got, want in zip(forward(net, batch), forward(fresh, batch)):
             assert np.array_equal(got, want)
-        mu, value, switch = net.forward(obs)
-        mu_f, value_f, switch_f = fresh.forward(obs)
+        mu, value, switch = forward(net, obs)
+        mu_f, value_f, switch_f = forward(fresh, obs)
         assert np.array_equal(mu, mu_f)
         assert (value, switch) == (value_f, switch_f)
         acts = [policy_act(n, obs, np.random.default_rng(0), with_switch=True)
@@ -473,10 +473,10 @@ def test_every_parameter_writer_keeps_float32_values_and_fresh_reads():
         assert net.log_std_sum == float(log_std.sum()) == fresh.log_std_sum
         obs = rng.normal(size=net.obs_dim)
         batch = rng.normal(size=(5, net.obs_dim))
-        for got, want in zip(net.forward(batch), fresh.forward(batch)):
+        for got, want in zip(forward(net, batch), forward(fresh, batch)):
             assert np.array_equal(got, want)
-        mu, value, switch = net.forward(obs)
-        mu_f, value_f, switch_f = fresh.forward(obs)
+        mu, value, switch = forward(net, obs)
+        mu_f, value_f, switch_f = forward(fresh, obs)
         assert np.array_equal(mu, mu_f)
         assert (value, switch) == (value_f, switch_f)
         assert type(value) is float and type(switch) is float

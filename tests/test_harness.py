@@ -11,7 +11,7 @@ from gaitbridge import composer
 from gaitbridge.composer import (
     FLAT,
     LANE_CROSSOVER,
-    EpisodeOutcome,
+    AWTVParams,
     SwitchEvent,
     train_target,
 )
@@ -87,6 +87,22 @@ def test_checkpoint_normalizer_width_must_match_network(tmp_path, capsys):
     _, narrow_norm = _policy(OBS_DIM - 1)
     path = save_checkpoint(tmp_path / "narrow.ckpt", Checkpoint.of(net, narrow_norm))
     with pytest.raises(CheckpointFormatError, match="input width"):
+        load_policy(path)
+    code, err = _evaluate(tmp_path, path, capsys)
+    assert code == 4
+    assert err.startswith("checkpoint error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("obs_dim, action_dim", [(OBS_DIM, 3), (7, 2), (12, 2)])
+def test_checkpoint_the_runner_cannot_act_on_exits_4(tmp_path, capsys, obs_dim,
+                                                     action_dim):
+    # a layout the net accepts, but not one the runner's observation and
+    # action vectors fit
+    net = ParameterizedNet(obs_dim, action_dim, (8,), np.random.default_rng(0))
+    path = save_checkpoint(tmp_path / "odd.ckpt",
+                           Checkpoint.of(net, RunningNormalizer(obs_dim)))
+    with pytest.raises(CheckpointFormatError,
+                       match=f"{obs_dim}-input, {action_dim}-action"):
         load_policy(path)
     code, err = _evaluate(tmp_path, path, capsys)
     assert code == 4
@@ -224,6 +240,8 @@ _BAD_TRAINING_FLAGS = [
     # the checkpoint would fail to write only after training
     ("train-target", ["--out", "no-such-dir/policy.ckpt"]),
     ("train-setup", ["--out", "no-such-dir/policy.ckpt"]),
+    ("train-target", ["--out", "."]),
+    ("train-setup", ["--out", "."]),
 ]
 
 
@@ -241,6 +259,57 @@ def test_out_of_range_training_flags_exit_2_without_traceback(
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+def _no_training(monkeypatch):
+    def train(*args, **kwargs):
+        raise AssertionError("trained")
+
+    monkeypatch.setattr(composer, "_train", train)
+
+
+@pytest.mark.parametrize("command, text", [("train-target", "goal 6\n"),
+                                           ("train-target", "gap 3.2\n"),
+                                           ("train-setup", "hurdle 3.2\n")])
+def test_a_course_without_the_trained_kind_exits_2_before_training(
+        tmp_path, capsys, monkeypatch, checkpoints, command, text):
+    _no_training(monkeypatch)
+    course = tmp_path / "other.course"
+    course.write_text(text)
+    policies = {"train-target": ["--kind", "hurdle"],
+                "train-setup": ["--kind", "gap",
+                                "--default", checkpoints["default"],
+                                "--target", checkpoints["gap"]["target"]]}
+    out = tmp_path / "policy.ckpt"
+    code = main([command, *policies[command], "--budget", "64",
+                 "--course", str(course), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: the course holds no")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ablate"])
+def test_a_file_at_the_output_directory_exits_2_before_training(
+        tmp_path, capsys, monkeypatch, checkpoints, command):
+    _no_training(monkeypatch)
+    a_file = tmp_path / "file"
+    a_file.write_text("kept")
+    hurdle = checkpoints["hurdle"]
+    if command == "evaluate":
+        argv = ["evaluate", "--default", checkpoints["default"],
+                "--kind", "hurdle", "--module",
+                f"hurdle={hurdle['setup']}:{hurdle['target']}",
+                "--episodes", "1", "--out", str(a_file)]
+    else:
+        argv = ["ablate", "--config", str(_write_config(
+            tmp_path, checkpoints, "ablation", output_dir=str(a_file)))]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot use output directory")
+    assert "Traceback" not in err
+    assert a_file.read_text() == "kept"
 
 
 def test_cli_train_setup_without_evaluation_says_so(tmp_path, capsys,
@@ -326,7 +395,7 @@ def _encodes_a_prefix_then_fails(self, obj, _one_shot=False):
 
 
 _ROW = MetricsRow(1, "setup", "hurdle", True, 1.0, 90, 2)
-_OUTCOME = EpisodeOutcome(None, [SwitchEvent(3, "default", "setup", 1.0, 0.0, 0.5)])
+_EVENTS = [SwitchEvent(3, "default", "setup", 1.0, 0.0, 0.5)]
 
 # each harness writer: how to call it, its output file, and the serializer
 # that a failing write breaks
@@ -335,7 +404,7 @@ _WRITERS = {
                    "w.ckpt", checkpoint, "_write_record"),
     "metrics": (lambda d: write_metrics_csv(d / "m.csv", [_ROW, _ROW], "h"),
                 "m.csv", experiments, "format_metrics_row"),
-    "events": (lambda d: write_events_jsonl(d / "e.jsonl", [(1, 0, _OUTCOME)] * 2),
+    "events": (lambda d: write_events_jsonl(d / "e.jsonl", [(1, 0, _EVENTS)] * 2),
                "e.jsonl", experiments.json, "dumps"),
     "report": (lambda d: write_report(d, {"arms": {}, "seeds": [1]}),
                "report.json", experiments.json.JSONEncoder, "iterencode"),
@@ -398,6 +467,19 @@ def test_config_hash_ignores_output_dir_and_follows_file_contents(tmp_path):
     assert second != first
     course.write_text("hurdle 3.4\n")
     assert hash_of() != second
+
+
+@pytest.mark.parametrize("raw, digest", [
+    ({"experiment": "reward-comparison"},
+     "7a815adf2b203e369ea93226327f08afb5c9298993d4f4da4d18475dfb55659b"),
+    ({"experiment": "ablation", "seeds": [1, 2], "kind": "gap",
+      "ppo": {"horizon": 256, "lr": 0.001}, "awtv": {"alpha": 0.3},
+      "budgets": {"setup": 1000}},
+     "b630a1f586ca677c0eda7d165d757372aa61f74e775ed77419ea595f1d88875f"),
+])
+def test_config_hash_is_pinned(raw, digest):
+    # a change to how the config is held must not move the hash of a run
+    assert config_hash(config_from_dict(raw)) == digest
 
 
 @pytest.mark.parametrize("section, default, other", [
@@ -535,8 +617,8 @@ def test_config_loads_or_raises_a_config_error(raw):
         config = config_from_dict({"experiment": "ablation", **raw})
     except ConfigError:
         return
-    config.ppo_config()
-    config.awtv_params()
+    assert isinstance(config.ppo, PPOConfig)
+    assert isinstance(config.awtv, AWTVParams)
     assert min(config.seeds) >= 0
     assert len(set(config.seeds)) == len(config.seeds)
     assert config.episodes >= 1

@@ -5,7 +5,8 @@ Every name a module in src/ or tests/ imports is used in that module
 modules on the per-tick path multiply matrices with `ndarray.dot`, the
 acting and training code reads only the network heads it uses, only
 `SwitchState` writes a switch's artifact, only `EpisodeDriver.tick` writes a
-trainer's walker opening, and every function the benchmark
+trainer's walker opening, every public function and class in src/ is read
+by name somewhere else in src/ or bench/, and every function the benchmark
 traces for its per-layer metrics still exists, unless it is listed below with
 the reason it is gone.
 """
@@ -71,8 +72,9 @@ def test_per_tick_modules_use_dot_not_matmul():
     assert not found, "use ndarray.dot for these products:\n" + "\n".join(found)
 
 
-# `forward` computes every head; these modules read each head they use off
-# `trunk`, so a head nobody reads is never computed
+# a `forward` (the tests' reference in helpers.py) computes every head; these
+# modules read each head they use off `trunk`, so a head nobody reads is
+# never computed
 HEAD_READING_MODULES = ("src/gaitbridge/policyopt.py",
                         "src/gaitbridge/composer.py")
 
@@ -176,11 +178,69 @@ def test_only_the_episode_tick_writes_the_opening():
     assert not found, "write the opening in EpisodeDriver.tick:\n" + "\n".join(found)
 
 
+def public_definitions(source):
+    """(line, name) of each public module-level function and class, and of
+    each public method of a module-level class."""
+    tree = ast.parse(source)
+    defs = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            defs += [(item.lineno, item.name) for item in node.body
+                     if isinstance(item, ast.FunctionDef)]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defs.append((node.lineno, node.name))
+    return sorted((line, name) for line, name in defs
+                  if not name.startswith("_"))
+
+
+def names_read(source):
+    """Every name a `Name`, an `Attribute` or a `from ... import` reads."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_definition_and_read_detectors():
+    source = ("import a\nfrom b import used_import\nclass Kept:\n"
+              "    def method(self):\n        pass\n"
+              "    def __len__(self):\n        return 0\n"
+              "    def _private(self):\n        pass\n"
+              "def unread():\n    def nested():\n        pass\n"
+              "def _helper():\n    return a.attr(Kept)\n")
+    assert public_definitions(source) == [(3, "Kept"), (4, "method"),
+                                          (10, "unread")]
+    assert names_read(source) == {"used_import", "a", "attr", "Kept"}
+
+
+def test_every_public_definition_in_src_is_read_elsewhere():
+    # a definition only the tests read is a test helper: it belongs in
+    # tests/helpers.py, not in the program
+    sources = {path: path.read_text(encoding="utf-8")
+               for top in ("src", "bench")
+               for path in sorted((ROOT / top).rglob("*.py"))}
+    read = set().union(*map(names_read, sources.values()))
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path, source in sources.items()
+             if path.is_relative_to(ROOT / "src")
+             for line, name in public_definitions(source) if name not in read]
+    assert not found, "definitions nothing else reads:\n" + "\n".join(found)
+
+
 # trace targets of bench/measure.py that name no function, and why; each
 # one's calls read 0 in the per-layer metrics
 ABSENT_TRACE_TARGETS = {
     "gaitbridge.diffcore.tape:GradientTape.backward":
         "the tape gave way to the closed-form ParameterizedNet.backward",
+    "gaitbridge.diffcore.net:ParameterizedNet.forward":
+        "no program path computed every head since acting code reads trunk "
+        "and each head it uses; the all-heads forward is the tests' reference "
+        "in helpers.py, and diffcore.forward reads 0 until it traces trunk",
     "gaitbridge.diffcore.net:ParameterizedNet.value_of":
         "a value is read as scalar_head(\"value\", trunk(obs)); no span "
         "counts it until diffcore.forward traces ParameterizedNet.trunk",

@@ -21,6 +21,7 @@ from helpers import (
     NumpyRunningNormalizer,
     act_logprob,
     bandit_mean_action,
+    forward,
     gae_reference,
     gaussian_logprob,
     train_bandit,
@@ -525,7 +526,7 @@ def test_log_std_stays_clamped_through_updates():
 def test_policy_act_samples_around_the_forward_mean():
     net = ParameterizedNet(2, 2, (4,), np.random.default_rng(16))
     obs = np.array([0.3, -0.7])
-    mu, value, z = net.forward(obs)
+    mu, value, z = forward(net, obs)
     action, bit, mean, logit, h = policy_act(net, obs, np.random.default_rng(0))
     noise = np.random.default_rng(0).standard_normal(2)
     assert np.array_equal(action, mu + net.std * noise)
@@ -543,7 +544,7 @@ def test_policy_act_with_switch_draws_the_bit_after_the_action():
     net = ParameterizedNet(2, 2, (4,), np.random.default_rng(16))
     net.params["switch.b"][...] = np.float32(0.3)
     obs = np.array([0.3, -0.7])
-    mu, value, z = net.forward(obs)
+    mu, value, z = forward(net, obs)
     for seed in range(8):
         action, bit, mean, logit, h = policy_act(
             net, obs, np.random.default_rng(seed), with_switch=True)

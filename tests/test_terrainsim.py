@@ -36,6 +36,7 @@ from gaitbridge.terrainsim import (
     V_MAX,
     RunnerBatch,
     TerrainEnv,
+    detects,
     distance_fraction,
     flat_course,
     leg_length,
@@ -44,7 +45,6 @@ from gaitbridge.terrainsim import (
     multi_terrain_course,
     next_artifact,
     observe,
-    oracle_detect,
     parse_course_text,
     single_artifact_course,
     surface_at,
@@ -450,11 +450,10 @@ def test_observation_inside_artifact_column():
 def test_oracle_detection_boundary_inclusive():
     course = single_artifact_course(GAP, start=3.2)
     state = TerrainEnv(course).reset_from(3.2 - DETECT_RANGE)
-    hit, art = oracle_detect(course, state)
-    assert hit and art.kind == GAP
+    art = next_artifact(course, state.x)
+    assert detects(art, state) and art.kind == GAP
     state.x -= 1e-9
-    hit, _ = oracle_detect(course, state)
-    assert not hit
+    assert not detects(next_artifact(course, state.x), state)
 
 
 def test_oracle_detection_switches_to_next_artifact():
@@ -462,14 +461,14 @@ def test_oracle_detection_switches_to_next_artifact():
     state = TerrainEnv(course).reset_from(0.0)
     block = course.artifacts[0]
     state.x = block.end  # boundary: still attributed to the block
-    hit, art = oracle_detect(course, state)
-    assert hit and art.kind == BLOCK
+    art = next_artifact(course, state.x)
+    assert detects(art, state) and art.kind == BLOCK
     state.x = np.nextafter(block.end, 10.0)
-    hit, art = oracle_detect(course, state)
-    assert not hit  # the gap is still more than DETECT_RANGE ahead
+    # the gap is still more than DETECT_RANGE ahead
+    assert not detects(next_artifact(course, state.x), state)
     state.x = course.artifacts[1].start - DETECT_RANGE
-    hit, art = oracle_detect(course, state)
-    assert hit and art.kind == GAP
+    art = next_artifact(course, state.x)
+    assert detects(art, state) and art.kind == GAP
 
 
 def test_surface_half_open_interval():
@@ -513,9 +512,10 @@ def test_course_rejects_bad_length():
 
 
 def test_multi_terrain_course_orders_and_separates():
-    course = multi_terrain_course((GAP, HURDLE, BLOCK), first_start=3.2, separation=3.0)
+    course = multi_terrain_course((GAP, HURDLE, BLOCK))
     kinds = [a.kind for a in course.artifacts]
     assert kinds == [GAP, HURDLE, BLOCK]
+    assert course.artifacts[0].start == 3.2
     for prev, nxt in zip(course.artifacts, course.artifacts[1:]):
         assert nxt.start == pytest.approx(prev.end + 3.0)
     with pytest.raises(CourseError):
@@ -726,9 +726,8 @@ def test_batch_step_observe_and_detect_match_the_scalar_runner(data):
         for row, i in enumerate(live):
             course, state = lane_courses[i], states[i]
             assert obs[row].tobytes() == observe(course, state).tobytes()
-            want_hit, _ = oracle_detect(course, state)
-            assert hit[row] == want_hit
             ahead = next_artifact(course, state.x)
+            assert hit[row] == detects(ahead, state)
             assert index[row] == (len(course.artifacts) if ahead is None
                                   else course.artifacts.index(ahead))
         done = batch.step(act[live])
