@@ -12,8 +12,8 @@ with the target's own value function) deviates from zero. Value estimates are
 only trusted where the target policy has been; a large advantage magnitude
 flags an out-of-distribution state and squashes the reward. After the handoff,
 each subsequent shaped reward of the episode is folded into the setup buffer's
-final entry, so the setup policy is credited for what the specialist achieves
-from the states it prepared.
+entry of the handoff, so the setup policy is credited for what the specialist
+achieves from the states it prepared.
 
 `EpisodeDriver` is the only code that steps the runner: evaluation, setup
 training and target training all run drivers. It hands control over by
@@ -29,7 +29,10 @@ acting on its mean, neither the value nor the switch head; sampling without
 learning, no value head. Target training is a driver with no modules, whose
 default policy is the one being trained on the environment reward; setup
 training trains one module's setup policy on a shaped reward. One round-robin
-loop (`_train`) collects both into per-worker buffers, one `tick()` at a time.
+loop (`_train`) collects both into per-worker buffers, one `tick()` at a time,
+but for the tails of setup training: once the trained setup policy has
+handed off and no artifact is left for a setup policy, an episode only folds
+rewards, so `_train` parks it, and the parked tails run as lanes.
 
 In setup training the frozen walker's actions before an episode's first
 switch are memoized per step in the trainer's `opening` (see `Trainer`): a
@@ -46,8 +49,9 @@ step as one `RunnerBatch`, and each acting policy (a walker, a setup policy,
 a target), shared by whichever lanes act with it, gets one normalize and one
 batched trunk pass per tick, then its mean head and, for a setup policy, its
 switch head. Finished lanes are written back into their drivers. Once fewer
-than `LANE_CROSSOVER` lanes are live, the rest finish on `run()`. Lanes never
-train.
+than `LANE_CROSSOVER` lanes are live, the rest finish on `run()`. A lane
+trains nothing: a training tail only adds its shaped rewards into the buffer
+row its handoff stored, reading the target's values off the batched passes.
 
 Both paths take the switching decisions from the driver: `policy()` maps the
 phase to its (role, net, norm), `on_detection` starts a bridge, and
@@ -86,6 +90,7 @@ from gaitbridge.terrainsim import (
     CourseError,
     GAP,
     HURDLE,
+    MAX_STEPS,
     OBS_DIM,
     OBS_PROPRIO,
     RunnerBatch,
@@ -297,37 +302,53 @@ class CarriedTarget:
     """One driver's view of a module's frozen target: one trunk pass per
     observation, and each head that is read computed once on its output.
 
-    Keeps the target's trunk output at the last observation it was asked
-    about, matched by the identity of the observation array, and fills its
-    mean action and its value as they are first read. The view holds that
-    array, so its id cannot be reused by another observation. The target's
-    net and normalizer must stay frozen while the view lives (one episode).
+    Keeps the target's trunk output at the last two observations it was
+    asked about or given with `fill`, matched by the identity of the
+    observation array, and fills their mean action and value as they are
+    first read. A reward reads V(s) and V(s'): on `tick` s is the last
+    tick's s', and the lane path fills both from its batched passes. The
+    view holds those arrays, so their ids cannot be reused by another
+    observation. The target's net and normalizer must stay frozen while the
+    view lives (one episode).
     """
 
     def __init__(self, module: BehaviorModule):
         self.module = module
         self.params = module.params
-        self._obs = None
+        self.forget()
 
-    def _trunk(self, obs_raw):
-        if obs_raw is not self._obs:
-            module = self.module
-            self._h = module.target_net.trunk(module.target_norm.normalize(obs_raw))
-            self._mu = self._value = None
-            self._obs = obs_raw
-        return self._h
+    def forget(self):
+        """Drop the carried observations and trunk outputs."""
+        # [obs, trunk output, mu, value] of the newest and the one before
+        self._new = self._old = (None,)
+
+    def fill(self, obs_raw, h, value=None, mu=None):
+        """Carry the trunk output `h` at `obs_raw`, with the heads already
+        computed on it, as the newest observation."""
+        self._new, self._old = [obs_raw, h, mu, value], self._new
+
+    def _slot(self, obs_raw):
+        new = self._new
+        if new[0] is obs_raw:
+            return new
+        if self._old[0] is obs_raw:
+            return self._old
+        module = self.module
+        self.fill(obs_raw, module.target_net.trunk(
+            module.target_norm.normalize(obs_raw)))
+        return self._new
 
     def target_value(self, obs_raw):
-        h = self._trunk(obs_raw)
-        if self._value is None:
-            self._value = self.module.target_net.scalar_head("value", h)
-        return self._value
+        slot = self._slot(obs_raw)
+        if slot[3] is None:
+            slot[3] = self.module.target_net.scalar_head("value", slot[1])
+        return slot[3]
 
     def target_action(self, obs_raw):
-        h = self._trunk(obs_raw)
-        if self._mu is None:
-            self._mu = self.module.target_net.head("mu", h)
-        return self._mu
+        slot = self._slot(obs_raw)
+        if slot[2] is None:
+            slot[2] = self.module.target_net.head("mu", slot[1])
+        return slot[2]
 
 
 def awtv_step_reward(target, obs, obs_next, r_env, terminal, action):
@@ -345,9 +366,10 @@ class Trainer:
     """The policy being trained and its PPO state, shared by every worker.
 
     With a `module` it trains that module's setup policy on `reward_fn`,
-    folds post-handoff rewards when `extend` is set, and keeps each buffer's
-    last transition across an update. Without one it trains the drivers'
-    default policy on the environment reward and empties the buffers.
+    folds post-handoff rewards into the handoff's row when `extend` is set,
+    and keeps each buffer's last transition across an update. Without one
+    it trains the drivers' default policy on the environment reward and
+    empties the buffers.
 
     With a module it also keeps `opening`: entry t is the (input row bytes,
     read-only action) of the last walker tick at step t before an episode's
@@ -420,6 +442,7 @@ class EpisodeDriver:
         self.state = init_fn(env, rng) if init_fn else env.reset(rng)
         self.switch = SwitchState()
         self.handed_off = False  # the trained setup policy handed off
+        self.fold_row = None  # number of the last row it stored
         self._obs = None  # observation of self.state, once taken
         self._ahead = None  # its next artifact, found with it
         self.targets = {kind: CarriedTarget(m) for kind, m in modules.items()}
@@ -505,18 +528,37 @@ class EpisodeDriver:
                     self.observation(), r_env, done, action)
             else:
                 r_step = r_env
-            self.buffer.append(obs_n, action, bit, mean, logit, r_step,
-                               net.scalar_head("value", h), done or bit == 1)
+            self.fold_row = self.buffer.append(
+                obs_n, action, bit, mean, logit, r_step,
+                net.scalar_head("value", h), done or bit == 1)
             if bit == 1:
                 self.handed_off = True
         elif self.handed_off and trainer.extend:
-            # every shaped reward from handoff to episode end folds into the
-            # last stored entry, whichever policy is acting by now
-            r_hat = trainer.reward_fn(
-                self.targets[trainer.module.kind], obs,
-                self.observation(), r_env, done, action)
-            self.buffer.extend_last_reward(float(r_hat))
+            self.fold(self.targets[trainer.module.kind], obs,
+                      self.observation(), r_env, done, action)
         return done
+
+    def fold(self, target, obs, obs_next, r_env, done, action):
+        """Add the shaped reward of one tick after the handoff into the
+        handoff's row, whichever policy is acting by now; `target` is the
+        trained module's CarriedTarget."""
+        r_hat = self.trainer.reward_fn(target, obs, obs_next, r_env, done,
+                                       action)
+        self.buffer.add_reward(self.fold_row, float(r_hat))
+
+    def folds_only(self):
+        """Whether the rest of this training episode only folds rewards: the
+        trained setup policy handed off, no setup policy acts, and no
+        artifact the driver has a module for is ahead, but the one a target
+        acts on. Such a driver acts with frozen policies on their means and
+        draws nothing, so it can run as a lane (`run_lanes`)."""
+        if not (self.handed_off and self.trainer.extend) or (
+                self.switch.active == POLICY_SETUP):
+            return False
+        latched, x = self.switch.artifact, self.state.x
+        return not any(art.kind in self.modules and art.end >= x
+                       and art is not latched
+                       for art in self.env.course.artifacts)
 
     def run(self):
         """Tick to the end of the episode; returns the driver."""
@@ -526,7 +568,14 @@ class EpisodeDriver:
 
 
 def run_lanes(drivers):
-    """Run evaluation drivers to the end together; returns the drivers.
+    """Run drivers to the end together; returns the drivers.
+
+    A lane is an evaluation driver or a training tail: a training driver
+    whose episode only folds rewards from now on (`folds_only`). A tail acts
+    with frozen policies and draws nothing, as an evaluation lane does, and
+    adds each tick's shaped reward into its handoff's row (`fold`). Any
+    other training driver could act with its learning policy: it is
+    rejected, and stays on `tick()`.
 
     Each lane brings its own policies: the drivers may differ in their
     default policy, their modules and their arm (`without_setup` or not).
@@ -537,15 +586,16 @@ def run_lanes(drivers):
 
     A finished lane matches its driver's own `run()` in its discrete
     results (success, failure, steps and the switch sequence), and in its
-    positions (x, c, v) to batched-matmul rounding, well within 1e-9, but
-    not bit for bit: a batched forward rounds unlike the one-row forward
-    `run()` takes, and unlike a forward over another set of rows. So the
-    other lanes of a call, and the tick a lane leaves the batch, may move
-    the last bits of a lane's states. Training drivers are rejected: they
-    stay on `tick()`.
+    positions (x, c, v) and folded rewards to batched-matmul rounding, well
+    within 1e-9, but not bit for bit: a batched forward rounds unlike the
+    one-row forward `run()` takes, and unlike a forward over another set of
+    rows. So the other lanes of a call, and the tick a lane leaves the
+    batch, may move the last bits of a lane's states and folds.
     """
-    if any(drv.trainer is not None for drv in drivers):
-        raise ValueError("run_lanes runs evaluation drivers only")
+    if any(drv.trainer is not None and not drv.folds_only()
+           for drv in drivers):
+        raise ValueError("run_lanes runs evaluation drivers and training "
+                         "tails only")
     live = [drv for drv in drivers if not drv.done]
     if len(live) >= LANE_CROSSOVER:
         live = _run_batch(live)
@@ -573,6 +623,16 @@ def _run_batch(lanes):
     targets. Every switch goes through the driver's `SwitchState`. Finished
     lanes are written back into their drivers and dropped; the lanes left
     (fewer than LANE_CROSSOVER) are written back and returned.
+
+    A training tail (see `run_lanes`) also reads its module's target value
+    at each observation: off the target group's pass while that target
+    acts, else off one batched pass of it over such tails. Either fills
+    the tail's CarriedTarget, and its `fold` adds a tick's reward once V(s')
+    is filled, at the next tick, or when the lane is written back, with the
+    driver's own observation. The env rewards come from
+    `RunnerBatch.rewards`, read only while a tail is live, so evaluation
+    computes none. A tail that detects an artifact its driver has a module
+    for would reach a setup phase, and raises RuntimeError.
     """
     policies = []  # code -> (role, net, norm)
     code_of = {}  # (role, net, norm) -> code; nets and norms hash by identity
@@ -592,6 +652,12 @@ def _run_batch(lanes):
     code, release_x = (np.array(column) for column in
                        zip(*(phase(drv) for drv in lanes)))
     armed = np.array([bool(drv.modules) for drv in lanes])  # can detect
+    # a tail's CarriedTarget of its trained module (None for evaluation),
+    # and its last tick's (obs, r_env, action), whose reward awaits V(s')
+    carries = [None if drv.trainer is None
+               else drv.targets[drv.trainer.module.kind] for drv in lanes]
+    pending = [None] * len(lanes)
+    tails = [i for i, carry in enumerate(carries) if carry is not None]
     batch = RunnerBatch([drv.env.course for drv in lanes],
                         [drv.state for drv in lanes])
 
@@ -603,6 +669,32 @@ def _run_batch(lanes):
         drv = lanes[i]
         drv.state = batch.state(i)
         drv._obs = None
+        if carries[i] is not None and pending[i] is not None:
+            obs, r_env, action = pending[i]
+            drv.fold(carries[i], obs, drv.observation(), r_env, drv.done,
+                     action)
+            if drv.done:
+                # its rows are views of batched passes: let those go
+                carries[i].forget()
+
+    def fill(lane_rows, net, h, values, mu):
+        """Fill the carries of the tails among `lane_rows` whose target is
+        `net` from its trunk outputs `h`, values and means (None: not
+        computed), one row or a batch; then V(s') of each one's last tick
+        is known: fold it."""
+        if h.ndim == 1:
+            h, values, mu = [h], [values], [mu]
+        else:
+            h, values = list(h), values.tolist()
+            mu = [None] * len(h) if mu is None else list(mu)
+        for i, h_i, value, mu_i in zip(lane_rows, h, values, mu):
+            carry = carries[i]
+            if carry is not None and carry.module.target_net is net:
+                carry.fill(obs_rows[i], h_i, value, mu_i)
+                if pending[i] is not None:
+                    obs, r_env, action = pending[i]
+                    lanes[i].fold(carry, obs, obs_rows[i], r_env, False,
+                                  action)
 
     while len(lanes) >= LANE_CROSSOVER:
         for i in ((batch.x > release_x) & batch.contact).nonzero()[0]:
@@ -612,10 +704,14 @@ def _run_batch(lanes):
             drv = lanes[i]
             art = drv.env.course.artifacts[index[i]]
             if art.kind in drv.modules:
+                if carries[i] is not None:
+                    raise RuntimeError("a training tail reached a setup phase")
                 drv.on_detection(art, batch.state(i))
                 code[i], release_x[i] = phase(drv)
 
         obs = batch.observe()
+        # the row objects a tail's carry and its fold read
+        obs_rows = list(obs) if tails else None
         actions = np.empty((len(lanes), ACTION_DIM))
         handoffs = []
         lane_codes = code.tolist()
@@ -629,6 +725,9 @@ def _run_batch(lanes):
             mu = net.head("mu", h)
             if role != POLICY_SETUP:
                 actions[rows] = mu
+                if tails and role == POLICY_TARGET:
+                    fill(rows.tolist(), net, h, net.scalar_head("value", h),
+                         mu)
                 continue
             z = net.scalar_head("switch", h)
             if x.ndim == 1:
@@ -638,17 +737,34 @@ def _run_batch(lanes):
                 actions[i], bit = draw_act(mean, std, lanes[i].rng, p_switch)
                 if bit:
                     handoffs.append(i)
+        # one target pass per module over the tails its target does not
+        # act on
+        by_module = {}
+        for i in tails:
+            module = carries[i].module
+            if policies[lane_codes[i]][1] is not module.target_net:
+                by_module.setdefault(id(module), []).append(i)
+        for group in by_module.values():
+            module = carries[group[0]].module
+            net = module.target_net
+            h = net.trunk(module.target_norm.normalize(obs[group]))
+            fill(group, net, h, net.scalar_head("value", h), None)
 
         done = batch.step(actions)
         for i in handoffs:
             if not done[i]:
                 switch_lane(i, POLICY_TARGET)
+        if tails:  # an evaluation lane's entry is never read
+            pending = list(zip(obs_rows, batch.rewards().tolist(), actions))
         if done.any():
             for i in done.nonzero()[0]:
                 write_back(i)
             keep = ~done
             lanes = [drv for drv, kept in zip(lanes, keep) if kept]
             code, release_x, armed = code[keep], release_x[keep], armed[keep]
+            carries = [c for c, kept in zip(carries, keep) if kept]
+            pending = [p for p, kept in zip(pending, keep) if kept]
+            tails = [i for i, carry in enumerate(carries) if carry is not None]
             batch.compact(keep)
     for i in range(len(lanes)):
         write_back(i)
@@ -716,6 +832,20 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
     generator add a (steps_used, updates, success_rate) row to the curve;
     with eval_episodes=0 the row's rate is None. A periodic rate at or above
     `stop_at` ends training at once (`stopped`).
+
+    Setup training parks its tails. At its worker's turn, a driver whose
+    episode only folds rewards from now on (`folds_only`) is parked and the
+    worker starts its next episode; the parked tails run together through
+    `run_lanes`. They run before each update, so an update sees the folds
+    that ticking them would have added. A handoff that fills its buffer is
+    parked at its worker's next turn, after the update, and folds into the
+    survivor of `clear_except_last`, as on `tick()`. A tail is parked only
+    while the budget holds the most ticks it can take, MAX_STEPS + 1 minus
+    its steps, and the tails run before any tick that their reserve could
+    push past the budget; so the budget ends exactly as on `tick()`. A tail
+    draws nothing, so with one worker the generator's draws keep the order
+    of ticking every episode to its end. Without `extend` or with an
+    `on_episode_end`, every driver stays on `tick()`.
     """
     if eval_episodes < 0 or eval_every < 0:
         raise ValueError("eval_every and eval_episodes must be >= 0")
@@ -737,8 +867,19 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
                              trainer.rng, trainer=trainer, buffer=buffer,
                              init_fn=init_fn)
 
+    def run_tails():
+        nonlocal steps_used, reserve
+        ran = -sum(tail.state.steps for tail in tails)
+        run_lanes(tails)
+        steps_used += ran + sum(tail.state.steps for tail in tails)
+        tails.clear()
+        reserve = 0
+
     drivers = [new_driver(RolloutBuffer(trainer.config.horizon))
                for _ in range(n_workers)]
+    parks = on_episode_end is None  # else each episode ends on tick()
+    tails = []  # parked training tails
+    reserve = 0  # the most ticks the tails can still take
     steps_used = 0
     filled = 0  # workers whose buffer is full
     last_eval_at = None
@@ -746,6 +887,16 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
         for idx, drv in enumerate(drivers):
             if drv.buffer.full:
                 continue  # paused until the joint update
+            if parks and drv.handed_off:
+                most = MAX_STEPS + 1 - drv.state.steps
+                if steps_used + reserve + most <= budget and drv.folds_only():
+                    tails.append(drv)
+                    reserve += most
+                    drv = drivers[idx] = new_driver(drv.buffer)
+            if tails and steps_used + reserve >= budget:
+                run_tails()
+                if steps_used >= budget:
+                    break
             drv.tick()
             steps_used += 1
             filled += drv.buffer.full
@@ -757,6 +908,8 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
                 break
         if filled == n_workers:
             filled = 0
+            if tails:
+                run_tails()
             trainer.update(drivers)
             if eval_every and trainer.updates % eval_every == 0:
                 last_eval_at = trainer.updates
@@ -852,10 +1005,13 @@ def train_setup(module: BehaviorModule, default_net, default_norm, env, config,
     Episodes run the full bridged state machine; only ticks where the setup
     policy acts append to its buffer, each buffer-full moment triggers a PPO
     update followed by clear-except-last, and every post-handoff shaped reward
-    of an episode folds into the buffer's final entry. The budget counts every
-    environment tick of every training episode (walking and target phases
-    included); evaluation episodes are free. `on_episode_end(driver)` fires
-    after each finished training episode, before the runner restarts.
+    of an episode folds into the row its handoff stored (the survivor, if
+    that row was kept across an update); the tails that only fold run as
+    lanes (see `_train`). The budget counts every environment tick of every
+    training episode (walking and target phases included); evaluation
+    episodes are free. `on_episode_end(driver)` fires after each finished
+    training episode, before the runner restarts, and keeps every training
+    episode on `tick()`.
 
     `reward_fn(target, obs, obs_next, r_env, terminal, action)` receives the
     driver's CarriedTarget of the acting module, not the module itself: it

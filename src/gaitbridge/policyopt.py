@@ -88,7 +88,10 @@ class RolloutBuffer:
     copies each value into row `len(self)`, so a stored row holds no object
     of its own. Each column attribute reads as a view of the filled rows
     (an empty buffer reads as empty columns): `ppo_update` reads them in
-    place, and `extend_last_reward` adds into the last row.
+    place. `append` returns the row's number, which `add_reward` takes: the
+    rows dropped by `clear` and `clear_except_last` are counted, so the
+    survivor of `clear_except_last` keeps its number as its index moves
+    from n - 1 to 0, and a dropped row's number is refused.
 
     A row stores the action's mean, and the switch logit when it carries a
     bit, in place of its behaviour log-probability. `ppo_update` computes
@@ -114,6 +117,7 @@ class RolloutBuffer:
         self.capacity = int(capacity)
         self._n = 0
         self._n_logp = 0  # leading rows whose log-probability is filled
+        self._dropped = 0  # rows ever dropped: row number - _dropped = index
         self._allocate(0, 0, 0, True)  # empty columns until the first append
         self.with_bits = None  # whether rows carry a bit: set at first append
         # value bootstrap for a horizon cut mid-phase; set by the trainer
@@ -143,6 +147,7 @@ class RolloutBuffer:
 
     def append(self, obs, action, switch_bit, mean, switch_logit, reward,
                value, done):
+        """Copy a transition into the next row; returns the row's number."""
         n = self._n
         if n >= self.capacity:
             raise BufferError("append to a full buffer; run an update first")
@@ -162,13 +167,18 @@ class RolloutBuffer:
         self._values[n] = value
         self._dones[n] = done
         self._n = n + 1
+        return self._dropped + n
 
-    def extend_last_reward(self, delta):
-        if not self._n:
-            raise BufferError("extend_last_reward on an empty buffer")
-        self._rewards[self._n - 1] += delta
+    def add_reward(self, row, delta):
+        """Add delta to the reward of row number `row`, as `append` returned
+        it; BufferError if that row has been dropped."""
+        i = row - self._dropped
+        if not 0 <= i < self._n:
+            raise BufferError(f"row {row} is no longer in the buffer")
+        self._rewards[i] += delta
 
     def clear(self):
+        self._dropped += self._n
         self._n = self._n_logp = 0
         self.tail_bootstrap = 0.0
 
@@ -180,6 +190,7 @@ class RolloutBuffer:
             raise BufferError("clear_except_last on an empty buffer")
         for column in self._columns:
             column[0] = column[n - 1]
+        self._dropped += n - 1
         self._n_logp = int(self._n_logp == n)
         self._n = 1
         self.tail_bootstrap = 0.0
@@ -334,8 +345,15 @@ def policy_act(net, obs_norm, rng, with_switch=False):
     mu = net.head("mu", h)
     z = net.scalar_head("switch", h) if with_switch else None
     action, bit = draw_act(mu, net.std, rng,
-                           None if z is None else sigmoid(z))
+                           None if z is None else switch_probability(z))
     return action, bit, mu, z, h
+
+
+def switch_probability(z):
+    """`sigmoid(z)` of one float z, as a float: the same operations on a
+    Python float, where the 0-d array `sigmoid` builds costs four times as
+    much. numpy's tanh stays; `math.tanh` rounds differently."""
+    return 0.5 * (1.0 + float(np.tanh(0.5 * z)))
 
 
 def draw_act(mu, std, rng, p_switch=None):

@@ -522,13 +522,15 @@ class RunnerBatch:
         Repeats `TerrainEnv.step` and `_fly` with masks: ground lanes drive
         and crouch, lanes that take off or are airborne fly. Like
         `TerrainEnv.step`, it raises RuntimeError if a lane has finished.
-        It computes no reward: evaluation, its one caller, reads none.
+        It computes no reward; `rewards()` does, for a caller that reads
+        them.
         """
         if self.done.any():
             raise RuntimeError("step on a finished lane")
         a = np.asarray(actions, dtype=np.float64).clip(-1.0, 1.0)
         a1, a2 = a[:, 0], a[:, 1]
-        x_old, h, contact = self.x, self.h, self.contact
+        self._x_old = x_old = self.x
+        h, contact = self.h, self.contact
         support_old = self.support
         takeoff = contact & (self.c >= JUMP_MIN_CROUCH) & (a2 <= JUMP_TRIGGER_A2)
         ground = contact ^ takeoff
@@ -568,6 +570,15 @@ class RunnerBatch:
         self.success = success
         self.done = ended
         return ended
+
+    def rewards(self):
+        """Each lane's reward for the last `step`, before any `compact`, bit
+        for bit the one `TerrainEnv.step` returns: the same float operations
+        in the same order."""
+        r = PROGRESS_GAIN * (self.x - self._x_old)
+        return np.where(self.success, r + ALIVE_BONUS + GOAL_BONUS,
+                        np.where(self.failure > 0, r - FAILURE_PENALTY,
+                                 r + ALIVE_BONUS))
 
     def state(self, i):
         """Lane i as a RunnerState."""

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from gaitbridge import composer as cp
 from gaitbridge import terrainsim as ts
+from gaitbridge.baselines import train_proximity_arm
 from gaitbridge.composer import (
     AWTVParams,
     FLAT,
@@ -1034,7 +1035,7 @@ class TestWalkerOpening:
         install_opening(monkeypatch, lambda: None)
         assert_same_training(memo, training_record(
             monkeypatch, lifted_walker_world, 3000, 8, eval_every=2,
-            eval_episodes=3))
+            eval_episodes=3, on_episode_end=lambda driver: None))
 
     def test_the_walker_trunk_runs_once_per_opening_entry_written(self):
         env, walker, walker_norm, module = lifted_walker_world()
@@ -1620,6 +1621,337 @@ class TestLanes:
             cp.run_lanes(drivers)
 
 
+# ---- training tails as lanes -------------------------------------------------------
+
+
+def tail_world():
+    """A hurdle course whose setup policy crouches, then hands off, as
+    `hurdle_module`'s does, but sampled, and whose specialist's value head
+    reads the observation. The specialist drives and releases the crouch:
+    it clears the hurdle, and the walker walks on to the goal, or it hits
+    the hurdle, which ends the episode."""
+    module = BehaviorModule(HURDLE, valued(scripted_net(1.0, -1.0), 5),
+                            identity_norm(),
+                            scripted_net(0.25, 1.0, crouch_gate=True),
+                            saturated_identity_norm())
+    return (TerrainEnv(single_artifact_course(HURDLE)), scripted_net(0.5, 0.0),
+            identity_norm(), module)
+
+
+def parked_tails(n):
+    """n training drivers of `tail_world`, sharing a trainer and a buffer,
+    each ticked until the rest of its episode only folds."""
+    env, walker, walker_norm, module = tail_world()
+    trainer = setup_trainer(module, PPOConfig(horizon=100_000))
+    buf = RolloutBuffer(trainer.config.horizon)
+    rng = np.random.default_rng(12)
+    tails = []
+    while len(tails) < n:
+        drv = EpisodeDriver(env, walker, walker_norm, {HURDLE: module}, rng,
+                            trainer=trainer, buffer=buf)
+        while not (drv.done or drv.folds_only()):
+            drv.tick()
+        if not drv.done:
+            tails.append(drv)
+    return tails, buf
+
+
+def batch_sizes(monkeypatch):
+    """The lane count of every RunnerBatch step from now on."""
+    sizes = []
+    step = cp.RunnerBatch.step
+
+    def counted_step(batch, actions):
+        sizes.append(len(batch))
+        return step(batch, actions)
+
+    monkeypatch.setattr(cp.RunnerBatch, "step", counted_step)
+    return sizes
+
+
+def assert_close_rewards(got, want):
+    """Folded rewards to batched-matmul rounding: 1e-9 relative."""
+    assert len(got) == len(want)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def tails_run(budget, tick_path, *, world=tail_world, horizon=150,
+              tick_log=None):
+    """One-worker setup training of `world`; `tick_path` ticks every tail
+    (an `on_episode_end` keeps each driver on tick()). Returns what the two
+    paths must share, and the sizes of the lane batches built."""
+    env, walker, walker_norm, module = world()
+    drivers, updates, batches = [], [], []
+    init, update, run_batch, tick = (EpisodeDriver.__init__, Trainer.update,
+                                     cp._run_batch, EpisodeDriver.tick)
+
+    def spy_init(drv, *args, **kwargs):
+        init(drv, *args, **kwargs)
+        if drv.trainer is not None:
+            drivers.append(drv)
+
+    def spy_update(trainer, workers):
+        buf = workers[0].buffer
+        updates.append((buf.rewards.tolist(), buf.switch_bits[-1] == 1.0))
+        update(trainer, workers)
+
+    def spy_run_batch(lanes):
+        batches.append(len(lanes))
+        return run_batch(lanes)
+
+    def spy_tick(drv):
+        folding = drv.handed_off
+        done = tick(drv)
+        if drv.trainer is not None:
+            tick_log.append((folding, done))
+        return done
+
+    rng = np.random.default_rng(3)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(EpisodeDriver, "__init__", spy_init)
+        m.setattr(Trainer, "update", spy_update)
+        m.setattr(cp, "_run_batch", spy_run_batch)
+        if tick_log is not None:
+            m.setattr(EpisodeDriver, "tick", spy_tick)
+        curve = train_setup(module, walker, walker_norm, env,
+                            PPOConfig(horizon=horizon, minibatch=64, epochs=1),
+                            budget, rng, eval_every=0, eval_episodes=0,
+                            on_episode_end=(lambda drv: None) if tick_path
+                            else None)
+    return {"curve": curve, "count": module.setup_norm.count,
+            "rng": rng.bit_generator.state,
+            "discrete": [(d.state.steps, d.state.done, d.state.success,
+                          d.state.failure, [(e.step, e.src, e.dst)
+                                            for e in d.switch.events])
+                         for d in drivers],
+            "updates": updates, "rewards": drivers[-1].buffer.rewards.tolist(),
+            "setup": module.setup_net.flat.copy(),
+            "norm": module.setup_norm.state_arrays()}, batches
+
+
+def assert_same_schedule(got, want, budget):
+    assert got["curve"][-1][0] == want["curve"][-1][0] == budget
+    for key in ("curve", "count", "rng", "discrete"):
+        assert got[key] == want[key], key
+    assert len(got["updates"]) == len(want["updates"])
+    for (got_rows, got_end), (want_rows, want_end) in zip(got["updates"],
+                                                          want["updates"]):
+        assert got_end == want_end
+        assert_close_rewards(got_rows, want_rows)
+    assert_close_rewards(got["rewards"], want["rewards"])
+
+
+class TestTrainingTails:
+    def test_tails_fold_as_ticking_them(self, monkeypatch):
+        tails, buf = parked_tails(2 * cp.LANE_CROSSOVER + 4)
+        twins, twin_buf = copy.deepcopy((tails, buf))
+        before = buf.rewards.copy()
+        sizes = batch_sizes(monkeypatch)
+        assert cp.run_lanes(tails) is tails
+        assert max(sizes) == len(tails)
+        for got, twin in zip(tails, twins):
+            assert_same_outcome(got, twin.run())
+        # both phases of a tail fold on the lane path: the target's and the
+        # walker's after the release
+        assert {e.dst for t in tails for e in t.switch.events} == {
+            POLICY_SETUP, POLICY_TARGET, POLICY_DEFAULT}
+        assert (buf.rewards != before).sum() == len(tails)
+        assert_close_rewards(buf.rewards.tolist(), twin_buf.rewards.tolist())
+
+    def test_a_tail_folds_its_own_target_while_another_acts(self,
+                                                             monkeypatch):
+        # the hurdle setup policy trains on a course whose gap has a module
+        # too: its tails fold the hurdle target's values while the gap
+        # target acts
+        env, walker, modules = two_kind_world()
+        trainer = setup_trainer(modules[HURDLE], PPOConfig(horizon=100_000))
+        buf = RolloutBuffer(trainer.config.horizon)
+        rng = np.random.default_rng(7)
+        tails = []
+        while len(tails) < cp.LANE_CROSSOVER + 2:
+            drv = EpisodeDriver(env, walker, identity_norm(), modules, rng,
+                                trainer=trainer, buffer=buf)
+            while not (drv.done or drv.folds_only()):
+                drv.tick()
+            if not drv.done:
+                assert drv.switch.artifact.kind == GAP
+                tails.append(drv)
+        twins, twin_buf = copy.deepcopy((tails, buf))
+        sizes = batch_sizes(monkeypatch)
+        cp.run_lanes(tails)
+        assert max(sizes) == len(tails)
+        for got, twin in zip(tails, twins):
+            assert_same_outcome(got, twin.run())
+        assert_close_rewards(buf.rewards.tolist(), twin_buf.rewards.tolist())
+
+    def test_run_lanes_rejects_a_driver_that_can_still_learn(self):
+        env, walker, walker_norm, module = tail_world()
+        trainer = setup_trainer(module, PPOConfig(horizon=100_000))
+        rng = np.random.default_rng(2)
+
+        def driver(course_env=env, trainer=trainer, modules=None):
+            return EpisodeDriver(course_env, walker, walker_norm,
+                                 {HURDLE: module} if modules is None
+                                 else modules, rng, trainer=trainer,
+                                 buffer=RolloutBuffer(100_000))
+
+        def handed_off(drv):
+            while not (drv.done or drv.handed_off):
+                drv.tick()
+            return drv
+
+        # a tail before another hurdle, a tail that does not fold, one still
+        # walking to its setup phase, and a target-training driver
+        two = TerrainEnv(make_course([make_artifact(HURDLE, 3.2),
+                                      make_artifact(HURDLE, 5.0)]))
+        no_fold = Trainer(module.setup_net, module.setup_norm,
+                          PPOConfig(horizon=100_000), rng, module=module,
+                          extend=False)
+        target = Trainer(walker, walker_norm, PPOConfig(horizon=16), rng)
+        learners = [handed_off(driver(two)),
+                    handed_off(driver(trainer=no_fold)), driver(),
+                    driver(trainer=target, modules={})]
+        assert all(drv.handed_off and not drv.done for drv in learners[:2])
+        tail = handed_off(driver())
+        assert tail.folds_only() and cp.run_lanes([tail]) == [tail]
+        for drv in learners:
+            assert not drv.folds_only()
+            with pytest.raises(ValueError, match="evaluation"):
+                cp.run_lanes([handed_off(driver())] + [drv])
+
+    def test_a_tail_that_reaches_a_setup_phase_raises(self):
+        # tails walking between two hurdles, forced past run_lanes' check
+        _, walker, walker_norm, module = tail_world()
+        env = TerrainEnv(make_course([make_artifact(HURDLE, 3.2),
+                                      make_artifact(HURDLE, 5.0)]))
+        trainer = setup_trainer(module, PPOConfig(horizon=100_000))
+        buf = RolloutBuffer(100_000)
+        rng = np.random.default_rng(4)
+        lanes = []
+        while len(lanes) < cp.LANE_CROSSOVER:
+            drv = EpisodeDriver(env, walker, walker_norm, {HURDLE: module},
+                                rng, trainer=trainer, buffer=buf)
+            while not drv.done and not (drv.handed_off and
+                                        drv.switch.active == POLICY_DEFAULT):
+                drv.tick()
+            if not drv.done:
+                assert not drv.folds_only()
+                lanes.append(drv)
+        with pytest.raises(RuntimeError, match="setup phase"):
+            cp._run_batch(lanes)
+
+    def test_one_worker_training_equals_ticking_every_tail(self):
+        want, ticked = tails_run(12_000, True)
+        got, batches = tails_run(12_000, False)
+        assert not ticked and max(batches) >= cp.LANE_CROSSOVER
+        # one update's buffer is filled by a handoff, whose tail folds into
+        # the row kept across it
+        assert len(want["updates"]) >= 3
+        assert any(end for _, end in want["updates"])
+        assert_same_schedule(got, want, 12_000)
+
+    @pytest.fixture(scope="class")
+    def budget_ends(self):
+        """The last budget below 12,000 ticks that ends in each place, from
+        the log of (tail tick, episode ended) of ticking every tail."""
+        log = []
+        tails_run(12_000, True, tick_log=log)
+        kinds = {"head": lambda folding, done: not folding,
+                 "inside a tail": lambda folding, done: folding and not done,
+                 "a tail's last tick": lambda folding, done: folding and done}
+        return {end: max(t for t, tick in enumerate(log[:-1], 1)
+                         if kind(*tick))
+                for end, kind in kinds.items()}
+
+    @pytest.mark.parametrize("end", ["head", "inside a tail",
+                                     "a tail's last tick"])
+    def test_the_budget_ends_as_on_tick(self, budget_ends, end):
+        budget = budget_ends[end]
+        assert budget > 11_000
+        want, _ = tails_run(budget, True)
+        got, batches = tails_run(budget, False)
+        assert max(batches) >= cp.LANE_CROSSOVER
+        assert_same_schedule(got, want, budget)
+
+    def test_a_rerun_is_byte_identical(self):
+        first, batches = tails_run(12_000, False)
+        again, _ = tails_run(12_000, False)
+        assert max(batches) >= cp.LANE_CROSSOVER
+        assert first.keys() == again.keys()
+        for key, value in first.items():
+            if key == "norm":
+                assert all(value[k].tobytes() == again[key][k].tobytes()
+                           for k in value)
+            elif key == "setup":
+                assert value.tobytes() == again[key].tobytes()
+            else:
+                assert value == again[key], key
+
+
+class TestPathsLeftOnTick:
+    """Training that parks no tail, or parks only tails too few for a lane
+    batch, keeps the results of ticking every driver bit for bit."""
+
+    @staticmethod
+    def tails_parked(monkeypatch):
+        """The training drivers each `run_lanes` call receives."""
+        parked = []
+        run_lanes = cp.run_lanes
+
+        def spy(drivers):
+            parked.extend(drv for drv in drivers if drv.trainer is not None)
+            return run_lanes(drivers)
+
+        monkeypatch.setattr(cp, "run_lanes", spy)
+        return parked
+
+    def test_a_reward_without_folds(self, monkeypatch):
+        parked = self.tails_parked(monkeypatch)
+        env, walker, walker_norm, module = fast_training_world()
+        _, curve = train_proximity_arm(
+            module, walker, walker_norm, env,
+            PPOConfig(horizon=16, minibatch=8, epochs=2), 3000,
+            np.random.default_rng(5), eval_every=2, eval_episodes=2)
+        assert not parked
+        assert [row[:2] for row in curve] == [(955, 2), (1832, 4), (3000, 5)]
+        assert training_digest(module.setup_net, module.setup_norm, curve) \
+            == ("e9018cc9d5a3db746e1656736f44e11d"
+                "6ccd3ba2f888b6391c5954d67304bc4a")
+
+    def test_an_episode_end_callback(self, monkeypatch):
+        parked = self.tails_parked(monkeypatch)
+        env, walker, walker_norm, module = fast_training_world()
+        ends = []
+        curve = train_setup(module, walker, walker_norm, env,
+                            PPOConfig(horizon=16, minibatch=8, epochs=2), 4000,
+                            np.random.default_rng(6), eval_every=2,
+                            eval_episodes=2, n_workers=2,
+                            on_episode_end=lambda drv: ends.append(drv))
+        assert not parked and len(ends) == 6
+        assert [row[:2] for row in curve] == [(1140, 2), (1283, 4), (4000, 5)]
+        assert training_digest(module.setup_net, module.setup_norm, curve) \
+            == ("3cc43e31dda8b103f4fb518628910c83"
+                "223e6fdcc585a022423e6775daa57253")
+
+    def test_a_two_hurdle_course(self, monkeypatch):
+        parked = self.tails_parked(monkeypatch)
+        _, walker, walker_norm, module = fast_training_world()
+        env = TerrainEnv(make_course([make_artifact(HURDLE, 3.2),
+                                      make_artifact(HURDLE, 5.0)]))
+        curve = train_setup(module, walker, walker_norm, env,
+                            PPOConfig(horizon=16, minibatch=8, epochs=2), 4000,
+                            np.random.default_rng(7), eval_every=2,
+                            eval_episodes=2)
+        # a tail is parked only once no hurdle is left ahead of it
+        assert parked and all(
+            drv.switch.events[-1].x > env.course.artifacts[1].start - 1.0
+            for drv in parked)
+        assert [row[1] for row in curve] == [2, 4, 6, 8, 10, 12, 14]
+        assert training_digest(module.setup_net, module.setup_norm, curve) \
+            == ("1b875c3f6f58411661e40a33b242d099"
+                "c96342342ac66f9f3f9bedcde311dfde")
+
+
 # ---- spawn distributions ----------------------------------------------------------
 
 
@@ -1769,11 +2101,11 @@ class TestSeededTrainingDigests:
                             PPOConfig(horizon=16, minibatch=8, epochs=2), 4000,
                             np.random.default_rng(4), eval_every=2,
                             eval_episodes=2, n_workers=2)
-        assert [updates for _, updates, _ in curve] == [2, 4, 6]
-        assert module.setup_norm.count == 200
+        assert [updates for _, updates, _ in curve] == [2, 4]
+        assert module.setup_norm.count == 138
         assert training_digest(module.setup_net, module.setup_norm, curve) \
-            == ("0e7fe15926bb77850d2185c85128e217"
-                "411f1888a3d933a35ff8ec3e77d64291")
+            == ("3a5d8753eda3adfc52ad2dc910103d96"
+                "2aac3632f34a8e9d04cf84177c22413a")
 
     def test_two_worker_train_setup_evaluating_every_update(self):
         module = hurdle_module()
@@ -1785,8 +2117,8 @@ class TestSeededTrainingDigests:
                             eval_episodes=4, n_workers=2)
         assert [updates for _, updates, _ in curve] == [1, 2, 3, 4, 5, 6]
         assert training_digest(module.setup_net, module.setup_norm, curve) \
-            == ("c6de33b66be5254ccf0d14c44108e9d9"
-                "f2617a28af2a65b369178186513a8228")
+            == ("4d1f4ae984b855cb45dde04c7bbf5e5f"
+                "160634c5e541be80d75ef74ad37115f0")
 
     def test_two_worker_train_setup_from_a_lifted_walker(self):
         # a terrain-blind walker lifted to the full observation; its count-1
@@ -1807,8 +2139,8 @@ class TestSeededTrainingDigests:
                             eval_episodes=3, n_workers=2)
         assert [updates for _, updates, _ in curve][:2] == [2, 4]
         assert training_digest(module.setup_net, module.setup_norm, curve) \
-            == ("ca74091194b5b319c667737ae28e31ec"
-                "4fe73e014d6620fb5b9268aef3644e03")
+            == ("2446b53590333eebcb0759bbebafc616"
+                "9b726dca056006f03515968fa169f3d8")
 
 
 def lanes_digest(outcomes):

@@ -5,7 +5,8 @@ Every name a module in src/ or tests/ imports is used in that module
 modules on the per-tick path multiply matrices with `ndarray.dot`, the
 acting and training code reads only the network heads it uses, only
 `SwitchState` writes a switch's artifact, only `EpisodeDriver.tick` writes a
-trainer's walker opening, every public function and class in src/ is read
+trainer's walker opening, one function adds a folded reward into a buffer
+row, every public function and class in src/ is read
 by name somewhere else in src/ or bench/, and every function the benchmark
 traces for its per-layer metrics still exists, unless it is listed below with
 the reason it is gone.
@@ -176,6 +177,41 @@ def test_only_the_episode_tick_writes_the_opening():
              for path in sorted((ROOT / "src").rglob("*.py"))
              for line in opening_writes(path.read_text(encoding="utf-8"))]
     assert not found, "write the opening in EpisodeDriver.tick:\n" + "\n".join(found)
+
+
+def call_scopes(source, attr):
+    """The (class and function names) scope of each call of a `.attr`."""
+    def walk(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == attr):
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+    return sorted(walk(ast.parse(source), ()))
+
+
+def test_call_scope_detector_names_the_enclosing_definitions():
+    source = ("class D:\n    def fold(self):\n        self.b.add(1)\n"
+              "def run():\n    def back():\n        d.fold()\n"
+              "    d.fold()\n    d.fold\nd.fold()\n")
+    assert call_scopes(source, "add") == [("D", "fold")]
+    assert call_scopes(source, "fold") == [(), ("run",), ("run", "back")]
+
+
+def test_the_fold_is_written_once():
+    # one function adds a folded reward into a buffer row, and both paths
+    # that tick a training tail, tick() and the lane batch, call it
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))]
+    adds = [scope for source in sources
+            for scope in call_scopes(source, "add_reward")]
+    assert adds == [("EpisodeDriver", "fold")]
+    folds = {scope for source in sources
+             for scope in call_scopes(source, "fold")}
+    lanes = {scope for scope in folds if scope[0] == "_run_batch"}
+    assert lanes and folds - lanes == {("EpisodeDriver", "tick")}
 
 
 def public_definitions(source):

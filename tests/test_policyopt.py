@@ -16,6 +16,7 @@ from gaitbridge.policyopt import (
     gae_advantages,
     policy_act,
     ppo_update,
+    switch_probability,
 )
 from helpers import (
     NumpyRunningNormalizer,
@@ -331,15 +332,33 @@ def test_buffer_clear_except_last_keeps_survivor():
         assert len(buf) == 2
 
 
-def test_buffer_extend_last_reward():
-    buf = _filled_buffer(3)
-    base = buf.rewards[-1]
-    buf.extend_last_reward(0.2)
-    buf.extend_last_reward(0.3)
-    assert buf.rewards[-1] == pytest.approx(base + 0.5, abs=1e-12)
-    empty = RolloutBuffer(4)
+def test_buffer_add_reward_into_a_numbered_row():
+    # a row keeps the number `append` gave it across clear_except_last,
+    # whose survivor moves from index n - 1 to 0; a dropped row is refused
+    buf = RolloutBuffer(4)
+    rows = [buf.append(np.zeros(1), np.zeros(1), None, np.zeros(1), 0.0,
+                       float(i), 0.0, False) for i in range(4)]
+    assert rows == [0, 1, 2, 3]
+    base = buf.rewards.copy()
+    buf.add_reward(rows[1], 0.2)
+    buf.add_reward(rows[1], 0.3)
+    assert buf.rewards[1] == base[1] + 0.2 + 0.3
+    assert np.delete(buf.rewards, 1).tobytes() == np.delete(base, 1).tobytes()
+    buf.clear_except_last()
+    buf.add_reward(rows[3], 0.5)
+    assert buf.rewards.tolist() == [3.5]
+    for dropped in rows[:3] + [4]:
+        with pytest.raises(BufferError):
+            buf.add_reward(dropped, 1.0)
+    assert buf.append(np.zeros(1), np.zeros(1), None, np.zeros(1), 0.0, 0.0,
+                      0.0, False) == 4
+    buf.clear()
     with pytest.raises(BufferError):
-        empty.extend_last_reward(1.0)
+        buf.add_reward(4, 1.0)
+    assert buf.append(np.zeros(1), np.zeros(1), None, np.zeros(1), 0.0, 0.0,
+                      0.0, False) == 5
+    with pytest.raises(BufferError):
+        RolloutBuffer(4).add_reward(0, 1.0)
 
 
 def _row(bit, width=3):
@@ -554,6 +573,21 @@ def test_policy_act_with_switch_draws_the_bit_after_the_action():
         assert np.array_equal(mean, mu)
         assert logit.hex() == z.hex()
         assert net.scalar_head("value", h).hex() == value.hex()
+
+
+def test_switch_probability_is_sigmoid_bit_for_bit():
+    # policy_act draws the handoff bit against this float form of sigmoid
+    rng = np.random.default_rng(23)
+    zs = np.concatenate([rng.normal(0.0, scale, 25_000)
+                         for scale in (0.01, 1.0, 10.0, 100.0, 1000.0)]
+                        + [rng.uniform(-745.0, 745.0, 25_000)])
+    special = [0.0, -0.0, np.inf, -np.inf, 700.0, -700.0, np.nan,
+               5e-324, -5e-324, 1e-300, 36.0, -36.0, 19.0, -19.0]
+    zs = zs.tolist() + special
+    got = np.array([switch_probability(z) for z in zs])
+    want = np.array([sigmoid(z) for z in zs])
+    assert got.tobytes() == want.tobytes()
+    assert all(type(switch_probability(z)) is float for z in special)
 
 
 def test_bandit_improves_quickly():

@@ -745,6 +745,32 @@ def test_batch_step_observe_and_detect_match_the_scalar_runner(data):
             break
 
 
+@settings(max_examples=50, deadline=None)
+@given(st.data())
+def test_batch_rewards_match_the_scalar_runner(data):
+    # the reward a training tail folds on the lane path, bit for bit the one
+    # TerrainEnv.step returns, on the lanes of the batch-against-scalar test
+    n = data.draw(st.integers(1, 5))
+    lane_courses = [data.draw(courses()) for _ in range(n)]
+    states = [data.draw(spawns(course)) for course in lane_courses]
+    ticks = data.draw(st.integers(1, 60))
+    script = np.stack([action_script(data.draw(st.integers(0, 2**32 - 1)),
+                                     ticks) for _ in range(n)], axis=1)
+    envs = [TerrainEnv(course) for course in lane_courses]
+    batch = RunnerBatch(lane_courses, [dataclasses.replace(s) for s in states])
+    live = list(range(n))
+    for act in script:
+        done = batch.step(act[live])
+        rewards = batch.rewards()
+        want = [envs[i].step(states[i], act[i]) for i in live]
+        assert bits(*rewards) == bits(*(r for r, _ in want))
+        assert done.tolist() == [d for _, d in want]
+        batch.compact(~done)
+        live = [i for i, kept in zip(live, ~done) if kept]
+        if not live:
+            break
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_x_never_decreases_on_either_path(data):
