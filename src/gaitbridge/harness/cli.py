@@ -37,15 +37,12 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .config import (
-    AWTV_KEYS,
-    PPO_INT_KEYS,
-    PPO_KEYS,
     AWTVParams,
     ConfigError,
-    build_params,
     config_from_dict,
     file_digest,
     load_config,
+    parse_params,
     settings_hash,
 )
 from .experiments import (
@@ -74,25 +71,23 @@ EXPERIMENT_COMMANDS = {
 }
 
 
-def _parse_overrides(pairs, allowed, int_keys, what):
+def _overrides(pairs, what):
+    """{key: number} of --ppo/--awtv KEY=VALUE pairs; `parse_params` checks
+    the keys and the types."""
     out = {}
     for pair in pairs or ():
         key, sep, value = pair.partition("=")
         if not sep:
             raise ConfigError(f"{what} override {pair!r} is not key=value")
-        if key not in allowed:
-            raise ConfigError(f"unknown {what} key {key!r} "
-                              f"(allowed: {', '.join(allowed)})")
         try:
-            out[key] = int(value) if key in int_keys else float(value)
+            out[key] = int(value)
         except ValueError:
-            raise ConfigError(
-                f"{what} override {key}={value!r} is not a number") from None
+            try:
+                out[key] = float(value)
+            except ValueError:
+                raise ConfigError(f"{what} override {key}={value!r} is not "
+                                  "a number") from None
     return out
-
-
-def _course_digest(args):
-    return file_digest(args.course, "course file") if args.course else ""
 
 
 def _print_report(report):
@@ -108,7 +103,8 @@ def _print_report(report):
 
 
 def _check_training_flags(args):
-    """Reject flags that would fail only after training, or never act."""
+    """Reject flags that would fail only after training, or never act;
+    returns the run's PPO settings."""
     for flag in ("budget", "eval_every", "seed"):
         if getattr(args, flag) < 0:
             raise ConfigError(f"--{flag.replace('_', '-')} must be >= 0")
@@ -117,82 +113,86 @@ def _check_training_flags(args):
                           "exist")
     if Path(args.out).is_dir():
         raise ConfigError(f"--out {args.out} is a directory, not a file path")
+    return parse_params(PPOConfig, _overrides(args.ppo, "ppo"), "ppo")
 
 
-def _cmd_train_target(args):
-    _check_training_flags(args)
-    # NaN never compares true: the run would never stop early or fail
-    if math.isnan(args.stop_at or 0.0) or math.isnan(args.min_final or 0.0):
-        raise ConfigError("--stop-at and --min-final must not be nan")
-    config = build_params(PPOConfig, _parse_overrides(
-        args.ppo, PPO_KEYS, PPO_INT_KEYS, "ppo"), "ppo")
-    if args.eval_episodes < 1:  # the final success rate is always checked
-        raise ConfigError("train-target needs --eval-episodes >= 1")
-    course = load_course(args.course) if args.course else None
-    stop_at = target_stop_at(args.kind, args.stop_at)
-    # --min-final only decides pass or fail; it never touches the weights
+def _train_and_save(args, config, settings, train, what, measure):
+    """Run `train()` for its (net, norm, curve), save the policy stamped
+    with the hash of the settings both training commands share plus
+    `settings`, and print the summary: `what` was trained, its final
+    `measure`. The files are hashed before training, as the run read them."""
     run_settings = {
-        "command": "train-target", "kind": args.kind, "budget": args.budget,
-        "seed": args.seed, "course": _course_digest(args), "stop_at": stop_at,
-        "eval_every": args.eval_every, "eval_episodes": args.eval_episodes,
-        "ppo": dataclasses.asdict(config),
+        "command": args.command, "kind": args.kind, "budget": args.budget,
+        "seed": args.seed, "ppo": dataclasses.asdict(config),
+        "course": (file_digest(args.course, "course file") if args.course
+                   else ""),
+        **settings,
     }
-    kwargs = {}
-    if args.min_final is not None:
-        kwargs["min_final"] = args.min_final
-    net, norm, curve = train_target(
-        args.kind, args.budget, np.random.default_rng(args.seed),
-        config=config, course=course, eval_every=args.eval_every,
-        eval_episodes=args.eval_episodes, stop_at=stop_at,
-        seed_tag=args.seed, **kwargs)
+    net, norm, curve = train()
     save_checkpoint(args.out, Checkpoint.of(net, norm,
                                             settings_hash(run_settings)))
     steps, updates, rate = curve[-1]
-    print(f"trained {args.kind} policy: success {rate:.3f} after {steps} "
-          f"steps ({updates} updates)")
+    result = "not evaluated" if rate is None else f"{measure} {rate:.3f}"
+    print(f"trained {args.kind} {what}: {result} after {steps} steps "
+          f"({updates} updates)")
     print(f"checkpoint: {args.out}")
     return 0
 
 
+def _cmd_train_target(args):
+    config = _check_training_flags(args)
+    # NaN never compares true: the run would never stop early or fail
+    if math.isnan(args.stop_at or 0.0) or math.isnan(args.min_final or 0.0):
+        raise ConfigError("--stop-at and --min-final must not be nan")
+    if args.eval_episodes < 1:  # the final success rate is always checked
+        raise ConfigError("train-target needs --eval-episodes >= 1")
+    course = load_course(args.course) if args.course else None
+    stop_at = target_stop_at(args.kind, args.stop_at)
+    kwargs = {}
+    if args.min_final is not None:
+        kwargs["min_final"] = args.min_final
+    # --min-final only decides pass or fail; it never touches the weights
+    return _train_and_save(
+        args, config, {"stop_at": stop_at, "eval_every": args.eval_every,
+                       "eval_episodes": args.eval_episodes},
+        lambda: train_target(
+            args.kind, args.budget, np.random.default_rng(args.seed),
+            config=config, course=course, eval_every=args.eval_every,
+            eval_episodes=args.eval_episodes, stop_at=stop_at,
+            seed_tag=args.seed, **kwargs),
+        "policy", "success")
+
+
 def _cmd_train_setup(args):
-    _check_training_flags(args)
-    config = build_params(PPOConfig, _parse_overrides(
-        args.ppo, PPO_KEYS, PPO_INT_KEYS, "ppo"), "ppo")
-    params = build_params(AWTVParams, _parse_overrides(
-        args.awtv, AWTV_KEYS, (), "awtv"), "awtv")
+    config = _check_training_flags(args)
+    params = parse_params(AWTVParams, _overrides(args.awtv, "awtv"), "awtv")
     if args.eval_episodes < 0:
         raise ConfigError("--eval-episodes must be >= 0")
     course = (load_course(args.course) if args.course
               else course_for_kind(args.kind))
     default_net, default_norm = load_policy(args.default)
     target_net, target_norm = load_policy(args.target)
-    run_settings = {
-        "command": "train-setup", "kind": args.kind, "budget": args.budget,
-        "seed": args.seed, "course": _course_digest(args),
-        "default": file_digest(args.default, "default checkpoint"),
-        "target": file_digest(args.target, "target checkpoint"),
-        "reward": args.reward, "extend": not args.no_extend,
-        "fresh_init": args.fresh_init, "ppo": dataclasses.asdict(config),
-        "awtv": dataclasses.asdict(params),
-    }
     module = setup_module(args.kind, target_net, target_norm, default_net,
                           default_norm, params, args.seed,
                           fresh=args.fresh_init)
-    curve = train_setup(
-        module, default_net, default_norm, TerrainEnv(course),
-        config, args.budget, np.random.default_rng(args.seed),
-        reward_fn=SETUP_REWARDS[args.reward],
-        extend=not args.no_extend, eval_every=args.eval_every,
-        eval_episodes=args.eval_episodes, seed_tag=args.seed)
-    save_checkpoint(args.out, Checkpoint.of(module.setup_net,
-                                            module.setup_norm,
-                                            settings_hash(run_settings)))
-    steps, updates, rate = curve[-1]
-    result = "not evaluated" if rate is None else f"bridged success {rate:.3f}"
-    print(f"trained {args.kind} setup policy: {result} after {steps} steps "
-          f"({updates} updates)")
-    print(f"checkpoint: {args.out}")
-    return 0
+
+    def train():
+        curve = train_setup(
+            module, default_net, default_norm, TerrainEnv(course),
+            config, args.budget, np.random.default_rng(args.seed),
+            reward_fn=SETUP_REWARDS[args.reward],
+            extend=not args.no_extend, eval_every=args.eval_every,
+            eval_episodes=args.eval_episodes, seed_tag=args.seed)
+        return module.setup_net, module.setup_norm, curve
+
+    return _train_and_save(
+        args, config, {
+            "default": file_digest(args.default, "default checkpoint"),
+            "target": file_digest(args.target, "target checkpoint"),
+            "reward": args.reward, "extend": not args.no_extend,
+            "fresh_init": args.fresh_init,
+            "awtv": dataclasses.asdict(params),
+        }, train, "setup policy", "bridged success")
 
 
 # ---- evaluation and experiment subcommands ----------------------------------------
@@ -209,6 +209,8 @@ def _cmd_evaluate(args):
             raise ConfigError(
                 f"--module {spec!r} is not KIND=SETUP_CKPT:TARGET_CKPT "
                 f"with KIND one of {', '.join(KINDS)}")
+        if kind in checkpoints:
+            raise ConfigError(f"--module gives {kind} more than once")
         checkpoints[kind] = {"setup": setup_path, "target": target_path}
     raw = {
         "experiment": "evaluation",

@@ -11,8 +11,14 @@ The canonical hash fingerprints the fully-resolved settings (defaults
 included), so two runs compare as "same experiment" exactly when every
 knob matches. Referenced checkpoint and course files enter it by the
 sha256 of their bytes, not by their paths, and the output directory does
-not enter it at all. The hash is embedded in every artifact the harness
+not enter it at all. A run's hash covers the checkpoints the run loads and
+no others: an experiment hashes its config cut down to the checkpoint
+entries it loaded, so a file the config names but the run never reads
+leaves the hash alone. The hash is embedded in every artifact the harness
 writes.
+
+`parse_params` is the one parser of PPO and AWTV settings, for the
+config's `ppo`/`awtv` sections and the CLI's --ppo/--awtv pairs alike.
 """
 
 import dataclasses
@@ -68,7 +74,6 @@ class ExperimentConfig:
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
 PPO_KEYS = tuple(f.name for f in dataclasses.fields(PPOConfig))
-PPO_INT_KEYS = ("epochs", "minibatch", "horizon")
 AWTV_KEYS = tuple(f.name for f in dataclasses.fields(AWTVParams))
 _MODULE_CKPT_KEYS = ("target", "setup")
 
@@ -79,6 +84,21 @@ def build_params(cls, overrides, what):
         return cls(**overrides)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what} parameter: {exc}") from None
+
+
+def parse_params(cls, raw, what):
+    """`cls` (PPOConfig or AWTVParams) from a mapping of its field names to
+    numbers. A field whose default is an int takes only an int, any other
+    an int or a float; an unknown key, a value of another type or one that
+    `cls` rejects is a ConfigError."""
+    _require_type(raw, (dict,), what)
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    _reject_unknown(raw, defaults, what)
+    return build_params(cls, {
+        key: (_require_type(value, (int,), f"{what}.{key}")
+              if type(defaults[key]) is int
+              else _require_float(value, f"{what}.{key}"))
+        for key, value in raw.items()}, what)
 
 
 def _reject_unknown(mapping, allowed, where):
@@ -116,21 +136,20 @@ def _resolve_path(base_dir, value, what, check):
 def _validate_checkpoints(raw, base_dir, check_paths):
     _require_type(raw, (dict,), "checkpoints")
     _reject_unknown(raw, ("default",) + tuple(KINDS), "checkpoints")
+
+    def path_at(value, where):
+        return _resolve_path(base_dir, _require_type(value, (str,), where),
+                             f"checkpoint {where}", check_paths)
+
     out = {}
     for key, value in raw.items():
         if key == "default":
-            out[key] = _resolve_path(base_dir, _require_type(
-                value, (str,), "checkpoints.default"),
-                "checkpoint checkpoints.default", check_paths)
+            out[key] = path_at(value, "checkpoints.default")
             continue
         _require_type(value, (dict,), f"checkpoints.{key}")
         _reject_unknown(value, _MODULE_CKPT_KEYS, f"checkpoints.{key}")
-        out[key] = {
-            role: _resolve_path(base_dir, _require_type(
-                path, (str,), f"checkpoints.{key}.{role}"),
-                f"checkpoint checkpoints.{key}.{role}", check_paths)
-            for role, path in value.items()
-        }
+        out[key] = {role: path_at(path, f"checkpoints.{key}.{role}")
+                    for role, path in value.items()}
     return out
 
 
@@ -179,11 +198,9 @@ def config_from_dict(raw, base_dir=None, check_paths=True) -> ExperimentConfig:
         values["arms"] = tuple(_require_type(a, (str,), "each arm")
                                for a in arms)
     if "output_dir" in raw:
-        out = _require_type(raw["output_dir"], (str,), "output_dir")
-        path = Path(out)
-        if not path.is_absolute() and base_dir is not None:
-            path = Path(base_dir) / path
-        values["output_dir"] = str(path)
+        values["output_dir"] = _resolve_path(
+            base_dir, _require_type(raw["output_dir"], (str,), "output_dir"),
+            "output_dir", False)
     if "checkpoints" in raw:
         values["checkpoints"] = _validate_checkpoints(raw["checkpoints"],
                                                       base_dir, check_paths)
@@ -197,22 +214,9 @@ def config_from_dict(raw, base_dir=None, check_paths=True) -> ExperimentConfig:
                 raise ConfigError(f"budgets.{key} must be >= 0")
             merged[key] = value
         values["budgets"] = merged
-    if "awtv" in raw:
-        awtv = _require_type(raw["awtv"], (dict,), "awtv")
-        _reject_unknown(awtv, AWTV_KEYS, "awtv")
-        values["awtv"] = build_params(
-            AWTVParams, {k: _require_float(v, f"awtv.{k}")
-                         for k, v in awtv.items()}, "awtv")
-    if "ppo" in raw:
-        ppo = _require_type(raw["ppo"], (dict,), "ppo")
-        _reject_unknown(ppo, PPO_KEYS, "ppo")
-        checked = {}
-        for key, value in ppo.items():
-            if key in PPO_INT_KEYS:
-                checked[key] = _require_type(value, (int,), f"ppo.{key}")
-            else:
-                checked[key] = _require_float(value, f"ppo.{key}")
-        values["ppo"] = build_params(PPOConfig, checked, "ppo")
+    for section, cls in (("awtv", AWTVParams), ("ppo", PPOConfig)):
+        if section in raw:
+            values[section] = parse_params(cls, raw[section], section)
 
     return ExperimentConfig(**values)
 
@@ -256,7 +260,8 @@ def file_digest(path, what):
 
 def config_hash(config: ExperimentConfig) -> str:
     """Hash of what the experiment computes: its settings and the contents
-    of the files it reads. Raises ConfigError if one cannot be read."""
+    of the files it names (the experiments pass a config cut down to the
+    checkpoints they load). Raises ConfigError if one cannot be read."""
     settings = dataclasses.asdict(config)
     del settings["output_dir"]
     settings["checkpoints"] = {

@@ -12,7 +12,7 @@ from different settings can never be compared silently.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -181,35 +181,50 @@ def summarize_metrics(paths):
 # ---- shared plumbing ---------------------------------------------------------
 
 
-def _required_checkpoint(config, what, *keys):
-    path = config.checkpoint_path(*keys)
-    if path is None:
-        raise ConfigError(
-            f"{what} needs checkpoints.{'.'.join(keys)} in the config")
-    return path
+def _load_checkpoints(config, what, kinds, roles=("target",), optional=()):
+    """Load the walker, and per kind of `kinds` the policies at each role of
+    `roles` and at each of `optional` that the config names.
 
-
-def _load_default(config, what):
-    return load_policy(_required_checkpoint(config, what, "default"))
-
-
-def _load_module(config, kind, what, default_net, default_norm):
-    """Build a behavior module from configured checkpoints.
-
-    The target checkpoint is mandatory. A missing setup checkpoint falls
-    back to the walker-initialized setup policy (exactly the untrained
-    starting point), which is what the no-setup arm and fresh evaluations
-    want.
+    Every required key is checked before any file is read. Returns the
+    walker's (net, norm), the policies by (kind, role), and the config cut
+    down to the checkpoints loaded. The run hashes that config, so a file it
+    never reads leaves its hash alone.
     """
-    target_net, target_norm = load_policy(
-        _required_checkpoint(config, what, kind, "target"))
-    setup_path = config.checkpoint_path(kind, "setup")
-    if setup_path is not None:
-        setup_net, setup_norm = load_policy(setup_path)
-        return BehaviorModule(kind, target_net, target_norm, setup_net,
-                              setup_norm, config.awtv)
-    return BehaviorModule.from_default(kind, target_net, target_norm,
-                                       default_net, default_norm, config.awtv)
+    for keys in [("default",)] + [(kind, role) for kind in kinds
+                                  for role in roles]:
+        if config.checkpoint_path(*keys) is None:
+            raise ConfigError(
+                f"{what} needs checkpoints.{'.'.join(keys)} in the config")
+    checkpoints = {"default": config.checkpoints["default"]}
+    walker = load_policy(checkpoints["default"])
+    policies = {}
+    for kind in kinds:
+        for role in (*roles, *optional):
+            path = config.checkpoint_path(kind, role)
+            if path is not None:
+                policies[kind, role] = load_policy(path)
+                checkpoints.setdefault(kind, {})[role] = path
+    return walker, policies, replace(config, checkpoints=checkpoints)
+
+
+def _module(config, kind, walker, policies):
+    """The `kind` behavior module of loaded policies. Without a setup
+    checkpoint its setup policy is the walker-initialized one (exactly the
+    untrained starting point)."""
+    target = policies[kind, "target"]
+    if (kind, "setup") in policies:
+        return BehaviorModule(kind, *target, *policies[kind, "setup"],
+                              config.awtv)
+    return BehaviorModule.from_default(kind, *target, *walker, config.awtv)
+
+
+def _eval_drivers(config, course, seed, walker, modules, without_setup=False):
+    """A cell's evaluation drivers: `config.episodes` episodes on `course`
+    from the seed's evaluation stream, `walker` the walking (net, norm)."""
+    return episode_drivers(TerrainEnv(course), *walker, modules,
+                           config.episodes,
+                           np.random.default_rng((seed, RNG_EVAL)),
+                           without_setup=without_setup)
 
 
 def setup_module(kind, target_net, target_norm, default_net, default_norm,
@@ -272,7 +287,8 @@ def _run_grid(config, experiment, course_id, arms, cells, extra=None,
     all cells' drivers run as lanes of one `run_lanes` call, so nothing is
     written if a cell raises. `label(course)` names a row's course (default
     `course_id`); `extra(ran)` turns each cell's finished drivers, keyed
-    (arm, seed), into entries that join the report.
+    (arm, seed), into entries that join the report. `config` is the one
+    `_load_checkpoints` returned, so the hash covers what the run loaded.
     """
     cfg_hash = config_hash(config)
     out_dir = Path(config.output_dir)
@@ -320,41 +336,32 @@ def _save_arm_checkpoint(config, name, net, norm):
 
 class _SetupExperiment:
     """Course, walker and frozen target of an experiment that trains one
-    setup policy per (arm, seed) cell."""
+    setup policy per (arm, seed) cell; `config` keeps the checkpoints it
+    loaded."""
 
     def __init__(self, config, what):
-        self.config = config
         self.course, self.course_id = experiment_course(config)
-        self.default_net, self.default_norm = _load_default(config, what)
-        self.target_net, self.target_norm = load_policy(
-            _required_checkpoint(config, what, config.kind, "target"))
+        self.walker, policies, self.config = _load_checkpoints(
+            config, what, (config.kind,))
+        self.target = policies[config.kind, "target"]
 
     def module(self, seed, fresh=False):
-        return setup_module(self.config.kind, self.target_net,
-                            self.target_norm, self.default_net,
-                            self.default_norm, self.config.awtv,
-                            seed, fresh=fresh)
-
-    def drivers(self, seed, module, **kwargs):
-        """The cell's evaluation drivers of `module` on the course."""
-        return episode_drivers(
-            TerrainEnv(self.course), self.default_net, self.default_norm,
-            {module.kind: module}, self.config.episodes,
-            np.random.default_rng((seed, RNG_EVAL)), **kwargs)
+        return setup_module(self.config.kind, *self.target, *self.walker,
+                            self.config.awtv, seed, fresh=fresh)
 
     def cell(self, arm, seed, trainer=train_setup, fresh=False,
              **trainer_kwargs):
         """Build, train and checkpoint one setup policy; returns the cell's
         evaluation drivers."""
         module = self.module(seed, fresh)
-        trainer(module, self.default_net, self.default_norm,
-                TerrainEnv(self.course), self.config.ppo,
+        trainer(module, *self.walker, TerrainEnv(self.course), self.config.ppo,
                 self.config.budgets["setup"],
                 np.random.default_rng((seed, RNG_TRAIN)), eval_every=0,
                 eval_episodes=0, seed_tag=seed, **trainer_kwargs)
         _save_arm_checkpoint(self.config, f"setup_{arm}_seed{seed}",
                              module.setup_net, module.setup_norm)
-        return self.drivers(seed, module)
+        return _eval_drivers(self.config, self.course, seed, self.walker,
+                             {module.kind: module})
 
 
 # ---- experiments -------------------------------------------------------------
@@ -363,20 +370,15 @@ class _SetupExperiment:
 def run_evaluation(config):
     """Evaluate already-trained policies on a course; no training at all."""
     course, course_id = experiment_course(config)
-    default_net, default_norm = _load_default(config, "evaluation")
-    kinds_present = sorted({a.kind for a in course.artifacts})
-    modules = {
-        kind: _load_module(config, kind, "evaluation", default_net,
-                           default_norm)
-        for kind in kinds_present if config.checkpoint_path(kind) is not None
-    }
+    kinds = [kind for kind in sorted({a.kind for a in course.artifacts})
+             if config.checkpoint_path(kind) is not None]
+    walker, policies, config = _load_checkpoints(
+        config, "evaluation", kinds, optional=("setup",))
+    modules = {kind: _module(config, kind, walker, policies) for kind in kinds}
     arms = _chosen_arms(config, EVALUATION_ARMS, "evaluation")
-    env = TerrainEnv(course)
     return _run_grid(config, "evaluation", course_id, arms,
-                     lambda arm, seed: episode_drivers(
-                         env, default_net, default_norm, modules,
-                         config.episodes,
-                         np.random.default_rng((seed, RNG_EVAL)),
+                     lambda arm, seed: _eval_drivers(
+                         config, course, seed, walker, modules,
                          without_setup=arm == "without-setup"))
 
 
@@ -385,7 +387,7 @@ def run_ablation(config):
     setup = _SetupExperiment(config, "ablation")
     arms = _chosen_arms(config, ABLATION_ARMS, "ablation")
     return _run_grid(
-        config, "ablation", setup.course_id, arms,
+        setup.config, "ablation", setup.course_id, arms,
         lambda arm, seed: setup.cell(arm, seed, fresh=arm == "no-init",
                                      extend=arm != "no-extended"))
 
@@ -396,7 +398,7 @@ def run_reward_comparison(config):
     arms = _chosen_arms(config, VARIANT_TAGS, "reward comparison",
                         REWARD_ARMS_DEFAULT)
     return _run_grid(
-        config, "reward-comparison", setup.course_id, arms,
+        setup.config, "reward-comparison", setup.course_id, arms,
         lambda arm, seed: setup.cell(arm, seed,
                                      reward_fn=SETUP_REWARDS[arm]))
 
@@ -409,6 +411,7 @@ def run_baseline_comparison(config):
     removals.
     """
     setup = _SetupExperiment(config, "baseline comparison")
+    config = setup.config
     arms = _chosen_arms(config, BASELINE_ARMS, "baseline comparison")
 
     def cells(arm, seed):
@@ -417,16 +420,16 @@ def run_baseline_comparison(config):
         if arm == "proximity":
             return setup.cell(arm, seed, trainer=train_proximity_arm)
         if arm == "without-setup":
-            return setup.drivers(seed, setup.module(seed), without_setup=True)
+            return _eval_drivers(config, setup.course, seed, setup.walker,
+                                 {config.kind: setup.module(seed)},
+                                 without_setup=True)
         net, norm, _ = train_single_policy(
             setup.course, config.budgets["setup"],
             np.random.default_rng((seed, RNG_TRAIN)),
             config=config.ppo, eval_every=0, eval_episodes=0,
             seed_tag=seed)
         _save_arm_checkpoint(config, f"single_policy_seed{seed}", net, norm)
-        return episode_drivers(TerrainEnv(setup.course), net, norm, {},
-                               config.episodes,
-                               np.random.default_rng((seed, RNG_EVAL)))
+        return _eval_drivers(config, setup.course, seed, (net, norm), {})
 
     return _run_grid(config, "baseline-comparison", setup.course_id, arms,
                      cells)
@@ -456,13 +459,9 @@ def run_multi_terrain(config):
     of one `run_lanes` call, one course and env per lane, so an episode's
     discrete results do not depend on the other cells (see `run_lanes`).
     """
-    for kind in KINDS:
-        for role in ("target", "setup"):
-            _required_checkpoint(config, "multi-terrain", kind, role)
-    default_net, default_norm = _load_default(config, "multi-terrain")
-    modules = {kind: _load_module(config, kind, "multi-terrain", default_net,
-                                  default_norm)
-               for kind in KINDS}
+    walker, policies, config = _load_checkpoints(
+        config, "multi-terrain", KINDS, ("target", "setup"))
+    modules = {kind: _module(config, kind, walker, policies) for kind in KINDS}
     arms = _chosen_arms(config, MULTI_TERRAIN_ARMS, "multi-terrain")
 
     def drivers(arm, seed):
@@ -471,8 +470,7 @@ def run_multi_terrain(config):
             order = tuple(KINDS[i]
                           for i in order_rng.permutation(len(KINDS)))
             yield EpisodeDriver(
-                TerrainEnv(multi_terrain_course(order)), default_net,
-                default_norm, modules,
+                TerrainEnv(multi_terrain_course(order)), *walker, modules,
                 np.random.default_rng((seed, episode, RNG_EPISODE)),
                 without_setup=arm == "without-setup")
 

@@ -161,7 +161,15 @@ def multi_terrain_course(order):
 
 # ---- course files -----------------------------------------------------------
 
-_OVERRIDE_KEYS = {"height", "length", "width"}
+# override key -> the artifact dimension it sets (width is an alias)
+_OVERRIDE_KEYS = {"height": "height", "length": "length", "width": "length"}
+
+
+def _number(text, what, where):
+    try:
+        return float(text)
+    except ValueError:
+        raise CourseError(f"{where}: {what} {text!r} is not a number") from None
 
 
 def parse_course_text(text, name="<course>"):
@@ -169,7 +177,8 @@ def parse_course_text(text, name="<course>"):
 
     Each non-empty, non-comment line is either ``<kind> <start> [key=value...]``
     with kind in {block, gap, hurdle} and optional height=/length=/width=
-    overrides (width is an alias for length), or ``goal <x>``.
+    overrides (width is an alias for length; each dimension is set at most
+    once), or ``goal <x>``.
     """
     artifacts = []
     goal_x = None
@@ -177,42 +186,33 @@ def parse_course_text(text, name="<course>"):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        where = f"{name}:{lineno}"
         parts = line.split()
         head = parts[0].lower()
         if head == "goal":
             if goal_x is not None:
-                raise CourseError(f"{name}:{lineno}: duplicate goal line")
+                raise CourseError(f"{where}: duplicate goal line")
             if len(parts) != 2:
-                raise CourseError(f"{name}:{lineno}: goal takes exactly one value")
-            try:
-                goal_x = float(parts[1])
-            except ValueError:
-                raise CourseError(f"{name}:{lineno}: goal value {parts[1]!r} is not a number") from None
+                raise CourseError(f"{where}: goal takes exactly one value")
+            goal_x = _number(parts[1], "goal value", where)
             continue
         if head not in KINDS:
-            raise CourseError(f"{name}:{lineno}: unknown artifact kind {parts[0]!r}")
+            raise CourseError(f"{where}: unknown artifact kind {parts[0]!r}")
         if len(parts) < 2:
-            raise CourseError(f"{name}:{lineno}: {head} needs a start position")
-        try:
-            start = float(parts[1])
-        except ValueError:
-            raise CourseError(f"{name}:{lineno}: start {parts[1]!r} is not a number") from None
-        height = length = None
+            raise CourseError(f"{where}: {head} needs a start position")
+        start = _number(parts[1], "start", where)
+        sizes = {}
         for token in parts[2:]:
             if "=" not in token:
-                raise CourseError(f"{name}:{lineno}: expected key=value, got {token!r}")
+                raise CourseError(f"{where}: expected key=value, got {token!r}")
             key, _, value = token.partition("=")
             if key not in _OVERRIDE_KEYS:
-                raise CourseError(f"{name}:{lineno}: unknown override {key!r}")
-            try:
-                fval = float(value)
-            except ValueError:
-                raise CourseError(f"{name}:{lineno}: {key} value {value!r} is not a number") from None
-            if key == "height":
-                height = fval
-            else:
-                length = fval
-        artifacts.append(make_artifact(head, start, height, length))
+                raise CourseError(f"{where}: unknown override {key!r}")
+            size = _OVERRIDE_KEYS[key]
+            if size in sizes:
+                raise CourseError(f"{where}: {key}= sets the {size} again")
+            sizes[size] = _number(value, f"{key} value", where)
+        artifacts.append(make_artifact(head, start, **sizes))
     try:
         return make_course(artifacts, goal_x)
     except CourseError as exc:

@@ -23,7 +23,7 @@ from gaitbridge.harness.checkpoint import (
     load_policy,
     save_checkpoint,
 )
-from gaitbridge.harness.cli import EXPERIMENT_COMMANDS, main
+from gaitbridge.harness.cli import EXPERIMENT_COMMANDS, _overrides, main
 from gaitbridge.harness.config import (
     AWTV_KEYS,
     EXPERIMENT_KINDS,
@@ -32,6 +32,7 @@ from gaitbridge.harness.config import (
     config_from_dict,
     config_hash,
     load_config,
+    parse_params,
 )
 from gaitbridge.harness.experiments import (
     MetricsError,
@@ -242,6 +243,15 @@ _BAD_TRAINING_FLAGS = [
     ("train-setup", ["--out", "no-such-dir/policy.ckpt"]),
     ("train-target", ["--out", "."]),
     ("train-setup", ["--out", "."]),
+    # a malformed override: no `=`, an unknown key, not a number, or a
+    # fraction for an integer setting
+    ("train-target", ["--ppo", "lr"]),
+    ("train-target", ["--ppo", "nope=1"]),
+    ("train-target", ["--ppo", "lr=abc"]),
+    ("train-target", ["--ppo", "epochs=4.5"]),
+    ("train-setup", ["--ppo", "epochs=4.5"]),
+    ("train-setup", ["--awtv", "alpha=x"]),
+    ("train-setup", ["--awtv", "nope=1"]),
 ]
 
 
@@ -259,6 +269,43 @@ def test_out_of_range_training_flags_exit_2_without_traceback(
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+def test_settings_overrides_parse_like_the_config_sections():
+    # the CLI only reads numbers; the one parser types them as it types a
+    # config's section, so a settings hash sees the same values
+    pairs = ["lr=1", "epochs=3", "horizon=+64", "clip=2e-1"]
+    parsed = parse_params(PPOConfig, _overrides(pairs, "ppo"), "ppo")
+    assert parsed == config_from_dict({"experiment": "ablation", "ppo": {
+        "lr": 1.0, "epochs": 3, "horizon": 64, "clip": 0.2}}).ppo
+    assert type(parsed.lr) is float and type(parsed.epochs) is int
+    with pytest.raises(ConfigError, match="ppo.horizon must be of type int"):
+        parse_params(PPOConfig, _overrides(["horizon=1e3"], "ppo"), "ppo")
+
+
+def test_a_repeated_module_kind_exits_2(tmp_path, capsys, checkpoints):
+    hurdle = checkpoints["hurdle"]
+    gap = checkpoints["gap"]
+    code = main(["evaluate", "--default", checkpoints["default"],
+                 "--kind", "hurdle",
+                 "--module", f"hurdle={hurdle['setup']}:{hurdle['target']}",
+                 "--module", f"hurdle={gap['setup']}:{gap['target']}",
+                 "--episodes", "1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and "hurdle" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [["--episodes", "0"], ["--seeds", "0"]])
+def test_experiment_count_overrides_below_one_exit_2(tmp_path, capsys,
+                                                     checkpoints, flags):
+    config = _write_config(tmp_path, checkpoints, "ablation")
+    assert main(["ablate", "--config", str(config), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "a").exists()
 
 
 def _no_training(monkeypatch):
@@ -560,15 +607,61 @@ def test_unreadable_referenced_file_is_a_config_error(tmp_path, capsys):
         check_paths=False)
     with pytest.raises(ConfigError, match="missing.ckpt"):
         config_hash(config)
-    # the block module is not on the hurdle course, so only the hash reads it
-    code = main(["evaluate", "--default", str(good), "--kind", "hurdle",
-                 "--module", f"hurdle={good}:{good}",
-                 "--module", f"block={missing}:{missing}", "--episodes", "1",
-                 "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err.startswith("error: cannot read checkpoint checkpoints.block")
-    assert "Traceback" not in err
+
+    # a run hashes only the checkpoints it loads: the block module is not on
+    # the hurdle course, so the evaluation never reads its files
+    def evaluate_hash(*modules):
+        out = tmp_path / f"out{len(modules)}"
+        code = main(["evaluate", "--default", str(good), "--kind", "hurdle",
+                     "--module", f"hurdle={good}:{good}", *modules,
+                     "--episodes", "1", "--out", str(out)])
+        assert code == 0, capsys.readouterr().err
+        return read_metrics_csv(out / "metrics_with-setup.csv")[0]
+
+    assert evaluate_hash("--module", f"block={missing}:{missing}") == \
+        evaluate_hash()
+
+
+def test_checkpoints_a_run_does_not_load_leave_its_hash_alone(
+        tmp_path, checkpoints):
+    names = {name: shutil.copyfile(path, tmp_path / f"{name}.ckpt")
+             for name, path in (("default", checkpoints["default"]),
+                                ("target", checkpoints["hurdle"]["target"]),
+                                ("setup", checkpoints["hurdle"]["setup"]),
+                                ("block", checkpoints["block"]["target"]))}
+    hurdle = {"target": str(names["target"]), "setup": str(names["setup"])}
+
+    def hashes():
+        evaluate = tmp_path / "evaluate"
+        assert main(["evaluate", "--default", str(names["default"]),
+                     "--kind", "hurdle", "--module",
+                     f"hurdle={checkpoints['hurdle']['setup']}:"
+                     f"{names['target']}",
+                     "--module", f"block={names['block']}:{names['block']}",
+                     "--episodes", "1", "--out", str(evaluate)]) == 0
+        config = _write_config(
+            tmp_path, {"default": str(names["default"]), "hurdle": hurdle},
+            "ablation", arms=["full"], episodes=1,
+            budgets={"setup": 64}, ppo={"horizon": 32, "epochs": 1})
+        assert main(["ablate", "--config", str(config)]) == 0
+        ablation = json.loads((tmp_path / "a" / "report.json").read_text())
+        stamped = checkpoint.load_checkpoint(
+            tmp_path / "a" / "setup_full_seed1.ckpt").config_hash
+        assert stamped == ablation["config_hash"]
+        return (read_metrics_csv(evaluate / "metrics_with-setup.csv")[0],
+                ablation["config_hash"])
+
+    first = hashes()
+    # neither file is loaded: the block module is off the hurdle course, and
+    # the ablation trains a setup policy that starts from the walker
+    other = Checkpoint.of(*_policy(seed=5))
+    save_checkpoint(names["block"], other)
+    save_checkpoint(names["setup"], other)
+    assert hashes() == first
+    # a file both runs load still moves both hashes
+    save_checkpoint(names["target"], other)
+    second = hashes()
+    assert second[0] != first[0] and second[1] != first[1]
 
 
 @pytest.mark.parametrize("experiment, key, value", [

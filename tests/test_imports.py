@@ -6,7 +6,8 @@ modules on the per-tick path multiply matrices with `ndarray.dot`, the
 acting and training code reads only the network heads it uses, only
 `SwitchState` writes a switch's artifact, only `EpisodeDriver.tick` writes a
 trainer's walker opening, one function adds a folded reward into a buffer
-row, every public function and class in src/ is read
+row, one function in config.py builds the PPO and AWTV settings, every
+public function and class in src/ is read
 by name somewhere else in src/ or bench/, and every function the benchmark
 traces for its per-layer metrics still exists, unless it is listed below with
 the reason it is gone.
@@ -180,12 +181,14 @@ def test_only_the_episode_tick_writes_the_opening():
 
 
 def call_scopes(source, attr):
-    """The (class and function names) scope of each call of a `.attr`."""
+    """The (class and function names) scope of each call of a `.attr`, or of
+    a bare `attr`."""
     def walk(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             scope = scope + (node.name,)
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == attr):
+        if isinstance(node, ast.Call) and attr in (
+                getattr(node.func, "attr", None),
+                getattr(node.func, "id", None)):
             yield scope
         for child in ast.iter_child_nodes(node):
             yield from walk(child, scope)
@@ -212,6 +215,24 @@ def test_the_fold_is_written_once():
              for scope in call_scopes(source, "fold")}
     lanes = {scope for scope in folds if scope[0] == "_run_batch"}
     assert lanes and folds - lanes == {("EpisodeDriver", "tick")}
+
+
+def test_call_scope_detector_counts_bare_calls():
+    source = ("from m import parse\ndef read():\n    parse(1)\n"
+              "    m.parse(2)\n    parse\n")
+    assert call_scopes(source, "parse") == [("read",), ("read",)]
+
+
+def test_one_settings_parser_builds_the_params():
+    # PPO and AWTV settings, from a config section or a CLI override, go
+    # through config.parse_params: a command that built its own would check
+    # keys and types a second way
+    found = [(str(path.relative_to(ROOT)), scope)
+             for top in ("src", "bench")
+             for path in sorted((ROOT / top).rglob("*.py"))
+             for scope in call_scopes(path.read_text(encoding="utf-8"),
+                                      "build_params")]
+    assert found == [("src/gaitbridge/harness/config.py", ("parse_params",))]
 
 
 def public_definitions(source):

@@ -568,6 +568,21 @@ def test_parse_course_errors_carry_position(text, lineno, fragment):
         assert fragment in msg
 
 
+@pytest.mark.parametrize("text, key, size", [
+    ("hurdle 3.2 width=0.1 length=0.5\n", "length", "length"),
+    ("hurdle 3.2 length=0.5 width=0.1\n", "width", "length"),
+    ("gap 3.2 width=0.5 width=0.6\n", "width", "length"),
+    ("block 3.2 height=0.1 height=0.3\n", "height", "height"),
+])
+def test_parse_course_rejects_a_repeated_override(text, key, size):
+    # the last repeat would silently win; width is an alias for length
+    with pytest.raises(CourseError) as exc:
+        parse_course_text(f"goal 9\n{text}", name="bad.course")
+    assert str(exc.value).startswith(f"bad.course:2: {key}= sets the {size}")
+    first, _, _ = text.rpartition(" ")
+    assert parse_course_text(first + "\n").artifacts[0].kind == text.split()[0]
+
+
 @pytest.mark.parametrize("text, fragment", [
     ("goal nan\n", "goal nan"),
     ("goal inf\n", "goal inf"),
