@@ -34,13 +34,13 @@ but for the tails of setup training: once the trained setup policy has
 handed off and no artifact is left for a setup policy, an episode only folds
 rewards, so `_train` parks it, and the parked tails run as lanes.
 
-In setup training the frozen walker's actions before an episode's first
-switch are memoized per step in the trainer's `opening` (see `Trainer`): a
-tick reuses the stored action only when its input row is byte-equal to the
-one stored at its step, so the reuse is exact, and the memo holds at most
-MAX_STEPS + 1 entries. It lives as long as one `train_setup` call. Walker
-ticks after the first switch, in target training and in evaluation compute
-every action.
+In setup training the frozen walker's opening, its ticks on the flat ground
+short of the first artifact, replays from the trainer's `opening` (see
+`Trainer`): a record of one runner step per tick count, taken from live
+ticks, which every episode's opening repeats bit for bit. A replayed tick
+neither observes nor acts nor steps the runner. The record lives as long as
+one `train_setup` call. Walker ticks after the opening, in target training
+and in evaluation observe, act and step.
 
 Evaluation runs its episodes as lanes (`run_lanes`): one driver per episode,
 each with its own generator and its own policies, advanced together; lanes
@@ -87,6 +87,8 @@ from gaitbridge.policyopt import (
 )
 from gaitbridge.terrainsim import (
     BLOCK,
+    DETECT_RANGE,
+    DT,
     CourseError,
     GAP,
     HURDLE,
@@ -94,6 +96,7 @@ from gaitbridge.terrainsim import (
     OBS_DIM,
     OBS_PROPRIO,
     RunnerBatch,
+    RunnerState,
     TerrainEnv,
     detects,
     flat_course,
@@ -371,15 +374,20 @@ class Trainer:
     it trains the drivers' default policy on the environment reward and
     empties the buffers.
 
-    With a module it also keeps `opening`: entry t is the (input row bytes,
-    read-only action) of the last walker tick at step t before an episode's
-    first switch. Every spawn stands still, so a terrain-blind walker sees the
-    same rows in every episode. Such a tick reuses entry t's action when its
-    row's bytes equal the entry's, and otherwise computes the action and
-    stores the pair at t. The walker acts on its mean, a deterministic
-    function of that row, and `train_setup` checks that it stayed frozen, so
-    a reused action is the one it would compute. The list holds at most
-    MAX_STEPS + 1 entries, however many distinct rows the walker sees.
+    With a module it also keeps `opening`, the record of the frozen walker's
+    opening: entry t holds the runner's (v, w, h, c, contact) after its step
+    from t to t + 1, and dx = v * DT, what that step added to x. A driver that
+    spawned standing, with no `init_fn`, replays its tick t from entry t
+    (`EpisodeDriver._replay`) while the first artifact starts more than the
+    walker's reach ahead and x + dx stays short of it: DETECT_RANGE, or for a
+    walker that reads the terrain 2.0 m, where `observe` clips the distance.
+    There nothing is detected or switched, the walker acts on its mean (and
+    `train_setup` checks that it stays frozen), and `TerrainEnv.step` finds
+    flat ground and no goal: each such step is the same function of
+    (v, w, h, c, contact, steps) in every episode. The tick after a live one
+    at the record's end appends that step; a step that ended its episode is
+    never recorded, nor an entry overwritten. The record serves one walker
+    on one course, as `_train` runs them.
     """
 
     def __init__(self, net, norm, config, rng, *, module=None,
@@ -446,6 +454,16 @@ class EpisodeDriver:
         self._obs = None  # observation of self.state, once taken
         self._ahead = None  # its next artifact, found with it
         self.targets = {kind: CarriedTarget(m) for kind, m in modules.items()}
+        # (record, first artifact's start, walker's reach) while the
+        # walker's opening may replay (see Trainer)
+        self._opening = None
+        first = env.course.artifacts[:1]
+        if (trainer is not None and trainer.opening is not None
+                and init_fn is None and first
+                and self.state == RunnerState(x=self.state.x)):
+            reach = (DETECT_RANGE if default_net.obs_dim <= OBS_PROPRIO
+                     else max(DETECT_RANGE, 2.0))  # observe's distance clip
+            self._opening = trainer.opening, first[0].start, reach
 
     @property
     def done(self):
@@ -475,8 +493,32 @@ class EpisodeDriver:
         self.switch.transition(POLICY_TARGET if self.without_setup
                                else POLICY_SETUP, runner, art)
 
+    def _replay(self):
+        """Replay tick t from entry t of the walker's opening record, once the
+        last step, if it ran live at the record's end, is recorded (see
+        Trainer). Returns whether it replayed."""
+        record, start, reach = self._opening
+        state = self.state
+        t = state.steps
+        if t == len(record) + 1 and state.x < start:
+            record.append((state.v, state.w, state.h, state.c, state.contact,
+                           state.v * DT))
+        if not start - state.x > reach:
+            self._opening = None
+        elif t < len(record):
+            v, w, h, c, contact, dx = record[t]
+            x = state.x + dx
+            if x < start:
+                state.x, state.v, state.w, state.h = x, v, w, h
+                state.c, state.contact, state.steps = c, contact, t + 1
+                self._obs = None
+                return True
+        return False
+
     def tick(self):
         """One environment step. Returns True when the episode finished."""
+        if self._opening is not None and self._replay():
+            return False
         trainer, state, switch = self.trainer, self.state, self.switch
         if (switch.active == POLICY_TARGET
                 and tau_theta_reached(state, switch.artifact)):
@@ -500,20 +542,8 @@ class EpisodeDriver:
                 obs_n = norm.update(x) if learning else norm.normalize(x)
                 action, bit, mean, logit, h = policy_act(
                     net, obs_n, self.rng, with_switch=acting == POLICY_SETUP)
-            elif trainer is None or trainer.opening is None or switch.events:
-                action = net.head("mu", net.trunk(norm.normalize(x)))
             else:
-                # the frozen walker's opening, memoized per step (see Trainer)
-                opening, i, key = trainer.opening, state.steps, x.tobytes()
-                if i < len(opening) and opening[i][0] == key:
-                    action = opening[i][1]
-                else:
-                    action = net.head("mu", net.trunk(norm.normalize(x)))
-                    action.flags.writeable = False
-                    if i < len(opening):
-                        opening[i] = key, action
-                    else:
-                        opening.append((key, action))
+                action = net.head("mu", net.trunk(norm.normalize(x)))
 
         r_env, done = self.env.step(state, action)
         self._obs = None
@@ -1036,7 +1066,7 @@ def train_setup(module: BehaviorModule, default_net, default_norm, env, config,
         on_episode_end=on_episode_end)
     if not np.array_equal(module.target_net.flat, frozen):
         raise RuntimeError("target policy drifted during setup training")
-    # the trainer's opening reused the walker's actions as they were
+    # the trainer's opening replayed the walker as it was
     stats = default_norm.state_arrays()
     if not (np.array_equal(default_net.flat, walker) and all(
             np.array_equal(stats[key], arr) for key, arr in walker_stats.items())):

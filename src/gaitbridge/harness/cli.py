@@ -72,13 +72,15 @@ EXPERIMENT_COMMANDS = {
 
 
 def _overrides(pairs, what):
-    """{key: number} of --ppo/--awtv KEY=VALUE pairs; `parse_params` checks
-    the keys and the types."""
+    """{key: number} of --ppo/--awtv KEY=VALUE pairs, each key at most
+    once; `parse_params` checks the keys and the types."""
     out = {}
     for pair in pairs or ():
         key, sep, value = pair.partition("=")
         if not sep:
             raise ConfigError(f"{what} override {pair!r} is not key=value")
+        if key in out:
+            raise ConfigError(f"{what} override {key} is given twice")
         try:
             out[key] = int(value)
         except ValueError:
@@ -278,7 +280,8 @@ def _add_training_flags(sub):
                      help="updates between curve evaluations (0: final only)")
     sub.add_argument("--eval-episodes", type=int, default=100)
     sub.add_argument("--ppo", action="append", metavar="KEY=VALUE",
-                     help="override a PPO parameter (repeatable)")
+                     help="override a PPO parameter (repeatable, "
+                     "each key once)")
 
 
 def build_parser():
@@ -322,7 +325,8 @@ def build_parser():
                                       "policy's weights")
     train_setup_cmd.add_argument("--awtv", action="append",
                                  metavar="KEY=VALUE",
-                                 help="override a shaped-reward parameter")
+                                 help="override a shaped-reward parameter "
+                                 "(repeatable, each key once)")
     train_setup_cmd.set_defaults(func=_cmd_train_setup, eval_every=0,
                                  eval_episodes=50)
 

@@ -73,8 +73,6 @@ class ExperimentConfig:
 
 
 _FIELD_NAMES = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
-PPO_KEYS = tuple(f.name for f in dataclasses.fields(PPOConfig))
-AWTV_KEYS = tuple(f.name for f in dataclasses.fields(AWTVParams))
 _MODULE_CKPT_KEYS = ("target", "setup")
 
 

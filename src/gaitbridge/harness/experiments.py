@@ -368,14 +368,16 @@ class _SetupExperiment:
 
 
 def run_evaluation(config):
-    """Evaluate already-trained policies on a course; no training at all."""
+    """Evaluate already-trained policies on a course; no training at all.
+    The setup checkpoints are loaded, and hashed, only for a with-setup arm."""
     course, course_id = experiment_course(config)
     kinds = [kind for kind in sorted({a.kind for a in course.artifacts})
              if config.checkpoint_path(kind) is not None]
-    walker, policies, config = _load_checkpoints(
-        config, "evaluation", kinds, optional=("setup",))
-    modules = {kind: _module(config, kind, walker, policies) for kind in kinds}
     arms = _chosen_arms(config, EVALUATION_ARMS, "evaluation")
+    walker, policies, config = _load_checkpoints(
+        config, "evaluation", kinds,
+        optional=("setup",) if "with-setup" in arms else ())
+    modules = {kind: _module(config, kind, walker, policies) for kind in kinds}
     return _run_grid(config, "evaluation", course_id, arms,
                      lambda arm, seed: _eval_drivers(
                          config, course, seed, walker, modules,

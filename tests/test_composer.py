@@ -924,27 +924,23 @@ class TestTargetCarry:
 
 
 class CountingOpening(list):
-    """A trainer's opening that counts the entries written into it and keeps
-    each row written."""
+    """A trainer's opening record that counts its appends and refuses to
+    have an entry overwritten."""
 
     def __init__(self):
         super().__init__()
         self.writes = 0
-        self.rows = set()
 
     def append(self, entry):
         self.writes += 1
-        self.rows.add(entry[0])
         super().append(entry)
 
     def __setitem__(self, i, entry):
-        self.writes += 1
-        self.rows.add(entry[0])
-        super().__setitem__(i, entry)
+        raise AssertionError("an opening entry was overwritten")
 
 
 def install_opening(monkeypatch, make):
-    """Give every new trainer `make()` as its opening (None: no memo);
+    """Give every new trainer `make()` as its opening (None: no replay);
     returns the list of trainers made."""
     init = Trainer.__init__
     trainers = []
@@ -975,33 +971,117 @@ def lifted_walker_world():
 def gap_then_hurdle_world():
     """`fast_training_world` on a course whose first artifact is a narrow gap
     that no module handles: the full-width walker walks over it, or falls
-    in, and sees the distance to it change with every episode's spawn."""
+    in, and sees the distance to it once it is within 2.0 m."""
     _, walker, walker_norm, module = fast_training_world()
     gap = make_artifact(GAP, 3.2, length=0.005)
     course = make_course([gap, make_artifact(HURDLE, gap.end + 2.0)])
     return TerrainEnv(course), walker, walker_norm, module
 
 
-def training_record(monkeypatch, world, budget, seed, **kwargs):
-    """Train `world`'s setup policy on two workers; returns the buffer rewards
-    at each update, the setup parameters, the setup normalizer state and the
-    curve."""
+def standing_world():
+    """A full-width walker that never moves: every episode times out."""
+    walker, walker_norm = scripted_net(0.0, 0.0), identity_norm()
+    module = BehaviorModule.from_default(HURDLE, scripted_net(0.0, -1.0),
+                                         identity_norm(), walker, walker_norm)
+    return (TerrainEnv(single_artifact_course(HURDLE)), walker, walker_norm,
+            module)
+
+
+def runner_bytes(state):
+    """A runner's fields, the floats as their bytes."""
+    return (*(np.float64(getattr(state, name)).tobytes()
+              for name in ("x", "v", "w", "h", "c")),
+            state.contact, state.steps, state.done, state.success,
+            state.failure)
+
+
+def counted_steps(env):
+    """Count `env.step` calls in the returned one-item list."""
+    calls, step = [0], env.step
+
+    def counted(state, action):
+        calls[0] += 1
+        return step(state, action)
+
+    env.step = counted
+    return calls
+
+
+def lockstep(world, spawns):
+    """One training episode per spawn x on two copies of `world`, one whose
+    trainer replays the walker's opening and one ticking every step live.
+    Asserts before every tick that both observe the same, after it that both
+    runners are equal as bytes, and at the end that the switches and the
+    buffers are. Returns the record, the
+    episodes' final states and, per tick, (distance from the runner to the
+    first artifact before the tick, whether the tick replayed)."""
+    copies = [world(), world()]
+    trainers = [setup_trainer(module, PPOConfig(horizon=100_000))
+                for *_, module in copies]
+    trainers[0].opening = record = CountingOpening()
+    trainers[1].opening = None
+    buffers = [RolloutBuffer(100_000) for _ in copies]
+    env = copies[0][0]
+    steps = counted_steps(env)
+    start = env.course.artifacts[0].start
+    ticks, ends = [], []
+    for i, x0 in enumerate(spawns):
+        replay, live = drivers = [
+            EpisodeDriver(env_, walker, norm, {HURDLE: module},
+                          np.random.default_rng(i), trainer=trainer,
+                          buffer=buf)
+            for (env_, walker, norm, module), trainer, buf
+            in zip(copies, trainers, buffers)]
+        for drv in drivers:
+            drv.state.x = float(x0)
+        while not live.done:
+            # a PPO update observes every worker's state, mid-opening too
+            assert replay.observation().tobytes() == (
+                live.observation().tobytes())
+            distance, before = start - replay.state.x, steps[0]
+            for drv in drivers:
+                drv.tick()
+            ticks.append((distance, steps[0] == before))
+            assert runner_bytes(replay.state) == runner_bytes(live.state)
+        assert replay.switch.events == live.switch.events
+        ends.append(live.state)
+    got, want = buffers
+    assert len(got) == len(want)
+    assert got.rewards.tobytes() == want.rewards.tobytes()
+    assert got.actions.tobytes() == want.actions.tobytes()
+    assert record.writes == len(record) <= MAX_STEPS
+    return record, ends, ticks
+
+
+def training_record(monkeypatch, world, budget, seed, n_workers=2,
+                    **kwargs):
+    """Train `world`'s setup policy; returns the buffer rewards at each
+    update, the setup parameters, the setup normalizer state, the curve and
+    whether the budget ended while a worker's episode could still replay
+    its opening."""
     env, walker, walker_norm, module = world()
-    rewards = []
-    original = Trainer.update
+    rewards, made = [], []
+    update, init = Trainer.update, EpisodeDriver.__init__
 
     def spy(trainer, drivers):
         rewards.append([d.buffer.rewards.tolist() for d in drivers])
-        original(trainer, drivers)
+        update(trainer, drivers)
+
+    def spy_init(driver, *args, **kwargs):
+        init(driver, *args, **kwargs)
+        made.append(driver)
 
     with monkeypatch.context() as m:
         m.setattr(cp.Trainer, "update", spy)
+        m.setattr(cp.EpisodeDriver, "__init__", spy_init)
         curve = train_setup(module, walker, walker_norm, env,
                             PPOConfig(horizon=16, minibatch=8, epochs=2),
                             budget, np.random.default_rng(seed),
-                            n_workers=2, **kwargs)
+                            n_workers=n_workers, **kwargs)
+    cut = any(d.trainer is not None and not d.done and d.state.steps > 0
+              and d._opening is not None for d in made)
     return (rewards, module.setup_net.flat.copy(),
-            module.setup_norm.state_arrays(), curve)
+            module.setup_norm.state_arrays(), curve, cut)
 
 
 def assert_same_training(got, want):
@@ -1015,65 +1095,89 @@ def assert_same_training(got, want):
 
 
 class TestWalkerOpening:
-    def test_training_equals_the_reference_without_the_memo(self,
-                                                            monkeypatch):
-        ticks = []  # walker ticks before the first switch, per episode
+    """Setup training replays the frozen walker's opening from the
+    trainer's record instead of stepping the runner."""
 
-        def on_episode_end(driver):
-            events = driver.switch.events
-            ticks.append(events[0].step if events else driver.state.steps)
+    @pytest.mark.parametrize("world, reach", [(lifted_walker_world, 1.0),
+                                              (gap_then_hurdle_world, 2.0)])
+    def test_replayed_states_equal_live_ticking(self, world, reach):
+        # spawns across the whole spawn region, in an order that makes the
+        # record grow over several episodes
+        spawns = np.random.default_rng(4).permutation(
+            np.linspace(0.0, ts.SPAWN_MAX_X, 12))
+        record, _, ticks = lockstep(world, spawns)
+        opening = [replay for distance, replay in ticks if distance > reach]
+        assert not any(replay for distance, replay in ticks
+                       if distance <= reach)
+        # every opening tick replays, but those that stepped further than
+        # any episode before: each of those records its step
+        assert 0 < len(record) == opening.count(False) < opening.count(True)
 
-        with monkeypatch.context() as m:
-            trainers = install_opening(m, CountingOpening)
-            memo = training_record(monkeypatch, lifted_walker_world, 3000, 8,
-                                   eval_every=2, eval_episodes=3,
-                                   on_episode_end=on_episode_end)
-        # the terrain-blind walker sees one row per step: each entry is
-        # written once and reused in every later episode
-        opening = trainers[0].opening
-        assert opening.writes == len(opening) < sum(ticks) / 2
-        install_opening(monkeypatch, lambda: None)
-        assert_same_training(memo, training_record(
-            monkeypatch, lifted_walker_world, 3000, 8, eval_every=2,
-            eval_episodes=3, on_episode_end=lambda driver: None))
+    def test_a_full_width_walker_replays_only_beyond_the_clip(self):
+        # it reads the distance to the first artifact, which `observe` clips
+        # at 2.0 m; a terrain-blind walker replays up to the detection range
+        spawns = np.linspace(0.0, 1.0, 6)
+        _, _, full = lockstep(gap_then_hurdle_world, spawns)
+        _, _, blind = lockstep(lifted_walker_world, spawns)
+        assert not any(replay for distance, replay in full if distance <= 2.0)
+        assert any(not replay for distance, replay in full
+                   if 1.0 < distance <= 2.0)
+        assert any(replay for distance, replay in blind
+                   if 1.0 < distance <= 2.0)
 
-    def test_the_walker_trunk_runs_once_per_opening_entry_written(self):
+    def test_a_walker_that_stands_still_times_out_at_the_same_step(self):
+        record, ends, ticks = lockstep(standing_world, [0.5, 1.0, 0.0])
+        assert [(s.failure, s.steps) for s in ends] == (
+            [(ts.FAIL_TIMEOUT, MAX_STEPS + 1)] * 3)
+        # the step that timed out is never recorded: the later episodes
+        # replay every step but that one
+        assert len(record) == MAX_STEPS
+        assert sum(replay for _, replay in ticks) == 2 * MAX_STEPS
+
+    @pytest.mark.parametrize("init_fn", [
+        lambda env, rng: env.reset(rng),  # the standard spawn, given
+        cp.artifact_approach_init(single_artifact_course(HURDLE).artifacts[0]),
+    ])
+    def test_an_init_fn_spawn_never_replays(self, init_fn):
         env, walker, walker_norm, module = lifted_walker_world()
         trainer = setup_trainer(module, PPOConfig(horizon=100_000))
-        trainer.opening = opening = CountingOpening()
         buf = RolloutBuffer(trainer.config.horizon)
-        driver, passes = None, [0]
-        trunk = walker.trunk
-
-        def spy(obs):
-            passes[0] += not driver.switch.events
-            return trunk(obs)
-
-        walker.trunk = spy
         rng = np.random.default_rng(6)
-        ticks = 0  # walker ticks before each episode's first switch
-        for _ in range(24):
-            driver = EpisodeDriver(env, walker, walker_norm, {HURDLE: module},
-                                   rng, trainer=trainer, buffer=buf)
-            out = driver.run()
-            ticks += out.switch.events[0].step if out.switch.events else out.state.steps
-        assert len(buf) > 0 and ticks > 24 * 50
-        assert passes[0] == opening.writes
-        # most opening ticks reuse an entry
-        assert opening.writes < ticks / 4
+        for _ in range(3):
+            EpisodeDriver(env, walker, walker_norm, {HURDLE: module}, rng,
+                          trainer=trainer, buffer=buf).run()
+        assert len(trainer.opening) > 0
+        steps = counted_steps(env)
+        for _ in range(3):
+            out = EpisodeDriver(env, walker, walker_norm, {HURDLE: module},
+                                rng, trainer=trainer, buffer=buf,
+                                init_fn=init_fn).run()
+            assert steps[0] == out.state.steps
+            steps[0] = 0
 
-    def test_a_full_width_walker_keeps_the_opening_bounded(self, monkeypatch):
+    @pytest.mark.parametrize("n_workers, budget, cut", [
+        (1, 3037, False), (2, 2940, False), (1, 2455, True), (2, 2843, True)])
+    def test_training_equals_training_without_the_replay(
+            self, monkeypatch, n_workers, budget, cut):
         with monkeypatch.context() as m:
             trainers = install_opening(m, CountingOpening)
-            memo = training_record(monkeypatch, gap_then_hurdle_world, 6000,
-                                   3, eval_every=0, eval_episodes=0)
-        opening = trainers[0].opening
-        # more distinct rows than steps: a memo keyed by row would outgrow
-        # the episode length, the per-step list does not
-        assert len(opening) <= MAX_STEPS + 1 < len(opening.rows)
-        assert all(not action.flags.writeable for _, action in opening)
+            got = training_record(monkeypatch, lifted_walker_world, budget, 8,
+                                  n_workers, eval_every=2, eval_episodes=3)
+        # a budget that ends while an episode replays its opening stops
+        # it as it would stop a live one
+        assert got[4] == cut
+        assert trainers[0].opening.writes == len(trainers[0].opening) > 0
         install_opening(monkeypatch, lambda: None)
-        assert_same_training(memo, training_record(
+        assert_same_training(got, training_record(
+            monkeypatch, lifted_walker_world, budget, 8, n_workers,
+            eval_every=2, eval_episodes=3))
+
+    def test_a_full_width_walker_trains_as_without_the_replay(
+            self, monkeypatch):
+        got = training_record(monkeypatch, gap_then_hurdle_world, 6000, 3,
+                              eval_every=0, eval_episodes=0)
+        install_opening(monkeypatch, lambda: None)
+        assert_same_training(got, training_record(
             monkeypatch, gap_then_hurdle_world, 6000, 3, eval_every=0,
             eval_episodes=0))
 

@@ -25,9 +25,7 @@ from gaitbridge.harness.checkpoint import (
 )
 from gaitbridge.harness.cli import EXPERIMENT_COMMANDS, _overrides, main
 from gaitbridge.harness.config import (
-    AWTV_KEYS,
     EXPERIMENT_KINDS,
-    PPO_KEYS,
     ConfigError,
     config_from_dict,
     config_hash,
@@ -45,6 +43,9 @@ from gaitbridge.harness.experiments import (
 )
 from gaitbridge.policyopt import PPOConfig, RunningNormalizer
 from gaitbridge.terrainsim import KINDS, OBS_DIM, OBS_PROPRIO
+
+PPO_KEYS = tuple(f.name for f in dataclasses.fields(PPOConfig))
+AWTV_KEYS = tuple(f.name for f in dataclasses.fields(AWTVParams))
 
 
 def _policy(obs_dim=OBS_DIM, seed=0):
@@ -252,6 +253,10 @@ _BAD_TRAINING_FLAGS = [
     ("train-setup", ["--ppo", "epochs=4.5"]),
     ("train-setup", ["--awtv", "alpha=x"]),
     ("train-setup", ["--awtv", "nope=1"]),
+    # a repeated key: which value would the run take?
+    ("train-target", ["--ppo", "horizon=32", "--ppo", "horizon=64"]),
+    ("train-setup", ["--ppo", "lr=0.1", "--ppo", "lr=0.1"]),
+    ("train-setup", ["--awtv", "alpha=0.1", "--awtv", "alpha=0.2"]),
 ]
 
 
@@ -662,6 +667,30 @@ def test_checkpoints_a_run_does_not_load_leave_its_hash_alone(
     save_checkpoint(names["target"], other)
     second = hashes()
     assert second[0] != first[0] and second[1] != first[1]
+
+
+def test_a_without_setup_evaluation_leaves_the_setup_file_unhashed(
+        tmp_path, checkpoints):
+    # the no-setup arm never acts with a setup policy, so it neither loads
+    # nor hashes one
+    setup = shutil.copyfile(checkpoints["hurdle"]["setup"],
+                            tmp_path / "setup.ckpt")
+
+    def evaluate(*flags):
+        out = tmp_path / f"evaluate{len(list(tmp_path.iterdir()))}"
+        assert main(["evaluate", "--default", str(checkpoints["default"]),
+                     "--kind", "hurdle", "--module",
+                     f"hurdle={setup}:{checkpoints['hurdle']['target']}",
+                     "--episodes", "2", "--out", str(out), *flags]) == 0
+        arm = "without-setup" if flags else "with-setup"
+        return read_metrics_csv(out / f"metrics_{arm}.csv")
+
+    first = evaluate("--without-setup")
+    with_setup = evaluate()
+    save_checkpoint(setup, Checkpoint.of(*_policy(seed=5)))
+    assert evaluate("--without-setup") == first
+    # the with-setup arm loads it, so its hash moves
+    assert evaluate()[0] != with_setup[0]
 
 
 @pytest.mark.parametrize("experiment, key, value", [

@@ -4,13 +4,13 @@ Every name a module in src/ or tests/ imports is used in that module
 (package `__init__.py` files are exempt: their imports are re-exports), the
 modules on the per-tick path multiply matrices with `ndarray.dot`, the
 acting and training code reads only the network heads it uses, only
-`SwitchState` writes a switch's artifact, only `EpisodeDriver.tick` writes a
-trainer's walker opening, one function adds a folded reward into a buffer
-row, one function in config.py builds the PPO and AWTV settings, every
-public function and class in src/ is read
-by name somewhere else in src/ or bench/, and every function the benchmark
-traces for its per-layer metrics still exists, unless it is listed below with
-the reason it is gone.
+`SwitchState` writes a switch's artifact, only `EpisodeDriver._replay`
+writes a trainer's walker opening and, outside the physics, a runner's
+fields, one function adds a folded reward into a buffer row, one function
+in config.py builds the PPO and AWTV settings, every public function and
+class in src/ is read by name somewhere else in src/ or bench/, and every
+function the benchmark traces for its per-layer metrics still exists,
+unless it is listed below with the reason it is gone.
 """
 
 import ast
@@ -133,51 +133,102 @@ LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear",
                  "sort", "reverse"}
 
 
-def opening_writes(source):
-    """Lines that write an `.opening` attribute outside EpisodeDriver.tick:
-    bind or delete it (only Trainer.__init__ may bind it), store into or
-    delete from it, or call a list mutator on it."""
-    def is_opening(node):
-        return isinstance(node, ast.Attribute) and node.attr == "opening"
+# where a handle on the walker's opening record may be bound and read; the
+# record's one writer, EpisodeDriver._replay, may do anything with them
+OPENING_HANDLES = {
+    ("opening", "bind"): ("Trainer", "__init__"),
+    ("opening", "read"): ("EpisodeDriver", "__init__"),
+    ("_opening", "bind"): ("EpisodeDriver", "__init__"),
+    ("_opening", "read"): ("EpisodeDriver", "tick"),
+}
+OPENING_WRITER = ("EpisodeDriver", "_replay")
 
-    def walk(node, scope):
+
+def opening_writes(source):
+    """Lines that touch a handle on the opening record (an `.opening` or
+    `._opening` attribute) outside the record's writer: binding or reading
+    it anywhere but where OPENING_HANDLES allows, or storing into it or
+    calling a list mutator on it anywhere."""
+    def walk(node, scope, parent):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             scope = scope + (node.name,)
-            if scope[-2:] == ("EpisodeDriver", "tick"):
+            if scope[-2:] == OPENING_WRITER:
                 return
-        if is_opening(node):
-            if (not isinstance(node.ctx, ast.Load)
-                    and scope[-2:] != ("Trainer", "__init__")):
-                yield node.lineno
-        elif isinstance(node, ast.Subscript):
-            if is_opening(node.value) and not isinstance(node.ctx, ast.Load):
-                yield node.lineno
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in LIST_MUTATORS and is_opening(node.func.value):
+        if isinstance(node, ast.Attribute) and node.attr in ("opening",
+                                                            "_opening"):
+            use = "read" if isinstance(node.ctx, ast.Load) else "bind"
+            mutated = (isinstance(parent, ast.Subscript)
+                       and not isinstance(parent.ctx, ast.Load)) or (
+                isinstance(parent, ast.Attribute)
+                and parent.attr in LIST_MUTATORS)
+            if mutated or scope[-2:] != OPENING_HANDLES[node.attr, use]:
                 yield node.lineno
         for child in ast.iter_child_nodes(node):
-            yield from walk(child, scope)
-    return sorted(set(walk(ast.parse(source), ())))
+            yield from walk(child, scope, node)
+    return sorted(set(walk(ast.parse(source), (), None)))
 
 
 def test_opening_write_detector_spares_tick_and_the_binding():
     source = ("class Trainer:\n    def __init__(self):\n"
               "        self.opening = []\n    def reset(self):\n"
               "        self.opening = []\nclass EpisodeDriver:\n"
-              "    def tick(self):\n        t.opening.append(1)\n"
-              "        t.opening[0] = 2\nt.opening.append(3)\n"
-              "t.opening[0] = 4\ndel t.opening[0]\nt.opening += [5]\n"
-              "x = t.opening[0]\nn = len(t.opening)\nt.opening.index(x)\n")
-    assert opening_writes(source) == [5, 10, 11, 12, 13]
+              "    def _replay(self):\n        self._opening[0].append(1)\n"
+              "        self._opening = None\n"
+              "    def __init__(self, t):\n        self._opening = t.opening\n"
+              "        t.opening.append(2)\n        self._opening[0] = 3\n"
+              "    def tick(self):\n        return self._opening is None\n"
+              "x = t.opening[0]\nt.opening[0] = 4\ndel t.opening[0]\n"
+              "t.opening += [5]\nd._opening = None\nn = len(d._opening)\n")
+    assert opening_writes(source) == [5, 12, 13, 16, 17, 18, 19, 20, 21]
 
 
 def test_only_the_episode_tick_writes_the_opening():
-    # a stored walker action is reused only under the byte-equality test in
-    # EpisodeDriver.tick, which also writes every entry
+    # the tick's replay, EpisodeDriver._replay, replays an entry only under
+    # its conditions and writes every entry; the trainer binds the record, a
+    # driver takes it at its start and its tick asks whether it holds it
     found = [f"{path.relative_to(ROOT)}:{line}"
              for path in sorted((ROOT / "src").rglob("*.py"))
              for line in opening_writes(path.read_text(encoding="utf-8"))]
-    assert not found, "write the opening in EpisodeDriver.tick:\n" + "\n".join(found)
+    assert not found, ("write the opening in EpisodeDriver._replay:\n"
+                       + "\n".join(found))
+
+
+# a runner's physics fields: those `TerrainEnv.step` advances
+RUNNER_FIELDS = ("x", "v", "w", "h", "c", "contact", "steps")
+
+
+def runner_field_writes(source):
+    """(scope, line) of each store into an attribute named as a runner's
+    physics field."""
+    def walk(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Attribute) and node.attr in RUNNER_FIELDS
+                and not isinstance(node.ctx, ast.Load)):
+            yield scope, node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+    return sorted(walk(ast.parse(source), ()))
+
+
+def test_runner_field_write_detector():
+    source = ("class D:\n    def f(self, s):\n        s.x, s.c = 1, 2\n"
+              "        s.x += 1\n        s.y = 3\n        y = s.x\n"
+              "def g(s):\n    del s.steps\n")
+    assert runner_field_writes(source) == [
+        (("D", "f"), 3), (("D", "f"), 3), (("D", "f"), 4), (("g",), 8)]
+
+
+def test_outside_the_physics_only_the_replay_writes_a_runner():
+    # the physics advances a runner; the walker's replay copies the state a
+    # step left, and nothing else may move one. Modules that do not import
+    # the physics hold no runner (diffcore's Adam state has a `v`).
+    scopes = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if path.name != "terrainsim.py" and "terrainsim import" in source:
+            scopes.update(scope for scope, _ in runner_field_writes(source))
+    assert scopes == {OPENING_WRITER}
 
 
 def call_scopes(source, attr):
