@@ -55,9 +55,10 @@ row its handoff stored, reading the target's values off the batched passes.
 
 Both paths take the switching decisions from the driver: `policy()` maps the
 phase to its (role, net, norm), `on_detection` starts a bridge, and
-`SwitchState.transition` latches and clears the artifact. The release and
-detection tests and the physics exist on each path: scalar in `tick`, as
-masks over the batch in `_run_batch`.
+`SwitchState.transition` latches and clears the artifact. Both read a frozen
+policy through `policy_trunk` and release a target on `tau_theta_reached`, a
+bool for one runner and a mask over the batch. The detection test and the
+physics exist on each path: scalar in `tick`, as masks in `_run_batch`.
 
 A setup reward function has the signature
 `reward_fn(target, obs, obs_next, r_env, terminal, action)`. A driver passes
@@ -95,6 +96,7 @@ from gaitbridge.terrainsim import (
     MAX_STEPS,
     OBS_DIM,
     OBS_PROPRIO,
+    OBS_RANGE,
     RunnerBatch,
     RunnerState,
     TerrainEnv,
@@ -204,9 +206,10 @@ class SwitchState:
         self.active = dst
 
 
-def tau_theta_reached(state, artifact):
-    """Target-phase termination: artifact behind the runner, contact restored."""
-    return state.x > artifact.end and state.contact
+def tau_theta_reached(runner, end):
+    """Target-phase termination: the artifact's `end` behind the runner, and
+    contact restored; a RunnerState gives a bool, a RunnerBatch a lane mask."""
+    return (runner.x > end) & runner.contact
 
 
 def policy_obs(net, obs_raw):
@@ -220,6 +223,12 @@ def policy_obs(net, obs_raw):
     if obs_raw.shape[-1] == net.obs_dim:
         return obs_raw
     return obs_raw[..., :net.obs_dim]
+
+
+def policy_trunk(net, norm, obs_raw):
+    """Trunk output of a policy that does not learn from this read: a raw
+    observation or batch, trimmed to the policy's input width, normalized."""
+    return net.trunk(norm.normalize(policy_obs(net, obs_raw)))
 
 
 def prime_switch_head(net):
@@ -337,8 +346,8 @@ class CarriedTarget:
         if self._old[0] is obs_raw:
             return self._old
         module = self.module
-        self.fill(obs_raw, module.target_net.trunk(
-            module.target_norm.normalize(obs_raw)))
+        self.fill(obs_raw, policy_trunk(module.target_net, module.target_norm,
+                                        obs_raw))
         return self._new
 
     def target_value(self, obs_raw):
@@ -380,14 +389,14 @@ class Trainer:
     spawned standing, with no `init_fn`, replays its tick t from entry t
     (`EpisodeDriver._replay`) while the first artifact starts more than the
     walker's reach ahead and x + dx stays short of it: DETECT_RANGE, or for a
-    walker that reads the terrain 2.0 m, where `observe` clips the distance.
-    There nothing is detected or switched, the walker acts on its mean (and
-    `train_setup` checks that it stays frozen), and `TerrainEnv.step` finds
-    flat ground and no goal: each such step is the same function of
-    (v, w, h, c, contact, steps) in every episode. The tick after a live one
-    at the record's end appends that step; a step that ended its episode is
-    never recorded, nor an entry overwritten. The record serves one walker
-    on one course, as `_train` runs them.
+    walker that reads the terrain OBS_RANGE, where `observe` clips the
+    distance. There nothing is detected or switched, the walker acts on its
+    mean (and `train_setup` checks that it stays frozen), and
+    `TerrainEnv.step` finds flat ground and no goal: each such step is the
+    same function of (v, w, h, c, contact, steps) in every episode. The tick
+    after a live one at the record's end appends that step; a step that
+    ended its episode is never recorded, nor an entry overwritten. The
+    record serves one walker on one course, as `_train` runs them.
     """
 
     def __init__(self, net, norm, config, rng, *, module=None,
@@ -409,8 +418,7 @@ class Trainer:
             buf = drv.buffer
             # a horizon cut mid-phase bootstraps from the state acted on next
             buf.tail_bootstrap = 0.0 if buf.dones[-1] else self.net.scalar_head(
-                "value", self.net.trunk(self.norm.normalize(
-                    policy_obs(self.net, drv.observation()))))
+                "value", policy_trunk(self.net, self.norm, drv.observation()))
         buffers = [drv.buffer for drv in drivers]
         ppo_update(self.net, buffers, self.config, self.adam, self.rng)
         for buf in buffers:
@@ -462,7 +470,7 @@ class EpisodeDriver:
                 and init_fn is None and first
                 and self.state == RunnerState(x=self.state.x)):
             reach = (DETECT_RANGE if default_net.obs_dim <= OBS_PROPRIO
-                     else max(DETECT_RANGE, 2.0))  # observe's distance clip
+                     else max(DETECT_RANGE, OBS_RANGE))
             self._opening = trainer.opening, first[0].start, reach
 
     @property
@@ -521,7 +529,7 @@ class EpisodeDriver:
             return False
         trainer, state, switch = self.trainer, self.state, self.switch
         if (switch.active == POLICY_TARGET
-                and tau_theta_reached(state, switch.artifact)):
+                and tau_theta_reached(state, switch.artifact.end)):
             switch.transition(POLICY_DEFAULT, state)
         if switch.active == POLICY_DEFAULT and self.modules:
             self.observation()  # one course scan serves both
@@ -537,13 +545,13 @@ class EpisodeDriver:
             action = self.targets[switch.artifact.kind].target_action(obs)
         else:
             learning = trainer is not None and net is trainer.net
-            x = policy_obs(net, obs)
             if learning or acting == POLICY_SETUP:
+                x = policy_obs(net, obs)
                 obs_n = norm.update(x) if learning else norm.normalize(x)
                 action, bit, mean, logit, h = policy_act(
                     net, obs_n, self.rng, with_switch=acting == POLICY_SETUP)
             else:
-                action = net.head("mu", net.trunk(norm.normalize(x)))
+                action = net.head("mu", policy_trunk(net, norm, obs))
 
         r_env, done = self.env.step(state, action)
         self._obs = None
@@ -727,7 +735,7 @@ def _run_batch(lanes):
                                   action)
 
     while len(lanes) >= LANE_CROSSOVER:
-        for i in ((batch.x > release_x) & batch.contact).nonzero()[0]:
+        for i in tau_theta_reached(batch, release_x).nonzero()[0]:
             switch_lane(i, POLICY_DEFAULT)
         hit, index = batch.detect()
         for i in (hit & armed & np.array(walks)[code]).nonzero()[0]:
@@ -751,7 +759,7 @@ def _run_batch(lanes):
             role, net, norm = policies[p]
             # a lone row keeps the cheaper one-row pass of tick()
             x = obs[rows] if rows.size > 1 else obs[rows[0]]
-            h = net.trunk(norm.normalize(policy_obs(net, x)))
+            h = policy_trunk(net, norm, x)
             mu = net.head("mu", h)
             if role != POLICY_SETUP:
                 actions[rows] = mu
@@ -777,7 +785,7 @@ def _run_batch(lanes):
         for group in by_module.values():
             module = carries[group[0]].module
             net = module.target_net
-            h = net.trunk(module.target_norm.normalize(obs[group]))
+            h = policy_trunk(net, module.target_norm, obs[group])
             fill(group, net, h, net.scalar_head("value", h), None)
 
         done = batch.step(actions)
@@ -799,29 +807,6 @@ def _run_batch(lanes):
     for i in range(len(lanes)):
         write_back(i)
     return lanes
-
-
-def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,
-                     init_fn=None):
-    """Seeded bridged rollouts; returns (success rate, finished drivers).
-
-    The frozen default and target policies act on their action means while
-    the setup policy keeps acting stochastically: its handoff head is trained
-    as a per-step switching rate, so the handoff distribution — not a
-    thresholded point estimate — is the behavior being measured. With no
-    modules this evaluates the default policy alone, spawned by `init_fn` if
-    given.
-
-    The episodes are `episode_drivers(...)` and run together through
-    `run_lanes`, so episode i ends as its own driver's `run()` would, as
-    `run_lanes` states: discrete results exactly, positions to
-    batched-matmul rounding, whatever the episode count.
-    """
-    drivers = run_lanes(episode_drivers(env, default_net, default_norm,
-                                        modules, episodes, rng,
-                                        init_fn=init_fn))
-    rate = sum(1.0 for d in drivers if d.state.success) / max(len(drivers), 1)
-    return rate, drivers
 
 
 def episode_drivers(env, default_net, default_norm, modules, episodes, rng,
@@ -858,8 +843,9 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
     worker whose buffer is full pauses until every buffer is full, which
     triggers one joint update. Buffers persist across episodes; only the
     runner restarts. Every `eval_every` updates (never when 0) and once at
-    the end, `eval_episodes` bridged episodes drawn from their own
-    generator add a (steps_used, updates, success_rate) row to the curve;
+    the end, `eval_episodes` bridged evaluation episodes (`episode_drivers`,
+    run as lanes) drawn from their own generator add a (steps_used,
+    updates, success_rate) row to the curve;
     with eval_episodes=0 the row's rate is None. A periodic rate at or above
     `stop_at` ends training at once (`stopped`).
 
@@ -886,9 +872,10 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
         if eval_episodes:
             eval_rng = np.random.default_rng(
                 (seed_tag, trainer.updates, eval_tag))
-            rate, _ = evaluate_bridged(env, default_net, default_norm,
-                                       modules, eval_episodes, eval_rng,
-                                       init_fn=init_fn)
+            lanes = run_lanes(episode_drivers(
+                env, default_net, default_norm, modules, eval_episodes,
+                eval_rng, init_fn=init_fn))
+            rate = sum(1.0 for d in lanes if d.state.success) / eval_episodes
         curve.append((steps_used, trainer.updates, rate))
         return rate
 

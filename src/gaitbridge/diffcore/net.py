@@ -196,13 +196,8 @@ class ParameterizedNet:
         return hs
 
     def trunk(self, obs):
-        """The last of `activations(obs)`, without the list."""
-        h = obs
-        for w, b in self._trunk:
-            h = h.dot(w)
-            h += b
-            np.tanh(h, out=h)
-        return h
+        """The last of `activations(obs)`."""
+        return self.activations(obs)[-1]
 
     def head(self, name, h):
         """Linear head `name` ("mu", "value" or "switch") on trunk output h."""

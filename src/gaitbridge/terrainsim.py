@@ -43,6 +43,7 @@ FAILURE_PENALTY = 10.0
 GOAL_BONUS = 10.0
 SPAWN_MAX_X = 2.2        # reset draws x0 ~ U(0, SPAWN_MAX_X)
 DETECT_RANGE = 1.0       # oracle fires within this distance of an artifact
+OBS_RANGE = 2.0          # observe clips the distance to the next artifact here
 OBS_DIM = 10
 OBS_PROPRIO = 5          # body-only observation prefix: v, w, height, crouch, contact
 GOAL_CLEARANCE = 3.0     # goal sits this far past the last artifact
@@ -273,17 +274,12 @@ class RunnerState:
 KIND_ONE_HOT = {BLOCK: 0, GAP: 1, HURDLE: 2}
 
 
-_SCAN = object()  # `observe` finds the next artifact itself
-
-
-def observe(course, state, art=_SCAN):
+def observe(course, state, art):
     """10-component observation vector (float64).
 
-    `art`, when given, is the state's `next_artifact` (None past the last),
-    so that a caller that also detects scans the course once for both.
+    `art` is the state's `next_artifact` (None past the last), so that a
+    caller that also detects scans the course once for both.
     """
-    if art is _SCAN:
-        art = next_artifact(course, state.x)
     obs = np.zeros(OBS_DIM)
     obs[0] = state.v
     obs[1] = state.w
@@ -292,9 +288,9 @@ def observe(course, state, art=_SCAN):
     obs[3] = state.c
     obs[4] = 1.0 if state.contact else 0.0
     if art is None:
-        obs[5] = 2.0
+        obs[5] = OBS_RANGE
     else:
-        obs[5] = min(max(art.start - state.x, 0.0), 2.0)
+        obs[5] = min(max(art.start - state.x, 0.0), OBS_RANGE)
         # a gap reads as height 0, whatever height its course line gives
         obs[6] = 0.0 if art.kind == GAP else art.height
         obs[7 + KIND_ONE_HOT[art.kind]] = 1.0
@@ -505,7 +501,7 @@ class RunnerBatch:
         np.subtract(self.h, self.support, out=obs[:, 2])
         obs[:, 3] = self.c
         obs[:, 4] = self.contact
-        np.minimum(np.maximum(self.distance, 0.0), 2.0, out=obs[:, 5])
+        np.minimum(np.maximum(self.distance, 0.0), OBS_RANGE, out=obs[:, 5])
         obs[:, 6:] = self._ahead[:, _HEIGHT:]
         return obs
 

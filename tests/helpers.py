@@ -3,7 +3,12 @@ shortcuts, and plain references that tests check the program against."""
 
 import numpy as np
 
-from gaitbridge.composer import BehaviorModule, td_error
+from gaitbridge.composer import (
+    BehaviorModule,
+    episode_drivers,
+    run_lanes,
+    td_error,
+)
 from gaitbridge.diffcore import AdamState, ParameterizedNet
 from gaitbridge.diffcore.net import LOG_2PI
 from gaitbridge.policyopt import (
@@ -101,6 +106,17 @@ def train_bandit(updates=50, horizon=128, seed=0):
     return net
 
 
+def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,
+                     init_fn=None):
+    """Seeded bridged episodes as `_train` evaluates them: `episode_drivers`
+    run through `run_lanes`; returns (success rate, finished drivers)."""
+    drivers = run_lanes(episode_drivers(env, default_net, default_norm,
+                                        modules, episodes, rng,
+                                        init_fn=init_fn))
+    rate = sum(1.0 for d in drivers if d.state.success) / max(len(drivers), 1)
+    return rate, drivers
+
+
 def bandit_mean_action(net):
     return abs(float(forward(net, np.zeros(1))[0][0]))
 
@@ -129,8 +145,10 @@ class UncachedTarget:
         self.params = module.params
 
     def _forward(self, obs_raw):
-        module = self.module
-        return forward(module.target_net, module.target_norm.normalize(obs_raw))
+        net = self.module.target_net
+        # a terrain-blind target reads the body prefix only
+        return forward(net, self.module.target_norm.normalize(
+            obs_raw[..., :net.obs_dim]))
 
     def target_value(self, obs_raw):
         return self._forward(obs_raw)[1]

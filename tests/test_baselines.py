@@ -26,7 +26,6 @@ from gaitbridge.composer import (
     awtv_reward,
     awtv_step_reward,
     episode_drivers,
-    evaluate_bridged,
     run_lanes,
 )
 from gaitbridge.harness.cli import build_parser
@@ -41,6 +40,7 @@ from gaitbridge.terrainsim import (
 )
 
 from helpers import (
+    evaluate_bridged,
     exact_hurdle_module,
     flat_value_module,
     hurdle_module,

@@ -29,7 +29,6 @@ from gaitbridge.composer import (
     TrainingFailure,
     awtv_reward,
     awtv_step_reward,
-    evaluate_bridged,
     train_setup,
     train_target,
     tau_theta_reached,
@@ -63,6 +62,7 @@ from gaitbridge.terrainsim import (
 
 from helpers import (
     act_logprob,
+    evaluate_bridged,
     exact_hurdle_module,
     flat_value_module,
     forward,
@@ -346,10 +346,18 @@ class TestSwitchMachine:
     def test_tau_theta_needs_contact_past_the_end(self):
         art = _artifact()
         past = art.end + 1e-6
-        assert tau_theta_reached(_runner(x=past, contact=True), art)
-        assert not tau_theta_reached(_runner(x=past, contact=False), art)
-        assert not tau_theta_reached(_runner(x=art.end, contact=True), art)
-        assert not tau_theta_reached(_runner(x=art.start, contact=True), art)
+        assert tau_theta_reached(_runner(x=past, contact=True), art.end)
+        assert not tau_theta_reached(_runner(x=past, contact=False), art.end)
+        assert not tau_theta_reached(_runner(x=art.end, contact=True), art.end)
+        assert not tau_theta_reached(_runner(x=art.start, contact=True),
+                                     art.end)
+        # a batch gives the same answers as a lane mask
+        runners = [_runner(x=x, contact=contact) for x, contact in
+                   ((past, True), (past, False), (art.end, True),
+                    (art.start, True))]
+        batch = ts.RunnerBatch([single_artifact_course(HURDLE)] * 4, runners)
+        assert tau_theta_reached(batch, np.full(4, art.end)).tolist() == [
+            True, False, False, False]
 
 
 # ---- scripted bridged episode vs independent dynamics ---------------------------
@@ -737,7 +745,7 @@ def uncached(monkeypatch):
     """Make drivers observe afresh and evaluate the target on every call."""
     def observation(self):
         self._ahead = ts.next_artifact(self.env.course, self.state.x)
-        return observe(self.env.course, self.state)
+        return observe(self.env.course, self.state, self._ahead)
 
     monkeypatch.setattr(cp, "CarriedTarget", UncachedTarget)
     monkeypatch.setattr(cp.EpisodeDriver, "observation", observation)
@@ -1294,8 +1302,12 @@ class TestTerrainBlindWalker:
         s_block = block_env.reset_from(0.4)
         rng = np.random.default_rng(0)
         for _ in range(100):
-            obs_f = cp.policy_obs(net, observe(flat_env.course, s_flat))
-            obs_b = cp.policy_obs(net, observe(block_env.course, s_block))
+            obs_f = cp.policy_obs(net, observe(
+                flat_env.course, s_flat,
+                ts.next_artifact(flat_env.course, s_flat.x)))
+            obs_b = cp.policy_obs(net, observe(
+                block_env.course, s_block,
+                ts.next_artifact(block_env.course, s_block.x)))
             assert np.array_equal(obs_f, obs_b)
             action = forward(net, norm.normalize(obs_f))[0]
             flat_env.step(s_flat, action)
@@ -1316,7 +1328,8 @@ class TestTerrainBlindWalker:
         before = rng.bit_generator.state
         for _ in range(50):
             mean = forward(net, norm.normalize(
-                cp.policy_obs(net, observe(env.course, ref))))[0]
+                cp.policy_obs(net, observe(
+                    env.course, ref, ts.next_artifact(env.course, ref.x)))))[0]
             env.step(ref, mean)
             drv.tick()
             assert (drv.state.x, drv.state.v, drv.state.c) == (ref.x, ref.v, ref.c)
@@ -1742,10 +1755,10 @@ def tail_world():
             identity_norm(), module)
 
 
-def parked_tails(n):
-    """n training drivers of `tail_world`, sharing a trainer and a buffer,
-    each ticked until the rest of its episode only folds."""
-    env, walker, walker_norm, module = tail_world()
+def parked_tails(n, world=tail_world):
+    """n training drivers of `world`, sharing a trainer and a buffer, each
+    ticked until the rest of its episode only folds."""
+    env, walker, walker_norm, module = world()
     trainer = setup_trainer(module, PPOConfig(horizon=100_000))
     buf = RolloutBuffer(trainer.config.horizon)
     rng = np.random.default_rng(12)
@@ -1992,6 +2005,83 @@ class TestTrainingTails:
                 assert value == again[key], key
 
 
+# ---- a terrain-blind target --------------------------------------------------------
+
+
+def terrain_blind(net):
+    """`net` cut to the body prefix: a specialist that reads no terrain."""
+    return ParameterizedNet.from_params(
+        {**net.params, "fc0.w": net.params["fc0.w"][:OBS_PROPRIO]})
+
+
+def blind_targets(modules):
+    """Make each module's target terrain-blind, with identity statistics."""
+    for module in modules.values():
+        module.target_net = terrain_blind(module.target_net)
+        module.target_norm = identity_norm(OBS_PROPRIO)
+    return modules
+
+
+def blind_tail_world():
+    """`tail_world` whose specialist reads the body prefix only."""
+    env, walker, walker_norm, module = tail_world()
+    blind_targets({HURDLE: module})
+    return env, walker, walker_norm, module
+
+
+class TestTerrainBlindTarget:
+    # a frozen target may read the body prefix only, as the walker does;
+    # every read of it trims the observation to its own width
+
+    @pytest.mark.parametrize("without_setup", [False, True])
+    def test_run_hands_control_to_it_and_finishes(self, without_setup):
+        # the scripted target's weights are zero, so cut to the body prefix
+        # it acts as the full-width one, bit for bit
+        env = TerrainEnv(single_artifact_course(HURDLE))
+        blind = blind_targets({HURDLE: exact_hurdle_module()})
+        full = {HURDLE: exact_hurdle_module()}
+        for seed in range(3):
+            got, ref = (EpisodeDriver(env, scripted_net(0.5, 0.0),
+                                      identity_norm(), modules,
+                                      np.random.default_rng(seed),
+                                      without_setup=without_setup).run()
+                        for modules in (blind, full))
+            assert got.done and POLICY_TARGET in [e.dst for e in
+                                                  got.switch.events]
+            assert outcome_record(got) == outcome_record(ref)
+
+    @pytest.mark.parametrize("without_setup, first",
+                             [(False, HURDLE), (True, GAP)])
+    def test_its_lanes_end_as_their_runs(self, monkeypatch, without_setup,
+                                         first):
+        env, walker, modules = lane_world(first)
+        blind_targets(modules)
+        n = cp.LANE_CROSSOVER + 4
+        sizes = batch_sizes(monkeypatch)
+        outcomes = cp.run_lanes(cp.episode_drivers(
+            env, walker, identity_norm(), modules, n,
+            np.random.default_rng(5), without_setup=without_setup))
+        assert sizes[0] == n
+        for out, child in zip(outcomes, np.random.default_rng(5).spawn(n)):
+            ref = EpisodeDriver(env, walker, identity_norm(), modules, child,
+                                without_setup=without_setup).run()
+            assert_same_outcome(out, ref)
+        assert POLICY_TARGET in {e.dst for out in outcomes
+                                 for e in out.switch.events}
+
+    def test_its_training_tails_fold_as_ticking_them(self, monkeypatch):
+        tails, buf = parked_tails(cp.LANE_CROSSOVER + 4, blind_tail_world)
+        twins, twin_buf = copy.deepcopy((tails, buf))
+        before = buf.rewards.copy()
+        sizes = batch_sizes(monkeypatch)
+        cp.run_lanes(tails)
+        assert max(sizes) == len(tails)
+        for got, twin in zip(tails, twins):
+            assert_same_outcome(got, twin.run())
+        assert (buf.rewards != before).sum() == len(tails)
+        assert_close_rewards(buf.rewards.tolist(), twin_buf.rewards.tolist())
+
+
 class TestPathsLeftOnTick:
     """Training that parks no tail, or parks only tails too few for a lane
     batch, keeps the results of ticking every driver bit for bit."""
@@ -2117,7 +2207,7 @@ class TestTrainTargetPaths:
         def no_episodes(*args, **kwargs):
             raise AssertionError("evaluated with eval_episodes=0")
 
-        monkeypatch.setattr(cp, "evaluate_bridged", no_episodes)
+        monkeypatch.setattr(cp, "episode_drivers", no_episodes)
         # stop_at=0 would stop at any measured rate
         _, _, curve = train_target(FLAT, 128, np.random.default_rng(0),
                                    config=PPOConfig(horizon=32, epochs=1),

@@ -807,6 +807,28 @@ def checkpoints(tmp_path_factory):
     return paths
 
 
+def test_a_terrain_blind_target_runs_from_the_cli(tmp_path, capsys,
+                                                  checkpoints):
+    # the walker reads the body prefix only; as a module's target it is a
+    # specialist that reads no terrain
+    walker = checkpoints["default"]
+    out = tmp_path / "out"
+    assert main(["evaluate", "--default", walker,
+                 "--module", f"hurdle={walker}:{walker}", "--kind", "hurdle",
+                 "--episodes", "3", "--without-setup",
+                 "--out", str(out)]) == 0
+    assert sorted(path.name for path in out.iterdir()) == [
+        "events_without-setup.jsonl", "metrics_without-setup.csv",
+        "report.json"]
+    assert '"to": "target"' in (out / "events_without-setup.jsonl").read_text()
+    setup = tmp_path / "setup.ckpt"
+    assert main(["train-setup", "--kind", "hurdle", "--default", walker,
+                 "--target", walker, "--budget", "600", "--ppo", "horizon=64",
+                 "--eval-episodes", "2", "--out", str(setup)]) == 0
+    load_policy(setup)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def _write_config(tmp_path, checkpoints, kind, **overrides):
     raw = {"experiment": kind, "seeds": [1], "episodes": 2,
            "checkpoints": checkpoints, "output_dir": str(tmp_path / "a")}

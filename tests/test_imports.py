@@ -7,8 +7,10 @@ acting and training code reads only the network heads it uses, only
 `SwitchState` writes a switch's artifact, only `EpisodeDriver._replay`
 writes a trainer's walker opening and, outside the physics, a runner's
 fields, one function adds a folded reward into a buffer row, one function
-in config.py builds the PPO and AWTV settings, every public function and
-class in src/ is read by name somewhere else in src/ or bench/, and every
+reads a frozen policy through its normalizer and trunk, one function in
+config.py builds the PPO and AWTV settings, every public function and
+class in src/ is read by name somewhere else in src/ or bench/ (a package
+`__init__.py`'s re-export is no read; the exceptions are listed), and every
 function the benchmark traces for its per-layer metrics still exists,
 unless it is listed below with the reason it is gone.
 """
@@ -268,6 +270,41 @@ def test_the_fold_is_written_once():
     assert lanes and folds - lanes == {("EpisodeDriver", "tick")}
 
 
+def frozen_read_scopes(source):
+    """The scope of each `trunk(...)` call whose argument is a
+    `normalize(...)` call: a hand-written read of a policy."""
+    def named(node, name):
+        return isinstance(node, ast.Call) and name in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None))
+
+    def walk(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if named(node, "trunk") and any(named(arg, "normalize")
+                                        for arg in node.args):
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+    return sorted(walk(ast.parse(source), ()))
+
+
+def test_frozen_read_detector():
+    source = ("def f(n, m, x):\n    n.trunk(m.normalize(x))\n"
+              "    n.trunk(x)\n    trunk(normalize(x))\n"
+              "class A:\n    def g(self):\n        h = n.trunk(m.update(x))\n")
+    assert frozen_read_scopes(source) == [("f",), ("f",)]
+
+
+def test_a_frozen_policy_is_read_in_one_place():
+    # every read of a frozen policy, on either runner path, trims the
+    # observation to the policy's width through policy_trunk; a read written
+    # out by hand could skip the trim
+    found = [(str(path.relative_to(ROOT)), scope)
+             for path in sorted((ROOT / "src").rglob("*.py"))
+             for scope in frozen_read_scopes(path.read_text(encoding="utf-8"))]
+    assert found == [("src/gaitbridge/composer.py", ("policy_trunk",))]
+
+
 def test_call_scope_detector_counts_bare_calls():
     source = ("from m import parse\ndef read():\n    parse(1)\n"
               "    m.parse(2)\n    parse\n")
@@ -326,18 +363,30 @@ def test_definition_and_read_detectors():
     assert names_read(source) == {"used_import", "a", "attr", "Kept"}
 
 
+# public definitions in src/ that only the tests read, and why each stays
+TEST_ONLY_DEFINITIONS = {
+    "summarize_metrics": "the library half of `gaitbridge summarize` "
+                         "(ROADMAP item 4), the command that will read it",
+}
+
+
 def test_every_public_definition_in_src_is_read_elsewhere():
     # a definition only the tests read is a test helper: it belongs in
-    # tests/helpers.py, not in the program
+    # tests/helpers.py, not in the program. A package `__init__.py` only
+    # re-exports, so its imports read nothing.
     sources = {path: path.read_text(encoding="utf-8")
                for top in ("src", "bench")
                for path in sorted((ROOT / top).rglob("*.py"))}
-    read = set().union(*map(names_read, sources.values()))
+    read = set().union(*(names_read(source) for path, source in sources.items()
+                         if path.name != "__init__.py"))
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path, source in sources.items()
              if path.is_relative_to(ROOT / "src")
-             for line, name in public_definitions(source) if name not in read]
+             for line, name in public_definitions(source)
+             if name not in read and name not in TEST_ONLY_DEFINITIONS]
     assert not found, "definitions nothing else reads:\n" + "\n".join(found)
+    stale = read & set(TEST_ONLY_DEFINITIONS)
+    assert not stale, f"read in src/ or bench/ now: {sorted(stale)}"
 
 
 # trace targets of bench/measure.py that name no function, and why; each

@@ -406,7 +406,7 @@ def test_observation_layout_near_block():
     course = single_artifact_course(BLOCK, start=3.2)
     env = TerrainEnv(course)
     state = env.reset_from(2.0, v=1.3, c=0.25)
-    obs = observe(course, state)
+    obs = observe(course, state, next_artifact(course, state.x))
     assert obs.shape == (10,)
     assert obs[0] == 1.3
     assert obs[1] == 0.0
@@ -422,7 +422,7 @@ def test_observation_distance_clips_at_two():
     course = single_artifact_course(HURDLE, start=10.0)
     env = TerrainEnv(course)
     state = env.reset_from(1.0)
-    obs = observe(course, state)
+    obs = observe(course, state, next_artifact(course, state.x))
     assert obs[5] == 2.0
     assert list(obs[7:]) == [0.0, 0.0, 1.0]
 
@@ -431,7 +431,7 @@ def test_observation_past_all_artifacts():
     course = single_artifact_course(GAP, start=3.2)
     env = TerrainEnv(course)
     state = env.reset_from(5.0)
-    obs = observe(course, state)
+    obs = observe(course, state, next_artifact(course, state.x))
     assert obs[5] == 2.0
     assert obs[6] == 0.0
     assert list(obs[7:]) == [0.0, 0.0, 0.0]
@@ -441,7 +441,7 @@ def test_observation_inside_artifact_column():
     course = single_artifact_course(BLOCK, start=3.2)
     env = TerrainEnv(course)
     state = env.reset_from(3.3)
-    obs = observe(course, state)
+    obs = observe(course, state, next_artifact(course, state.x))
     assert obs[5] == 0.0  # distance floored at zero while traversing
     assert obs[2] == pytest.approx(leg_length(0.0), abs=1e-12)  # height above the top
     assert list(obs[7:]) == [1.0, 0.0, 0.0]
@@ -629,7 +629,8 @@ def test_a_gap_is_observed_at_height_zero_on_both_paths():
     env = TerrainEnv(course)
     ahead, past = env.reset_from(2.5), env.reset_from(4.5)
     batch = RunnerBatch([course, course], [ahead, past])
-    rows = [observe(course, ahead), observe(course, past)]
+    rows = [observe(course, s, next_artifact(course, s.x))
+            for s in (ahead, past)]
     for scalar, batched in zip(rows, batch.observe()):
         assert scalar.tobytes() == batched.tobytes()
     assert rows[0][6] == 0.0 and rows[0][7 + KIND_ONE_HOT[GAP]] == 1.0
@@ -740,8 +741,9 @@ def test_batch_step_observe_and_detect_match_the_scalar_runner(data):
         hit, index = batch.detect()
         for row, i in enumerate(live):
             course, state = lane_courses[i], states[i]
-            assert obs[row].tobytes() == observe(course, state).tobytes()
             ahead = next_artifact(course, state.x)
+            assert obs[row].tobytes() == observe(course, state,
+                                                 ahead).tobytes()
             assert hit[row] == detects(ahead, state)
             assert index[row] == (len(course.artifacts) if ahead is None
                                   else course.artifacts.index(ahead))
