@@ -481,7 +481,9 @@ def ppo_update(net, buffers, config: PPOConfig, adam: AdamState, rng):
     all_adv = np.concatenate([s[4] for s in stacked])
     adv_mean = float(all_adv.mean())
     adv_std = float(all_adv.std())
-    norm_advs = [((s[4] - adv_mean) / (adv_std + 1e-8)).reshape(-1, 1) for s in stacked]
+    # (obs, actions, bits, logp_old, normalized adv, returns) of each worker
+    columns = [s[:4] + (((s[4] - adv_mean) / (adv_std + 1e-8)).reshape(-1, 1),
+                        s[5]) for s in stacked]
 
     n_workers = len(buffers)
     w_scale = 1.0 / n_workers
@@ -489,13 +491,17 @@ def ppo_update(net, buffers, config: PPOConfig, adam: AdamState, rng):
     pg_losses, v_losses, ratios = [], [], []
 
     for _ in range(config.epochs):
+        # each column gathered once in the epoch's order; a minibatch is a
+        # contiguous slice of it
         perm = rng.permutation(T)
+        shuffled = [[None if c is None else c[perm] for c in worker]
+                    for worker in columns]
         for start in range(0, T, config.minibatch):
-            idx = perm[start:start + config.minibatch]
-            for w, (obs, actions, bits, logp_old, _, returns) in enumerate(stacked):
+            stop = start + config.minibatch
+            for w, worker in enumerate(shuffled):
                 pg, v_loss, ratio = ppo_loss_grad(
-                    net, obs[idx], actions[idx], None if bits is None else bits[idx],
-                    logp_old[idx], norm_advs[w][idx], returns[idx], config, grads[w])
+                    net, *(None if c is None else c[start:stop] for c in worker),
+                    config, grads[w])
                 if w:
                     grads[0] += grads[w]
                 pg_losses.append(pg)
