@@ -20,10 +20,13 @@ training and target training all run drivers. It hands control over by
 calling `SwitchState.transition` at three points: the oracle's detection
 (to setup, or straight to target in the no-setup arm), the setup policy's
 handoff bit, and the target's release once `tau_theta_reached`. On each
-tick one policy acts, and it learns only when it is the trainer's own net: it
-then updates its normalizer, samples its action and stores the transition.
-Every other policy normalizes only and acts on its mean, except that a setup
-policy keeps sampling: its handoff is a learned per-tick probability. A
+tick one policy acts, and every policy normalizes with statistics that stay
+frozen while it acts. The policy learns only when it is the trainer's own
+net: it then samples its action and stores the transition with the raw
+observation row, which `Trainer.update` merges into the statistics after the
+update that learns from it. Every other policy acts on its mean, except that
+a setup policy keeps sampling: its handoff is a learned per-tick
+probability. A
 policy runs its trunk and then only the heads read (see `diffcore.net`):
 acting on its mean, neither the value nor the switch head; sampling without
 learning, no value head. Target training is a driver with no modules, whose
@@ -32,7 +35,9 @@ training trains one module's setup policy on a shaped reward. One round-robin
 loop (`_train`) collects both into per-worker buffers, one `tick()` at a time,
 but for the tails of setup training: once the trained setup policy has
 handed off and no artifact is left for a setup policy, an episode only folds
-rewards, so `_train` parks it, and the parked tails run as lanes.
+rewards, so `_train` parks it, and the parked tails run as lanes. Each worker
+draws from a stream of its own, and acts under statistics that only an
+update moves, so the order in which workers tick moves no result.
 
 In setup training the frozen walker's opening, its ticks on the flat ground
 short of the first artifact, replays from the trainer's `opening` (see
@@ -383,6 +388,13 @@ class Trainer:
     it trains the drivers' default policy on the environment reward and
     empties the buffers.
 
+    `update` runs PPO on the buffers under the normalizer statistics that
+    acted, then merges each buffer's raw rows not merged before into them,
+    in worker order: each learning tick's row is merged once, the survivor
+    of `clear_except_last` at the update that first learned from it. The
+    PPO shuffle draws from `shuffle`, the first stream spawned from `rng`;
+    `_train` spawns each worker's stream from `rng` after it.
+
     With a module it also keeps `opening`, the record of the frozen walker's
     opening: entry t holds the runner's (v, w, h, c, contact) after its step
     from t to t + 1, and dx = v * DT, what that step added to x. A driver that
@@ -406,6 +418,7 @@ class Trainer:
         self.config = config
         self.adam = AdamState(lr=config.lr)
         self.rng = rng
+        self.shuffle = rng.spawn(1)[0]
         self.module = module
         self.reward_fn = reward_fn
         self.extend = extend
@@ -413,15 +426,17 @@ class Trainer:
         self.opening = None if module is None else []
 
     def update(self, drivers):
-        """One PPO update from every driver's full buffer."""
+        """One PPO update from every driver's full buffer, then the merge of
+        their new raw rows into the statistics, in driver order."""
         for drv in drivers:
             buf = drv.buffer
             # a horizon cut mid-phase bootstraps from the state acted on next
             buf.tail_bootstrap = 0.0 if buf.dones[-1] else self.net.scalar_head(
                 "value", policy_trunk(self.net, self.norm, drv.observation()))
         buffers = [drv.buffer for drv in drivers]
-        ppo_update(self.net, buffers, self.config, self.adam, self.rng)
+        ppo_update(self.net, buffers, self.config, self.adam, self.shuffle)
         for buf in buffers:
+            self.norm.merge(buf.take_raw())
             if self.module is None:
                 buf.clear()
             else:
@@ -432,7 +447,8 @@ class Trainer:
 class EpisodeDriver:
     """Advances one bridged episode one environment tick at a time.
 
-    A learning policy (see the module docstring) appends to `buffer`.
+    A learning policy (see the module docstring) appends to `buffer`, and
+    normalizes with statistics frozen since the trainer's last update.
     `init_fn(env, rng)` replaces the standard spawn.
     """
 
@@ -546,8 +562,9 @@ class EpisodeDriver:
         else:
             learning = trainer is not None and net is trainer.net
             if learning or acting == POLICY_SETUP:
+                # a learning tick keeps its raw row for the trainer's merge
                 x = policy_obs(net, obs)
-                obs_n = norm.update(x) if learning else norm.normalize(x)
+                obs_n = norm.normalize(x)
                 action, bit, mean, logit, h = policy_act(
                     net, obs_n, self.rng, with_switch=acting == POLICY_SETUP)
             else:
@@ -568,7 +585,7 @@ class EpisodeDriver:
                 r_step = r_env
             self.fold_row = self.buffer.append(
                 obs_n, action, bit, mean, logit, r_step,
-                net.scalar_head("value", h), done or bit == 1)
+                net.scalar_head("value", h), done or bit == 1, x)
             if bit == 1:
                 self.handed_off = True
         elif self.handed_off and trainer.extend:
@@ -839,10 +856,14 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
            n_workers=1, stop_at=None, on_episode_end=None):
     """Round-robin PPO; returns (curve, steps_used, stopped).
 
-    `n_workers` drivers take turns ticking, each into its own buffer; a
-    worker whose buffer is full pauses until every buffer is full, which
-    triggers one joint update. Buffers persist across episodes; only the
-    runner restarts. Every `eval_every` updates (never when 0) and once at
+    `n_workers` drivers take turns ticking, each into its own buffer and on
+    its own stream, spawned from the trainer's `rng`: a worker draws its
+    spawns, action noise and handoff bits from it. A worker whose buffer is
+    full pauses until every buffer is full, which triggers one joint update.
+    Buffers and streams persist across episodes; only the runner restarts.
+    Between updates the policy and its statistics are frozen, so each
+    worker's ticks depend on its own stream alone, and the update, which
+    merges the workers' rows in worker order, on no interleaving of them. Every `eval_every` updates (never when 0) and once at
     the end, `eval_episodes` bridged evaluation episodes (`episode_drivers`,
     run as lanes) drawn from their own generator add a (steps_used,
     updates, success_rate) row to the curve;
@@ -859,9 +880,11 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
     while the budget holds the most ticks it can take, MAX_STEPS + 1 minus
     its steps, and the tails run before any tick that their reserve could
     push past the budget; so the budget ends exactly as on `tick()`. A tail
-    draws nothing, so with one worker the generator's draws keep the order
-    of ticking every episode to its end. Without `extend` or with an
-    `on_episode_end`, every driver stays on `tick()`.
+    draws nothing, so each worker's draws keep the order of ticking every
+    episode to its end, and while fewer than `LANE_CROSSOVER` tails run
+    together (on `run()`, see `run_lanes`) the results equal those of
+    ticking them bit for bit. Without `extend` or with an `on_episode_end`,
+    every driver stays on `tick()`.
     """
     if eval_episodes < 0 or eval_every < 0:
         raise ValueError("eval_every and eval_episodes must be >= 0")
@@ -879,9 +902,11 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
         curve.append((steps_used, trainer.updates, rate))
         return rate
 
-    def new_driver(buffer):
+    streams = trainer.rng.spawn(n_workers)
+
+    def new_driver(worker, buffer):
         return EpisodeDriver(env, default_net, default_norm, modules,
-                             trainer.rng, trainer=trainer, buffer=buffer,
+                             streams[worker], trainer=trainer, buffer=buffer,
                              init_fn=init_fn)
 
     def run_tails():
@@ -892,8 +917,8 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
         tails.clear()
         reserve = 0
 
-    drivers = [new_driver(RolloutBuffer(trainer.config.horizon))
-               for _ in range(n_workers)]
+    drivers = [new_driver(w, RolloutBuffer(trainer.config.horizon))
+               for w in range(n_workers)]
     parks = on_episode_end is None  # else each episode ends on tick()
     tails = []  # parked training tails
     reserve = 0  # the most ticks the tails can still take
@@ -909,7 +934,7 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
                 if steps_used + reserve + most <= budget and drv.folds_only():
                     tails.append(drv)
                     reserve += most
-                    drv = drivers[idx] = new_driver(drv.buffer)
+                    drv = drivers[idx] = new_driver(idx, drv.buffer)
             if tails and steps_used + reserve >= budget:
                 run_tails()
                 if steps_used >= budget:
@@ -920,7 +945,7 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
             if drv.done:
                 if on_episode_end is not None:
                     on_episode_end(drv)
-                drivers[idx] = new_driver(drv.buffer)
+                drivers[idx] = new_driver(idx, drv.buffer)
             if steps_used >= budget:
                 break
         if filled == n_workers:

@@ -12,6 +12,7 @@ from different settings can never be compared silently.
 """
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -259,14 +260,30 @@ def _chosen_arms(config, allowed, what, standard=None):
     return tuple(arms)
 
 
+# the two-sided 95% quantile of the standard normal
+WILSON_Z = 1.959963984540054
+
+
+def wilson_interval(successes, n, z=WILSON_Z):
+    """(low, high) Wilson score interval of `successes` in `n` trials."""
+    p = successes / n
+    z2n = z * z / n
+    centre = (p + z2n / 2.0) / (1.0 + z2n)
+    half = z / (1.0 + z2n) * math.sqrt(p * (1.0 - p) / n + z2n / (4.0 * n))
+    return max(0.0, centre - half), min(1.0, centre + half)
+
+
 def _arm_summary(rows, seeds):
     episodes = {seed: [r for r in rows if r.seed == seed] for seed in seeds}
     per_seed = {
         str(seed): sum(int(r.success) for r in seed_rows) / len(seed_rows)
         for seed, seed_rows in episodes.items()
     }
+    successes = sum(int(r.success) for r in rows)
     return {
-        "success": sum(int(r.success) for r in rows) / len(rows),
+        "success": successes / len(rows),
+        # over episodes, as if independent
+        "success_ci95": list(wilson_interval(successes, len(rows))),
         "distance": sum(r.distance_fraction for r in rows) / len(rows),
         "per_seed": per_seed,
     }

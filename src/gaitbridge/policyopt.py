@@ -17,8 +17,15 @@ formula. The net cannot change between two updates, so the net handed to
 A `RolloutBuffer` holds one preallocated array per column and a row count;
 `append` copies a transition into the next row. `ppo_update` reads each
 buffer's obs, actions, switch bits and log-probabilities as views of its
-filled rows, and its rewards, values and dones through GAE, so an update
-copies no column before its minibatches index them.
+filled rows, and its rewards, values and dones through GAE; each epoch
+gathers every column once in its permutation, and a minibatch is a
+contiguous slice of that gather.
+
+A `RunningNormalizer` moves only at `merge`, which folds in a block of raw
+rows. Acting normalizes with statistics frozen since the last update, and
+the trainer merges the raw rows each buffer keeps beside its normalized ones
+after the update, worker by worker: between updates nothing depends on the
+order in which rows arrive.
 """
 
 from __future__ import annotations
@@ -78,11 +85,13 @@ def _filled(column, count="_n"):
 class RolloutBuffer:
     """Fixed-capacity transition store with clear-except-last semantics.
 
-    One preallocated float64 array per column and a row count: obs, actions
-    and means are (capacity, width); rewards, values, dones (bool) and
-    logprobs are (capacity,). Rows that carry a handoff bit add (capacity,)
-    switch_bits (0.0 or 1.0) and switch_logits columns; a buffer whose rows
-    carry none has neither, and reads them as None. The first append
+    One preallocated float64 array per column and a row count: obs, raw_obs,
+    actions and means are (capacity, width); rewards, values, dones (bool)
+    and logprobs are (capacity,). `obs` holds the normalized row the policy
+    acted on, `raw_obs` the observation it was normalized from. Rows that
+    carry a handoff bit add (capacity,) switch_bits (0.0 or 1.0) and
+    switch_logits columns; a buffer whose rows carry none has neither, and
+    reads them as None. The first append
     allocates the arrays and fixes the widths and whether rows carry a bit;
     a later row that disagrees on the bit raises BufferError. `append`
     copies each value into row `len(self)`, so a stored row holds no object
@@ -98,10 +107,12 @@ class RolloutBuffer:
     the log-probabilities of the rows that lack one before its first step,
     so it must see the net that acted; they fill `logprobs` from the front.
     The survivor of `clear_except_last` keeps the log-probability filled at
-    its own update.
+    its own update. `take_raw` hands out each raw row once: the survivor,
+    taken before its update's clear, is not handed out again.
     """
 
     obs = _filled("_obs")
+    raw_obs = _filled("_raw")
     actions = _filled("_actions")
     means = _filled("_means")
     switch_bits = _filled("_bits")
@@ -117,21 +128,23 @@ class RolloutBuffer:
         self.capacity = int(capacity)
         self._n = 0
         self._n_logp = 0  # leading rows whose log-probability is filled
+        self._n_taken = 0  # leading rows whose raw row `take_raw` handed out
         self._dropped = 0  # rows ever dropped: row number - _dropped = index
-        self._allocate(0, 0, 0, True)  # empty columns until the first append
+        self._allocate(0, 0, 0, 0, True)  # empty columns until the first append
         self.with_bits = None  # whether rows carry a bit: set at first append
         # value bootstrap for a horizon cut mid-phase; set by the trainer
         self.tail_bootstrap = 0.0
 
-    def _allocate(self, rows, obs_width, action_width, with_bits):
+    def _allocate(self, rows, obs_width, raw_width, action_width, with_bits):
         self.with_bits = with_bits
         self._obs = np.empty((rows, obs_width))
+        self._raw = np.empty((rows, raw_width))
         self._actions = np.empty((rows, action_width))
         self._means = np.empty((rows, action_width))
         self._rewards, self._values, self._logprobs = (
             np.empty(rows) for _ in range(3))
         self._dones = np.empty(rows, dtype=bool)
-        self._columns = [self._obs, self._actions, self._means, self._rewards,
+        self._columns = [self._obs, self._raw, self._actions, self._means, self._rewards,
                          self._values, self._logprobs, self._dones]
         self._bits = self._logits = None
         if with_bits:
@@ -146,13 +159,13 @@ class RolloutBuffer:
         return self._n >= self.capacity
 
     def append(self, obs, action, switch_bit, mean, switch_logit, reward,
-               value, done):
+               value, done, raw_obs):
         """Copy a transition into the next row; returns the row's number."""
         n = self._n
         if n >= self.capacity:
             raise BufferError("append to a full buffer; run an update first")
         if self.with_bits is None:
-            self._allocate(self.capacity, len(obs), len(action),
+            self._allocate(self.capacity, len(obs), len(raw_obs), len(action),
                            switch_bit is not None)
         if (switch_bit is not None) != self.with_bits:
             raise BufferError("a row disagrees with the buffer's first on "
@@ -161,6 +174,7 @@ class RolloutBuffer:
             self._bits[n] = switch_bit
             self._logits[n] = switch_logit
         self._obs[n] = obs
+        self._raw[n] = raw_obs
         self._actions[n] = action
         self._means[n] = mean
         self._rewards[n] = reward
@@ -177,9 +191,14 @@ class RolloutBuffer:
             raise BufferError(f"row {row} is no longer in the buffer")
         self._rewards[i] += delta
 
+    def take_raw(self):
+        """The raw rows not yet taken, a view; they count as taken now."""
+        start, self._n_taken = self._n_taken, self._n
+        return self._raw[start:self._n]
+
     def clear(self):
         self._dropped += self._n
-        self._n = self._n_logp = 0
+        self._n = self._n_logp = self._n_taken = 0
         self.tail_bootstrap = 0.0
 
     def clear_except_last(self):
@@ -192,27 +211,24 @@ class RolloutBuffer:
             column[0] = column[n - 1]
         self._dropped += n - 1
         self._n_logp = int(self._n_logp == n)
+        self._n_taken = int(self._n_taken == n)
         self._n = 1
         self.tail_bootstrap = 0.0
 
 
 class RunningNormalizer:
-    """Per-dimension streaming mean/variance for observation whitening.
+    """Per-dimension mean/variance for observation whitening, frozen between
+    merges.
 
-    The mean uses a compensated (TwoSum) running sum so it is exactly
-    permutation-invariant for bounded streams; M2 is plain float64 Welford.
-    Normalizing before any update returns zeros.
-
-    The state is four lists of Python floats, one entry per dimension, and
-    `update` walks them in one loop: on a 10-wide row, ten rounds of float
-    arithmetic cost less than a dozen numpy calls. The bits are numpy's. A
-    Python float is an IEEE-754 double, and CPython rounds each +, -, *, /
-    and `math.sqrt` correctly, as numpy does, so the same operations in the
-    same order give the same doubles. The two `np.maximum` floors become
-    conditional expressions that, like `np.maximum`, keep the value itself
-    on a tie or a NaN. `mean`, `var`, `std` and the (mean, 1/std) arrays
-    behind `normalize`, which frozen statistics and batches use, are
-    computed with numpy from arrays of the lists.
+    The statistics move only at `merge`, which folds a (k, dim) block of raw
+    rows in. The sum is compensated: `sum_hi + sum_lo` gains each block's
+    correctly rounded column sums by TwoSum (Knuth). The mean `wmean` and
+    the sum of squared deviations `m2` combine with the block's own mean
+    and M2 (two passes over it) by the pairwise formula of Chan, Golub and
+    LeVeque (1979). Normalizing uses the compensated mean, (sum_hi +
+    sum_lo) / count, and std = sqrt(max(m2, 0) / count), floored at EPS;
+    before any merge it returns zeros. `normalize` serves one row or a
+    (B, dim) batch, each row the same floats either way.
     """
 
     EPS = 1e-6
@@ -220,50 +236,49 @@ class RunningNormalizer:
     def __init__(self, dim):
         self.dim = int(dim)
         self.count = 0
-        self._sum_hi = [0.0] * self.dim
-        self._sum_lo = [0.0] * self.dim
-        self._wmean = [0.0] * self.dim
-        self._m2 = [0.0] * self.dim
+        self._sum_hi, self._sum_lo, self._wmean, self._m2 = (
+            np.zeros(self.dim) for _ in range(4))
         self._cached = None  # (mean, 1/max(std, EPS)) for the current count
 
-    def update(self, x):
-        """Fold the row x (a (dim,) array) into the statistics and return it
-        whitened by the updated statistics, as `normalize(x)` would."""
-        xs = x.tolist()
-        if len(xs) != self.dim:
-            raise ValueError(f"row of width {len(xs)} for a {self.dim}-wide normalizer")
-        self.count = n = self.count + 1
-        eps = self.EPS
-        sqrt = math.sqrt
-        sum_hi, sum_lo, wmean, m2s = self._sum_hi, self._sum_lo, self._wmean, self._m2
-        for i in range(self.dim):
-            xi = xs[i]
-            # branch-free TwoSum (Knuth): s + err == hi + xi exactly
-            hi = sum_hi[i]
-            s = hi + xi
-            xv = s - hi
-            lo = sum_lo[i] + ((hi - (s - xv)) + (xi - xv))
-            wm = wmean[i]
-            delta = xi - wm
-            wm += delta / n
-            m2 = m2s[i] + delta * (xi - wm)
-            sum_hi[i], sum_lo[i], wmean[i], m2s[i] = s, lo, wm, m2
-            std = sqrt((0.0 if m2 < 0.0 else m2) / n)
-            xs[i] = (xi - (s + lo) / n) * (1.0 / (eps if std < eps else std))
+    def merge(self, rows):
+        """Fold a (k, dim) block of raw rows into the statistics."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim != 2 or rows.shape[1] != self.dim:
+            raise ValueError(f"rows of shape {rows.shape} for a "
+                             f"{self.dim}-wide normalizer")
+        k = rows.shape[0]
+        if not k:
+            return
+        columns = np.ascontiguousarray(rows.T)
+        block_sum = np.array([math.fsum(column)
+                              for column in columns.tolist()])
+        block_mean = block_sum / k
+        centred = columns - block_mean[:, None]
+        block_m2 = (centred * centred).sum(axis=1)
+
+        hi = self._sum_hi
+        s = hi + block_sum
+        v = s - hi
+        self._sum_lo = self._sum_lo + ((hi - (s - v)) + (block_sum - v))
+        self._sum_hi = s
+        n_a, n = self.count, self.count + k
+        delta = block_mean - self._wmean
+        self._wmean = self._wmean + delta * (k / n)
+        self._m2 = self._m2 + block_m2 + delta * delta * (n_a * k / n)
+        self.count = n
         self._cached = None
-        return np.array(xs)
 
     @property
     def mean(self):
         if self.count == 0:
             return np.zeros(self.dim)
-        return (np.array(self._sum_hi) + np.array(self._sum_lo)) / self.count
+        return (self._sum_hi + self._sum_lo) / self.count
 
     @property
     def var(self):
         if self.count == 0:
             return np.zeros(self.dim)
-        return np.maximum(np.array(self._m2), 0.0) / self.count
+        return np.maximum(self._m2, 0.0) / self.count
 
     @property
     def std(self):
@@ -287,10 +302,10 @@ class RunningNormalizer:
         """Float64 state for checkpointing (per-dimension count included)."""
         return {
             "count": np.full(self.dim, float(self.count)),
-            "sum_hi": np.array(self._sum_hi),
-            "sum_lo": np.array(self._sum_lo),
-            "wmean": np.array(self._wmean),
-            "m2": np.array(self._m2),
+            "sum_hi": self._sum_hi.copy(),
+            "sum_lo": self._sum_lo.copy(),
+            "wmean": self._wmean.copy(),
+            "m2": self._m2.copy(),
         }
 
     @classmethod
@@ -299,7 +314,7 @@ class RunningNormalizer:
         norm = cls(dim)
         norm.count = int(state["count"][0])
         norm._sum_hi, norm._sum_lo, norm._wmean, norm._m2 = (
-            np.asarray(state[key], dtype=np.float64).tolist()
+            np.array(state[key], dtype=np.float64)
             for key in ("sum_hi", "sum_lo", "wmean", "m2"))
         return norm
 

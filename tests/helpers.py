@@ -101,7 +101,7 @@ def train_bandit(updates=50, horizon=128, seed=0):
             action, _, mean, logit, h = policy_act(net, obs, rng)
             reward = -float(action[0]) ** 2
             buffer.append(obs.copy(), action, None, mean, logit, reward,
-                          net.scalar_head("value", h), True)
+                          net.scalar_head("value", h), True, obs)
         ppo_update(net, [buffer], config, adam, rng)
     return net
 
@@ -216,52 +216,6 @@ def numeric_gradient(loss_fn, params, h=1e-5):
             gf[i] = (lp - lm) / (2.0 * h)
         grads[name] = g
     return grads
-
-
-class NumpyRunningNormalizer:
-    """The running normalizer as whole-row numpy operations: the reference
-    `policyopt.RunningNormalizer` must match bit for bit."""
-
-    EPS = 1e-6
-
-    def __init__(self, dim):
-        self.dim = int(dim)
-        self.count = 0
-        self._sum_hi = np.zeros(self.dim)
-        self._sum_lo = np.zeros(self.dim)
-        self._wmean = np.zeros(self.dim)
-        self.m2 = np.zeros(self.dim)
-
-    def update(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        hi = self._sum_hi
-        s = hi + x
-        xv = s - hi
-        err = (hi - (s - xv)) + (x - xv)
-        self._sum_lo += err
-        self._sum_hi = s
-        self.count += 1
-        delta = x - self._wmean
-        self._wmean += delta / self.count
-        self.m2 += delta * (x - self._wmean)
-
-    def normalize(self, x):
-        if self.count == 0:
-            return np.zeros(np.shape(x))
-        mean = (self._sum_hi + self._sum_lo) / self.count
-        std = np.sqrt(np.maximum(self.m2, 0.0) / self.count)
-        out = np.asarray(x, dtype=np.float64) - mean
-        out *= 1.0 / np.maximum(std, self.EPS)
-        return out
-
-    def state_arrays(self):
-        return {
-            "count": np.full(self.dim, float(self.count)),
-            "sum_hi": self._sum_hi.copy(),
-            "sum_lo": self._sum_lo.copy(),
-            "wmean": self._wmean.copy(),
-            "m2": self.m2.copy(),
-        }
 
 
 def gae_reference(rewards, values, dones, gamma, lam, tail_bootstrap=0.0):

@@ -666,7 +666,7 @@ class TestUpdateMechanics:
                 mu_b = default_net.params["mu.b"]
                 mu_b[0] = np.float32(mu_b[0]) + np.float32(0.01)
             else:
-                d_norm.update(driver.observation())
+                d_norm.merge(driver.observation()[None])
 
         with pytest.raises(RuntimeError, match="walker policy drifted"):
             train_setup(module, default_net, d_norm, env,
@@ -1164,7 +1164,7 @@ class TestWalkerOpening:
             steps[0] = 0
 
     @pytest.mark.parametrize("n_workers, budget, cut", [
-        (1, 3037, False), (2, 2940, False), (1, 2455, True), (2, 2843, True)])
+        (1, 3037, False), (2, 2940, False), (1, 2910, True), (2, 2630, True)])
     def test_training_equals_training_without_the_replay(
             self, monkeypatch, n_workers, budget, cut):
         with monkeypatch.context() as m:
@@ -1275,8 +1275,7 @@ class TestTerrainBlindWalker:
         rng = np.random.default_rng(17)
         walker = ParameterizedNet(OBS_PROPRIO, 2, (8,), rng)
         norm = RunningNormalizer(OBS_PROPRIO)
-        for _ in range(4096):
-            norm.update(rng.normal(0.5, 2.0, size=OBS_PROPRIO))
+        norm.merge(rng.normal(0.5, 2.0, size=(4096, OBS_PROPRIO)))
         _, lifted = cp.lift_to_terrain_obs(walker, norm)
         assert lifted.count == norm.count == 4096
         # a hurdle 0.8 ahead and 0.2 high, then random rows
@@ -1823,7 +1822,7 @@ def tails_run(budget, tick_path, *, world=tail_world, horizon=150,
             tick_log.append((folding, done))
         return done
 
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(25)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(EpisodeDriver, "__init__", spy_init)
         m.setattr(Trainer, "update", spy_update)
@@ -1836,7 +1835,8 @@ def tails_run(budget, tick_path, *, world=tail_world, horizon=150,
                             on_episode_end=(lambda drv: None) if tick_path
                             else None)
     return {"curve": curve, "count": module.setup_norm.count,
-            "rng": rng.bit_generator.state,
+            # the one worker's stream: the same draws, in the same order
+            "rng": drivers[-1].rng.bit_generator.state,
             "discrete": [(d.state.steps, d.state.done, d.state.success,
                           d.state.failure, [(e.step, e.src, e.dst)
                                             for e in d.switch.events])
@@ -2107,10 +2107,10 @@ class TestPathsLeftOnTick:
             PPOConfig(horizon=16, minibatch=8, epochs=2), 3000,
             np.random.default_rng(5), eval_every=2, eval_episodes=2)
         assert not parked
-        assert [row[:2] for row in curve] == [(955, 2), (1832, 4), (3000, 5)]
+        assert [row[:2] for row in curve] == [(142, 2), (1013, 4), (2772, 6)]
         assert training_digest(module.setup_net, module.setup_norm, curve) \
-            == ("e9018cc9d5a3db746e1656736f44e11d"
-                "6ccd3ba2f888b6391c5954d67304bc4a")
+            == ("8963fa836f472a6ac7c3940152cc8691"
+                "93f44d5aedb830fa5c6f872b9e647c5c")
 
     def test_an_episode_end_callback(self, monkeypatch):
         parked = self.tails_parked(monkeypatch)
@@ -2121,11 +2121,12 @@ class TestPathsLeftOnTick:
                             np.random.default_rng(6), eval_every=2,
                             eval_episodes=2, n_workers=2,
                             on_episode_end=lambda drv: ends.append(drv))
-        assert not parked and len(ends) == 6
-        assert [row[:2] for row in curve] == [(1140, 2), (1283, 4), (4000, 5)]
+        assert not parked and len(ends) == 5
+        assert [row[:2] for row in curve] == [(1091, 2), (2928, 4), (3259, 6),
+                                              (3372, 8)]
         assert training_digest(module.setup_net, module.setup_norm, curve) \
-            == ("3cc43e31dda8b103f4fb518628910c83"
-                "223e6fdcc585a022423e6775daa57253")
+            == ("c365d157e0f34acf04e75cea42848ae9"
+                "54af50eefcbd890b511ddf3ae8b33b6b")
 
     def test_a_two_hurdle_course(self, monkeypatch):
         parked = self.tails_parked(monkeypatch)
@@ -2134,16 +2135,94 @@ class TestPathsLeftOnTick:
                                       make_artifact(HURDLE, 5.0)]))
         curve = train_setup(module, walker, walker_norm, env,
                             PPOConfig(horizon=16, minibatch=8, epochs=2), 4000,
-                            np.random.default_rng(7), eval_every=2,
+                            np.random.default_rng(8), eval_every=2,
                             eval_episodes=2)
         # a tail is parked only once no hurdle is left ahead of it
         assert parked and all(
             drv.switch.events[-1].x > env.course.artifacts[1].start - 1.0
             for drv in parked)
-        assert [row[1] for row in curve] == [2, 4, 6, 8, 10, 12, 14]
+        assert [row[1] for row in curve] == list(range(2, 31, 2)) + [31]
         assert training_digest(module.setup_net, module.setup_norm, curve) \
-            == ("1b875c3f6f58411661e40a33b242d099"
-                "c96342342ac66f9f3f9bedcde311dfde")
+            == ("30bb548f073060c15e1bfa69b1df6095"
+                "25d3a319c8aae258013bdefd32dd9902")
+
+
+class TestScheduleIndependence:
+    """Each worker draws from its own stream and acts under statistics that
+    only an update moves, so the order in which workers tick moves no
+    result."""
+
+    def test_two_workers_train_alike_whether_tails_park_or_tick(self):
+        def train(on_episode_end):
+            env, walker, walker_norm, module = tail_world()
+            parked = []
+            run_lanes = cp.run_lanes
+
+            def spy(drivers):
+                parked.append(sum(d.trainer is not None for d in drivers))
+                return run_lanes(drivers)
+
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(cp, "run_lanes", spy)
+                curve = train_setup(
+                    module, walker, walker_norm, env,
+                    PPOConfig(horizon=16, minibatch=8, epochs=2), 4000,
+                    np.random.default_rng(1), eval_every=2, eval_episodes=2,
+                    n_workers=2, on_episode_end=on_episode_end)
+            return (training_digest(module.setup_net, module.setup_norm,
+                                    curve), curve, parked)
+
+        lanes, curve, parked = train(None)
+        ticked, _, none_parked = train(lambda drv: None)
+        # tails parked, each run too few for a batch, so they fold on
+        # run() as on tick(); the budget crosses several updates
+        assert sum(parked) > 0 and max(parked) < cp.LANE_CROSSOVER
+        assert not any(none_parked) and curve[-1][1] >= 6
+        assert lanes == ticked
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_each_learning_row_is_merged_once(self, n_workers):
+        """The normalizer's count grows by the rows merged, and the rows
+        merged are each worker's learning ticks up to the last update, in
+        order, the row kept across an update merged once."""
+        env, walker, walker_norm, module = fast_training_world()
+        start = module.setup_norm.count
+        appended, merged, due = {}, [], []
+        append, update, merge = (RolloutBuffer.append, Trainer.update,
+                                 RunningNormalizer.merge)
+
+        def spy_append(buf, *row):
+            appended.setdefault(id(buf), []).append(np.array(row[-1]))
+            return append(buf, *row)
+
+        def spy_update(trainer, drivers):
+            due.append([(id(d.buffer), len(appended[id(d.buffer)]))
+                        for d in drivers])
+            update(trainer, drivers)
+
+        def spy_merge(norm, rows):
+            if norm is module.setup_norm:
+                merged.extend(np.array(rows))
+            merge(norm, rows)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(RolloutBuffer, "append", spy_append)
+            m.setattr(Trainer, "update", spy_update)
+            m.setattr(RunningNormalizer, "merge", spy_merge)
+            train_setup(module, walker, walker_norm, env,
+                        PPOConfig(horizon=16, minibatch=8, epochs=1), 3000,
+                        np.random.default_rng(9), eval_every=0,
+                        eval_episodes=0, n_workers=n_workers)
+        assert len(due) >= 2
+        taken = dict.fromkeys(appended, 0)
+        want = []
+        for workers in due:
+            for buf, end in workers:
+                want += appended[buf][taken[buf]:end]
+                taken[buf] = end
+        assert len(merged) == len(want) == sum(taken.values())
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(merged, want))
+        assert module.setup_norm.count == start + len(want)
 
 
 # ---- spawn distributions ----------------------------------------------------------
@@ -2261,10 +2340,10 @@ class TestSeededTrainingDigests:
     the rollout, update or evaluation order, or to the curve rows, shows."""
 
     @pytest.mark.parametrize("kind, expected", [
-        (FLAT, "2617caeff6e77bf47b4d7fa8b696d37a"
-               "808998d767c847a309dcd2a1a4fcdd6a"),
-        (HURDLE, "3052164c2c173fa0570b9c58b8fd037d"
-                 "41ccb682e2a350abdd5a67f1841cb0cb"),
+        (FLAT, "18f6b610287fa2c77c3b7e7baa56cbcf"
+               "b3a6090c80b15b5d3a615e0869cc98be"),
+        (HURDLE, "8d37a554423d88b88636cb01add03bd7"
+                 "5f2e2f5fd8a9d63c797a7546e9347e74"),
     ])
     def test_train_target(self, kind, expected):
         net, norm, curve = train_target(
@@ -2283,23 +2362,25 @@ class TestSeededTrainingDigests:
             eval_every=2, eval_episodes=0, stop_at=2.0, min_final=None)
         assert curve == [(1024, 2, None)]
         assert training_digest(net, norm, curve) \
-            == ("9df85eb13f61bb29b94d69f4098a524c"
-                "7b342d4dac7700313e486fcdd7fb143b")
+            == ("72fd062a7f8c1f9d6a9502ecb77ec2c6"
+                "b91c156d110c96df2baa12cdf2db01bb")
 
     def test_two_worker_train_setup_with_learning_statistics(self):
-        # a random setup policy whose normalizer learns from every setup tick
+        # a random setup policy whose normalizer learns from every setup
+        # tick, merged at each update: 2 x 16 rows, then 2 x 15 new rows
+        # beside each buffer's survivor at each of the three updates after
         module = BehaviorModule.fresh(HURDLE, scripted_net(0.0, -1.0),
                                       identity_norm(), np.random.default_rng(11))
         curve = train_setup(module, scripted_net(0.5, 0.0), identity_norm(),
                             TerrainEnv(single_artifact_course(HURDLE)),
-                            PPOConfig(horizon=16, minibatch=8, epochs=2), 4000,
+                            PPOConfig(horizon=16, minibatch=8, epochs=2), 6000,
                             np.random.default_rng(4), eval_every=2,
                             eval_episodes=2, n_workers=2)
         assert [updates for _, updates, _ in curve] == [2, 4]
-        assert module.setup_norm.count == 138
+        assert module.setup_norm.count == 2 * 16 + 3 * 2 * 15
         assert training_digest(module.setup_net, module.setup_norm, curve) \
-            == ("3a5d8753eda3adfc52ad2dc910103d96"
-                "2aac3632f34a8e9d04cf84177c22413a")
+            == ("9d495b75076b63819214542d2fca289d"
+                "fbfcfd985cf34ab8ebfeb1b525714398")
 
     def test_two_worker_train_setup_evaluating_every_update(self):
         module = hurdle_module()
@@ -2309,10 +2390,10 @@ class TestSeededTrainingDigests:
                             PPOConfig(horizon=8, minibatch=8, epochs=1), 3000,
                             np.random.default_rng(3), eval_every=1,
                             eval_episodes=4, n_workers=2)
-        assert [updates for _, updates, _ in curve] == [1, 2, 3, 4, 5, 6]
+        assert [updates for _, updates, _ in curve] == [1, 2, 3, 4]
         assert training_digest(module.setup_net, module.setup_norm, curve) \
-            == ("4d1f4ae984b855cb45dde04c7bbf5e5f"
-                "160634c5e541be80d75ef74ad37115f0")
+            == ("5437cafb21609d94132a318f37d74e0a"
+                "57f38f7d3cad9bccae166cc60e97680f")
 
     def test_two_worker_train_setup_from_a_lifted_walker(self):
         # a terrain-blind walker lifted to the full observation; its count-1
@@ -2333,8 +2414,8 @@ class TestSeededTrainingDigests:
                             eval_episodes=3, n_workers=2)
         assert [updates for _, updates, _ in curve][:2] == [2, 4]
         assert training_digest(module.setup_net, module.setup_norm, curve) \
-            == ("2446b53590333eebcb0759bbebafc616"
-                "9b726dca056006f03515968fa169f3d8")
+            == ("699ab2e04cec9f3268a9ae58b4a71e39"
+                "7b92478d618021690de4b7adfe37e06d")
 
 
 def lanes_digest(outcomes):

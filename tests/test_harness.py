@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import shutil
 
 import numpy as np
@@ -38,6 +39,7 @@ from gaitbridge.harness.experiments import (
     read_metrics_csv,
     summarize_metrics,
     write_events_jsonl,
+    wilson_interval,
     write_metrics_csv,
     write_report,
 )
@@ -51,7 +53,7 @@ AWTV_KEYS = tuple(f.name for f in dataclasses.fields(AWTVParams))
 def _policy(obs_dim=OBS_DIM, seed=0):
     net = ParameterizedNet(obs_dim, 2, (8,), np.random.default_rng(seed))
     norm = RunningNormalizer(obs_dim)
-    norm.update(np.linspace(-1.0, 1.0, obs_dim))
+    norm.merge(np.linspace(-1.0, 1.0, obs_dim)[None])
     return net, norm
 
 
@@ -492,6 +494,27 @@ def test_metrics_success_other_than_0_or_1_is_a_metrics_error(tmp_path,
         read_metrics_csv(path)
 
 
+# ---- success intervals ------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 20, 300])
+def test_wilson_interval_matches_its_closed_forms(n):
+    z2 = experiments.WILSON_Z ** 2
+    assert wilson_interval(0, n) == pytest.approx((0.0, z2 / (n + z2)),
+                                                  abs=1e-15)
+    assert wilson_interval(n, n) == pytest.approx((n / (n + z2), 1.0),
+                                                  abs=1e-15)
+    # k of n: (2k + z^2 -+ z sqrt(z^2 + 4k(n - k)/n)) / (2(n + z^2))
+    k = n // 3
+    root = experiments.WILSON_Z * math.sqrt(z2 + 4.0 * k * (n - k) / n)
+    assert wilson_interval(k, n) == pytest.approx(
+        ((2 * k + z2 - root) / (2 * (n + z2)),
+         (2 * k + z2 + root) / (2 * (n + z2))), rel=1e-12)
+    # the textbook interval of 7 successes in 20
+    low, high = wilson_interval(7, 20)
+    assert round(low, 4) == 0.1812 and round(high, 4) == 0.5671
+
+
 # ---- config hash ------------------------------------------------------------
 
 
@@ -861,6 +884,8 @@ def test_experiment_writes_consistent_outputs_and_reruns_byte_identically(
         assert len(rows) == len(config.seeds) * config.episodes
         assert report["arms"][arm]["success"] == \
             sum(row.success for row in rows) / len(rows)
+        assert report["arms"][arm]["success_ci95"] == list(wilson_interval(
+            sum(row.success for row in rows), len(rows)))
     # the walker reaches the artifact, so the logs hold switch events
     assert any((first / f"events_{arm}.jsonl").stat().st_size for arm in arms)
 

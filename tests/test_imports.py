@@ -405,6 +405,10 @@ ABSENT_TRACE_TARGETS = {
         "drivers read the target through CarriedTarget, which runs trunk once "
         "per observation and each head on demand; the uncached reference is "
         "the tests' UncachedTarget",
+    "gaitbridge.policyopt:RunningNormalizer.update":
+        "the per-row update gave way to RunningNormalizer.merge, which folds "
+        "each worker's raw rows in at the trainer's update; normalize is the "
+        "only per-tick normalizer call, and the span still counts it",
 }
 
 

@@ -636,7 +636,8 @@ def test_a_gap_is_observed_at_height_zero_on_both_paths():
     assert rows[0][6] == 0.0 and rows[0][7 + KIND_ONE_HOT[GAP]] == 1.0
     norm = RunningNormalizer(OBS_DIM)
     for row in rows:
-        assert np.isfinite(norm.update(row)).all()
+        norm.merge(row[None])
+        assert np.isfinite(norm.normalize(row)).all()
     assert all(np.isfinite(arr).all() for arr in norm.state_arrays().values())
 
 
