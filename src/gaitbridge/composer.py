@@ -26,18 +26,18 @@ net: it then samples its action and stores the transition with the raw
 observation row, which `Trainer.update` merges into the statistics after the
 update that learns from it. Every other policy acts on its mean, except that
 a setup policy keeps sampling: its handoff is a learned per-tick
-probability. A
-policy runs its trunk and then only the heads read (see `diffcore.net`):
-acting on its mean, neither the value nor the switch head; sampling without
-learning, no value head. Target training is a driver with no modules, whose
-default policy is the one being trained on the environment reward; setup
-training trains one module's setup policy on a shaped reward. One round-robin
-loop (`_train`) collects both into per-worker buffers, one `tick()` at a time,
-but for the tails of setup training: once the trained setup policy has
-handed off and no artifact is left for a setup policy, an episode only folds
-rewards, so `_train` parks it, and the parked tails run as lanes. Each worker
-draws from a stream of its own, and acts under statistics that only an
-update moves, so the order in which workers tick moves no result.
+probability. A policy runs its trunk and then only the heads read (see
+`diffcore.net`): acting on its mean, neither the value nor the switch head;
+sampling without learning, no value head. Target training is a driver with
+no modules, whose default policy is the one being trained on the environment
+reward; setup training trains one module's setup policy on a shaped reward.
+One round-robin loop (`_train`) collects both into per-worker buffers, one
+`tick()` at a time, but for the tails of setup training: once the trained
+setup policy has handed off and no artifact is left for a setup policy, an
+episode only folds rewards, so `_train` parks it, and the parked tails run
+as lanes. Each worker draws from a stream of its own, and acts under
+statistics that only an update moves, so the order in which workers tick
+moves no result.
 
 In setup training the frozen walker's opening, its ticks on the flat ground
 short of the first artifact, replays from the trainer's `opening` (see
@@ -863,11 +863,12 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
     Buffers and streams persist across episodes; only the runner restarts.
     Between updates the policy and its statistics are frozen, so each
     worker's ticks depend on its own stream alone, and the update, which
-    merges the workers' rows in worker order, on no interleaving of them. Every `eval_every` updates (never when 0) and once at
-    the end, `eval_episodes` bridged evaluation episodes (`episode_drivers`,
-    run as lanes) drawn from their own generator add a (steps_used,
-    updates, success_rate) row to the curve;
-    with eval_episodes=0 the row's rate is None. A periodic rate at or above
+    merges the workers' rows in worker order, on no interleaving of them.
+    Every `eval_every` updates (never when 0) and once at the end,
+    `eval_episodes` bridged evaluation episodes (`episode_drivers`, run as
+    lanes) drawn from their own generator add a (steps_used, updates,
+    success_rate) row to the curve; with eval_episodes=0 the row's rate is
+    None. A periodic rate at or above
     `stop_at` ends training at once (`stopped`).
 
     Setup training parks its tails. At its worker's turn, a driver whose

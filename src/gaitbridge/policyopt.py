@@ -91,16 +91,16 @@ class RolloutBuffer:
     acted on, `raw_obs` the observation it was normalized from. Rows that
     carry a handoff bit add (capacity,) switch_bits (0.0 or 1.0) and
     switch_logits columns; a buffer whose rows carry none has neither, and
-    reads them as None. The first append
-    allocates the arrays and fixes the widths and whether rows carry a bit;
-    a later row that disagrees on the bit raises BufferError. `append`
-    copies each value into row `len(self)`, so a stored row holds no object
-    of its own. Each column attribute reads as a view of the filled rows
-    (an empty buffer reads as empty columns): `ppo_update` reads them in
-    place. `append` returns the row's number, which `add_reward` takes: the
-    rows dropped by `clear` and `clear_except_last` are counted, so the
-    survivor of `clear_except_last` keeps its number as its index moves
-    from n - 1 to 0, and a dropped row's number is refused.
+    reads them as None. The first append allocates the arrays and fixes the
+    widths and whether rows carry a bit; a later row that disagrees on the
+    bit raises BufferError. `append` copies each value into row
+    `len(self)`, so a stored row holds no object of its own. Each column
+    attribute reads as a view of the filled rows (an empty buffer reads as
+    empty columns): `ppo_update` reads them in place. `append` returns the
+    row's number, which `add_reward` takes: the rows dropped by `clear` and
+    `clear_except_last` are counted, so the survivor of `clear_except_last`
+    keeps its number as its index moves from n - 1 to 0, and a dropped
+    row's number is refused.
 
     A row stores the action's mean, and the switch logit when it carries a
     bit, in place of its behaviour log-probability. `ppo_update` computes
@@ -130,7 +130,8 @@ class RolloutBuffer:
         self._n_logp = 0  # leading rows whose log-probability is filled
         self._n_taken = 0  # leading rows whose raw row `take_raw` handed out
         self._dropped = 0  # rows ever dropped: row number - _dropped = index
-        self._allocate(0, 0, 0, 0, True)  # empty columns until the first append
+        # empty columns until the first append
+        self._allocate(0, 0, 0, 0, True)
         self.with_bits = None  # whether rows carry a bit: set at first append
         # value bootstrap for a horizon cut mid-phase; set by the trainer
         self.tail_bootstrap = 0.0
@@ -144,8 +145,9 @@ class RolloutBuffer:
         self._rewards, self._values, self._logprobs = (
             np.empty(rows) for _ in range(3))
         self._dones = np.empty(rows, dtype=bool)
-        self._columns = [self._obs, self._raw, self._actions, self._means, self._rewards,
-                         self._values, self._logprobs, self._dones]
+        self._columns = [self._obs, self._raw, self._actions, self._means,
+                         self._rewards, self._values, self._logprobs,
+                         self._dones]
         self._bits = self._logits = None
         if with_bits:
             self._bits, self._logits = np.empty(rows), np.empty(rows)
@@ -250,8 +252,10 @@ class RunningNormalizer:
         if not k:
             return
         columns = np.ascontiguousarray(rows.T)
-        block_sum = np.array([math.fsum(column)
-                              for column in columns.tolist()])
+        # one column of Python floats at a time: a whole block as floats
+        # would add its 32 bytes a value to the peak
+        block_sum = np.array([math.fsum(column.tolist())
+                              for column in columns])
         block_mean = block_sum / k
         centred = columns - block_mean[:, None]
         block_m2 = (centred * centred).sum(axis=1)
