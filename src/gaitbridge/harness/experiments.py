@@ -264,12 +264,13 @@ def _chosen_arms(config, allowed, what, standard=None):
 WILSON_Z = 1.959963984540054
 
 
-def wilson_interval(successes, n, z=WILSON_Z):
-    """(low, high) Wilson score interval of `successes` in `n` trials."""
+def wilson_interval(successes, n):
+    """(low, high) 95% Wilson score interval of `successes` in `n` trials."""
     p = successes / n
-    z2n = z * z / n
+    z2n = WILSON_Z * WILSON_Z / n
     centre = (p + z2n / 2.0) / (1.0 + z2n)
-    half = z / (1.0 + z2n) * math.sqrt(p * (1.0 - p) / n + z2n / (4.0 * n))
+    half = (WILSON_Z / (1.0 + z2n)
+            * math.sqrt(p * (1.0 - p) / n + z2n / (4.0 * n)))
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
