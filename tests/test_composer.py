@@ -2417,6 +2417,28 @@ class TestSeededTrainingDigests:
             == ("699ab2e04cec9f3268a9ae58b4a71e39"
                 "7b92478d618021690de4b7adfe37e06d")
 
+    def test_two_worker_train_setup_with_batched_tails(self, monkeypatch):
+        # enough tails park before each update that they fold through
+        # `_run_batch`, at least twice the crossover at once
+        env, walker, walker_norm, module = tail_world()
+        sizes = []
+        run_batch = cp._run_batch
+
+        def spy_run_batch(lanes):
+            sizes.append(len(lanes))
+            return run_batch(lanes)
+
+        monkeypatch.setattr(cp, "_run_batch", spy_run_batch)
+        curve = train_setup(module, walker, walker_norm, env,
+                            PPOConfig(horizon=256, minibatch=32, epochs=1),
+                            40_000, np.random.default_rng(6), eval_every=0,
+                            eval_episodes=0, n_workers=2)
+        assert max(sizes) >= 2 * cp.LANE_CROSSOVER
+        assert curve == [(40_000, 4, None)]
+        assert training_digest(module.setup_net, module.setup_norm, curve) \
+            == ("4771d77d067f86d159719e7921d2bfac"
+                "7125ceef5a201e88e4ed92b1398e3fa6")
+
 
 def lanes_digest(outcomes):
     """sha256 of each lane's final state and its switch events, positions as
