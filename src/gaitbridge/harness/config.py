@@ -187,10 +187,14 @@ def config_from_dict(raw, base_dir=None, check_paths=True) -> ExperimentConfig:
             raise ConfigError(f"unknown artifact kind {kind!r} "
                               f"(one of {', '.join(KINDS)})")
         values["kind"] = kind
-    if raw.get("course"):
-        values["course"] = _resolve_path(
-            base_dir, _require_type(raw["course"], (str,), "course"),
-            "course file", check_paths)
+    course = _require_type(raw.get("course", ""), (str,), "course")
+    # the file's stem labels every metrics row; "" means no course
+    if any(ch in Path(course).stem for ch in ",\n\r"):
+        raise ConfigError(f"course {course!r}: its file name cannot label a "
+                          "metrics row, which holds no , or newline")
+    if course:
+        values["course"] = _resolve_path(base_dir, course, "course file",
+                                         check_paths)
     if "arms" in raw:
         arms = _require_type(raw["arms"], (list,), "arms")
         values["arms"] = tuple(_require_type(a, (str,), "each arm")

@@ -793,6 +793,43 @@ def test_bad_config_value_exits_2_without_traceback(tmp_path, capsys, name):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("course", ["0", "false", "[]", "{}", "null"])
+def test_a_course_that_is_not_a_string_exits_2(tmp_path, capsys, course):
+    path = tmp_path / "config.json"
+    path.write_text('{"experiment": "ablation", "course": %s}' % course,
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match="course must be of type str"):
+        load_config(path)
+    assert main(["ablate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    # the empty string still means "no course"
+    assert config_from_dict({"experiment": "ablation",
+                             "course": ""}).course == ""
+
+
+@pytest.mark.parametrize("stem", ["a,b", "a\nb", "a\rb"])
+def test_a_course_name_that_cannot_label_a_row_exits_2_before_running(
+        tmp_path, capsys, monkeypatch, checkpoints, stem):
+    # the course file's stem labels every metrics row
+    course = tmp_path / f"{stem}.course"
+    course.write_text("hurdle 3.2\n")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "evaluation",
+                                "course": str(course)}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="cannot label"):
+        load_config(path)
+    drivers = []
+    monkeypatch.setattr(composer.EpisodeDriver, "__init__",
+                        lambda drv, *args, **kwargs: drivers.append(drv))
+    out = tmp_path / "out"
+    assert main(["evaluate", "--default", checkpoints["default"], "--course",
+                 str(course), "--episodes", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not drivers and not out.exists()
+
+
 # ---- every experiment kind through the grid ---------------------------------
 
 
