@@ -56,7 +56,8 @@ batched trunk pass per tick, then its mean head and, for a setup policy, its
 switch head. Finished lanes are written back into their drivers. Once fewer
 than `LANE_CROSSOVER` lanes are live, the rest finish on `run()`. A lane
 trains nothing: a training tail only adds its shaped rewards into the buffer
-row its handoff stored, reading the target's values off the batched passes.
+row its handoff stored, reading the trained module's target values off the
+batched passes.
 
 Both paths take the switching decisions from the driver: `policy()` maps the
 phase to its (role, net, norm), `on_detection` starts a bridge, and
@@ -67,12 +68,15 @@ physics exist on each path: scalar in `tick`, as masks in `_run_batch`.
 
 A setup reward function has the signature
 `reward_fn(target, obs, obs_next, r_env, terminal, action)`. A driver passes
-it its own `CarriedTarget` of the acting module, a view of the frozen
-specialist that runs its trunk at most once per observation, and each head
-there at most once, when first read: the observation taken after a tick's
-step becomes the next tick's observation, so V(s') of one tick is V(s) of the
-next. The course scan behind an observation also finds the next artifact,
-which a walking tick's detection reads, so each state is scanned once.
+it its own `CarriedTarget` of the trained module (`EpisodeDriver.carry`), a
+view of the frozen specialist that runs its trunk at most once per
+observation, and each head there at most once, when first read: the
+observation taken after a tick's step becomes the next tick's observation,
+so V(s') of one tick is V(s) of the next. That target also acts through the
+carry, so a fold reuses its trunk pass; every other target acts as any
+frozen policy does, and an evaluation driver has no carry. The course scan
+behind an observation also finds the next artifact, which a walking tick's
+detection reads, so each state is scanned once.
 """
 
 from __future__ import annotations
@@ -368,6 +372,14 @@ class CarriedTarget:
         return slot[2]
 
 
+def _is_carried(policy, carry):
+    """Whether `policy`, (role, net, norm) as `EpisodeDriver.policy` gives
+    it, is the target that `carry` (or None) views: a trunk pass of the
+    policy is then the carry's."""
+    return carry is not None and policy == (
+        POLICY_TARGET, carry.module.target_net, carry.module.target_norm)
+
+
 def awtv_step_reward(target, obs, obs_next, r_env, terminal, action):
     """Per-step setup reward from the frozen target value function.
 
@@ -389,7 +401,9 @@ class Trainer:
     empties the buffers.
 
     `update` runs PPO on the buffers under the normalizer statistics that
-    acted, then merges each buffer's raw rows not merged before into them,
+    acted, each buffer's last row, unless done, bootstrapping from the value
+    of the state its driver acts on next (a horizon cut mid-phase). It then
+    merges each buffer's raw rows not merged before into the statistics,
     in worker order: each learning tick's row is merged once, the survivor
     of `clear_except_last` at the update that first learned from it. The
     PPO shuffle draws from `shuffle`, the first stream spawned from `rng`;
@@ -428,13 +442,13 @@ class Trainer:
     def update(self, drivers):
         """One PPO update from every driver's full buffer, then the merge of
         their new raw rows into the statistics, in driver order."""
-        for drv in drivers:
-            buf = drv.buffer
-            # a horizon cut mid-phase bootstraps from the state acted on next
-            buf.tail_bootstrap = 0.0 if buf.dones[-1] else self.net.scalar_head(
-                "value", policy_trunk(self.net, self.norm, drv.observation()))
         buffers = [drv.buffer for drv in drivers]
-        ppo_update(self.net, buffers, self.config, self.adam, self.shuffle)
+        # a horizon cut mid-phase bootstraps from the state acted on next
+        bootstraps = [0.0 if drv.buffer.dones[-1] else self.net.scalar_head(
+            "value", policy_trunk(self.net, self.norm, drv.observation()))
+            for drv in drivers]
+        ppo_update(self.net, buffers, bootstraps, self.config, self.adam,
+                   self.shuffle)
         for buf in buffers:
             self.norm.merge(buf.take_raw())
             if self.module is None:
@@ -450,6 +464,12 @@ class EpisodeDriver:
     A learning policy (see the module docstring) appends to `buffer`, and
     normalizes with statistics frozen since the trainer's last update.
     `init_fn(env, rng)` replaces the standard spawn.
+
+    In setup training `carry` is the driver's `CarriedTarget` of the trained
+    module, which the setup reward and `fold` read; it is None in target
+    training and in evaluation. `folding` is set at the trained setup
+    policy's handoff, to the trainer's `extend`: from then on each tick
+    folds its shaped reward into row `fold_row`.
     """
 
     def __init__(self, env, default_net, default_norm, modules, rng, *,
@@ -473,11 +493,13 @@ class EpisodeDriver:
         self.without_setup = without_setup
         self.state = init_fn(env, rng) if init_fn else env.reset(rng)
         self.switch = SwitchState()
-        self.handed_off = False  # the trained setup policy handed off
+        # whether later ticks fold: set at the trained setup policy's handoff
+        self.folding = False
         self.fold_row = None  # number of the last row it stored
         self._obs = None  # observation of self.state, once taken
         self._ahead = None  # its next artifact, found with it
-        self.targets = {kind: CarriedTarget(m) for kind, m in modules.items()}
+        self.carry = (None if trainer is None or trainer.module is None
+                      else CarriedTarget(trainer.module))
         # (record, first artifact's start, walker's reach) while the
         # walker's opening may replay (see Trainer)
         self._opening = None
@@ -552,23 +574,22 @@ class EpisodeDriver:
             art = self._ahead
             if detects(art, state) and art.kind in self.modules:
                 self.on_detection(art, state)
-        acting, net, norm = self.policy()
+        acting, net, norm = policy = self.policy()
         obs = self.observation()
 
         bit = None
-        learning = False
-        if acting == POLICY_TARGET:
-            action = self.targets[switch.artifact.kind].target_action(obs)
+        # the trainer's net is the walker or the trained setup policy
+        learning = trainer is not None and net is trainer.net
+        if _is_carried(policy, self.carry):
+            action = self.carry.target_action(obs)
+        elif learning or acting == POLICY_SETUP:
+            # a learning tick keeps its raw row for the trainer's merge
+            x = policy_obs(net, obs)
+            obs_n = norm.normalize(x)
+            action, bit, mean, logit, h = policy_act(
+                net, obs_n, self.rng, with_switch=acting == POLICY_SETUP)
         else:
-            learning = trainer is not None and net is trainer.net
-            if learning or acting == POLICY_SETUP:
-                # a learning tick keeps its raw row for the trainer's merge
-                x = policy_obs(net, obs)
-                obs_n = norm.normalize(x)
-                action, bit, mean, logit, h = policy_act(
-                    net, obs_n, self.rng, with_switch=acting == POLICY_SETUP)
-            else:
-                action = net.head("mu", policy_trunk(net, norm, obs))
+            action = net.head("mu", policy_trunk(net, norm, obs))
 
         r_env, done = self.env.step(state, action)
         self._obs = None
@@ -578,37 +599,33 @@ class EpisodeDriver:
 
         if learning:
             if acting == POLICY_SETUP:
-                r_step = trainer.reward_fn(
-                    self.targets[switch.artifact.kind], obs,
-                    self.observation(), r_env, done, action)
+                r_step = trainer.reward_fn(self.carry, obs, self.observation(),
+                                           r_env, done, action)
             else:
                 r_step = r_env
             self.fold_row = self.buffer.append(
                 obs_n, action, bit, mean, logit, r_step,
                 net.scalar_head("value", h), done or bit == 1, x)
             if bit == 1:
-                self.handed_off = True
-        elif self.handed_off and trainer.extend:
-            self.fold(self.targets[trainer.module.kind], obs,
-                      self.observation(), r_env, done, action)
+                self.folding = trainer.extend
+        elif self.folding:
+            self.fold(obs, self.observation(), r_env, done, action)
         return done
 
-    def fold(self, target, obs, obs_next, r_env, done, action):
-        """Add the shaped reward of one tick after the handoff into the
-        handoff's row, whichever policy is acting by now; `target` is the
-        trained module's CarriedTarget."""
-        r_hat = self.trainer.reward_fn(target, obs, obs_next, r_env, done,
+    def fold(self, obs, obs_next, r_env, done, action):
+        """Add the shaped reward of one tick after the handoff, read through
+        `carry`, into the handoff's row, whichever policy is acting by now."""
+        r_hat = self.trainer.reward_fn(self.carry, obs, obs_next, r_env, done,
                                        action)
         self.buffer.add_reward(self.fold_row, float(r_hat))
 
     def folds_only(self):
-        """Whether the rest of this training episode only folds rewards: the
-        trained setup policy handed off, no setup policy acts, and no
-        artifact the driver has a module for is ahead, but the one a target
-        acts on. Such a driver acts with frozen policies on their means and
-        draws nothing, so it can run as a lane (`run_lanes`)."""
-        if not (self.handed_off and self.trainer.extend) or (
-                self.switch.active == POLICY_SETUP):
+        """Whether the rest of this training episode only folds rewards: it
+        is `folding`, no setup policy acts, and no artifact the driver has a
+        module for is ahead, but the one a target acts on. Such a driver
+        acts with frozen policies on their means and draws nothing, so it
+        can run as a lane (`run_lanes`)."""
+        if not self.folding or self.switch.active == POLICY_SETUP:
             return False
         latched, x = self.switch.artifact, self.state.x
         return not any(art.kind in self.modules and art.end >= x
@@ -679,12 +696,13 @@ def _run_batch(lanes):
     lanes are written back into their drivers and dropped; the lanes left
     (fewer than LANE_CROSSOVER) are written back and returned.
 
-    A training tail (see `run_lanes`) also reads its module's target value
-    at each observation: off the target group's pass while that target
-    acts, else off one batched pass of it over such tails. Either fills
-    the tail's CarriedTarget, and its `fold` adds a tick's reward once V(s')
+    A training tail (see `run_lanes`) also reads its trained module's target
+    value at each observation: off the target group's pass while that
+    target acts, else off one batched pass of it over such tails. Either
+    fills the tail's `carry`, and its `fold` adds a tick's reward once V(s')
     is filled, at the next tick, or when the lane is written back, with the
-    driver's own observation. The env rewards come from
+    driver's own observation. A lane with no modules detects nothing, as
+    none of its artifacts has a module. The env rewards come from
     `RunnerBatch.rewards`, read only while a tail is live, so evaluation
     computes none. A tail that detects an artifact its driver has a module
     for would reach a setup phase, and raises RuntimeError.
@@ -706,13 +724,9 @@ def _run_batch(lanes):
 
     code, release_x = (np.array(column) for column in
                        zip(*(phase(drv) for drv in lanes)))
-    armed = np.array([bool(drv.modules) for drv in lanes])  # can detect
-    # a tail's CarriedTarget of its trained module (None for evaluation),
-    # and its last tick's (obs, r_env, action), whose reward awaits V(s')
-    carries = [None if drv.trainer is None
-               else drv.targets[drv.trainer.module.kind] for drv in lanes]
+    # a tail's last tick's (obs, r_env, action), whose reward awaits V(s')
     pending = [None] * len(lanes)
-    tails = [i for i, carry in enumerate(carries) if carry is not None]
+    tails = [i for i, drv in enumerate(lanes) if drv.carry is not None]
     batch = RunnerBatch([drv.env.course for drv in lanes],
                         [drv.state for drv in lanes])
 
@@ -724,17 +738,16 @@ def _run_batch(lanes):
         drv = lanes[i]
         drv.state = batch.state(i)
         drv._obs = None
-        if carries[i] is not None and pending[i] is not None:
+        if drv.carry is not None and pending[i] is not None:
             obs, r_env, action = pending[i]
-            drv.fold(carries[i], obs, drv.observation(), r_env, drv.done,
-                     action)
+            drv.fold(obs, drv.observation(), r_env, drv.done, action)
             if drv.done:
                 # its rows are views of batched passes: let those go
-                carries[i].forget()
+                drv.carry.forget()
 
-    def fill(lane_rows, net, h, values, mu):
+    def fill(lane_rows, policy, h, values, mu):
         """Fill the carries of the tails among `lane_rows` whose target is
-        `net` from its trunk outputs `h`, values and means (None: not
+        `policy` from its trunk outputs `h`, values and means (None: not
         computed), one row or a batch; then V(s') of each one's last tick
         is known: fold it."""
         if h.ndim == 1:
@@ -743,23 +756,22 @@ def _run_batch(lanes):
             h, values = list(h), values.tolist()
             mu = [None] * len(h) if mu is None else list(mu)
         for i, h_i, value, mu_i in zip(lane_rows, h, values, mu):
-            carry = carries[i]
-            if carry is not None and carry.module.target_net is net:
-                carry.fill(obs_rows[i], h_i, value, mu_i)
+            drv = lanes[i]
+            if _is_carried(policy, drv.carry):
+                drv.carry.fill(obs_rows[i], h_i, value, mu_i)
                 if pending[i] is not None:
                     obs, r_env, action = pending[i]
-                    lanes[i].fold(carry, obs, obs_rows[i], r_env, False,
-                                  action)
+                    drv.fold(obs, obs_rows[i], r_env, False, action)
 
     while len(lanes) >= LANE_CROSSOVER:
         for i in tau_theta_reached(batch, release_x).nonzero()[0]:
             switch_lane(i, POLICY_DEFAULT)
         hit, index = batch.detect()
-        for i in (hit & armed & np.array(walks)[code]).nonzero()[0]:
+        for i in (hit & np.array(walks)[code]).nonzero()[0]:
             drv = lanes[i]
             art = drv.env.course.artifacts[index[i]]
             if art.kind in drv.modules:
-                if carries[i] is not None:
+                if drv.carry is not None:
                     raise RuntimeError("a training tail reached a setup phase")
                 drv.on_detection(art, batch.state(i))
                 code[i], release_x[i] = phase(drv)
@@ -781,8 +793,8 @@ def _run_batch(lanes):
             if role != POLICY_SETUP:
                 actions[rows] = mu
                 if tails and role == POLICY_TARGET:
-                    fill(rows.tolist(), net, h, net.scalar_head("value", h),
-                         mu)
+                    fill(rows.tolist(), policies[p], h,
+                         net.scalar_head("value", h), mu)
                 continue
             z = net.scalar_head("switch", h)
             if x.ndim == 1:
@@ -792,18 +804,18 @@ def _run_batch(lanes):
                 actions[i], bit = draw_act(mean, std, lanes[i].rng, p_switch)
                 if bit:
                     handoffs.append(i)
-        # one target pass per module over the tails its target does not
-        # act on
-        by_module = {}
+        # one pass of each target over the tails that carry it while it
+        # does not act
+        by_target = {}
         for i in tails:
-            module = carries[i].module
-            if policies[lane_codes[i]][1] is not module.target_net:
-                by_module.setdefault(id(module), []).append(i)
-        for group in by_module.values():
-            module = carries[group[0]].module
-            net = module.target_net
-            h = policy_trunk(net, module.target_norm, obs[group])
-            fill(group, net, h, net.scalar_head("value", h), None)
+            module = lanes[i].carry.module
+            target = POLICY_TARGET, module.target_net, module.target_norm
+            if policies[lane_codes[i]] != target:
+                by_target.setdefault(target, []).append(i)
+        for target, group in by_target.items():
+            _, net, norm = target
+            h = policy_trunk(net, norm, obs[group])
+            fill(group, target, h, net.scalar_head("value", h), None)
 
         done = batch.step(actions)
         for i in handoffs:
@@ -816,10 +828,9 @@ def _run_batch(lanes):
                 write_back(i)
             keep = ~done
             lanes = [drv for drv, kept in zip(lanes, keep) if kept]
-            code, release_x, armed = code[keep], release_x[keep], armed[keep]
-            carries = [c for c, kept in zip(carries, keep) if kept]
+            code, release_x = code[keep], release_x[keep]
             pending = [p for p, kept in zip(pending, keep) if kept]
-            tails = [i for i, carry in enumerate(carries) if carry is not None]
+            tails = [i for i, drv in enumerate(lanes) if drv.carry is not None]
             batch.compact(keep)
     for i in range(len(lanes)):
         write_back(i)
@@ -858,9 +869,11 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
 
     `n_workers` drivers take turns ticking, each into its own buffer and on
     its own stream, spawned from the trainer's `rng`: a worker draws its
-    spawns, action noise and handoff bits from it. A worker whose buffer is
-    full pauses until every buffer is full, which triggers one joint update.
-    Buffers and streams persist across episodes; only the runner restarts.
+    spawns, action noise and handoff bits from it. Each buffer holds
+    `horizon` rows of the trainer net's widths, with a handoff bit when the
+    trainer has a module. A worker whose buffer is full pauses until every
+    buffer is full, which triggers one joint update. Buffers and streams
+    persist across episodes; only the runner restarts.
     Between updates the policy and its statistics are frozen, so each
     worker's ticks depend on its own stream alone, and the update, which
     merges the workers' rows in worker order, on no interleaving of them.
@@ -868,24 +881,25 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
     `eval_episodes` bridged evaluation episodes (`episode_drivers`, run as
     lanes) drawn from their own generator add a (steps_used, updates,
     success_rate) row to the curve; with eval_episodes=0 the row's rate is
-    None. A periodic rate at or above
-    `stop_at` ends training at once (`stopped`).
+    None. The final row is skipped when the curve's last row already holds
+    the last update. A periodic rate at or above `stop_at` ends training at
+    once (`stopped`).
 
-    Setup training parks its tails. At its worker's turn, a driver whose
-    episode only folds rewards from now on (`folds_only`) is parked and the
-    worker starts its next episode; the parked tails run together through
-    `run_lanes`. They run before each update, so an update sees the folds
-    that ticking them would have added. A handoff that fills its buffer is
-    parked at its worker's next turn, after the update, and folds into the
-    survivor of `clear_except_last`, as on `tick()`. A tail is parked only
-    while the budget holds the most ticks it can take, MAX_STEPS + 1 minus
-    its steps, and the tails run before any tick that their reserve could
-    push past the budget; so the budget ends exactly as on `tick()`. A tail
-    draws nothing, so each worker's draws keep the order of ticking every
-    episode to its end, and while fewer than `LANE_CROSSOVER` tails run
-    together (on `run()`, see `run_lanes`) the results equal those of
-    ticking them bit for bit. Without `extend` or with an `on_episode_end`,
-    every driver stays on `tick()`.
+    Setup training parks its tails. At its worker's turn, a `folding`
+    driver whose episode only folds rewards from now on (`folds_only`) is
+    parked and the worker starts its next episode; the parked tails run
+    together through `run_lanes`. They run before each update, so an update
+    sees the folds that ticking them would have added. A handoff that fills
+    its buffer is parked at its worker's next turn, after the update, and
+    folds into the survivor of `clear_except_last`, as on `tick()`. A tail
+    is parked only while the budget holds the most ticks it can take,
+    MAX_STEPS + 1 minus its steps, and the tails run before any tick that
+    their reserve could push past the budget; so the budget ends exactly as
+    on `tick()`. A tail draws nothing, so each worker's draws keep the
+    order of ticking every episode to its end, and while fewer than
+    `LANE_CROSSOVER` tails run together (on `run()`, see `run_lanes`) the
+    results equal those of ticking them bit for bit. Without `extend` or
+    with an `on_episode_end`, every driver stays on `tick()`.
     """
     if eval_episodes < 0 or eval_every < 0:
         raise ValueError("eval_every and eval_episodes must be >= 0")
@@ -918,19 +932,18 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
         tails.clear()
         reserve = 0
 
-    drivers = [new_driver(w, RolloutBuffer(trainer.config.horizon))
-               for w in range(n_workers)]
+    drivers = [new_driver(w, RolloutBuffer(
+        trainer.config.horizon, trainer.net.obs_dim, trainer.net.action_dim,
+        trainer.module is not None)) for w in range(n_workers)]
     parks = on_episode_end is None  # else each episode ends on tick()
     tails = []  # parked training tails
     reserve = 0  # the most ticks the tails can still take
     steps_used = 0
-    filled = 0  # workers whose buffer is full
-    last_eval_at = None
     while steps_used < budget:
         for idx, drv in enumerate(drivers):
             if drv.buffer.full:
                 continue  # paused until the joint update
-            if parks and drv.handed_off:
+            if parks and drv.folding:
                 most = MAX_STEPS + 1 - drv.state.steps
                 if steps_used + reserve + most <= budget and drv.folds_only():
                     tails.append(drv)
@@ -942,25 +955,22 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
                     break
             drv.tick()
             steps_used += 1
-            filled += drv.buffer.full
             if drv.done:
                 if on_episode_end is not None:
                     on_episode_end(drv)
                 drivers[idx] = new_driver(idx, drv.buffer)
             if steps_used >= budget:
                 break
-        if filled == n_workers:
-            filled = 0
+        if all(drv.buffer.full for drv in drivers):
             if tails:
                 run_tails()
             trainer.update(drivers)
             if eval_every and trainer.updates % eval_every == 0:
-                last_eval_at = trainer.updates
                 rate = run_eval(steps_used)
                 if rate is not None and stop_at is not None and rate >= stop_at:
                     return curve, steps_used, True
 
-    if last_eval_at != trainer.updates:
+    if not curve or curve[-1][1] != trainer.updates:
         run_eval(steps_used)
     return curve, steps_used, False
 
@@ -1057,11 +1067,11 @@ def train_setup(module: BehaviorModule, default_net, default_norm, env, config,
     episode on `tick()`.
 
     `reward_fn(target, obs, obs_next, r_env, terminal, action)` receives the
-    driver's CarriedTarget of the acting module, not the module itself: it
-    offers `target_value`, `target_action` and `params`, and evaluates the
-    frozen target once per observation. Each worker's driver keeps its own
-    carry, so the workers' shared module is never written to. The course
-    must hold the module's kind (CourseError).
+    driver's `carry`, a CarriedTarget of the trained module, not the module
+    itself: it offers `target_value`, `target_action` and `params`, and
+    evaluates the frozen target once per observation. Each worker's driver
+    keeps its own carry, so the workers' shared module is never written to.
+    The course must hold the module's kind (CourseError).
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")

@@ -14,12 +14,14 @@ vectorised pass before its first Adam step, bit for bit the per-act scalar
 formula. The net cannot change between two updates, so the net handed to
 `ppo_update` must be the one that filled its buffers.
 
-A `RolloutBuffer` holds one preallocated array per column and a row count;
-`append` copies a transition into the next row. `ppo_update` reads each
-buffer's obs, actions, switch bits and log-probabilities as views of its
-filled rows, and its rewards, values and dones through GAE; each epoch
-gathers every column once in its permutation, and a minibatch is a
-contiguous slice of that gather.
+A `RolloutBuffer` holds rows only: one array per column, allocated at
+construction to the widths it is given, and a row count; `append` copies a
+transition into the next row. `ppo_update` reads each buffer's obs,
+actions, switch bits and log-probabilities as views of its filled rows, and
+its rewards, values and dones through GAE, with the bootstrap value its
+caller passes for that buffer's last row; each epoch gathers every column
+once in its permutation, and a minibatch is a contiguous slice of that
+gather.
 
 A `RunningNormalizer` moves only at `merge`, which folds in a block of raw
 rows. Acting normalizes with statistics frozen since the last update, and
@@ -85,22 +87,21 @@ def _filled(column, count="_n"):
 class RolloutBuffer:
     """Fixed-capacity transition store with clear-except-last semantics.
 
-    One preallocated float64 array per column and a row count: obs, raw_obs,
-    actions and means are (capacity, width); rewards, values, dones (bool)
-    and logprobs are (capacity,). `obs` holds the normalized row the policy
-    acted on, `raw_obs` the observation it was normalized from. Rows that
-    carry a handoff bit add (capacity,) switch_bits (0.0 or 1.0) and
-    switch_logits columns; a buffer whose rows carry none has neither, and
-    reads them as None. The first append allocates the arrays and fixes the
-    widths and whether rows carry a bit; a later row that disagrees on the
-    bit raises BufferError. `append` copies each value into row
-    `len(self)`, so a stored row holds no object of its own. Each column
-    attribute reads as a view of the filled rows (an empty buffer reads as
-    empty columns): `ppo_update` reads them in place. `append` returns the
-    row's number, which `add_reward` takes: the rows dropped by `clear` and
-    `clear_except_last` are counted, so the survivor of `clear_except_last`
-    keeps its number as its index moves from n - 1 to 0, and a dropped
-    row's number is refused.
+    One float64 array per column, allocated at construction, and a row
+    count: obs and raw_obs are (capacity, obs_width), actions and means
+    (capacity, action_width); rewards, values, dones (bool) and logprobs are
+    (capacity,). `obs` holds the normalized row the policy acted on,
+    `raw_obs` the observation it was normalized from. A buffer `with_bits`
+    adds (capacity,) switch_bits (0.0 or 1.0) and switch_logits columns; a
+    buffer without has neither, and reads them as None. A row that
+    disagrees with the buffer on carrying a bit raises BufferError. `append`
+    copies each value into row `len(self)`, so a stored row holds no object
+    of its own. Each column attribute reads as a view of the filled rows (an
+    empty buffer reads as empty columns): `ppo_update` reads them in place.
+    `append` returns the row's number, which `add_reward` takes: the rows
+    dropped by `clear` and `clear_except_last` are counted, so the survivor
+    of `clear_except_last` keeps its number as its index moves from n - 1
+    to 0, and a dropped row's number is refused.
 
     A row stores the action's mean, and the switch logit when it carries a
     bit, in place of its behaviour log-probability. `ppo_update` computes
@@ -122,35 +123,25 @@ class RolloutBuffer:
     dones = _filled("_dones")
     logprobs = _filled("_logprobs", "_n_logp")
 
-    def __init__(self, capacity):
+    def __init__(self, capacity, obs_width, action_width, with_bits):
         if capacity < 1:
             raise BufferError("capacity must be >= 1")
-        self.capacity = int(capacity)
+        self.capacity = rows = int(capacity)
+        self.with_bits = with_bits
         self._n = 0
         self._n_logp = 0  # leading rows whose log-probability is filled
         self._n_taken = 0  # leading rows whose raw row `take_raw` handed out
         self._dropped = 0  # rows ever dropped: row number - _dropped = index
-        # empty columns until the first append
-        self._allocate(0, 0, 0, 0, True)
-        self.with_bits = None  # whether rows carry a bit: set at first append
-        # value bootstrap for a horizon cut mid-phase; set by the trainer
-        self.tail_bootstrap = 0.0
-
-    def _allocate(self, rows, obs_width, raw_width, action_width, with_bits):
-        self.with_bits = with_bits
-        self._obs = np.empty((rows, obs_width))
-        self._raw = np.empty((rows, raw_width))
-        self._actions = np.empty((rows, action_width))
-        self._means = np.empty((rows, action_width))
-        self._rewards, self._values, self._logprobs = (
-            np.empty(rows) for _ in range(3))
+        self._obs, self._raw = np.empty((2, rows, obs_width))
+        self._actions, self._means = np.empty((2, rows, action_width))
+        self._rewards, self._values, self._logprobs = np.empty((3, rows))
         self._dones = np.empty(rows, dtype=bool)
         self._columns = [self._obs, self._raw, self._actions, self._means,
                          self._rewards, self._values, self._logprobs,
                          self._dones]
         self._bits = self._logits = None
-        if with_bits:
-            self._bits, self._logits = np.empty(rows), np.empty(rows)
+        if self.with_bits:
+            self._bits, self._logits = np.empty((2, rows))
             self._columns += [self._bits, self._logits]
 
     def __len__(self):
@@ -166,12 +157,9 @@ class RolloutBuffer:
         n = self._n
         if n >= self.capacity:
             raise BufferError("append to a full buffer; run an update first")
-        if self.with_bits is None:
-            self._allocate(self.capacity, len(obs), len(raw_obs), len(action),
-                           switch_bit is not None)
         if (switch_bit is not None) != self.with_bits:
-            raise BufferError("a row disagrees with the buffer's first on "
-                              "carrying a handoff bit")
+            raise BufferError("a row disagrees with the buffer on carrying a "
+                              "handoff bit")
         if self.with_bits:
             self._bits[n] = switch_bit
             self._logits[n] = switch_logit
@@ -201,7 +189,6 @@ class RolloutBuffer:
     def clear(self):
         self._dropped += self._n
         self._n = self._n_logp = self._n_taken = 0
-        self.tail_bootstrap = 0.0
 
     def clear_except_last(self):
         """Drop everything but the final transition (the survivor keeps
@@ -215,7 +202,6 @@ class RolloutBuffer:
         self._n_logp = int(self._n_logp == n)
         self._n_taken = int(self._n_taken == n)
         self._n = 1
-        self.tail_bootstrap = 0.0
 
 
 class RunningNormalizer:
@@ -406,13 +392,14 @@ def _fill_logprobs(net, buffer):
     buffer._n_logp = end
 
 
-def _stack_worker(net, buffer, config):
-    """(obs, actions, bits, logp_old, adv, returns) of one worker buffer;
-    obs, actions, bits and logp_old are views of its columns."""
+def _stack_worker(net, buffer, bootstrap, config):
+    """(obs, actions, bits, logp_old, adv, returns) of one worker buffer
+    whose last row, if not done, bootstraps from `bootstrap`; obs, actions,
+    bits and logp_old are views of its columns."""
     _fill_logprobs(net, buffer)
     values = buffer.values
     adv = gae_advantages(buffer.rewards, values, buffer.dones,
-                         config.gamma, config.lam, buffer.tail_bootstrap)
+                         config.gamma, config.lam, bootstrap)
     returns = (adv + values).reshape(-1, 1)
     bits = buffer.switch_bits
     if bits is not None:
@@ -478,11 +465,14 @@ def ppo_loss_grad(net, obs, actions, bits, logp_old, adv, returns, config, grad)
     return float(pg), float(v_loss), ratio
 
 
-def ppo_update(net, buffers, config: PPOConfig, adam: AdamState, rng):
+def ppo_update(net, buffers, bootstraps, config: PPOConfig, adam: AdamState,
+               rng):
     """One PPO update from one or more worker buffers (gradients averaged).
 
     Buffers must have equal lengths and agree on whether transitions carry a
-    switch bit. `net` must be the net that filled them: the behaviour
+    switch bit. `bootstraps` holds one value per buffer, the bootstrap of its
+    last row if that row is not done (see `gae_advantages`). `net` must be
+    the net that filled them: the behaviour
     log-probabilities of their new rows are computed from it before the
     first step and written into each buffer's `logprobs` column. Returns
     aggregate loss statistics; the clip fraction is the mean over worker
@@ -495,8 +485,11 @@ def ppo_update(net, buffers, config: PPOConfig, adam: AdamState, rng):
         raise BufferError("worker buffers must have equal lengths")
     if any(b.with_bits != buffers[0].with_bits for b in buffers):
         raise BufferError("worker buffers disagree on switch bits")
+    if len(bootstraps) != len(buffers):
+        raise BufferError("ppo_update needs one bootstrap per buffer")
 
-    stacked = [_stack_worker(net, b, config) for b in buffers]
+    stacked = [_stack_worker(net, b, boot, config)
+               for b, boot in zip(buffers, bootstraps)]
     all_adv = np.concatenate([s[4] for s in stacked])
     adv_mean = float(all_adv.mean())
     adv_std = float(all_adv.std())

@@ -96,14 +96,22 @@ def train_bandit(updates=50, horizon=128, seed=0):
     adam = AdamState(lr=config.lr)
     obs = np.zeros(1)
     for _ in range(updates):
-        buffer = RolloutBuffer(horizon)
+        buffer = RolloutBuffer(horizon, 1, 1, False)
         for _ in range(horizon):
             action, _, mean, logit, h = policy_act(net, obs, rng)
             reward = -float(action[0]) ** 2
             buffer.append(obs.copy(), action, None, mean, logit, reward,
                           net.scalar_head("value", h), True, obs)
-        ppo_update(net, [buffer], config, adam, rng)
+        ppo_update(net, [buffer], [0.0], config, adam, rng)
     return net
+
+
+def trainer_buffer(trainer, capacity=None):
+    """An empty buffer for the rows `trainer`'s net stores, as `_train` makes
+    one; `capacity` defaults to the trainer's horizon."""
+    net = trainer.net
+    return RolloutBuffer(capacity or trainer.config.horizon, net.obs_dim,
+                         net.action_dim, trainer.module is not None)
 
 
 def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,

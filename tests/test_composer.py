@@ -70,6 +70,7 @@ from helpers import (
     identity_norm,
     scripted_net,
     td_advantage,
+    trainer_buffer,
     UncachedTarget,
 )
 
@@ -216,14 +217,14 @@ class TestExtendReward:
             return shaped[-1]
 
         trainer.reward_fn = reward_fn
-        buf = RolloutBuffer(trainer.config.horizon)
+        buf = trainer_buffer(trainer)
         rng = np.random.default_rng(40)
         folds = 0
         for _ in range(5):
             drv = EpisodeDriver(env, default_net, d_norm, {HURDLE: module},
                                 rng, trainer=trainer, buffer=buf)
             while not drv.done:
-                folding = drv.handed_off
+                folding = drv.folding
                 before = buf.rewards.copy()
                 drv.tick()
                 if folding:
@@ -508,7 +509,7 @@ class TestTrainingEpisodeBookkeeping:
             return r
 
         trainer.reward_fn = logging_fn
-        buf = RolloutBuffer(trainer.config.horizon)
+        buf = trainer_buffer(trainer)
         rng = np.random.default_rng(40)
         total_extends = 0
         for _ in range(10):
@@ -528,7 +529,7 @@ class TestTrainingEpisodeBookkeeping:
 
     def test_handoff_steps_are_marked_phase_terminal(self):
         env, default_net, d_norm, module, trainer = self._training_setup()
-        buf = RolloutBuffer(trainer.config.horizon)
+        buf = trainer_buffer(trainer)
         rng = np.random.default_rng(40)
         for _ in range(10):
             EpisodeDriver(env, default_net, d_norm, {HURDLE: module}, rng,
@@ -548,7 +549,7 @@ class TestTrainingEpisodeBookkeeping:
         rng = np.random.default_rng(40)
         out = buf = None
         for _ in range(5):
-            buf = RolloutBuffer(trainer.config.horizon)
+            buf = trainer_buffer(trainer)
             out = EpisodeDriver(env, default_net, d_norm, {HURDLE: module},
                                 rng, trainer=trainer, buffer=buf).run()
             if len(out.switch.events) >= 2:
@@ -847,7 +848,7 @@ class TestTargetCarry:
                                             np.random.default_rng(7))
             trainer = setup_trainer(modules[HURDLE],
                                     PPOConfig(horizon=100_000))
-            buf = RolloutBuffer(trainer.config.horizon)
+            buf = trainer_buffer(trainer)
             rng = np.random.default_rng(7)
             trained = [EpisodeDriver(env, walker, identity_norm(), modules,
                                      rng, trainer=trainer, buffer=buf).run()
@@ -1028,7 +1029,7 @@ def lockstep(world, spawns):
                 for *_, module in copies]
     trainers[0].opening = record = CountingOpening()
     trainers[1].opening = None
-    buffers = [RolloutBuffer(100_000) for _ in copies]
+    buffers = [trainer_buffer(trainer, 100_000) for trainer in trainers]
     env = copies[0][0]
     steps = counted_steps(env)
     start = env.course.artifacts[0].start
@@ -1149,7 +1150,7 @@ class TestWalkerOpening:
     def test_an_init_fn_spawn_never_replays(self, init_fn):
         env, walker, walker_norm, module = lifted_walker_world()
         trainer = setup_trainer(module, PPOConfig(horizon=100_000))
-        buf = RolloutBuffer(trainer.config.horizon)
+        buf = trainer_buffer(trainer)
         rng = np.random.default_rng(6)
         for _ in range(3):
             EpisodeDriver(env, walker, walker_norm, {HURDLE: module}, rng,
@@ -1205,7 +1206,7 @@ class TestOnlyTheTrainedPolicyLearns:
 
         monkeypatch.setattr(cp, "policy_act", spy)
         trainer = setup_trainer(hurdle, PPOConfig(horizon=100_000))
-        buf = RolloutBuffer(trainer.config.horizon)
+        buf = trainer_buffer(trainer)
         rng = np.random.default_rng(7)
         for _ in range(8):
             EpisodeDriver(env, walker, identity_norm(), modules, rng,
@@ -1245,7 +1246,7 @@ class TestCourseScan:
         trainer = buf = None
         if training:
             trainer = setup_trainer(modules[HURDLE], PPOConfig(horizon=100_000))
-            buf = RolloutBuffer(trainer.config.horizon)
+            buf = trainer_buffer(trainer)
         rng = np.random.default_rng(7)
         walking = detections = folds = 0
         for _ in range(6):
@@ -1257,7 +1258,7 @@ class TestCourseScan:
                 drv.tick()
                 if active == POLICY_DEFAULT:
                     walking += 1
-                    folds += drv.handed_off
+                    folds += drv.folding
                     assert scanned.count(step) == 1
             assert len(scanned) == len(set(scanned))
             detections += sum(e.src == POLICY_DEFAULT for e in drv.switch.events)
@@ -1371,7 +1372,7 @@ class TestDriverValidation:
         with pytest.raises(ValueError):
             EpisodeDriver(env, scripted_net(0.5, 0.0), identity_norm(),
                           {HURDLE: module}, np.random.default_rng(0),
-                          trainer=trainer, buffer=RolloutBuffer(16),
+                          trainer=trainer, buffer=trainer_buffer(trainer, 16),
                           without_setup=True)
 
     def test_trainer_and_buffer_come_together(self):
@@ -1385,7 +1386,7 @@ class TestDriverValidation:
         with pytest.raises(ValueError):
             EpisodeDriver(env, scripted_net(0.5, 0.0), identity_norm(),
                           {HURDLE: module}, np.random.default_rng(0),
-                          buffer=RolloutBuffer(16))
+                          buffer=trainer_buffer(trainer, 16))
 
     def test_trainer_module_must_be_a_driver_module(self):
         env = TerrainEnv(single_artifact_course(HURDLE))
@@ -1399,7 +1400,7 @@ class TestDriverValidation:
                 EpisodeDriver(env, scripted_net(0.5, 0.0), walker_norm,
                               {HURDLE: hurdle_module()},
                               np.random.default_rng(0), trainer=trainer,
-                              buffer=RolloutBuffer(16))
+                              buffer=trainer_buffer(trainer, 16))
 
 
 class TestEvaluateBridged:
@@ -1732,9 +1733,34 @@ class TestLanes:
         trainer = setup_trainer(module, PPOConfig(horizon=16))
         drivers = [EpisodeDriver(env, scripted_net(0.5, 0.0), identity_norm(),
                                  {HURDLE: module}, np.random.default_rng(0),
-                                 trainer=trainer, buffer=RolloutBuffer(16))]
+                                 trainer=trainer,
+                                 buffer=trainer_buffer(trainer, 16))]
         with pytest.raises(ValueError, match="evaluation"):
             cp.run_lanes(drivers)
+
+    def test_evaluation_builds_no_carried_target(self, monkeypatch):
+        # a target acts on its mean as any frozen policy does; only a
+        # training driver carries its trained module's target
+        built = []
+        init = cp.CarriedTarget.__init__
+
+        def spy_init(carry, module):
+            built.append(module)
+            init(carry, module)
+
+        monkeypatch.setattr(cp.CarriedTarget, "__init__", spy_init)
+        lanes = mixed_arm_lanes(2 * cp.LANE_CROSSOVER + 6)
+        outcomes = cp.run_lanes([drv for drv, _ in lanes])
+        assert POLICY_TARGET in {e.dst for out in outcomes
+                                 for e in out.switch.events}
+        assert built == []
+        module = hurdle_module()
+        trainer = setup_trainer(module, PPOConfig(horizon=16))
+        EpisodeDriver(TerrainEnv(single_artifact_course(HURDLE)),
+                      scripted_net(0.5, 0.0), identity_norm(),
+                      {HURDLE: module}, np.random.default_rng(0),
+                      trainer=trainer, buffer=trainer_buffer(trainer))
+        assert built == [module]
 
 
 # ---- training tails as lanes -------------------------------------------------------
@@ -1759,7 +1785,7 @@ def parked_tails(n, world=tail_world):
     ticked until the rest of its episode only folds."""
     env, walker, walker_norm, module = world()
     trainer = setup_trainer(module, PPOConfig(horizon=100_000))
-    buf = RolloutBuffer(trainer.config.horizon)
+    buf = trainer_buffer(trainer)
     rng = np.random.default_rng(12)
     tails = []
     while len(tails) < n:
@@ -1816,7 +1842,7 @@ def tails_run(budget, tick_path, *, world=tail_world, horizon=150,
         return run_batch(lanes)
 
     def spy_tick(drv):
-        folding = drv.handed_off
+        folding = drv.folding
         done = tick(drv)
         if drv.trainer is not None:
             tick_log.append((folding, done))
@@ -1882,7 +1908,7 @@ class TestTrainingTails:
         # target acts
         env, walker, modules = two_kind_world()
         trainer = setup_trainer(modules[HURDLE], PPOConfig(horizon=100_000))
-        buf = RolloutBuffer(trainer.config.horizon)
+        buf = trainer_buffer(trainer)
         rng = np.random.default_rng(7)
         tails = []
         while len(tails) < cp.LANE_CROSSOVER + 2:
@@ -1910,10 +1936,10 @@ class TestTrainingTails:
             return EpisodeDriver(course_env, walker, walker_norm,
                                  {HURDLE: module} if modules is None
                                  else modules, rng, trainer=trainer,
-                                 buffer=RolloutBuffer(100_000))
+                                 buffer=trainer_buffer(trainer, 100_000))
 
         def handed_off(drv):
-            while not (drv.done or drv.handed_off):
+            while not (drv.done or drv.switch.active == POLICY_TARGET):
                 drv.tick()
             return drv
 
@@ -1928,7 +1954,8 @@ class TestTrainingTails:
         learners = [handed_off(driver(two)),
                     handed_off(driver(trainer=no_fold)), driver(),
                     driver(trainer=target, modules={})]
-        assert all(drv.handed_off and not drv.done for drv in learners[:2])
+        assert all(drv.switch.active == POLICY_TARGET and not drv.done
+                   for drv in learners[:2])
         tail = handed_off(driver())
         assert tail.folds_only() and cp.run_lanes([tail]) == [tail]
         for drv in learners:
@@ -1942,13 +1969,13 @@ class TestTrainingTails:
         env = TerrainEnv(make_course([make_artifact(HURDLE, 3.2),
                                       make_artifact(HURDLE, 5.0)]))
         trainer = setup_trainer(module, PPOConfig(horizon=100_000))
-        buf = RolloutBuffer(100_000)
+        buf = trainer_buffer(trainer, 100_000)
         rng = np.random.default_rng(4)
         lanes = []
         while len(lanes) < cp.LANE_CROSSOVER:
             drv = EpisodeDriver(env, walker, walker_norm, {HURDLE: module},
                                 rng, trainer=trainer, buffer=buf)
-            while not drv.done and not (drv.handed_off and
+            while not drv.done and not (drv.folding and
                                         drv.switch.active == POLICY_DEFAULT):
                 drv.tick()
             if not drv.done:

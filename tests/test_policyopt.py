@@ -285,10 +285,10 @@ def test_a_fixture_normalizer_normalizes_by_the_frozen_formula(fixture):
 # ---- buffer ----------------------------------------------------------------
 
 def _filled_buffer(n, capacity=8, bit=None):
-    buf = RolloutBuffer(capacity)
+    buf = RolloutBuffer(capacity, 1, 1, bit is not None)
     for i in range(n):
         buf.append(np.array([float(i)]), np.array([0.1 * i]), bit, np.array([0.2 * i]),
-                   -1.0 - i, float(i), 0.5 * i, False, np.array([i, -1.0 * i]))
+                   -1.0 - i, float(i), 0.5 * i, False, np.array([-1.0 * i]))
     return buf
 
 
@@ -317,7 +317,7 @@ def test_buffer_capacity_guard():
     buf = _filled_buffer(8)
     with pytest.raises(BufferError):
         buf.append(np.zeros(1), np.zeros(1), None, np.zeros(1), 0.0, 0.0, 0.0, False,
-                   np.zeros(2))
+                   np.zeros(1))
 
 
 def test_buffer_clear_except_last_keeps_survivor():
@@ -333,14 +333,14 @@ def test_buffer_clear_except_last_keeps_survivor():
         for name in columns:
             assert getattr(buf, name)[0].tobytes() == survivor[name].tobytes(), name
         buf.append(np.zeros(1), np.zeros(1), bit, np.zeros(1), 0.0, 0.0, 0.0, False,
-                   np.zeros(2))
+                   np.zeros(1))
         assert len(buf) == 2
 
 
 def test_buffer_add_reward_into_a_numbered_row():
     # a row keeps the number `append` gave it across clear_except_last,
     # whose survivor moves from index n - 1 to 0; a dropped row is refused
-    buf = RolloutBuffer(4)
+    buf = RolloutBuffer(4, 1, 1, False)
     rows = [buf.append(np.zeros(1), np.zeros(1), None, np.zeros(1), 0.0,
                        float(i), 0.0, False, np.zeros(1)) for i in range(4)]
     assert rows == [0, 1, 2, 3]
@@ -363,7 +363,7 @@ def test_buffer_add_reward_into_a_numbered_row():
     assert buf.append(np.zeros(1), np.zeros(1), None, np.zeros(1), 0.0, 0.0,
                       0.0, False, np.zeros(1)) == 5
     with pytest.raises(BufferError):
-        RolloutBuffer(4).add_reward(0, 1.0)
+        RolloutBuffer(4, 1, 1, False).add_reward(0, 1.0)
 
 
 def _row(bit, width=3):
@@ -376,7 +376,7 @@ def test_rows_that_disagree_on_the_handoff_bit_raise_at_append(first, later):
     """A buffer's first row fixes whether its rows carry a handoff bit; a
     later row that disagrees would drop its bit from the loss, or read as
     NaN in it."""
-    buf = RolloutBuffer(4)
+    buf = RolloutBuffer(4, 3, 1, first is not None)
     buf.append(*_row(first))
     with pytest.raises(BufferError, match="handoff bit"):
         buf.append(*_row(later))
@@ -391,7 +391,7 @@ def test_appends_allocate_little_beyond_the_preallocated_columns():
     about the bytes of the columns, not an array or a float per value."""
     T, width, action_width = 2048, 10, 2
     rng = np.random.default_rng(50)
-    buf = RolloutBuffer(T)
+    buf = RolloutBuffer(T, width, action_width, False)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -415,7 +415,7 @@ def test_ppo_update_reads_the_buffer_columns_in_place(with_bits):
     rng = np.random.default_rng(51)
     net = ParameterizedNet(4, 2, (8,), np.random.default_rng(52))
     buf = _synthetic_buffer(rng, net, T=16, with_bits=with_bits)
-    obs, actions, bits, logp_old, _, _ = _stack_worker(net, buf, PPOConfig())
+    obs, actions, bits, logp_old, _, _ = _stack_worker(net, buf, 0.0, PPOConfig())
     assert np.shares_memory(obs, buf.obs)
     assert np.shares_memory(actions, buf.actions)
     assert np.shares_memory(logp_old, buf.logprobs)
@@ -440,7 +440,7 @@ def test_clipped_surrogate_never_exceeds_unclipped(ratio, adv, clip):
 # ---- ppo_update ------------------------------------------------------------
 
 def _synthetic_buffer(rng, net, T=32, with_bits=False):
-    buf = RolloutBuffer(T)
+    buf = RolloutBuffer(T, net.obs_dim, net.action_dim, with_bits)
     for _ in range(T):
         obs = rng.normal(size=net.obs_dim)
         action, bit, mean, logit, h = policy_act(net, obs, rng, with_switch=with_bits)
@@ -464,9 +464,9 @@ def test_averaged_worker_gradients_match_single_worker(with_bits):
     buf = _synthetic_buffer(rng, net_a, T=32, with_bits=with_bits)
     config = PPOConfig(horizon=32, minibatch=8, epochs=2)
 
-    ppo_update(net_a, [buf], config, AdamState(lr=config.lr), np.random.default_rng(10))
+    ppo_update(net_a, [buf], [0.0], config, AdamState(lr=config.lr), np.random.default_rng(10))
     workers = [_deep_copy_buffer(buf), _deep_copy_buffer(buf)]
-    ppo_update(net_b, workers, config, AdamState(lr=config.lr), np.random.default_rng(10))
+    ppo_update(net_b, workers, [0.0] * len(workers), config, AdamState(lr=config.lr), np.random.default_rng(10))
 
     for name in net_a.params:
         assert np.array_equal(net_a.params[name], net_b.params[name]), name
@@ -478,7 +478,17 @@ def test_ppo_update_rejects_mismatched_buffers():
     b1 = _synthetic_buffer(rng, net, T=8)
     b2 = _synthetic_buffer(rng, net, T=6)
     with pytest.raises(BufferError):
-        ppo_update(net, [b1, b2], PPOConfig(minibatch=4), AdamState(), rng)
+        ppo_update(net, [b1, b2], [0.0, 0.0], PPOConfig(minibatch=4), AdamState(), rng)
+
+
+def test_ppo_update_needs_one_bootstrap_per_buffer():
+    rng = np.random.default_rng(11)
+    net = ParameterizedNet(3, 1, (4,), rng)
+    buffers = [_synthetic_buffer(rng, net, T=8) for _ in range(2)]
+    for bootstraps in ([], [0.0], [0.0, 0.0, 0.0]):
+        with pytest.raises(BufferError, match="one bootstrap per buffer"):
+            ppo_update(net, buffers, bootstraps, PPOConfig(minibatch=4),
+                       AdamState(), rng)
 
 
 def test_ppo_update_is_deterministic_given_seed():
@@ -486,7 +496,7 @@ def test_ppo_update_is_deterministic_given_seed():
         rng = np.random.default_rng(12)
         net = ParameterizedNet(4, 2, (8, 8), np.random.default_rng(13))
         buf = _synthetic_buffer(rng, net, T=16)
-        ppo_update(net, [buf], PPOConfig(minibatch=8, epochs=2), AdamState(), np.random.default_rng(14))
+        ppo_update(net, [buf], [0.0], PPOConfig(minibatch=8, epochs=2), AdamState(), np.random.default_rng(14))
         return {k: v.copy() for k, v in net.params.items()}
 
     first, second = run(), run()
@@ -503,7 +513,7 @@ def test_ppo_update_statistics_are_pinned(with_bits):
     net = ParameterizedNet(4, 2, (8, 8), np.random.default_rng(32))
     buffers = [_synthetic_buffer(rng, net, T=30, with_bits=with_bits) for _ in range(2)]
     config = PPOConfig(horizon=30, minibatch=8, epochs=3, lr=0.05, clip=0.1)
-    stats = ppo_update(net, buffers, config, AdamState(lr=config.lr),
+    stats = ppo_update(net, buffers, [0.0, 0.0], config, AdamState(lr=config.lr),
                        np.random.default_rng(33))
     if with_bits:
         expected = {"pg_loss": 0.11442117629045201, "v_loss": 3.5433450510491524,
@@ -531,7 +541,7 @@ def test_filled_logprobs_equal_the_per_act_formula_bit_for_bit(width, with_bits)
     if with_bits:
         assert 0 < sum(buf.switch_bits) < len(buf)
     assert len(buf.logprobs) == 0
-    ppo_update(net, [buf], PPOConfig(horizon=64, minibatch=16, epochs=1),
+    ppo_update(net, [buf], [0.0], PPOConfig(horizon=64, minibatch=16, epochs=1),
                AdamState(), np.random.default_rng(42))
     assert [float.hex(x) for x in buf.logprobs] == [float.hex(x) for x in expected]
 
@@ -541,7 +551,7 @@ def test_log_std_stays_clamped_through_updates():
     net = ParameterizedNet(2, 1, (4,), rng)
     net.params["log_std"][...] = np.float32(-4.9)
     buf = _synthetic_buffer(rng, net, T=16)
-    ppo_update(net, [buf], PPOConfig(minibatch=8, lr=0.5), AdamState(lr=0.5), rng)
+    ppo_update(net, [buf], [0.0], PPOConfig(minibatch=8, lr=0.5), AdamState(lr=0.5), rng)
     assert np.all(net.params["log_std"] >= -5.0)
     assert np.all(net.params["log_std"] <= 2.0)
 
