@@ -68,15 +68,12 @@ physics exist on each path: scalar in `tick`, as masks in `_run_batch`.
 
 A setup reward function has the signature
 `reward_fn(target, obs, obs_next, r_env, terminal, action)`. A driver passes
-it its own `CarriedTarget` of the trained module (`EpisodeDriver.carry`), a
-view of the frozen specialist that runs its trunk at most once per
-observation, and each head there at most once, when first read: the
-observation taken after a tick's step becomes the next tick's observation,
-so V(s') of one tick is V(s) of the next. That target also acts through the
-carry, so a fold reuses its trunk pass; every other target acts as any
-frozen policy does, and an evaluation driver has no carry. The course scan
-behind an observation also finds the next artifact, which a walking tick's
-detection reads, so each state is scanned once.
+it its own `CarriedTarget` of the trained module, a view of the frozen
+specialist that runs its trunk at most once per observation, and each head
+there at most once, when first read: the observation taken after a tick's
+step becomes the next tick's observation, so V(s') of one tick is V(s) of the
+next. The course scan behind an observation also finds the next artifact,
+which a walking tick's detection reads, so each state is scanned once.
 """
 
 from __future__ import annotations
@@ -372,12 +369,13 @@ class CarriedTarget:
         return slot[2]
 
 
-def _is_carried(policy, carry):
-    """Whether `policy`, (role, net, norm) as `EpisodeDriver.policy` gives
-    it, is the target that `carry` (or None) views: a trunk pass of the
-    policy is then the carry's."""
-    return carry is not None and policy == (
-        POLICY_TARGET, carry.module.target_net, carry.module.target_norm)
+def _carried_policy(carry):
+    """The target that `carry` views as (role, net, norm), which
+    `EpisodeDriver.policy` gives while it acts: a trunk pass of that policy
+    is the carry's. None for no carry."""
+    if carry is None:
+        return None
+    return POLICY_TARGET, carry.module.target_net, carry.module.target_norm
 
 
 def awtv_step_reward(target, obs, obs_next, r_env, terminal, action):
@@ -401,9 +399,7 @@ class Trainer:
     empties the buffers.
 
     `update` runs PPO on the buffers under the normalizer statistics that
-    acted, each buffer's last row, unless done, bootstrapping from the value
-    of the state its driver acts on next (a horizon cut mid-phase). It then
-    merges each buffer's raw rows not merged before into the statistics,
+    acted, then merges each buffer's raw rows not merged before into them,
     in worker order: each learning tick's row is merged once, the survivor
     of `clear_except_last` at the update that first learned from it. The
     PPO shuffle draws from `shuffle`, the first stream spawned from `rng`;
@@ -465,11 +461,10 @@ class EpisodeDriver:
     normalizes with statistics frozen since the trainer's last update.
     `init_fn(env, rng)` replaces the standard spawn.
 
-    In setup training `carry` is the driver's `CarriedTarget` of the trained
-    module, which the setup reward and `fold` read; it is None in target
-    training and in evaluation. `folding` is set at the trained setup
-    policy's handoff, to the trainer's `extend`: from then on each tick
-    folds its shaped reward into row `fold_row`.
+    `carry` is the `CarriedTarget` of the trained module in setup training,
+    else None: the setup reward and `fold` read it, and that target acts
+    through it; any other target acts as a frozen policy. `folding` is set
+    to the trainer's `extend` at the trained setup policy's handoff.
     """
 
     def __init__(self, env, default_net, default_norm, modules, rng, *,
@@ -493,7 +488,6 @@ class EpisodeDriver:
         self.without_setup = without_setup
         self.state = init_fn(env, rng) if init_fn else env.reset(rng)
         self.switch = SwitchState()
-        # whether later ticks fold: set at the trained setup policy's handoff
         self.folding = False
         self.fold_row = None  # number of the last row it stored
         self._obs = None  # observation of self.state, once taken
@@ -578,9 +572,8 @@ class EpisodeDriver:
         obs = self.observation()
 
         bit = None
-        # the trainer's net is the walker or the trained setup policy
         learning = trainer is not None and net is trainer.net
-        if _is_carried(policy, self.carry):
+        if policy == _carried_policy(self.carry):
             action = self.carry.target_action(obs)
         elif learning or acting == POLICY_SETUP:
             # a learning tick keeps its raw row for the trainer's merge
@@ -701,8 +694,7 @@ def _run_batch(lanes):
     target acts, else off one batched pass of it over such tails. Either
     fills the tail's `carry`, and its `fold` adds a tick's reward once V(s')
     is filled, at the next tick, or when the lane is written back, with the
-    driver's own observation. A lane with no modules detects nothing, as
-    none of its artifacts has a module. The env rewards come from
+    driver's own observation. The env rewards come from
     `RunnerBatch.rewards`, read only while a tail is live, so evaluation
     computes none. A tail that detects an artifact its driver has a module
     for would reach a setup phase, and raises RuntimeError.
@@ -757,7 +749,7 @@ def _run_batch(lanes):
             mu = [None] * len(h) if mu is None else list(mu)
         for i, h_i, value, mu_i in zip(lane_rows, h, values, mu):
             drv = lanes[i]
-            if _is_carried(policy, drv.carry):
+            if policy == _carried_policy(drv.carry):
                 drv.carry.fill(obs_rows[i], h_i, value, mu_i)
                 if pending[i] is not None:
                     obs, r_env, action = pending[i]
@@ -808,8 +800,7 @@ def _run_batch(lanes):
         # does not act
         by_target = {}
         for i in tails:
-            module = lanes[i].carry.module
-            target = POLICY_TARGET, module.target_net, module.target_norm
+            target = _carried_policy(lanes[i].carry)
             if policies[lane_codes[i]] != target:
                 by_target.setdefault(target, []).append(i)
         for target, group in by_target.items():
@@ -869,11 +860,9 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
 
     `n_workers` drivers take turns ticking, each into its own buffer and on
     its own stream, spawned from the trainer's `rng`: a worker draws its
-    spawns, action noise and handoff bits from it. Each buffer holds
-    `horizon` rows of the trainer net's widths, with a handoff bit when the
-    trainer has a module. A worker whose buffer is full pauses until every
-    buffer is full, which triggers one joint update. Buffers and streams
-    persist across episodes; only the runner restarts.
+    spawns, action noise and handoff bits from it. A worker whose buffer is
+    full pauses until every buffer is full, which triggers one joint update.
+    Buffers and streams persist across episodes; only the runner restarts.
     Between updates the policy and its statistics are frozen, so each
     worker's ticks depend on its own stream alone, and the update, which
     merges the workers' rows in worker order, on no interleaving of them.

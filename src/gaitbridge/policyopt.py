@@ -472,9 +472,9 @@ def ppo_update(net, buffers, bootstraps, config: PPOConfig, adam: AdamState,
     Buffers must have equal lengths and agree on whether transitions carry a
     switch bit. `bootstraps` holds one value per buffer, the bootstrap of its
     last row if that row is not done (see `gae_advantages`). `net` must be
-    the net that filled them: the behaviour
-    log-probabilities of their new rows are computed from it before the
-    first step and written into each buffer's `logprobs` column. Returns
+    the net that filled them: the behaviour log-probabilities of their new
+    rows are computed from it before the first step and written into each
+    buffer's `logprobs` column. Returns
     aggregate loss statistics; the clip fraction is the mean over worker
     minibatches of the share of ratios outside the clip band.
     """

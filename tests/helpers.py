@@ -106,12 +106,12 @@ def train_bandit(updates=50, horizon=128, seed=0):
     return net
 
 
-def trainer_buffer(trainer, capacity=None):
+def trainer_buffer(trainer):
     """An empty buffer for the rows `trainer`'s net stores, as `_train` makes
-    one; `capacity` defaults to the trainer's horizon."""
+    one."""
     net = trainer.net
-    return RolloutBuffer(capacity or trainer.config.horizon, net.obs_dim,
-                         net.action_dim, trainer.module is not None)
+    return RolloutBuffer(trainer.config.horizon, net.obs_dim, net.action_dim,
+                         trainer.module is not None)
 
 
 def evaluate_bridged(env, default_net, default_norm, modules, episodes, rng,

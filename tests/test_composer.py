@@ -1029,7 +1029,7 @@ def lockstep(world, spawns):
                 for *_, module in copies]
     trainers[0].opening = record = CountingOpening()
     trainers[1].opening = None
-    buffers = [trainer_buffer(trainer, 100_000) for trainer in trainers]
+    buffers = [trainer_buffer(trainer) for trainer in trainers]
     env = copies[0][0]
     steps = counted_steps(env)
     start = env.course.artifacts[0].start
@@ -1372,7 +1372,7 @@ class TestDriverValidation:
         with pytest.raises(ValueError):
             EpisodeDriver(env, scripted_net(0.5, 0.0), identity_norm(),
                           {HURDLE: module}, np.random.default_rng(0),
-                          trainer=trainer, buffer=trainer_buffer(trainer, 16),
+                          trainer=trainer, buffer=trainer_buffer(trainer),
                           without_setup=True)
 
     def test_trainer_and_buffer_come_together(self):
@@ -1386,7 +1386,7 @@ class TestDriverValidation:
         with pytest.raises(ValueError):
             EpisodeDriver(env, scripted_net(0.5, 0.0), identity_norm(),
                           {HURDLE: module}, np.random.default_rng(0),
-                          buffer=trainer_buffer(trainer, 16))
+                          buffer=trainer_buffer(trainer))
 
     def test_trainer_module_must_be_a_driver_module(self):
         env = TerrainEnv(single_artifact_course(HURDLE))
@@ -1400,7 +1400,7 @@ class TestDriverValidation:
                 EpisodeDriver(env, scripted_net(0.5, 0.0), walker_norm,
                               {HURDLE: hurdle_module()},
                               np.random.default_rng(0), trainer=trainer,
-                              buffer=trainer_buffer(trainer, 16))
+                              buffer=trainer_buffer(trainer))
 
 
 class TestEvaluateBridged:
@@ -1734,7 +1734,7 @@ class TestLanes:
         drivers = [EpisodeDriver(env, scripted_net(0.5, 0.0), identity_norm(),
                                  {HURDLE: module}, np.random.default_rng(0),
                                  trainer=trainer,
-                                 buffer=trainer_buffer(trainer, 16))]
+                                 buffer=trainer_buffer(trainer))]
         with pytest.raises(ValueError, match="evaluation"):
             cp.run_lanes(drivers)
 
@@ -1936,7 +1936,7 @@ class TestTrainingTails:
             return EpisodeDriver(course_env, walker, walker_norm,
                                  {HURDLE: module} if modules is None
                                  else modules, rng, trainer=trainer,
-                                 buffer=trainer_buffer(trainer, 100_000))
+                                 buffer=trainer_buffer(trainer))
 
         def handed_off(drv):
             while not (drv.done or drv.switch.active == POLICY_TARGET):
@@ -1969,7 +1969,7 @@ class TestTrainingTails:
         env = TerrainEnv(make_course([make_artifact(HURDLE, 3.2),
                                       make_artifact(HURDLE, 5.0)]))
         trainer = setup_trainer(module, PPOConfig(horizon=100_000))
-        buf = trainer_buffer(trainer, 100_000)
+        buf = trainer_buffer(trainer)
         rng = np.random.default_rng(4)
         lanes = []
         while len(lanes) < cp.LANE_CROSSOVER:

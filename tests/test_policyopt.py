@@ -373,9 +373,8 @@ def _row(bit, width=3):
 
 @pytest.mark.parametrize("first, later", [(None, 1), (0, None)])
 def test_rows_that_disagree_on_the_handoff_bit_raise_at_append(first, later):
-    """A buffer's first row fixes whether its rows carry a handoff bit; a
-    later row that disagrees would drop its bit from the loss, or read as
-    NaN in it."""
+    """A buffer is built with or without a handoff bit per row; a row that
+    disagrees would drop its bit from the loss, or read as NaN in it."""
     buf = RolloutBuffer(4, 3, 1, first is not None)
     buf.append(*_row(first))
     with pytest.raises(BufferError, match="handoff bit"):
