@@ -679,13 +679,14 @@ def _run_batch(lanes):
     with the same ones share a code, whichever arm or cell they run. A tick
     releases target lanes past their artifact and passes each walking lane
     that detects an artifact its driver has a module for to the driver's
-    `on_detection`. Then each acting policy gets one normalize and one
-    trunk pass over its lanes' observations, in the order of its first lane,
-    with a one-row pass for a lone row. Walker and target lanes act on
-    their means, the only head computed for them. A setup lane samples from
-    its driver's generator through `draw_act`, as `policy_act` does. After
-    the step, the handoff bits pass control to the
-    targets. Every switch goes through the driver's `SwitchState`. Finished
+    `on_detection`; a walking policy first coded while no lane has modules
+    (a specialist's evaluation) looks for no artifact. Then each acting
+    policy gets one normalize and one trunk pass over its lanes'
+    observations, in the order of its first lane, with a one-row pass for a
+    lone row. Walker and target lanes act on their means, the only head
+    computed for them. A setup lane samples from its driver's generator
+    through `draw_act`, as `policy_act` does. After the step, the handoff
+    bits pass control to the targets. Every switch goes through the driver's `SwitchState`. Finished
     lanes are written back into their drivers and dropped; the lanes left
     (fewer than LANE_CROSSOVER) are written back and returned.
 
@@ -701,7 +702,9 @@ def _run_batch(lanes):
     """
     policies = []  # code -> (role, net, norm)
     code_of = {}  # (role, net, norm) -> code; nets and norms hash by identity
-    walks = []  # code -> whether it is a walking policy
+    # code -> whether its lanes look for artifacts: a walking policy, while
+    # a lane has modules (a specialist's evaluation has none to hand to)
+    detects = []
 
     def phase(drv):
         """(policy code, release x) of a lane: the end of the artifact a
@@ -710,7 +713,8 @@ def _run_batch(lanes):
         if policy not in code_of:
             code_of[policy] = len(policies)
             policies.append(policy)
-            walks.append(policy[0] == POLICY_DEFAULT)
+            detects.append(policy[0] == POLICY_DEFAULT and
+                           any(lane.modules for lane in lanes))
         return code_of[policy], (drv.switch.artifact.end if policy[0] ==
                                  POLICY_TARGET else np.inf)
 
@@ -759,7 +763,7 @@ def _run_batch(lanes):
         for i in tau_theta_reached(batch, release_x).nonzero()[0]:
             switch_lane(i, POLICY_DEFAULT)
         hit, index = batch.detect()
-        for i in (hit & np.array(walks)[code]).nonzero()[0]:
+        for i in (hit & np.array(detects)[code]).nonzero()[0]:
             drv = lanes[i]
             art = drv.env.course.artifacts[index[i]]
             if art.kind in drv.modules:

@@ -37,6 +37,9 @@ BUDGET_KEYS = ("setup",)
 
 DEFAULT_BUDGETS = {"setup": 2_000_000}
 
+# characters a metrics-row label cannot hold: they would split its CSV row
+LABEL_BREAKS = ",\n\r"
+
 # keys an experiment kind never reads: a hash that moved with them would
 # tell apart runs that compute the same thing
 _UNREAD_KEYS = {"evaluation": ("ppo", "awtv", "budgets"),
@@ -189,7 +192,7 @@ def config_from_dict(raw, base_dir=None, check_paths=True) -> ExperimentConfig:
         values["kind"] = kind
     course = _require_type(raw.get("course", ""), (str,), "course")
     # the file's stem labels every metrics row; "" means no course
-    if any(ch in Path(course).stem for ch in ",\n\r"):
+    if any(ch in Path(course).stem for ch in LABEL_BREAKS):
         raise ConfigError(f"course {course!r}: its file name cannot label a "
                           "metrics row, which holds no , or newline")
     if course:

@@ -45,7 +45,7 @@ from .checkpoint import (
     load_policy,
     save_checkpoint,
 )
-from .config import ConfigError, config_hash
+from .config import LABEL_BREAKS, ConfigError, config_hash
 
 # Stream tags keep every random purpose on its own generator: training,
 # fresh-parameter init, evaluation, per-episode course order, and the
@@ -87,7 +87,7 @@ class MetricsRow:
         if self.steps < 0 or self.switch_count < 0:
             raise MetricsError("steps and switch count must be >= 0")
         for label in (self.method, self.course):
-            if any(ch in label for ch in ",\n\r"):
+            if any(ch in label for ch in LABEL_BREAKS):
                 raise MetricsError(f"label {label!r} cannot hold , or newline")
         return self
 

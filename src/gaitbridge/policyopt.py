@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gaitbridge.diffcore import AdamState, adam_step, sigmoid
+from gaitbridge.diffcore import adam_step, sigmoid
 from gaitbridge.diffcore.net import LOG_2PI
 
 
@@ -465,8 +465,7 @@ def ppo_loss_grad(net, obs, actions, bits, logp_old, adv, returns, config, grad)
     return float(pg), float(v_loss), ratio
 
 
-def ppo_update(net, buffers, bootstraps, config: PPOConfig, adam: AdamState,
-               rng):
+def ppo_update(net, buffers, bootstraps, config, adam, rng):
     """One PPO update from one or more worker buffers (gradients averaged).
 
     Buffers must have equal lengths and agree on whether transitions carry a
@@ -474,9 +473,10 @@ def ppo_update(net, buffers, bootstraps, config: PPOConfig, adam: AdamState,
     last row if that row is not done (see `gae_advantages`). `net` must be
     the net that filled them: the behaviour log-probabilities of their new
     rows are computed from it before the first step and written into each
-    buffer's `logprobs` column. Returns
-    aggregate loss statistics; the clip fraction is the mean over worker
-    minibatches of the share of ratios outside the clip band.
+    buffer's `logprobs` column. The steps follow the `PPOConfig` `config`
+    and move the `AdamState` `adam`. Returns aggregate loss statistics; the
+    clip fraction is the mean over worker minibatches of the share of
+    ratios outside the clip band.
     """
     if not buffers or len(buffers[0]) == 0:
         raise BufferError("ppo_update needs at least one non-empty buffer")

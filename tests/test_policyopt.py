@@ -390,10 +390,10 @@ def test_appends_allocate_little_beyond_the_preallocated_columns():
     about the bytes of the columns, not an array or a float per value."""
     T, width, action_width = 2048, 10, 2
     rng = np.random.default_rng(50)
-    buf = RolloutBuffer(T, width, action_width, False)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        buf = RolloutBuffer(T, width, action_width, False)
         for _ in range(T):
             buf.append(rng.normal(size=width), rng.normal(size=action_width),
                        None, rng.normal(size=action_width), None,

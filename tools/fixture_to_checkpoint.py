@@ -1,11 +1,11 @@
 """Convert benchmark fixtures into policy checkpoints the CLI reads.
 
-    python3 tools/fixture_to_checkpoint.py bench/fixtures/*.npz --out DIR
+    python3 tools/fixture_to_checkpoint.py flat hurdle_target --out DIR
 
-A fixture (`bench/fixtures/*.npz`) holds plain numpy arrays: `param.<name>`
-for each network parameter and `norm.<name>` for each normalizer statistic.
-Each one becomes `DIR/<stem>.ckpt`, an RBPC checkpoint of the same numbers
-with an empty config hash (see `gaitbridge.harness.checkpoint`), so that
+Each name is a fixture under `bench/fixtures/` (`<name>.npz`), read by the
+benchmark's own `load_fixture`. It becomes `DIR/<name>.ckpt`, an RBPC
+checkpoint of the same numbers with an empty config hash (see
+`gaitbridge.harness.checkpoint`), so that
 `gaitbridge evaluate --default DIR/flat.ckpt ...` runs the frozen policies
 the benchmark runs. The fixtures are only read.
 """
@@ -15,41 +15,29 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-import numpy as np  # noqa: E402
-
-from gaitbridge.diffcore import ParameterizedNet  # noqa: E402
+from bench.workloads import load_fixture  # noqa: E402
 from gaitbridge.harness import Checkpoint, save_checkpoint  # noqa: E402
-from gaitbridge.policyopt import RunningNormalizer  # noqa: E402
 
 
-def fixture_arrays(path):
-    """({parameter name: array}, {statistic name: array}) of a fixture."""
-    with np.load(path, allow_pickle=False) as data:
-        return tuple({key[len(prefix):]: data[key] for key in data.files
-                      if key.startswith(prefix)}
-                     for prefix in ("param.", "norm."))
-
-
-def convert(fixture, out_dir):
-    """Write the checkpoint of `fixture` into `out_dir`; returns its path."""
-    params, stats = fixture_arrays(fixture)
-    net = ParameterizedNet.from_params(params)
-    norm = RunningNormalizer.from_state_arrays(stats)
-    return save_checkpoint(Path(out_dir) / f"{Path(fixture).stem}.ckpt",
-                           Checkpoint.of(net, norm))
+def convert(name, out_dir):
+    """Write the checkpoint of fixture `name` into `out_dir`; returns its
+    path."""
+    return save_checkpoint(Path(out_dir) / f"{name}.ckpt",
+                           Checkpoint.of(*load_fixture(name)))
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("fixtures", nargs="+", help="fixture .npz files")
+    parser.add_argument("names", nargs="+",
+                        help="fixture names, as in bench/fixtures/<name>.npz")
     parser.add_argument("--out", required=True,
                         help="directory the checkpoints are written to")
     args = parser.parse_args(argv)
     Path(args.out).mkdir(parents=True, exist_ok=True)
-    for fixture in args.fixtures:
-        print(convert(fixture, args.out))
+    for name in args.names:
+        print(convert(name, args.out))
     return 0
 
 
