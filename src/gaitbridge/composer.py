@@ -34,8 +34,9 @@ reward; setup training trains one module's setup policy on a shaped reward.
 One round-robin loop (`_train`) collects both into per-worker buffers, one
 `tick()` at a time, but for the tails of setup training: once the trained
 setup policy has handed off and no artifact is left for a setup policy, an
-episode only folds rewards, so `_train` parks it, and the parked tails run
-as lanes. Each worker draws from a stream of its own, and acts under
+episode only folds rewards, so `_train` parks it, and the tails parked
+between two updates run as lanes, once, just before the update that reads
+their folds. Each worker draws from a stream of its own, and acts under
 statistics that only an update moves, so the order in which workers tick
 moves no result.
 
@@ -99,7 +100,6 @@ from gaitbridge.terrainsim import (
     CourseError,
     GAP,
     HURDLE,
-    MAX_STEPS,
     OBS_DIM,
     OBS_PROPRIO,
     OBS_RANGE,
@@ -880,19 +880,21 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
 
     Setup training parks its tails. At its worker's turn, a `folding`
     driver whose episode only folds rewards from now on (`folds_only`) is
-    parked and the worker starts its next episode; the parked tails run
-    together through `run_lanes`. They run before each update, so an update
-    sees the folds that ticking them would have added. A handoff that fills
+    parked and the worker starts its next episode. Once every buffer is
+    full, the tails parked since the last update run together, in one
+    `run_lanes` call, and their ticks count then: the update reads their
+    folds, and it needs the ticks it would need on `tick()`, since each
+    worker's ticks depend on its own stream alone. If they pass the
+    budget, which on `tick()` runs out inside this segment, training ends
+    with `steps_used` at the budget and no update. A handoff that fills
     its buffer is parked at its worker's next turn, after the update, and
-    folds into the survivor of `clear_except_last`, as on `tick()`. A tail
-    is parked only while the budget holds the most ticks it can take,
-    MAX_STEPS + 1 minus its steps, and the tails run before any tick that
-    their reserve could push past the budget; so the budget ends exactly as
-    on `tick()`. A tail draws nothing, so each worker's draws keep the
-    order of ticking every episode to its end, and while fewer than
-    `LANE_CROSSOVER` tails run together (on `run()`, see `run_lanes`) the
-    results equal those of ticking them bit for bit. Without `extend` or
-    with an `on_episode_end`, every driver stays on `tick()`.
+    folds into the survivor of `clear_except_last`, as on `tick()`. Tails
+    parked after the last update never run: no update reads their folds.
+    A tail draws nothing, so each worker's draws keep the order of ticking
+    every episode to its end, and while fewer than `LANE_CROSSOVER` tails
+    run together (on `run()`, see `run_lanes`) every update equals that of
+    ticking them bit for bit. Without `extend` or with an
+    `on_episode_end`, every driver stays on `tick()`.
     """
     if eval_episodes < 0 or eval_every < 0:
         raise ValueError("eval_every and eval_episodes must be >= 0")
@@ -917,35 +919,19 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
                              streams[worker], trainer=trainer, buffer=buffer,
                              init_fn=init_fn)
 
-    def run_tails():
-        nonlocal steps_used, reserve
-        ran = -sum(tail.state.steps for tail in tails)
-        run_lanes(tails)
-        steps_used += ran + sum(tail.state.steps for tail in tails)
-        tails.clear()
-        reserve = 0
-
     drivers = [new_driver(w, RolloutBuffer(
         trainer.config.horizon, trainer.net.obs_dim, trainer.net.action_dim,
         trainer.module is not None)) for w in range(n_workers)]
     parks = on_episode_end is None  # else each episode ends on tick()
-    tails = []  # parked training tails
-    reserve = 0  # the most ticks the tails can still take
+    tails = []  # training tails parked since the last update
     steps_used = 0
     while steps_used < budget:
         for idx, drv in enumerate(drivers):
             if drv.buffer.full:
                 continue  # paused until the joint update
-            if parks and drv.folding:
-                most = MAX_STEPS + 1 - drv.state.steps
-                if steps_used + reserve + most <= budget and drv.folds_only():
-                    tails.append(drv)
-                    reserve += most
-                    drv = drivers[idx] = new_driver(idx, drv.buffer)
-            if tails and steps_used + reserve >= budget:
-                run_tails()
-                if steps_used >= budget:
-                    break
+            if parks and drv.folding and drv.folds_only():
+                tails.append(drv)
+                drv = drivers[idx] = new_driver(idx, drv.buffer)
             drv.tick()
             steps_used += 1
             if drv.done:
@@ -955,8 +941,13 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
             if steps_used >= budget:
                 break
         if all(drv.buffer.full for drv in drivers):
-            if tails:
-                run_tails()
+            steps_used -= sum(tail.state.steps for tail in tails)
+            steps_used += sum(tail.state.steps for tail in run_lanes(tails))
+            tails.clear()
+            if steps_used > budget:
+                # on tick() the budget runs out inside this segment
+                steps_used = budget
+                break
             trainer.update(drivers)
             if eval_every and trainer.updates % eval_every == 0:
                 rate = run_eval(steps_used)
@@ -1053,11 +1044,11 @@ def train_setup(module: BehaviorModule, default_net, default_norm, env, config,
     update followed by clear-except-last, and every post-handoff shaped reward
     of an episode folds into the row its handoff stored (the survivor, if
     that row was kept across an update); the tails that only fold run as
-    lanes (see `_train`). The budget counts every environment tick of every
-    training episode (walking and target phases included); evaluation
-    episodes are free. `on_episode_end(driver)` fires after each finished
-    training episode, before the runner restarts, and keeps every training
-    episode on `tick()`.
+    lanes, once per update, just before it (see `_train`). The budget counts
+    every environment tick of every training episode (walking and target
+    phases included); evaluation episodes are free. `on_episode_end(driver)`
+    fires after each finished training episode, before the runner restarts,
+    and keeps every training episode on `tick()`.
 
     `reward_fn(target, obs, obs_next, r_env, terminal, action)` receives the
     driver's `carry`, a CarriedTarget of the trained module, not the module

@@ -1165,7 +1165,7 @@ class TestWalkerOpening:
             steps[0] = 0
 
     @pytest.mark.parametrize("n_workers, budget, cut", [
-        (1, 3037, False), (2, 2940, False), (1, 2910, True), (2, 2630, True)])
+        (1, 3037, False), (2, 2940, False), (1, 2002, True), (2, 2700, True)])
     def test_training_equals_training_without_the_replay(
             self, monkeypatch, n_workers, budget, cut):
         with monkeypatch.context() as m:
@@ -1873,15 +1873,80 @@ def tails_run(budget, tick_path, *, world=tail_world, horizon=150,
 
 
 def assert_same_schedule(got, want, budget):
+    """The same training up to the last update. After it the paths part by
+    design: parked tails never run, and live ticks run instead, so the
+    stream, the drivers' outcomes and the last buffer differ."""
     assert got["curve"][-1][0] == want["curve"][-1][0] == budget
-    for key in ("curve", "count", "rng", "discrete"):
+    for key in ("curve", "count"):
         assert got[key] == want[key], key
     assert len(got["updates"]) == len(want["updates"])
     for (got_rows, got_end), (want_rows, want_end) in zip(got["updates"],
                                                           want["updates"]):
         assert got_end == want_end
         assert_close_rewards(got_rows, want_rows)
-    assert_close_rewards(got["rewards"], want["rewards"])
+    np.testing.assert_allclose(got["setup"], want["setup"], rtol=0,
+                               atol=1e-6)
+
+
+class FlushSpy:
+    """Watches one-worker setup training: the training drivers of each
+    `run_lanes` call, with the updates made before it; each parked tail,
+    with the updates made before it was parked; and each tick on tick() of
+    a driver whose episode only folds, made outside `run()`."""
+
+    def __init__(self, m):
+        self.updates = 0
+        self.calls, self.parked, self.stray = [], [], []
+        self.running = False
+        latest = {}  # buffer id -> the newest driver filling it
+        init, run, tick, update, run_lanes = (
+            EpisodeDriver.__init__, EpisodeDriver.run, EpisodeDriver.tick,
+            Trainer.update, cp.run_lanes)
+
+        def spy_init(drv, *args, **kwargs):
+            init(drv, *args, **kwargs)
+            if drv.trainer is not None:
+                before = latest.get(id(drv.buffer))
+                if before is not None and not before.done:
+                    self.parked.append((self.updates, before))
+                latest[id(drv.buffer)] = drv
+
+        def spy_run(drv):
+            running, self.running = self.running, True
+            try:
+                return run(drv)
+            finally:
+                self.running = running
+
+        def spy_tick(drv):
+            if (drv.trainer is not None and not self.running
+                    and drv.folds_only()):
+                self.stray.append(drv)
+            return tick(drv)
+
+        def spy_update(trainer, workers):
+            self.updates += 1
+            update(trainer, workers)
+
+        def spy_run_lanes(drivers):
+            self.calls.append((self.updates, [drv for drv in drivers
+                                              if drv.trainer is not None]))
+            return run_lanes(drivers)
+
+        m.setattr(EpisodeDriver, "__init__", spy_init)
+        m.setattr(EpisodeDriver, "run", spy_run)
+        m.setattr(EpisodeDriver, "tick", spy_tick)
+        m.setattr(Trainer, "update", spy_update)
+        m.setattr(cp, "run_lanes", spy_run_lanes)
+
+    def assert_one_flush_per_update(self, overrun):
+        """One call before each update, plus one for an update the budget
+        cannot pay for; each holds the tails parked since the last call."""
+        assert [u for u, _ in self.calls] == list(range(len(self.calls)))
+        assert len(self.calls) == self.updates + overrun
+        for k, (_, tails) in enumerate(self.calls):
+            assert tails == [drv for u, drv in self.parked if u == k]
+        assert self.parked and not self.stray
 
 
 class TestTrainingTails:
@@ -1986,7 +2051,12 @@ class TestTrainingTails:
 
     def test_one_worker_training_equals_ticking_every_tail(self):
         want, ticked = tails_run(12_000, True)
-        got, batches = tails_run(12_000, False)
+        with pytest.MonkeyPatch.context() as m:
+            spy = FlushSpy(m)
+            got, batches = tails_run(12_000, False)
+        # the budget runs out inside the fifth segment: its tails run, and
+        # pass the budget
+        spy.assert_one_flush_per_update(overrun=True)
         assert not ticked and max(batches) >= cp.LANE_CROSSOVER
         # one update's buffer is filled by a handoff, whose tail folds into
         # the row kept across it
@@ -1995,11 +2065,56 @@ class TestTrainingTails:
         assert_same_schedule(got, want, 12_000)
 
     @pytest.fixture(scope="class")
-    def budget_ends(self):
+    def tick_reference(self):
+        """Of ticking every tail for 12,000 ticks: the log of (tail tick,
+        episode ended), and the ticks spent at each update, N_k, which
+        update k needs on either path."""
+        log, ticks = [], []
+        update = Trainer.update
+
+        def spy(trainer, workers):
+            ticks.append(len(log))
+            update(trainer, workers)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(Trainer, "update", spy)
+            tails_run(12_000, True, tick_log=log)
+        assert len(ticks) >= 3
+        return log, ticks
+
+    @pytest.mark.parametrize("short, overrun", [(1, True), (0, False)])
+    def test_an_update_happens_when_the_budget_pays_for_it(
+            self, tick_reference, short, overrun):
+        # one tick short of N_k every buffer fills, but the segment's tails
+        # pass the budget: no update k, and the last row at the budget
+        _, update_ticks = tick_reference
+        budget = update_ticks[-1] - short
+        want, _ = tails_run(budget, True)
+        with pytest.MonkeyPatch.context() as m:
+            spy = FlushSpy(m)
+            got, _ = tails_run(budget, False)
+        spy.assert_one_flush_per_update(overrun)
+        assert got["curve"] == [(budget, len(update_ticks) - short, None)]
+        assert_same_schedule(got, want, budget)
+
+    def test_tails_parked_after_the_last_update_never_run(self,
+                                                          tick_reference):
+        # the budget runs out on live ticks, short of filling the buffer
+        budget = tick_reference[1][-1] + 400
+        want, _ = tails_run(budget, True)
+        with pytest.MonkeyPatch.context() as m:
+            spy = FlushSpy(m)
+            got, _ = tails_run(budget, False)
+        spy.assert_one_flush_per_update(overrun=False)
+        late = [drv for u, drv in spy.parked if u == spy.updates]
+        assert late and not any(drv.done for drv in late)
+        assert_same_schedule(got, want, budget)
+
+    @pytest.fixture(scope="class")
+    def budget_ends(self, tick_reference):
         """The last budget below 12,000 ticks that ends in each place, from
         the log of (tail tick, episode ended) of ticking every tail."""
-        log = []
-        tails_run(12_000, True, tick_log=log)
+        log, _ = tick_reference
         kinds = {"head": lambda folding, done: not folding,
                  "inside a tail": lambda folding, done: folding and not done,
                  "a tail's last tick": lambda folding, done: folding and done}
