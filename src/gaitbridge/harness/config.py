@@ -200,6 +200,9 @@ def config_from_dict(raw, base_dir=None, check_paths=True) -> ExperimentConfig:
                                          check_paths)
     if "arms" in raw:
         arms = _require_type(raw["arms"], (list,), "arms")
+        if not arms:
+            raise ConfigError("arms must name at least one arm; leave it out "
+                              "for the experiment's standard arms")
         values["arms"] = tuple(_require_type(a, (str,), "each arm")
                                for a in arms)
     if "output_dir" in raw:

@@ -1000,6 +1000,19 @@ def test_one_arm_evaluation_writes_that_arm_of_the_two_arm_run(
     assert rows[1] == rows[2]
 
 
+def test_an_empty_arm_list_is_a_config_error(tmp_path, capsys, checkpoints):
+    # an empty list used to run the experiment's standard arms
+    with pytest.raises(ConfigError, match="at least one arm"):
+        config_from_dict({"experiment": "evaluation", "arms": []})
+    path = _write_config(tmp_path, checkpoints, "ablation", arms=[])
+    with pytest.raises(ConfigError, match="at least one arm"):
+        load_config(path)
+    assert main(["ablate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "a").exists()
+
+
 @pytest.mark.parametrize("subcommand", sorted(EXPERIMENT_COMMANDS))
 def test_experiment_subcommand_rejects_another_kind_and_an_unknown_arm(
         tmp_path, capsys, checkpoints, subcommand):
