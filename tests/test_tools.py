@@ -1,5 +1,6 @@
-"""Tests for the scripts under `tools/`: the code-line counter and the
-conversion of benchmark fixtures into checkpoints."""
+"""Tests for the scripts under `tools/`: the code-line counter, the
+conversion of benchmark fixtures into checkpoints, and the summary of
+paired benchmark runs."""
 
 import hashlib
 import importlib.util
@@ -80,3 +81,33 @@ def test_every_bench_fixture_converts_to_a_checkpoint_that_loads(tmp_path):
     # the fixtures are only read
     assert digests == [hashlib.sha256(path.read_bytes()).hexdigest()
                        for path in fixtures]
+
+
+def bench_result(ticks, rss, correct=True, failed=0):
+    return {"correct": correct, "attempted": 3, "failed": failed,
+            "metrics": {"ticks_per_s": {"unit": "1/s", "value": ticks},
+                        "peak_rss_mb": {"unit": "MB", "value": rss}}}
+
+
+def test_bench_pairs_summarize_medians_spreads_and_wins():
+    tool = load_tool("bench_pairs")
+    metrics = [{"name": "ticks_per_s", "better": "higher"},
+               {"name": "peak_rss_mb", "better": "lower"}]
+    pairs = {"w": [(11, bench_result(100e3, 40), bench_result(110e3, 41)),
+                   (12, bench_result(120e3, 40), bench_result(115e3, 42)),
+                   (13, bench_result(140e3, 40), bench_result(150e3, 39)),
+                   (14, bench_result(160, 40), None),
+                   (15, bench_result(1, 1, correct=False),
+                    bench_result(1, 1, failed=2))]}
+    lines = tool.summarize(pairs, metrics)
+    # seeds 14 and 15 hold a bad run: listed, and left out of the table
+    assert lines[2:] == [
+        "| w | ticks_per_s | 120000 (110000–130000) | 115000 (112500–132500) "
+        "| -4.2% | 16.7% | 2/3 |",
+        "| w | peak_rss_mb | 40 (40–40) | 41 (40–41.5) | +2.5% | 0.0% "
+        "| 1/3 |",
+        "bad run: w seed 14 change: no result",
+        "bad run: w seed 15 parent: correct False, failed 0",
+        "bad run: w seed 15 change: correct True, failed 2"]
+    assert tool.seed_range("11-20") == list(range(11, 21))
+    assert tool.seed_range("7") == [7]
