@@ -1912,11 +1912,10 @@ class FlushSpy:
                 latest[id(drv.buffer)] = drv
 
         def spy_run(drv):
-            running, self.running = self.running, True
-            try:
-                return run(drv)
-            finally:
-                self.running = running
+            self.running = True
+            run(drv)
+            self.running = False
+            return drv
 
         def spy_tick(drv):
             if (drv.trainer is not None and not self.running
