@@ -1046,9 +1046,12 @@ def train_setup(module: BehaviorModule, default_net, default_norm, env, config,
     that row was kept across an update); the tails that only fold run as
     lanes, once per update, just before it (see `_train`). The budget counts
     every environment tick of every training episode (walking and target
-    phases included); evaluation episodes are free. `on_episode_end(driver)`
-    fires after each finished training episode, before the runner restarts,
-    and keeps every training episode on `tick()`.
+    phases included); evaluation episodes are free. It bounds the ticks
+    counted, not the work done: tails whose ticks pass the budget still run
+    to their ends, no update follows, and the ticks past the budget are not
+    counted. `on_episode_end(driver)` fires after each finished training
+    episode, before the runner restarts, and keeps every training episode
+    on `tick()`.
 
     `reward_fn(target, obs, obs_next, r_env, terminal, action)` receives the
     driver's `carry`, a CarriedTarget of the trained module, not the module

@@ -1823,7 +1823,7 @@ def tails_run(budget, tick_path, *, world=tail_world, horizon=150,
     (an `on_episode_end` keeps each driver on tick()). Returns what the two
     paths must share, and the sizes of the lane batches built."""
     env, walker, walker_norm, module = world()
-    drivers, updates, batches = [], [], []
+    drivers, updates, batches, settled = [], [], [], []
     init, update, run_batch, tick = (EpisodeDriver.__init__, Trainer.update,
                                      cp._run_batch, EpisodeDriver.tick)
 
@@ -1835,6 +1835,7 @@ def tails_run(budget, tick_path, *, world=tail_world, horizon=150,
     def spy_update(trainer, workers):
         buf = workers[0].buffer
         updates.append((buf.rewards.tolist(), buf.switch_bits[-1] == 1.0))
+        settled[:] = [i for i, drv in enumerate(drivers) if drv.done]
         update(trainer, workers)
 
     def spy_run_batch(lanes):
@@ -1860,24 +1861,29 @@ def tails_run(budget, tick_path, *, world=tail_world, horizon=150,
                             budget, rng, eval_every=0, eval_episodes=0,
                             on_episode_end=(lambda drv: None) if tick_path
                             else None)
+    discrete = [(d.state.steps, d.state.done, d.state.success,
+                 d.state.failure, [(e.step, e.src, e.dst)
+                                   for e in d.switch.events])
+                for d in drivers]
     return {"curve": curve, "count": module.setup_norm.count,
             # the one worker's stream: the same draws, in the same order
             "rng": drivers[-1].rng.bit_generator.state,
-            "discrete": [(d.state.steps, d.state.done, d.state.success,
-                          d.state.failure, [(e.step, e.src, e.dst)
-                                            for e in d.switch.events])
-                         for d in drivers],
+            "discrete": discrete,
+            # the outcomes of the episodes ended by the last update
+            "settled": {i: discrete[i] for i in settled},
             "updates": updates, "rewards": drivers[-1].buffer.rewards.tolist(),
             "setup": module.setup_net.flat.copy(),
             "norm": module.setup_norm.state_arrays()}, batches
 
 
 def assert_same_schedule(got, want, budget):
-    """The same training up to the last update. After it the paths part by
-    design: parked tails never run, and live ticks run instead, so the
-    stream, the drivers' outcomes and the last buffer differ."""
+    """The same training up to the last update, and the same outcome of
+    every episode ended by then. After it the paths part by design: parked
+    tails never run, and live ticks run instead, so the stream, the later
+    drivers' outcomes and the last buffer differ."""
     assert got["curve"][-1][0] == want["curve"][-1][0] == budget
-    for key in ("curve", "count"):
+    assert want["settled"]
+    for key in ("curve", "count", "settled"):
         assert got[key] == want[key], key
     assert len(got["updates"]) == len(want["updates"])
     for (got_rows, got_end), (want_rows, want_end) in zip(got["updates"],

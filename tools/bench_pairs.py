@@ -1,19 +1,20 @@
 """Compare two checkouts on the benchmark in alternating pairs of runs.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --seeds 11-20 --seconds 10
+    python3 tools/bench_pairs.py PARENT CHANGE --seeds 11-20
 
-For each workload and each seed it runs `python3 bench/run.py --trace 0` in
-the PARENT checkout and in the CHANGE checkout, one after the other: the
-parent first on odd seeds, the change first on even ones, so that a drift of
-the host's speed falls on both sides alike. Each run's last line of output
-is its result object. For each end-to-end metric that `BENCHMARK.json` (of
-this repository, only read) lists, it prints one table row: the parent's
-median (first–third quartile), the change's, the change of the median in
-percent, the parent's quartile spread over its median, and the pairs the
-change won, judged by the metric's `better`, over the pairs of two good
-runs. Then it lists every run that was not `correct`, that had `failed`
-instances, or that printed no result. Each run's result goes to standard
-error as it ends.
+For each workload of `BENCHMARK.json` (of this repository, only read) and
+each seed it runs `python3 bench/run.py --trace 0` for the benchmark's
+`run_seconds` in the PARENT checkout and in the CHANGE checkout, one after
+the other: the parent first on odd seeds, the change first on even ones, so
+that a drift of the host's speed falls on both sides alike. Each run's last
+line of output is its result object. For each end-to-end metric that
+`BENCHMARK.json` lists, it prints one table row: the parent's median
+(first–third quartile), the change's, the change of the median in percent,
+the parent's quartile spread over its median, and the pairs the change won,
+judged by the metric's `better`, over the pairs of two good runs. Then it
+lists every run that was not `correct`, that had `failed` instances, or
+that printed no result. Each run's result goes to standard error as it
+ends.
 """
 
 import argparse
@@ -122,15 +123,11 @@ def main(argv=None):
     parser.add_argument("change", help="checkout of the change")
     parser.add_argument("--seeds", type=seed_range, default="11-20",
                         help="seed range, as FIRST-LAST (default 11-20)")
-    parser.add_argument("--seconds", type=float, default=10.0,
-                        help="seconds per run (default 10)")
-    parser.add_argument("--workload", action="append",
-                        help="a workload to run (default: every one)")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    pairs = run_pairs(args.parent, args.change, workloads, args.seeds,
-                      args.seconds)
+    pairs = run_pairs(args.parent, args.change,
+                      [w["name"] for w in spec["workloads"]], args.seeds,
+                      spec["run_seconds"])
     print("\n".join(summarize(pairs, spec["end_to_end"])))
     return 0
 
