@@ -54,11 +54,10 @@ of any arm and any experiment cell can share one call. The lanes' runners
 step as one `RunnerBatch`, and each acting policy (a walker, a setup policy,
 a target), shared by whichever lanes act with it, gets one normalize and one
 batched trunk pass per tick, then its mean head and, for a setup policy, its
-switch head. Finished lanes are written back into their drivers. Once fewer
-than `LANE_CROSSOVER` lanes are live, the rest finish on `run()`. A lane
-trains nothing: a training tail only adds its shaped rewards into the buffer
-row its handoff stored, reading the trained module's target values off the
-batched passes.
+switch head. Once fewer than `LANE_CROSSOVER` lanes are live, the rest go on
+`run()`. A lane trains nothing: a training tail only adds its shaped rewards
+into the buffer row its handoff stored, reading the trained module's target
+values off the batched passes.
 
 Both paths take the switching decisions from the driver: `policy()` maps the
 phase to its (role, net, norm), `on_detection` starts a bridge, and
@@ -125,8 +124,8 @@ DEFAULT_HIDDEN = (64, 64)
 # per-tick handoff probability a new setup policy starts from
 SETUP_SWITCH_PRIOR = 0.05
 
-# live lanes below which `run_lanes` finishes them on `run()`: a batch tick
-# has a fixed cost of about ten scalar lane-ticks (gap+hurdle fixtures)
+# live lanes below which `run_lanes` runs them on `run()`: a batch tick has
+# a fixed cost of about ten scalar lane-ticks (gap+hurdle fixtures)
 LANE_CROSSOVER = 10
 
 # legal policy hand-offs; default->target exists only for the no-setup arm
@@ -625,53 +624,55 @@ class EpisodeDriver:
                        and art is not latched
                        for art in self.env.course.artifacts)
 
-    def run(self):
-        """Tick to the end of the episode; returns the driver."""
-        while not self.done:
+    def run(self, limit=math.inf):
+        """Tick until the episode ends or its ticks pass `limit`; returns
+        the driver."""
+        while not self.done and limit >= 0:
             self.tick()
+            limit -= 1
         return self
 
 
-def run_lanes(drivers):
-    """Run drivers to the end together; returns the drivers.
+def run_lanes(drivers, limit=math.inf):
+    """Run drivers together until they end or their ticks pass `limit`;
+    returns the drivers.
 
     A lane is an evaluation driver or a training tail: a training driver
     whose episode only folds rewards from now on (`folds_only`). A tail acts
     with frozen policies and draws nothing, as an evaluation lane does, and
     adds each tick's shaped reward into its handoff's row (`fold`). Any
     other training driver could act with its learning policy: it is
-    rejected, and stays on `tick()`.
+    rejected.
 
     Each lane brings its own policies: the drivers may differ in their
     default policy, their modules and their arm (`without_setup` or not).
     While at least `LANE_CROSSOVER` lanes are live, they step as one
     `RunnerBatch` (see `_run_batch`); the lanes left, or a call with fewer
-    lanes, finish one by one on `run()`, which is cheaper than a batch tick
-    there.
+    lanes, go on one by one on `run()`, cheaper there.
 
     A finished lane matches its driver's own `run()` in its discrete
     results (success, failure, steps and the switch sequence), and in its
-    positions (x, c, v) and folded rewards to batched-matmul rounding, well
-    within 1e-9, but not bit for bit: a batched forward rounds unlike the
-    one-row forward `run()` takes, and unlike a forward over another set of
-    rows. So the other lanes of a call, and the tick a lane leaves the
-    batch, may move the last bits of a lane's states and folds.
+    positions (x, c, v) and folded rewards within 1e-9, not bit for bit: a
+    batched forward rounds unlike the one-row forward of `run()`, and unlike
+    one over other rows. So a call's other lanes, and the tick a lane leaves
+    the batch, may move the last bits of its states and folds.
     """
     if any(drv.trainer is not None and not drv.folds_only()
            for drv in drivers):
         raise ValueError("run_lanes runs evaluation drivers and training "
                          "tails only")
+    steps = sum(drv.state.steps for drv in drivers)
     live = [drv for drv in drivers if not drv.done]
     if len(live) >= LANE_CROSSOVER:
-        live = _run_batch(live)
+        live = _run_batch(live, limit)
     for drv in live:
-        drv.run()
+        drv.run(limit + steps - sum(d.state.steps for d in drivers))
     return drivers
 
 
-def _run_batch(lanes):
+def _run_batch(lanes, limit=math.inf):
     """Tick live lanes as one RunnerBatch until fewer than LANE_CROSSOVER
-    are left.
+    are left or their ticks pass `limit`.
 
     Each lane's acting policy is a code into a table of its driver's
     `policy()`, (role, net, norm): an entry is added the first time a lane
@@ -686,9 +687,9 @@ def _run_batch(lanes):
     lone row. Walker and target lanes act on their means, the only head
     computed for them. A setup lane samples from its driver's generator
     through `draw_act`, as `policy_act` does. After the step, the handoff
-    bits pass control to the targets. Every switch goes through the driver's `SwitchState`. Finished
-    lanes are written back into their drivers and dropped; the lanes left
-    (fewer than LANE_CROSSOVER) are written back and returned.
+    bits pass control to the targets. Every switch goes through the
+    driver's `SwitchState`. Finished lanes are written back into their
+    drivers and dropped; the lanes left are written back and returned.
 
     A training tail (see `run_lanes`) also reads its trained module's target
     value at each observation: off the target group's pass while that
@@ -759,7 +760,8 @@ def _run_batch(lanes):
                     obs, r_env, action = pending[i]
                     drv.fold(obs, obs_rows[i], r_env, False, action)
 
-    while len(lanes) >= LANE_CROSSOVER:
+    while len(lanes) >= LANE_CROSSOVER and limit >= 0:
+        limit -= len(lanes)
         for i in tau_theta_reached(batch, release_x).nonzero()[0]:
             switch_lane(i, POLICY_DEFAULT)
         hit, index = batch.detect()
@@ -881,20 +883,19 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
     Setup training parks its tails. At its worker's turn, a `folding`
     driver whose episode only folds rewards from now on (`folds_only`) is
     parked and the worker starts its next episode. Once every buffer is
-    full, the tails parked since the last update run together, in one
-    `run_lanes` call, and their ticks count then: the update reads their
-    folds, and it needs the ticks it would need on `tick()`, since each
-    worker's ticks depend on its own stream alone. If they pass the
-    budget, which on `tick()` runs out inside this segment, training ends
-    with `steps_used` at the budget and no update. A handoff that fills
-    its buffer is parked at its worker's next turn, after the update, and
+    full, the tails parked since the last update run in one `run_lanes`
+    call, and their ticks count then: the update reads their folds, and
+    needs the ticks it would need on `tick()`, as each worker's ticks
+    depend on its own stream alone. Once they pass the budget, which on
+    `tick()` runs out inside this segment, they stop: training ends with
+    `steps_used` at the budget and no update. A handoff that fills its
+    buffer is parked at its worker's next turn, after the update, and
     folds into the survivor of `clear_except_last`, as on `tick()`. Tails
-    parked after the last update never run: no update reads their folds.
-    A tail draws nothing, so each worker's draws keep the order of ticking
-    every episode to its end, and while fewer than `LANE_CROSSOVER` tails
-    run together (on `run()`, see `run_lanes`) every update equals that of
-    ticking them bit for bit. Without `extend` or with an
-    `on_episode_end`, every driver stays on `tick()`.
+    parked after the last update never run. A tail draws nothing, so each
+    worker's draws keep the order of ticking every episode to its end, and
+    while fewer than `LANE_CROSSOVER` tails run together (on `run()`)
+    every update equals that of ticking them bit for bit. Without `extend`
+    or with an `on_episode_end`, every driver stays on `tick()`.
     """
     if eval_episodes < 0 or eval_every < 0:
         raise ValueError("eval_every and eval_episodes must be >= 0")
@@ -941,8 +942,9 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
             if steps_used >= budget:
                 break
         if all(drv.buffer.full for drv in drivers):
-            steps_used -= sum(tail.state.steps for tail in tails)
-            steps_used += sum(tail.state.steps for tail in run_lanes(tails))
+            parked = sum(tail.state.steps for tail in tails)
+            run_lanes(tails, budget - steps_used)
+            steps_used += sum(tail.state.steps for tail in tails) - parked
             tails.clear()
             if steps_used > budget:
                 # on tick() the budget runs out inside this segment
@@ -1046,12 +1048,10 @@ def train_setup(module: BehaviorModule, default_net, default_norm, env, config,
     that row was kept across an update); the tails that only fold run as
     lanes, once per update, just before it (see `_train`). The budget counts
     every environment tick of every training episode (walking and target
-    phases included); evaluation episodes are free. It bounds the ticks
-    counted, not the work done: tails whose ticks pass the budget still run
-    to their ends, no update follows, and the ticks past the budget are not
-    counted. `on_episode_end(driver)` fires after each finished training
-    episode, before the runner restarts, and keeps every training episode
-    on `tick()`.
+    phases included); evaluation episodes are free. Tails stop once their
+    ticks pass it, and no update follows. `on_episode_end(driver)` fires
+    after each finished training episode, before the runner restarts, and
+    keeps every training episode on `tick()`.
 
     `reward_fn(target, obs, obs_next, r_env, terminal, action)` receives the
     driver's `carry`, a CarriedTarget of the trained module, not the module

@@ -1838,9 +1838,9 @@ def tails_run(budget, tick_path, *, world=tail_world, horizon=150,
         settled[:] = [i for i, drv in enumerate(drivers) if drv.done]
         update(trainer, workers)
 
-    def spy_run_batch(lanes):
+    def spy_run_batch(lanes, *limit):
         batches.append(len(lanes))
-        return run_batch(lanes)
+        return run_batch(lanes, *limit)
 
     def spy_tick(drv):
         folding = drv.folding
@@ -1896,12 +1896,14 @@ def assert_same_schedule(got, want, budget):
 
 class FlushSpy:
     """Watches one-worker setup training: the training drivers of each
-    `run_lanes` call, with the updates made before it; each parked tail,
-    with the updates made before it was parked; and each tick on tick() of
-    a driver whose episode only folds, made outside `run()`."""
+    `run_lanes` call, with the updates made before it, the tick limit it
+    got, the training ticks made on tick() before it and the lane-ticks it
+    ran; each parked tail, with the updates made before it was parked; and
+    each tick on tick() of a driver whose episode only folds, made outside
+    `run()`."""
 
     def __init__(self, m):
-        self.updates = 0
+        self.updates = self.ticked = 0
         self.calls, self.parked, self.stray = [], [], []
         self.running = False
         latest = {}  # buffer id -> the newest driver filling it
@@ -1917,26 +1919,30 @@ class FlushSpy:
                     self.parked.append((self.updates, before))
                 latest[id(drv.buffer)] = drv
 
-        def spy_run(drv):
+        def spy_run(drv, *limit):
             self.running = True
-            run(drv)
+            run(drv, *limit)
             self.running = False
             return drv
 
         def spy_tick(drv):
-            if (drv.trainer is not None and not self.running
-                    and drv.folds_only()):
-                self.stray.append(drv)
+            if drv.trainer is not None and not self.running:
+                self.ticked += 1
+                if drv.folds_only():
+                    self.stray.append(drv)
             return tick(drv)
 
         def spy_update(trainer, workers):
             self.updates += 1
             update(trainer, workers)
 
-        def spy_run_lanes(drivers):
-            self.calls.append((self.updates, [drv for drv in drivers
-                                              if drv.trainer is not None]))
-            return run_lanes(drivers)
+        def spy_run_lanes(drivers, *limit):
+            tails = [drv for drv in drivers if drv.trainer is not None]
+            steps = sum(drv.state.steps for drv in tails)
+            run_lanes(drivers, *limit)
+            self.calls.append((self.updates, tails, limit, self.ticked,
+                               sum(drv.state.steps for drv in tails) - steps))
+            return drivers
 
         m.setattr(EpisodeDriver, "__init__", spy_init)
         m.setattr(EpisodeDriver, "run", spy_run)
@@ -1944,13 +1950,24 @@ class FlushSpy:
         m.setattr(Trainer, "update", spy_update)
         m.setattr(cp, "run_lanes", spy_run_lanes)
 
-    def assert_one_flush_per_update(self, overrun):
+    def assert_one_flush_per_update(self, overrun, budget):
         """One call before each update, plus one for an update the budget
-        cannot pay for; each holds the tails parked since the last call."""
-        assert [u for u, _ in self.calls] == list(range(len(self.calls)))
+        cannot pay for; each holds the tails parked since the last call,
+        and gets the budget's room as its limit. A call within its room
+        runs its tails to their ends; the overrun call stops within one
+        lockstep step past its room."""
+        assert [u for u, *_ in self.calls] == list(range(len(self.calls)))
         assert len(self.calls) == self.updates + overrun
-        for k, (_, tails) in enumerate(self.calls):
+        ran_before = 0
+        for k, (_, tails, limit, ticked, ran) in enumerate(self.calls):
             assert tails == [drv for u, drv in self.parked if u == k]
+            room = budget - ticked - ran_before
+            assert limit == (room,)
+            if overrun and k == len(self.calls) - 1:
+                assert room < ran <= room + len(tails)
+            else:
+                assert ran <= room and all(drv.done for drv in tails)
+            ran_before += ran
         assert self.parked and not self.stray
 
 
@@ -1970,6 +1987,36 @@ class TestTrainingTails:
             POLICY_SETUP, POLICY_TARGET, POLICY_DEFAULT}
         assert (buf.rewards != before).sum() == len(tails)
         assert_close_rewards(buf.rewards.tolist(), twin_buf.rewards.tolist())
+
+    @pytest.mark.parametrize("n", [2 * cp.LANE_CROSSOVER,
+                                   cp.LANE_CROSSOVER - 1])
+    def test_tails_stop_once_their_ticks_pass_the_limit(self, monkeypatch,
+                                                        n):
+        # 2 * LANE_CROSSOVER tails step as a batch, fewer go on run()
+        tails, buf = parked_tails(n)
+        (full, full_buf), (refs, ref_buf) = (copy.deepcopy((tails, buf))
+                                             for _ in range(2))
+
+        # with no limit every tail ends, as its own run()
+        cp.run_lanes(full)
+        for got, ref in zip(full, refs):
+            assert got.done
+            assert_same_outcome(got, ref.run())
+        assert_close_rewards(full_buf.rewards.tolist(),
+                             ref_buf.rewards.tolist())
+        # half the ticks made while every lane is live
+        limit = n * min(got.state.steps - drv.state.steps
+                        for got, drv in zip(full, tails)) // 2
+        start = sum(drv.state.steps for drv in tails)
+        sizes = batch_sizes(monkeypatch)
+        cp.run_lanes(tails, limit)
+        ran = sum(drv.state.steps for drv in tails) - start
+        assert not all(drv.done for drv in tails)
+        if n >= cp.LANE_CROSSOVER:
+            # it stops inside the batch, within one lockstep step
+            assert limit < ran == sum(sizes) <= limit + sizes[-1]
+        else:
+            assert not sizes and limit < ran <= limit + 1
 
     def test_a_tail_folds_its_own_target_while_another_acts(self,
                                                              monkeypatch):
@@ -2061,7 +2108,7 @@ class TestTrainingTails:
             got, batches = tails_run(12_000, False)
         # the budget runs out inside the fifth segment: its tails run, and
         # pass the budget
-        spy.assert_one_flush_per_update(overrun=True)
+        spy.assert_one_flush_per_update(overrun=True, budget=12_000)
         assert not ticked and max(batches) >= cp.LANE_CROSSOVER
         # one update's buffer is filled by a handoff, whose tail folds into
         # the row kept across it
@@ -2098,7 +2145,7 @@ class TestTrainingTails:
         with pytest.MonkeyPatch.context() as m:
             spy = FlushSpy(m)
             got, _ = tails_run(budget, False)
-        spy.assert_one_flush_per_update(overrun)
+        spy.assert_one_flush_per_update(overrun, budget)
         assert got["curve"] == [(budget, len(update_ticks) - short, None)]
         assert_same_schedule(got, want, budget)
 
@@ -2110,7 +2157,7 @@ class TestTrainingTails:
         with pytest.MonkeyPatch.context() as m:
             spy = FlushSpy(m)
             got, _ = tails_run(budget, False)
-        spy.assert_one_flush_per_update(overrun=False)
+        spy.assert_one_flush_per_update(overrun=False, budget=budget)
         late = [drv for u, drv in spy.parked if u == spy.updates]
         assert late and not any(drv.done for drv in late)
         assert_same_schedule(got, want, budget)
@@ -2239,9 +2286,9 @@ class TestPathsLeftOnTick:
         parked = []
         run_lanes = cp.run_lanes
 
-        def spy(drivers):
+        def spy(drivers, *limit):
             parked.extend(drv for drv in drivers if drv.trainer is not None)
-            return run_lanes(drivers)
+            return run_lanes(drivers, *limit)
 
         monkeypatch.setattr(cp, "run_lanes", spy)
         return parked
@@ -2305,9 +2352,9 @@ class TestScheduleIndependence:
             parked = []
             run_lanes = cp.run_lanes
 
-            def spy(drivers):
+            def spy(drivers, *limit):
                 parked.append(sum(d.trainer is not None for d in drivers))
-                return run_lanes(drivers)
+                return run_lanes(drivers, *limit)
 
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(cp, "run_lanes", spy)
@@ -2571,9 +2618,9 @@ class TestSeededTrainingDigests:
         sizes = []
         run_batch = cp._run_batch
 
-        def spy_run_batch(lanes):
+        def spy_run_batch(lanes, *limit):
             sizes.append(len(lanes))
-            return run_batch(lanes)
+            return run_batch(lanes, *limit)
 
         monkeypatch.setattr(cp, "_run_batch", spy_run_batch)
         curve = train_setup(module, walker, walker_norm, env,

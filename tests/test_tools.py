@@ -1,12 +1,13 @@
 """Tests for the scripts under `tools/`: the code-line counter, the
-conversion of benchmark fixtures into checkpoints, and the summary of
-paired benchmark runs."""
+conversion of benchmark fixtures into checkpoints, and the workloads and
+summary of paired benchmark runs."""
 
 import hashlib
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gaitbridge.harness.checkpoint import load_policy
 
@@ -111,3 +112,33 @@ def test_bench_pairs_summarize_medians_spreads_and_wins():
         "bad run: w seed 15 change: correct True, failed 2"]
     assert tool.seed_range("11-20") == list(range(11, 21))
     assert tool.seed_range("7") == [7]
+
+
+@pytest.mark.parametrize("argv, want", [
+    ([], ["target-train", "setup-train", "bridged-eval"]),
+    # a subset keeps BENCHMARK.json's order
+    (["--workloads", "bridged-eval,setup-train"],
+     ["setup-train", "bridged-eval"]),
+    (["--workloads", "setup-train"], ["setup-train"])])
+def test_bench_pairs_runs_the_workloads_named(monkeypatch, capsys, argv,
+                                              want):
+    tool = load_tool("bench_pairs")
+    runs = []
+
+    def fake_run_pairs(parent, change, workloads, seeds, seconds):
+        runs.append((parent, change, workloads, seeds))
+        return {}
+
+    monkeypatch.setattr(tool, "run_pairs", fake_run_pairs)
+    assert tool.main(["old", "new", "--seeds", "11-12"] + argv) == 0
+    assert runs == [("old", "new", want, [11, 12])]
+
+
+def test_bench_pairs_rejects_an_unknown_workload(monkeypatch, capsys):
+    tool = load_tool("bench_pairs")
+    monkeypatch.setattr(tool, "run_pairs",
+                        lambda *args: pytest.fail("a run started"))
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main(["old", "new", "--workloads", "setup-train,no-such"])
+    assert exit_info.value.code == 2
+    assert "unknown workloads: no-such" in capsys.readouterr().err

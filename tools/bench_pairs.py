@@ -1,13 +1,15 @@
 """Compare two checkouts on the benchmark in alternating pairs of runs.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --seeds 11-20
+    python3 tools/bench_pairs.py PARENT CHANGE --seeds 11-20 \
+        [--workloads NAME[,NAME...]]
 
-For each workload of `BENCHMARK.json` (of this repository, only read) and
-each seed it runs `python3 bench/run.py --trace 0` for the benchmark's
-`run_seconds` in the PARENT checkout and in the CHANGE checkout, one after
-the other: the parent first on odd seeds, the change first on even ones, so
-that a drift of the host's speed falls on both sides alike. Each run's last
-line of output is its result object. For each end-to-end metric that
+For each workload of `BENCHMARK.json` (of this repository, only read), or
+each one that `--workloads` names, in the file's order, and each seed it
+runs `python3 bench/run.py --trace 0` for the benchmark's `run_seconds` in
+the PARENT checkout and in the CHANGE checkout, one after the other: the
+parent first on odd seeds, the change first on even ones, so that a drift
+of the host's speed falls on both sides alike. Each run's last line of
+output is its result object. For each end-to-end metric that
 `BENCHMARK.json` lists, it prints one table row: the parent's median
 (first–third quartile), the change's, the change of the median in percent,
 the parent's quartile spread over its median, and the pairs the change won,
@@ -123,10 +125,18 @@ def main(argv=None):
     parser.add_argument("change", help="checkout of the change")
     parser.add_argument("--seeds", type=seed_range, default="11-20",
                         help="seed range, as FIRST-LAST (default 11-20)")
+    parser.add_argument("--workloads", type=lambda text: text.split(","),
+                        help="comma-separated workloads to run (default: "
+                        "every workload of BENCHMARK.json)")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    pairs = run_pairs(args.parent, args.change,
-                      [w["name"] for w in spec["workloads"]], args.seeds,
+    workloads = [w["name"] for w in spec["workloads"]]
+    if args.workloads:
+        unknown = sorted(set(args.workloads) - set(workloads))
+        if unknown:
+            parser.error(f"unknown workloads: {', '.join(unknown)}")
+        workloads = [name for name in workloads if name in args.workloads]
+    pairs = run_pairs(args.parent, args.change, workloads, args.seeds,
                       spec["run_seconds"])
     print("\n".join(summarize(pairs, spec["end_to_end"])))
     return 0
