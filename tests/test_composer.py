@@ -2106,8 +2106,8 @@ class TestTrainingTails:
         with pytest.MonkeyPatch.context() as m:
             spy = FlushSpy(m)
             got, batches = tails_run(12_000, False)
-        # the budget runs out inside the fifth segment: its tails run, and
-        # pass the budget
+        # the budget runs out inside the fifth segment: its tails run until
+        # they pass the budget
         spy.assert_one_flush_per_update(overrun=True, budget=12_000)
         assert not ticked and max(batches) >= cp.LANE_CROSSOVER
         # one update's buffer is filled by a handoff, whose tail folds into
