@@ -55,9 +55,9 @@ step as one `RunnerBatch`, and each acting policy (a walker, a setup policy,
 a target), shared by whichever lanes act with it, gets one normalize and one
 batched trunk pass per tick, then its mean head and, for a setup policy, its
 switch head. Once fewer than `LANE_CROSSOVER` lanes are live, the rest go on
-`run()`. A lane trains nothing: a training tail only adds its shaped rewards
-into the buffer row its handoff stored, reading the trained module's target
-values off the batched passes.
+`run()`. A call runs evaluation lanes or one trainer's tails. No lane
+trains: a tail folds its shaped rewards, reading target values off the
+batched passes, and looks for no artifact.
 
 Both paths take the switching decisions from the driver: `policy()` maps the
 phase to its (role, net, norm), `on_detection` starts a bridge, and
@@ -264,16 +264,7 @@ def lift_to_terrain_obs(net, norm):
     fc0 = np.zeros((OBS_DIM, net.hidden[0]), dtype=np.float32)
     fc0[:net.obs_dim] = net.params["fc0.w"]
     lifted = ParameterizedNet.from_params({**net.params, "fc0.w": fc0})
-
-    old = norm.state_arrays()
-    n = float(norm.count)
-    state = {}
-    for key, fill in (("count", n), ("sum_hi", 0.0), ("sum_lo", 0.0),
-                      ("wmean", 0.0), ("m2", n)):
-        arr = np.full(OBS_DIM, fill)
-        arr[:net.obs_dim] = old[key]
-        state[key] = arr
-    return lifted, RunningNormalizer.from_state_arrays(state)
+    return lifted, norm.widened(OBS_DIM)
 
 
 @dataclass
@@ -637,12 +628,11 @@ def run_lanes(drivers, limit=math.inf):
     """Run drivers together until they end or their ticks pass `limit`;
     returns the drivers.
 
-    A lane is an evaluation driver or a training tail: a training driver
-    whose episode only folds rewards from now on (`folds_only`). A tail acts
-    with frozen policies and draws nothing, as an evaluation lane does, and
-    adds each tick's shaped reward into its handoff's row (`fold`). Any
-    other training driver could act with its learning policy: it is
-    rejected.
+    A call runs evaluation drivers, or the tails of one trainer: training
+    drivers whose episodes only fold rewards from now on (`folds_only`). A
+    tail acts with frozen policies and draws nothing, as an evaluation lane
+    does, and adds each tick's shaped reward into its handoff's row
+    (`fold`). Any other call is rejected.
 
     Each lane brings its own policies: the drivers may differ in their
     default policy, their modules and their arm (`without_setup` or not).
@@ -657,10 +647,11 @@ def run_lanes(drivers, limit=math.inf):
     one over other rows. So a call's other lanes, and the tick a lane leaves
     the batch, may move the last bits of its states and folds.
     """
-    if any(drv.trainer is not None and not drv.folds_only()
-           for drv in drivers):
-        raise ValueError("run_lanes runs evaluation drivers and training "
-                         "tails only")
+    if len({drv.trainer for drv in drivers}) > 1 or any(
+            drv.trainer is not None and not drv.folds_only()
+            for drv in drivers):
+        raise ValueError("run_lanes runs evaluation drivers or the training "
+                         "tails of one trainer")
     steps = sum(drv.state.steps for drv in drivers)
     live = [drv for drv in drivers if not drv.done]
     if len(live) >= LANE_CROSSOVER:
@@ -671,41 +662,39 @@ def run_lanes(drivers, limit=math.inf):
 
 
 def _run_batch(lanes, limit=math.inf):
-    """Tick live lanes as one RunnerBatch until fewer than LANE_CROSSOVER
-    are left or their ticks pass `limit`.
+    """Tick live lanes, of one `run_lanes` call, as one RunnerBatch until
+    fewer than LANE_CROSSOVER are left or their ticks pass `limit`.
 
     Each lane's acting policy is a code into a table of its driver's
     `policy()`, (role, net, norm): an entry is added the first time a lane
     acts with that net and normalizer, matched by identity, so lanes acting
     with the same ones share a code, whichever arm or cell they run. A tick
-    releases target lanes past their artifact and passes each walking lane
-    that detects an artifact its driver has a module for to the driver's
-    `on_detection`; a walking policy first coded while no lane has modules
-    (a specialist's evaluation) looks for no artifact. Then each acting
-    policy gets one normalize and one trunk pass over its lanes'
-    observations, in the order of its first lane, with a one-row pass for a
-    lone row. Walker and target lanes act on their means, the only head
-    computed for them. A setup lane samples from its driver's generator
-    through `draw_act`, as `policy_act` does. After the step, the handoff
-    bits pass control to the targets. Every switch goes through the
-    driver's `SwitchState`. Finished lanes are written back into their
-    drivers and dropped; the lanes left are written back and returned.
+    releases target lanes past their artifact; in an evaluation with
+    modules, it passes each walking lane that detects an artifact its
+    driver has a module for to the driver's `on_detection`. Tails look for
+    no artifact: `folds_only` holds none ahead. Then each acting policy
+    gets one normalize and one trunk pass over its lanes' observations, in
+    the order of its first lane, with a one-row pass for a lone row. Walker
+    and target lanes act on their means, the only head computed for them.
+    A setup lane samples from its driver's generator through `draw_act`,
+    as `policy_act` does. After the step, the handoff bits pass control to
+    the targets. Every switch goes through the driver's `SwitchState`.
+    Finished lanes are written back into their drivers and dropped; the
+    lanes left are written back and returned.
 
-    A training tail (see `run_lanes`) also reads its trained module's target
-    value at each observation: off the target group's pass while that
-    target acts, else off one batched pass of it over such tails. Either
+    Tails share one carried target, their trained module's. Each tail reads
+    its value at each observation: off that target's group pass while it
+    acts, else off one batched pass of it over the other lanes. Either
     fills the tail's `carry`, and its `fold` adds a tick's reward once V(s')
     is filled, at the next tick, or when the lane is written back, with the
     driver's own observation. The env rewards come from
-    `RunnerBatch.rewards`, read only while a tail is live, so evaluation
-    computes none. A tail that detects an artifact its driver has a module
-    for would reach a setup phase, and raises RuntimeError.
+    `RunnerBatch.rewards`, read only in a call of tails.
     """
+    carried = _carried_policy(lanes[0].carry)  # None in an evaluation
+    looks = carried is None and any(drv.modules for drv in lanes)
     policies = []  # code -> (role, net, norm)
     code_of = {}  # (role, net, norm) -> code; nets and norms hash by identity
-    # code -> whether its lanes look for artifacts: a walking policy, while
-    # a lane has modules (a specialist's evaluation has none to hand to)
-    detects = []
+    walks = []  # code -> whether it is a walking policy
 
     def phase(drv):
         """(policy code, release x) of a lane: the end of the artifact a
@@ -714,8 +703,7 @@ def _run_batch(lanes, limit=math.inf):
         if policy not in code_of:
             code_of[policy] = len(policies)
             policies.append(policy)
-            detects.append(policy[0] == POLICY_DEFAULT and
-                           any(lane.modules for lane in lanes))
+            walks.append(policy[0] == POLICY_DEFAULT)
         return code_of[policy], (drv.switch.artifact.end if policy[0] ==
                                  POLICY_TARGET else np.inf)
 
@@ -723,7 +711,6 @@ def _run_batch(lanes, limit=math.inf):
                        zip(*(phase(drv) for drv in lanes)))
     # a tail's last tick's (obs, r_env, action), whose reward awaits V(s')
     pending = [None] * len(lanes)
-    tails = [i for i, drv in enumerate(lanes) if drv.carry is not None]
     batch = RunnerBatch([drv.env.course for drv in lanes],
                         [drv.state for drv in lanes])
 
@@ -735,18 +722,18 @@ def _run_batch(lanes, limit=math.inf):
         drv = lanes[i]
         drv.state = batch.state(i)
         drv._obs = None
-        if drv.carry is not None and pending[i] is not None:
+        if pending[i] is not None:
             obs, r_env, action = pending[i]
             drv.fold(obs, drv.observation(), r_env, drv.done, action)
             if drv.done:
                 # its rows are views of batched passes: let those go
                 drv.carry.forget()
 
-    def fill(lane_rows, policy, h, values, mu):
-        """Fill the carries of the tails among `lane_rows` whose target is
-        `policy` from its trunk outputs `h`, values and means (None: not
-        computed), one row or a batch; then V(s') of each one's last tick
-        is known: fold it."""
+    def fill(lane_rows, h, values, mu):
+        """Fill the carries of the tails `lane_rows` from the carried
+        target's trunk outputs `h`, values and means (None: not computed),
+        one row or a batch; then V(s') of each one's last tick is known:
+        fold it."""
         if h.ndim == 1:
             h, values, mu = [h], [values], [mu]
         else:
@@ -754,29 +741,27 @@ def _run_batch(lanes, limit=math.inf):
             mu = [None] * len(h) if mu is None else list(mu)
         for i, h_i, value, mu_i in zip(lane_rows, h, values, mu):
             drv = lanes[i]
-            if policy == _carried_policy(drv.carry):
-                drv.carry.fill(obs_rows[i], h_i, value, mu_i)
-                if pending[i] is not None:
-                    obs, r_env, action = pending[i]
-                    drv.fold(obs, obs_rows[i], r_env, False, action)
+            drv.carry.fill(obs_rows[i], h_i, value, mu_i)
+            if pending[i] is not None:
+                obs, r_env, action = pending[i]
+                drv.fold(obs, obs_rows[i], r_env, False, action)
 
     while len(lanes) >= LANE_CROSSOVER and limit >= 0:
         limit -= len(lanes)
         for i in tau_theta_reached(batch, release_x).nonzero()[0]:
             switch_lane(i, POLICY_DEFAULT)
-        hit, index = batch.detect()
-        for i in (hit & np.array(detects)[code]).nonzero()[0]:
-            drv = lanes[i]
-            art = drv.env.course.artifacts[index[i]]
-            if art.kind in drv.modules:
-                if drv.carry is not None:
-                    raise RuntimeError("a training tail reached a setup phase")
-                drv.on_detection(art, batch.state(i))
-                code[i], release_x[i] = phase(drv)
+        if looks:
+            hit, index = batch.detect()
+            for i in (hit & np.array(walks)[code]).nonzero()[0]:
+                drv = lanes[i]
+                art = drv.env.course.artifacts[index[i]]
+                if art.kind in drv.modules:
+                    drv.on_detection(art, batch.state(i))
+                    code[i], release_x[i] = phase(drv)
 
         obs = batch.observe()
         # the row objects a tail's carry and its fold read
-        obs_rows = list(obs) if tails else None
+        obs_rows = list(obs) if carried else None
         actions = np.empty((len(lanes), ACTION_DIM))
         handoffs = []
         lane_codes = code.tolist()
@@ -790,9 +775,8 @@ def _run_batch(lanes, limit=math.inf):
             mu = net.head("mu", h)
             if role != POLICY_SETUP:
                 actions[rows] = mu
-                if tails and role == POLICY_TARGET:
-                    fill(rows.tolist(), policies[p], h,
-                         net.scalar_head("value", h), mu)
+                if policies[p] == carried:
+                    fill(rows.tolist(), h, net.scalar_head("value", h), mu)
                 continue
             z = net.scalar_head("switch", h)
             if x.ndim == 1:
@@ -802,23 +786,19 @@ def _run_batch(lanes, limit=math.inf):
                 actions[i], bit = draw_act(mean, std, lanes[i].rng, p_switch)
                 if bit:
                     handoffs.append(i)
-        # one pass of each target over the tails that carry it while it
-        # does not act
-        by_target = {}
-        for i in tails:
-            target = _carried_policy(lanes[i].carry)
-            if policies[lane_codes[i]] != target:
-                by_target.setdefault(target, []).append(i)
-        for target, group in by_target.items():
-            _, net, norm = target
-            h = policy_trunk(net, norm, obs[group])
-            fill(group, target, h, net.scalar_head("value", h), None)
+        if carried:
+            # one pass of the carried target over the tails it does not drive
+            others = (code != code_of.get(carried, -1)).nonzero()[0]
+            if others.size:
+                _, net, norm = carried
+                h = policy_trunk(net, norm, obs[others])
+                fill(others.tolist(), h, net.scalar_head("value", h), None)
 
         done = batch.step(actions)
         for i in handoffs:
             if not done[i]:
                 switch_lane(i, POLICY_TARGET)
-        if tails:  # an evaluation lane's entry is never read
+        if carried:  # an evaluation lane's entry is never read
             pending = list(zip(obs_rows, batch.rewards().tolist(), actions))
         if done.any():
             for i in done.nonzero()[0]:
@@ -827,7 +807,6 @@ def _run_batch(lanes, limit=math.inf):
             lanes = [drv for drv, kept in zip(lanes, keep) if kept]
             code, release_x = code[keep], release_x[keep]
             pending = [p for p, kept in zip(pending, keep) if kept]
-            tails = [i for i, drv in enumerate(lanes) if drv.carry is not None]
             batch.compact(keep)
     for i in range(len(lanes)):
         write_back(i)

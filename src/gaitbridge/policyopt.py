@@ -288,6 +288,17 @@ class RunningNormalizer:
     def copy(self):
         return RunningNormalizer.from_state_arrays(self.state_arrays())
 
+    def widened(self, dim):
+        """A `dim`-wide copy: its first `self.dim` dimensions keep these
+        statistics, and the rest start at an identity (mean 0, variance 1)
+        over the same count."""
+        norm, k = RunningNormalizer(dim), self.dim
+        norm.count = self.count
+        norm._m2[k:] = self.count
+        for name in ("_sum_hi", "_sum_lo", "_wmean", "_m2"):
+            getattr(norm, name)[:k] = getattr(self, name)
+        return norm
+
     def state_arrays(self):
         """Float64 state for checkpointing (per-dimension count included)."""
         return {

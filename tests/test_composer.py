@@ -2080,26 +2080,58 @@ class TestTrainingTails:
             with pytest.raises(ValueError, match="evaluation"):
                 cp.run_lanes([handed_off(driver())] + [drv])
 
-    def test_a_tail_that_reaches_a_setup_phase_raises(self):
-        # tails walking between two hurdles, forced past run_lanes' check
-        _, walker, walker_norm, module = tail_world()
-        env = TerrainEnv(make_course([make_artifact(HURDLE, 3.2),
-                                      make_artifact(HURDLE, 5.0)]))
-        trainer = setup_trainer(module, PPOConfig(horizon=100_000))
-        buf = trainer_buffer(trainer)
-        rng = np.random.default_rng(4)
-        lanes = []
-        while len(lanes) < cp.LANE_CROSSOVER:
-            drv = EpisodeDriver(env, walker, walker_norm, {HURDLE: module},
-                                rng, trainer=trainer, buffer=buf)
-            while not drv.done and not (drv.folding and
-                                        drv.switch.active == POLICY_DEFAULT):
-                drv.tick()
-            if not drv.done:
-                assert not drv.folds_only()
-                lanes.append(drv)
-        with pytest.raises(RuntimeError, match="setup phase"):
-            cp._run_batch(lanes)
+    def test_run_lanes_rejects_an_evaluation_driver_among_tails(self):
+        tails, _ = parked_tails(cp.LANE_CROSSOVER)
+        drv = tails[0]
+        evaluation = EpisodeDriver(drv.env, drv.default_net, drv.default_norm,
+                                   drv.modules, np.random.default_rng(3))
+        steps = [d.state.steps for d in tails]
+        with pytest.raises(ValueError, match="evaluation"):
+            cp.run_lanes(tails + [evaluation])
+        assert [d.state.steps for d in tails] == steps
+        assert evaluation.state.steps == 0
+
+    def test_run_lanes_rejects_the_tails_of_two_trainers(self):
+        # two trainers of one module: their tails carry the same target
+        env, walker, walker_norm, module = tail_world()
+        rng = np.random.default_rng(5)
+        tails = []
+        for seed in (0, 1):
+            trainer = setup_trainer(module, PPOConfig(horizon=100_000), seed)
+            buf = trainer_buffer(trainer)
+            while len(tails) < (seed + 1) * cp.LANE_CROSSOVER:
+                drv = EpisodeDriver(env, walker, walker_norm, {HURDLE: module},
+                                    rng, trainer=trainer, buffer=buf)
+                while not (drv.done or drv.folds_only()):
+                    drv.tick()
+                if not drv.done:
+                    tails.append(drv)
+        steps = [drv.state.steps for drv in tails]
+        with pytest.raises(ValueError, match="evaluation"):
+            cp.run_lanes(tails)
+        assert [drv.state.steps for drv in tails] == steps
+        for half in (tails[:cp.LANE_CROSSOVER], tails[cp.LANE_CROSSOVER:]):
+            cp.run_lanes(half)
+        assert all(drv.done for drv in tails)
+
+    def test_a_call_of_tails_looks_for_no_artifact(self, monkeypatch):
+        # `folds_only` holds no artifact ahead that a tail has a module for
+        tails, _ = parked_tails(cp.LANE_CROSSOVER + 2)
+        evaluation = [drv for drv, _ in mixed_arm_lanes(2 * cp.LANE_CROSSOVER)]
+        looks = []
+        detect = cp.RunnerBatch.detect
+
+        def spy_detect(batch):
+            looks.append(len(batch))
+            return detect(batch)
+
+        monkeypatch.setattr(cp.RunnerBatch, "detect", spy_detect)
+        sizes = batch_sizes(monkeypatch)
+        cp.run_lanes(tails)
+        assert sizes and not looks
+        assert all(drv.done for drv in tails)
+        cp.run_lanes(evaluation)
+        assert looks
 
     def test_one_worker_training_equals_ticking_every_tail(self):
         want, ticked = tails_run(12_000, True)

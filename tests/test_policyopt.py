@@ -223,6 +223,26 @@ def test_normalizer_state_roundtrip():
     assert norm.count == 50 and dup.count == 53
 
 
+def test_a_widened_normalizer_keeps_its_statistics_and_adds_identities():
+    rng = np.random.default_rng(8)
+    norm = RunningNormalizer(3)
+    norm.merge(rng.normal(2.0, 3.0, size=(40, 3)))
+    wide = norm.widened(5)
+    state, old = wide.state_arrays(), norm.state_arrays()
+    assert wide.dim == 5 and wide.count == norm.count == 40
+    for key, arr in state.items():
+        assert np.array_equal(arr[:3], old[key]), key
+    assert np.array_equal(wide.mean[3:], [0.0, 0.0])
+    assert np.array_equal(wide.var[3:], [1.0, 1.0])
+    row = rng.normal(size=5)
+    assert np.array_equal(wide.normalize(row)[:3], norm.normalize(row[:3]))
+    assert np.array_equal(wide.normalize(row)[3:], row[3:])
+    # the widened statistics are its own
+    wide.merge(rng.normal(size=(2, 5)))
+    after = norm.state_arrays()
+    assert all(np.array_equal(after[key], arr) for key, arr in old.items())
+
+
 def _split_streams():
     """(rows, cuts): a (n, dim) stream of values from 1e-3 to 1e3 in
     magnitude, around an offset, some columns constant, and the sorted

@@ -4,6 +4,8 @@ summary of paired benchmark runs."""
 
 import hashlib
 import importlib.util
+import json
+import types
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +114,37 @@ def test_bench_pairs_summarize_medians_spreads_and_wins():
         "bad run: w seed 15 change: correct True, failed 2"]
     assert tool.seed_range("11-20") == list(range(11, 21))
     assert tool.seed_range("7") == [7]
+
+
+def test_bench_pairs_report_the_seeds_whose_fingerprints_differ(monkeypatch,
+                                                                capsys):
+    tool = load_tool("bench_pairs")
+    argvs = []
+
+    def canned_run(argv, cwd, **kwargs):
+        # seed 12's change moves the digest; seed 13's prints none
+        argvs.append(argv)
+        seed = argv[argv.index("--seed") + 1]
+        digest = "b" * 64 if (cwd, seed) == ("new", "12") else "a" * 64
+        lines = [f'record {{"seed": {seed}}}',
+                 f"fingerprint w seed={seed} sha256={digest}",
+                 json.dumps(bench_result(100e3, 40))]
+        if (cwd, seed) == ("new", "13"):
+            del lines[1]
+        return types.SimpleNamespace(stdout="\n".join(lines) + "\n")
+
+    monkeypatch.setattr(tool.subprocess, "run", canned_run)
+    pairs = tool.run_pairs("old", "new", ["w"], [11, 12, 13], 30)
+    assert len(argvs) == 6
+    assert [(seed, parent["fingerprint"], change["fingerprint"])
+            for seed, parent, change in pairs["w"]] == [
+        (11, "a" * 64, "a" * 64), (12, "a" * 64, "b" * 64),
+        (13, "a" * 64, None)]
+    lines = tool.summarize(pairs, [{"name": "ticks_per_s",
+                                    "better": "higher"}])
+    assert lines[3:] == [
+        f"fingerprint differs: w seed 12: parent {'a' * 64}, change {'b' * 64}",
+        f"fingerprint differs: w seed 13: parent {'a' * 64}, change None"]
 
 
 @pytest.mark.parametrize("argv, want", [

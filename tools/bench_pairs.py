@@ -15,8 +15,9 @@ output is its result object. For each end-to-end metric that
 the parent's quartile spread over its median, and the pairs the change won,
 judged by the metric's `better`, over the pairs of two good runs. Then it
 lists every run that was not `correct`, that had `failed` instances, or
-that printed no result. Each run's result goes to standard error as it
-ends.
+that printed no result, and every seed of a workload whose two runs
+printed different `fingerprint ... sha256=...` lines: the digests of their
+seeded results. Each run's result goes to standard error as it ends.
 """
 
 import argparse
@@ -36,17 +37,22 @@ def seed_range(text):
 
 
 def run_bench(checkout, workload, seed, seconds):
-    """The result object of one run in `checkout`, or None if its last line
-    is not one."""
+    """The result object of one run in `checkout`, with the sha256 of its
+    fingerprint line (None without one) under "fingerprint", or None if its
+    last line is not one."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed",
          str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     try:
-        return json.loads(lines[-1])
+        result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         return None
+    result["fingerprint"] = next((line.rpartition("sha256=")[2]
+                                  for line in lines
+                                  if line.startswith("fingerprint ")), None)
+    return result
 
 
 def run_pairs(parent, change, workloads, seeds, seconds):
@@ -87,13 +93,13 @@ def fault(result):
 
 
 def summarize(pairs, metrics):
-    """Markdown table rows, then one line per bad run, from `pairs` as
-    `run_pairs` returns them and `metrics`, the end-to-end entries of
-    `BENCHMARK.json`."""
+    """Markdown table rows, then one line per bad run and one per pair of
+    results whose fingerprints differ, from `pairs` as `run_pairs` returns
+    them and `metrics`, the end-to-end entries of `BENCHMARK.json`."""
     lines = ["| workload | metric | parent median (q1–q3) | change median "
              "(q1–q3) | change | parent IQR/median | change won |",
              "|---|---|---|---|---|---|---|"]
-    bad = []
+    bad, differ = [], []
     for workload, runs in pairs.items():
         both = []  # the pairs of two good runs
         for seed, *results in runs:
@@ -101,6 +107,11 @@ def summarize(pairs, metrics):
                       in zip(("parent", "change"), results)]
             bad += [f"{workload} seed {seed} {side}: {why}"
                     for side, why in faults if why]
+            prints = [result.get("fingerprint") for result in results
+                      if result is not None]
+            if len(prints) == 2 and prints[0] != prints[1]:
+                differ.append(f"{workload} seed {seed}: parent {prints[0]}, "
+                              f"change {prints[1]}")
             if not any(why for _, why in faults):
                 both.append(results)
         for metric in metrics:
@@ -116,7 +127,8 @@ def summarize(pairs, metrics):
                 f"| {workload} | {name} | {num(om)} ({num(o1)}–{num(o3)}) | "
                 f"{num(nm)} ({num(n1)}–{num(n3)}) | {nm / om - 1:+.1%} | "
                 f"{(o3 - o1) / om:.1%} | {won}/{len(both)} |")
-    return lines + [f"bad run: {line}" for line in bad]
+    return (lines + [f"bad run: {line}" for line in bad]
+            + [f"fingerprint differs: {line}" for line in differ])
 
 
 def main(argv=None):
