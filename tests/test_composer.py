@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from gaitbridge import composer as cp
 from gaitbridge import terrainsim as ts
-from gaitbridge.baselines import train_proximity_arm
+from gaitbridge.baselines import SETUP_REWARDS, train_proximity_arm
 from gaitbridge.composer import (
     AWTVParams,
     FLAT,
@@ -2664,6 +2664,64 @@ class TestSeededTrainingDigests:
         assert training_digest(module.setup_net, module.setup_norm, curve) \
             == ("4771d77d067f86d159719e7921d2bfac"
                 "7125ceef5a201e88e4ed92b1398e3fa6")
+
+
+    @pytest.mark.parametrize("tag, expected", [
+        ("original", ("6209b0dd5e823007b3c452a7e2347e1f"
+                      "f3ccf08494c55c5f7eadbf3cfde49763",
+                      "e7de06f038f60290fa037965aac7ad2f"
+                      "fcc6b55c791c9451d481b5a39e6b086c")),
+        ("constant", ("0e7ab24db9518cc50cc3890b37595a1f"
+                      "88c7cbe27d3ac39310e3a7838b896b8f",
+                      "a256c113dcd5f803994bf6bb0eed8f9c"
+                      "f4cca921b8ba0c666e11c6ab5a0f649a")),
+        ("target-torque", ("7960a61a9af5e5dec0b2128405130b0b"
+                           "3a3e0c534686cd0c869a6613de67ee0a",
+                           "07cb91df93c60e753203fa688135719e"
+                           "4583d851447fcf594e9e86f19d05e018")),
+        ("target-value", ("4bfb00deca4353e5a454d0fa8601e890"
+                          "1885d450006e04179e400b7710f53c0d",
+                          "22430a2189ad23d95092a627795cd446"
+                          "231566d73e45088c582ae97a503bd533")),
+        ("awtv", ("1026ac86b4d5e5829029da476871488f"
+                  "c504a4410b0be383feb533e4359381fa",
+                  "22d8c800aba456938ce01297e467724e"
+                  "06c94f463f48a48e1abb1152588deeff")),
+    ])
+    def test_each_setup_reward_with_batched_tails(self, monkeypatch, tag,
+                                                  expected):
+        # every flush folds at least twice the crossover's tails through
+        # `_run_batch`; the specialist's mean reads the observation, so the
+        # torque variant's means at the tails' states round as their rows
+        # do. The buffers' rewards at each update are hashed too: a reward's
+        # last bits rarely move a float32 weight.
+        env, walker, walker_norm, module = tail_world()
+        mu_w = module.target_net.params["mu.w"]
+        mu_w[...] = (np.random.default_rng(9).normal(size=mu_w.shape)
+                     * 0.05).astype(np.float32)
+        sizes, rewards = [], hashlib.sha256()
+        run_batch, update = cp._run_batch, Trainer.update
+
+        def spy_run_batch(lanes, *limit):
+            sizes.append(len(lanes))
+            return run_batch(lanes, *limit)
+
+        def spy_update(trainer, workers):
+            for drv in workers:
+                rewards.update(drv.buffer.rewards.tobytes())
+            update(trainer, workers)
+
+        monkeypatch.setattr(cp, "_run_batch", spy_run_batch)
+        monkeypatch.setattr(Trainer, "update", spy_update)
+        curve = train_setup(module, walker, walker_norm, env,
+                            PPOConfig(horizon=256, minibatch=32, epochs=1),
+                            40_000, np.random.default_rng(6), eval_every=0,
+                            eval_episodes=0, n_workers=2,
+                            reward_fn=SETUP_REWARDS[tag])
+        assert min(sizes) >= 2 * cp.LANE_CROSSOVER
+        assert curve == [(40_000, 4, None)]
+        assert (training_digest(module.setup_net, module.setup_norm, curve),
+                rewards.hexdigest()) == expected
 
 
 def lanes_digest(outcomes):
