@@ -6,7 +6,10 @@ treatment:
 
 - reward variants: the setup policy trains on a different per-step reward,
   one of the functions in `SETUP_REWARDS` (the table maps each variant tag to
-  its `reward_fn(target, obs, obs_next, r_env, terminal, action)`);
+  its `reward_fn(target, obs, obs_next, r_env, terminal, action)`). Each
+  takes floats for one transition on `tick()`, or (k,) arrays over the live
+  tails of a lane batch, with one definition of its arithmetic for both
+  (see the `composer` module docstring);
 - proximity arm: the setup reward is the gain in a learned success-proximity
   predictor, with no post-handoff reward extension;
 - without-setup arm: control jumps straight from the default walker to the
@@ -46,7 +49,7 @@ FIT_EVERY = 10  # finished episodes between proximity-predictor refits
 
 def original_reward(target, obs, obs_next, r_env, terminal, action):
     """The environment's own reward."""
-    return float(r_env)
+    return r_env
 
 
 def constant_reward(target, obs, obs_next, r_env, terminal, action):
@@ -56,15 +59,15 @@ def constant_reward(target, obs, obs_next, r_env, terminal, action):
 
 def target_torque_reward(target, obs, obs_next, r_env, terminal, action):
     """exp(-k |a - a_target|^2): how closely the setup action imitates the
-    target policy's mean action in the same state."""
-    diff = np.asarray(action, dtype=np.float64) \
-        - np.asarray(target.target_action(obs), dtype=np.float64)
-    return float(np.exp(-TORQUE_SCALE * np.dot(diff, diff)))
+    target policy's mean action in the same state. `np.vecdot` squares each
+    row of a batch as `np.dot` squares one row; `(d * d).sum()` does not."""
+    diff = action - target.target_action(obs)
+    return np.exp(-TORQUE_SCALE * np.vecdot(diff, diff))
 
 
 def target_value_reward(target, obs, obs_next, r_env, terminal, action):
     """beta * V(s): the target's value with no surprise discount."""
-    return target.params.beta * float(target.target_value(obs))
+    return target.params.beta * target.target_value(obs)
 
 
 # tag -> per-step setup reward; "awtv" is the main method's reward

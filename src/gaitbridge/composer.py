@@ -56,8 +56,8 @@ a target), shared by whichever lanes act with it, gets one normalize and one
 batched trunk pass per tick, then its mean head and, for a setup policy, its
 switch head. Once fewer than `LANE_CROSSOVER` lanes are live, the rest go on
 `run()`. A call runs evaluation lanes or one trainer's tails. No lane
-trains: a tail folds its shaped rewards, reading target values off the
-batched passes, and looks for no artifact.
+trains: a tail looks for no artifact and folds its shaped rewards, read
+over arrays, one reward call per lockstep step for all tails.
 
 Both paths take the switching decisions from the driver: `policy()` maps the
 phase to its (role, net, norm), `on_detection` starts a bridge, and
@@ -66,19 +66,30 @@ policy through `policy_trunk` and release a target on `tau_theta_reached`, a
 bool for one runner and a mask over the batch. The detection test and the
 physics exist on each path: scalar in `tick`, as masks in `_run_batch`.
 
-A setup reward function has the signature
-`reward_fn(target, obs, obs_next, r_env, terminal, action)`. A driver passes
-it its own `CarriedTarget` of the trained module, a view of the frozen
-specialist that runs its trunk at most once per observation, and each head
-there at most once, when first read: the observation taken after a tick's
-step becomes the next tick's observation, so V(s') of one tick is V(s) of the
-next. The course scan behind an observation also finds the next artifact,
-which a walking tick's detection reads, so each state is scanned once.
+A setup reward function `reward_fn(target, obs, obs_next, r_env, terminal,
+action)` takes floats for one transition, or (k,) arrays over k tails, and
+returns the same: a float, or a (k,) array (a float stands for all k). Its
+`target` gives the frozen specialist's `target_value` at `obs` or
+`obs_next`, a float or (k,), its mean `target_action` at `obs`, (2,) or
+(k, 2), and the AWTV `params`; `obs` and `obs_next` are one observation or
+(k, OBS_DIM), `r_env` a float or (k,), `action` (2,) or (k, 2), and
+`terminal` one bool. On `tick()` a driver passes it its own `CarriedTarget`
+of the trained module, a view that runs the target's trunk at most once per
+observation, and each head there at most once, when first read: the
+observation taken after a tick's step becomes the next tick's observation,
+so V(s') of one tick is V(s) of the next. A call of tails passes a
+`TailTarget` over the batched passes, under `np.errstate` that lets arrays
+overflow silently, as floats do; each array operation a reward uses must
+round each row as its float operation does (`+ - * /`, `np.minimum`,
+`np.exp`, `np.vecdot` do). The course scan behind an observation also finds
+the next artifact, which a walking tick's detection reads, so each state is
+scanned once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,18 +176,22 @@ class AWTVParams:
 
 
 def td_error(v_s, v_next, r_t, gamma):
-    """r + gamma*V(s') - V(s) from values already evaluated."""
-    r_t = float(r_t)
-    if not (math.isfinite(v_s) and math.isfinite(v_next)
-            and math.isfinite(r_t)):
+    """r + gamma*V(s') - V(s) from values already evaluated: floats for one
+    transition, or (k,) arrays, where v_next may be one float."""
+    isfinite = (math.isfinite if isinstance(v_s, float)
+                else lambda x: np.isfinite(x).all())
+    if not (isfinite(v_s) and isfinite(v_next) and isfinite(r_t)):
         raise ValueError("the TD advantage needs finite reward and values")
     return r_t + gamma * v_next - v_s
 
 
 def awtv_reward(advantage, v_s, params: AWTVParams):
-    """(1 - min(alpha*A^2, 1)) * beta * V(s): value, discounted by surprise."""
-    weight = 1.0 - min(params.alpha * advantage * advantage, 1.0)
-    return weight * params.beta * v_s
+    """(1 - min(alpha*A^2, 1)) * beta * V(s): value, discounted by surprise;
+    floats for one transition, or (k,) arrays."""
+    surprise = params.alpha * advantage * advantage
+    # np.minimum gives min's bits, at several times its cost on a float
+    clip = min if isinstance(surprise, float) else np.minimum
+    return (1.0 - clip(surprise, 1.0)) * params.beta * v_s
 
 
 @dataclass
@@ -307,33 +322,25 @@ class BehaviorModule:
 
 
 class CarriedTarget:
-    """One driver's view of a module's frozen target: one trunk pass per
-    observation, and each head that is read computed once on its output.
+    """One driver's view of a module's frozen target on `tick()`: one trunk
+    pass per observation, and each head that is read computed once on its
+    output.
 
     Keeps the target's trunk output at the last two observations it was
-    asked about or given with `fill`, matched by the identity of the
-    observation array, and fills their mean action and value as they are
-    first read. A reward reads V(s) and V(s'): on `tick` s is the last
-    tick's s', and the lane path fills both from its batched passes. The
-    view holds those arrays, so their ids cannot be reused by another
-    observation. The target's net and normalizer must stay frozen while the
-    view lives (one episode).
+    asked about, matched by the identity of the observation array, and
+    fills their mean action and value as they are first read. A reward
+    reads V(s) and V(s'), and s is the last tick's s'. The view holds those
+    arrays, so their ids cannot be reused by another observation. The
+    target's net and normalizer must stay frozen while the view lives (one
+    episode). A call of tails reads the target over arrays instead
+    (`TailTarget`).
     """
 
     def __init__(self, module: BehaviorModule):
         self.module = module
         self.params = module.params
-        self.forget()
-
-    def forget(self):
-        """Drop the carried observations and trunk outputs."""
         # [obs, trunk output, mu, value] of the newest and the one before
         self._new = self._old = (None,)
-
-    def fill(self, obs_raw, h, value=None, mu=None):
-        """Carry the trunk output `h` at `obs_raw`, with the heads already
-        computed on it, as the newest observation."""
-        self._new, self._old = [obs_raw, h, mu, value], self._new
 
     def _slot(self, obs_raw):
         new = self._new
@@ -342,8 +349,8 @@ class CarriedTarget:
         if self._old[0] is obs_raw:
             return self._old
         module = self.module
-        self.fill(obs_raw, policy_trunk(module.target_net, module.target_norm,
-                                        obs_raw))
+        self._new, self._old = [obs_raw, policy_trunk(
+            module.target_net, module.target_norm, obs_raw), None, None], new
         return self._new
 
     def target_value(self, obs_raw):
@@ -359,6 +366,35 @@ class CarriedTarget:
         return slot[2]
 
 
+# one lockstep step of a call of tails: the (k, OBS_DIM) observations, the
+# carried target's values there, its trunk outputs at the lanes it does not
+# drive (`others`, a mask; zero rows elsewhere), and the actions and env
+# rewards of the step
+TailStep = namedtuple("TailStep", "obs values trunks others actions rewards")
+
+
+class TailTarget(namedtuple("TailTarget", "module step v_next")):
+    """The carried target as a setup reward reads it over the k tails of
+    one `TailStep`: V(s) and the mean action at `step.obs`, and V(s') at
+    any other observation, `v_next`.
+
+    The values are the batched passes'. The means are computed when read: a
+    lane the target drives acted on its mean, so its mean is its action;
+    another lane's is a per-row product of its trunk output (`np.vecmat`),
+    which rounds as the one-row head that `CarriedTarget` reads.
+    """
+
+    params = property(lambda self: self.module.params)
+
+    def target_value(self, obs_raw):
+        return self.step.values if obs_raw is self.step.obs else self.v_next
+
+    def target_action(self, obs_raw):
+        step, params = self.step, self.module.target_net.params
+        return np.where(step.others[:, None], np.vecmat(
+            step.trunks, params["mu.w"]) + params["mu.b"], step.actions)
+
+
 def _carried_policy(carry):
     """The target that `carry` views as (role, net, norm), which
     `EpisodeDriver.policy` gives while it acts: a trunk pass of that policy
@@ -369,9 +405,10 @@ def _carried_policy(carry):
 
 
 def awtv_step_reward(target, obs, obs_next, r_env, terminal, action):
-    """Per-step setup reward from the frozen target value function.
+    """Per-step setup reward from the frozen target value function, for one
+    transition or over k tails (see the module docstring).
 
-    `target` is a CarriedTarget; V(s) is read once.
+    `target` is a CarriedTarget or a TailTarget; V(s) is read once.
     """
     v_s = target.target_value(obs)
     v_next = 0.0 if terminal else target.target_value(obs_next)
@@ -452,7 +489,7 @@ class EpisodeDriver:
     `init_fn(env, rng)` replaces the standard spawn.
 
     `carry` is the `CarriedTarget` of the trained module in setup training,
-    else None: the setup reward and `fold` read it, and that target acts
+    else None: the setup reward of each tick reads it, and that target acts
     through it; any other target acts as a frozen policy. `folding` is set
     to the trainer's `extend` at the trained setup policy's handoff.
     """
@@ -580,26 +617,23 @@ class EpisodeDriver:
             # a handoff bit of 1 passes control from setup to target
             switch.transition(POLICY_TARGET, state)
 
+        r_step = r_env  # what a learning tick stores, or a folding one adds
+        if self.folding or (learning and acting == POLICY_SETUP):
+            r_step = trainer.reward_fn(self.carry, obs, self.observation(),
+                                       r_env, done, action)
         if learning:
-            if acting == POLICY_SETUP:
-                r_step = trainer.reward_fn(self.carry, obs, self.observation(),
-                                           r_env, done, action)
-            else:
-                r_step = r_env
             self.fold_row = self.buffer.append(
                 obs_n, action, bit, mean, logit, r_step,
                 net.scalar_head("value", h), done or bit == 1, x)
             if bit == 1:
                 self.folding = trainer.extend
         elif self.folding:
-            self.fold(obs, self.observation(), r_env, done, action)
+            self.fold(r_step)
         return done
 
-    def fold(self, obs, obs_next, r_env, done, action):
-        """Add the shaped reward of one tick after the handoff, read through
-        `carry`, into the handoff's row, whichever policy is acting by now."""
-        r_hat = self.trainer.reward_fn(self.carry, obs, obs_next, r_env, done,
-                                       action)
+    def fold(self, r_hat):
+        """Add `r_hat`, the shaped reward of a tick after the handoff, into
+        the handoff's row, whichever policy is acting by now."""
         self.buffer.add_reward(self.fold_row, float(r_hat))
 
     def folds_only(self):
@@ -632,7 +666,9 @@ def run_lanes(drivers, limit=math.inf):
     drivers whose episodes only fold rewards from now on (`folds_only`). A
     tail acts with frozen policies and draws nothing, as an evaluation lane
     does, and adds each tick's shaped reward into its handoff's row
-    (`fold`). Any other call is rejected.
+    (`fold`): on `run()` the trainer's `reward_fn` takes one transition's
+    floats, in a batch (k,) arrays over the live tails. Any other call is
+    rejected.
 
     Each lane brings its own policies: the drivers may differ in their
     default policy, their modules and their arm (`without_setup` or not).
@@ -682,69 +718,56 @@ def _run_batch(lanes, limit=math.inf):
     Finished lanes are written back into their drivers and dropped; the
     lanes left are written back and returned.
 
-    Tails share one carried target, their trained module's. Each tail reads
-    its value at each observation: off that target's group pass while it
-    acts, else off one batched pass of it over the other lanes. Either
-    fills the tail's `carry`, and its `fold` adds a tick's reward once V(s')
-    is filled, at the next tick, or when the lane is written back, with the
-    driver's own observation. The env rewards come from
-    `RunnerBatch.rewards`, read only in a call of tails.
+    Tails share one carried target, their trained module's, and fold over
+    arrays. Each step keeps its `TailStep`: the target's value at each
+    tail's observation, off its group pass while it acts, else off one
+    batched pass of it over the other lanes, and the env rewards of
+    `RunnerBatch.rewards`. At the next step V(s') is known, and the
+    trainer's `reward_fn` runs once over the tails (`TailTarget`), each
+    adding its reward into its handoff's row. The tails that finish get
+    their terminal rewards with the step that ends them; a tail written
+    back alive gets V(s') off a one-row pass of its own `carry`, which its
+    ticks on `run()` go on reading.
     """
     carried = _carried_policy(lanes[0].carry)  # None in an evaluation
     looks = carried is None and any(drv.modules for drv in lanes)
-    policies = []  # code -> (role, net, norm)
-    code_of = {}  # (role, net, norm) -> code; nets and norms hash by identity
-    walks = []  # code -> whether it is a walking policy
+    # (role, net, norm) -> code, in the order added; nets and norms hash by
+    # identity
+    code_of = {}
 
     def phase(drv):
         """(policy code, release x) of a lane: the end of the artifact a
         target acts on, past which it hands back; +inf otherwise."""
         policy = drv.policy()
-        if policy not in code_of:
-            code_of[policy] = len(policies)
-            policies.append(policy)
-            walks.append(policy[0] == POLICY_DEFAULT)
-        return code_of[policy], (drv.switch.artifact.end if policy[0] ==
-                                 POLICY_TARGET else np.inf)
+        return code_of.setdefault(policy, len(code_of)), (
+            drv.switch.artifact.end if policy[0] == POLICY_TARGET else np.inf)
 
     code, release_x = (np.array(column) for column in
                        zip(*(phase(drv) for drv in lanes)))
-    # a tail's last tick's (obs, r_env, action), whose reward awaits V(s')
-    pending = [None] * len(lanes)
     batch = RunnerBatch([drv.env.course for drv in lanes],
                         [drv.state for drv in lanes])
+    obs = batch.observe()
+    last = None  # in a call of tails, the last step, whose rewards await V(s')
 
     def switch_lane(i, dst):
         lanes[i].switch.transition(dst, batch.state(i))
         code[i], release_x[i] = phase(lanes[i])
 
-    def write_back(i):
-        drv = lanes[i]
-        drv.state = batch.state(i)
-        drv._obs = None
-        if pending[i] is not None:
-            obs, r_env, action = pending[i]
-            drv.fold(obs, drv.observation(), r_env, drv.done, action)
-            if drv.done:
-                # its rows are views of batched passes: let those go
-                drv.carry.forget()
+    def write_back(rows):
+        for i in rows:
+            lanes[i].state, lanes[i]._obs = batch.state(i), None
 
-    def fill(lane_rows, h, values, mu):
-        """Fill the carries of the tails `lane_rows` from the carried
-        target's trunk outputs `h`, values and means (None: not computed),
-        one row or a batch; then V(s') of each one's last tick is known:
-        fold it."""
-        if h.ndim == 1:
-            h, values, mu = [h], [values], [mu]
-        else:
-            h, values = list(h), values.tolist()
-            mu = [None] * len(h) if mu is None else list(mu)
-        for i, h_i, value, mu_i in zip(lane_rows, h, values, mu):
-            drv = lanes[i]
-            drv.carry.fill(obs_rows[i], h_i, value, mu_i)
-            if pending[i] is not None:
-                obs, r_env, action = pending[i]
-                drv.fold(obs, obs_rows[i], r_env, False, action)
+    def fold(step, obs_next, v_next, terminal, tails):
+        """Add each tail's shaped reward for its transition from `step` into
+        its handoff's row."""
+        trainer = tails[0].trainer
+        target = TailTarget(trainer.module, step, v_next)
+        # arrays overflow as floats do: silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            r_hat = trainer.reward_fn(target, step.obs, obs_next,
+                                      step.rewards, terminal, step.actions)
+        for drv, r in zip(tails, np.broadcast_to(r_hat, len(tails)).tolist()):
+            drv.fold(r)
 
     while len(lanes) >= LANE_CROSSOVER and limit >= 0:
         limit -= len(lanes)
@@ -752,17 +775,17 @@ def _run_batch(lanes, limit=math.inf):
             switch_lane(i, POLICY_DEFAULT)
         if looks:
             hit, index = batch.detect()
-            for i in (hit & np.array(walks)[code]).nonzero()[0]:
+            walks = np.array([role == POLICY_DEFAULT for role, *_ in code_of])
+            for i in (hit & walks[code]).nonzero()[0]:
                 drv = lanes[i]
                 art = drv.env.course.artifacts[index[i]]
                 if art.kind in drv.modules:
                     drv.on_detection(art, batch.state(i))
                     code[i], release_x[i] = phase(drv)
 
-        obs = batch.observe()
-        # the row objects a tail's carry and its fold read
-        obs_rows = list(obs) if carried else None
+        policies = list(code_of)
         actions = np.empty((len(lanes), ACTION_DIM))
+        values = np.empty(len(lanes))  # the carried target's, of tails
         handoffs = []
         lane_codes = code.tolist()
         # one group per acting policy, in the order of its first lane
@@ -776,7 +799,7 @@ def _run_batch(lanes, limit=math.inf):
             if role != POLICY_SETUP:
                 actions[rows] = mu
                 if policies[p] == carried:
-                    fill(rows.tolist(), h, net.scalar_head("value", h), mu)
+                    values[rows] = net.scalar_head("value", h)
                 continue
             z = net.scalar_head("switch", h)
             if x.ndim == 1:
@@ -788,28 +811,39 @@ def _run_batch(lanes, limit=math.inf):
                     handoffs.append(i)
         if carried:
             # one pass of the carried target over the tails it does not drive
-            others = (code != code_of.get(carried, -1)).nonzero()[0]
-            if others.size:
-                _, net, norm = carried
-                h = policy_trunk(net, norm, obs[others])
-                fill(others.tolist(), h, net.scalar_head("value", h), None)
+            _, net, norm = carried
+            others = code != code_of.get(carried, -1)
+            trunks = np.zeros((len(lanes), net.hidden[-1]))
+            if others.any():
+                trunks[others] = h = policy_trunk(net, norm, obs[others])
+                values[others] = net.scalar_head("value", h)
+            if last is not None:
+                fold(last, obs, values, False, lanes)
 
         done = batch.step(actions)
         for i in handoffs:
             if not done[i]:
                 switch_lane(i, POLICY_TARGET)
-        if carried:  # an evaluation lane's entry is never read
-            pending = list(zip(obs_rows, batch.rewards().tolist(), actions))
+        if carried:
+            last = TailStep(obs, values, trunks, others, actions,
+                            batch.rewards())
+        obs = batch.observe()
         if done.any():
-            for i in done.nonzero()[0]:
-                write_back(i)
+            ended = done.nonzero()[0]
+            if carried:
+                fold(TailStep._make(a[done] for a in last), obs[done], None,
+                     True, [lanes[i] for i in ended])
+                last = TailStep._make(a[~done] for a in last)
+            write_back(ended)
             keep = ~done
             lanes = [drv for drv, kept in zip(lanes, keep) if kept]
-            code, release_x = code[keep], release_x[keep]
-            pending = [p for p, kept in zip(pending, keep) if kept]
+            code, release_x, obs = code[keep], release_x[keep], obs[keep]
             batch.compact(keep)
-    for i in range(len(lanes)):
-        write_back(i)
+    write_back(range(len(lanes)))
+    if last is not None and lanes:
+        # V(s') of the tails left: a one-row pass of each one's carry
+        fold(last, obs, np.array([drv.carry.target_value(drv.observation())
+                                  for drv in lanes]), False, lanes)
     return lanes
 
 
@@ -1032,12 +1066,15 @@ def train_setup(module: BehaviorModule, default_net, default_norm, env, config,
     after each finished training episode, before the runner restarts, and
     keeps every training episode on `tick()`.
 
-    `reward_fn(target, obs, obs_next, r_env, terminal, action)` receives the
-    driver's `carry`, a CarriedTarget of the trained module, not the module
-    itself: it offers `target_value`, `target_action` and `params`, and
-    evaluates the frozen target once per observation. Each worker's driver
-    keeps its own carry, so the workers' shared module is never written to.
-    The course must hold the module's kind (CourseError).
+    `reward_fn(target, obs, obs_next, r_env, terminal, action)` takes floats
+    for one transition, or (k,) arrays over the tails of a lane batch (see
+    the module docstring). Its `target` is not the module itself but a view
+    of its frozen target that offers `target_value`, `target_action` and
+    `params`: on `tick()` the driver's `carry`, a CarriedTarget that
+    evaluates the target once per observation, in a lane batch a
+    TailTarget over the batched passes. Each worker's driver keeps its own
+    carry, so the workers' shared module is never written to. The course
+    must hold the module's kind (CourseError).
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")

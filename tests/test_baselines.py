@@ -23,11 +23,15 @@ from gaitbridge.composer import (
     AWTVParams,
     BehaviorModule,
     CarriedTarget,
+    TailStep,
+    TailTarget,
     awtv_reward,
     awtv_step_reward,
     episode_drivers,
+    policy_trunk,
     run_lanes,
 )
+from gaitbridge.diffcore import ParameterizedNet
 from gaitbridge.harness.cli import build_parser
 from gaitbridge.policyopt import PPOConfig
 from gaitbridge.terrainsim import (
@@ -181,6 +185,65 @@ class TestVariantRewardFn:
         want = awtv_reward(adv, target.target_value(OBS), params)
         assert self._call("awtv", terminal=True) \
             == pytest.approx(want, abs=1e-12)
+
+
+class TestVariantRewardOverTails:
+    """Each variant over k tails, as a call of tails reads them through a
+    `TailTarget`, equals its k one-transition calls through a driver's
+    `CarriedTarget`, bit for bit."""
+
+    K = 9
+
+    @staticmethod
+    def transitions(k, seed):
+        """A module whose specialist's value and mean read the observation,
+        and k transitions from it: the `TailStep` a call of tails keeps,
+        V(s') at `obs_next`, and `obs_next`. Every third lane is one the
+        target drives, so it acted on the target's mean; the other lanes
+        carry the target's trunk output at their observation."""
+        rng = default_rng(seed)
+        module = hurdle_module(target_net=ParameterizedNet(
+            OBS_DIM, 2, (8, 8), rng))
+        obs, obs_next = rng.normal(size=(2, k, OBS_DIM))
+        others = np.arange(k) % 3 != 0
+        actions = rng.uniform(-1.0, 1.0, size=(k, 2))
+        trunks, values, v_next = np.zeros((k, 8)), np.empty(k), np.empty(k)
+        for i, (s, s_next) in enumerate(zip(obs, obs_next)):
+            carry = CarriedTarget(module)
+            values[i] = carry.target_value(s)
+            v_next[i] = carry.target_value(s_next)
+            if others[i]:
+                trunks[i] = policy_trunk(module.target_net,
+                                         module.target_norm, s)
+            else:
+                actions[i] = carry.target_action(s)
+        step = TailStep(obs, values, trunks, others, actions,
+                        rng.normal(scale=0.1, size=k))
+        return module, step, v_next, obs_next
+
+    @pytest.mark.parametrize("terminal", [False, True])
+    @pytest.mark.parametrize("tag", VARIANT_TAGS)
+    def test_a_batch_equals_its_one_transition_calls(self, tag, terminal):
+        reward_fn = SETUP_REWARDS[tag]
+        module, step, v_next, obs_next = self.transitions(self.K, 3)
+        want = [reward_fn(CarriedTarget(module), s, s_next, r, terminal, a)
+                for s, s_next, r, a in zip(step.obs, obs_next,
+                                           step.rewards.tolist(),
+                                           step.actions)]
+        got = reward_fn(TailTarget(module, step, None if terminal else v_next),
+                        step.obs, obs_next, step.rewards, terminal,
+                        step.actions)
+        assert all(isinstance(r, float) for r in want)
+        assert np.broadcast_to(got, self.K).tobytes() \
+            == np.array(want).tobytes()
+        if tag == "target-torque":
+            # each row squares its distance as `np.dot` does, and the lanes
+            # the target drives imitate it exactly
+            means = [CarriedTarget(module).target_action(s) for s in step.obs]
+            assert want == [np.exp(-bl.TORQUE_SCALE * np.dot(a - m, a - m))
+                            for a, m in zip(step.actions, means)]
+            assert set(np.asarray(got)[~step.others]) == {1.0}
+            assert (np.asarray(got)[step.others] < 1.0).all()
 
 
 # ---- proximity predictor ----------------------------------------------------------

@@ -1988,6 +1988,37 @@ class TestTrainingTails:
         assert (buf.rewards != before).sum() == len(tails)
         assert_close_rewards(buf.rewards.tolist(), twin_buf.rewards.tolist())
 
+    def test_a_nonfinite_target_value_raises_as_on_tick(self, monkeypatch):
+        tails, buf = parked_tails(2 * cp.LANE_CROSSOVER)
+        twins, _ = copy.deepcopy((tails, buf))
+        for drv in (tails[0], twins[0]):
+            drv.trainer.module.target_net.params["value.b"][...] = np.nan
+        with pytest.raises(ValueError, match="finite") as on_tick:
+            twins[0].run()
+        # a limit of three lockstep steps keeps every tail off run(); the
+        # first step's rewards, read at the second, raise before it steps
+        sizes = batch_sizes(monkeypatch)
+        with pytest.raises(ValueError, match="finite") as batched:
+            cp.run_lanes(tails, 2 * len(tails))
+        assert sizes == [len(tails)]
+        assert str(batched.value) == str(on_tick.value)
+
+    def test_tails_warn_no_more_than_floats(self):
+        # a value head far past float32 range: alpha * A^2 overflows, which
+        # floats do silently, and so must the batch (a RuntimeWarning is an
+        # error here); the saturated surprise makes every fold add 0.0
+        tails, buf = parked_tails(2 * cp.LANE_CROSSOVER)
+        twins, twin_buf = copy.deepcopy((tails, buf))
+        for drv in (tails[0], twins[0]):
+            drv.trainer.module.target_net.params["value.b"][...] = 1e300
+        before = buf.rewards.copy()
+        cp.run_lanes(tails)
+        for twin in twins:
+            twin.run()
+        assert all(drv.done for drv in tails)
+        assert (buf.rewards == before).all()
+        assert buf.rewards.tobytes() == twin_buf.rewards.tobytes()
+
     @pytest.mark.parametrize("n", [2 * cp.LANE_CROSSOVER,
                                    cp.LANE_CROSSOVER - 1])
     def test_tails_stop_once_their_ticks_pass_the_limit(self, monkeypatch,
