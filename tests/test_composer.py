@@ -2696,7 +2696,6 @@ class TestSeededTrainingDigests:
             == ("4771d77d067f86d159719e7921d2bfac"
                 "7125ceef5a201e88e4ed92b1398e3fa6")
 
-
     @pytest.mark.parametrize("tag, expected", [
         ("original", ("6209b0dd5e823007b3c452a7e2347e1f"
                       "f3ccf08494c55c5f7eadbf3cfde49763",
