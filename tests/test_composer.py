@@ -2592,6 +2592,19 @@ def training_digest(net, norm, curve):
     return h.hexdigest()
 
 
+def hashed_rewards(monkeypatch):
+    """A sha256 that takes every buffer's rewards before each update."""
+    rewards, update = hashlib.sha256(), Trainer.update
+
+    def spy_update(trainer, workers):
+        for drv in workers:
+            rewards.update(drv.buffer.rewards.tobytes())
+        update(trainer, workers)
+
+    monkeypatch.setattr(Trainer, "update", spy_update)
+    return rewards
+
+
 class TestSeededTrainingDigests:
     """Toy training runs whose results are pinned bit for bit: any change to
     the rollout, update or evaluation order, or to the curve rows, shows."""
@@ -2622,10 +2635,14 @@ class TestSeededTrainingDigests:
             == ("72fd062a7f8c1f9d6a9502ecb77ec2c6"
                 "b91c156d110c96df2baa12cdf2db01bb")
 
-    def test_two_worker_train_setup_with_learning_statistics(self):
+    def test_two_worker_train_setup_with_learning_statistics(self,
+                                                              monkeypatch):
         # a random setup policy whose normalizer learns from every setup
         # tick, merged at each update: 2 x 16 rows, then 2 x 15 new rows
-        # beside each buffer's survivor at each of the three updates after
+        # beside each buffer's survivor at each of the three updates after.
+        # Each setup pin also hashes the buffers' rewards at each update: a
+        # reward's last bits rarely move a float32 weight.
+        rewards = hashed_rewards(monkeypatch)
         module = BehaviorModule.fresh(HURDLE, scripted_net(0.0, -1.0),
                                       identity_norm(), np.random.default_rng(11))
         curve = train_setup(module, scripted_net(0.5, 0.0), identity_norm(),
@@ -2635,11 +2652,15 @@ class TestSeededTrainingDigests:
                             eval_episodes=2, n_workers=2)
         assert [updates for _, updates, _ in curve] == [2, 4]
         assert module.setup_norm.count == 2 * 16 + 3 * 2 * 15
-        assert training_digest(module.setup_net, module.setup_norm, curve) \
-            == ("9d495b75076b63819214542d2fca289d"
-                "fbfcfd985cf34ab8ebfeb1b525714398")
+        assert (training_digest(module.setup_net, module.setup_norm, curve),
+                rewards.hexdigest()) == ("9d495b75076b63819214542d2fca289d"
+                                         "fbfcfd985cf34ab8ebfeb1b525714398",
+                                         "5f70bf18a086007016e948b04aed3b82"
+                                         "103a36bea41755b6cddfaf10ace3c6ef")
 
-    def test_two_worker_train_setup_evaluating_every_update(self):
+    def test_two_worker_train_setup_evaluating_every_update(self,
+                                                             monkeypatch):
+        rewards = hashed_rewards(monkeypatch)
         module = hurdle_module()
         module.setup_norm = saturated_identity_norm()
         curve = train_setup(module, scripted_net(0.5, 0.0), identity_norm(),
@@ -2648,14 +2669,17 @@ class TestSeededTrainingDigests:
                             np.random.default_rng(3), eval_every=1,
                             eval_episodes=4, n_workers=2)
         assert [updates for _, updates, _ in curve] == [1, 2, 3, 4]
-        assert training_digest(module.setup_net, module.setup_norm, curve) \
-            == ("5437cafb21609d94132a318f37d74e0a"
-                "57f38f7d3cad9bccae166cc60e97680f")
+        assert (training_digest(module.setup_net, module.setup_norm, curve),
+                rewards.hexdigest()) == ("5437cafb21609d94132a318f37d74e0a"
+                                         "57f38f7d3cad9bccae166cc60e97680f",
+                                         "076a27c79e5ace2a3d47f9dd2e83e4ff"
+                                         "6ea8872b3c2218f66c92b89b55f36560")
 
-    def test_two_worker_train_setup_from_a_lifted_walker(self):
+    def test_two_worker_train_setup_from_a_lifted_walker(self, monkeypatch):
         # a terrain-blind walker lifted to the full observation; its count-1
         # normalizer gives every lifted dimension std 1, whichever count the
         # lift fills the terrain dimensions with
+        rewards = hashed_rewards(monkeypatch)
         walker = ParameterizedNet(OBS_PROPRIO, 2, (8,), np.random.default_rng(13))
         walker.params["mu.w"][...] = (walker.params["mu.w"].astype(np.float32)
                                       * np.float32(0.1))
@@ -2670,15 +2694,17 @@ class TestSeededTrainingDigests:
                             np.random.default_rng(8), eval_every=2,
                             eval_episodes=3, n_workers=2)
         assert [updates for _, updates, _ in curve][:2] == [2, 4]
-        assert training_digest(module.setup_net, module.setup_norm, curve) \
-            == ("699ab2e04cec9f3268a9ae58b4a71e39"
-                "7b92478d618021690de4b7adfe37e06d")
+        assert (training_digest(module.setup_net, module.setup_norm, curve),
+                rewards.hexdigest()) == ("699ab2e04cec9f3268a9ae58b4a71e39"
+                                         "7b92478d618021690de4b7adfe37e06d",
+                                         "bfe492baf731a0dbf6e1e050f5bc3fe8"
+                                         "c1b049383194dcdf82f023bfa409f462")
 
     def test_two_worker_train_setup_with_batched_tails(self, monkeypatch):
         # enough tails park before each update that they fold through
         # `_run_batch`, at least twice the crossover at once
         env, walker, walker_norm, module = tail_world()
-        sizes = []
+        sizes, rewards = [], hashed_rewards(monkeypatch)
         run_batch = cp._run_batch
 
         def spy_run_batch(lanes, *limit):
@@ -2692,9 +2718,11 @@ class TestSeededTrainingDigests:
                             eval_episodes=0, n_workers=2)
         assert max(sizes) >= 2 * cp.LANE_CROSSOVER
         assert curve == [(40_000, 4, None)]
-        assert training_digest(module.setup_net, module.setup_norm, curve) \
-            == ("4771d77d067f86d159719e7921d2bfac"
-                "7125ceef5a201e88e4ed92b1398e3fa6")
+        assert (training_digest(module.setup_net, module.setup_norm, curve),
+                rewards.hexdigest()) == ("4771d77d067f86d159719e7921d2bfac"
+                                         "7125ceef5a201e88e4ed92b1398e3fa6",
+                                         "609bb74f1c7796b3ac369fb613529e13"
+                                         "e787882d76c44853b9b75ef12b1e1e2c")
 
     @pytest.mark.parametrize("tag, expected", [
         ("original", ("6209b0dd5e823007b3c452a7e2347e1f"
@@ -2729,20 +2757,14 @@ class TestSeededTrainingDigests:
         mu_w = module.target_net.params["mu.w"]
         mu_w[...] = (np.random.default_rng(9).normal(size=mu_w.shape)
                      * 0.05).astype(np.float32)
-        sizes, rewards = [], hashlib.sha256()
-        run_batch, update = cp._run_batch, Trainer.update
+        sizes, rewards = [], hashed_rewards(monkeypatch)
+        run_batch = cp._run_batch
 
         def spy_run_batch(lanes, *limit):
             sizes.append(len(lanes))
             return run_batch(lanes, *limit)
 
-        def spy_update(trainer, workers):
-            for drv in workers:
-                rewards.update(drv.buffer.rewards.tobytes())
-            update(trainer, workers)
-
         monkeypatch.setattr(cp, "_run_batch", spy_run_batch)
-        monkeypatch.setattr(Trainer, "update", spy_update)
         curve = train_setup(module, walker, walker_norm, env,
                             PPOConfig(horizon=256, minibatch=32, epochs=1),
                             40_000, np.random.default_rng(6), eval_every=0,
