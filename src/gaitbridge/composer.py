@@ -32,21 +32,23 @@ sampling without learning, no value head. Target training is a driver with
 no modules, whose default policy is the one being trained on the environment
 reward; setup training trains one module's setup policy on a shaped reward.
 One round-robin loop (`_train`) collects both into per-worker buffers, one
-`tick()` at a time, but for the tails of setup training: once the trained
-setup policy has handed off and no artifact is left for a setup policy, an
-episode only folds rewards, so `_train` parks it, and the tails parked
-between two updates run as lanes, once, just before the update that reads
-their folds. Each worker draws from a stream of its own, and acts under
+live `tick()` per worker's turn, but for the walker's opening (below) and
+the tails of setup training: once the trained setup policy has handed off
+and no artifact is left for a setup policy, an episode only folds rewards,
+so `_train` parks it, and the tails parked between two updates run as
+lanes, once, just before the update that reads their folds. Each worker draws from a stream of its own, and acts under
 statistics that only an update moves, so the order in which workers tick
 moves no result.
 
 In setup training the frozen walker's opening, its ticks on the flat ground
 short of the first artifact, replays from the trainer's `opening` (see
 `Trainer`): a record of one runner step per tick count, taken from live
-ticks, which every episode's opening repeats bit for bit. A replayed tick
-neither observes nor acts nor steps the runner. The record lives as long as
-one `train_setup` call. Walker ticks after the opening, in target training
-and in evaluation observe, act and step.
+ticks, which every episode's opening repeats bit for bit. At a worker's
+turn, `_train` first calls its driver's `replay_opening`, which copies the
+state of each tick it can replay, up to the budget's room, in one call:
+nothing observes, acts or steps the runner, and no `tick()` runs. The
+record lives as long as one `train_setup` call. Walker ticks after the
+opening, in target training and in evaluation observe, act and step.
 
 Evaluation runs its episodes as lanes (`run_lanes`): one driver per episode,
 each with its own generator and its own policies, advanced together; lanes
@@ -57,7 +59,8 @@ batched trunk pass per tick, then its mean head and, for a setup policy, its
 switch head. Once fewer than `LANE_CROSSOVER` lanes are live, the rest go on
 `run()`. A call runs evaluation lanes or one trainer's tails. No lane
 trains: a tail looks for no artifact and folds its shaped rewards, read
-over arrays, one reward call per lockstep step for all tails.
+over arrays: each lockstep step makes one reward call for all tails and
+one `add_reward` per buffer.
 
 Both paths take the switching decisions from the driver: `policy()` maps the
 phase to its (role, net, norm), `on_detection` starts a bridge, and
@@ -436,16 +439,17 @@ class Trainer:
     opening: entry t holds the runner's (v, w, h, c, contact) after its step
     from t to t + 1, and dx = v * DT, what that step added to x. A driver that
     spawned standing, with no `init_fn`, replays its tick t from entry t
-    (`EpisodeDriver._replay`) while the first artifact starts more than the
-    walker's reach ahead and x + dx stays short of it: DETECT_RANGE, or for a
-    walker that reads the terrain OBS_RANGE, where `observe` clips the
-    distance. There nothing is detected or switched, the walker acts on its
-    mean (and `train_setup` checks that it stays frozen), and
-    `TerrainEnv.step` finds flat ground and no goal: each such step is the
-    same function of (v, w, h, c, contact, steps) in every episode. The tick
-    after a live one at the record's end appends that step; a step that
-    ended its episode is never recorded, nor an entry overwritten. The
-    record serves one walker on one course, as `_train` runs them.
+    (`EpisodeDriver.replay_opening`) while the first artifact starts more
+    than the walker's reach ahead and x + dx stays short of it:
+    DETECT_RANGE, or for a walker that reads the terrain OBS_RANGE, where
+    `observe` clips the distance. There nothing is detected or switched,
+    the walker acts on its mean (and `train_setup` checks that it stays
+    frozen), and `TerrainEnv.step` finds flat ground and no goal: each such
+    step is the same function of (v, w, h, c, contact, steps) in every
+    episode. The replay after a live tick at the record's end appends that
+    tick's step; a step that ended its episode is never recorded, nor an
+    entry overwritten. The record serves one walker on one course, as
+    `_train` runs them.
     """
 
     def __init__(self, net, norm, config, rng, *, module=None,
@@ -560,32 +564,36 @@ class EpisodeDriver:
         self.switch.transition(POLICY_TARGET if self.without_setup
                                else POLICY_SETUP, runner, art)
 
-    def _replay(self):
-        """Replay tick t from entry t of the walker's opening record, once the
-        last step, if it ran live at the record's end, is recorded (see
-        Trainer). Returns whether it replayed."""
+    def replay_opening(self, room):
+        """Replay the walker's ticks from the trainer's opening record, at
+        most `room` of them, once the last step, if it ran live at the
+        record's end, is recorded (see Trainer): tick t copies entry t.
+        Returns the ticks replayed, none once the opening is over; a replay
+        never ends the episode, and the next tick runs live."""
+        if self._opening is None:
+            return 0
         record, start, reach = self._opening
         state = self.state
-        t = state.steps
-        if t == len(record) + 1 and state.x < start:
+        t, x = state.steps, state.x
+        if t == len(record) + 1 and x < start:
             record.append((state.v, state.w, state.h, state.c, state.contact,
                            state.v * DT))
-        if not start - state.x > reach:
+        end = min(len(record), t + room)
+        while t < end and start - x > reach and x + record[t][5] < start:
+            x += record[t][5]
+            t += 1
+        if not start - x > reach:
             self._opening = None
-        elif t < len(record):
-            v, w, h, c, contact, dx = record[t]
-            x = state.x + dx
-            if x < start:
-                state.x, state.v, state.w, state.h = x, v, w, h
-                state.c, state.contact, state.steps = c, contact, t + 1
-                self._obs = None
-                return True
-        return False
+        replayed = t - state.steps
+        if replayed:
+            state.v, state.w, state.h, state.c, state.contact, _ = (
+                record[t - 1])
+            state.x, state.steps = x, t
+            self._obs = None
+        return replayed
 
     def tick(self):
         """One environment step. Returns True when the episode finished."""
-        if self._opening is not None and self._replay():
-            return False
         trainer, state, switch = self.trainer, self.state, self.switch
         if (switch.active == POLICY_TARGET
                 and tau_theta_reached(state, switch.artifact.end)):
@@ -628,13 +636,9 @@ class EpisodeDriver:
             if bit == 1:
                 self.folding = trainer.extend
         elif self.folding:
-            self.fold(r_step)
+            # into the handoff's row, whichever policy is acting by now
+            self.buffer.add_reward(self.fold_row, r_step)
         return done
-
-    def fold(self, r_hat):
-        """Add `r_hat`, the shaped reward of a tick after the handoff, into
-        the handoff's row, whichever policy is acting by now."""
-        self.buffer.add_reward(self.fold_row, float(r_hat))
 
     def folds_only(self):
         """Whether the rest of this training episode only folds rewards: it
@@ -666,9 +670,9 @@ def run_lanes(drivers, limit=math.inf):
     drivers whose episodes only fold rewards from now on (`folds_only`). A
     tail acts with frozen policies and draws nothing, as an evaluation lane
     does, and adds each tick's shaped reward into its handoff's row
-    (`fold`): on `run()` the trainer's `reward_fn` takes one transition's
-    floats, in a batch (k,) arrays over the live tails. Any other call is
-    rejected.
+    (`RolloutBuffer.add_reward`): on `run()` the trainer's `reward_fn` takes
+    one transition's floats, in a batch (k,) arrays over the live tails. Any
+    other call is rejected.
 
     Each lane brings its own policies: the drivers may differ in their
     default policy, their modules and their arm (`without_setup` or not).
@@ -723,11 +727,13 @@ def _run_batch(lanes, limit=math.inf):
     tail's observation, off its group pass while it acts, else off one
     batched pass of it over the other lanes, and the env rewards of
     `RunnerBatch.rewards`. At the next step V(s') is known, and the
-    trainer's `reward_fn` runs once over the tails (`TailTarget`), each
-    adding its reward into its handoff's row. The tails that finish get
-    their terminal rewards with the step that ends them; a tail written
-    back alive gets V(s') off a one-row pass of its own `carry`, which its
-    ticks on `run()` go on reading.
+    trainer's `reward_fn` runs once over the tails (`TailTarget`). The call
+    keeps each tail's buffer, as a code, and its handoff's row number in
+    arrays compacted with the lanes, so each buffer takes its tails'
+    rewards in one `add_reward`. The tails that finish get their terminal
+    rewards with the step that ends them; a tail written back alive gets
+    V(s') off a one-row pass of its own `carry`, which its ticks on `run()`
+    go on reading.
     """
     carried = _carried_policy(lanes[0].carry)  # None in an evaluation
     looks = carried is None and any(drv.modules for drv in lanes)
@@ -748,6 +754,12 @@ def _run_batch(lanes, limit=math.inf):
                         [drv.state for drv in lanes])
     obs = batch.observe()
     last = None  # in a call of tails, the last step, whose rewards await V(s')
+    if carried:
+        # each tail's buffer, a code into `buffers`, and its handoff's row
+        trainer = lanes[0].trainer
+        buffers = list(dict.fromkeys(drv.buffer for drv in lanes))
+        buf_code = np.array([buffers.index(drv.buffer) for drv in lanes])
+        fold_rows = np.array([drv.fold_row for drv in lanes])
 
     def switch_lane(i, dst):
         lanes[i].switch.transition(dst, batch.state(i))
@@ -757,17 +769,20 @@ def _run_batch(lanes, limit=math.inf):
         for i in rows:
             lanes[i].state, lanes[i]._obs = batch.state(i), None
 
-    def fold(step, obs_next, v_next, terminal, tails):
+    def fold(step, obs_next, v_next, terminal, codes, rows):
         """Add each tail's shaped reward for its transition from `step` into
-        its handoff's row."""
-        trainer = tails[0].trainer
+        its handoff's row, `rows`, of its buffer, `codes`: one add per
+        buffer."""
         target = TailTarget(trainer.module, step, v_next)
         # arrays overflow as floats do: silently
         with np.errstate(over="ignore", invalid="ignore"):
-            r_hat = trainer.reward_fn(target, step.obs, obs_next,
-                                      step.rewards, terminal, step.actions)
-        for drv, r in zip(tails, np.broadcast_to(r_hat, len(tails)).tolist()):
-            drv.fold(r)
+            r_hat = np.broadcast_to(trainer.reward_fn(
+                target, step.obs, obs_next, step.rewards, terminal,
+                step.actions), rows.shape)
+        for b, buf in enumerate(buffers):
+            mine = codes == b
+            if mine.any():
+                buf.add_reward(rows[mine], r_hat[mine])
 
     while len(lanes) >= LANE_CROSSOVER and limit >= 0:
         limit -= len(lanes)
@@ -818,7 +833,7 @@ def _run_batch(lanes, limit=math.inf):
                 trunks[others] = h = policy_trunk(net, norm, obs[others])
                 values[others] = net.scalar_head("value", h)
             if last is not None:
-                fold(last, obs, values, False, lanes)
+                fold(last, obs, values, False, buf_code, fold_rows)
 
         done = batch.step(actions)
         for i in handoffs:
@@ -829,13 +844,13 @@ def _run_batch(lanes, limit=math.inf):
                             batch.rewards())
         obs = batch.observe()
         if done.any():
-            ended = done.nonzero()[0]
+            ended, keep = done.nonzero()[0], ~done
             if carried:
                 fold(TailStep._make(a[done] for a in last), obs[done], None,
-                     True, [lanes[i] for i in ended])
-                last = TailStep._make(a[~done] for a in last)
+                     True, buf_code[done], fold_rows[done])
+                last = TailStep._make(a[keep] for a in last)
+                buf_code, fold_rows = buf_code[keep], fold_rows[keep]
             write_back(ended)
-            keep = ~done
             lanes = [drv for drv, kept in zip(lanes, keep) if kept]
             code, release_x, obs = code[keep], release_x[keep], obs[keep]
             batch.compact(keep)
@@ -843,7 +858,8 @@ def _run_batch(lanes, limit=math.inf):
     if last is not None and lanes:
         # V(s') of the tails left: a one-row pass of each one's carry
         fold(last, obs, np.array([drv.carry.target_value(drv.observation())
-                                  for drv in lanes]), False, lanes)
+                                  for drv in lanes]), False, buf_code,
+             fold_rows)
     return lanes
 
 
@@ -877,10 +893,13 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
            n_workers=1, stop_at=None, on_episode_end=None):
     """Round-robin PPO; returns (curve, steps_used, stopped).
 
-    `n_workers` drivers take turns ticking, each into its own buffer and on
-    its own stream, spawned from the trainer's `rng`: a worker draws its
-    spawns, action noise and handoff bits from it. A worker whose buffer is
-    full pauses until every buffer is full, which triggers one joint update.
+    `n_workers` drivers take turns, each into its own buffer and on its own
+    stream, spawned from the trainer's `rng`: a worker draws its spawns,
+    action noise and handoff bits from it. At its turn a driver replays what
+    it can of the walker's opening (`replay_opening`, up to the budget's
+    room), then ticks once. A worker whose buffer is full pauses until
+    every buffer is full, which triggers one joint update; the loop counts
+    the buffers that have filled since the last one.
     Buffers and streams persist across episodes; only the runner restarts.
     Between updates the policy and its statistics are frozen, so each
     worker's ticks depend on its own stream alone, and the update, which
@@ -897,9 +916,10 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
     driver whose episode only folds rewards from now on (`folds_only`) is
     parked and the worker starts its next episode. Once every buffer is
     full, the tails parked since the last update run in one `run_lanes`
-    call, and their ticks count then: the update reads their folds, and
-    needs the ticks it would need on `tick()`, as each worker's ticks
-    depend on its own stream alone. Once they pass the budget, which on
+    call, in the order of workers ticking in turn, one tick each (a batch's
+    order moves the last bits of its folds), and their ticks count then:
+    the update reads their folds, and needs the ticks it would need on
+    `tick()`, as each worker's ticks depend on its own stream alone. Once they pass the budget, which on
     `tick()` runs out inside this segment, they stop: training ends with
     `steps_used` at the budget and no update. A handoff that fills its
     buffer is parked at its worker's next turn, after the update, and
@@ -908,7 +928,7 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
     worker's draws keep the order of ticking every episode to its end, and
     while fewer than `LANE_CROSSOVER` tails run together (on `run()`)
     every update equals that of ticking them bit for bit. Without `extend`
-    or with an `on_episode_end`, every driver stays on `tick()`.
+    or with an `on_episode_end`, every tail stays on `tick()`.
     """
     if eval_episodes < 0 or eval_every < 0:
         raise ValueError("eval_every and eval_episodes must be >= 0")
@@ -937,28 +957,40 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
         trainer.config.horizon, trainer.net.obs_dim, trainer.net.action_dim,
         trainer.module is not None)) for w in range(n_workers)]
     parks = on_episode_end is None  # else each episode ends on tick()
-    tails = []  # training tails parked since the last update
+    # each training tail parked since the last update, as (its worker's
+    # ticks before it, its worker, the tail), and each worker's ticks
+    tails, ticked = [], [0] * n_workers
+    filled = 0  # buffers filled since the last update
     steps_used = 0
     while steps_used < budget:
         for idx, drv in enumerate(drivers):
             if drv.buffer.full:
                 continue  # paused until the joint update
             if parks and drv.folding and drv.folds_only():
-                tails.append(drv)
+                tails.append((ticked[idx], idx, drv))
                 drv = drivers[idx] = new_driver(idx, drv.buffer)
+            replayed = drv.replay_opening(budget - steps_used)
+            steps_used += replayed
+            if steps_used >= budget:
+                break
             drv.tick()
             steps_used += 1
+            ticked[idx] += replayed + 1
+            filled += drv.buffer.full
             if drv.done:
                 if on_episode_end is not None:
                     on_episode_end(drv)
                 drivers[idx] = new_driver(idx, drv.buffer)
             if steps_used >= budget:
                 break
-        if all(drv.buffer.full for drv in drivers):
-            parked = sum(tail.state.steps for tail in tails)
-            run_lanes(tails, budget - steps_used)
-            steps_used += sum(tail.state.steps for tail in tails) - parked
-            tails.clear()
+        if filled == n_workers:
+            # in the order of workers ticking in turn, one tick each: the
+            # order of a batch's lanes moves the last bits of their folds
+            lanes = [tail for *_, tail in sorted(tails, key=lambda t: t[:2])]
+            parked = sum(tail.state.steps for tail in lanes)
+            run_lanes(lanes, budget - steps_used)
+            steps_used += sum(tail.state.steps for tail in lanes) - parked
+            tails, ticked, filled = [], [0] * n_workers, 0
             if steps_used > budget:
                 # on tick() the budget runs out inside this segment
                 steps_used = budget
@@ -1061,10 +1093,11 @@ def train_setup(module: BehaviorModule, default_net, default_norm, env, config,
     that row was kept across an update); the tails that only fold run as
     lanes, once per update, just before it (see `_train`). The budget counts
     every environment tick of every training episode (walking and target
-    phases included); evaluation episodes are free. Tails stop once their
-    ticks pass it, and no update follows. `on_episode_end(driver)` fires
-    after each finished training episode, before the runner restarts, and
-    keeps every training episode on `tick()`.
+    phases included, the walker's replayed opening too); evaluation
+    episodes are free. Tails stop once their ticks pass it, and no update
+    follows. `on_episode_end(driver)` fires after each finished training
+    episode, before the runner restarts, and keeps every tail on
+    `tick()`.
 
     `reward_fn(target, obs, obs_next, r_env, terminal, action)` takes floats
     for one transition, or (k,) arrays over the tails of a lane batch (see

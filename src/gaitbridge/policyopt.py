@@ -98,10 +98,10 @@ class RolloutBuffer:
     copies each value into row `len(self)`, so a stored row holds no object
     of its own. Each column attribute reads as a view of the filled rows (an
     empty buffer reads as empty columns): `ppo_update` reads them in place.
-    `append` returns the row's number, which `add_reward` takes: the rows
-    dropped by `clear` and `clear_except_last` are counted, so the survivor
-    of `clear_except_last` keeps its number as its index moves from n - 1
-    to 0, and a dropped row's number is refused.
+    `append` returns the row's number, which `add_reward` takes, one or an
+    array of them: the rows dropped by `clear` and `clear_except_last` are
+    counted, so the survivor of `clear_except_last` keeps its number as its
+    index moves from n - 1 to 0, and a dropped row's number is refused.
 
     A row stores the action's mean, and the switch logit when it carries a
     bit, in place of its behaviour log-probability. `ppo_update` computes
@@ -173,13 +173,17 @@ class RolloutBuffer:
         self._n = n + 1
         return self._dropped + n
 
-    def add_reward(self, row, delta):
-        """Add delta to the reward of row number `row`, as `append` returned
-        it; BufferError if that row has been dropped."""
-        i = row - self._dropped
-        if not 0 <= i < self._n:
-            raise BufferError(f"row {row} is no longer in the buffer")
-        self._rewards[i] += delta
+    def add_reward(self, rows, delta):
+        """Add `delta` to the reward of row number `rows`, as `append`
+        returned it, or each of (k,) `delta` to its row of (k,) `rows`, a
+        repeated row in order (`np.add.at`). BufferError, and no reward
+        changed, if any of the rows has been dropped."""
+        i = np.asarray(rows) - self._dropped
+        gone = (i < 0) | (i >= self._n)
+        if gone.any():
+            raise BufferError(f"row {np.asarray(rows)[gone][0]} is no longer "
+                              "in the buffer")
+        np.add.at(self._rewards, i, delta)
 
     def take_raw(self):
         """The raw rows not yet taken, a view; they count as taken now."""

@@ -6,9 +6,11 @@ a hurdle course and check the resulting switch-event trace against a small
 independent reimplementation of the runner dynamics kept inside this file.
 """
 
+import collections
 import copy
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -963,6 +965,17 @@ def install_opening(monkeypatch, make):
     return trainers
 
 
+def bench_policy(name):
+    """(net, normalizer) of the bench fixture `name`."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "fixtures"
+    with np.load(path / f"{name}.npz", allow_pickle=False) as data:
+        params, state = ({key[len(prefix):]: data[key] for key in data.files
+                          if key.startswith(prefix)}
+                         for prefix in ("param.", "norm."))
+    return (ParameterizedNet.from_params(params),
+            RunningNormalizer.from_state_arrays(state))
+
+
 def lifted_walker_world():
     """An observation-dependent terrain-blind walker and a hurdle module
     whose setup policy is the walker, lifted."""
@@ -1018,8 +1031,9 @@ def counted_steps(env):
 
 def lockstep(world, spawns):
     """One training episode per spawn x on two copies of `world`, one whose
-    trainer replays the walker's opening and one ticking every step live.
-    Asserts before every tick that both observe the same, after it that both
+    trainer replays the walker's opening, one tick per `replay_opening`
+    call, and one ticking every step live. Asserts before every tick that
+    both observe the same, after it that both
     runners are equal as bytes, and at the end that the switches and the
     buffers are. Returns the record, the
     episodes' final states and, per tick, (distance from the runner to the
@@ -1048,8 +1062,9 @@ def lockstep(world, spawns):
             assert replay.observation().tobytes() == (
                 live.observation().tobytes())
             distance, before = start - replay.state.x, steps[0]
-            for drv in drivers:
-                drv.tick()
+            if not replay.replay_opening(1):
+                replay.tick()
+            live.tick()
             ticks.append((distance, steps[0] == before))
             assert runner_bytes(replay.state) == runner_bytes(live.state)
         assert replay.switch.events == live.switch.events
@@ -1062,33 +1077,43 @@ def lockstep(world, spawns):
     return record, ends, ticks
 
 
+def opening_run(drv):
+    """Run a training driver to its end as `_train` runs a lone worker, each
+    live tick after a replay of what it can of the opening; returns the
+    ticks replayed."""
+    replayed = 0
+    while not drv.done:
+        replayed += drv.replay_opening(math.inf)
+        drv.tick()
+    return replayed
+
+
 def training_record(monkeypatch, world, budget, seed, n_workers=2,
                     **kwargs):
     """Train `world`'s setup policy; returns the buffer rewards at each
     update, the setup parameters, the setup normalizer state, the curve and
-    whether the budget ended while a worker's episode could still replay
-    its opening."""
+    whether the budget ended inside a replay of a worker's opening."""
     env, walker, walker_norm, module = world()
-    rewards, made = [], []
-    update, init = Trainer.update, EpisodeDriver.__init__
+    rewards, last = [], [(0, 1)]  # of the last replay: (replayed, room)
+    update, replay = Trainer.update, EpisodeDriver.replay_opening
 
     def spy(trainer, drivers):
         rewards.append([d.buffer.rewards.tolist() for d in drivers])
         update(trainer, drivers)
 
-    def spy_init(driver, *args, **kwargs):
-        init(driver, *args, **kwargs)
-        made.append(driver)
+    def spy_replay(driver, room):
+        last[0] = replay(driver, room), room
+        return last[0][0]
 
     with monkeypatch.context() as m:
         m.setattr(cp.Trainer, "update", spy)
-        m.setattr(cp.EpisodeDriver, "__init__", spy_init)
+        m.setattr(cp.EpisodeDriver, "replay_opening", spy_replay)
         curve = train_setup(module, walker, walker_norm, env,
                             PPOConfig(horizon=16, minibatch=8, epochs=2),
                             budget, np.random.default_rng(seed),
                             n_workers=n_workers, **kwargs)
-    cut = any(d.trainer is not None and not d.done and d.state.steps > 0
-              and d._opening is not None for d in made)
+    replayed, room = last[0]
+    cut = replayed == room
     return (rewards, module.setup_net.flat.copy(),
             module.setup_norm.state_arrays(), curve, cut)
 
@@ -1152,16 +1177,17 @@ class TestWalkerOpening:
         trainer = setup_trainer(module, PPOConfig(horizon=100_000))
         buf = trainer_buffer(trainer)
         rng = np.random.default_rng(6)
-        for _ in range(3):
-            EpisodeDriver(env, walker, walker_norm, {HURDLE: module}, rng,
-                          trainer=trainer, buffer=buf).run()
-        assert len(trainer.opening) > 0
+        replayed = [opening_run(EpisodeDriver(
+            env, walker, walker_norm, {HURDLE: module}, rng, trainer=trainer,
+            buffer=buf)) for _ in range(3)]
+        assert len(trainer.opening) > 0 and sum(replayed) > 0
         steps = counted_steps(env)
         for _ in range(3):
-            out = EpisodeDriver(env, walker, walker_norm, {HURDLE: module},
+            drv = EpisodeDriver(env, walker, walker_norm, {HURDLE: module},
                                 rng, trainer=trainer, buffer=buf,
-                                init_fn=init_fn).run()
-            assert steps[0] == out.state.steps
+                                init_fn=init_fn)
+            assert opening_run(drv) == 0
+            assert steps[0] == drv.state.steps
             steps[0] = 0
 
     @pytest.mark.parametrize("n_workers, budget, cut", [
@@ -1181,6 +1207,39 @@ class TestWalkerOpening:
             monkeypatch, lifted_walker_world, budget, 8, n_workers,
             eval_every=2, eval_episodes=3))
 
+    def test_batched_tails_fold_as_without_the_replay(self, monkeypatch):
+        # the bench's walker and hurdle specialist: their batched passes
+        # round a lane's last bits by its place in the batch. A worker that
+        # replays its opening in one call parks its tails ahead of the
+        # other's, so a flush runs them in the order of the workers ticking
+        # in turn.
+        def train(opening):
+            walker, walker_norm = bench_policy("flat")
+            module = BehaviorModule.from_default(
+                HURDLE, *bench_policy("hurdle_target"), walker, walker_norm)
+            sizes, run_batch = [], cp._run_batch
+
+            def spy_run_batch(lanes, *limit):
+                sizes.append(len(lanes))
+                return run_batch(lanes, *limit)
+
+            with monkeypatch.context() as m:
+                install_opening(m, opening)
+                rewards = hashed_rewards(m)
+                m.setattr(cp, "_run_batch", spy_run_batch)
+                curve = train_setup(
+                    module, walker, walker_norm,
+                    TerrainEnv(single_artifact_course(HURDLE)),
+                    PPOConfig(horizon=1024), 60_000, np.random.default_rng(1),
+                    eval_every=0, eval_episodes=0, n_workers=2)
+            assert max(sizes) >= 2 * cp.LANE_CROSSOVER
+            return curve, rewards.hexdigest(), training_digest(
+                module.setup_net, module.setup_norm, curve)
+
+        got = train(CountingOpening)
+        assert got[0] == [(60_000, 1, None)]
+        assert got == train(lambda: None)
+
     def test_a_full_width_walker_trains_as_without_the_replay(
             self, monkeypatch):
         got = training_record(monkeypatch, gap_then_hurdle_world, 6000, 3,
@@ -1189,6 +1248,44 @@ class TestWalkerOpening:
         assert_same_training(got, training_record(
             monkeypatch, gap_then_hurdle_world, 6000, 3, eval_every=0,
             eval_episodes=0))
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_an_opening_replays_in_one_call_and_never_through_tick(
+            self, monkeypatch, n_workers):
+        # a lone worker's episodes after the first replay their whole opening
+        # in one call; two workers may extend the record for each other, so
+        # a second call may copy what the other worker recorded since
+        env, walker, walker_norm, module = lifted_walker_world()
+        copies, ticks, replayed = {}, [0], [0]
+        replay, tick = EpisodeDriver.replay_opening, EpisodeDriver.tick
+
+        def spy_replay(drv, room):
+            n = replay(drv, room)
+            copies[drv] = copies.get(drv, 0) + (n > 0)
+            replayed[0] += n
+            return n
+
+        def spy_tick(drv):
+            if drv.trainer is not None:
+                ticks[0] += 1
+                # nothing left to replay: a twin's replay copies no entry
+                twin = copy.copy(drv)
+                twin.state = copy.copy(drv.state)
+                assert replay(twin, 1) == 0
+            return tick(drv)
+
+        monkeypatch.setattr(EpisodeDriver, "replay_opening", spy_replay)
+        monkeypatch.setattr(EpisodeDriver, "tick", spy_tick)
+        train_setup(module, walker, walker_norm, env,
+                    PPOConfig(horizon=16, minibatch=8, epochs=2), 3000,
+                    np.random.default_rng(8), n_workers=n_workers,
+                    eval_every=0, eval_episodes=0, on_episode_end=lambda d: 0)
+        # every training tick is a live tick or a replayed one
+        assert ticks[0] + replayed[0] == 3000 and replayed[0] > 0
+        # each worker's first episode records the opening live
+        counts = list(copies.values())
+        assert len(counts) > 5 and counts.count(0) <= n_workers
+        assert max(counts) == 1 if n_workers == 1 else max(counts) <= 2
 
 
 class TestOnlyTheTrainedPolicyLearns:
@@ -1780,22 +1877,24 @@ def tail_world():
             identity_norm(), module)
 
 
-def parked_tails(n, world=tail_world):
-    """n training drivers of `world`, sharing a trainer and a buffer, each
-    ticked until the rest of its episode only folds."""
+def parked_tails(n, world=tail_world, n_buffers=1):
+    """n training drivers of `world`, sharing a trainer, each ticked until
+    the rest of its episode only folds; they take turns at `n_buffers`
+    buffers, as workers do. Returns the tails and their buffer, or the list
+    of buffers."""
     env, walker, walker_norm, module = world()
     trainer = setup_trainer(module, PPOConfig(horizon=100_000))
-    buf = trainer_buffer(trainer)
+    bufs = [trainer_buffer(trainer) for _ in range(n_buffers)]
     rng = np.random.default_rng(12)
     tails = []
     while len(tails) < n:
         drv = EpisodeDriver(env, walker, walker_norm, {HURDLE: module}, rng,
-                            trainer=trainer, buffer=buf)
+                            trainer=trainer, buffer=bufs[len(tails) % n_buffers])
         while not (drv.done or drv.folds_only()):
             drv.tick()
         if not drv.done:
             tails.append(drv)
-    return tails, buf
+    return tails, bufs[0] if n_buffers == 1 else bufs
 
 
 def batch_sizes(monkeypatch):
@@ -1824,8 +1923,9 @@ def tails_run(budget, tick_path, *, world=tail_world, horizon=150,
     paths must share, and the sizes of the lane batches built."""
     env, walker, walker_norm, module = world()
     drivers, updates, batches, settled = [], [], [], []
-    init, update, run_batch, tick = (EpisodeDriver.__init__, Trainer.update,
-                                     cp._run_batch, EpisodeDriver.tick)
+    init, update, run_batch, tick, replay = (
+        EpisodeDriver.__init__, Trainer.update, cp._run_batch,
+        EpisodeDriver.tick, EpisodeDriver.replay_opening)
 
     def spy_init(drv, *args, **kwargs):
         init(drv, *args, **kwargs)
@@ -1849,6 +1949,12 @@ def tails_run(budget, tick_path, *, world=tail_world, horizon=150,
             tick_log.append((folding, done))
         return done
 
+    def spy_replay(drv, room):
+        # a replayed tick is a walker's: it neither folds nor ends
+        replayed = replay(drv, room)
+        tick_log.extend([(False, False)] * replayed)
+        return replayed
+
     rng = np.random.default_rng(25)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(EpisodeDriver, "__init__", spy_init)
@@ -1856,6 +1962,7 @@ def tails_run(budget, tick_path, *, world=tail_world, horizon=150,
         m.setattr(cp, "_run_batch", spy_run_batch)
         if tick_log is not None:
             m.setattr(EpisodeDriver, "tick", spy_tick)
+            m.setattr(EpisodeDriver, "replay_opening", spy_replay)
         curve = train_setup(module, walker, walker_norm, env,
                             PPOConfig(horizon=horizon, minibatch=64, epochs=1),
                             budget, rng, eval_every=0, eval_episodes=0,
@@ -1897,8 +2004,8 @@ def assert_same_schedule(got, want, budget):
 class FlushSpy:
     """Watches one-worker setup training: the training drivers of each
     `run_lanes` call, with the updates made before it, the tick limit it
-    got, the training ticks made on tick() before it and the lane-ticks it
-    ran; each parked tail, with the updates made before it was parked; and
+    got, the training ticks made before it on tick() or replayed, and the
+    lane-ticks it ran; each parked tail, with the updates made before it was parked; and
     each tick on tick() of a driver whose episode only folds, made outside
     `run()`."""
 
@@ -1907,9 +2014,9 @@ class FlushSpy:
         self.calls, self.parked, self.stray = [], [], []
         self.running = False
         latest = {}  # buffer id -> the newest driver filling it
-        init, run, tick, update, run_lanes = (
+        init, run, tick, replay, update, run_lanes = (
             EpisodeDriver.__init__, EpisodeDriver.run, EpisodeDriver.tick,
-            Trainer.update, cp.run_lanes)
+            EpisodeDriver.replay_opening, Trainer.update, cp.run_lanes)
 
         def spy_init(drv, *args, **kwargs):
             init(drv, *args, **kwargs)
@@ -1932,6 +2039,11 @@ class FlushSpy:
                     self.stray.append(drv)
             return tick(drv)
 
+        def spy_replay(drv, room):
+            replayed = replay(drv, room)
+            self.ticked += replayed
+            return replayed
+
         def spy_update(trainer, workers):
             self.updates += 1
             update(trainer, workers)
@@ -1947,6 +2059,7 @@ class FlushSpy:
         m.setattr(EpisodeDriver, "__init__", spy_init)
         m.setattr(EpisodeDriver, "run", spy_run)
         m.setattr(EpisodeDriver, "tick", spy_tick)
+        m.setattr(EpisodeDriver, "replay_opening", spy_replay)
         m.setattr(Trainer, "update", spy_update)
         m.setattr(cp, "run_lanes", spy_run_lanes)
 
@@ -1987,6 +2100,58 @@ class TestTrainingTails:
             POLICY_SETUP, POLICY_TARGET, POLICY_DEFAULT}
         assert (buf.rewards != before).sum() == len(tails)
         assert_close_rewards(buf.rewards.tolist(), twin_buf.rewards.tolist())
+
+    def test_a_call_adds_once_per_buffer_and_step_as_lanes_add(
+            self, monkeypatch):
+        # tails of two buffers: each lockstep step adds its rewards with one
+        # call per buffer, and a step that ends tails with one more per
+        # buffer; the rows get what adding lane by lane gives, bit for bit
+        tails, bufs = parked_tails(2 * cp.LANE_CROSSOVER + 4, n_buffers=2)
+        twins, twin_bufs = copy.deepcopy((tails, bufs))
+        # per step, whether it ended tails; per batch add, the steps before
+        ends, adds = [], []
+        step, add, run = (cp.RunnerBatch.step, RolloutBuffer.add_reward,
+                          EpisodeDriver.run)
+
+        def spy_step(batch, actions):
+            done = step(batch, actions)
+            ends.append(bool(done.any()))
+            return done
+
+        def spy_add(buf, rows, delta):
+            adds.append((len(ends), bufs.index(buf)))
+            assert np.shape(rows) == np.shape(delta)
+            add(buf, rows, delta)
+
+        def spy_run(drv, *limit):
+            # a tail left for run() adds on tick(), one row at a time
+            m.setattr(RolloutBuffer, "add_reward", add)
+            return run(drv, *limit)
+
+        with monkeypatch.context() as m:
+            m.setattr(cp.RunnerBatch, "step", spy_step)
+            m.setattr(RolloutBuffer, "add_reward", spy_add)
+            m.setattr(EpisodeDriver, "run", spy_run)
+            cp.run_lanes(tails)
+        assert len(ends) > 10 and any(ends)
+        # the rewards of step k are added after it, or before step k + 1
+        calls = collections.Counter(adds)
+        assert {b for _, b in calls} == {0, 1}
+        assert all(count <= 1 + ends[k - 1] for (k, _), count in calls.items())
+        assert len(adds) <= 2 * (len(ends) + sum(ends))
+
+        def add_by_lane(buf, rows, delta):
+            for row, r in zip(np.atleast_1d(rows).tolist(),
+                              np.atleast_1d(delta).tolist()):
+                add(buf, row, r)
+
+        with monkeypatch.context() as m:
+            m.setattr(RolloutBuffer, "add_reward", add_by_lane)
+            cp.run_lanes(twins)
+        for got, twin in zip(tails, twins):
+            assert runner_bytes(got.state) == runner_bytes(twin.state)
+        for got, want in zip(bufs, twin_bufs):
+            assert got.rewards.tobytes() == want.rewards.tobytes()
 
     def test_a_nonfinite_target_value_raises_as_on_tick(self, monkeypatch):
         tails, buf = parked_tails(2 * cp.LANE_CROSSOVER)

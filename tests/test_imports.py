@@ -4,9 +4,10 @@ Every name a module in src/ or tests/ imports is used in that module
 (package `__init__.py` files are exempt: their imports are re-exports), the
 modules on the per-tick path multiply matrices with `ndarray.dot`, the
 acting and training code reads only the network heads it uses, only
-`SwitchState` writes a switch's artifact, only `EpisodeDriver._replay`
-writes a trainer's walker opening and, outside the physics, a runner's
-fields, one function adds a folded reward into a buffer row, one function
+`SwitchState` writes a switch's artifact, only
+`EpisodeDriver.replay_opening` writes a trainer's walker opening and,
+outside the physics, a runner's fields, only `RolloutBuffer.add_reward`
+adds a folded reward into a buffer row, one function
 reads a frozen policy through its normalizer and trunk, one function in
 config.py builds the PPO and AWTV settings, every public function and
 class in src/ is read by name somewhere else in src/ or bench/ (a package
@@ -136,14 +137,14 @@ LIST_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear",
 
 
 # where a handle on the walker's opening record may be bound and read; the
-# record's one writer, EpisodeDriver._replay, may do anything with them
+# record's one writer, EpisodeDriver.replay_opening, may do anything with
+# them, and is the only code that reads the driver's handle
 OPENING_HANDLES = {
     ("opening", "bind"): ("Trainer", "__init__"),
     ("opening", "read"): ("EpisodeDriver", "__init__"),
     ("_opening", "bind"): ("EpisodeDriver", "__init__"),
-    ("_opening", "read"): ("EpisodeDriver", "tick"),
 }
-OPENING_WRITER = ("EpisodeDriver", "_replay")
+OPENING_WRITER = ("EpisodeDriver", "replay_opening")
 
 
 def opening_writes(source):
@@ -163,35 +164,36 @@ def opening_writes(source):
                        and not isinstance(parent.ctx, ast.Load)) or (
                 isinstance(parent, ast.Attribute)
                 and parent.attr in LIST_MUTATORS)
-            if mutated or scope[-2:] != OPENING_HANDLES[node.attr, use]:
+            if mutated or scope[-2:] != OPENING_HANDLES.get((node.attr, use)):
                 yield node.lineno
         for child in ast.iter_child_nodes(node):
             yield from walk(child, scope, node)
     return sorted(set(walk(ast.parse(source), (), None)))
 
 
-def test_opening_write_detector_spares_tick_and_the_binding():
+def test_opening_write_detector_spares_the_replay_and_the_binding():
     source = ("class Trainer:\n    def __init__(self):\n"
               "        self.opening = []\n    def reset(self):\n"
               "        self.opening = []\nclass EpisodeDriver:\n"
-              "    def _replay(self):\n        self._opening[0].append(1)\n"
+              "    def replay_opening(self, room):\n"
+              "        self._opening[0].append(1)\n"
               "        self._opening = None\n"
               "    def __init__(self, t):\n        self._opening = t.opening\n"
               "        t.opening.append(2)\n        self._opening[0] = 3\n"
               "    def tick(self):\n        return self._opening is None\n"
               "x = t.opening[0]\nt.opening[0] = 4\ndel t.opening[0]\n"
               "t.opening += [5]\nd._opening = None\nn = len(d._opening)\n")
-    assert opening_writes(source) == [5, 12, 13, 16, 17, 18, 19, 20, 21]
+    assert opening_writes(source) == [5, 12, 13, 15, 16, 17, 18, 19, 20, 21]
 
 
-def test_only_the_episode_tick_writes_the_opening():
-    # the tick's replay, EpisodeDriver._replay, replays an entry only under
-    # its conditions and writes every entry; the trainer binds the record, a
-    # driver takes it at its start and its tick asks whether it holds it
+def test_only_the_opening_replay_writes_the_opening():
+    # EpisodeDriver.replay_opening replays entries only under its conditions,
+    # writes every entry and alone asks whether a driver holds the record;
+    # the trainer binds the record, and a driver takes it at its start
     found = [f"{path.relative_to(ROOT)}:{line}"
              for path in sorted((ROOT / "src").rglob("*.py"))
              for line in opening_writes(path.read_text(encoding="utf-8"))]
-    assert not found, ("write the opening in EpisodeDriver._replay:\n"
+    assert not found, ("write the opening in EpisodeDriver.replay_opening:\n"
                        + "\n".join(found))
 
 
@@ -256,18 +258,38 @@ def test_call_scope_detector_names_the_enclosing_definitions():
     assert call_scopes(source, "fold") == [(), ("run",), ("run", "back")]
 
 
+def attribute_scopes(source, attr):
+    """The scope of each use of a `.attr` attribute."""
+    def walk(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Attribute) and node.attr == attr:
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+    return sorted(walk(ast.parse(source), ()))
+
+
+def test_attribute_scope_detector():
+    source = ("class B:\n    def f(self):\n        self._r[0] += 1\n"
+              "        g(self._r)\nx = b._r\nb.r = 2\n")
+    assert attribute_scopes(source, "_r") == [(), ("B", "f"), ("B", "f")]
+
+
 def test_the_fold_is_written_once():
-    # one function adds a folded reward into a buffer row, and both paths
-    # that tick a training tail, tick() and the lane batch, call it
+    # one function adds a folded reward into a buffer row, over one row or
+    # an array of them, and both paths that tick a training tail call it:
+    # tick() for one tick, the lane batch once per buffer and step. Beside
+    # it only the buffer's allocation and `append` touch the rewards column.
     sources = [path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src").rglob("*.py"))]
     adds = [scope for source in sources
             for scope in call_scopes(source, "add_reward")]
-    assert adds == [("EpisodeDriver", "fold")]
-    folds = {scope for source in sources
-             for scope in call_scopes(source, "fold")}
-    lanes = {scope for scope in folds if scope[0] == "_run_batch"}
-    assert lanes and folds - lanes == {("EpisodeDriver", "tick")}
+    assert adds == [("EpisodeDriver", "tick"), ("_run_batch", "fold")]
+    column = {scope for source in sources
+              for scope in attribute_scopes(source, "_rewards")}
+    assert column == {("RolloutBuffer", name)
+                      for name in ("__init__", "append", "add_reward")}
 
 
 def frozen_read_scopes(source):

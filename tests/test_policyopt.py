@@ -386,6 +386,31 @@ def test_buffer_add_reward_into_a_numbered_row():
         RolloutBuffer(4, 1, 1, False).add_reward(0, 1.0)
 
 
+def test_buffer_add_reward_over_an_array_of_rows():
+    # each delta goes to its row, a repeated row's in order; one dropped row
+    # refuses the whole call
+    buf = RolloutBuffer(4, 1, 1, False)
+    rows = [buf.append(np.zeros(1), np.zeros(1), None, np.zeros(1), 0.0,
+                       0.1 * i, 0.0, False, np.zeros(1)) for i in range(4)]
+    base = buf.rewards.copy()
+    buf.add_reward(np.array([3, 1, 3]), np.array([0.7, 0.2, 0.3]))
+    want = base.copy()
+    want[1] += 0.2
+    want[3] += 0.7
+    want[3] += 0.3
+    assert buf.rewards.tobytes() == want.tobytes()
+    buf.add_reward(np.array([], dtype=int), np.array([]))
+    assert buf.rewards.tobytes() == want.tobytes()
+    buf.clear_except_last()
+    assert buf.rewards.tolist() == [want[3]]
+    for dropped in ([3, 0], [2], [3, 4]):
+        with pytest.raises(BufferError, match=f"row {dropped[-1]} "):
+            buf.add_reward(np.array(dropped), np.ones(len(dropped)))
+        assert buf.rewards.tolist() == [want[3]]
+    buf.add_reward(np.array([rows[3]]), np.array([1.0]))
+    assert buf.rewards.tolist() == [want[3] + 1.0]
+
+
 def _row(bit, width=3):
     return (np.zeros(width), np.zeros(1), bit, np.zeros(1),
             None if bit is None else 0.5, 0.0, 0.0, False, np.zeros(width))

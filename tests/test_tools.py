@@ -175,3 +175,81 @@ def test_bench_pairs_rejects_an_unknown_workload(monkeypatch, capsys):
         tool.main(["old", "new", "--workloads", "setup-train,no-such"])
     assert exit_info.value.code == 2
     assert "unknown workloads: no-such" in capsys.readouterr().err
+
+
+def test_bench_pairs_write_the_comparison_as_json(monkeypatch, capsys,
+                                                  tmp_path):
+    tool = load_tool("bench_pairs")
+    digest = {"parent": "a" * 64, "change": "b" * 64}
+
+    def canned_pairs(parent, change, workloads, seeds, seconds):
+        def result(seed, side, ticks):
+            out = dict(bench_result(ticks, 40), fingerprint=digest[side]
+                       if seed == 12 else "c" * 64)
+            out["metrics"]["setup_s"] = {"unit": "s", "value": 0.05}
+            return out
+        return {workloads[0]: [(seed, result(seed, "parent", 100e3),
+                                result(seed, "change", 100e3 + seed * 1e3))
+                               for seed in seeds]}
+
+    monkeypatch.setattr(tool, "run_pairs", canned_pairs)
+    path = tmp_path / "BENCH.json"
+    assert tool.main(["old", "new", "--seeds", "11-13", "--workloads",
+                      "setup-train", "--json", str(path)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    got = json.loads(path.read_text(encoding="utf-8"))
+    assert got["seeds"] == [11, 12, 13] and got["run_seconds"] == 30
+    assert got["workloads"] == ["setup-train"]
+    ticks, setup, rss = got["rows"]
+    assert ticks == {"workload": "setup-train", "metric": "ticks_per_s",
+                     "parent": {"median": 100e3, "q1": 100e3, "q3": 100e3},
+                     "change": {"median": 112e3, "q1": 111.5e3,
+                                "q3": 112.5e3},
+                     "change_of_median": 112e3 / 100e3 - 1,
+                     "parent_spread": 0.0, "won": 3, "pairs": 3}
+    assert [(row["metric"], row["won"], row["change_of_median"])
+            for row in (setup, rss)] == [("setup_s", 0, 0.0),
+                                         ("peak_rss_mb", 0, 0.0)]
+    assert got["bad"] == []
+    assert got["differ"] == [
+        f"setup-train seed 12: parent {'a' * 64}, change {'b' * 64}"]
+    # the file holds the table printed
+    assert printed[2].startswith("| setup-train | ticks_per_s | 100000 ")
+    assert printed[-1] == f"fingerprint differs: {got['differ'][0]}"
+
+
+def test_spy_counts_of_a_toy_instance(monkeypatch):
+    tool = load_tool("spy_counts")
+    # target training: two updates of 64 live ticks each, nothing else
+    got = tool.spy_counts("target-train", 1, updates=2, horizon=64)
+    assert list(got) == list(tool.ORDER)
+    assert got == {**dict.fromkeys(tool.ORDER, 0), "EpisodeDriver.tick": 128,
+                   "EpisodeDriver.replay_opening": 128, "Trainer.update": 2}
+    # setup training: the walker's openings replay in one call each, and
+    # the tails fold in lane batches, one add per buffer and lockstep step
+    got = tool.spy_counts("setup-train", 1, budget=20_000, horizon=256)
+    assert got["Trainer.update"] >= 1 and got["RunnerBatch.step"] > 0
+    assert 0 < got["replays"] < got["EpisodeDriver.replay_opening"]
+    assert got["replayed ticks"] > got["EpisodeDriver.tick"]
+    assert 0 < got["reward_fn"] < got["lane-ticks"] / 2
+    assert 0 < got["RolloutBuffer.add_reward"] < got["lane-ticks"] / 4
+    # a method the package does not define reads None
+    monkeypatch.delattr(tool.policyopt.RolloutBuffer, "add_reward")
+    got = tool.spy_counts("target-train", 1, updates=1, horizon=64)
+    assert got["RolloutBuffer.add_reward"] is None
+    assert got["Trainer.update"] == 1
+
+
+def test_spy_counts_print_one_line_a_count(monkeypatch, capsys):
+    tool = load_tool("spy_counts")
+    runs = []
+
+    def canned(workload, seed):
+        runs.append((workload, seed))
+        return {"EpisodeDriver.tick": 3, "replays": None}
+
+    monkeypatch.setattr(tool, "spy_counts", canned)
+    assert tool.main(["setup-train", "--seed", "4"]) == 0
+    assert runs == [("setup-train", 4)]
+    assert capsys.readouterr().out == ("EpisodeDriver.tick 3\n"
+                                       "replays absent\n")

@@ -1,7 +1,7 @@
 """Compare two checkouts on the benchmark in alternating pairs of runs.
 
     python3 tools/bench_pairs.py PARENT CHANGE --seeds 11-20 \
-        [--workloads NAME[,NAME...]]
+        [--workloads NAME[,NAME...]] [--json PATH]
 
 For each workload of `BENCHMARK.json` (of this repository, only read), or
 each one that `--workloads` names, in the file's order, and each seed it
@@ -17,7 +17,9 @@ judged by the metric's `better`, over the pairs of two good runs. Then it
 lists every run that was not `correct`, that had `failed` instances, or
 that printed no result, and every seed of a workload whose two runs
 printed different `fingerprint ... sha256=...` lines: the digests of their
-seeded results. Each run's result goes to standard error as it ends.
+seeded results. Each run's result goes to standard error as it ends. With
+`--json PATH` it also writes that comparison, with the seeds, the run
+length and the workloads, to PATH (see `compare`).
 """
 
 import argparse
@@ -92,14 +94,16 @@ def fault(result):
     return None
 
 
-def summarize(pairs, metrics):
-    """Markdown table rows, then one line per bad run and one per pair of
-    results whose fingerprints differ, from `pairs` as `run_pairs` returns
-    them and `metrics`, the end-to-end entries of `BENCHMARK.json`."""
-    lines = ["| workload | metric | parent median (q1–q3) | change median "
-             "(q1–q3) | change | parent IQR/median | change won |",
-             "|---|---|---|---|---|---|---|"]
-    bad, differ = [], []
+def compare(pairs, metrics):
+    """The comparison of `pairs`, as `run_pairs` returns them, on `metrics`,
+    the end-to-end entries of `BENCHMARK.json`: {"rows": one dict per
+    workload and metric, "bad": one line per bad run, "differ": one line
+    per pair of results whose fingerprints differ}. A row holds the
+    parent's and the change's median and quartiles over the pairs of two
+    good runs, the change of the median (a fraction), the parent's
+    quartile spread over its median, the pairs the change won, and the
+    pairs counted."""
+    rows, bad, differ = [], [], []
     for workload, runs in pairs.items():
         both = []  # the pairs of two good runs
         for seed, *results in runs:
@@ -123,12 +127,32 @@ def summarize(pairs, metrics):
             (om, o1, o3), (nm, n1, n3) = quartiles(old), quartiles(new)
             higher = metric["better"] == "higher"
             won = sum((c > p) if higher else (c < p) for p, c in zip(old, new))
-            lines.append(
-                f"| {workload} | {name} | {num(om)} ({num(o1)}–{num(o3)}) | "
-                f"{num(nm)} ({num(n1)}–{num(n3)}) | {nm / om - 1:+.1%} | "
-                f"{(o3 - o1) / om:.1%} | {won}/{len(both)} |")
-    return (lines + [f"bad run: {line}" for line in bad]
-            + [f"fingerprint differs: {line}" for line in differ])
+            rows.append({"workload": workload, "metric": name,
+                         "parent": {"median": om, "q1": o1, "q3": o3},
+                         "change": {"median": nm, "q1": n1, "q3": n3},
+                         "change_of_median": nm / om - 1,
+                         "parent_spread": (o3 - o1) / om,
+                         "won": won, "pairs": len(both)})
+    return {"rows": rows, "bad": bad, "differ": differ}
+
+
+def summarize(pairs, metrics):
+    """Markdown table rows of `compare`, then one line per bad run and one
+    per pair of results whose fingerprints differ."""
+    table = compare(pairs, metrics)
+    lines = ["| workload | metric | parent median (q1–q3) | change median "
+             "(q1–q3) | change | parent IQR/median | change won |",
+             "|---|---|---|---|---|---|---|"]
+    for row in table["rows"]:
+        old, new = row["parent"], row["change"]
+        lines.append(
+            f"| {row['workload']} | {row['metric']} | {num(old['median'])} "
+            f"({num(old['q1'])}–{num(old['q3'])}) | {num(new['median'])} "
+            f"({num(new['q1'])}–{num(new['q3'])}) | "
+            f"{row['change_of_median']:+.1%} | {row['parent_spread']:.1%} | "
+            f"{row['won']}/{row['pairs']} |")
+    return (lines + [f"bad run: {line}" for line in table["bad"]]
+            + [f"fingerprint differs: {line}" for line in table["differ"]])
 
 
 def main(argv=None):
@@ -140,6 +164,8 @@ def main(argv=None):
     parser.add_argument("--workloads", type=lambda text: text.split(","),
                         help="comma-separated workloads to run (default: "
                         "every workload of BENCHMARK.json)")
+    parser.add_argument("--json", type=Path, metavar="PATH",
+                        help="also write the comparison to PATH as JSON")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in spec["workloads"]]
@@ -151,6 +177,11 @@ def main(argv=None):
     pairs = run_pairs(args.parent, args.change, workloads, args.seeds,
                       spec["run_seconds"])
     print("\n".join(summarize(pairs, spec["end_to_end"])))
+    if args.json:
+        args.json.write_text(json.dumps(
+            {"seeds": args.seeds, "run_seconds": spec["run_seconds"],
+             "workloads": workloads, **compare(pairs, spec["end_to_end"])},
+            indent=1) + "\n", encoding="utf-8")
     return 0
 
 
