@@ -986,10 +986,10 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
         if filled == n_workers:
             # in the order of workers ticking in turn, one tick each: the
             # order of a batch's lanes moves the last bits of their folds
-            lanes = [tail for *_, tail in sorted(tails, key=lambda t: t[:2])]
-            parked = sum(tail.state.steps for tail in lanes)
-            run_lanes(lanes, budget - steps_used)
-            steps_used += sum(tail.state.steps for tail in lanes) - parked
+            tails = [tail for *_, tail in sorted(tails, key=lambda t: t[:2])]
+            parked = sum(tail.state.steps for tail in tails)
+            run_lanes(tails, budget - steps_used)
+            steps_used += sum(tail.state.steps for tail in tails) - parked
             tails, ticked, filled = [], [0] * n_workers, 0
             if steps_used > budget:
                 # on tick() the budget runs out inside this segment

@@ -178,11 +178,18 @@ class RolloutBuffer:
         returned it, or each of (k,) `delta` to its row of (k,) `rows`, a
         repeated row in order (`np.add.at`). BufferError, and no reward
         changed, if any of the rows has been dropped."""
-        i = np.asarray(rows) - self._dropped
+        i = rows - self._dropped
+        if isinstance(i, int):
+            # one row, as a tail on `tick()` adds at every tick: plain
+            # indexing, at about a twentieth of the array path's cost
+            if not 0 <= i < self._n:
+                raise BufferError(f"row {rows} is no longer in the buffer")
+            self._rewards[i] += delta
+            return
         gone = (i < 0) | (i >= self._n)
         if gone.any():
-            raise BufferError(f"row {np.asarray(rows)[gone][0]} is no longer "
-                              "in the buffer")
+            raise BufferError(f"row {rows[gone][0]} is no longer in the "
+                              "buffer")
         np.add.at(self._rewards, i, delta)
 
     def take_raw(self):

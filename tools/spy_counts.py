@@ -14,7 +14,7 @@ one `name count` line for each:
 - `lane-ticks`: the ticks that training tails ran in `run_lanes` calls;
 - `RunnerBatch.step`: lockstep steps of lane batches;
 - `reward_fn`: calls of the trainers' setup reward, one per transition on
-  `tick()`, one per batch of tails;
+  `tick()` and one per lockstep step of a batch of tails;
 - `RolloutBuffer.add_reward` and `Trainer.update`: their calls.
 
 The package comes from this checkout's `src`. A counted function that the
