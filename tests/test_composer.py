@@ -1033,11 +1033,11 @@ def lockstep(world, spawns):
     """One training episode per spawn x on two copies of `world`, one whose
     trainer replays the walker's opening, one tick per `replay_opening`
     call, and one ticking every step live. Asserts before every tick that
-    both observe the same, after it that both
-    runners are equal as bytes, and at the end that the switches and the
-    buffers are. Returns the record, the
-    episodes' final states and, per tick, (distance from the runner to the
-    first artifact before the tick, whether the tick replayed)."""
+    both observe the same, after it that both runners are equal as bytes,
+    and at the end that the switches and the buffers are. Returns the
+    record, the episodes' final states and, per tick, (distance from the
+    runner to the first artifact before the tick, whether the tick
+    replayed)."""
     copies = [world(), world()]
     trainers = [setup_trainer(module, PPOConfig(horizon=100_000))
                 for *_, module in copies]

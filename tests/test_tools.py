@@ -1,6 +1,7 @@
 """Tests for the scripts under `tools/`: the code-line counter, the
-conversion of benchmark fixtures into checkpoints, and the workloads and
-summary of paired benchmark runs."""
+conversion of benchmark fixtures into checkpoints, the workloads, summary
+and JSON file of paired benchmark runs, and the call counts of one
+benchmark instance."""
 
 import hashlib
 import importlib.util
