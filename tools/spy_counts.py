@@ -55,17 +55,18 @@ def spy_counts(workload, seed, **sizes):
     counts = dict.fromkeys(ORDER, 0)
     run_lanes, trainer_init = composer.run_lanes, composer.Trainer.__init__
 
-    def count(label, fn, after=lambda result, args: None):
+    def count(label, fn, after=None):
         def spy(*args, **kwargs):
             counts[label] += 1
             result = fn(*args, **kwargs)
-            after(result, args)
+            if after is not None:
+                after(result)
             return result
         return spy
 
-    def replayed(result, args):
-        counts["replays"] += result > 0
-        counts["replayed ticks"] += result
+    def replayed(ticks):
+        counts["replays"] += ticks > 0
+        counts["replayed ticks"] += ticks
 
     def spy_run_lanes(drivers, *limit):
         tails = [drv for drv in drivers if drv.trainer is not None]
@@ -84,8 +85,7 @@ def spy_counts(workload, seed, **sizes):
         if hasattr(owner, name):
             spies.append((owner, name, count(
                 label, getattr(owner, name),
-                replayed if name == "replay_opening" else
-                lambda result, args: None)))
+                replayed if name == "replay_opening" else None)))
         else:
             counts[label] = None
             if name == "replay_opening":
