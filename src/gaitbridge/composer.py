@@ -15,78 +15,91 @@ each subsequent shaped reward of the episode is folded into the setup buffer's
 entry of the handoff, so the setup policy is credited for what the specialist
 achieves from the states it prepared.
 
-`EpisodeDriver` is the only code that steps the runner: evaluation, setup
-training and target training all run drivers. It hands control over by
-calling `SwitchState.transition` at three points: the oracle's detection
-(to setup, or straight to target in the no-setup arm), the setup policy's
-handoff bit, and the target's release once `tau_theta_reached`. On each
-tick one policy acts, and every policy normalizes with statistics that stay
-frozen while it acts. The policy learns only when it is the trainer's own
-net: it then samples its action and stores the transition with the raw
-observation row, which `Trainer.update` merges into the statistics after the
-update that learns from it. Every other policy acts on its mean, except that
-a setup policy keeps sampling: its handoff is a learned per-tick
-probability. A policy runs its trunk and then only the heads read (see
-`diffcore.net`): acting on its mean, neither the value nor the switch head;
-sampling without learning, no value head. Target training is a driver with
-no modules, whose default policy is the one being trained on the environment
-reward; setup training trains one module's setup policy on a shaped reward.
-One round-robin loop (`_train`) collects both into per-worker buffers, one
-live `tick()` per worker's turn, but for the walker's opening (below) and
-the tails of setup training: once the trained setup policy has handed off
-and no artifact is left for a setup policy, an episode only folds rewards,
-so `_train` parks it, and the tails parked between two updates run as
-lanes, once, just before the update that reads their folds. Each worker draws from a stream of its own, and acts under
+Drivers. `EpisodeDriver` is the only code that steps the runner: evaluation,
+setup training and target training all run drivers. It hands control over
+through `SwitchState.transition` at the oracle's detection (to setup, or
+straight to target in the no-setup arm), at the setup policy's handoff bit,
+and at the target's release once `tau_theta_reached`. On each tick one
+policy acts, under normalizer statistics that stay frozen while it acts.
+Only the trainer's own net learns: it samples its action and stores the
+transition with its raw observation row, which `Trainer.update` merges into
+the statistics after the update that learns from it. Every other policy
+acts on its mean, but a setup policy keeps sampling: its handoff is a
+learned per-tick probability. A policy runs its trunk and then only the
+heads read (see `diffcore.net`). Target training is a driver with no
+modules whose default policy learns on the environment reward; setup
+training trains one module's setup policy on a shaped reward. `_train` runs
+both round-robin, one live `tick()` per worker's turn, each worker into its
+own buffer. A worker draws from a stream of its own and acts under
 statistics that only an update moves, so the order in which workers tick
 moves no result.
 
-In setup training the frozen walker's opening, its ticks on the flat ground
-short of the first artifact, replays from the trainer's `opening` (see
-`Trainer`): a record of one runner step per tick count, taken from live
-ticks, which every episode's opening repeats bit for bit. At a worker's
-turn, `_train` first calls its driver's `replay_opening`, which copies the
-state of each tick it can replay, up to the budget's room, in one call:
-nothing observes, acts or steps the runner, and no `tick()` runs. The
-record lives as long as one `train_setup` call. Walker ticks after the
-opening, in target training and in evaluation observe, act and step.
+Opening replay. In setup training the frozen walker's opening, its ticks on
+the flat ground short of the first artifact, is the same in every episode.
+With no `init_fn` the walker spawns standing short of the artifact (a valid
+course starts it at or past `SPAWN_MAX_X`) and acts on its mean; while the
+artifact starts more than the walker's reach ahead (DETECT_RANGE, or for a
+walker that reads the terrain OBS_RANGE, where `observe` clips the
+distance), nothing is detected or switched and `TerrainEnv.step` finds flat
+ground and no goal, so each step is the same function of (v, w, h, c,
+contact, steps). `Trainer.opening` records it from live ticks: entry t holds
+the runner's (v, w, h, c, contact) after its step from t to t + 1, and
+dx = v * DT, what that step added to x. At a worker's turn `_train` first
+calls `replay_opening`, which copies the state of each tick it can replay,
+up to the budget's room, in one call: nothing observes, acts or steps. Its
+next call records the live tick that followed at the record's end. No
+recorded step ended its episode, so a replay never ends one, and no entry
+is overwritten. The record serves one walker on one course for one
+`train_setup` call, which checks that the walker stayed frozen.
 
-Evaluation runs its episodes as lanes (`run_lanes`): one driver per episode,
-each with its own generator and its own policies, advanced together; lanes
-of any arm and any experiment cell can share one call. The lanes' runners
-step as one `RunnerBatch`, and each acting policy (a walker, a setup policy,
-a target), shared by whichever lanes act with it, gets one normalize and one
-batched trunk pass per tick, then its mean head and, for a setup policy, its
-switch head. Once fewer than `LANE_CROSSOVER` lanes are live, the rest go on
-`run()`. A call runs evaluation lanes or one trainer's tails. No lane
-trains: a tail looks for no artifact and folds its shaped rewards, read
-over arrays: each lockstep step makes one reward call for all tails and
+Tails. Once the trained setup policy has handed off and no artifact is left
+for a setup policy, a training episode only folds rewards (`folds_only`):
+frozen policies act on their means and nothing draws. At its worker's turn
+`_train` parks such a tail and starts the worker's next episode. Once every
+buffer is full, the tails parked since the last update run in one
+`run_lanes` call, just before the update that reads their folds, in the
+order of workers ticking in turn, one tick each: a batch's lane order moves
+the last bits of its folds. Their ticks count then, as many as on `tick()`.
+Once they pass the budget, which on `tick()` runs out inside this segment,
+they stop, and training ends at the budget with no update. A handoff that
+fills its buffer is parked after the update and folds into the survivor of
+`clear_except_last`, as on `tick()`; tails parked after the last update
+never run. As a tail draws nothing, each worker's draws keep their order,
+and while fewer than `LANE_CROSSOVER` tails run together (on `run()`) every
+update equals that of ticking them, bit for bit. Without `extend`, or with
+an `on_episode_end`, every tail stays on `tick()`.
+
+Lanes. `run_lanes` advances drivers together, one per lane: evaluation
+episodes of any arm and any experiment cell, or one trainer's tails. While
+at least `LANE_CROSSOVER` lanes are live, their runners step as one
+`RunnerBatch` (`_run_batch`), and each acting policy, shared by whichever
+lanes act with it, gets one normalize and one trunk pass per tick over its
+lanes, then its mean head and, for a setup policy, its switch head; the
+lanes left go on `run()`, cheaper there. Both paths take the switching
+decisions from the driver: `policy()` maps the phase to (role, net, norm),
+`on_detection` starts a bridge, `SwitchState.transition` latches and clears
+the artifact, and `tau_theta_reached` releases a target, a bool for one
+runner and a mask over a batch. A lane matches its driver's `run()` in its
+discrete results (success, failure, steps, switches), and in its positions
+and folds within 1e-9, not bit for bit: a batched forward rounds unlike the
+one-row forward, and unlike one over other rows, so a call's other lanes
+and the tick a lane leaves the batch may move its last bits. Tails fold
+over arrays: each lockstep step makes one reward call for all of them and
 one `add_reward` per buffer.
 
-Both paths take the switching decisions from the driver: `policy()` maps the
-phase to its (role, net, norm), `on_detection` starts a bridge, and
-`SwitchState.transition` latches and clears the artifact. Both read a frozen
-policy through `policy_trunk` and release a target on `tau_theta_reached`, a
-bool for one runner and a mask over the batch. The detection test and the
-physics exist on each path: scalar in `tick`, as masks in `_run_batch`.
-
-A setup reward function `reward_fn(target, obs, obs_next, r_env, terminal,
-action)` takes floats for one transition, or (k,) arrays over k tails, and
-returns the same: a float, or a (k,) array (a float stands for all k). Its
+Setup rewards. A setup reward `reward_fn(target, obs, obs_next, r_env,
+terminal, action)` takes floats for one transition, or (k,) arrays over k
+tails, and returns a float or a (k,) array (a float stands for all k). Its
 `target` gives the frozen specialist's `target_value` at `obs` or
 `obs_next`, a float or (k,), its mean `target_action` at `obs`, (2,) or
 (k, 2), and the AWTV `params`; `obs` and `obs_next` are one observation or
 (k, OBS_DIM), `r_env` a float or (k,), `action` (2,) or (k, 2), and
-`terminal` one bool. On `tick()` a driver passes it its own `CarriedTarget`
-of the trained module, a view that runs the target's trunk at most once per
-observation, and each head there at most once, when first read: the
-observation taken after a tick's step becomes the next tick's observation,
-so V(s') of one tick is V(s) of the next. A call of tails passes a
-`TailTarget` over the batched passes, under `np.errstate` that lets arrays
-overflow silently, as floats do; each array operation a reward uses must
-round each row as its float operation does (`+ - * /`, `np.minimum`,
-`np.exp`, `np.vecdot` do). The course scan behind an observation also finds
-the next artifact, which a walking tick's detection reads, so each state is
-scanned once.
+`terminal` one bool. On `tick()` the target is the driver's own
+`CarriedTarget`, so workers never write to their shared module; a call of
+tails passes a `TailTarget` over the batched passes, under `np.errstate`
+that lets arrays overflow silently, as floats do. Each array operation a
+reward uses must round each row as its float operation does (`+ - * /`,
+`np.minimum`, `np.exp`, `np.vecdot` do).
 """
 
 from __future__ import annotations
@@ -117,7 +130,6 @@ from gaitbridge.terrainsim import (
     OBS_PROPRIO,
     OBS_RANGE,
     RunnerBatch,
-    RunnerState,
     TerrainEnv,
     detects,
     flat_course,
@@ -325,36 +337,29 @@ class BehaviorModule:
 
 
 class CarriedTarget:
-    """One driver's view of a module's frozen target on `tick()`: one trunk
-    pass per observation, and each head that is read computed once on its
-    output.
+    """One driver's view of a module's frozen target on `tick()`: the
+    target's trunk output at the newest observation it was asked about,
+    matched by the array's identity, and each head there computed when
+    first read.
 
-    Keeps the target's trunk output at the last two observations it was
-    asked about, matched by the identity of the observation array, and
-    fills their mean action and value as they are first read. A reward
-    reads V(s) and V(s'), and s is the last tick's s'. The view holds those
-    arrays, so their ids cannot be reused by another observation. The
-    target's net and normalizer must stay frozen while the view lives (one
-    episode). A call of tails reads the target over arrays instead
-    (`TailTarget`).
+    A tick reads V(s) before V(s'), and its s is the last tick's s', so one
+    observation is enough: the trunk runs once per observation. The view
+    holds that array, so its id is not reused by another. The target must
+    stay frozen while the view lives (one episode).
     """
 
     def __init__(self, module: BehaviorModule):
         self.module = module
         self.params = module.params
-        # [obs, trunk output, mu, value] of the newest and the one before
-        self._new = self._old = (None,)
+        # [obs, trunk output, mu, value] of the newest observation
+        self._last = (None,)
 
     def _slot(self, obs_raw):
-        new = self._new
-        if new[0] is obs_raw:
-            return new
-        if self._old[0] is obs_raw:
-            return self._old
-        module = self.module
-        self._new, self._old = [obs_raw, policy_trunk(
-            module.target_net, module.target_norm, obs_raw), None, None], new
-        return self._new
+        if self._last[0] is not obs_raw:
+            module = self.module
+            self._last = [obs_raw, policy_trunk(
+                module.target_net, module.target_norm, obs_raw), None, None]
+        return self._last
 
     def target_value(self, obs_raw):
         slot = self._slot(obs_raw)
@@ -424,32 +429,12 @@ class Trainer:
 
     With a `module` it trains that module's setup policy on `reward_fn`,
     folds post-handoff rewards into the handoff's row when `extend` is set,
-    and keeps each buffer's last transition across an update. Without one
-    it trains the drivers' default policy on the environment reward and
-    empties the buffers.
-
-    `update` runs PPO on the buffers under the normalizer statistics that
-    acted, then merges each buffer's raw rows not merged before into them,
-    in worker order: each learning tick's row is merged once, the survivor
-    of `clear_except_last` at the update that first learned from it. The
-    PPO shuffle draws from `shuffle`, the first stream spawned from `rng`;
-    `_train` spawns each worker's stream from `rng` after it.
-
-    With a module it also keeps `opening`, the record of the frozen walker's
-    opening: entry t holds the runner's (v, w, h, c, contact) after its step
-    from t to t + 1, and dx = v * DT, what that step added to x. A driver that
-    spawned standing, with no `init_fn`, replays its tick t from entry t
-    (`EpisodeDriver.replay_opening`) while the first artifact starts more
-    than the walker's reach ahead and x + dx stays short of it:
-    DETECT_RANGE, or for a walker that reads the terrain OBS_RANGE, where
-    `observe` clips the distance. There nothing is detected or switched,
-    the walker acts on its mean (and `train_setup` checks that it stays
-    frozen), and `TerrainEnv.step` finds flat ground and no goal: each such
-    step is the same function of (v, w, h, c, contact, steps) in every
-    episode. The replay after a live tick at the record's end appends that
-    tick's step; a step that ended its episode is never recorded, nor an
-    entry overwritten. The record serves one walker on one course, as
-    `_train` runs them.
+    keeps each buffer's last transition across an update, and keeps
+    `opening`, the record of the walker's opening (see the module
+    docstring). Without one it trains the drivers' default policy on the
+    environment reward and empties the buffers. The PPO shuffle draws from
+    `shuffle`, the first stream spawned from `rng`; `_train` spawns the
+    workers' streams after it.
     """
 
     def __init__(self, net, norm, config, rng, *, module=None,
@@ -467,8 +452,11 @@ class Trainer:
         self.opening = None if module is None else []
 
     def update(self, drivers):
-        """One PPO update from every driver's full buffer, then the merge of
-        their new raw rows into the statistics, in driver order."""
+        """One PPO update from every driver's full buffer under the statistics
+        that acted, then the merge of their new raw rows into the statistics,
+        in driver order: each learning tick's row is merged once, the
+        survivor of `clear_except_last` at the update that first learned
+        from it."""
         buffers = [drv.buffer for drv in drivers]
         # a horizon cut mid-phase bootstraps from the state acted on next
         bootstraps = [0.0 if drv.buffer.dones[-1] else self.net.scalar_head(
@@ -488,14 +476,11 @@ class Trainer:
 class EpisodeDriver:
     """Advances one bridged episode one environment tick at a time.
 
-    A learning policy (see the module docstring) appends to `buffer`, and
-    normalizes with statistics frozen since the trainer's last update.
-    `init_fn(env, rng)` replaces the standard spawn.
-
-    `carry` is the `CarriedTarget` of the trained module in setup training,
-    else None: the setup reward of each tick reads it, and that target acts
-    through it; any other target acts as a frozen policy. `folding` is set
-    to the trainer's `extend` at the trained setup policy's handoff.
+    A learning policy appends to `buffer`. `init_fn(env, rng)` replaces the
+    standard spawn. `carry` is the `CarriedTarget` of the trained module in
+    setup training, else None; that target acts through it, any other acts
+    as a frozen policy. `folding` is set to the trainer's `extend` at the
+    trained setup policy's handoff, whose row is `fold_row`.
     """
 
     def __init__(self, env, default_net, default_norm, modules, rng, *,
@@ -526,12 +511,12 @@ class EpisodeDriver:
         self.carry = (None if trainer is None or trainer.module is None
                       else CarriedTarget(trainer.module))
         # (record, first artifact's start, walker's reach) while the
-        # walker's opening may replay (see Trainer)
+        # walker's opening may replay; with no init_fn the runner spawns
+        # standing on the flat ground short of the first artifact
         self._opening = None
         first = env.course.artifacts[:1]
         if (trainer is not None and trainer.opening is not None
-                and init_fn is None and first
-                and self.state == RunnerState(x=self.state.x)):
+                and init_fn is None and first):
             reach = (DETECT_RANGE if default_net.obs_dim <= OBS_PROPRIO
                      else max(DETECT_RANGE, OBS_RANGE))
             self._opening = trainer.opening, first[0].start, reach
@@ -565,17 +550,19 @@ class EpisodeDriver:
                                else POLICY_SETUP, runner, art)
 
     def replay_opening(self, room):
-        """Replay the walker's ticks from the trainer's opening record, at
-        most `room` of them, once the last step, if it ran live at the
-        record's end, is recorded (see Trainer): tick t copies entry t.
-        Returns the ticks replayed, none once the opening is over; a replay
-        never ends the episode, and the next tick runs live."""
+        """Copy at most `room` of the walker's ticks from the trainer's opening
+        record, tick t from entry t, once the last tick, if it ran live at
+        the record's end, is recorded; returns the ticks copied, none once
+        the opening is over. The handle is dropped once the artifact is
+        within reach: while it is set, the last call left x more than the
+        reach short of the artifact, and one live tick moves far less, so a
+        recorded step never reaches the artifact."""
         if self._opening is None:
             return 0
         record, start, reach = self._opening
         state = self.state
         t, x = state.steps, state.x
-        if t == len(record) + 1 and x < start:
+        if t == len(record) + 1:
             record.append((state.v, state.w, state.h, state.c, state.contact,
                            state.v * DT))
         end = min(len(record), t + room)
@@ -643,9 +630,7 @@ class EpisodeDriver:
     def folds_only(self):
         """Whether the rest of this training episode only folds rewards: it
         is `folding`, no setup policy acts, and no artifact the driver has a
-        module for is ahead, but the one a target acts on. Such a driver
-        acts with frozen policies on their means and draws nothing, so it
-        can run as a lane (`run_lanes`)."""
+        module for is ahead, but the one a target acts on."""
         if not self.folding or self.switch.active == POLICY_SETUP:
             return False
         latched, x = self.switch.artifact, self.state.x
@@ -663,29 +648,10 @@ class EpisodeDriver:
 
 
 def run_lanes(drivers, limit=math.inf):
-    """Run drivers together until they end or their ticks pass `limit`;
-    returns the drivers.
-
-    A call runs evaluation drivers, or the tails of one trainer: training
-    drivers whose episodes only fold rewards from now on (`folds_only`). A
-    tail acts with frozen policies and draws nothing, as an evaluation lane
-    does, and adds each tick's shaped reward into its handoff's row
-    (`RolloutBuffer.add_reward`): on `run()` the trainer's `reward_fn` takes
-    one transition's floats, in a batch (k,) arrays over the live tails. Any
-    other call is rejected.
-
-    Each lane brings its own policies: the drivers may differ in their
-    default policy, their modules and their arm (`without_setup` or not).
-    While at least `LANE_CROSSOVER` lanes are live, they step as one
-    `RunnerBatch` (see `_run_batch`); the lanes left, or a call with fewer
-    lanes, go on one by one on `run()`, cheaper there.
-
-    A finished lane matches its driver's own `run()` in its discrete
-    results (success, failure, steps and the switch sequence), and in its
-    positions (x, c, v) and folded rewards within 1e-9, not bit for bit: a
-    batched forward rounds unlike the one-row forward of `run()`, and unlike
-    one over other rows. So a call's other lanes, and the tick a lane leaves
-    the batch, may move the last bits of its states and folds.
+    """Run evaluation drivers, or the tails of one trainer (`folds_only`),
+    together until they end or their ticks pass `limit`; returns the
+    drivers. Any other call is rejected. Each lane brings its own policies,
+    arm and modules.
     """
     if len({drv.trainer for drv in drivers}) > 1 or any(
             drv.trainer is not None and not drv.folds_only()
@@ -702,38 +668,21 @@ def run_lanes(drivers, limit=math.inf):
 
 
 def _run_batch(lanes, limit=math.inf):
-    """Tick live lanes, of one `run_lanes` call, as one RunnerBatch until
-    fewer than LANE_CROSSOVER are left or their ticks pass `limit`.
+    """Tick the live lanes of one `run_lanes` call as one RunnerBatch until
+    fewer than LANE_CROSSOVER are left or their ticks pass `limit`; writes
+    each lane back into its driver and returns those left.
 
-    Each lane's acting policy is a code into a table of its driver's
-    `policy()`, (role, net, norm): an entry is added the first time a lane
-    acts with that net and normalizer, matched by identity, so lanes acting
-    with the same ones share a code, whichever arm or cell they run. A tick
-    releases target lanes past their artifact; in an evaluation with
-    modules, it passes each walking lane that detects an artifact its
-    driver has a module for to the driver's `on_detection`. Tails look for
-    no artifact: `folds_only` holds none ahead. Then each acting policy
-    gets one normalize and one trunk pass over its lanes' observations, in
-    the order of its first lane, with a one-row pass for a lone row. Walker
-    and target lanes act on their means, the only head computed for them.
-    A setup lane samples from its driver's generator through `draw_act`,
-    as `policy_act` does. After the step, the handoff bits pass control to
-    the targets. Every switch goes through the driver's `SwitchState`.
-    Finished lanes are written back into their drivers and dropped; the
-    lanes left are written back and returned.
-
-    Tails share one carried target, their trained module's, and fold over
-    arrays. Each step keeps its `TailStep`: the target's value at each
-    tail's observation, off its group pass while it acts, else off one
-    batched pass of it over the other lanes, and the env rewards of
-    `RunnerBatch.rewards`. At the next step V(s') is known, and the
-    trainer's `reward_fn` runs once over the tails (`TailTarget`). The call
-    keeps each tail's buffer, as a code, and its handoff's row number in
-    arrays compacted with the lanes, so each buffer takes its tails'
-    rewards in one `add_reward`. The tails that finish get their terminal
-    rewards with the step that ends them; a tail written back alive gets
-    V(s') off a one-row pass of its own `carry`, which its ticks on `run()`
-    go on reading.
+    A lane's acting policy is a code into a table of its driver's
+    `policy()` triples, matched by identity, so lanes that act with the same
+    net and normalizer share a code, whichever arm or cell they run. Tails
+    look for no artifact: `folds_only` holds none ahead. A setup lane
+    samples from its driver's generator through `draw_act`, as `policy_act`
+    does. Tails share their trained module's carried target: each step keeps
+    its `TailStep`, whose rewards fold once the next step gives V(s'); a
+    tail that ends folds with its last step, and one written back alive
+    takes V(s') off its own `carry`, which its ticks on `run()` go on
+    reading. Each tail's buffer, as a code, and its handoff's row are kept
+    in arrays compacted with the lanes.
     """
     carried = _carried_policy(lanes[0].carry)  # None in an evaluation
     looks = carried is None and any(drv.modules for drv in lanes)
@@ -774,7 +723,6 @@ def _run_batch(lanes, limit=math.inf):
         its handoff's row, `rows`, of its buffer, `codes`: one add per
         buffer."""
         target = TailTarget(trainer.module, step, v_next)
-        # arrays overflow as floats do: silently
         with np.errstate(over="ignore", invalid="ignore"):
             r_hat = np.broadcast_to(trainer.reward_fn(
                 target, step.obs, obs_next, step.rewards, terminal,
@@ -891,44 +839,19 @@ def artifact_approach_init(artifact):
 def _train(trainer, env, default_net, default_norm, modules, budget, *,
            eval_every, eval_episodes, seed_tag, eval_tag, init_fn=None,
            n_workers=1, stop_at=None, on_episode_end=None):
-    """Round-robin PPO; returns (curve, steps_used, stopped).
+    """Round-robin PPO over `n_workers` drivers; returns (curve,
+    steps_used, stopped).
 
-    `n_workers` drivers take turns, each into its own buffer and on its own
-    stream, spawned from the trainer's `rng`: a worker draws its spawns,
-    action noise and handoff bits from it. At its turn a driver replays what
-    it can of the walker's opening (`replay_opening`, up to the budget's
-    room), then ticks once. A worker whose buffer is full pauses until
-    every buffer is full, which triggers one joint update; the loop counts
-    the buffers that have filled since the last one.
-    Buffers and streams persist across episodes; only the runner restarts.
-    Between updates the policy and its statistics are frozen, so each
-    worker's ticks depend on its own stream alone, and the update, which
-    merges the workers' rows in worker order, on no interleaving of them.
-    Every `eval_every` updates (never when 0) and once at the end,
-    `eval_episodes` bridged evaluation episodes (`episode_drivers`, run as
-    lanes) drawn from their own generator add a (steps_used, updates,
-    success_rate) row to the curve; with eval_episodes=0 the row's rate is
-    None. The final row is skipped when the curve's last row already holds
-    the last update. A periodic rate at or above `stop_at` ends training at
-    once (`stopped`).
-
-    Setup training parks its tails. At its worker's turn, a `folding`
-    driver whose episode only folds rewards from now on (`folds_only`) is
-    parked and the worker starts its next episode. Once every buffer is
-    full, the tails parked since the last update run in one `run_lanes`
-    call, in the order of workers ticking in turn, one tick each (a batch's
-    order moves the last bits of its folds), and their ticks count then:
-    the update reads their folds, and needs the ticks it would need on
-    `tick()`, as each worker's ticks depend on its own stream alone. Once they pass the budget, which on
-    `tick()` runs out inside this segment, they stop: training ends with
-    `steps_used` at the budget and no update. A handoff that fills its
-    buffer is parked at its worker's next turn, after the update, and
-    folds into the survivor of `clear_except_last`, as on `tick()`. Tails
-    parked after the last update never run. A tail draws nothing, so each
-    worker's draws keep the order of ticking every episode to its end, and
-    while fewer than `LANE_CROSSOVER` tails run together (on `run()`)
-    every update equals that of ticking them bit for bit. Without `extend`
-    or with an `on_episode_end`, every tail stays on `tick()`.
+    Each worker ticks into its own buffer on its own stream, spawned from
+    the trainer's `rng`; a worker whose buffer is full pauses until every
+    buffer is full, which triggers one joint update. Buffers and streams
+    persist across episodes. Every `eval_every` updates (never when 0) and
+    once at the end, unless the last row holds the last update,
+    `eval_episodes` evaluation episodes on their own generator add a
+    (steps_used, updates, success_rate) row to the curve; the rate is None
+    with no episodes. A periodic rate at or above `stop_at` ends training
+    (`stopped`). The module docstring describes the opening replay and the
+    parked tails.
     """
     if eval_episodes < 0 or eval_every < 0:
         raise ValueError("eval_every and eval_episodes must be >= 0")
@@ -984,8 +907,7 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
             if steps_used >= budget:
                 break
         if filled == n_workers:
-            # in the order of workers ticking in turn, one tick each: the
-            # order of a batch's lanes moves the last bits of their folds
+            # in the order of workers ticking in turn, one tick each
             tails = [tail for *_, tail in sorted(tails, key=lambda t: t[:2])]
             parked = sum(tail.state.steps for tail in tails)
             run_lanes(tails, budget - steps_used)
@@ -1086,28 +1008,13 @@ def train_setup(module: BehaviorModule, default_net, default_norm, env, config,
                 on_episode_end=None):
     """Train the module's setup policy in place; returns the training curve.
 
-    Episodes run the full bridged state machine; only ticks where the setup
-    policy acts append to its buffer, each buffer-full moment triggers a PPO
-    update followed by clear-except-last, and every post-handoff shaped reward
-    of an episode folds into the row its handoff stored (the survivor, if
-    that row was kept across an update); the tails that only fold run as
-    lanes, once per update, just before it (see `_train`). The budget counts
-    every environment tick of every training episode (walking and target
-    phases included, the walker's replayed opening too); evaluation
-    episodes are free. Tails stop once their ticks pass it, and no update
-    follows. `on_episode_end(driver)` fires after each finished training
-    episode, before the runner restarts, and keeps every tail on
-    `tick()`.
-
-    `reward_fn(target, obs, obs_next, r_env, terminal, action)` takes floats
-    for one transition, or (k,) arrays over the tails of a lane batch (see
-    the module docstring). Its `target` is not the module itself but a view
-    of its frozen target that offers `target_value`, `target_action` and
-    `params`: on `tick()` the driver's `carry`, a CarriedTarget that
-    evaluates the target once per observation, in a lane batch a
-    TailTarget over the batched passes. Each worker's driver keeps its own
-    carry, so the workers' shared module is never written to. The course
-    must hold the module's kind (CourseError).
+    The budget counts every environment tick of every training episode, the
+    walker's replayed opening and the tails included; evaluation episodes
+    are free. `reward_fn` keeps the setup-reward contract of the module
+    docstring. `on_episode_end(driver)` fires after each finished training
+    episode, before the runner restarts. The course must hold the module's
+    kind (CourseError), and the target and the walker must stay frozen
+    (RuntimeError).
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")

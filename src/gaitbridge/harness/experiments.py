@@ -477,7 +477,8 @@ def run_multi_terrain(config):
     Each (seed, episode) draws its own course order and episode generator,
     and the policies are frozen. Every cell's episodes run together as lanes
     of one `run_lanes` call, one course and env per lane, so an episode's
-    discrete results do not depend on the other cells (see `run_lanes`).
+    discrete results do not depend on the other cells (see the `composer`
+    module docstring).
     """
     walker, policies, config = _load_checkpoints(
         config, "multi-terrain", KINDS, ("target", "setup"))

@@ -865,6 +865,40 @@ class TestTargetCarry:
         uncached(monkeypatch)
         assert carried == run()
 
+    @pytest.mark.parametrize("tag", list(SETUP_REWARDS))
+    def test_one_observation_slot_serves_every_reward(self, monkeypatch, tag):
+        # a tick reads the target at s before s', and its s is the last
+        # tick's s', so the carry's one slot runs one trunk pass per
+        # observation it is asked about, whichever reward reads it. The
+        # carries and arrays asked about are kept, so their ids stay
+        # distinct.
+        env, default_net, d_norm, module = fast_training_world()
+        slot, trunk = cp.CarriedTarget._slot, cp.policy_trunk
+        asked, passes, in_slot = [], [0], [False]
+
+        def spy_slot(carry, obs_raw):
+            asked.append((carry, obs_raw))
+            in_slot[0] = True
+            try:
+                return slot(carry, obs_raw)
+            finally:
+                in_slot[0] = False
+
+        def spy_trunk(*args):
+            passes[0] += in_slot[0]
+            return trunk(*args)
+
+        monkeypatch.setattr(cp.CarriedTarget, "_slot", spy_slot)
+        monkeypatch.setattr(cp, "policy_trunk", spy_trunk)
+        # with an on_episode_end every tail stays on tick()
+        train_setup(module, default_net, d_norm, env,
+                    PPOConfig(horizon=16, minibatch=16, epochs=1), 3000,
+                    np.random.default_rng(5), reward_fn=SETUP_REWARDS[tag],
+                    eval_every=0, eval_episodes=0, n_workers=2,
+                    on_episode_end=lambda driver: None)
+        distinct = {(id(carry), id(obs)) for carry, obs in asked}
+        assert passes[0] == len(distinct) > 100
+
     def test_target_runs_at_most_once_per_reward_plus_one(self):
         env, default_net, d_norm, module = fast_training_world()
         net = module.target_net

@@ -11,7 +11,9 @@ adds a folded reward into a buffer row, one function
 reads a frozen policy through its normalizer and trunk, one function in
 config.py builds the PPO and AWTV settings, every public function and
 class in src/ is read by name somewhere else in src/ or bench/ (a package
-`__init__.py`'s re-export is no read; the exceptions are listed), and every
+`__init__.py`'s re-export is no read; the exceptions are listed), every
+method and property of a class in src/ is read by name outside its own
+definition, in src/, bench/ or tools/ (the exceptions are listed), and every
 function the benchmark traces for its per-layer metrics still exists,
 unless it is listed below with the reason it is gone.
 """
@@ -409,6 +411,90 @@ def test_every_public_definition_in_src_is_read_elsewhere():
     assert not found, "definitions nothing else reads:\n" + "\n".join(found)
     stale = read & set(TEST_ONLY_DEFINITIONS)
     assert not stale, f"read in src/ or bench/ now: {sorted(stale)}"
+
+
+def class_members(source):
+    """(class, name, first line, last line) of each method and property of
+    each class: a function defined in its body, or a name it binds to a
+    `property(...)` call. Dunder methods are the language's to call."""
+    members = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef):
+                names = [item.name]
+            elif (isinstance(item, ast.Assign)
+                  and isinstance(item.value, ast.Call)
+                  and getattr(item.value.func, "id", None) == "property"):
+                names = [target.id for target in item.targets
+                         if isinstance(target, ast.Name)]
+            else:
+                continue
+            members += [(node.name, name, item.lineno, item.end_lineno)
+                        for name in names
+                        if not (name.startswith("__") and name.endswith("__"))]
+    return members
+
+
+def unread_members(sources, owners):
+    """"path:line: Class.name" of each member of a class in a source under
+    one of `owners` that no source reads by name (a loaded `Name` or
+    `Attribute`) outside the member's own lines."""
+    reads = {}
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.Name, ast.Attribute))
+                    and isinstance(node.ctx, ast.Load)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                reads.setdefault(name, []).append((path, node.lineno))
+    return [f"{path}:{first}: {cls}.{name}"
+            for path, source in sources.items()
+            if any(path.startswith(owner) for owner in owners)
+            for cls, name, first, last in class_members(source)
+            if all(where == path and first <= line <= last
+                   for where, line in reads.get(name, ()))]
+
+
+def test_member_detectors():
+    sources = {
+        "src/a.py": ("class A:\n    def used(self):\n        return 1\n"
+                     "    def self_only(self):\n"
+                     "        return self.self_only()\n"
+                     "    def _private(self):\n        pass\n"
+                     "    def __len__(self):\n        return 0\n"
+                     "    size = property(lambda self: 2)\n"
+                     "    def stored(self):\n        pass\n"
+                     "def f(a):\n    a.stored = 3\n"
+                     "    return a.used() + A.size\n"),
+        "tools/b.py": "def g(a):\n    return a._private()\n",
+    }
+    assert class_members(sources["src/a.py"]) == [
+        ("A", "used", 2, 3), ("A", "self_only", 4, 5), ("A", "_private", 6, 7),
+        ("A", "size", 10, 10), ("A", "stored", 11, 12)]
+    assert unread_members(sources, ("src/",)) == [
+        "src/a.py:4: A.self_only", "src/a.py:11: A.stored"]
+    assert unread_members(sources, ("tools/",)) == []
+
+
+# methods and properties of src/ classes that only the tests read, as
+# "Class.name", and why each stays
+TEST_ONLY_MEMBERS = {}
+
+
+def test_every_method_and_property_in_src_is_read_elsewhere():
+    # a member that nothing in the program reads outside its own body is
+    # dead code, or a test helper that belongs in tests/helpers.py
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for top in ("src", "bench", "tools")
+               for path in sorted((ROOT / top).rglob("*.py"))}
+    unread = unread_members(sources, ("src/",))
+    found = [where for where in unread
+             if where.rpartition(" ")[2] not in TEST_ONLY_MEMBERS]
+    assert not found, "members nothing else reads:\n" + "\n".join(found)
+    stale = set(TEST_ONLY_MEMBERS) - {where.rpartition(" ")[2]
+                                      for where in unread}
+    assert not stale, f"read in src/, bench/ or tools/ now: {sorted(stale)}"
 
 
 # trace targets of bench/measure.py that name no function, and why; each

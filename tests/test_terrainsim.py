@@ -35,6 +35,7 @@ from gaitbridge.terrainsim import (
     STEP_UP_LIMIT,
     V_MAX,
     RunnerBatch,
+    RunnerState,
     TerrainEnv,
     detects,
     distance_fraction,
@@ -825,3 +826,17 @@ def test_batch_step_on_a_finished_lane_raises():
     assert done.tolist() == [False, True]
     with pytest.raises(RuntimeError, match="finished lane"):
         batch.step(np.zeros((2, 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_standard_spawn_stands_on_flat_ground(data):
+    # a valid course starts its first artifact at or past SPAWN_MAX_X, so
+    # every standard spawn is a standing runner on flat ground: the setup
+    # trainer's walker opening starts from it with no check of its own
+    course = data.draw(st.none() | courses())
+    if course is None:
+        course = flat_course(data.draw(st.floats(0.1, 50.0)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    state = TerrainEnv(course).reset(np.random.default_rng(seed))
+    assert state == RunnerState(x=state.x)

@@ -15,7 +15,10 @@ one `name count` line for each:
 - `RunnerBatch.step`: lockstep steps of lane batches;
 - `reward_fn`: calls of the trainers' setup reward, one per transition on
   `tick()` and one per lockstep step of a batch of tails;
-- `RolloutBuffer.add_reward` and `Trainer.update`: their calls.
+- `RolloutBuffer.add_reward` and `Trainer.update`: their calls;
+- `CarriedTarget passes`: the target's trunk passes that drivers' carried
+  targets run on `tick()`, those that `policy_trunk` runs inside
+  `CarriedTarget._slot`.
 
 The package comes from this checkout's `src`. A counted function that the
 package does not define prints `absent`. One BLAS thread, as `bench/run.py`.
@@ -46,7 +49,7 @@ METHODS = (("EpisodeDriver.tick", composer.EpisodeDriver, "tick"),
            ("Trainer.update", composer.Trainer, "update"))
 ORDER = ("EpisodeDriver.tick", "EpisodeDriver.replay_opening", "replays",
          "replayed ticks", "lane-ticks", "RunnerBatch.step", "reward_fn",
-         "RolloutBuffer.add_reward", "Trainer.update")
+         "RolloutBuffer.add_reward", "Trainer.update", "CarriedTarget passes")
 
 
 def spy_counts(workload, seed, **sizes):
@@ -54,6 +57,8 @@ def spy_counts(workload, seed, **sizes):
     `seed` with `sizes`; None for a method the package does not define."""
     counts = dict.fromkeys(ORDER, 0)
     run_lanes, trainer_init = composer.run_lanes, composer.Trainer.__init__
+    policy_trunk, in_slot = composer.policy_trunk, [False]
+    slot = getattr(composer.CarriedTarget, "_slot", None)
 
     def count(label, fn, after=None):
         def spy(*args, **kwargs):
@@ -79,8 +84,24 @@ def spy_counts(workload, seed, **sizes):
         trainer_init(trainer, *args, **kwargs)
         trainer.reward_fn = count("reward_fn", trainer.reward_fn)
 
+    def spy_slot(carry, obs_raw):
+        in_slot[0] = True
+        try:
+            return slot(carry, obs_raw)
+        finally:
+            in_slot[0] = False
+
+    def spy_policy_trunk(*args):
+        counts["CarriedTarget passes"] += in_slot[0]
+        return policy_trunk(*args)
+
     spies = [(composer, "run_lanes", spy_run_lanes),
              (composer.Trainer, "__init__", spy_trainer_init)]
+    if slot is None:
+        counts["CarriedTarget passes"] = None
+    else:
+        spies += [(composer.CarriedTarget, "_slot", spy_slot),
+                  (composer, "policy_trunk", spy_policy_trunk)]
     for label, owner, name in METHODS:
         if hasattr(owner, name):
             spies.append((owner, name, count(
