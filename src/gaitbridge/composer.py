@@ -88,17 +88,27 @@ over arrays: each lockstep step makes one reward call for all of them and
 one `add_reward` per buffer.
 
 Setup rewards. A setup reward `reward_fn(target, obs, obs_next, r_env,
-terminal, action)` takes floats for one transition, or (k,) arrays over k
-tails, and returns a float or a (k,) array (a float stands for all k). Its
+terminal, action)` takes floats for one transition, or (k,) arrays over k,
+and returns a float or a (k,) array (a float stands for all k). Its
 `target` gives the frozen specialist's `target_value` at `obs` or
 `obs_next`, a float or (k,), its mean `target_action` at `obs`, (2,) or
 (k, 2), and the AWTV `params`; `obs` and `obs_next` are one observation or
 (k, OBS_DIM), `r_env` a float or (k,), `action` (2,) or (k, 2), and
 `terminal` one bool. On `tick()` the target is the driver's own
 `CarriedTarget`, so workers never write to their shared module; a call of
-tails passes a `TailTarget` over the batched passes, under `np.errstate`
-that lets arrays overflow silently, as floats do. Each array operation a
-reward uses must round each row as its float operation does (`+ - * /`,
+tails passes a `TailTarget` over the batched passes. Only GAE reads a
+reward, so a learning tick whose episode stays in its setup phase (no
+handoff bit, not done, not folding) stores r_env and defers its reward:
+just before an update `_fill_rewards` computes the buffers' deferred
+rewards, a minibatch of rows per call, through a `RowTarget`, whose
+per-row passes give each row the floats of its one-row pass. A row's s' is
+the next row's raw observation, or its driver's for the last row. Rows
+deferred where the budget ends are never read, nor filled. A handoff row
+stays eager, as folds add onto it in order, and so do a done row, a
+folding tick, and every tick of a run with an `on_episode_end`, whose
+reward may keep state. Array calls run under `np.errstate` that lets
+arrays overflow silently, as floats do, and each array operation a reward
+uses must round each row as its float operation does (`+ - * /`,
 `np.minimum`, `np.exp`, `np.vecdot` do).
 """
 
@@ -403,6 +413,27 @@ class TailTarget(namedtuple("TailTarget", "module step v_next")):
             step.trunks, params["mu.w"]) + params["mu.b"], step.actions)
 
 
+class RowTarget(namedtuple("RowTarget", "module")):
+    """The carried target over (k, OBS_DIM) rows of deferred transitions,
+    read per row (`trunk_rows`, `np.vecdot`, `np.vecmat`): each row as
+    `CarriedTarget` reads one."""
+
+    params = property(lambda self: self.module.params)
+
+    def _rows(self, obs_raw):
+        net, norm = self.module.target_net, self.module.target_norm
+        h = net.trunk_rows(norm.normalize(policy_obs(net, obs_raw)))
+        return h, net.params
+
+    def target_value(self, obs_raw):
+        h, p = self._rows(obs_raw)
+        return np.vecdot(h, p["value.w"][:, 0]) + p["value.b"][0]
+
+    def target_action(self, obs_raw):
+        h, p = self._rows(obs_raw)
+        return np.vecmat(h, p["mu.w"]) + p["mu.b"]
+
+
 def _carried_policy(carry):
     """The target that `carry` views as (role, net, norm), which
     `EpisodeDriver.policy` gives while it acts: a trunk pass of that policy
@@ -450,6 +481,7 @@ class Trainer:
         self.extend = extend
         self.updates = 0
         self.opening = None if module is None else []
+        self.defers = False  # set by _train: setup rewards may wait
 
     def update(self, drivers):
         """One PPO update from every driver's full buffer under the statistics
@@ -566,7 +598,7 @@ class EpisodeDriver:
             record.append((state.v, state.w, state.h, state.c, state.contact,
                            state.v * DT))
         end = min(len(record), t + room)
-        while t < end and start - x > reach and x + record[t][5] < start:
+        while t < end and start - x > reach:
             x += record[t][5]
             t += 1
         if not start - x > reach:
@@ -614,8 +646,11 @@ class EpisodeDriver:
 
         r_step = r_env  # what a learning tick stores, or a folding one adds
         if self.folding or (learning and acting == POLICY_SETUP):
-            r_step = trainer.reward_fn(self.carry, obs, self.observation(),
-                                       r_env, done, action)
+            if trainer.defers and not (self.folding or done or bit):
+                self.buffer.defer_reward()  # the setup phase goes on
+            else:
+                r_step = trainer.reward_fn(self.carry, obs, self.observation(),
+                                           r_env, done, action)
         if learning:
             self.fold_row = self.buffer.append(
                 obs_n, action, bit, mean, logit, r_step,
@@ -662,8 +697,10 @@ def run_lanes(drivers, limit=math.inf):
     live = [drv for drv in drivers if not drv.done]
     if len(live) >= LANE_CROSSOVER:
         live = _run_batch(live, limit)
+    limit += steps - sum(drv.state.steps for drv in drivers)
     for drv in live:
-        drv.run(limit + steps - sum(d.state.steps for d in drivers))
+        steps = drv.state.steps
+        limit -= drv.run(limit).state.steps - steps
     return drivers
 
 
@@ -880,6 +917,8 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
         trainer.config.horizon, trainer.net.obs_dim, trainer.net.action_dim,
         trainer.module is not None)) for w in range(n_workers)]
     parks = on_episode_end is None  # else each episode ends on tick()
+    # a reward with an on_episode_end may keep state: it runs at each tick
+    trainer.defers = parks and trainer.net.obs_dim == OBS_DIM
     # each training tail parked since the last update, as (its worker's
     # ticks before it, its worker, the tail), and each worker's ticks
     tails, ticked = [], [0] * n_workers
@@ -917,6 +956,7 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
                 # on tick() the budget runs out inside this segment
                 steps_used = budget
                 break
+            _fill_rewards(trainer, drivers)
             trainer.update(drivers)
             if eval_every and trainer.updates % eval_every == 0:
                 rate = run_eval(steps_used)
@@ -926,6 +966,25 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
     if not curve or curve[-1][1] != trainer.updates:
         run_eval(steps_used)
     return curve, steps_used, False
+
+
+def _fill_rewards(trainer, drivers):
+    """Fill each buffer's deferred setup rewards (see the module
+    docstring)."""
+    target = RowTarget(trainer.module)
+    for drv in drivers:
+        buf = drv.buffer
+        raw, last = buf.raw_obs, len(buf) - 1
+
+        def rewards_of(index):
+            obs_next = raw[np.minimum(index + 1, last)]
+            obs_next[index == last] = drv.observation()
+            with np.errstate(over="ignore", invalid="ignore"):
+                return trainer.reward_fn(target, raw[index], obs_next,
+                                         buf.rewards[index], False,
+                                         buf.actions[index])
+
+        buf.fill_rewards(rewards_of, trainer.config.minibatch)
 
 
 def course_for_kind(kind):

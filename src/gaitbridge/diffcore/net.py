@@ -33,7 +33,12 @@ Inference is `trunk(obs)`, the last trunk activation, then only the heads
 the caller reads: `head(name, h)`, and `scalar_head` for the value and the
 switch logit. On one row that is a float, the 1-D product of h with the
 weight column plus the bias, which may round unlike a (1, h) x (h, 1)
-product; a batch takes the latter.
+product; a batch takes the latter. `trunk_rows` runs a batch as one product
+per row (`np.vecmat`, numpy >= 2.2), and `np.vecdot` and `np.vecmat` on its
+rows give the value and mean heads per row: each row then gets the floats
+of its one-row pass, where a batched product may round a row otherwise.
+numpy does not promise that equality either; a test checks it on every
+bench fixture net.
 
 `ParameterizedNet.backward` is the reverse pass of the only graph this code
 differentiates: trunk, then the heads named by the loss. Gradients land in one
@@ -198,6 +203,16 @@ class ParameterizedNet:
     def trunk(self, obs):
         """The last of `activations(obs)`."""
         return self.activations(obs)[-1]
+
+    def trunk_rows(self, obs):
+        """`trunk` of a (B, obs_dim) batch, one product per row
+        (`np.vecmat`): each row the floats of its one-row `trunk`."""
+        h = obs
+        for w, b in self._trunk:
+            h = np.vecmat(h, w)
+            h += b
+            np.tanh(h, out=h)
+        return h
 
     def head(self, name, h):
         """Linear head `name` ("mu", "value" or "switch") on trunk output h."""

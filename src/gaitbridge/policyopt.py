@@ -110,6 +110,11 @@ class RolloutBuffer:
     The survivor of `clear_except_last` keeps the log-probability filled at
     its own update. `take_raw` hands out each raw row once: the survivor,
     taken before its update's clear, is not handed out again.
+
+    A reward may be pending: `defer_reward` marks the row `append` writes
+    next in a (capacity,) bool column, and the row stores the reward it is
+    given until `fill_rewards` writes its own. A clear must find none
+    pending.
     """
 
     obs = _filled("_obs")
@@ -136,6 +141,7 @@ class RolloutBuffer:
         self._actions, self._means = np.empty((2, rows, action_width))
         self._rewards, self._values, self._logprobs = np.empty((3, rows))
         self._dones = np.empty(rows, dtype=bool)
+        self._pending = np.zeros(rows, dtype=bool)  # rewards to fill
         self._columns = [self._obs, self._raw, self._actions, self._means,
                          self._rewards, self._values, self._logprobs,
                          self._dones]
@@ -192,12 +198,33 @@ class RolloutBuffer:
                               "buffer")
         np.add.at(self._rewards, i, delta)
 
+    def defer_reward(self):
+        """Mark the reward of the row `append` writes next as pending."""
+        self._pending[self._n] = True
+
+    def fill_rewards(self, rewards_of, chunk):
+        """Write the reward of each pending row, `chunk` rows at a time:
+        `rewards_of(index)` gives the rewards of a (k,) array of row
+        indices, (k,) or one for all. Returns the rows filled; none is
+        pending after."""
+        pending = self._pending[:self._n].nonzero()[0]
+        self._pending[pending] = False
+        for start in range(0, pending.size, chunk):
+            index = pending[start:start + chunk]
+            self._rewards[index] = rewards_of(index)
+        return pending.size
+
     def take_raw(self):
         """The raw rows not yet taken, a view; they count as taken now."""
         start, self._n_taken = self._n_taken, self._n
         return self._raw[start:self._n]
 
+    def _check_filled(self):
+        if self._pending[:self._n].any():
+            raise BufferError("a clear with rewards pending")
+
     def clear(self):
+        self._check_filled()
         self._dropped += self._n
         self._n = self._n_logp = self._n_taken = 0
 
@@ -207,6 +234,7 @@ class RolloutBuffer:
         n = self._n
         if not n:
             raise BufferError("clear_except_last on an empty buffer")
+        self._check_filled()
         for column in self._columns:
             column[0] = column[n - 1]
         self._dropped += n - 1

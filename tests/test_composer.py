@@ -2997,3 +2997,174 @@ def test_seeded_lanes_digest():
     assert {len(out.switch.events) > 0 for out in outcomes} == {True}
     assert lanes_digest(outcomes) == ("b9f1546c8f076a07bd120bd73a168661"
                                       "ccefff43d7385a96e0639c46a9dd3340")
+
+
+def reward_log(monkeypatch):
+    """A list that gets, at each update, the bytes of every buffer's
+    rewards."""
+    log, update = [], Trainer.update
+
+    def spy_update(trainer, workers):
+        log.append([drv.buffer.rewards.tobytes() for drv in workers])
+        update(trainer, workers)
+
+    monkeypatch.setattr(Trainer, "update", spy_update)
+    return log
+
+
+def deferral_off(monkeypatch):
+    """Train with every setup reward computed at its tick."""
+    monkeypatch.setattr(Trainer, "defers", property(
+        lambda trainer: False, lambda trainer, value: None), raising=False)
+
+
+def filled_rows(monkeypatch):
+    """A list that gets the rows each `fill_rewards` call fills."""
+    filled, fill = [], RolloutBuffer.fill_rewards
+
+    def spy_fill(buf, rewards_of, chunk):
+        filled.append(fill(buf, rewards_of, chunk))
+        return filled[-1]
+
+    monkeypatch.setattr(RolloutBuffer, "fill_rewards", spy_fill)
+    return filled
+
+
+class TestDeferredRewards:
+    """A learning tick that stays in its setup phase stores r_env and leaves
+    its reward to `_fill_rewards`, just before the update that reads it."""
+
+    def test_the_row_target_reads_each_row_as_the_carried_target(self):
+        net, norm = bench_policy("hurdle_target")
+        module = BehaviorModule(HURDLE, net, norm, net.copy(), norm.copy())
+        obs = np.random.default_rng(3).normal(0.5, 2.0, size=(200, OBS_DIM))
+        rows = cp.RowTarget(module)
+        values, means = rows.target_value(obs), rows.target_action(obs)
+        for row, value, mean in zip(obs, values, means):
+            carry = cp.CarriedTarget(module)
+            assert carry.target_value(row).hex() == float(value).hex()
+            assert carry.target_action(row).tobytes() == mean.tobytes()
+
+    @pytest.mark.parametrize("tag", list(SETUP_REWARDS))
+    def test_each_update_reads_the_rewards_of_ticking(self, monkeypatch, tag):
+        # two workers, several chunks a buffer; the eager run computes every
+        # reward at its tick
+        log, filled = reward_log(monkeypatch), filled_rows(monkeypatch)
+
+        def run():
+            env, default_net, d_norm, module = fast_training_world()
+            curve = train_setup(module, default_net, d_norm, env,
+                                PPOConfig(horizon=48, minibatch=8, epochs=1),
+                                4000, np.random.default_rng(8),
+                                reward_fn=SETUP_REWARDS[tag], eval_every=0,
+                                eval_episodes=0, n_workers=2)
+            return training_digest(module.setup_net, module.setup_norm, curve)
+
+        deferred = run(), log[:]
+        assert len(log) >= 3 and sum(filled) > 3 * 2 * 8
+        log.clear(), filled.clear()
+        deferral_off(monkeypatch)
+        assert (run(), log) == deferred
+        assert sum(filled) == 0
+
+    def test_a_setup_phase_that_ends_its_episode_stays_eager(
+            self, monkeypatch):
+        # with no handoff a setup phase ends its episode, and a done row's
+        # s' is in no row of its buffer. The AWTV reward of a failure is
+        # squashed to 0 whatever V(s') is, so this reward reads V(s') alone.
+        def next_value(target, obs, obs_next, r_env, terminal, action):
+            return 0.0 if terminal else target.target_value(obs_next)
+
+        log, update, dones = reward_log(monkeypatch), Trainer.update, []
+
+        def spy_update(trainer, workers):
+            dones.extend(drv.buffer.dones.sum() for drv in workers)
+            update(trainer, workers)
+
+        monkeypatch.setattr(Trainer, "update", spy_update)
+
+        def run():
+            env, default_net, d_norm, module = fast_training_world()
+            module.setup_net.params["switch.b"][0] = -30.0
+            curve = train_setup(module, default_net, d_norm, env,
+                                PPOConfig(horizon=48, minibatch=8, epochs=1),
+                                4000, np.random.default_rng(8),
+                                reward_fn=next_value, eval_every=0,
+                                eval_episodes=0, n_workers=2)
+            return training_digest(module.setup_net, module.setup_norm, curve)
+
+        deferred = run(), log[:]
+        assert sum(dones) > 0
+        log.clear()
+        deferral_off(monkeypatch)
+        assert (run(), log) == deferred
+
+    def test_rows_deferred_where_the_budget_ends_are_never_filled(
+            self, monkeypatch):
+        env, default_net, d_norm, module = fast_training_world()
+        buffers, fill = [], cp._fill_rewards
+        log, filled = reward_log(monkeypatch), filled_rows(monkeypatch)
+
+        def spy_fill(trainer, drivers):
+            buffers[:] = [drv.buffer for drv in drivers]
+            fill(trainer, drivers)
+
+        monkeypatch.setattr(cp, "_fill_rewards", spy_fill)
+        curve = train_setup(module, default_net, d_norm, env,
+                            PPOConfig(horizon=48, minibatch=8, epochs=1),
+                            2500, np.random.default_rng(8), eval_every=0,
+                            eval_episodes=0, n_workers=2)
+        assert curve[-1][0] == 2500 and len(filled) == 2 * len(log) > 0
+        # the last segment deferred rows, and no update read or filled them
+        assert all(buf._pending[:len(buf)].any() for buf in buffers)
+
+    def test_the_proximity_arm_defers_nothing(self, monkeypatch):
+        # its reward keeps each observation it is asked about, in order
+        defers, filled = [], filled_rows(monkeypatch)
+        monkeypatch.setattr(RolloutBuffer, "defer_reward",
+                            lambda buf: defers.append(buf))
+        env, walker, walker_norm, module = fast_training_world()
+        _, curve = train_proximity_arm(
+            module, walker, walker_norm, env,
+            PPOConfig(horizon=16, minibatch=8, epochs=2), 3000,
+            np.random.default_rng(5), eval_every=0, eval_episodes=0)
+        assert curve[-1][1] > 0 and len(filled) > 0
+        assert defers == [] and sum(filled) == 0
+
+    def test_a_deferred_last_row_reads_its_driver_and_survives_filled(
+            self, monkeypatch):
+        # a buffer's last row takes s' from its paused driver, which acts
+        # from there after the update; the row survives clear_except_last
+        # with its filled reward
+        env, default_net, d_norm, module = fast_training_world()
+        fill, survivors = cp._fill_rewards, []
+
+        def spy_fill(trainer, drivers):
+            lasts = [(drv.buffer, len(drv.buffer) - 1, drv.observation(),
+                      float(drv.buffer.rewards[-1])) for drv in drivers
+                     if drv.buffer._pending[len(drv.buffer) - 1]]
+            fill(trainer, drivers)
+            for buf, last, obs_next, r_env in lasts:
+                want = awtv_step_reward(
+                    cp.CarriedTarget(module), buf.raw_obs[last].copy(),
+                    obs_next, r_env, False, buf.actions[last].copy())
+                assert buf.rewards[last].hex() == want.hex()
+                survivors.append((buf, want))
+
+        update = Trainer.update
+
+        def spy_update(trainer, workers):
+            update(trainer, workers)
+            while survivors:
+                buf, want = survivors.pop()
+                assert len(buf) == 1 and buf.rewards[0] == want
+                checked.append(want)
+
+        checked = []
+        monkeypatch.setattr(cp, "_fill_rewards", spy_fill)
+        monkeypatch.setattr(Trainer, "update", spy_update)
+        train_setup(module, default_net, d_norm, env,
+                    PPOConfig(horizon=48, minibatch=8, epochs=1), 4000,
+                    np.random.default_rng(8), eval_every=0, eval_episodes=0,
+                    n_workers=2)
+        assert len(checked) >= 2

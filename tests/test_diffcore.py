@@ -1,5 +1,6 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -530,3 +531,30 @@ def test_backward_writes_whichever_gradient_vector_it_is_given():
     assert np.array_equal(b, want[1]) and np.array_equal(a, want[0])
     switch_bce_grad(net, *batches[1], a)
     assert np.array_equal(a, want[1]) and np.array_equal(b, want[1])
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "bench" / "fixtures"
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 64, 500])
+@pytest.mark.parametrize("fixture",
+                         sorted(p.stem for p in FIXTURES.glob("*.npz")))
+def test_per_row_passes_equal_one_row_passes(fixture, rows):
+    # trunk_rows, and np.vecdot / np.vecmat heads on its rows, give each row
+    # the floats of its one-row trunk, scalar_head and head; numpy promises
+    # no such equality, and a batched product breaks it
+    with np.load(FIXTURES / f"{fixture}.npz", allow_pickle=False) as data:
+        net = ParameterizedNet.from_params({
+            key[len("param."):]: data[key] for key in data.files
+            if key.startswith("param.")})
+    obs = np.random.default_rng(rows).normal(0.0, 1.5,
+                                             size=(rows, net.obs_dim))
+    h, p = net.trunk_rows(obs), net.params
+    values = np.vecdot(h, p["value.w"][:, 0]) + p["value.b"][0]
+    means = np.vecmat(h, p["mu.w"]) + p["mu.b"]
+    assert h.shape == (rows, net.hidden[-1])
+    for row, h_row, value, mean in zip(obs, h, values, means):
+        one = net.trunk(row)
+        assert one.tobytes() == h_row.tobytes()
+        assert net.scalar_head("value", one).hex() == float(value).hex()
+        assert net.head("mu", one).tobytes() == mean.tobytes()

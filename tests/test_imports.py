@@ -282,7 +282,8 @@ def test_the_fold_is_written_once():
     # one function adds a folded reward into a buffer row, over one row or
     # an array of them, and both paths that tick a training tail call it:
     # tick() for one tick, the lane batch once per buffer and step. Beside
-    # it only the buffer's allocation and `append` touch the rewards column.
+    # it only the buffer's allocation, `append` and the writer of deferred
+    # rewards touch the rewards column.
     sources = [path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src").rglob("*.py"))]
     adds = [scope for source in sources
@@ -291,7 +292,8 @@ def test_the_fold_is_written_once():
     column = {scope for source in sources
               for scope in attribute_scopes(source, "_rewards")}
     assert column == {("RolloutBuffer", name)
-                      for name in ("__init__", "append", "add_reward")}
+                      for name in ("__init__", "append", "add_reward",
+                                   "fill_rewards")}
 
 
 def frozen_read_scopes(source):

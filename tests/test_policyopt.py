@@ -411,6 +411,31 @@ def test_buffer_add_reward_over_an_array_of_rows():
     assert buf.rewards.tolist() == [want[3] + 1.0]
 
 
+def test_buffer_fills_its_pending_rewards_in_chunks():
+    # a pending row keeps the reward it was given until `fill_rewards`
+    # writes its own, `chunk` indices at a time; an update's clear refuses
+    # a buffer with rewards pending
+    buf, calls = RolloutBuffer(8, 1, 1, False), []
+    for i in range(6):
+        if i % 3:
+            buf.defer_reward()
+        buf.append(np.zeros(1), np.zeros(1), None, np.zeros(1), 0.0, float(i),
+                   0.0, False, np.zeros(1))
+    with pytest.raises(BufferError, match="pending"):
+        buf.clear_except_last()
+
+    def rewards_of(index):
+        calls.append(index.tolist())
+        return 10.0 * buf.rewards[index]
+
+    assert buf.fill_rewards(rewards_of, 3) == 4
+    assert calls == [[1, 2, 4], [5]]
+    assert buf.rewards.tolist() == [0.0, 10.0, 20.0, 3.0, 40.0, 50.0]
+    assert buf.fill_rewards(rewards_of, 3) == 0 and len(calls) == 2
+    buf.clear_except_last()
+    assert buf.rewards.tolist() == [50.0]
+
+
 def _row(bit, width=3):
     return (np.zeros(width), np.zeros(1), bit, np.zeros(1),
             None if bit is None else 0.5, 0.0, 0.0, False, np.zeros(width))

@@ -226,6 +226,7 @@ def test_spy_counts_of_a_toy_instance(monkeypatch):
     assert list(got) == list(tool.ORDER)
     assert got == {**dict.fromkeys(tool.ORDER, 0), "EpisodeDriver.tick": 128,
                    "EpisodeDriver.replay_opening": 128, "Trainer.update": 2}
+    assert got["deferred rewards filled"] == 0
     # setup training: the walker's openings replay in one call each, and
     # the tails fold in lane batches, one add per buffer and lockstep step
     got = tool.spy_counts("setup-train", 1, budget=20_000, horizon=256)
@@ -236,6 +237,8 @@ def test_spy_counts_of_a_toy_instance(monkeypatch):
     assert 0 < got["RolloutBuffer.add_reward"] < got["lane-ticks"] / 4
     # the carried targets' trunk passes on tick(); target training has none
     assert got["CarriedTarget passes"] > 0
+    # setup rows left to the update fill there; target training defers none
+    assert got["deferred rewards filled"] > 0
     # a method the package does not define reads None
     monkeypatch.delattr(tool.policyopt.RolloutBuffer, "add_reward")
     monkeypatch.delattr(tool.composer.CarriedTarget, "_slot")

@@ -18,7 +18,9 @@ one `name count` line for each:
 - `RolloutBuffer.add_reward` and `Trainer.update`: their calls;
 - `CarriedTarget passes`: the target's trunk passes that drivers' carried
   targets run on `tick()`, those that `policy_trunk` runs inside
-  `CarriedTarget._slot`.
+  `CarriedTarget._slot`;
+- `deferred rewards filled`: the pending setup rewards that
+  `RolloutBuffer.fill_rewards` wrote before updates.
 
 The package comes from this checkout's `src`. A counted function that the
 package does not define prints `absent`. One BLAS thread, as `bench/run.py`.
@@ -46,10 +48,13 @@ METHODS = (("EpisodeDriver.tick", composer.EpisodeDriver, "tick"),
             "replay_opening"),
            ("RunnerBatch.step", composer.RunnerBatch, "step"),
            ("RolloutBuffer.add_reward", policyopt.RolloutBuffer, "add_reward"),
-           ("Trainer.update", composer.Trainer, "update"))
+           ("Trainer.update", composer.Trainer, "update"),
+           ("deferred rewards filled", policyopt.RolloutBuffer,
+            "fill_rewards"))
 ORDER = ("EpisodeDriver.tick", "EpisodeDriver.replay_opening", "replays",
          "replayed ticks", "lane-ticks", "RunnerBatch.step", "reward_fn",
-         "RolloutBuffer.add_reward", "Trainer.update", "CarriedTarget passes")
+         "RolloutBuffer.add_reward", "Trainer.update", "CarriedTarget passes",
+         "deferred rewards filled")
 
 
 def spy_counts(workload, seed, **sizes):
@@ -62,16 +67,24 @@ def spy_counts(workload, seed, **sizes):
 
     def count(label, fn, after=None):
         def spy(*args, **kwargs):
-            counts[label] += 1
             result = fn(*args, **kwargs)
-            if after is not None:
+            if after is None:
+                counts[label] += 1
+            else:
                 after(result)
             return result
         return spy
 
     def replayed(ticks):
+        counts["EpisodeDriver.replay_opening"] += 1
         counts["replays"] += ticks > 0
         counts["replayed ticks"] += ticks
+
+    def filled(rows):
+        counts["deferred rewards filled"] += rows
+
+    # a counted method whose result counts, not its calls
+    hooks = {"replay_opening": replayed, "fill_rewards": filled}
 
     def spy_run_lanes(drivers, *limit):
         tails = [drv for drv in drivers if drv.trainer is not None]
@@ -105,8 +118,7 @@ def spy_counts(workload, seed, **sizes):
     for label, owner, name in METHODS:
         if hasattr(owner, name):
             spies.append((owner, name, count(
-                label, getattr(owner, name),
-                replayed if name == "replay_opening" else None)))
+                label, getattr(owner, name), hooks.get(name))))
         else:
             counts[label] = None
             if name == "replay_opening":
