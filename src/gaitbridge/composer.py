@@ -34,23 +34,28 @@ own buffer. A worker draws from a stream of its own and acts under
 statistics that only an update moves, so the order in which workers tick
 moves no result.
 
-Opening replay. In setup training the frozen walker's opening, its ticks on
-the flat ground short of the first artifact, is the same in every episode.
-With no `init_fn` the walker spawns standing short of the artifact (a valid
-course starts it at or past `SPAWN_MAX_X`) and acts on its mean; while the
-artifact starts more than the walker's reach ahead (DETECT_RANGE, or for a
-walker that reads the terrain OBS_RANGE, where `observe` clips the
-distance), nothing is detected or switched and `TerrainEnv.step` finds flat
-ground and no goal, so each step is the same function of (v, w, h, c,
-contact, steps). `Trainer.opening` records it from live ticks: entry t holds
-the runner's (v, w, h, c, contact) after its step from t to t + 1, and
-dx = v * DT, what that step added to x. At a worker's turn `_train` first
-calls `replay_opening`, which copies the state of each tick it can replay,
-up to the budget's room, in one call: nothing observes, acts or steps. Its
-next call records the live tick that followed at the record's end. No
-recorded step ended its episode, so a replay never ends one, and no entry
-is overwritten. The record serves one walker on one course for one
-`train_setup` call, which checks that the walker stayed frozen.
+Opening replay. The frozen walker's opening, its ticks on the flat ground
+short of the first artifact, is the same in every episode, training or
+evaluation. With no `init_fn` the walker spawns standing short of the
+artifact (a valid course starts it at or past `SPAWN_MAX_X`) and acts on its
+mean; while the artifact starts more than the walker's reach ahead
+(DETECT_RANGE, or for a walker that reads the terrain OBS_RANGE, where
+`observe` clips the distance), nothing is detected or switched and
+`TerrainEnv.step` finds flat ground and no goal, so each step is the same
+function of (v, w, h, c, contact, steps). A record holds it, taken from
+live ticks: entry t holds the runner's (v, w, h, c, contact) after its step
+from t to t + 1, and dx = v * DT, what that step added to x.
+`replay_opening` copies the state of each tick it can replay in one call:
+nothing observes, acts or steps. A tick that runs live at the record's end
+is recorded at the next pass, unless it ended its episode, so a replay never
+ends one, and no entry is overwritten. In setup training the record is
+`Trainer.opening`, for one walker on one course for one `train_setup` call,
+which checks that the walker stayed frozen: at a worker's turn `_train`
+first replays what it can, up to the budget's room, then ticks it live. In
+evaluation `run_lanes` gives its lanes one record per walker (net, norm),
+and per first artifact for a walker that reads its kind and height, before
+it picks the batch or `run()`: a lane copies the record, and where it needs
+more, ticks live itself and records those ticks, so each entry runs once.
 
 Tails. Once the trained setup policy has handed off and no artifact is left
 for a setup policy, a training episode only folds rewards (`folds_only`):
@@ -79,13 +84,15 @@ lanes left go on `run()`, cheaper there. Both paths take the switching
 decisions from the driver: `policy()` maps the phase to (role, net, norm),
 `on_detection` starts a bridge, `SwitchState.transition` latches and clears
 the artifact, and `tau_theta_reached` releases a target, a bool for one
-runner and a mask over a batch. A lane matches its driver's `run()` in its
-discrete results (success, failure, steps, switches), and in its positions
-and folds within 1e-9, not bit for bit: a batched forward rounds unlike the
-one-row forward, and unlike one over other rows, so a call's other lanes
-and the tick a lane leaves the batch may move its last bits. Tails fold
-over arrays: each lockstep step makes one reward call for all of them and
-one `add_reward` per buffer.
+runner and a mask over a batch. An evaluation lane's opening replays, so up
+to its end, for a terrain-blind walker the first detection, the lane equals
+its `run()` exactly, floats included. After it a lane matches its driver's
+`run()` in its discrete results (success, failure, steps, switches), and in
+its positions and folds within 1e-9, not bit for bit: a batched forward
+rounds unlike the one-row forward, and unlike one over other rows, so a
+call's other lanes and the tick a lane leaves the batch may move its last
+bits. Tails fold over arrays: each lockstep step makes one reward call for
+all of them and one `add_reward` per buffer.
 
 Setup rewards. A setup reward `reward_fn(target, obs, obs_next, r_env,
 terminal, action)` takes floats for one transition, or (k,) arrays over k,
@@ -544,14 +551,16 @@ class EpisodeDriver:
                       else CarriedTarget(trainer.module))
         # (record, first artifact's start, walker's reach) while the
         # walker's opening may replay; with no init_fn the runner spawns
-        # standing on the flat ground short of the first artifact
+        # standing on the flat ground short of the first artifact. An
+        # evaluation driver's record is None until its first replay.
         self._opening = None
         first = env.course.artifacts[:1]
-        if (trainer is not None and trainer.opening is not None
-                and init_fn is None and first):
+        record = None if trainer is None else trainer.opening
+        if ((trainer is None or record is not None) and init_fn is None
+                and first):
             reach = (DETECT_RANGE if default_net.obs_dim <= OBS_PROPRIO
                      else max(DETECT_RANGE, OBS_RANGE))
-            self._opening = trainer.opening, first[0].start, reach
+            self._opening = record, first[0].start, reach
 
     @property
     def done(self):
@@ -581,35 +590,50 @@ class EpisodeDriver:
         self.switch.transition(POLICY_TARGET if self.without_setup
                                else POLICY_SETUP, runner, art)
 
-    def replay_opening(self, room):
-        """Copy at most `room` of the walker's ticks from the trainer's opening
-        record, tick t from entry t, once the last tick, if it ran live at
-        the record's end, is recorded; returns the ticks copied, none once
-        the opening is over. The handle is dropped once the artifact is
-        within reach: while it is set, the last call left x more than the
-        reach short of the artifact, and one live tick moves far less, so a
-        recorded step never reaches the artifact."""
+    def replay_opening(self, room, openings=None):
+        """Copy at most `room` of the walker's ticks from its opening record,
+        tick t from entry t, once the last tick, if it ran live at the
+        record's end and did not end the episode, is recorded; returns the
+        ticks copied, none once the opening is over. An evaluation driver
+        takes its walker's record from `openings`, those of one `run_lanes`
+        call, and at the record's end ticks live itself until its opening
+        is over or its episode ends; `_train` ticks a worker. The handle is
+        dropped once the artifact is within reach: while it is set, the last
+        pass left x more than the reach short of the artifact, and one live
+        tick moves far less, so a recorded step never reaches the
+        artifact."""
         if self._opening is None:
             return 0
         record, start, reach = self._opening
-        state = self.state
-        t, x = state.steps, state.x
-        if t == len(record) + 1:
-            record.append((state.v, state.w, state.h, state.c, state.contact,
-                           state.v * DT))
-        end = min(len(record), t + room)
-        while t < end and start - x > reach:
-            x += record[t][5]
-            t += 1
-        if not start - x > reach:
-            self._opening = None
-        replayed = t - state.steps
-        if replayed:
-            state.v, state.w, state.h, state.c, state.contact, _ = (
-                record[t - 1])
-            state.x, state.steps = x, t
-            self._obs = None
-        return replayed
+        if record is None:
+            # a full-width walker reads the first artifact's kind and height
+            net = self.default_net
+            sight = (None if net.obs_dim <= OBS_PROPRIO
+                     else self.env.course.artifacts[0])
+            record = openings.setdefault((net, self.default_norm, sight), [])
+            self._opening = record, start, reach
+        state, replayed = self.state, 0
+        while True:
+            t, x = state.steps, state.x
+            if t == len(record) + 1 and not state.done:
+                record.append((state.v, state.w, state.h, state.c,
+                               state.contact, state.v * DT))
+            end = min(len(record), t + room)
+            while t < end and start - x > reach:
+                x += record[t][5]
+                t += 1
+            if not start - x > reach:
+                self._opening = None
+            if t > state.steps:
+                replayed += t - state.steps
+                state.v, state.w, state.h, state.c, state.contact, _ = (
+                    record[t - 1])
+                state.x, state.steps = x, t
+                self._obs = None
+            if (self._opening is None or self.trainer is not None
+                    or state.done):
+                return replayed
+            self.tick()  # the next pass records it
 
     def tick(self):
         """One environment step. Returns True when the episode finished."""
@@ -686,13 +710,18 @@ def run_lanes(drivers, limit=math.inf):
     """Run evaluation drivers, or the tails of one trainer (`folds_only`),
     together until they end or their ticks pass `limit`; returns the
     drivers. Any other call is rejected. Each lane brings its own policies,
-    arm and modules.
+    arm and modules. An evaluation lane first replays its walker's opening,
+    whose ticks `limit` does not count (see the module docstring).
     """
     if len({drv.trainer for drv in drivers}) > 1 or any(
             drv.trainer is not None and not drv.folds_only()
             for drv in drivers):
         raise ValueError("run_lanes runs evaluation drivers or the training "
                          "tails of one trainer")
+    openings = {}  # by walker, the opening record its lanes share
+    for drv in drivers:
+        if drv.trainer is None:
+            drv.replay_opening(math.inf, openings)
     steps = sum(drv.state.steps for drv in drivers)
     live = [drv for drv in drivers if not drv.done]
     if len(live) >= LANE_CROSSOVER:

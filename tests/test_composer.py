@@ -1135,9 +1135,11 @@ def training_record(monkeypatch, world, budget, seed, n_workers=2,
         rewards.append([d.buffer.rewards.tolist() for d in drivers])
         update(trainer, drivers)
 
-    def spy_replay(driver, room):
-        last[0] = replay(driver, room), room
-        return last[0][0]
+    def spy_replay(driver, room, *openings):
+        replayed = replay(driver, room, *openings)
+        if driver.trainer is not None:  # a worker's, not an evaluation's
+            last[0] = replayed, room
+        return replayed
 
     with monkeypatch.context() as m:
         m.setattr(cp.Trainer, "update", spy)
@@ -1612,6 +1614,17 @@ def lane_world(first=HURDLE):
     return TerrainEnv(lane_course(first)), walker, modules
 
 
+def fixture_lane_world(first=HURDLE):
+    """`lane_course(first)` with the bench's frozen walker and gap and hurdle
+    modules. The walker reads its observation, so a batched forward of its
+    opening rounds unlike its one-row forward."""
+    walker, walker_norm = bench_policy("flat")
+    modules = {kind: BehaviorModule(kind, *bench_policy(f"{kind}_target"),
+                                    *bench_policy(f"{kind}_setup"))
+               for kind in (GAP, HURDLE)}
+    return TerrainEnv(lane_course(first)), walker, walker_norm, modules
+
+
 def mixed_arm_lanes(n):
     """n lanes of lane_world's policies, (driver, reference) pairs with equal
     generators: even lanes run the setup arm from the hurdle, odd lanes the
@@ -1659,6 +1672,98 @@ class TestLanes:
         assert POLICY_TARGET in handoffs
         # lanes finish at different ticks
         assert len({out.state.steps for out in outcomes}) > 1
+
+    @pytest.mark.parametrize("fixtures", [False, True])
+    @pytest.mark.parametrize("without_setup, first",
+                             [(False, HURDLE), (True, GAP)])
+    def test_a_lane_opens_as_its_run_bit_for_bit(self, fixtures,
+                                                 without_setup, first):
+        # the walker's opening replays one-row ticks, so each lane switches
+        # first where its run() does, float for float
+        if fixtures:
+            env, walker, walker_norm, modules = fixture_lane_world(first)
+        else:
+            (env, walker, modules), walker_norm = lane_world(first), (
+                identity_norm())
+        outcomes = cp.run_lanes(cp.episode_drivers(
+            env, walker, walker_norm, modules, 24, np.random.default_rng(5),
+            without_setup=without_setup))
+        children = np.random.default_rng(5).spawn(24)
+        for out, child in zip(outcomes, children):
+            ref = EpisodeDriver(env, walker, walker_norm, modules, child,
+                                without_setup=without_setup).run()
+            got, want = out.switch.events[0], ref.switch.events[0]
+            assert (got.step, got.x, got.c, got.v) == (
+                want.step, want.x, want.c, want.v)
+        assert len({out.switch.events[0].step for out in outcomes}) > 1
+
+    def test_a_full_width_walker_keeps_a_record_per_first_artifact(self):
+        # it reads the first artifact's kind and height from any distance,
+        # so its opening before a hurdle is not the one before a gap
+        walker = ParameterizedNet(OBS_DIM, 2, (8,), np.random.default_rng(13))
+        walker.params["mu.w"][...] = (walker.params["mu.w"].astype(np.float32)
+                                      * np.float32(0.1))
+        walker.params["mu.b"][...] = (0.5, 0.0)
+        walker_norm, (_, _, modules) = identity_norm(), lane_world()
+        envs = [TerrainEnv(lane_course(first)) for first in (HURDLE, GAP)]
+        lanes = [tuple(EpisodeDriver(envs[i % 2], walker, walker_norm,
+                                     modules, np.random.default_rng((7, i)))
+                       for _ in range(2))
+                 for i in range(24)]
+        outcomes = cp.run_lanes([drv for drv, _ in lanes])
+        for out, (_, ref) in zip(outcomes, lanes):
+            assert_same_outcome(out, ref.run())
+        assert {out.switch.events[0].dst for out in outcomes} == {
+            POLICY_SETUP}
+
+    def test_a_walker_that_stands_still_replays_no_timeout(
+            self, monkeypatch):
+        # spawned beyond its reach, 2.0 m, its opening lasts the whole
+        # episode: the first lane records it live, but for the step that
+        # times out, and every other lane copies the record, then times out
+        # on a live tick of its own
+        env, walker, walker_norm, module = standing_world()
+        n = cp.LANE_CROSSOVER + 2
+        drivers, refs = (cp.episode_drivers(
+            env, walker, walker_norm, {HURDLE: module}, n,
+            np.random.default_rng(2)) for _ in range(2))
+        for drv, ref, x0 in zip(drivers, refs, np.linspace(0.0, 1.0, n)):
+            drv.state.x = ref.state.x = float(x0)
+        copied, replay = [], EpisodeDriver.replay_opening
+
+        def spy_replay(drv, *args):
+            copied.append((replay(drv, *args), drv.done))
+            return copied[-1][0]
+
+        monkeypatch.setattr(EpisodeDriver, "replay_opening", spy_replay)
+        steps = counted_steps(env)
+        cp.run_lanes(drivers)
+        assert copied == [(0, True)] + [(MAX_STEPS, True)] * (n - 1)
+        assert steps[0] == MAX_STEPS + n
+        for got, ref in zip(drivers, refs):
+            assert got.state.failure == ts.FAIL_TIMEOUT
+            assert outcome_record(got) == outcome_record(ref.run())
+
+    def test_approach_spawns_and_training_tails_replay_nothing(
+            self, monkeypatch):
+        calls, replay = [], EpisodeDriver.replay_opening
+
+        def spy_replay(drv, *args):
+            calls.append((drv.trainer, replay(drv, *args), drv.state.steps))
+            return calls[-1][1]
+
+        monkeypatch.setattr(EpisodeDriver, "replay_opening", spy_replay)
+        env, walker, modules = lane_world()
+        near = cp.artifact_approach_init(env.course.artifacts[0])
+        cp.run_lanes(cp.episode_drivers(env, walker, identity_norm(), modules,
+                                        cp.LANE_CROSSOVER + 2,
+                                        np.random.default_rng(3),
+                                        init_fn=near))
+        assert calls == [(None, 0, 0)] * (cp.LANE_CROSSOVER + 2)
+        calls.clear()
+        tails, _ = parked_tails(cp.LANE_CROSSOVER + 2)
+        cp.run_lanes(tails)
+        assert calls == [] and all(tail.done for tail in tails)
 
     def test_a_lone_lane_reproduces_run_bit_for_bit(self):
         env, walker, modules = lane_world()

@@ -8,7 +8,8 @@ acting and training code reads only the network heads it uses, only
 `EpisodeDriver.replay_opening` writes a trainer's walker opening and,
 outside the physics, a runner's fields, only `RolloutBuffer.add_reward`
 adds a folded reward into a buffer row, one function
-reads a frozen policy through its normalizer and trunk, one function in
+reads a frozen policy through its normalizer and trunk and one reads it
+row by row, one function in
 config.py builds the PPO and AWTV settings, every public function and
 class in src/ is read by name somewhere else in src/ or bench/ (a package
 `__init__.py`'s re-export is no read; the exceptions are listed), every
@@ -297,8 +298,8 @@ def test_the_fold_is_written_once():
 
 
 def frozen_read_scopes(source):
-    """The scope of each `trunk(...)` call whose argument is a
-    `normalize(...)` call: a hand-written read of a policy."""
+    """The scope of each `trunk(...)` or `trunk_rows(...)` call whose
+    argument is a `normalize(...)` call: a hand-written read of a policy."""
     def named(node, name):
         return isinstance(node, ast.Call) and name in (
             getattr(node.func, "attr", None), getattr(node.func, "id", None))
@@ -306,8 +307,8 @@ def frozen_read_scopes(source):
     def walk(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
             scope = scope + (node.name,)
-        if named(node, "trunk") and any(named(arg, "normalize")
-                                        for arg in node.args):
+        if (named(node, "trunk") or named(node, "trunk_rows")) and any(
+                named(arg, "normalize") for arg in node.args):
             yield scope
         for child in ast.iter_child_nodes(node):
             yield from walk(child, scope)
@@ -317,18 +318,22 @@ def frozen_read_scopes(source):
 def test_frozen_read_detector():
     source = ("def f(n, m, x):\n    n.trunk(m.normalize(x))\n"
               "    n.trunk(x)\n    trunk(normalize(x))\n"
-              "class A:\n    def g(self):\n        h = n.trunk(m.update(x))\n")
-    assert frozen_read_scopes(source) == [("f",), ("f",)]
+              "class A:\n    def g(self):\n        h = n.trunk(m.update(x))\n"
+              "    def r(self):\n"
+              "        n.trunk_rows(m.normalize(policy_obs(n, x)))\n")
+    assert frozen_read_scopes(source) == [("A", "r"), ("f",), ("f",)]
 
 
 def test_a_frozen_policy_is_read_in_one_place():
     # every read of a frozen policy, on either runner path, trims the
-    # observation to the policy's width through policy_trunk; a read written
-    # out by hand could skip the trim
+    # observation to the policy's width through policy_trunk, and the one
+    # per-row read, of deferred rewards' rows, through RowTarget._rows; a
+    # read written out by hand could skip the trim
     found = [(str(path.relative_to(ROOT)), scope)
              for path in sorted((ROOT / "src").rglob("*.py"))
              for scope in frozen_read_scopes(path.read_text(encoding="utf-8"))]
-    assert found == [("src/gaitbridge/composer.py", ("policy_trunk",))]
+    assert found == [("src/gaitbridge/composer.py", ("RowTarget", "_rows")),
+                     ("src/gaitbridge/composer.py", ("policy_trunk",))]
 
 
 def test_call_scope_detector_counts_bare_calls():

@@ -239,6 +239,16 @@ def test_spy_counts_of_a_toy_instance(monkeypatch):
     assert got["CarriedTarget passes"] > 0
     # setup rows left to the update fill there; target training defers none
     assert got["deferred rewards filled"] > 0
+    # bridged evaluation: the harness's lanes copy the walker's opening,
+    # then step in lane batches; the rest of their ticks run on tick()
+    got = tool.spy_counts("bridged-eval", 1, seeds_per_instance=1,
+                          episodes=12)
+    assert got["replayed ticks"] == got["evaluation replayed ticks"] > 0
+    assert got["evaluation batched lane-ticks"] > 0
+    assert got["evaluation ticks"] == (got["evaluation replayed ticks"]
+                                       + got["evaluation batched lane-ticks"]
+                                       + got["EpisodeDriver.tick"])
+    assert got["lane-ticks"] == got["Trainer.update"] == 0
     # a method the package does not define reads None
     monkeypatch.delattr(tool.policyopt.RolloutBuffer, "add_reward")
     monkeypatch.delattr(tool.composer.CarriedTarget, "_slot")

@@ -12,6 +12,10 @@ one `name count` line for each:
   walker tick from the opening record (`replays`) and the ticks copied
   (`replayed ticks`);
 - `lane-ticks`: the ticks that training tails ran in `run_lanes` calls;
+- `evaluation ticks`: the ticks that evaluation drivers ran in `run_lanes`
+  calls, the harness's included; of them, those copied from an opening
+  record (`evaluation replayed ticks`) and those of lane batches
+  (`evaluation batched lane-ticks`);
 - `RunnerBatch.step`: lockstep steps of lane batches;
 - `reward_fn`: calls of the trainers' setup reward, one per transition on
   `tick()` and one per lockstep step of a batch of tails;
@@ -40,6 +44,7 @@ for _path in (ROOT / "bench", ROOT / "src"):
         sys.path.insert(0, str(_path))
 
 from gaitbridge import composer, policyopt  # noqa: E402
+from gaitbridge.harness import experiments  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 # (label, owner, attribute) of each method whose calls are counted
@@ -52,7 +57,9 @@ METHODS = (("EpisodeDriver.tick", composer.EpisodeDriver, "tick"),
            ("deferred rewards filled", policyopt.RolloutBuffer,
             "fill_rewards"))
 ORDER = ("EpisodeDriver.tick", "EpisodeDriver.replay_opening", "replays",
-         "replayed ticks", "lane-ticks", "RunnerBatch.step", "reward_fn",
+         "replayed ticks", "lane-ticks", "evaluation ticks",
+         "evaluation replayed ticks", "evaluation batched lane-ticks",
+         "RunnerBatch.step", "reward_fn",
          "RolloutBuffer.add_reward", "Trainer.update", "CarriedTarget passes",
          "deferred rewards filled")
 
@@ -61,7 +68,7 @@ def spy_counts(workload, seed, **sizes):
     """{label: count}, in ORDER, of instance 0 of `workload` built at
     `seed` with `sizes`; None for a method the package does not define."""
     counts = dict.fromkeys(ORDER, 0)
-    run_lanes, trainer_init = composer.run_lanes, composer.Trainer.__init__
+    trainer_init = composer.Trainer.__init__
     policy_trunk, in_slot = composer.policy_trunk, [False]
     slot = getattr(composer.CarriedTarget, "_slot", None)
 
@@ -71,27 +78,36 @@ def spy_counts(workload, seed, **sizes):
             if after is None:
                 counts[label] += 1
             else:
-                after(result)
+                after(result, *args)
             return result
         return spy
 
-    def replayed(ticks):
+    def replayed(ticks, driver, *_):
         counts["EpisodeDriver.replay_opening"] += 1
         counts["replays"] += ticks > 0
         counts["replayed ticks"] += ticks
+        if driver.trainer is None:
+            counts["evaluation replayed ticks"] += ticks
 
-    def filled(rows):
+    def filled(rows, *_):
         counts["deferred rewards filled"] += rows
 
     # a counted method whose result counts, not its calls
     hooks = {"replay_opening": replayed, "fill_rewards": filled}
 
-    def spy_run_lanes(drivers, *limit):
-        tails = [drv for drv in drivers if drv.trainer is not None]
-        before = sum(drv.state.steps for drv in tails)
-        run_lanes(drivers, *limit)
-        counts["lane-ticks"] += sum(drv.state.steps for drv in tails) - before
-        return drivers
+    def ticked(fn, training, evaluation):
+        """A spy on `fn(drivers, *limit)` that adds the ticks its training
+        drivers ran to the `training` count, and its evaluation drivers'
+        to the `evaluation` one."""
+        def spy(drivers, *limit):
+            before = [drv.state.steps for drv in drivers]
+            result = fn(drivers, *limit)
+            for drv, steps in zip(drivers, before):
+                label = evaluation if drv.trainer is None else training
+                if label is not None:
+                    counts[label] += drv.state.steps - steps
+            return result
+        return spy
 
     def spy_trainer_init(trainer, *args, **kwargs):
         trainer_init(trainer, *args, **kwargs)
@@ -108,7 +124,13 @@ def spy_counts(workload, seed, **sizes):
         counts["CarriedTarget passes"] += in_slot[0]
         return policy_trunk(*args)
 
+    # the harness imports run_lanes by name
+    spy_run_lanes = ticked(composer.run_lanes, "lane-ticks",
+                           "evaluation ticks")
     spies = [(composer, "run_lanes", spy_run_lanes),
+             (experiments, "run_lanes", spy_run_lanes),
+             (composer, "_run_batch", ticked(
+                 composer._run_batch, None, "evaluation batched lane-ticks")),
              (composer.Trainer, "__init__", spy_trainer_init)]
     if slot is None:
         counts["CarriedTarget passes"] = None
