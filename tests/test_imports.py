@@ -5,7 +5,7 @@ Every name a module in src/ or tests/ imports is used in that module
 modules on the per-tick path multiply matrices with `ndarray.dot`, the
 acting and training code reads only the network heads it uses, only
 `SwitchState` writes a switch's artifact, only
-`EpisodeDriver.replay_opening` writes a trainer's walker opening and,
+`EpisodeDriver.replay_opening` writes a record of the walker's opening and,
 outside the physics, a runner's fields, only `RolloutBuffer.add_reward`
 adds a folded reward into a buffer row, one function
 reads a frozen policy through its normalizer and trunk and one reads it
@@ -192,7 +192,8 @@ def test_opening_write_detector_spares_the_replay_and_the_binding():
 def test_only_the_opening_replay_writes_the_opening():
     # EpisodeDriver.replay_opening replays entries only under its conditions,
     # writes every entry and alone asks whether a driver holds the record;
-    # the trainer binds the record, and a driver takes it at its start
+    # the trainer binds its record, and a driver takes it at its start (an
+    # evaluation driver takes its walker's at its first replay)
     found = [f"{path.relative_to(ROOT)}:{line}"
              for path in sorted((ROOT / "src").rglob("*.py"))
              for line in opening_writes(path.read_text(encoding="utf-8"))]
