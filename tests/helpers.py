@@ -1,5 +1,9 @@
 """Shared test fixtures: tiny environments, scripted policies, training
-shortcuts, and plain references that tests check the program against."""
+shortcuts, plain references that tests check the program against, and the
+name of the BLAS kernel that seeded pins depend on."""
+
+import ctypes
+from pathlib import Path
 
 import numpy as np
 
@@ -146,17 +150,27 @@ def forward(net, obs):
 
 class UncachedTarget:
     """A module's frozen target as reward functions read it, evaluated afresh
-    on every call: the reference a driver's `CarriedTarget` must match."""
+    on every call, a (k, OBS_DIM) input row by row through the one-row
+    `forward`: the reference that a driver's `CarriedTarget` and the fill's
+    `RowTarget` must match. `calls` counts its reads and `rows` the rows
+    they evaluated."""
 
     def __init__(self, module):
         self.module = module
         self.params = module.params
+        self.calls = self.rows = 0
 
     def _forward(self, obs_raw):
-        net = self.module.target_net
+        self.calls += 1
+        net, norm = self.module.target_net, self.module.target_norm
         # a terrain-blind target reads the body prefix only
-        return forward(net, self.module.target_norm.normalize(
-            obs_raw[..., :net.obs_dim]))
+        rows = [forward(net, norm.normalize(row[:net.obs_dim]))
+                for row in np.atleast_2d(obs_raw)]
+        self.rows += len(rows)
+        if obs_raw.ndim == 1:
+            return rows[0]
+        mu, value, _ = zip(*rows)
+        return np.array(mu), np.array(value)
 
     def target_value(self, obs_raw):
         return self._forward(obs_raw)[1]
@@ -245,3 +259,33 @@ def gae_reference(rewards, values, dones, gamma, lam, tail_bootstrap=0.0):
         last_gae = delta + gamma * lam * last_gae
         adv[t] = last_gae
     return adv
+
+
+# ---- the BLAS kernel ----------------------------------------------------------
+
+# the OpenBLAS kernel under which the seeded pins were recorded
+PINNED_KERNEL = "SkylakeX"
+
+
+def blas_kernel():
+    """The core name of numpy's bundled OpenBLAS, the kernel it chose for
+    this CPU when it loaded (such as "SkylakeX" or "Haswell"), read through
+    ctypes; None where numpy bundles no OpenBLAS."""
+    here = Path(np.__file__).resolve().parent
+    # wheels keep it in numpy.libs beside the package, or numpy/.dylibs
+    for path in sorted([*here.parent.glob("numpy.libs/libscipy_openblas*"),
+                        *here.glob(".dylibs/libscipy_openblas*")]):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return None
+
+
+def kernel_note():
+    """What a seeded pin's failure says about the BLAS: each kernel rounds
+    its own products, so a pin holds under the kernel it was recorded on."""
+    return (f"pinned under OpenBLAS's {PINNED_KERNEL} kernel; this run's is "
+            f"{blas_kernel() or 'not a bundled OpenBLAS'}")

@@ -70,6 +70,7 @@ from helpers import (
     forward,
     hurdle_module,
     identity_norm,
+    kernel_note,
     scripted_net,
     td_advantage,
     trainer_buffer,
@@ -745,13 +746,23 @@ class TestUpdateMechanics:
 
 
 def uncached(monkeypatch):
-    """Make drivers observe afresh and evaluate the target on every call."""
+    """Make drivers observe afresh, and make every view of the target that
+    reads it from now on, a driver's carry and the fill's rows, an
+    `UncachedTarget`; returns those views."""
     def observation(self):
         self._ahead = ts.next_artifact(self.env.course, self.state.x)
         return observe(self.env.course, self.state, self._ahead)
 
-    monkeypatch.setattr(cp, "CarriedTarget", UncachedTarget)
+    views = []
+
+    def view(module):
+        views.append(UncachedTarget(module))
+        return views[-1]
+
+    monkeypatch.setattr(cp, "CarriedTarget", view)
+    monkeypatch.setattr(cp, "RowTarget", view)
     monkeypatch.setattr(cp.EpisodeDriver, "observation", observation)
+    return views
 
 
 def head_spy(net):
@@ -834,8 +845,12 @@ class TestTargetCarry:
                     module.setup_norm.state_arrays())
 
         carried = run()
-        uncached(monkeypatch)
+        views = uncached(monkeypatch)
         reference = run()
+        # the reference read single observations on tick() and rows in the
+        # fill
+        calls = sum(view.calls for view in views)
+        assert 0 < calls < sum(view.rows for view in views)
         assert len(carried[0]) >= 2
         assert carried[0] == reference[0]
         assert np.array_equal(carried[1], reference[1])
@@ -862,8 +877,9 @@ class TestTargetCarry:
         target_handoffs = [sum(e[2] == POLICY_TARGET for e in rec[-1])
                            for rec in carried[0]]
         assert max(target_handoffs) == 2  # both specialists took over
-        uncached(monkeypatch)
+        views = uncached(monkeypatch)
         assert carried == run()
+        assert sum(view.calls for view in views) > 0
 
     @pytest.mark.parametrize("tag", list(SETUP_REWARDS))
     def test_one_observation_slot_serves_every_reward(self, monkeypatch, tag):
@@ -2323,7 +2339,7 @@ class TestTrainingTails:
         assert (buf.rewards == before).all()
         assert buf.rewards.tobytes() == twin_buf.rewards.tobytes()
 
-    @pytest.mark.parametrize("n", [2 * cp.LANE_CROSSOVER,
+    @pytest.mark.parametrize("n", [2 * cp.LANE_CROSSOVER, cp.LANE_CROSSOVER,
                                    cp.LANE_CROSSOVER - 1])
     def test_tails_stop_once_their_ticks_pass_the_limit(self, monkeypatch,
                                                         n):
@@ -2925,7 +2941,7 @@ class TestSeededTrainingDigests:
             config=PPOConfig(horizon=256, epochs=1), eval_every=2,
             eval_episodes=3, stop_at=2.0, min_final=None)
         assert [row[:2] for row in curve] == [(512, 2), (1024, 4)]
-        assert training_digest(net, norm, curve) == expected
+        assert training_digest(net, norm, curve) == expected, kernel_note()
 
     def test_train_target_at_four_epochs(self):
         # several minibatches and epochs per update, so the update reads
@@ -2937,7 +2953,7 @@ class TestSeededTrainingDigests:
         assert curve == [(1024, 2, None)]
         assert training_digest(net, norm, curve) \
             == ("72fd062a7f8c1f9d6a9502ecb77ec2c6"
-                "b91c156d110c96df2baa12cdf2db01bb")
+                "b91c156d110c96df2baa12cdf2db01bb"), kernel_note()
 
     def test_two_worker_train_setup_with_learning_statistics(self,
                                                               monkeypatch):
@@ -2960,7 +2976,8 @@ class TestSeededTrainingDigests:
                 rewards.hexdigest()) == ("9d495b75076b63819214542d2fca289d"
                                          "fbfcfd985cf34ab8ebfeb1b525714398",
                                          "5f70bf18a086007016e948b04aed3b82"
-                                         "103a36bea41755b6cddfaf10ace3c6ef")
+                                         "103a36bea41755b6cddfaf10ace3c6ef"), \
+            kernel_note()
 
     def test_two_worker_train_setup_evaluating_every_update(self,
                                                              monkeypatch):
@@ -2977,7 +2994,8 @@ class TestSeededTrainingDigests:
                 rewards.hexdigest()) == ("5437cafb21609d94132a318f37d74e0a"
                                          "57f38f7d3cad9bccae166cc60e97680f",
                                          "076a27c79e5ace2a3d47f9dd2e83e4ff"
-                                         "6ea8872b3c2218f66c92b89b55f36560")
+                                         "6ea8872b3c2218f66c92b89b55f36560"), \
+            kernel_note()
 
     def test_two_worker_train_setup_from_a_lifted_walker(self, monkeypatch):
         # a terrain-blind walker lifted to the full observation; its count-1
@@ -3002,7 +3020,8 @@ class TestSeededTrainingDigests:
                 rewards.hexdigest()) == ("699ab2e04cec9f3268a9ae58b4a71e39"
                                          "7b92478d618021690de4b7adfe37e06d",
                                          "bfe492baf731a0dbf6e1e050f5bc3fe8"
-                                         "c1b049383194dcdf82f023bfa409f462")
+                                         "c1b049383194dcdf82f023bfa409f462"), \
+            kernel_note()
 
     def test_two_worker_train_setup_with_batched_tails(self, monkeypatch):
         # enough tails park before each update that they fold through
@@ -3026,7 +3045,8 @@ class TestSeededTrainingDigests:
                 rewards.hexdigest()) == ("4771d77d067f86d159719e7921d2bfac"
                                          "7125ceef5a201e88e4ed92b1398e3fa6",
                                          "609bb74f1c7796b3ac369fb613529e13"
-                                         "e787882d76c44853b9b75ef12b1e1e2c")
+                                         "e787882d76c44853b9b75ef12b1e1e2c"), \
+            kernel_note()
 
     @pytest.mark.parametrize("tag, expected", [
         ("original", ("6209b0dd5e823007b3c452a7e2347e1f"
@@ -3077,7 +3097,7 @@ class TestSeededTrainingDigests:
         assert min(sizes) >= 2 * cp.LANE_CROSSOVER
         assert curve == [(40_000, 4, None)]
         assert (training_digest(module.setup_net, module.setup_norm, curve),
-                rewards.hexdigest()) == expected
+                rewards.hexdigest()) == expected, kernel_note()
 
 
 def lanes_digest(outcomes):
@@ -3101,7 +3121,8 @@ def test_seeded_lanes_digest():
     outcomes = cp.run_lanes([drv for drv, _ in lanes])
     assert {len(out.switch.events) > 0 for out in outcomes} == {True}
     assert lanes_digest(outcomes) == ("b9f1546c8f076a07bd120bd73a168661"
-                                      "ccefff43d7385a96e0639c46a9dd3340")
+                                      "ccefff43d7385a96e0639c46a9dd3340"), \
+        kernel_note()
 
 
 def reward_log(monkeypatch):

@@ -18,7 +18,14 @@ from gaitbridge.harness.checkpoint import Checkpoint, checkpoint_bytes, parse_ch
 from gaitbridge.policyopt import PPOConfig, policy_act, ppo_loss_grad
 from gaitbridge.terrainsim import OBS_DIM, OBS_PROPRIO
 
-from helpers import forward, gaussian_logprob, identity_norm, numeric_gradient
+from helpers import (
+    blas_kernel,
+    forward,
+    gaussian_logprob,
+    identity_norm,
+    kernel_note,
+    numeric_gradient,
+)
 
 
 def _zeroed_net(obs_dim=4, action_dim=2, hidden=(3, 3)):
@@ -558,3 +565,14 @@ def test_per_row_passes_equal_one_row_passes(fixture, rows):
         assert one.tobytes() == h_row.tobytes()
         assert net.scalar_head("value", one).hex() == float(value).hex()
         assert net.head("mu", one).tobytes() == mean.tobytes()
+
+
+def test_the_blas_kernel_is_named():
+    # a seeded pin that fails says which OpenBLAS kernel rounded the run
+    kernel = blas_kernel()
+    if kernel is None:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        pytest.skip(f"numpy bundles no OpenBLAS: its BLAS is "
+                    f"{blas.get('name')} {blas.get('version')}")
+    assert re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", kernel)
+    assert kernel_note().endswith(f"this run's is {kernel}")

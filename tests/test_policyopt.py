@@ -25,6 +25,7 @@ from helpers import (
     forward,
     gae_reference,
     gaussian_logprob,
+    kernel_note,
     train_bandit,
 )
 
@@ -590,7 +591,7 @@ def test_ppo_update_statistics_are_pinned(with_bits):
     else:
         expected = {"pg_loss": 0.07733958160691176, "v_loss": 2.1314665488360354,
                     "clip_frac": 0.78125, "minibatches": 12}
-    assert stats == expected
+    assert stats == expected, kernel_note()
 
 
 @pytest.mark.parametrize("with_bits", [False, True])
