@@ -6,6 +6,7 @@ import ctypes
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gaitbridge.composer import (
     BehaviorModule,
@@ -263,8 +264,11 @@ def gae_reference(rewards, values, dones, gamma, lam, tail_bootstrap=0.0):
 
 # ---- the BLAS kernel ----------------------------------------------------------
 
-# the OpenBLAS kernel under which the seeded pins were recorded
-PINNED_KERNEL = "SkylakeX"
+# the OpenBLAS kernels under which the seeded pins were recorded
+PINNED_KERNELS = ("SkylakeX", "Haswell")
+# kernels whose products round as a recorded one's: OPENBLAS_CORETYPE=Zen
+# gave every pin its Haswell value
+ROUNDS_AS = {"Zen": "Haswell"}
 
 
 def blas_kernel():
@@ -286,6 +290,18 @@ def blas_kernel():
 
 def kernel_note():
     """What a seeded pin's failure says about the BLAS: each kernel rounds
-    its own products, so a pin holds under the kernel it was recorded on."""
-    return (f"pinned under OpenBLAS's {PINNED_KERNEL} kernel; this run's is "
+    its own products, so a pin holds under the kernels it was recorded on."""
+    return (f"pinned under OpenBLAS's {' and '.join(PINNED_KERNELS)} "
+            f"kernels; this run's is "
             f"{blas_kernel() or 'not a bundled OpenBLAS'}")
+
+
+def pinned(values):
+    """A seeded pin's value under this run's BLAS kernel: `values` holds one
+    per kernel of PINNED_KERNELS. Under any other kernel the test fails with
+    `kernel_note()`, as no value was recorded for it."""
+    kernel = blas_kernel()
+    kernel = ROUNDS_AS.get(kernel, kernel)
+    if kernel not in values:
+        pytest.fail(kernel_note())
+    return values[kernel]

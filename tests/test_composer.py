@@ -71,6 +71,7 @@ from helpers import (
     hurdle_module,
     identity_norm,
     kernel_note,
+    pinned,
     scripted_net,
     td_advantage,
     trainer_buffer,
@@ -2930,18 +2931,24 @@ class TestSeededTrainingDigests:
     the rollout, update or evaluation order, or to the curve rows, shows."""
 
     @pytest.mark.parametrize("kind, expected", [
-        (FLAT, "18f6b610287fa2c77c3b7e7baa56cbcf"
-               "b3a6090c80b15b5d3a615e0869cc98be"),
-        (HURDLE, "8d37a554423d88b88636cb01add03bd7"
-                 "5f2e2f5fd8a9d63c797a7546e9347e74"),
-    ])
+        (FLAT, {"SkylakeX": "18f6b610287fa2c77c3b7e7baa56cbcf"
+                            "b3a6090c80b15b5d3a615e0869cc98be",
+                "Haswell": "8cdce09a50eb4b96a8833c5382abb631"
+                           "b3d8e692f3ab7c1fdb4322fda27951b4"}),
+        (HURDLE, {"SkylakeX": "8d37a554423d88b88636cb01add03bd7"
+                              "5f2e2f5fd8a9d63c797a7546e9347e74",
+                  "Haswell": "706b4a5959fd3eefc393bfe86ebb217b"
+                             "10514879652e4047449875ab52a7ade1"}),
+    ], ids=lambda value: value["SkylakeX"] if isinstance(value, dict)
+       else None)
     def test_train_target(self, kind, expected):
         net, norm, curve = train_target(
             kind, 1024, np.random.default_rng(5),
             config=PPOConfig(horizon=256, epochs=1), eval_every=2,
             eval_episodes=3, stop_at=2.0, min_final=None)
         assert [row[:2] for row in curve] == [(512, 2), (1024, 4)]
-        assert training_digest(net, norm, curve) == expected, kernel_note()
+        assert training_digest(net, norm, curve) == pinned(expected), \
+            kernel_note()
 
     def test_train_target_at_four_epochs(self):
         # several minibatches and epochs per update, so the update reads
@@ -2951,9 +2958,11 @@ class TestSeededTrainingDigests:
             config=PPOConfig(horizon=512, epochs=4, minibatch=64),
             eval_every=2, eval_episodes=0, stop_at=2.0, min_final=None)
         assert curve == [(1024, 2, None)]
-        assert training_digest(net, norm, curve) \
-            == ("72fd062a7f8c1f9d6a9502ecb77ec2c6"
-                "b91c156d110c96df2baa12cdf2db01bb"), kernel_note()
+        assert training_digest(net, norm, curve) == pinned({
+            "SkylakeX": "72fd062a7f8c1f9d6a9502ecb77ec2c6"
+                        "b91c156d110c96df2baa12cdf2db01bb",
+            "Haswell": "babee17031f8aa6371d6fb8d7b51f501"
+                       "8ec1565083724d58471c619e5036319c"}), kernel_note()
 
     def test_two_worker_train_setup_with_learning_statistics(self,
                                                               monkeypatch):
@@ -2973,11 +2982,15 @@ class TestSeededTrainingDigests:
         assert [updates for _, updates, _ in curve] == [2, 4]
         assert module.setup_norm.count == 2 * 16 + 3 * 2 * 15
         assert (training_digest(module.setup_net, module.setup_norm, curve),
-                rewards.hexdigest()) == ("9d495b75076b63819214542d2fca289d"
-                                         "fbfcfd985cf34ab8ebfeb1b525714398",
-                                         "5f70bf18a086007016e948b04aed3b82"
-                                         "103a36bea41755b6cddfaf10ace3c6ef"), \
-            kernel_note()
+                rewards.hexdigest()) == pinned({
+            "SkylakeX": ("9d495b75076b63819214542d2fca289d"
+                         "fbfcfd985cf34ab8ebfeb1b525714398",
+                         "5f70bf18a086007016e948b04aed3b82"
+                         "103a36bea41755b6cddfaf10ace3c6ef"),
+            "Haswell": ("22fe9ee00d778ce07f8cc2613f69e7b9"
+                        "64125489e3dc7d0efc3471d815322818",
+                        "5f70bf18a086007016e948b04aed3b82"
+                        "103a36bea41755b6cddfaf10ace3c6ef")}), kernel_note()
 
     def test_two_worker_train_setup_evaluating_every_update(self,
                                                              monkeypatch):
@@ -3017,11 +3030,15 @@ class TestSeededTrainingDigests:
                             eval_episodes=3, n_workers=2)
         assert [updates for _, updates, _ in curve][:2] == [2, 4]
         assert (training_digest(module.setup_net, module.setup_norm, curve),
-                rewards.hexdigest()) == ("699ab2e04cec9f3268a9ae58b4a71e39"
-                                         "7b92478d618021690de4b7adfe37e06d",
-                                         "bfe492baf731a0dbf6e1e050f5bc3fe8"
-                                         "c1b049383194dcdf82f023bfa409f462"), \
-            kernel_note()
+                rewards.hexdigest()) == pinned({
+            "SkylakeX": ("699ab2e04cec9f3268a9ae58b4a71e39"
+                         "7b92478d618021690de4b7adfe37e06d",
+                         "bfe492baf731a0dbf6e1e050f5bc3fe8"
+                         "c1b049383194dcdf82f023bfa409f462"),
+            "Haswell": ("f7ace72e21b3a19656464d1492f372c4"
+                        "507eff11c6f9ef13d0e46d8fb2f38d75",
+                        "bfe492baf731a0dbf6e1e050f5bc3fe8"
+                        "c1b049383194dcdf82f023bfa409f462")}), kernel_note()
 
     def test_two_worker_train_setup_with_batched_tails(self, monkeypatch):
         # enough tails park before each update that they fold through
@@ -3042,13 +3059,18 @@ class TestSeededTrainingDigests:
         assert max(sizes) >= 2 * cp.LANE_CROSSOVER
         assert curve == [(40_000, 4, None)]
         assert (training_digest(module.setup_net, module.setup_norm, curve),
-                rewards.hexdigest()) == ("4771d77d067f86d159719e7921d2bfac"
-                                         "7125ceef5a201e88e4ed92b1398e3fa6",
-                                         "609bb74f1c7796b3ac369fb613529e13"
-                                         "e787882d76c44853b9b75ef12b1e1e2c"), \
-            kernel_note()
+                rewards.hexdigest()) == pinned({
+            "SkylakeX": ("4771d77d067f86d159719e7921d2bfac"
+                         "7125ceef5a201e88e4ed92b1398e3fa6",
+                         "609bb74f1c7796b3ac369fb613529e13"
+                         "e787882d76c44853b9b75ef12b1e1e2c"),
+            "Haswell": ("4771d77d067f86d159719e7921d2bfac"
+                        "7125ceef5a201e88e4ed92b1398e3fa6",
+                        "5514422175f60bd6a74bfac6c7295c55"
+                        "46925b45e5092ed11b7b3e878bb1b890")}), kernel_note()
 
     @pytest.mark.parametrize("tag, expected", [
+        # the two rewards that read no target hold under every kernel tried
         ("original", ("6209b0dd5e823007b3c452a7e2347e1f"
                       "f3ccf08494c55c5f7eadbf3cfde49763",
                       "e7de06f038f60290fa037965aac7ad2f"
@@ -3057,18 +3079,30 @@ class TestSeededTrainingDigests:
                       "88c7cbe27d3ac39310e3a7838b896b8f",
                       "a256c113dcd5f803994bf6bb0eed8f9c"
                       "f4cca921b8ba0c666e11c6ab5a0f649a")),
-        ("target-torque", ("7960a61a9af5e5dec0b2128405130b0b"
-                           "3a3e0c534686cd0c869a6613de67ee0a",
-                           "07cb91df93c60e753203fa688135719e"
-                           "4583d851447fcf594e9e86f19d05e018")),
-        ("target-value", ("4bfb00deca4353e5a454d0fa8601e890"
-                          "1885d450006e04179e400b7710f53c0d",
-                          "22430a2189ad23d95092a627795cd446"
-                          "231566d73e45088c582ae97a503bd533")),
-        ("awtv", ("1026ac86b4d5e5829029da476871488f"
-                  "c504a4410b0be383feb533e4359381fa",
-                  "22d8c800aba456938ce01297e467724e"
-                  "06c94f463f48a48e1abb1152588deeff")),
+        ("target-torque", {"SkylakeX": ("7960a61a9af5e5dec0b2128405130b0b"
+                                        "3a3e0c534686cd0c869a6613de67ee0a",
+                                        "07cb91df93c60e753203fa688135719e"
+                                        "4583d851447fcf594e9e86f19d05e018"),
+                           "Haswell": ("7960a61a9af5e5dec0b2128405130b0b"
+                                       "3a3e0c534686cd0c869a6613de67ee0a",
+                                       "b3384091a01305a93f4d2a02f57119e5"
+                                       "da949a1b337946b8e32efba9dcb0e6ea")}),
+        ("target-value", {"SkylakeX": ("4bfb00deca4353e5a454d0fa8601e890"
+                                       "1885d450006e04179e400b7710f53c0d",
+                                       "22430a2189ad23d95092a627795cd446"
+                                       "231566d73e45088c582ae97a503bd533"),
+                          "Haswell": ("4bfb00deca4353e5a454d0fa8601e890"
+                                      "1885d450006e04179e400b7710f53c0d",
+                                      "7c9f7edb3de54dce7dadaf2e6f894718"
+                                      "44cb35418d79a279d1db044b1d0ae6a6")}),
+        ("awtv", {"SkylakeX": ("1026ac86b4d5e5829029da476871488f"
+                               "c504a4410b0be383feb533e4359381fa",
+                               "22d8c800aba456938ce01297e467724e"
+                               "06c94f463f48a48e1abb1152588deeff"),
+                  "Haswell": ("1026ac86b4d5e5829029da476871488f"
+                              "c504a4410b0be383feb533e4359381fa",
+                              "d43bb11dba47c6bf5ae04b542c738f58"
+                              "f4c0d807d723dd653e7f9e64804875d3")}),
     ])
     def test_each_setup_reward_with_batched_tails(self, monkeypatch, tag,
                                                   expected):
@@ -3096,6 +3130,8 @@ class TestSeededTrainingDigests:
                             reward_fn=SETUP_REWARDS[tag])
         assert min(sizes) >= 2 * cp.LANE_CROSSOVER
         assert curve == [(40_000, 4, None)]
+        if isinstance(expected, dict):  # one value per kernel
+            expected = pinned(expected)
         assert (training_digest(module.setup_net, module.setup_norm, curve),
                 rewards.hexdigest()) == expected, kernel_note()
 

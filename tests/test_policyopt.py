@@ -26,6 +26,7 @@ from helpers import (
     gae_reference,
     gaussian_logprob,
     kernel_note,
+    pinned,
     train_bandit,
 )
 
@@ -586,11 +587,15 @@ def test_ppo_update_statistics_are_pinned(with_bits):
     stats = ppo_update(net, buffers, [0.0, 0.0], config, AdamState(lr=config.lr),
                        np.random.default_rng(33))
     if with_bits:
-        expected = {"pg_loss": 0.11442117629045201, "v_loss": 3.5433450510491524,
-                    "clip_frac": 0.810763888888889, "minibatches": 12}
+        expected = {"pg_loss": 0.11442117629045201, "clip_frac": 0.810763888888889,
+                    "minibatches": 12, "v_loss": pinned(
+                        {"SkylakeX": 3.5433450510491524,
+                         "Haswell": 3.5433450510491533})}
     else:
-        expected = {"pg_loss": 0.07733958160691176, "v_loss": 2.1314665488360354,
-                    "clip_frac": 0.78125, "minibatches": 12}
+        expected = {"pg_loss": pinned({"SkylakeX": 0.07733958160691176,
+                                       "Haswell": 0.0773395816069118}),
+                    "v_loss": 2.1314665488360354, "clip_frac": 0.78125,
+                    "minibatches": 12}
     assert stats == expected, kernel_note()
 
 
