@@ -71,8 +71,10 @@ fills its buffer is parked after the update and folds into the survivor of
 `clear_except_last`, as on `tick()`; tails parked after the last update
 never run. As a tail draws nothing, each worker's draws keep their order,
 and while fewer than `LANE_CROSSOVER` tails run together (on `run()`) every
-update equals that of ticking them, bit for bit. Without `extend`, or with
-an `on_episode_end`, every tail stays on `tick()`.
+update equals that of ticking them, bit for bit: a tail on `run()` logs its
+transitions and folds them at the run's end, one reward call over the
+arrays and one add. Without `extend`, or with an `on_episode_end`, every
+tail stays on `tick()`.
 
 Lanes. `run_lanes` advances drivers together, one per lane: evaluation
 episodes of any arm and any experiment cell, or one trainer's tails. While
@@ -101,22 +103,23 @@ and returns a float or a (k,) array (a float stands for all k). Its
 `obs_next`, a float or (k,), its mean `target_action` at `obs`, (2,) or
 (k, 2), and the AWTV `params`; `obs` and `obs_next` are one observation or
 (k, OBS_DIM), `r_env` a float or (k,), `action` (2,) or (k, 2), and
-`terminal` one bool. On `tick()` the target is the driver's own
-`CarriedTarget`, so workers never write to their shared module; a call of
+`terminal` one bool. The target is the trainer's `target`, a `RowTarget`
+that keeps nothing, so workers never write to their shared module: its
+per-row passes give each row the floats of its one-row pass, so a reward
+is the same float on `tick()` and in a row of an array call. A call of
 tails passes a `TailTarget` over the batched passes. Only GAE reads a
 reward, so a learning tick whose episode stays in its setup phase (no
 handoff bit, not done, not folding) stores r_env and defers its reward:
 just before an update `_fill_rewards` computes the buffers' deferred
-rewards, a minibatch of rows per call, through a `RowTarget`, whose
-per-row passes give each row the floats of its one-row pass. A row's s' is
-the next row's raw observation, or its driver's for the last row. Rows
-deferred where the budget ends are never read, nor filled. A handoff row
-stays eager, as folds add onto it in order, and so do a done row, a
-folding tick, and every tick of a run with an `on_episode_end`, whose
-reward may keep state. Array calls run under `np.errstate` that lets
-arrays overflow silently, as floats do, and each array operation a reward
-uses must round each row as its float operation does (`+ - * /`,
-`np.minimum`, `np.exp`, `np.vecdot` do).
+rewards, a minibatch of rows per call. A row's s' is the next row's raw
+observation, or its driver's for the last row. Rows deferred where the
+budget ends are never read, nor filled. A handoff row stays eager, as
+folds add onto it in order, and so do a done row, a fold (a tail on
+`run()` computes its folds at the run's end), and every tick of a run with
+an `on_episode_end`, whose reward may keep state. Array calls run under
+`np.errstate` that lets arrays overflow silently, as floats do, and each
+array operation a reward uses must round each row as its float operation
+does (`+ - * /`, `np.minimum`, `np.exp`, `np.vecdot` do).
 """
 
 from __future__ import annotations
@@ -353,60 +356,22 @@ class BehaviorModule:
                    RunningNormalizer(OBS_DIM), params or AWTVParams())
 
 
-class CarriedTarget:
-    """One driver's view of a module's frozen target on `tick()`: the
-    target's trunk output at the newest observation it was asked about,
-    matched by the array's identity, and each head there computed when
-    first read.
-
-    A tick reads V(s) before V(s'), and its s is the last tick's s', so one
-    observation is enough: the trunk runs once per observation. The view
-    holds that array, so its id is not reused by another. The target must
-    stay frozen while the view lives (one episode).
-    """
-
-    def __init__(self, module: BehaviorModule):
-        self.module = module
-        self.params = module.params
-        # [obs, trunk output, mu, value] of the newest observation
-        self._last = (None,)
-
-    def _slot(self, obs_raw):
-        if self._last[0] is not obs_raw:
-            module = self.module
-            self._last = [obs_raw, policy_trunk(
-                module.target_net, module.target_norm, obs_raw), None, None]
-        return self._last
-
-    def target_value(self, obs_raw):
-        slot = self._slot(obs_raw)
-        if slot[3] is None:
-            slot[3] = self.module.target_net.scalar_head("value", slot[1])
-        return slot[3]
-
-    def target_action(self, obs_raw):
-        slot = self._slot(obs_raw)
-        if slot[2] is None:
-            slot[2] = self.module.target_net.head("mu", slot[1])
-        return slot[2]
-
-
 # one lockstep step of a call of tails: the (k, OBS_DIM) observations, the
-# carried target's values there, its trunk outputs at the lanes it does not
+# target's values there, its trunk outputs at the lanes it does not
 # drive (`others`, a mask; zero rows elsewhere), and the actions and env
 # rewards of the step
 TailStep = namedtuple("TailStep", "obs values trunks others actions rewards")
 
 
 class TailTarget(namedtuple("TailTarget", "module step v_next")):
-    """The carried target as a setup reward reads it over the k tails of
-    one `TailStep`: V(s) and the mean action at `step.obs`, and V(s') at
-    any other observation, `v_next`.
+    """The trained module's target as a setup reward reads it over the k
+    tails of one `TailStep`: V(s) and the mean action at `step.obs`, and
+    V(s') at any other observation, `v_next`.
 
     The values are the batched passes'. The means are computed when read: a
     lane the target drives acted on its mean, so its mean is its action;
     another lane's is a per-row product of its trunk output (`np.vecmat`),
-    which rounds as the one-row head that `CarriedTarget` reads.
+    as `RowTarget` reads a row.
     """
 
     params = property(lambda self: self.module.params)
@@ -421,9 +386,13 @@ class TailTarget(namedtuple("TailTarget", "module step v_next")):
 
 
 class RowTarget(namedtuple("RowTarget", "module")):
-    """The carried target over (k, OBS_DIM) rows of deferred transitions,
-    read per row (`trunk_rows`, `np.vecdot`, `np.vecmat`): each row as
-    `CarriedTarget` reads one."""
+    """A module's frozen target as a setup reward reads it, at one
+    observation or over (k, OBS_DIM) rows, each row through a pass of its
+    own (`trunk_rows`, `np.vecdot`, `np.vecmat`), so each row gets the
+    floats of its one-row pass. It keeps nothing between reads: a trainer's
+    one view serves every worker. One observation's value is a float, which
+    overflows silently as a reward's float operations do; an np.float64
+    would warn."""
 
     params = property(lambda self: self.module.params)
 
@@ -434,27 +403,19 @@ class RowTarget(namedtuple("RowTarget", "module")):
 
     def target_value(self, obs_raw):
         h, p = self._rows(obs_raw)
-        return np.vecdot(h, p["value.w"][:, 0]) + p["value.b"][0]
+        value = np.vecdot(h, p["value.w"][:, 0]) + p["value.b"][0]
+        return value if value.ndim else float(value)
 
     def target_action(self, obs_raw):
         h, p = self._rows(obs_raw)
         return np.vecmat(h, p["mu.w"]) + p["mu.b"]
 
 
-def _carried_policy(carry):
-    """The target that `carry` views as (role, net, norm), which
-    `EpisodeDriver.policy` gives while it acts: a trunk pass of that policy
-    is the carry's. None for no carry."""
-    if carry is None:
-        return None
-    return POLICY_TARGET, carry.module.target_net, carry.module.target_norm
-
-
 def awtv_step_reward(target, obs, obs_next, r_env, terminal, action):
     """Per-step setup reward from the frozen target value function, for one
     transition or over k tails (see the module docstring).
 
-    `target` is a CarriedTarget or a TailTarget; V(s) is read once.
+    `target` is a RowTarget or a TailTarget; V(s) is read once.
     """
     v_s = target.target_value(obs)
     v_next = 0.0 if terminal else target.target_value(obs_next)
@@ -469,7 +430,8 @@ class Trainer:
     folds post-handoff rewards into the handoff's row when `extend` is set,
     keeps each buffer's last transition across an update, and keeps
     `opening`, the record of the walker's opening (see the module
-    docstring). Without one it trains the drivers' default policy on the
+    docstring), and `target`, the `RowTarget` every reward of its drivers
+    reads. Without one it trains the drivers' default policy on the
     environment reward and empties the buffers. The PPO shuffle draws from
     `shuffle`, the first stream spawned from `rng`; `_train` spawns the
     workers' streams after it.
@@ -488,6 +450,7 @@ class Trainer:
         self.extend = extend
         self.updates = 0
         self.opening = None if module is None else []
+        self.target = None if module is None else RowTarget(module)
         self.defers = False  # set by _train: setup rewards may wait
 
     def update(self, drivers):
@@ -515,11 +478,11 @@ class Trainer:
 class EpisodeDriver:
     """Advances one bridged episode one environment tick at a time.
 
-    A learning policy appends to `buffer`. `init_fn(env, rng)` replaces the
-    standard spawn. `carry` is the `CarriedTarget` of the trained module in
-    setup training, else None; that target acts through it, any other acts
-    as a frozen policy. `folding` is set to the trainer's `extend` at the
-    trained setup policy's handoff, whose row is `fold_row`.
+    A learning policy appends to `buffer`; any other acts as a frozen
+    policy. `init_fn(env, rng)` replaces the standard spawn. `folding` is
+    set to the trainer's `extend` at the trained setup policy's handoff,
+    whose row is `fold_row`. A tail on `run()` logs its transitions in
+    `_folds` and folds them when the run ends.
     """
 
     def __init__(self, env, default_net, default_norm, modules, rng, *,
@@ -547,8 +510,7 @@ class EpisodeDriver:
         self.fold_row = None  # number of the last row it stored
         self._obs = None  # observation of self.state, once taken
         self._ahead = None  # its next artifact, found with it
-        self.carry = (None if trainer is None or trainer.module is None
-                      else CarriedTarget(trainer.module))
+        self._folds = None  # (obs, obs', r_env, action) of a tail on run()
         # (record, first artifact's start, walker's reach) while the
         # walker's opening may replay; with no init_fn the runner spawns
         # standing on the flat ground short of the first artifact. An
@@ -651,9 +613,7 @@ class EpisodeDriver:
 
         bit = None
         learning = trainer is not None and net is trainer.net
-        if policy == _carried_policy(self.carry):
-            action = self.carry.target_action(obs)
-        elif learning or acting == POLICY_SETUP:
+        if learning or acting == POLICY_SETUP:
             # a learning tick keeps its raw row for the trainer's merge
             x = policy_obs(net, obs)
             obs_n = norm.normalize(x)
@@ -668,13 +628,17 @@ class EpisodeDriver:
             # a handoff bit of 1 passes control from setup to target
             switch.transition(POLICY_TARGET, state)
 
+        if self._folds is not None:
+            self._folds.append((obs, self.observation(), r_env, action))
+            return done
         r_step = r_env  # what a learning tick stores, or a folding one adds
         if self.folding or (learning and acting == POLICY_SETUP):
             if trainer.defers and not (self.folding or done or bit):
                 self.buffer.defer_reward()  # the setup phase goes on
             else:
-                r_step = trainer.reward_fn(self.carry, obs, self.observation(),
-                                           r_env, done, action)
+                r_step = trainer.reward_fn(trainer.target, obs,
+                                           self.observation(), r_env, done,
+                                           action)
         if learning:
             self.fold_row = self.buffer.append(
                 obs_n, action, bit, mean, logit, r_step,
@@ -699,10 +663,28 @@ class EpisodeDriver:
 
     def run(self, limit=math.inf):
         """Tick until the episode ends or its ticks pass `limit`; returns
-        the driver."""
+        the driver. A tail (`folds_only`) logs each tick's transition and
+        folds the log at the end: one reward call over its arrays, then one
+        `add_reward` into the handoff's row, which adds in tick order. Only
+        the last transition can end the episode; that one's reward is the
+        one-row call's, as on `tick()`."""
+        self._folds = [] if self.folds_only() else None
         while not self.done and limit >= 0:
             self.tick()
             limit -= 1
+        log, self._folds = self._folds, None
+        if log:
+            trainer = self.trainer
+            obs, obs_next, r_env, actions = map(np.array, zip(*log))
+            r_hat = np.empty(len(log))
+            with np.errstate(over="ignore", invalid="ignore"):
+                r_hat[:] = trainer.reward_fn(trainer.target, obs, obs_next,
+                                             r_env, False, actions)
+            if self.done:
+                obs, obs_next, r_env, action = log[-1]
+                r_hat[-1] = trainer.reward_fn(trainer.target, obs, obs_next,
+                                              r_env, True, action)
+            self.buffer.add_reward(np.full(len(log), self.fold_row), r_hat)
         return self
 
 
@@ -743,15 +725,18 @@ def _run_batch(lanes, limit=math.inf):
     net and normalizer share a code, whichever arm or cell they run. Tails
     look for no artifact: `folds_only` holds none ahead. A setup lane
     samples from its driver's generator through `draw_act`, as `policy_act`
-    does. Tails share their trained module's carried target: each step keeps
-    its `TailStep`, whose rewards fold once the next step gives V(s'); a
-    tail that ends folds with its last step, and one written back alive
-    takes V(s') off its own `carry`, which its ticks on `run()` go on
-    reading. Each tail's buffer, as a code, and its handoff's row are kept
-    in arrays compacted with the lanes.
+    does. Tails share their trained module's target: each step keeps its
+    `TailStep`, whose rewards fold once the next step gives V(s'); a tail
+    that ends folds with its last step, and the tails written back alive
+    take V(s') from one call of the trainer's `target` over their
+    observations. Each tail's buffer, as a code, and its handoff's row are
+    kept in arrays compacted with the lanes.
     """
-    carried = _carried_policy(lanes[0].carry)  # None in an evaluation
-    looks = carried is None and any(drv.modules for drv in lanes)
+    trainer = lanes[0].trainer  # None in an evaluation
+    # the (role, net, norm) of the tails' target as it acts
+    specialist = trainer and (POLICY_TARGET, trainer.module.target_net,
+                              trainer.module.target_norm)
+    looks = trainer is None and any(drv.modules for drv in lanes)
     # (role, net, norm) -> code, in the order added; nets and norms hash by
     # identity
     code_of = {}
@@ -769,9 +754,8 @@ def _run_batch(lanes, limit=math.inf):
                         [drv.state for drv in lanes])
     obs = batch.observe()
     last = None  # in a call of tails, the last step, whose rewards await V(s')
-    if carried:
+    if trainer:
         # each tail's buffer, a code into `buffers`, and its handoff's row
-        trainer = lanes[0].trainer
         buffers = list(dict.fromkeys(drv.buffer for drv in lanes))
         buf_code = np.array([buffers.index(drv.buffer) for drv in lanes])
         fold_rows = np.array([drv.fold_row for drv in lanes])
@@ -814,7 +798,7 @@ def _run_batch(lanes, limit=math.inf):
 
         policies = list(code_of)
         actions = np.empty((len(lanes), ACTION_DIM))
-        values = np.empty(len(lanes))  # the carried target's, of tails
+        values = np.empty(len(lanes))  # the target's, of tails
         handoffs = []
         lane_codes = code.tolist()
         # one group per acting policy, in the order of its first lane
@@ -827,7 +811,7 @@ def _run_batch(lanes, limit=math.inf):
             mu = net.head("mu", h)
             if role != POLICY_SETUP:
                 actions[rows] = mu
-                if policies[p] == carried:
+                if policies[p] == specialist:
                     values[rows] = net.scalar_head("value", h)
                 continue
             z = net.scalar_head("switch", h)
@@ -838,10 +822,10 @@ def _run_batch(lanes, limit=math.inf):
                 actions[i], bit = draw_act(mean, std, lanes[i].rng, p_switch)
                 if bit:
                     handoffs.append(i)
-        if carried:
-            # one pass of the carried target over the tails it does not drive
-            _, net, norm = carried
-            others = code != code_of.get(carried, -1)
+        if trainer:
+            # one pass of the target over the tails it does not drive
+            _, net, norm = specialist
+            others = code != code_of.get(specialist, -1)
             trunks = np.zeros((len(lanes), net.hidden[-1]))
             if others.any():
                 trunks[others] = h = policy_trunk(net, norm, obs[others])
@@ -853,13 +837,13 @@ def _run_batch(lanes, limit=math.inf):
         for i in handoffs:
             if not done[i]:
                 switch_lane(i, POLICY_TARGET)
-        if carried:
+        if trainer:
             last = TailStep(obs, values, trunks, others, actions,
                             batch.rewards())
         obs = batch.observe()
         if done.any():
             ended, keep = done.nonzero()[0], ~done
-            if carried:
+            if trainer:
                 fold(TailStep._make(a[done] for a in last), obs[done], None,
                      True, buf_code[done], fold_rows[done])
                 last = TailStep._make(a[keep] for a in last)
@@ -870,9 +854,8 @@ def _run_batch(lanes, limit=math.inf):
             batch.compact(keep)
     write_back(range(len(lanes)))
     if last is not None and lanes:
-        # V(s') of the tails left: a one-row pass of each one's carry
-        fold(last, obs, np.array([drv.carry.target_value(drv.observation())
-                                  for drv in lanes]), False, buf_code,
+        # V(s') of the tails left, per row
+        fold(last, obs, trainer.target.target_value(obs), False, buf_code,
              fold_rows)
     return lanes
 
@@ -1000,7 +983,6 @@ def _train(trainer, env, default_net, default_norm, modules, budget, *,
 def _fill_rewards(trainer, drivers):
     """Fill each buffer's deferred setup rewards (see the module
     docstring)."""
-    target = RowTarget(trainer.module)
     for drv in drivers:
         buf = drv.buffer
         raw, last = buf.raw_obs, len(buf) - 1
@@ -1009,7 +991,7 @@ def _fill_rewards(trainer, drivers):
             obs_next = raw[np.minimum(index + 1, last)]
             obs_next[index == last] = drv.observation()
             with np.errstate(over="ignore", invalid="ignore"):
-                return trainer.reward_fn(target, raw[index], obs_next,
+                return trainer.reward_fn(trainer.target, raw[index], obs_next,
                                          buf.rewards[index], False,
                                          buf.actions[index])
 

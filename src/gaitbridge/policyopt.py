@@ -181,21 +181,15 @@ class RolloutBuffer:
 
     def add_reward(self, rows, delta):
         """Add `delta` to the reward of row number `rows`, as `append`
-        returned it, or each of (k,) `delta` to its row of (k,) `rows`, a
-        repeated row in order (`np.add.at`). BufferError, and no reward
-        changed, if any of the rows has been dropped."""
+        returned it, or each of (k,) `delta` to its row of (k,) `rows`, in
+        one `np.add.at`, which adds a repeated row in order: the k folds of
+        a tail's run sum as its ticks would add them. BufferError, and no
+        reward changed, if any of the rows has been dropped."""
+        rows = np.atleast_1d(rows)
         i = rows - self._dropped
-        if isinstance(i, int):
-            # one row, as a tail on `tick()` adds at every tick: plain
-            # indexing, at about a twentieth of the array path's cost
-            if not 0 <= i < self._n:
-                raise BufferError(f"row {rows} is no longer in the buffer")
-            self._rewards[i] += delta
-            return
         gone = (i < 0) | (i >= self._n)
         if gone.any():
-            raise BufferError(f"row {rows[gone][0]} is no longer in the "
-                              "buffer")
+            raise BufferError(f"row {rows[gone][0]} is no longer in the buffer")
         np.add.at(self._rewards, i, delta)
 
     def defer_reward(self):

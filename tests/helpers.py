@@ -152,9 +152,9 @@ def forward(net, obs):
 class UncachedTarget:
     """A module's frozen target as reward functions read it, evaluated afresh
     on every call, a (k, OBS_DIM) input row by row through the one-row
-    `forward`: the reference that a driver's `CarriedTarget` and the fill's
-    `RowTarget` must match. `calls` counts its reads and `rows` the rows
-    they evaluated."""
+    `forward`: the reference that a trainer's `RowTarget` must match, at one
+    observation on `tick()` and over rows in a tail's fold and in the fill.
+    `calls` counts its reads and `rows` the rows they evaluated."""
 
     def __init__(self, module):
         self.module = module

@@ -22,7 +22,7 @@ from gaitbridge.baselines import (
 from gaitbridge.composer import (
     AWTVParams,
     BehaviorModule,
-    CarriedTarget,
+    RowTarget,
     TailStep,
     TailTarget,
     awtv_reward,
@@ -139,14 +139,14 @@ class TestVariantReward:
 
 
 class TestVariantRewardFn:
-    """The variants as train_setup calls them: with the driver's
-    CarriedTarget view of a live module."""
+    """The variants as train_setup calls them: with the trainer's RowTarget
+    view of a live module."""
 
     def setup_method(self):
         self.module = flat_value_module(3.0)
 
     def _call(self, tag, action=(0.0, -1.0), r_env=0.05, terminal=False):
-        return setup_reward(tag, CarriedTarget(self.module), action, r_env,
+        return setup_reward(tag, RowTarget(self.module), action, r_env,
                             terminal)
 
     def test_original_fn(self):
@@ -189,8 +189,8 @@ class TestVariantRewardFn:
 
 class TestVariantRewardOverTails:
     """Each variant over k tails, as a call of tails reads them through a
-    `TailTarget`, equals its k one-transition calls through a driver's
-    `CarriedTarget`, bit for bit."""
+    `TailTarget`, equals its k one-transition calls through the trainer's
+    `RowTarget`, bit for bit."""
 
     K = 9
 
@@ -209,14 +209,14 @@ class TestVariantRewardOverTails:
         actions = rng.uniform(-1.0, 1.0, size=(k, 2))
         trunks, values, v_next = np.zeros((k, 8)), np.empty(k), np.empty(k)
         for i, (s, s_next) in enumerate(zip(obs, obs_next)):
-            carry = CarriedTarget(module)
-            values[i] = carry.target_value(s)
-            v_next[i] = carry.target_value(s_next)
+            target = RowTarget(module)
+            values[i] = target.target_value(s)
+            v_next[i] = target.target_value(s_next)
             if others[i]:
                 trunks[i] = policy_trunk(module.target_net,
                                          module.target_norm, s)
             else:
-                actions[i] = carry.target_action(s)
+                actions[i] = target.target_action(s)
         step = TailStep(obs, values, trunks, others, actions,
                         rng.normal(scale=0.1, size=k))
         return module, step, v_next, obs_next
@@ -226,7 +226,7 @@ class TestVariantRewardOverTails:
     def test_a_batch_equals_its_one_transition_calls(self, tag, terminal):
         reward_fn = SETUP_REWARDS[tag]
         module, step, v_next, obs_next = self.transitions(self.K, 3)
-        want = [reward_fn(CarriedTarget(module), s, s_next, r, terminal, a)
+        want = [reward_fn(RowTarget(module), s, s_next, r, terminal, a)
                 for s, s_next, r, a in zip(step.obs, obs_next,
                                            step.rewards.tolist(),
                                            step.actions)]
@@ -239,7 +239,7 @@ class TestVariantRewardOverTails:
         if tag == "target-torque":
             # each row squares its distance as `np.dot` does, and the lanes
             # the target drives imitate it exactly
-            means = [CarriedTarget(module).target_action(s) for s in step.obs]
+            means = [RowTarget(module).target_action(s) for s in step.obs]
             assert want == [np.exp(-bl.TORQUE_SCALE * np.dot(a - m, a - m))
                             for a, m in zip(step.actions, means)]
             assert set(np.asarray(got)[~step.others]) == {1.0}

@@ -194,7 +194,7 @@ class TestAwtvStepReward:
         # and the shaped reward sits at beta*V.
         module = flat_value_module(3.0)
         obs = np.zeros(OBS_DIM)
-        r = awtv_step_reward(cp.CarriedTarget(module), obs, obs, 0.03, False,
+        r = awtv_step_reward(cp.RowTarget(module), obs, obs, 0.03, False,
                              None)
         assert r == pytest.approx(0.03, abs=1e-10)
 
@@ -203,7 +203,7 @@ class TestAwtvStepReward:
         # squared-surprise clip saturates, and the shaped reward hits zero.
         module = flat_value_module(3.0)
         obs = np.zeros(OBS_DIM)
-        assert awtv_step_reward(cp.CarriedTarget(module), obs, obs, 0.03,
+        assert awtv_step_reward(cp.RowTarget(module), obs, obs, 0.03,
                                 True, None) == 0.0
 
 
@@ -743,13 +743,12 @@ class TestUpdateMechanics:
         assert steps == 300 and updates >= 2 and rate is None
 
 
-# ---- the driver's one-tick carry ---------------------------------------------------
+# ---- the trainer's one view of its target -------------------------------------------
 
 
 def uncached(monkeypatch):
-    """Make drivers observe afresh, and make every view of the target that
-    reads it from now on, a driver's carry and the fill's rows, an
-    `UncachedTarget`; returns those views."""
+    """Make drivers observe afresh, and make the view of the target of every
+    trainer built from now on an `UncachedTarget`; returns those views."""
     def observation(self):
         self._ahead = ts.next_artifact(self.env.course, self.state.x)
         return observe(self.env.course, self.state, self._ahead)
@@ -760,7 +759,6 @@ def uncached(monkeypatch):
         views.append(UncachedTarget(module))
         return views[-1]
 
-    monkeypatch.setattr(cp, "CarriedTarget", view)
     monkeypatch.setattr(cp, "RowTarget", view)
     monkeypatch.setattr(cp.EpisodeDriver, "observation", observation)
     return views
@@ -866,11 +864,14 @@ class TestTargetCarry:
                                             np.random.default_rng(7))
             trainer = setup_trainer(modules[HURDLE],
                                     PPOConfig(horizon=100_000))
+            trainer.defers = True  # as `_train` sets it for this reward
             buf = trainer_buffer(trainer)
             rng = np.random.default_rng(7)
             trained = [EpisodeDriver(env, walker, identity_norm(), modules,
                                      rng, trainer=trainer, buffer=buf).run()
                        for _ in range(8)]
+            # the deferred rows' rewards, through the per-row read
+            cp._fill_rewards(trainer, trained[-1:])
             return ([outcome_record(o) for o in evaluated + trained],
                     buf.rewards.tolist())
 
@@ -880,106 +881,26 @@ class TestTargetCarry:
         assert max(target_handoffs) == 2  # both specialists took over
         views = uncached(monkeypatch)
         assert carried == run()
-        assert sum(view.calls for view in views) > 0
-
-    @pytest.mark.parametrize("tag", list(SETUP_REWARDS))
-    def test_one_observation_slot_serves_every_reward(self, monkeypatch, tag):
-        # a tick reads the target at s before s', and its s is the last
-        # tick's s', so the carry's one slot runs one trunk pass per
-        # observation it is asked about, whichever reward reads it. The
-        # carries and arrays asked about are kept, so their ids stay
-        # distinct.
-        env, default_net, d_norm, module = fast_training_world()
-        slot, trunk = cp.CarriedTarget._slot, cp.policy_trunk
-        asked, passes, in_slot = [], [0], [False]
-
-        def spy_slot(carry, obs_raw):
-            asked.append((carry, obs_raw))
-            in_slot[0] = True
-            try:
-                return slot(carry, obs_raw)
-            finally:
-                in_slot[0] = False
-
-        def spy_trunk(*args):
-            passes[0] += in_slot[0]
-            return trunk(*args)
-
-        monkeypatch.setattr(cp.CarriedTarget, "_slot", spy_slot)
-        monkeypatch.setattr(cp, "policy_trunk", spy_trunk)
-        # with an on_episode_end every tail stays on tick()
-        train_setup(module, default_net, d_norm, env,
-                    PPOConfig(horizon=16, minibatch=16, epochs=1), 3000,
-                    np.random.default_rng(5), reward_fn=SETUP_REWARDS[tag],
-                    eval_every=0, eval_episodes=0, n_workers=2,
-                    on_episode_end=lambda driver: None)
-        distinct = {(id(carry), id(obs)) for carry, obs in asked}
-        assert passes[0] == len(distinct) > 100
-
-    def test_target_runs_at_most_once_per_reward_plus_one(self):
-        env, default_net, d_norm, module = fast_training_world()
-        net = module.target_net
-        trunks, reads = head_spy(net)
-        forwards = [0]
-
-        def counting(fn):
-            def wrapped(obs):
-                forwards[0] += 1
-                return fn(obs)
-            return wrapped
-
-        # a target evaluation is one trunk pass
-        net.trunk = counting(net.trunk)
-        rewards = [0]
-
-        def reward_fn(*args):
-            rewards[0] += 1
-            return awtv_step_reward(*args)
-
-        episodes = []
-
-        def on_episode_end(driver):
-            episodes.append((forwards[0], rewards[0]))
-            forwards[0] = rewards[0] = 0
-
-        train_setup(module, default_net, d_norm, env,
-                    PPOConfig(horizon=16, minibatch=16, epochs=1), 2000,
-                    np.random.default_rng(2), reward_fn=reward_fn,
-                    eval_every=0, eval_episodes=0,
-                    on_episode_end=on_episode_end)
-        assert sum(r for _, r in episodes) > 100
-        for n_forward, n_reward in episodes:
-            assert n_forward <= n_reward + 1
-        # each head is computed at most once on each trunk output
-        ids = read_ids(reads)
-        assert {name for name, _ in ids} == {"mu", "value"}
-        assert len(set(ids)) == len(ids)
+        # the reference read single observations on tick() and rows in the
+        # fill
+        assert 0 < sum(view.calls for view in views) < sum(
+            view.rows for view in views)
 
     def test_one_trunk_per_observation_and_each_head_at_most_once(self):
+        # the trainer's view reads one observation as a float value and a
+        # mean, and k rows per row, each as the one-row forward reads it
         _, _, _, module = fast_training_world()
-        rng = np.random.default_rng(4)
-        observations = [rng.normal(size=OBS_DIM) for _ in range(3)]
-        reference = UncachedTarget(module)
-        want = [(reference.target_value(o), reference.target_action(o))
-                for o in observations]
-        trunks, reads = head_spy(module.target_net)
-        carry = cp.CarriedTarget(module)
-        # the first read of each kind computes its head, later ones reuse it
-        got = []
-        for obs, order in zip(observations, ("vva", "aav", "v")):
-            for kind in order:
-                if kind == "v":
-                    got.append(carry.target_value(obs).hex())
-                else:
-                    got.append(carry.target_action(obs).tolist())
-        (v0, a0), (v1, a1), (v2, _) = want
-        assert got == [v0.hex(), v0.hex(), a0.tolist(), a1.tolist(),
-                       a1.tolist(), v1.hex(), v2.hex()]
-        assert len(trunks) == 3
-        assert read_ids(reads) == [
-            ("value", id(trunks[0])), ("mu", id(trunks[0])),
-            ("mu", id(trunks[1])), ("value", id(trunks[1])),
-            ("value", id(trunks[2]))]
+        obs = np.random.default_rng(4).normal(0.5, 2.0, size=(3, OBS_DIM))
+        reference, target = UncachedTarget(module), cp.RowTarget(module)
+        values, means = target.target_value(obs), target.target_action(obs)
+        assert values.shape == (3,) and means.shape == (3, cp.ACTION_DIM)
+        for row, value, mean in zip(obs, values, means):
+            want = reference.target_value(row)
+            one = target.target_value(row)
+            assert type(one) is float
+            assert one.hex() == float(value).hex() == want.hex()
+            assert (target.target_action(row).tobytes() == mean.tobytes()
+                    == reference.target_action(row).tobytes())
 
 
 # ---- the frozen walker's opening in setup training -------------------------------
@@ -1670,18 +1591,25 @@ def assert_same_outcome(got, want):
 
 
 class TestLanes:
-    # the no-setup arm stalls in front of the hurdle, so it starts at the gap
-    @pytest.mark.parametrize("without_setup, first",
-                             [(False, HURDLE), (True, GAP)])
+    # the no-setup arm stalls in front of the hurdle, so it starts at the
+    # gap; the bench fixtures' lanes round unlike their run()
+    @pytest.mark.parametrize("without_setup, first, fixtures", [
+        (False, HURDLE, False), (True, GAP, False), (False, HURDLE, True),
+        (True, GAP, True)], ids=["False-hurdle", "True-gap",
+                                 "False-hurdle-fixtures", "True-gap-fixtures"])
     def test_each_episode_equals_its_sequential_run(self, without_setup,
-                                                    first):
-        env, walker, modules = lane_world(first)
+                                                    first, fixtures):
+        if fixtures:
+            env, walker, walker_norm, modules = fixture_lane_world(first)
+        else:
+            (env, walker, modules), walker_norm = lane_world(first), (
+                identity_norm())
         outcomes = cp.run_lanes(cp.episode_drivers(
-            env, walker, identity_norm(), modules, 24,
+            env, walker, walker_norm, modules, 24,
             np.random.default_rng(5), without_setup=without_setup))
         children = np.random.default_rng(5).spawn(24)
         for out, child in zip(outcomes, children):
-            ref = EpisodeDriver(env, walker, identity_norm(), modules, child,
+            ref = EpisodeDriver(env, walker, walker_norm, modules, child,
                                 without_setup=without_setup).run()
             assert_same_outcome(out, ref)
         handoffs = {e.dst for out in outcomes for e in out.switch.events}
@@ -1993,27 +1921,28 @@ class TestLanes:
 
     def test_evaluation_builds_no_carried_target(self, monkeypatch):
         # a target acts on its mean as any frozen policy does; only a
-        # training driver carries its trained module's target
-        built = []
-        init = cp.CarriedTarget.__init__
+        # trainer's rewards read its module's target through `RowTarget`
+        read = []
+        rows = cp.RowTarget._rows
 
-        def spy_init(carry, module):
-            built.append(module)
-            init(carry, module)
+        def spy_rows(target, obs_raw):
+            read.append(target.module)
+            return rows(target, obs_raw)
 
-        monkeypatch.setattr(cp.CarriedTarget, "__init__", spy_init)
-        lanes = mixed_arm_lanes(2 * cp.LANE_CROSSOVER + 6)
-        outcomes = cp.run_lanes([drv for drv, _ in lanes])
-        assert POLICY_TARGET in {e.dst for out in outcomes
-                                 for e in out.switch.events}
-        assert built == []
-        module = hurdle_module()
-        trainer = setup_trainer(module, PPOConfig(horizon=16))
+        monkeypatch.setattr(cp.RowTarget, "_rows", spy_rows)
+        for arm_lanes in (mixed_arm_lanes(2 * cp.LANE_CROSSOVER + 6),
+                          mixed_arm_lanes(cp.LANE_CROSSOVER - 1)):
+            outcomes = cp.run_lanes([drv for drv, _ in arm_lanes])
+            assert POLICY_TARGET in {e.dst for out in outcomes
+                                     for e in out.switch.events}
+        assert read == []
+        module = exact_hurdle_module()
+        trainer = setup_trainer(module, PPOConfig(horizon=1000))
         EpisodeDriver(TerrainEnv(single_artifact_course(HURDLE)),
                       scripted_net(0.5, 0.0), identity_norm(),
                       {HURDLE: module}, np.random.default_rng(0),
-                      trainer=trainer, buffer=trainer_buffer(trainer))
-        assert built == [module]
+                      trainer=trainer, buffer=trainer_buffer(trainer)).run()
+        assert read and set(map(id, read)) == {id(module)}
 
 
 # ---- training tails as lanes -------------------------------------------------------
@@ -2240,6 +2169,13 @@ class FlushSpy:
         assert self.parked and not self.stray
 
 
+def next_value_reward(target, obs, obs_next, r_env, terminal, action):
+    """A setup reward of V(s') alone, 0 at an episode's end: where AWTV
+    squashes an end's reward to 0 whether or not it is terminal, this one
+    tells the two apart."""
+    return 0.0 if terminal else target.target_value(obs_next)
+
+
 class TestTrainingTails:
     def test_tails_fold_as_ticking_them(self, monkeypatch):
         tails, buf = parked_tails(2 * cp.LANE_CROSSOVER + 4)
@@ -2256,6 +2192,49 @@ class TestTrainingTails:
             POLICY_SETUP, POLICY_TARGET, POLICY_DEFAULT}
         assert (buf.rewards != before).sum() == len(tails)
         assert_close_rewards(buf.rewards.tolist(), twin_buf.rewards.tolist())
+
+    @pytest.mark.parametrize("tag", [*SETUP_REWARDS, "next-value"])
+    def test_tails_on_run_fold_as_ticking_them(self, monkeypatch, tag):
+        # fewer tails than the crossover go on run(): each logs its ticks
+        # and folds the log at its end with one add, over arrays, into the
+        # rewards that ticking its twin on tick() adds one tick at a time,
+        # bit for bit, whether the tail ends or a limit stops it. The
+        # specialist's mean reads the observation, as the torque variant's
+        # per-row means must round as the one-row ones.
+        tails, buf = parked_tails(cp.LANE_CROSSOVER - 1)
+        trainer = tails[0].trainer
+        trainer.reward_fn = SETUP_REWARDS.get(tag, next_value_reward)
+        mu_w = trainer.module.target_net.params["mu.w"]
+        mu_w[...] = (np.random.default_rng(9).normal(size=mu_w.shape)
+                     * 0.05).astype(np.float32)
+        twins, twin_buf = copy.deepcopy((tails, buf))
+        ends = [ref.run().state.steps - drv.state.steps
+                for ref, drv in zip(copy.deepcopy(tails), tails)]
+        # every tail ends but the last, which the limit stops halfway
+        limit = sum(ends[:-1]) + ends[-1] // 2
+        adds, add = [], RolloutBuffer.add_reward
+
+        def spy_add(buf, rows, delta):
+            adds.append(np.shape(rows))
+            add(buf, rows, delta)
+
+        monkeypatch.setattr(RolloutBuffer, "add_reward", spy_add)
+        sizes = batch_sizes(monkeypatch)
+        before = buf.rewards.copy()
+        cp.run_lanes(tails, limit)
+        assert not sizes
+        assert [drv.done for drv in tails] == [True] * (len(tails) - 1) + [
+            False]
+        assert adds == [(got.state.steps - twin.state.steps,)
+                        for got, twin in zip(tails, twins)]
+        assert (buf.rewards != before).sum() == len(tails)
+        adds.clear()
+        for got, twin in zip(tails, twins):
+            while twin.state.steps < got.state.steps:
+                twin.tick()
+            assert runner_bytes(got.state) == runner_bytes(twin.state)
+        assert len(adds) == sum(ends[:-1]) + ends[-1] // 2 + 1
+        assert buf.rewards.tobytes() == twin_buf.rewards.tobytes()
 
     def test_a_call_adds_once_per_buffer_and_step_as_lanes_add(
             self, monkeypatch):
@@ -2280,7 +2259,8 @@ class TestTrainingTails:
             add(buf, rows, delta)
 
         def spy_run(drv, *limit):
-            # a tail left for run() adds on tick(), one row at a time
+            # a tail left for run() adds once, at the end of its run, after
+            # the last lockstep step
             m.setattr(RolloutBuffer, "add_reward", add)
             return run(drv, *limit)
 
@@ -3197,15 +3177,16 @@ class TestDeferredRewards:
     its reward to `_fill_rewards`, just before the update that reads it."""
 
     def test_the_row_target_reads_each_row_as_the_carried_target(self):
+        # the trainer's one view reads each of k rows as it reads that row
+        # alone, as `tick()` does
         net, norm = bench_policy("hurdle_target")
         module = BehaviorModule(HURDLE, net, norm, net.copy(), norm.copy())
         obs = np.random.default_rng(3).normal(0.5, 2.0, size=(200, OBS_DIM))
         rows = cp.RowTarget(module)
         values, means = rows.target_value(obs), rows.target_action(obs)
         for row, value, mean in zip(obs, values, means):
-            carry = cp.CarriedTarget(module)
-            assert carry.target_value(row).hex() == float(value).hex()
-            assert carry.target_action(row).tobytes() == mean.tobytes()
+            assert rows.target_value(row).hex() == float(value).hex()
+            assert rows.target_action(row).tobytes() == mean.tobytes()
 
     @pytest.mark.parametrize("tag", list(SETUP_REWARDS))
     def test_each_update_reads_the_rewards_of_ticking(self, monkeypatch, tag):
@@ -3234,9 +3215,6 @@ class TestDeferredRewards:
         # with no handoff a setup phase ends its episode, and a done row's
         # s' is in no row of its buffer. The AWTV reward of a failure is
         # squashed to 0 whatever V(s') is, so this reward reads V(s') alone.
-        def next_value(target, obs, obs_next, r_env, terminal, action):
-            return 0.0 if terminal else target.target_value(obs_next)
-
         log, update, dones = reward_log(monkeypatch), Trainer.update, []
 
         def spy_update(trainer, workers):
@@ -3251,7 +3229,7 @@ class TestDeferredRewards:
             curve = train_setup(module, default_net, d_norm, env,
                                 PPOConfig(horizon=48, minibatch=8, epochs=1),
                                 4000, np.random.default_rng(8),
-                                reward_fn=next_value, eval_every=0,
+                                reward_fn=next_value_reward, eval_every=0,
                                 eval_episodes=0, n_workers=2)
             return training_digest(module.setup_net, module.setup_norm, curve)
 
@@ -3308,7 +3286,7 @@ class TestDeferredRewards:
             fill(trainer, drivers)
             for buf, last, obs_next, r_env in lasts:
                 want = awtv_step_reward(
-                    cp.CarriedTarget(module), buf.raw_obs[last].copy(),
+                    cp.RowTarget(module), buf.raw_obs[last].copy(),
                     obs_next, r_env, False, buf.actions[last].copy())
                 assert buf.rewards[last].hex() == want.hex()
                 survivors.append((buf, want))

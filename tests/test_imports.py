@@ -282,15 +282,17 @@ def test_attribute_scope_detector():
 
 def test_the_fold_is_written_once():
     # one function adds a folded reward into a buffer row, over one row or
-    # an array of them, and both paths that tick a training tail call it:
-    # tick() for one tick, the lane batch once per buffer and step. Beside
-    # it only the buffer's allocation, `append` and the writer of deferred
-    # rewards touch the rewards column.
+    # an array of them, and the three paths that tick a training tail call
+    # it: tick() for one tick of a driver that is not parked, run() once at
+    # the end of a parked tail's run, the lane batch once per buffer and
+    # step. Beside it only the buffer's allocation, `append` and the writer
+    # of deferred rewards touch the rewards column.
     sources = [path.read_text(encoding="utf-8")
                for path in sorted((ROOT / "src").rglob("*.py"))]
     adds = [scope for source in sources
             for scope in call_scopes(source, "add_reward")]
-    assert adds == [("EpisodeDriver", "tick"), ("_run_batch", "fold")]
+    assert adds == [("EpisodeDriver", "run"), ("EpisodeDriver", "tick"),
+                    ("_run_batch", "fold")]
     column = {scope for source in sources
               for scope in attribute_scopes(source, "_rewards")}
     assert column == {("RolloutBuffer", name)
@@ -518,9 +520,9 @@ ABSENT_TRACE_TARGETS = {
         "a value is read as scalar_head(\"value\", trunk(obs)); no span "
         "counts it until diffcore.forward traces ParameterizedNet.trunk",
     "gaitbridge.composer:BehaviorModule.target_value":
-        "drivers read the target through CarriedTarget, which runs trunk once "
-        "per observation and each head on demand; the uncached reference is "
-        "the tests' UncachedTarget",
+        "a trainer's rewards read the target through its one RowTarget, one "
+        "trunk_rows pass and the heads read per call, over one observation "
+        "or k rows; the uncached reference is the tests' UncachedTarget",
     "gaitbridge.policyopt:RunningNormalizer.update":
         "the per-row update gave way to RunningNormalizer.merge, which folds "
         "each worker's raw rows in at the trainer's update; normalize is the "

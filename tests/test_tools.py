@@ -235,8 +235,8 @@ def test_spy_counts_of_a_toy_instance(monkeypatch):
     assert got["replayed ticks"] > got["EpisodeDriver.tick"]
     assert 0 < got["reward_fn"] < got["lane-ticks"] / 2
     assert 0 < got["RolloutBuffer.add_reward"] < got["lane-ticks"] / 4
-    # the carried targets' trunk passes on tick(); target training has none
-    assert got["CarriedTarget passes"] > 0
+    # the target's rows read for setup rewards; target training reads none
+    assert got["target row passes"] > 0
     # setup rows left to the update fill there; target training defers none
     assert got["deferred rewards filled"] > 0
     # bridged evaluation: the harness's lanes copy the walker's opening,
@@ -251,10 +251,10 @@ def test_spy_counts_of_a_toy_instance(monkeypatch):
     assert got["lane-ticks"] == got["Trainer.update"] == 0
     # a method the package does not define reads None
     monkeypatch.delattr(tool.policyopt.RolloutBuffer, "add_reward")
-    monkeypatch.delattr(tool.composer.CarriedTarget, "_slot")
+    monkeypatch.delattr(tool.composer.RowTarget, "_rows")
     got = tool.spy_counts("target-train", 1, updates=1, horizon=64)
     assert got["RolloutBuffer.add_reward"] is None
-    assert got["CarriedTarget passes"] is None
+    assert got["target row passes"] is None
     assert got["Trainer.update"] == 1
 
 

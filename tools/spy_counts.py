@@ -20,9 +20,8 @@ one `name count` line for each:
 - `reward_fn`: calls of the trainers' setup reward, one per transition on
   `tick()` and one per lockstep step of a batch of tails;
 - `RolloutBuffer.add_reward` and `Trainer.update`: their calls;
-- `CarriedTarget passes`: the target's trunk passes that drivers' carried
-  targets run on `tick()`, those that `policy_trunk` runs inside
-  `CarriedTarget._slot`;
+- `target row passes`: the rows that the trainers' `RowTarget` evaluates
+  for their rewards (`RowTarget._rows`), one for one observation;
 - `deferred rewards filled`: the pending setup rewards that
   `RolloutBuffer.fill_rewards` wrote before updates.
 
@@ -54,13 +53,14 @@ METHODS = (("EpisodeDriver.tick", composer.EpisodeDriver, "tick"),
            ("RunnerBatch.step", composer.RunnerBatch, "step"),
            ("RolloutBuffer.add_reward", policyopt.RolloutBuffer, "add_reward"),
            ("Trainer.update", composer.Trainer, "update"),
+           ("target row passes", composer.RowTarget, "_rows"),
            ("deferred rewards filled", policyopt.RolloutBuffer,
             "fill_rewards"))
 ORDER = ("EpisodeDriver.tick", "EpisodeDriver.replay_opening", "replays",
          "replayed ticks", "lane-ticks", "evaluation ticks",
          "evaluation replayed ticks", "evaluation batched lane-ticks",
          "RunnerBatch.step", "reward_fn",
-         "RolloutBuffer.add_reward", "Trainer.update", "CarriedTarget passes",
+         "RolloutBuffer.add_reward", "Trainer.update", "target row passes",
          "deferred rewards filled")
 
 
@@ -69,8 +69,6 @@ def spy_counts(workload, seed, **sizes):
     `seed` with `sizes`; None for a method the package does not define."""
     counts = dict.fromkeys(ORDER, 0)
     trainer_init = composer.Trainer.__init__
-    policy_trunk, in_slot = composer.policy_trunk, [False]
-    slot = getattr(composer.CarriedTarget, "_slot", None)
 
     def count(label, fn, after=None):
         def spy(*args, **kwargs):
@@ -92,8 +90,12 @@ def spy_counts(workload, seed, **sizes):
     def filled(rows, *_):
         counts["deferred rewards filled"] += rows
 
-    # a counted method whose result counts, not its calls
-    hooks = {"replay_opening": replayed, "fill_rewards": filled}
+    def passed(_, target, obs_raw):
+        counts["target row passes"] += 1 if obs_raw.ndim == 1 else len(obs_raw)
+
+    # a counted method whose result or arguments count, not its calls
+    hooks = {"replay_opening": replayed, "fill_rewards": filled,
+             "_rows": passed}
 
     def ticked(fn, training, evaluation):
         """A spy on `fn(drivers, *limit)` that adds the ticks its training
@@ -113,17 +115,6 @@ def spy_counts(workload, seed, **sizes):
         trainer_init(trainer, *args, **kwargs)
         trainer.reward_fn = count("reward_fn", trainer.reward_fn)
 
-    def spy_slot(carry, obs_raw):
-        in_slot[0] = True
-        try:
-            return slot(carry, obs_raw)
-        finally:
-            in_slot[0] = False
-
-    def spy_policy_trunk(*args):
-        counts["CarriedTarget passes"] += in_slot[0]
-        return policy_trunk(*args)
-
     # the harness imports run_lanes by name
     spy_run_lanes = ticked(composer.run_lanes, "lane-ticks",
                            "evaluation ticks")
@@ -132,11 +123,6 @@ def spy_counts(workload, seed, **sizes):
              (composer, "_run_batch", ticked(
                  composer._run_batch, None, "evaluation batched lane-ticks")),
              (composer.Trainer, "__init__", spy_trainer_init)]
-    if slot is None:
-        counts["CarriedTarget passes"] = None
-    else:
-        spies += [(composer.CarriedTarget, "_slot", spy_slot),
-                  (composer, "policy_trunk", spy_policy_trunk)]
     for label, owner, name in METHODS:
         if hasattr(owner, name):
             spies.append((owner, name, count(
