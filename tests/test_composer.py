@@ -843,18 +843,18 @@ class TestTargetCarry:
             return (rewards, module.setup_net.flat.copy(),
                     module.setup_norm.state_arrays())
 
-        carried = run()
+        got = run()
         views = uncached(monkeypatch)
         reference = run()
         # the reference read single observations on tick() and rows in the
         # fill
         calls = sum(view.calls for view in views)
         assert 0 < calls < sum(view.rows for view in views)
-        assert len(carried[0]) >= 2
-        assert carried[0] == reference[0]
-        assert np.array_equal(carried[1], reference[1])
+        assert len(got[0]) >= 2
+        assert got[0] == reference[0]
+        assert np.array_equal(got[1], reference[1])
         for key, arr in reference[2].items():
-            assert np.array_equal(carried[2][key], arr)
+            assert np.array_equal(got[2][key], arr)
 
     def test_two_kind_course_matches_uncached_reference(self, monkeypatch):
         def run():
@@ -875,12 +875,12 @@ class TestTargetCarry:
             return ([outcome_record(o) for o in evaluated + trained],
                     buf.rewards.tolist())
 
-        carried = run()
+        got = run()
         target_handoffs = [sum(e[2] == POLICY_TARGET for e in rec[-1])
-                           for rec in carried[0]]
+                           for rec in got[0]]
         assert max(target_handoffs) == 2  # both specialists took over
         views = uncached(monkeypatch)
-        assert carried == run()
+        assert got == run()
         # the reference read single observations on tick() and rows in the
         # fill
         assert 0 < sum(view.calls for view in views) < sum(

@@ -18,6 +18,7 @@ from gaitbridge.harness.checkpoint import Checkpoint, checkpoint_bytes, parse_ch
 from gaitbridge.policyopt import PPOConfig, policy_act, ppo_loss_grad
 from gaitbridge.terrainsim import OBS_DIM, OBS_PROPRIO
 
+import helpers
 from helpers import (
     blas_kernel,
     forward,
@@ -576,3 +577,18 @@ def test_the_blas_kernel_is_named():
                     f"{blas.get('name')} {blas.get('version')}")
     assert re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", kernel)
     assert kernel_note().endswith(f"this run's is {kernel}")
+
+
+@pytest.mark.parametrize("kernel, want", [
+    ("SkylakeX", "s"), ("Haswell", "h"), ("Zen", "h"), ("Sandybridge", None),
+    (None, None)])
+def test_a_pin_reads_the_value_of_its_kernel(monkeypatch, kernel, want):
+    # Zen rounds as Haswell; a kernel with no recorded value fails the pin
+    monkeypatch.setattr(helpers, "blas_kernel", lambda: kernel)
+    values = {"SkylakeX": "s", "Haswell": "h"}
+    if want is not None:
+        assert helpers.pinned(values) == want
+        return
+    with pytest.raises(pytest.fail.Exception) as failed:
+        helpers.pinned(values)
+    assert str(failed.value) == helpers.kernel_note()
